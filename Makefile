@@ -16,7 +16,8 @@
 #   make bench    - figure + engine benchmarks -> BENCH_sim.json
 #                   (benchstat-compatible raw lines plus parsed metrics,
 #                   with results/bench_baseline.txt embedded as the
-#                   before/baseline section)
+#                   before/baseline section), then the FM-database
+#                   ledger (internal/core, internal/fib) -> BENCH_fm.json
 
 GO ?= go
 BENCHTIME ?= 3x
@@ -25,6 +26,9 @@ BENCHTIME ?= 3x
 # or single-core hosts despite the short BENCHTIME.
 BENCHCOUNT ?= 5
 BENCH_BASELINE ?= results/bench_baseline.txt
+# The FM-database ledger's before section: the same benchmarks on the
+# commit before the adjacency index (link-map scans).
+BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
 
 .PHONY: all build vet test race verify bench bench-smoke bench-diff fmt-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke fuzz
 
@@ -127,18 +131,22 @@ obs-smoke:
 assim-smoke:
 	$(GO) run ./cmd/asifmd -assim-smoke 12
 
-# bench-diff re-runs the benchmark suite and gates it against the
-# committed BENCH_sim.json: an allocs/op increase beyond max(2, 0.1%)
-# rounding/GC slack fails; ns/op may regress at most 10% plus the noise
-# both runs measured across their -count repeats. Regenerate the
-# baseline with `make bench` when a change legitimately moves the
-# numbers.
+# bench-diff re-runs the benchmark suites and gates them against the
+# committed BENCH_sim.json and BENCH_fm.json: an allocs/op increase
+# beyond max(2, 0.1%) rounding/GC slack fails; ns/op may regress at most
+# 10% plus the noise both runs measured across their -count repeats.
+# Regenerate the baselines with `make bench` when a change legitimately
+# moves the numbers.
 bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \
 		| $(GO) run ./cmd/benchjson -diff BENCH_sim.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
+		| $(GO) run ./cmd/benchjson -diff BENCH_fm.json
 
 verify: fmt-check build vet test race bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \
 		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_BASELINE) -o BENCH_sim.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
+		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_FM_BASELINE) -o BENCH_fm.json

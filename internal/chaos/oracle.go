@@ -67,8 +67,8 @@ func CheckConverged(f *fabric.Fabric, m *core.Manager, res core.Result) error {
 	}
 	// One BFS covers every node: db.PathTo(n) is non-nil exactly when n
 	// is in the host's reachable set (endpoints hold a single cable, so
-	// switch-only forwarding and plain reachability agree). The previous
-	// per-node PathTo loop was O(V^2 * L) and took hours at 10k switches.
+	// switch-only forwarding and plain reachability agree). Over the
+	// database's adjacency index that search is O(V + L).
 	reach := db.ReachableFromHost()
 	for _, n := range db.Nodes() {
 		if !reach[n.DSN] {

@@ -58,20 +58,41 @@ func (l Link) normalize() Link {
 	return l
 }
 
+// ends returns the link as its A end and as its B end see it.
+func (l Link) ends() (a, b Neighbor) {
+	return Neighbor{DSN: l.B, LocalPort: l.APort, RemotePort: l.BPort},
+		Neighbor{DSN: l.A, LocalPort: l.BPort, RemotePort: l.APort}
+}
+
 // DB is the fabric manager's topology database, rebuilt from scratch on
 // every (full) discovery, as the paper assumes: "the FM obtains the
 // complete fabric topology, discarding all the previously collected
 // information".
+//
+// The link set is held twice: links is the canonical set (what Links,
+// Fingerprint and HasLink read), adj indexes it per device. After every
+// mutation each recorded link appears in adj exactly once under each of
+// its two ends, and adj holds nothing else; each device's entries stay
+// sorted by (LocalPort, DSN, RemotePort). That order is the order every
+// breadth-first search expands neighbours in, so it decides every
+// shortest-path tie-break and therefore every source route. AddLink,
+// RemoveLink, RemoveNode and Clone are the only writers of either.
 type DB struct {
 	// HostDSN is the endpoint hosting the FM.
 	HostDSN asi.DSN
 	nodes   map[asi.DSN]*Node
 	links   map[Link]bool
+	adj     map[asi.DSN][]Neighbor
 }
 
 // NewDB returns an empty database for an FM hosted on the given endpoint.
 func NewDB(host asi.DSN) *DB {
-	return &DB{HostDSN: host, nodes: make(map[asi.DSN]*Node), links: make(map[Link]bool)}
+	return &DB{
+		HostDSN: host,
+		nodes:   make(map[asi.DSN]*Node),
+		links:   make(map[Link]bool),
+		adj:     make(map[asi.DSN][]Neighbor),
+	}
 }
 
 // Node returns the database entry for a DSN, or nil.
@@ -127,15 +148,17 @@ func (db *DB) Links() []Link {
 }
 
 // Clone deep-copies the database: node entries (including their paths
-// and per-port attribute slices) and the link set share nothing with the
-// original. The serving layer uses it to freeze a discovery result into
-// an immutable RIB snapshot while the manager keeps mutating its live
-// database (partial assimilation edits entries in place).
+// and per-port attribute slices), the link set and its adjacency index
+// share nothing with the original. The serving layer uses it to freeze a
+// discovery result into an immutable RIB snapshot while the manager keeps
+// mutating its live database (partial assimilation edits entries in
+// place).
 func (db *DB) Clone() *DB {
 	out := &DB{
 		HostDSN: db.HostDSN,
 		nodes:   make(map[asi.DSN]*Node, len(db.nodes)),
 		links:   make(map[Link]bool, len(db.links)),
+		adj:     make(map[asi.DSN][]Neighbor, len(db.adj)),
 	}
 	for dsn, n := range db.nodes {
 		c := *n
@@ -146,6 +169,14 @@ func (db *DB) Clone() *DB {
 	}
 	for l := range db.links {
 		out.links[l] = true
+	}
+	// One backing array holds every device's adjacency; each slice's
+	// capacity ends with its own entries, so a later AddLink on the
+	// clone reallocates that device's slice, never spills into the next.
+	ends := make([]Neighbor, 0, 2*len(db.links))
+	for dsn, nbs := range db.adj {
+		ends = append(ends, nbs...)
+		out.adj[dsn] = ends[len(ends)-len(nbs) : len(ends) : len(ends)]
 	}
 	return out
 }
@@ -198,78 +229,137 @@ func (db *DB) AddNode(n *Node) bool {
 // rediscovery when pruning an unreachable region).
 func (db *DB) RemoveNode(dsn asi.DSN) {
 	delete(db.nodes, dsn)
-	for l := range db.links {
-		if l.A == dsn || l.B == dsn {
-			delete(db.links, l)
+	for _, nb := range db.adj[dsn] {
+		l := nb.linkFrom(dsn)
+		delete(db.links, l.normalize())
+		if nb.DSN != dsn {
+			_, far := l.ends()
+			db.unindex(nb.DSN, far)
 		}
 	}
+	delete(db.adj, dsn)
 }
 
 // AddLink records a link; duplicates (the same cable crossed from either
 // side) collapse onto one entry.
 func (db *DB) AddLink(l Link) {
-	db.links[l.normalize()] = true
+	l = l.normalize()
+	if db.links[l] {
+		return
+	}
+	db.links[l] = true
+	a, b := l.ends()
+	db.index(l.A, a)
+	db.index(l.B, b)
 }
 
 // RemoveLink deletes a link.
 func (db *DB) RemoveLink(l Link) {
-	delete(db.links, l.normalize())
+	l = l.normalize()
+	if !db.links[l] {
+		return
+	}
+	delete(db.links, l)
+	a, b := l.ends()
+	db.unindex(l.A, a)
+	db.unindex(l.B, b)
 }
 
 // HasLink reports whether a link is recorded, in either orientation.
 func (db *DB) HasLink(l Link) bool { return db.links[l.normalize()] }
 
-// LinkAt returns the link attached to a device port, if recorded.
-func (db *DB) LinkAt(dsn asi.DSN, port int) (Link, bool) {
-	for l := range db.links {
-		if (l.A == dsn && l.APort == port) || (l.B == dsn && l.BPort == port) {
-			return l, true
-		}
-	}
-	return Link{}, false
-}
-
-// Neighbors returns the (dsn, port, remotePort) triples adjacent to a
-// device, sorted for determinism.
+// Neighbor is one end of a recorded link as seen from a device: the port
+// it leaves on, the device it reaches and the port it arrives on there.
 type Neighbor struct {
 	DSN        asi.DSN
 	LocalPort  int
 	RemotePort int
 }
 
-// NeighborsOf lists the recorded neighbours of a device.
-func (db *DB) NeighborsOf(dsn asi.DSN) []Neighbor {
-	var out []Neighbor
-	for l := range db.links {
-		switch dsn {
-		case l.A:
-			out = append(out, Neighbor{DSN: l.B, LocalPort: l.APort, RemotePort: l.BPort})
-		case l.B:
-			out = append(out, Neighbor{DSN: l.A, LocalPort: l.BPort, RemotePort: l.APort})
+// linkFrom returns the link this is one end of, oriented from the device
+// whose adjacency holds it.
+func (nb Neighbor) linkFrom(dsn asi.DSN) Link {
+	return Link{A: dsn, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort}
+}
+
+// before is the adjacency order: (LocalPort, DSN, RemotePort).
+func (a Neighbor) before(b Neighbor) bool {
+	if a.LocalPort != b.LocalPort {
+		return a.LocalPort < b.LocalPort
+	}
+	if a.DSN != b.DSN {
+		return a.DSN < b.DSN
+	}
+	return a.RemotePort < b.RemotePort
+}
+
+// index inserts one link end into a device's adjacency, in order. A
+// device's first entry sizes the slice from its port count, so a device
+// with one cable per port never regrows it.
+func (db *DB) index(dsn asi.DSN, nb Neighbor) {
+	nbs, ok := db.adj[dsn]
+	if !ok {
+		ports := 1
+		if n := db.nodes[dsn]; n != nil && n.Ports > ports {
+			ports = n.Ports
+		}
+		nbs = make([]Neighbor, 0, ports)
+	}
+	i := len(nbs)
+	nbs = append(nbs, nb)
+	for ; i > 0 && nb.before(nbs[i-1]); i-- {
+		nbs[i] = nbs[i-1]
+	}
+	nbs[i] = nb
+	db.adj[dsn] = nbs
+}
+
+// unindex removes one link end from a device's adjacency.
+func (db *DB) unindex(dsn asi.DSN, nb Neighbor) {
+	nbs := db.adj[dsn]
+	for i := range nbs {
+		if nbs[i] == nb {
+			if len(nbs) == 1 {
+				delete(db.adj, dsn)
+				return
+			}
+			db.adj[dsn] = append(nbs[:i], nbs[i+1:]...)
+			return
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LocalPort != out[j].LocalPort {
-			return out[i].LocalPort < out[j].LocalPort
-		}
-		return out[i].DSN < out[j].DSN
-	})
-	return out
 }
+
+// LinkAt returns the link attached to a device port, if recorded. Should
+// two different links ever be recorded on one port, it returns the first
+// in NeighborsOf order.
+func (db *DB) LinkAt(dsn asi.DSN, port int) (Link, bool) {
+	for _, nb := range db.adj[dsn] {
+		if nb.LocalPort == port {
+			return nb.linkFrom(dsn).normalize(), true
+		}
+	}
+	return Link{}, false
+}
+
+// NeighborsOf lists the recorded neighbours of a device in (LocalPort,
+// DSN, RemotePort) order, one entry per link end on the device (a cable
+// between two of its own ports appears under both). The slice is the
+// database's own index: callers must not modify it, and it is valid only
+// until the next mutation.
+func (db *DB) NeighborsOf(dsn asi.DSN) []Neighbor { return db.adj[dsn] }
 
 // ReachableFromHost walks the recorded links from the host endpoint and
 // returns the set of reachable DSNs.
 func (db *DB) ReachableFromHost() map[asi.DSN]bool {
-	seen := map[asi.DSN]bool{}
 	if _, ok := db.nodes[db.HostDSN]; !ok {
-		return seen
+		return map[asi.DSN]bool{}
 	}
+	seen := make(map[asi.DSN]bool, len(db.nodes))
 	seen[db.HostDSN] = true
-	queue := []asi.DSN{db.HostDSN}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range db.NeighborsOf(cur) {
+	queue := make([]asi.DSN, 1, len(db.nodes))
+	queue[0] = db.HostDSN
+	for head := 0; head < len(queue); head++ {
+		for _, nb := range db.adj[queue[head]] {
 			if _, known := db.nodes[nb.DSN]; !known || seen[nb.DSN] {
 				continue
 			}
@@ -284,51 +374,109 @@ func (db *DB) ReachableFromHost() map[asi.DSN]bool {
 // target over the recorded links, breadth-first, and the target's arrival
 // port along it. It returns a nil path when the target is not reachable
 // in the database. The first hop leaves the host endpoint; every switch
-// traversal contributes one hop, the target itself none.
+// traversal contributes one hop, the target itself none. Each call is one
+// breadth-first search; a caller with many targets builds one TreeFrom.
 func (db *DB) PathTo(target asi.DSN) (route.Path, int) {
-	return db.pathFrom(db.HostDSN, target)
+	return db.TreeFrom(db.HostDSN).PathTo(target)
 }
 
 // PathBetween computes a shortest source route from one discovered device
 // to another over the recorded links. Only endpoints and switches known
 // to the database are usable; nil means unreachable.
 func (db *DB) PathBetween(src, dst asi.DSN) route.Path {
-	p, _ := db.pathFrom(src, dst)
+	p, _ := db.TreeFrom(src).PathTo(dst)
 	return p
 }
 
-// pred records how BFS reached a node.
-type pred struct {
-	from       asi.DSN
-	fromPort   int
-	arrivePort int
+// Chain returns the cable-level walk of a shortest path from src to dst
+// over the database graph, or nil if unreachable.
+func (db *DB) Chain(src, dst asi.DSN) []ChainLink {
+	return db.TreeFrom(src).Chain(dst)
 }
 
-// bfsFrom explores the database graph from src (only src and switches
-// forward) and returns the predecessor map.
-func (db *DB) bfsFrom(src asi.DSN) map[asi.DSN]pred {
-	prev := map[asi.DSN]pred{}
-	if _, ok := db.nodes[src]; !ok {
-		return prev
+// PathTree is the shortest-path tree of one breadth-first search over the
+// database graph: built once in O(devices + links), it then answers
+// PathTo and Chain for any target in O(hops). It is a snapshot — it holds
+// no reference to the database and does not follow later mutations — so
+// the per-device passes (path refresh, FIB derivation, path tables) build
+// one per pass and drop it; the database itself never caches one, because
+// a served snapshot's DB is read concurrently and queries must not write.
+type PathTree struct {
+	src asi.DSN
+	// prev is nil when src is not in the database.
+	prev map[asi.DSN]pred
+}
+
+// pred records how the search reached a node.
+type pred struct {
+	from asi.DSN
+	// fromPorts is from's port count, the Ports of the hop through it;
+	// hops is the length of the source route to the node.
+	fromPorts  int
+	fromPort   int
+	arrivePort int
+	hops       int
+}
+
+// TreeFrom runs one breadth-first search from src; only src and switches
+// forward. Neighbours expand in NeighborsOf order, which fixes the choice
+// among equally short paths.
+func (db *DB) TreeFrom(src asi.DSN) *PathTree {
+	t := &PathTree{src: src}
+	root, ok := db.nodes[src]
+	if !ok {
+		return t
 	}
-	seen := map[asi.DSN]bool{src: true}
-	queue := []asi.DSN{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur != src && db.nodes[cur].Type != asi.DeviceSwitch {
-			continue
-		}
-		for _, nb := range db.NeighborsOf(cur) {
-			if _, known := db.nodes[nb.DSN]; !known || seen[nb.DSN] {
+	t.prev = make(map[asi.DSN]pred, len(db.nodes))
+	queue := make([]*Node, 1, len(db.nodes))
+	queue[0] = root
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		hops := 0 // of a route that ends one cable past cur
+		if cur != root {
+			if cur.Type != asi.DeviceSwitch {
 				continue
 			}
-			seen[nb.DSN] = true
-			prev[nb.DSN] = pred{from: cur, fromPort: nb.LocalPort, arrivePort: nb.RemotePort}
-			queue = append(queue, nb.DSN)
+			hops = t.prev[cur.DSN].hops + 1
+		}
+		for _, nb := range db.adj[cur.DSN] {
+			n, known := db.nodes[nb.DSN]
+			if !known || nb.DSN == src {
+				continue
+			}
+			if _, seen := t.prev[nb.DSN]; seen {
+				continue
+			}
+			t.prev[nb.DSN] = pred{from: cur.DSN, fromPorts: cur.Ports, fromPort: nb.LocalPort, arrivePort: nb.RemotePort, hops: hops}
+			queue = append(queue, n)
 		}
 	}
-	return prev
+	return t
+}
+
+// PathTo returns the source route from the tree's source to target and
+// the target's arrival port along it; a nil path means unreachable. The
+// source itself is the empty, non-nil path.
+func (t *PathTree) PathTo(target asi.DSN) (route.Path, int) {
+	if t.prev == nil {
+		return nil, 0
+	}
+	if target == t.src {
+		return route.Path{}, 0
+	}
+	last, ok := t.prev[target]
+	if !ok {
+		return nil, 0
+	}
+	// Non-nil even for adjacent targets: nil is the unreachable
+	// sentinel, a zero-hop path is a valid route.
+	path := make(route.Path, last.hops)
+	for p, i := last, last.hops-1; i >= 0; i-- {
+		up := t.prev[p.from]
+		path[i] = route.Hop{Ports: p.fromPorts, In: up.arrivePort, Out: p.fromPort}
+		p = up
+	}
+	return path, last.arrivePort
 }
 
 // ChainLink is one cable traversal on a database path.
@@ -339,57 +487,24 @@ type ChainLink struct {
 	ToPort   int
 }
 
-// Chain returns the cable-level walk of a shortest path from src to dst
-// over the database graph, or nil if unreachable. Multicast tree
-// construction uses it to mark the ports a group spans.
-func (db *DB) Chain(src, dst asi.DSN) []ChainLink {
-	if src == dst {
+// Chain returns the cable-level walk of the tree's path from its source
+// to dst, or nil if unreachable. Multicast tree construction uses it to
+// mark the ports a group spans.
+func (t *PathTree) Chain(dst asi.DSN) []ChainLink {
+	if dst == t.src {
 		return []ChainLink{}
 	}
-	prev := db.bfsFrom(src)
-	if _, ok := prev[dst]; !ok {
+	last, ok := t.prev[dst]
+	if !ok {
 		return nil
 	}
-	var out []ChainLink
-	at := dst
-	for at != src {
-		p := prev[at]
-		out = append(out, ChainLink{From: p.from, FromPort: p.fromPort, To: at, ToPort: p.arrivePort})
+	out := make([]ChainLink, last.hops+1)
+	for i, at := last.hops, dst; i >= 0; i-- {
+		p := t.prev[at]
+		out[i] = ChainLink{From: p.from, FromPort: p.fromPort, To: at, ToPort: p.arrivePort}
 		at = p.from
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-func (db *DB) pathFrom(src, target asi.DSN) (route.Path, int) {
-	if _, ok := db.nodes[src]; !ok {
-		return nil, 0
-	}
-	if target == src {
-		return route.Path{}, 0
-	}
-	prev := db.bfsFrom(src)
-	if _, ok := prev[target]; !ok {
-		return nil, 0
-	}
-	// hops must be non-nil even for adjacent targets: nil is the
-	// unreachable sentinel, a zero-hop path is a valid route.
-	hops := route.Path{}
-	at := target
-	for at != src {
-		p := prev[at]
-		if p.from != src {
-			n := db.nodes[p.from]
-			hops = append(hops, route.Hop{Ports: n.Ports, In: prev[p.from].arrivePort, Out: p.fromPort})
-		}
-		at = p.from
-	}
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
-	}
-	return hops, prev[target].arrivePort
 }
 
 // String summarizes the database.

@@ -310,11 +310,12 @@ func (t *Team) merge() {
 	}
 	// Foreign-region nodes carry member-relative paths; recompute from
 	// the primary's endpoint over the merged graph.
+	tree := p.db.TreeFrom(p.dev.DSN)
 	for _, n := range p.db.Nodes() {
 		if n.DSN == p.dev.DSN {
 			continue
 		}
-		path, arrive := p.db.PathTo(n.DSN)
+		path, arrive := tree.PathTo(n.DSN)
 		if path == nil {
 			p.db.RemoveNode(n.DSN)
 			continue

@@ -10,7 +10,7 @@ import (
 
 // setup builds a fabric over tp and attaches a manager with the given
 // algorithm to the first endpoint.
-func setup(t *testing.T, tp *topo.Topology, kind Kind) (*sim.Engine, *fabric.Fabric, *Manager) {
+func setup(t testing.TB, tp *topo.Topology, kind Kind) (*sim.Engine, *fabric.Fabric, *Manager) {
 	t.Helper()
 	e := sim.NewEngine()
 	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(1))
@@ -59,7 +59,7 @@ func groundTruth(f *fabric.Fabric, start topo.NodeID) (devices, links int) {
 }
 
 // runDiscovery starts a discovery and returns the result.
-func runDiscovery(t *testing.T, e *sim.Engine, m *Manager) Result {
+func runDiscovery(t testing.TB, e *sim.Engine, m *Manager) Result {
 	t.Helper()
 	var res Result
 	done := false

@@ -47,8 +47,9 @@ func (m *Manager) ComputeMulticastTree(mgid uint16, members []asi.DSN) (*Multica
 		SwitchMasks: map[asi.DSN]uint32{},
 	}
 	root := members[0]
+	paths := m.db.TreeFrom(root)
 	for _, dst := range members[1:] {
-		chain := m.db.Chain(root, dst)
+		chain := paths.Chain(dst)
 		if chain == nil {
 			return nil, fmt.Errorf("core: multicast member %v unreachable from %v", dst, root)
 		}

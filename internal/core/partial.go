@@ -127,13 +127,16 @@ func (m *Manager) partialUp(rep *Node, port int) {
 
 // refreshPaths recomputes every device's source route over the repaired
 // database, prunes unreachable devices, and validates each rerouted
-// device with one verification read.
+// device with one verification read. One tree serves the whole pass: the
+// devices pruned along the way are exactly those the tree does not reach,
+// so none of them lies on a surviving device's path.
 func (m *Manager) refreshPaths() {
+	tree := m.db.TreeFrom(m.dev.DSN)
 	for _, n := range m.db.Nodes() {
 		if n.DSN == m.dev.DSN {
 			continue
 		}
-		p, arrive := m.db.PathTo(n.DSN)
+		p, arrive := tree.PathTo(n.DSN)
 		if p == nil {
 			m.removeNode(n.DSN)
 			continue

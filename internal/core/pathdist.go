@@ -217,11 +217,12 @@ func (m *Manager) EndpointPathTable() map[asi.DSN]map[asi.DSN]route.Path {
 	table := make(map[asi.DSN]map[asi.DSN]route.Path, len(eps))
 	for _, src := range eps {
 		row := make(map[asi.DSN]route.Path, len(eps)-1)
+		tree := m.db.TreeFrom(src)
 		for _, dst := range eps {
 			if src == dst {
 				continue
 			}
-			if p := m.db.PathBetween(src, dst); p != nil {
+			if p, _ := tree.PathTo(dst); p != nil {
 				row[dst] = p
 			}
 		}

@@ -72,11 +72,12 @@ func Derive(db *core.DB) *Table {
 		Routes:      make(map[asi.DSN]Route, db.NumNodes()),
 		EventRoutes: make(map[asi.DSN]EventRoute, db.NumNodes()),
 	}
+	tree := db.TreeFrom(db.HostDSN)
 	for _, n := range db.Nodes() {
 		if n.DSN == db.HostDSN {
 			continue
 		}
-		p, arrival := db.PathTo(n.DSN)
+		p, arrival := tree.PathTo(n.DSN)
 		if p == nil {
 			t.Unrouted++
 			continue

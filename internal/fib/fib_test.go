@@ -13,7 +13,7 @@ import (
 
 // discover runs one full discovery and returns the manager (whose DB is
 // the derivation input) and the fabric.
-func discover(t *testing.T, topoName string) (*core.Manager, *fabric.Fabric) {
+func discover(t testing.TB, topoName string) (*core.Manager, *fabric.Fabric) {
 	t.Helper()
 	tp, err := topo.ByName(topoName)
 	if err != nil {

@@ -8,7 +8,24 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// settledStats returns r.Stats() once settled holds, or the last reading
+// after a bounded wait. The pump stamps a batch as delivered just after
+// the channel hand-off, so a test that has only just received from
+// Updates() may read Stats() a moment before the stamp lands; the caller
+// still asserts on what comes back.
+func settledStats(r *RIB, settled func(Stats) bool) Stats {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s := r.Stats()
+		if settled(s) || time.Now().After(deadline) {
+			return s
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
 
 // A reader that consumes promptly lags zero generations; one that never
 // reads its stream lags the full distance to the current generation.
@@ -29,7 +46,7 @@ func TestStalenessLagAccounting(t *testing.T) {
 		<-fresh.Updates()
 	}
 
-	s := r.Stats()
+	s := settledStats(r, func(s Stats) bool { return s.Staleness.P50 == 0 })
 	if s.Staleness.Subscribers != 2 {
 		t.Fatalf("staleness population %d, want 2", s.Staleness.Subscribers)
 	}
@@ -94,7 +111,7 @@ func TestStalenessAcrossOverflowResync(t *testing.T) {
 	if resyncs.Load() == 0 {
 		t.Error("no resync event fired")
 	}
-	if s := r.Stats(); s.Staleness.Max != 0 {
+	if s := settledStats(r, func(s Stats) bool { return s.Staleness.Max == 0 }); s.Staleness.Max != 0 {
 		t.Errorf("drained subscriber still lags %d generations", s.Staleness.Max)
 	}
 }
