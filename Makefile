@@ -4,13 +4,16 @@
 #   make verify   - the full gate: gofmt check, build, vet, test,
 #                   race-detector test, 1-iteration benchmark smoke,
 #                   JSON run-report schema smoke, span pipeline smoke,
-#                   spans-disabled zero-alloc regression, chaos smoke,
+#                   zero-alloc and allocation-budget regressions, the repo
+#                   benchmark's own tests (bench/ is its own module, so
+#                   Tier-1 does not reach them), chaos smoke,
 #                   parallel-sweep determinism smoke, region-sharded
 #                   parallel-path identity smoke, FM-daemon serving-layer
 #                   smoke (1000-subscriber replay identity), observability
 #                   plane smoke (Prometheus /metrics + staleness SLO),
 #                   continuous-assimilation smoke (keeper-driven coalesced
-#                   churn), benchmark regression diff against BENCH_sim.json
+#                   churn), benchmark regression diff (allocs/op, B/op,
+#                   ns/op) against BENCH_sim.json and BENCH_fm.json
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness
 #   make bench    - figure + engine benchmarks -> BENCH_sim.json
@@ -30,7 +33,7 @@ BENCH_BASELINE ?= results/bench_baseline.txt
 # commit before the adjacency index (link-map scans).
 BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
 
-.PHONY: all build vet test race verify bench bench-smoke bench-diff fmt-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke fuzz
+.PHONY: all build vet test race verify bench bench-smoke bench-diff bench-test fmt-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke fuzz
 
 all: build vet test
 
@@ -72,10 +75,18 @@ span-smoke:
 		| $(GO) run ./cmd/reportjson > /dev/null
 	rm -f $${TMPDIR:-/tmp}/asi_span_smoke.json
 
-# alloc-check pins the instrumentation hooks' disabled cost at zero
-# allocations on the fabric hot path.
+# alloc-check pins the allocation contracts: the instrumentation hooks'
+# disabled cost and a warm PI-4 round trip (FM -> device -> FM) at zero
+# allocations, and fabric.New within its bytes-per-device-or-link budget.
 alloc-check:
-	$(GO) test -run 'ZeroAlloc' ./internal/fabric/
+	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/sim/ ./internal/fabric/ ./internal/core/
+
+# bench-test runs the repo benchmark's own tests. bench/ is a separate
+# module (replace repro => ../), so `go test ./...` from the root never
+# builds it; a change that breaks what the benchmark uses of the program
+# fails here.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # chaos-smoke sweeps generated chaos scenarios through every paper
 # algorithm (cross-checked topology fingerprints) and the convergence
@@ -133,8 +144,9 @@ assim-smoke:
 
 # bench-diff re-runs the benchmark suites and gates them against the
 # committed BENCH_sim.json and BENCH_fm.json: an allocs/op increase
-# beyond max(2, 0.1%) rounding/GC slack fails; ns/op may regress at most
-# 10% plus the noise both runs measured across their -count repeats.
+# beyond max(2, 0.1%) rounding/GC slack or a B/op increase beyond
+# max(64, 1%) fails; ns/op may regress at most 10% plus the noise both
+# runs measured across their -count repeats.
 # Regenerate the baselines with `make bench` when a change legitimately
 # moves the numbers.
 bench-diff:
@@ -143,7 +155,7 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
 		| $(GO) run ./cmd/benchjson -diff BENCH_fm.json
 
-verify: fmt-check build vet test race bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
+verify: fmt-check build vet test race bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
@@ -277,6 +278,77 @@ func BenchmarkScaleDiscovery(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(secs, "sim-s/run")
 			reportEventsPerSec(b, benchEvents)
+		})
+	}
+}
+
+// scaleFabrics are the fabrics of the allocation ledger: the daemon's
+// default torus and the two stress fabrics of the repo benchmark's
+// discover-scale workload.
+var scaleFabrics = []string{"8x8 torus", "dragonfly 16x64", "autofat 128x4096"}
+
+// BenchmarkFabricBuild measures instantiating a fabric on a prebuilt
+// topology — the construction share of a cold discovery.
+func BenchmarkFabricBuild(b *testing.B) {
+	for _, name := range scaleFabrics {
+		b.Run(name, func(b *testing.B) {
+			tp, err := topo.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fabric.New(sim.NewEngine(), tp, fabric.Config{}, sim.NewRNG(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDiscoveryOp measures the repo benchmark's discover-scale
+// operation on a prebuilt topology: fabric.New, NewManager, four seeded
+// switches quietly absent, one cold Parallel discovery, CheckConverged.
+// B/op here is what bench/run.sh reports as alloc_mb_per_op.
+func BenchmarkDiscoveryOp(b *testing.B) {
+	for _, name := range scaleFabrics {
+		b.Run(name, func(b *testing.B) {
+			tp, err := topo.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				e := sim.NewEngine()
+				rng := sim.NewRNG(uint64(i%4 + 1))
+				f, err := fabric.New(e, tp, fabric.Config{}, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ep := f.Device(tp.Endpoints()[0])
+				m := core.NewManager(f, ep, core.Options{Algorithm: core.Parallel})
+				hostSwitch, _, _ := tp.Peer(ep.ID, 0)
+				for k := 0; k < 4; k++ {
+					if id := f.RandomSwitch(rng); id != hostSwitch && f.Alive(id) {
+						if err := f.SetDeviceDown(id, true); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				var res core.Result
+				m.OnDiscoveryComplete = func(r core.Result) { res = r }
+				m.StartDiscovery()
+				e.Run()
+				events += e.Processed
+				if err := chaos.CheckConverged(f, m, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			reportEventsPerSec(b, events)
 		})
 	}
 }

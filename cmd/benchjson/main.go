@@ -20,7 +20,10 @@
 // allocates more per op than the committed run — beyond max(2, 0.1%)
 // slack for go test's integer rounding and GC-timing artifacts like
 // sync.Pool refills; a real hot-path regression allocates per event or
-// per packet and lands orders of magnitude past that — or slows down by
+// per packet and lands orders of magnitude past that — or more bytes per
+// op, beyond 1% (map growth and size-class rounding move a run's bytes a
+// little between repeats; an object that got bigger or a buffer that is
+// no longer reused moves them a lot) — or slows down by
 // more than -ns-tolerance
 // (default 10%) beyond the measured noise: both sides fold `-count N`
 // repeats by minimum, and the time gate widens by each side's observed
@@ -141,6 +144,18 @@ func allocSlack(baseline float64) float64 {
 	return 2
 }
 
+// bytesSlack is the allowed B/op increase before the gate fails: 1% of
+// the baseline, and never less than 64 bytes so a benchmark that
+// allocates almost nothing is not failed on one size-class step. Bytes
+// are as deterministic as allocation counts on this host, where ns/op is
+// not, and they are what an allocation-lean change buys.
+func bytesSlack(baseline float64) float64 {
+	if s := 0.01 * baseline; s > 64 {
+		return s
+	}
+	return 64
+}
+
 // nsGateFloor exempts sub-microsecond benchmarks from the time gate:
 // with the short -benchtime the verify target uses, their ns/op is
 // dominated by timer quantization. The allocation gate still applies.
@@ -148,8 +163,8 @@ const nsGateFloor = 1000.0
 
 // diffAgainst gates a fresh run against the "current" section of a
 // committed benchjson document. An allocs/op increase beyond
-// allocSlack fails (allocation counts are otherwise deterministic);
-// ns/op may regress by at most
+// allocSlack or a B/op increase beyond bytesSlack fails (both are
+// otherwise deterministic); ns/op may regress by at most
 // nsTol plus the noise both runs measured about themselves (the
 // (max-min)/min spread of their -count repeats). Benchmarks present on
 // only one side are reported but never fail the gate — new benchmarks
@@ -174,8 +189,8 @@ func diffAgainst(cur Suite, path string, nsTol float64) error {
 		fresh := freshByName[name]
 		prev, ok := base[name]
 		if !ok {
-			fmt.Printf("NEW   %-55s %12.0f ns/op %8.0f allocs/op (no committed baseline)\n",
-				name, fresh.NsPerOp, fresh.AllocsPerOp)
+			fmt.Printf("NEW   %-55s %12.0f ns/op %10.0f B/op %8.0f allocs/op (no committed baseline)\n",
+				name, fresh.NsPerOp, fresh.BytesPerOp, fresh.AllocsPerOp)
 			continue
 		}
 		delete(base, name)
@@ -185,14 +200,18 @@ func diffAgainst(cur Suite, path string, nsTol float64) error {
 		if fresh.AllocsPerOp > prev.AllocsPerOp+allocSlack(prev.AllocsPerOp) {
 			status = fmt.Sprintf("FAIL allocs/op %0.f -> %0.f", prev.AllocsPerOp, fresh.AllocsPerOp)
 			regressions++
+		} else if fresh.BytesPerOp > prev.BytesPerOp+bytesSlack(prev.BytesPerOp) {
+			status = fmt.Sprintf("FAIL B/op %0.f -> %0.f (%+.1f%%)", prev.BytesPerOp, fresh.BytesPerOp,
+				100*(fresh.BytesPerOp/prev.BytesPerOp-1))
+			regressions++
 		} else if prev.NsPerOp >= nsGateFloor && fresh.NsPerOp > prev.NsPerOp*(1+effTol) {
 			status = fmt.Sprintf("FAIL ns/op %+.1f%% (limit %+.0f%% incl. measured noise)",
 				100*(fresh.NsPerOp/prev.NsPerOp-1), 100*effTol)
 			regressions++
 		}
-		fmt.Printf("%-5s %-55s %12.0f ns/op (was %12.0f) %6.0f allocs/op (was %6.0f)\n",
+		fmt.Printf("%-5s %-55s %12.0f ns/op (was %12.0f) %10.0f B/op (was %10.0f) %6.0f allocs/op (was %6.0f)\n",
 			strings.Fields(status)[0], name, fresh.NsPerOp, prev.NsPerOp,
-			fresh.AllocsPerOp, prev.AllocsPerOp)
+			fresh.BytesPerOp, prev.BytesPerOp, fresh.AllocsPerOp, prev.AllocsPerOp)
 		if strings.HasPrefix(status, "FAIL") {
 			fmt.Printf("      ^ %s\n", status)
 		}
@@ -203,7 +222,7 @@ func diffAgainst(cur Suite, path string, nsTol float64) error {
 	if regressions > 0 {
 		return fmt.Errorf("%d of %d benchmarks regressed vs %s", regressions, compared, path)
 	}
-	fmt.Printf("bench-diff: %d benchmarks within gate (allocs/op +max(2, 0.1%%), ns/op +%.0f%% + measured noise)\n", compared, 100*nsTol)
+	fmt.Printf("bench-diff: %d benchmarks within gate (allocs/op +max(2, 0.1%%), B/op +max(64, 1%%), ns/op +%.0f%% + measured noise)\n", compared, 100*nsTol)
 	return nil
 }
 
@@ -225,9 +244,9 @@ func (a aggregated) nsSpread() float64 {
 }
 
 // aggregate folds repeated results for the same (normalized) benchmark
-// name into one entry holding the minimum ns/op and allocs/op observed
-// (plus the max ns/op for the spread), returning the fold and first-seen
-// name order for stable output.
+// name into one entry holding the minimum ns/op, B/op and allocs/op
+// observed (plus the max ns/op for the spread), returning the fold and
+// first-seen name order for stable output.
 func aggregate(benchmarks []Benchmark) (map[string]aggregated, []string) {
 	agg := make(map[string]aggregated, len(benchmarks))
 	var order []string
@@ -247,6 +266,9 @@ func aggregate(benchmarks []Benchmark) (map[string]aggregated, []string) {
 		}
 		if bm.AllocsPerOp < prev.AllocsPerOp {
 			prev.AllocsPerOp = bm.AllocsPerOp
+		}
+		if bm.BytesPerOp < prev.BytesPerOp {
+			prev.BytesPerOp = bm.BytesPerOp
 		}
 		agg[name] = prev
 	}

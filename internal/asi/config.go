@@ -144,33 +144,65 @@ type PortInfo struct {
 }
 
 // ConfigSpace is a device's capability storage, served to PI-4 reads.
+//
+// Only a prefix of the capability is materialized: the device-owned head
+// (general information and port blocks) always, the FM-writable tail only
+// up to the highest block a Write has reached. Blocks past the prefix are
+// zero by definition — no Write has touched them — so Read serves them as
+// zeros and a discovery, which writes nothing, never pays for a
+// 128-entry path table per endpoint or a forwarding table per switch.
 type ConfigSpace struct {
-	blocks []uint32
+	blocks []uint32 // materialized prefix, len(blocks) <= size
+	size   int      // the capability's full size in blocks
 	ports  int
 }
 
 // NewConfigSpace builds the capability structure for a device.
 func NewConfigSpace(t DeviceType, dsn DSN, ports, maxPacket int, fmCapable bool) (*ConfigSpace, error) {
+	c := new(ConfigSpace)
+	if err := c.Init(t, dsn, ports, maxPacket, fmCapable, nil); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// HeadBlocks returns how many blocks Init materializes for a device with
+// the given port count: the head plus the event-route and ownership
+// regions, which event-route distribution and distributed discovery
+// write on every device.
+func HeadBlocks(ports int) int { return int(OwnerOffset(ports)) + int(OwnerBlocks) }
+
+// Init builds the capability structure in place, for a ConfigSpace
+// embedded in a larger record. store, when it has capacity for
+// HeadBlocks(ports) blocks, backs the materialized prefix (a fabric
+// carves every device's from one array); otherwise Init allocates it.
+func (c *ConfigSpace) Init(t DeviceType, dsn DSN, ports, maxPacket int, fmCapable bool, store []uint32) error {
 	switch t {
 	case DeviceSwitch:
 		if ports < 2 || ports > MaxSwitchPorts {
-			return nil, fmt.Errorf("asi: switch port count %d out of range 2..%d", ports, MaxSwitchPorts)
+			return fmt.Errorf("asi: switch port count %d out of range 2..%d", ports, MaxSwitchPorts)
 		}
 	case DeviceEndpoint:
 		if ports < 1 || ports > MaxEndpointPorts {
-			return nil, fmt.Errorf("asi: endpoint port count %d out of range 1..%d", ports, MaxEndpointPorts)
+			return fmt.Errorf("asi: endpoint port count %d out of range 1..%d", ports, MaxEndpointPorts)
 		}
 	default:
-		return nil, fmt.Errorf("asi: unknown device type %v", t)
+		return fmt.Errorf("asi: unknown device type %v", t)
 	}
-	n := int(OwnerOffset(ports)) + int(OwnerBlocks)
+	n := HeadBlocks(ports)
+	if cap(store) < n {
+		store = make([]uint32, 0, n)
+	}
+	head := int(EventRouteOffset(ports))
+	blocks := store[:head]
+	clear(blocks)
 	switch t {
 	case DeviceEndpoint:
 		n += PathTableEntries * int(PathTableEntryBlocks)
 	case DeviceSwitch:
 		n += MFTGroups
 	}
-	c := &ConfigSpace{blocks: make([]uint32, n), ports: ports}
+	*c = ConfigSpace{blocks: blocks, size: n, ports: ports}
 	c.blocks[0] = uint32(t)<<24 | capabilityVersion<<16 | uint32(ports)&0xffff
 	c.blocks[1] = uint32(dsn >> 32)
 	c.blocks[2] = uint32(dsn)
@@ -182,45 +214,72 @@ func NewConfigSpace(t DeviceType, dsn DSN, ports, maxPacket int, fmCapable bool)
 		c.blocks[4] |= statusMulticast
 	}
 	c.blocks[5] = 0x1A51_0001 // vendor/part id of the model
-	return c, nil
+	return nil
 }
 
 // Ports returns the device's port count.
 func (c *ConfigSpace) Ports() int { return c.ports }
 
 // NumBlocks returns the total capability size in 32-bit blocks.
-func (c *ConfigSpace) NumBlocks() int { return len(c.blocks) }
+func (c *ConfigSpace) NumBlocks() int { return c.size }
 
 // Read returns count blocks starting at offset, as a PI-4 read would. It
 // fails for out-of-range accesses or reads wider than MaxReadBlocks; the
 // device then answers with a read completion with error.
 func (c *ConfigSpace) Read(offset uint16, count uint8) ([]uint32, error) {
-	if count == 0 || count > MaxReadBlocks {
-		return nil, fmt.Errorf("asi: read count %d out of range 1..%d", count, MaxReadBlocks)
-	}
-	end := int(offset) + int(count)
-	if end > len(c.blocks) {
-		return nil, fmt.Errorf("asi: read [%d,%d) beyond capability end %d", offset, end, len(c.blocks))
-	}
-	out := make([]uint32, count)
-	copy(out, c.blocks[offset:end])
-	return out, nil
+	return c.ReadInto(nil, offset, count)
 }
 
-// Write stores data at offset. Only the event-route region is writable;
-// everything else is device-owned and a write there fails, producing a
-// write completion with error.
+// ReadInto is Read appending the blocks to dst, so a caller that keeps a
+// buffer reads without allocating. On error dst is returned unchanged.
+func (c *ConfigSpace) ReadInto(dst []uint32, offset uint16, count uint8) ([]uint32, error) {
+	if count == 0 || count > MaxReadBlocks {
+		return dst, fmt.Errorf("asi: read count %d out of range 1..%d", count, MaxReadBlocks)
+	}
+	end := int(offset) + int(count)
+	if end > c.size {
+		return dst, fmt.Errorf("asi: read [%d,%d) beyond capability end %d", offset, end, c.size)
+	}
+	for i := int(offset); i < end; i++ {
+		var w uint32
+		if i < len(c.blocks) {
+			w = c.blocks[i]
+		}
+		dst = append(dst, w)
+	}
+	return dst, nil
+}
+
+// Write stores data at offset. Only the event-route region and the
+// regions after it are writable; everything else is device-owned and a
+// write there fails, producing a write completion with error.
 func (c *ConfigSpace) Write(offset uint16, data []uint32) error {
 	if len(data) == 0 || len(data) > MaxReadBlocks {
 		return fmt.Errorf("asi: write of %d blocks out of range 1..%d", len(data), MaxReadBlocks)
 	}
 	lo := int(EventRouteOffset(c.ports))
 	end := int(offset) + len(data)
-	if int(offset) < lo || end > len(c.blocks) {
-		return fmt.Errorf("asi: write [%d,%d) outside writable region [%d,%d)", offset, end, lo, len(c.blocks))
+	if int(offset) < lo || end > c.size {
+		return fmt.Errorf("asi: write [%d,%d) outside writable region [%d,%d)", offset, end, lo, c.size)
+	}
+	if end > len(c.blocks) {
+		c.materialize(end)
 	}
 	copy(c.blocks[offset:], data)
 	return nil
+}
+
+// materialize extends the prefix to n blocks, zero-filled. The first
+// write past the co-allocated event-route and ownership regions (a path
+// table or forwarding-table entry) materializes the whole capability, so
+// a device's storage moves at most once.
+func (c *ConfigSpace) materialize(n int) {
+	old := len(c.blocks)
+	if n > cap(c.blocks) {
+		c.blocks = append(make([]uint32, 0, c.size), c.blocks...)
+	}
+	c.blocks = c.blocks[:n]
+	clear(c.blocks[old:])
 }
 
 // SetPortState updates a port's capability blocks; the device model calls

@@ -6,8 +6,10 @@ import (
 	"hash/crc32"
 )
 
-// Payload is the decoded body of an ASI packet. Concrete types: PI4, PI5,
-// Election, and AppData.
+// Payload is the decoded body of an ASI packet. Concrete types: *PI4, PI5,
+// Election, FMSync, Heartbeat and AppData. A PI-4 payload travels by
+// pointer because it is rewritten in place: the device that services a
+// request turns that very payload into the completion (see NewPI4Packet).
 type Payload interface {
 	// WireSize is the encoded payload length in bytes.
 	WireSize() int
@@ -16,7 +18,7 @@ type Payload interface {
 }
 
 // ProtocolInterface implements Payload.
-func (p PI4) ProtocolInterface() PI { return PI4DeviceManagement }
+func (p *PI4) ProtocolInterface() PI { return PI4DeviceManagement }
 
 // ProtocolInterface implements Payload.
 func (p PI5) ProtocolInterface() PI { return PI5EventReporting }
@@ -103,6 +105,28 @@ type Packet struct {
 	Span uint64
 }
 
+// pi4Packet holds a PI-4 packet, its payload and the largest block array
+// a payload can carry in one allocation.
+type pi4Packet struct {
+	pkt  Packet
+	pi4  PI4
+	data [MaxReadBlocks]uint32
+}
+
+// NewPI4Packet returns a packet whose payload is an empty PI-4 body
+// stored beside it. A PI-4 round trip reuses the one record end to end:
+// the requester fills header and payload, the responding device reverses
+// the header and overwrites the payload with the completion, and the
+// requester may hand the consumed completion out again as its next
+// request. The payload's Data starts empty with room for MaxReadBlocks
+// blocks; users that refill it by appending to Data[:0] never allocate.
+func NewPI4Packet() (*Packet, *PI4) {
+	r := &pi4Packet{}
+	r.pi4.Data = r.data[:0]
+	r.pkt.Payload = &r.pi4
+	return &r.pkt, &r.pi4
+}
+
 // packetTrailerSize is the link-layer CRC appended to every packet.
 const packetTrailerSize = 4
 
@@ -123,8 +147,8 @@ func (p *Packet) Encode() ([]byte, error) {
 	var body []byte
 	var err error
 	switch pl := p.Payload.(type) {
-	case PI4:
-		body, err = EncodePI4(pl)
+	case *PI4:
+		body, err = EncodePI4(*pl)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +198,7 @@ func Decode(b []byte) (*Packet, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkt.Payload = pl
+		pkt.Payload = &pl
 	case PI5EventReporting:
 		pl, err := DecodePI5(rest)
 		if err != nil {
@@ -211,12 +235,15 @@ func Decode(b []byte) (*Packet, error) {
 // flooded packet must leave through several ports with independent
 // headers.
 func (p *Packet) Clone() *Packet {
-	c := *p
-	if pl, ok := p.Payload.(PI4); ok && pl.Data != nil {
-		d := make([]uint32, len(pl.Data))
-		copy(d, pl.Data)
-		pl.Data = d
-		c.Payload = pl
+	pl, ok := p.Payload.(*PI4)
+	if !ok {
+		c := *p
+		return &c
 	}
-	return &c
+	c, cpl := NewPI4Packet()
+	c.Header, c.Span = p.Header, p.Span
+	data := cpl.Data
+	*cpl = *pl
+	cpl.Data = append(data, pl.Data...)
+	return c
 }

@@ -8,7 +8,7 @@ import (
 func TestPacketEncodeDecodePI4(t *testing.T) {
 	p := &Packet{
 		Header: RouteHeader{TurnPool: 0xbeef, TurnPointer: 12, TC: TCManagement},
-		Payload: PI4{
+		Payload: &PI4{
 			Op: PI4ReadCompletionData, Tag: 4, Offset: 6, Count: 2,
 			Data: []uint32{10, 20},
 		},
@@ -27,7 +27,7 @@ func TestPacketEncodeDecodePI4(t *testing.T) {
 	if got.Header.TurnPool != p.Header.TurnPool || got.Header.PI != PI4DeviceManagement {
 		t.Errorf("header mismatch: %+v", got.Header)
 	}
-	pl, ok := got.Payload.(PI4)
+	pl, ok := got.Payload.(*PI4)
 	if !ok {
 		t.Fatalf("payload type %T", got.Payload)
 	}
@@ -38,7 +38,7 @@ func TestPacketEncodeDecodePI4(t *testing.T) {
 
 func TestPacketEncodeDecodeAllPayloadTypes(t *testing.T) {
 	payloads := []Payload{
-		PI4{Op: PI4ReadRequest, Tag: 1, Count: 6},
+		&PI4{Op: PI4ReadRequest, Tag: 1, Count: 6},
 		PI5{Code: PI5PortUp, Port: 3, Reporter: 99, Sequence: 1},
 		Election{Priority: 2, Candidate: 7, TTL: 16, Sequence: 1},
 		AppData{Bytes: 64},
@@ -94,8 +94,8 @@ func TestPacketWireSizesMatchPaperScale(t *testing.T) {
 	// A general-information read request must be a few tens of bytes and
 	// its completion with six blocks somewhat larger; byte accounting in
 	// the experiments relies on these magnitudes.
-	req := &Packet{Payload: PI4{Op: PI4ReadRequest, Count: GeneralInfoBlocks}}
-	resp := &Packet{Payload: PI4{Op: PI4ReadCompletionData, Data: make([]uint32, GeneralInfoBlocks)}}
+	req := &Packet{Payload: &PI4{Op: PI4ReadRequest, Count: GeneralInfoBlocks}}
+	resp := &Packet{Payload: &PI4{Op: PI4ReadCompletionData, Data: make([]uint32, GeneralInfoBlocks)}}
 	if req.WireSize() <= HeaderWireSize || req.WireSize() > 64 {
 		t.Errorf("request wire size %d implausible", req.WireSize())
 	}
@@ -107,16 +107,16 @@ func TestPacketWireSizesMatchPaperScale(t *testing.T) {
 func TestPacketCloneIsDeep(t *testing.T) {
 	p := &Packet{
 		Header:  RouteHeader{TurnPool: 5},
-		Payload: PI4{Op: PI4ReadCompletionData, Data: []uint32{1, 2}},
+		Payload: &PI4{Op: PI4ReadCompletionData, Data: []uint32{1, 2}},
 	}
 	c := p.Clone()
 	c.Header.TurnPool = 9
-	cp := c.Payload.(PI4)
+	cp := c.Payload.(*PI4)
 	cp.Data[0] = 42
 	if p.Header.TurnPool != 5 {
 		t.Error("clone shares header")
 	}
-	if p.Payload.(PI4).Data[0] != 1 {
+	if p.Payload.(*PI4).Data[0] != 1 {
 		t.Error("clone shares PI-4 data slice")
 	}
 }
@@ -130,7 +130,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		}
 		p := &Packet{
 			Header: RouteHeader{TurnPool: pool, TurnPointer: ptr % (TurnPoolBits + 1), TC: TCManagement},
-			Payload: PI4{
+			Payload: &PI4{
 				Op: PI4ReadCompletionData, Tag: tag, Offset: offset,
 				Count: uint8(n)%MaxReadBlocks + 1, Data: data,
 			},
@@ -143,7 +143,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gp := got.Payload.(PI4)
+		gp := got.Payload.(*PI4)
 		return got.Header.TurnPool == p.Header.TurnPool && gp.Tag == tag && len(gp.Data) == n
 	}
 	if err := quick.Check(f, nil); err != nil {

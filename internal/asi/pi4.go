@@ -140,10 +140,10 @@ func DecodePI4(b []byte) (PI4, error) {
 }
 
 // WireSize returns the encoded payload size in bytes without allocating.
-func (p PI4) WireSize() int { return pi4FixedSize + 4*len(p.Data) }
+func (p *PI4) WireSize() int { return pi4FixedSize + 4*len(p.Data) }
 
 // String summarizes the payload for traces.
-func (p PI4) String() string {
+func (p *PI4) String() string {
 	return fmt.Sprintf("pi4{%s tag=%d off=%d count=%d data=%d blocks}",
 		p.Op, p.Tag, p.Offset, p.Count, len(p.Data))
 }

@@ -164,13 +164,13 @@ func TestStringerCoverage(t *testing.T) {
 		BVC.String(), OVC.String(), MVC.String(), VCKind(9).String(),
 		PI4ReadRequest.String(), PI4Op(99).String(),
 		PI5PortUp.String(), PI5PortDown.String(), PI5EventCode(9).String(),
-		PI4{}.String(), PI5{}.String(), Election{}.String(), DSN(1).String(),
+		(&PI4{}).String(), PI5{}.String(), Election{}.String(), DSN(1).String(),
 	} {
 		if s == "" {
 			t.Error("empty Stringer output")
 		}
 	}
-	if !strings.Contains(PI4{Op: PI4ReadRequest}.String(), "read-request") {
+	if !strings.Contains((&PI4{Op: PI4ReadRequest}).String(), "read-request") {
 		t.Error("PI4 String misses op name")
 	}
 }

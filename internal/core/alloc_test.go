@@ -1,0 +1,60 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/topo"
+)
+
+// TestPI4RoundTripZeroAlloc pins the per-request garbage at zero. Once a
+// discovery has warmed the pools, a PI-4 round trip — the FM draws a
+// request and its packet from the free list, the packet crosses three
+// switches, the device turns it into the completion in place, the FM
+// consumes it and releases both — allocates nothing, for a port read and
+// for a general-information probe alike.
+func TestPI4RoundTripZeroAlloc(t *testing.T) {
+	e, _, m := setup(t, topo.Mesh(3, 3), Parallel)
+	runDiscovery(t, e, m)
+	var far *Node
+	for _, n := range m.DB().Nodes() {
+		if far == nil || len(n.Path) > len(far.Path) {
+			far = n
+		}
+	}
+	if len(far.Path) < 3 {
+		t.Fatalf("farthest device is %d hops away, want >= 3", len(far.Path))
+	}
+	// The link the route to far crosses last, seen from its near end.
+	last, ok := m.DB().LinkAt(far.DSN, far.ArrivalPort)
+	if !ok {
+		t.Fatal("no link recorded on the farthest device's arrival port")
+	}
+	if last.A == far.DSN && last.APort == far.ArrivalPort {
+		last = Link{A: last.B, APort: last.BPort, B: last.A, BPort: last.APort}
+	}
+	roundTrips := func() {
+		if ok, _ := m.readPortRange(far, 0); !ok {
+			t.Fatal("port read not sent")
+		}
+		// Re-probing that link returns far's general information, which
+		// the database already holds.
+		if !m.probe(far.Path, last.A, last.APort) {
+			t.Fatal("probe not sent")
+		}
+		e.Run()
+	}
+	for i := 0; i < 8; i++ {
+		roundTrips()
+	}
+	received := m.res.PacketsReceived
+	allocs := testing.AllocsPerRun(100, roundTrips)
+	if allocs != 0 {
+		t.Errorf("a warm PI-4 round trip allocates %.1f per run, want 0", allocs)
+	}
+	if got := m.res.PacketsReceived - received; got != 2*101 {
+		t.Errorf("FM consumed %d completions over 101 measured runs, want %d", got, 2*101)
+	}
+	if len(m.pending) != 0 || m.freeReqs == nil {
+		t.Errorf("round trips left %d requests pending, free list empty: %v", len(m.pending), m.freeReqs == nil)
+	}
+}

@@ -32,6 +32,23 @@ type Node struct {
 	Validated sim.Time
 }
 
+// newNode returns a database entry for a device as its general
+// information describes it, with no port read yet. The two per-port flag
+// slices share one backing array.
+func newNode(gi asi.GeneralInfo, path route.Path, arrivalPort int) *Node {
+	flags := make([]bool, 2*gi.Ports)
+	return &Node{
+		DSN:         gi.DSN,
+		Type:        gi.Type,
+		Ports:       gi.Ports,
+		Path:        path,
+		ArrivalPort: arrivalPort,
+		PortKnown:   flags[:gi.Ports:gi.Ports],
+		PortActive:  flags[gi.Ports:],
+		General:     gi,
+	}
+}
+
 // PortsRead reports whether every port's attributes have been read.
 func (n *Node) PortsRead() bool {
 	for _, k := range n.PortKnown {
@@ -86,12 +103,17 @@ type DB struct {
 }
 
 // NewDB returns an empty database for an FM hosted on the given endpoint.
-func NewDB(host asi.DSN) *DB {
+func NewDB(host asi.DSN) *DB { return newDB(host, 0, 0) }
+
+// newDB returns an empty database with room for the given number of
+// devices and links: a clone knows both, and a rediscovery expects about
+// what the database it replaces held.
+func newDB(host asi.DSN, nodes, links int) *DB {
 	return &DB{
 		HostDSN: host,
-		nodes:   make(map[asi.DSN]*Node),
-		links:   make(map[Link]bool),
-		adj:     make(map[asi.DSN][]Neighbor),
+		nodes:   make(map[asi.DSN]*Node, nodes),
+		links:   make(map[Link]bool, links),
+		adj:     make(map[asi.DSN][]Neighbor, nodes),
 	}
 }
 
@@ -154,12 +176,7 @@ func (db *DB) Links() []Link {
 // mutating its live database (partial assimilation edits entries in
 // place).
 func (db *DB) Clone() *DB {
-	out := &DB{
-		HostDSN: db.HostDSN,
-		nodes:   make(map[asi.DSN]*Node, len(db.nodes)),
-		links:   make(map[Link]bool, len(db.links)),
-		adj:     make(map[asi.DSN][]Neighbor, len(db.adj)),
-	}
+	out := newDB(db.HostDSN, len(db.nodes), len(db.links))
 	for dsn, n := range db.nodes {
 		c := *n
 		c.Path = append(route.Path(nil), n.Path...)

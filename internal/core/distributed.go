@@ -61,7 +61,7 @@ func (d *distributedDriver) onPort(req *request, n *Node, ok bool) {
 		count = 1
 	}
 	for k := 0; k < count && req.port+k < n.Ports; k++ {
-		for _, p := range d.m.probesFromPort(n, req.port+k) {
+		if p, ok := d.m.probeFromPort(n, req.port+k); ok {
 			d.m.probe(p.path, p.srcDSN, p.srcPort)
 		}
 	}
@@ -76,7 +76,7 @@ type claimHandler interface {
 
 // sendClaim issues an atomic ownership claim for a discovered device.
 func (m *Manager) sendClaim(n *Node, gen uint32) bool {
-	req := &request{kind: reqClaim, path: n.Path, dsn: n.DSN}
+	req := m.newRequest(request{kind: reqClaim, path: n.Path, dsn: n.DSN})
 	return m.send(req, asi.PI4{
 		Op:     asi.PI4ClaimRequest,
 		Offset: asi.OwnerOffset(n.Ports),

@@ -153,6 +153,13 @@ type request struct {
 	// its in-flight attempt; zero unless Options.Spans is set.
 	span        span.ID
 	attemptSpan span.ID
+	// pkt is the request's PI-4 packet while the FM holds it: from
+	// HandlePacket on the completion awaiting processing, and on a
+	// recycled request, until issue sends it again, the completion its
+	// previous use consumed. Nil while the packet is in the fabric.
+	pkt *asi.Packet
+	// next links released requests on the Manager's free list.
+	next *request
 }
 
 // workKind classifies FM processing work items.
@@ -168,15 +175,14 @@ const (
 	numWorkKinds
 )
 
+// work is one item of the FM's serial processor. The Fig. 7 pile-up
+// queues tens of thousands of them, so an item only points at what it is
+// about: the request a completion (req.pkt) or a timeout belongs to, or
+// the packet that carried a PI-5 event or an FM sync report.
 type work struct {
 	kind workKind
 	req  *request
-	pi4  asi.PI4
-	pi5  asi.PI5
-	sync asi.FMSync
-	// enqAt stamps when the item entered the FM queue, for the
-	// fm-queue span; populated only when span tracing is on.
-	enqAt sim.Time
+	pkt  *asi.Packet
 }
 
 // driver is a discovery algorithm plugged into the Manager. The Manager
@@ -219,6 +225,15 @@ type Manager struct {
 	curWork   work
 	curCost   sim.Duration
 	workTimer *sim.Timer
+	// enqAt stamps when each queued item entered the queue, and curEnqAt
+	// the item in service, for the fm-queue span; used only when span
+	// tracing is on.
+	enqAt    sim.Ring[sim.Time]
+	curEnqAt sim.Time
+	// freeReqs recycles finished requests, each with the completion
+	// packet it consumed, into the next requests issued (see release.go
+	// for the ownership rule).
+	freeReqs *request
 	// timeoutFn/retryFn are the pre-bound callbacks for request timeout
 	// and retry-backoff events; the request itself rides as the event arg.
 	timeoutFn sim.ArgHandler
@@ -370,7 +385,7 @@ func (m *Manager) LastResult() (Result, bool) {
 // serial packet processor.
 func (m *Manager) HandlePacket(port int, pkt *asi.Packet) {
 	switch pl := pkt.Payload.(type) {
-	case asi.PI4:
+	case *asi.PI4:
 		m.res.PacketsReceived++
 		m.res.BytesReceived += uint64(pkt.WireSize())
 		req, ok := m.pending[pl.Tag]
@@ -396,13 +411,14 @@ func (m *Manager) HandlePacket(port int, pkt *asi.Packet) {
 		if m.sp != nil {
 			m.sp.End(req.attemptSpan, m.e.Now(), span.StatusOK)
 		}
-		m.enqueue(work{kind: wCompletion, req: req, pi4: pl})
+		req.pkt = pkt
+		m.enqueue(work{kind: wCompletion, req: req})
 	case asi.PI5:
 		m.res.PacketsReceived++
 		m.res.BytesReceived += uint64(pkt.WireSize())
-		m.enqueue(work{kind: wEvent, pi5: pl})
+		m.enqueue(work{kind: wEvent, pkt: pkt})
 	case asi.FMSync:
-		m.enqueue(work{kind: wSync, sync: pl})
+		m.enqueue(work{kind: wSync, pkt: pkt})
 	case asi.Heartbeat:
 		if m.watchdog != nil {
 			m.watchdog.feed()
@@ -421,7 +437,7 @@ func (m *Manager) HandlePacket(port int, pkt *asi.Packet) {
 // enqueue adds a work item to the FM's serial processor.
 func (m *Manager) enqueue(w work) {
 	if m.sp != nil {
-		w.enqAt = m.e.Now()
+		m.enqAt.Push(m.e.Now())
 	}
 	m.queue.Push(w)
 	if m.tel != nil {
@@ -441,6 +457,9 @@ func (m *Manager) processNext() {
 	}
 	m.busy = true
 	m.curWork = m.queue.Pop()
+	if m.sp != nil {
+		m.curEnqAt = m.enqAt.Pop()
+	}
 	switch m.curWork.kind {
 	case wEvent:
 		m.curCost = m.opt.Cost.EventProcessing(m.opt.FMFactor)
@@ -478,10 +497,11 @@ func (m *Manager) handleWork(w work) {
 		m.discoverSelf()
 		m.drv.start()
 	case wCompletion:
-		m.applyCompletion(w.req, w.pi4)
+		m.applyCompletion(w.req, w.req.pkt.Payload.(*asi.PI4))
 		if m.sp != nil {
 			m.sp.End(w.req.span, m.e.Now(), span.StatusOK)
 		}
+		m.releaseRequest(w.req)
 	case wTimeout:
 		m.res.TimedOut++
 		if m.tel != nil {
@@ -489,12 +509,13 @@ func (m *Manager) handleWork(w work) {
 		}
 		if !m.retryRequest(w.req) {
 			m.applyFailure(w.req)
+			m.releaseRequest(w.req)
 		}
 	case wEvent:
-		m.handleEvent(w.pi5)
+		m.handleEvent(w.pkt.Payload.(asi.PI5))
 	case wSync:
 		if m.team != nil {
-			m.team.onSync(m, w.sync)
+			m.team.onSync(m, w.pkt.Payload.(asi.FMSync))
 		}
 	case wFlush:
 		m.applyAssimBatch()
@@ -513,16 +534,7 @@ func (m *Manager) discoverSelf() {
 	if err != nil {
 		panic("core: host endpoint general info invalid: " + err.Error())
 	}
-	host := &Node{
-		DSN:         m.dev.DSN,
-		Type:        gi.Type,
-		Ports:       gi.Ports,
-		Path:        route.Path{},
-		ArrivalPort: 0,
-		PortKnown:   make([]bool, gi.Ports),
-		PortActive:  make([]bool, gi.Ports),
-		General:     gi,
-	}
+	host := newNode(gi, route.Path{}, 0)
 	for p := 0; p < gi.Ports; p++ {
 		host.PortKnown[p] = true
 		host.PortActive[p] = m.dev.PortActive(p)
@@ -532,8 +544,9 @@ func (m *Manager) discoverSelf() {
 }
 
 // applyCompletion folds a PI-4 completion into the database and notifies
-// the driver.
-func (m *Manager) applyCompletion(req *request, resp asi.PI4) {
+// the driver. resp belongs to the request's packet, which is recycled
+// with it afterwards: nothing may keep it or its Data.
+func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 	switch req.kind {
 	case reqProbeGeneral:
 		if resp.Op != asi.PI4ReadCompletionData {
@@ -545,19 +558,11 @@ func (m *Manager) applyCompletion(req *request, resp asi.PI4) {
 			m.drv.onGeneral(req, nil, false, false)
 			return
 		}
-		n := &Node{
-			DSN:         gi.DSN,
-			Type:        gi.Type,
-			Ports:       gi.Ports,
-			Path:        req.path,
-			ArrivalPort: int(resp.ArrivalPort),
-			PortKnown:   make([]bool, gi.Ports),
-			PortActive:  make([]bool, gi.Ports),
-			General:     gi,
-		}
-		isNew := m.db.AddNode(n)
-		if !isNew {
-			n = m.db.Node(gi.DSN)
+		n := m.db.Node(gi.DSN)
+		isNew := n == nil
+		if isNew {
+			n = newNode(gi, req.path, int(resp.ArrivalPort))
+			m.db.AddNode(n)
 		}
 		n.Validated = m.e.Now()
 		m.db.AddLink(Link{A: req.srcDSN, APort: req.srcPort, B: gi.DSN, BPort: int(resp.ArrivalPort)})
@@ -640,7 +645,7 @@ func (m *Manager) applyFailure(req *request) {
 	case reqWrite:
 		m.onWriteDone(req, false)
 	case reqVerify:
-		m.onVerify(req, asi.PI4{}, false)
+		m.onVerify(req, nil, false)
 	case reqClaim:
 		if ch, ok := m.drv.(claimHandler); ok {
 			ch.onClaim(req, 0, false)
@@ -660,6 +665,7 @@ func (m *Manager) send(req *request, payload asi.PI4) bool {
 		if m.sp != nil {
 			m.sp.End(req.span, m.e.Now(), span.StatusError)
 		}
+		m.releaseRequest(req)
 		return false
 	}
 	return true
@@ -667,7 +673,9 @@ func (m *Manager) send(req *request, payload asi.PI4) bool {
 
 // issue puts one attempt of req on the wire: fresh tag, pending-table
 // entry, timeout, inject. Retransmissions re-enter here with the stored
-// payload and the same path.
+// payload and the same path. The packet is the FM's until Inject; the
+// payload's Data is copied into the packet's own buffer, because the
+// answering device overwrites it with the completion.
 func (m *Manager) issue(req *request) bool {
 	hdr, err := route.Header(req.path, asi.PI4DeviceManagement)
 	if err != nil {
@@ -675,9 +683,18 @@ func (m *Manager) issue(req *request) bool {
 	}
 	req.tag = m.nextTag
 	m.nextTag++
-	payload := req.payload
-	payload.Tag = req.tag
-	pkt := &asi.Packet{Header: hdr, Payload: payload}
+	pkt := req.pkt
+	req.pkt = nil
+	if pkt == nil {
+		pkt, _ = asi.NewPI4Packet()
+	}
+	p4 := pkt.Payload.(*asi.PI4)
+	data := p4.Data[:0]
+	*p4 = req.payload
+	p4.Tag = req.tag
+	p4.Data = append(data, req.payload.Data...)
+	pkt.Header = hdr
+	pkt.Span = uint64(req.span)
 	m.pending[req.tag] = req
 	m.res.PacketsSent++
 	m.res.BytesSent += uint64(pkt.WireSize())
@@ -688,10 +705,9 @@ func (m *Manager) issue(req *request) bool {
 	req.timeout = m.e.AfterArg(window, m.timeoutFn, req)
 	req.sentAt = m.e.Now()
 	if m.sp != nil {
+		// pkt.Span carries the request span so the fabric's per-hop
+		// spans parent to it; completions carry it back.
 		m.beginAttemptSpan(req)
-		// Stamp the request span into the packet so the fabric's
-		// per-hop spans parent to it; completions carry it back.
-		pkt.Span = uint64(req.span)
 	}
 	m.dev.Inject(pkt)
 	return true
@@ -760,6 +776,7 @@ func (m *Manager) onRetryBackoff(req *request) {
 		// The path stopped encoding (cannot normally happen: the
 		// original attempt encoded the same path); fail terminally.
 		m.applyFailure(req)
+		m.releaseRequest(req)
 	}
 	m.checkDone()
 }
@@ -767,7 +784,7 @@ func (m *Manager) onRetryBackoff(req *request) {
 // probe sends a general-information read through srcDSN's srcPort along
 // path, to identify whatever device is attached there.
 func (m *Manager) probe(path route.Path, srcDSN asi.DSN, srcPort int) bool {
-	req := &request{kind: reqProbeGeneral, path: path, srcDSN: srcDSN, srcPort: srcPort}
+	req := m.newRequest(request{kind: reqProbeGeneral, path: path, srcDSN: srcDSN, srcPort: srcPort})
 	return m.send(req, asi.PI4{
 		Op:     asi.PI4ReadRequest,
 		Offset: asi.GeneralInfoOffset,
@@ -795,7 +812,7 @@ func (m *Manager) readPortRange(n *Node, start int) (sent bool, next int) {
 	if start+count > n.Ports {
 		count = n.Ports - start
 	}
-	req := &request{kind: reqReadPort, path: n.Path, dsn: n.DSN, port: start, nports: count}
+	req := m.newRequest(request{kind: reqReadPort, path: n.Path, dsn: n.DSN, port: start, nports: count})
 	ok := m.send(req, asi.PI4{
 		Op:     asi.PI4ReadRequest,
 		Offset: asi.PortInfoOffset(start),
@@ -836,31 +853,33 @@ func (m *Manager) probesFrom(n *Node) []probeSpec {
 	}
 	var out []probeSpec
 	for p := 0; p < n.Ports; p++ {
-		out = append(out, m.probesFromPort(n, p)...)
+		if spec, ok := m.probeFromPort(n, p); ok {
+			out = append(out, spec)
+		}
 	}
 	return out
 }
 
-// probesFromPort is the single-port variant of probesFrom, used by the
+// probeFromPort is the single-port variant of probesFrom, used by the
 // parallel driver to expand each active port the moment its attribute
-// read returns.
-func (m *Manager) probesFromPort(n *Node, port int) []probeSpec {
+// read returns. ok is false when the port enables no probe.
+func (m *Manager) probeFromPort(n *Node, port int) (spec probeSpec, ok bool) {
 	if n.Type != asi.DeviceSwitch {
-		return nil
+		return spec, false
 	}
 	if !n.PortKnown[port] || !n.PortActive[port] {
-		return nil
+		return spec, false
 	}
 	if !m.opt.NoProbeMemo {
 		if _, known := m.db.LinkAt(n.DSN, port); known {
-			return nil // arrival link, or a cycle link already crossed
+			return spec, false // arrival link, or a cycle link already crossed
 		}
 	}
-	return []probeSpec{{
+	return probeSpec{
 		path:    route.Extend(n.Path, route.Hop{Ports: n.Ports, In: n.ArrivalPort, Out: port}),
 		srcDSN:  n.DSN,
 		srcPort: port,
-	}}
+	}, true
 }
 
 // initialProbe explores the host endpoint's single port.
@@ -892,7 +911,7 @@ func (m *Manager) beginRun() {
 	m.dirty = false
 	m.dropAssimPending()
 	m.prevDB = m.db
-	m.db = NewDB(m.dev.DSN)
+	m.db = newDB(m.dev.DSN, m.prevDB.NumNodes(), m.prevDB.NumLinks())
 	m.drv = m.newDriver()
 	for _, r := range m.pending {
 		m.e.Cancel(r.timeout)
@@ -902,11 +921,15 @@ func (m *Manager) beginRun() {
 		m.sp.End(m.runSpan, m.e.Now(), span.StatusCanceled)
 		m.runSpan = m.beginRunSpan(m.opt.Algorithm.String())
 	}
-	m.pending = make(map[uint32]*request)
+	clear(m.pending)
 	// Orphan any armed retry timers: their closures check runGen.
 	m.runGen++
 	m.retryPending = 0
-	m.res = Result{Algorithm: m.opt.Algorithm, Start: m.e.Now()}
+	// A rediscovery processes about as many work items as the run before
+	// it (m.res still holds that run); the very first has nothing to go
+	// by and grows its timeline.
+	m.res = Result{Algorithm: m.opt.Algorithm, Start: m.e.Now(),
+		Timeline: make([]TimelinePoint, 0, len(m.res.Timeline))}
 }
 
 // checkDone finishes the run when the driver is idle and nothing is in

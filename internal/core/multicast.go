@@ -88,13 +88,13 @@ func (m *Manager) ProgramMulticastGroup(mgid uint16, members []asi.DSN, onDone f
 		if !ok {
 			continue
 		}
-		req := &request{kind: reqWrite, path: n.Path, dsn: n.DSN}
+		req := m.newRequest(request{kind: reqWrite, path: n.Path, dsn: n.DSN})
 		payload := asi.PI4{
 			Op:     asi.PI4WriteRequest,
 			Offset: asi.MFTEntryOffset(n.Ports, mgid),
 			Data:   []uint32{mask},
 		}
-		sz := (&asi.Packet{Payload: payload}).WireSize()
+		sz := (&asi.Packet{Payload: &payload}).WireSize()
 		if !m.send(req, payload) {
 			m.dist.res.Failures++
 			continue

@@ -41,7 +41,7 @@ func (d *parallelDriver) onPort(req *request, n *Node, ok bool) {
 		count = 1
 	}
 	for k := 0; k < count && req.port+k < n.Ports; k++ {
-		for _, p := range d.m.probesFromPort(n, req.port+k) {
+		if p, ok := d.m.probeFromPort(n, req.port+k); ok {
 			d.m.probe(p.path, p.srcDSN, p.srcPort)
 		}
 	}

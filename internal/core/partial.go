@@ -153,7 +153,7 @@ func (m *Manager) refreshPaths() {
 // sendVerify issues a general-information read along a device's new path
 // to confirm it still answers there.
 func (m *Manager) sendVerify(n *Node) {
-	req := &request{kind: reqVerify, path: n.Path, dsn: n.DSN}
+	req := m.newRequest(request{kind: reqVerify, path: n.Path, dsn: n.DSN})
 	m.send(req, asi.PI4{
 		Op:     asi.PI4ReadRequest,
 		Offset: asi.GeneralInfoOffset,
@@ -164,7 +164,7 @@ func (m *Manager) sendVerify(n *Node) {
 // onVerify folds a verification completion (or failure) back in: a device
 // that does not answer on its recomputed route is dropped, which may
 // cascade into further reroutes.
-func (m *Manager) onVerify(req *request, resp asi.PI4, ok bool) {
+func (m *Manager) onVerify(req *request, resp *asi.PI4, ok bool) {
 	n := m.db.Node(req.dsn)
 	if n == nil {
 		return

@@ -72,13 +72,13 @@ func (m *Manager) DistributeEventRoutes(onDone func(DistResult)) {
 			m.dist.res.Failures++
 			continue
 		}
-		req := &request{kind: reqWrite, path: n.Path, dsn: n.DSN}
+		req := m.newRequest(request{kind: reqWrite, path: n.Path, dsn: n.DSN})
 		payload := asi.PI4{
 			Op:     asi.PI4WriteRequest,
 			Offset: asi.EventRouteOffset(n.Ports),
 			Data:   asi.EncodeEventRoute(pool, ptr),
 		}
-		sz := (&asi.Packet{Payload: payload}).WireSize()
+		sz := (&asi.Packet{Payload: &payload}).WireSize()
 		if !m.send(req, payload) {
 			m.dist.res.Failures++
 			continue
@@ -177,9 +177,9 @@ func (m *Manager) DistributePathTables(onDone func(DistResult)) {
 				}
 				continue
 			}
-			req := &request{kind: reqWrite, path: n.Path, dsn: n.DSN}
+			req := m.newRequest(request{kind: reqWrite, path: n.Path, dsn: n.DSN})
 			payload := asi.PI4{Op: asi.PI4WriteRequest, Offset: off, Data: data}
-			sz := (&asi.Packet{Payload: payload}).WireSize()
+			sz := (&asi.Packet{Payload: &payload}).WireSize()
 			if !m.send(req, payload) {
 				m.dist.res.Failures++
 				continue

@@ -217,7 +217,7 @@ func TestReadPortForUnknownNodeNotifiesDriver(t *testing.T) {
 	m.drv = rec
 	req := &request{kind: reqReadPort, dsn: asi.DSN(0xDEAD), port: 0, nports: 1}
 
-	m.applyCompletion(req, asi.PI4{Op: asi.PI4ReadCompletionData})
+	m.applyCompletion(req, &asi.PI4{Op: asi.PI4ReadCompletionData})
 	if rec.onPortCalls != 1 || !rec.lastNil || rec.lastOK {
 		t.Errorf("completion: onPort calls=%d nil=%v ok=%v, want 1/true/false",
 			rec.onPortCalls, rec.lastNil, rec.lastOK)

@@ -81,8 +81,8 @@ func (m *Manager) recordWorkSpans(w work) {
 	now := m.e.Now()
 	start := now.Add(-m.curCost)
 	parent := m.workSpanParent(w)
-	if w.enqAt < start {
-		m.sp.Complete(span.KindFMQueue, parent, w.enqAt, start, span.StatusOK)
+	if m.curEnqAt < start {
+		m.sp.Complete(span.KindFMQueue, parent, m.curEnqAt, start, span.StatusOK)
 	}
 	id := m.sp.Complete(span.KindFMService, parent, start, now, span.StatusOK)
 	if s := m.sp.Span(id); s != nil {

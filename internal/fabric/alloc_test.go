@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/asi"
@@ -13,8 +14,8 @@ import (
 // Zero-allocation regression tests for the packet hot path: with no
 // tracer attached, steady-state injection, per-hop transmit (link.kick),
 // switch forwarding and delivery must not allocate. The pools involved —
-// the engine's event arena, the per-half-link flight pool, the per-device
-// route-job pool and the VC rings — all recycle after warmup.
+// the engine's event arena, the per-device flight and route-job pools and
+// the VC rings — all recycle after warmup.
 
 func TestLinkKickSteadyStateZeroAlloc(t *testing.T) {
 	tp := topo.Mesh(3, 3)
@@ -179,5 +180,40 @@ func TestLinkKickTelemetryEnabledZeroAlloc(t *testing.T) {
 	}
 	if linkTx == 0 {
 		t.Error("telemetry enabled but no link transmissions recorded")
+	}
+}
+
+// TestFabricNewAllocBudget bounds what instantiating a fabric costs: the
+// devices, links, ports and config-space heads come out of a handful of
+// slabs sized from the topology, so the bill is a few hundred bytes per
+// device or link and the allocation count does not grow with the fabric.
+// (The parent of the slabs spent 1026 B per unit in 15 705 allocations on
+// this fabric.)
+func TestFabricNewAllocBudget(t *testing.T) {
+	tp, err := topo.ByName("dragonfly 8x32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		bytesPerUnit = 560 // measured 477
+		maxAllocs    = 64  // measured 42
+	)
+	units := uint64(len(tp.Nodes) + len(tp.Links))
+	var bytes, allocs uint64 = ^uint64(0), ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ { // minimum of five: other goroutines only add
+		runtime.ReadMemStats(&before)
+		if _, err := New(sim.NewEngine(), tp, Config{}, sim.NewRNG(1)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	if got := bytes / units; got > bytesPerUnit {
+		t.Errorf("fabric.New spends %d B per device or link (%d B for %d), budget %d", got, bytes, units, bytesPerUnit)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("fabric.New makes %d allocations, budget %d: something is allocated per device or per link again", allocs, maxAllocs)
 	}
 }

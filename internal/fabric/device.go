@@ -21,6 +21,7 @@ type Device struct {
 	DSN   asi.DSN
 	// Config is the device's capability storage served over PI-4.
 	Config *asi.ConfigSpace
+	config asi.ConfigSpace // Config's storage
 
 	// eng is the engine this device schedules on: the fabric's single
 	// engine sequentially, its region's engine on the sharded path.
@@ -36,21 +37,23 @@ type Device struct {
 
 	// PI-4 servicing is a single serial server per device, as profiled
 	// in the paper: requests queue and are serviced one at a time in
-	// T_Device each. The in-service request parks in pi4Cur and the
-	// completion fires through the reusable pi4Timer, so servicing never
-	// allocates a closure per request.
-	pi4Queue sim.Ring[pendingPI4]
+	// T_Device each. The device owns a request packet from consume until
+	// it transmits it back as the completion: waiting requests sit in
+	// pi4Queue and the one in service parks in pi4Cur (nil when power was
+	// lost under it) until the pi4ServiceDone event scheduled for it
+	// fires, so servicing allocates nothing per request.
+	pi4Queue sim.Ring[*asi.Packet]
 	pi4Busy  bool
-	pi4Cur   pendingPI4
-	pi4Timer *sim.Timer
+	pi4Cur   *asi.Packet
 
-	// routeFn is the pre-bound cut-through routing callback; freeJobs
-	// pools the per-packet state it needs, so switch forwarding never
-	// allocates a closure per hop.
-	routeFn  sim.ArgHandler
-	freeJobs *routeJob
+	// freeJobs pools the per-packet state of deferred cut-through routing
+	// decisions, and freeFlights that of packets this device has put on a
+	// wire inside its own region, so forwarding never allocates per hop.
+	freeJobs    *routeJob
+	freeFlights *flight
 
-	// electSeen deduplicates flooded election announcements.
+	// electSeen deduplicates flooded election announcements; nil until
+	// the first one arrives.
 	electSeen map[electKey]bool
 	pi5Seq    uint32
 
@@ -67,20 +70,10 @@ type devPort struct {
 	active bool
 }
 
-type pendingPI4 struct {
-	req  asi.PI4
-	hdr  asi.RouteHeader
-	port int
-	// span is the causal-trace request ID carried by the request packet
-	// (copied into the completion); queuedAt stamps when the request
-	// entered the service queue. Both zero unless span tracing is on.
-	span     uint64
-	queuedAt sim.Time
-}
-
 // routeJob is the per-packet state of one deferred cut-through routing
 // decision, pooled on the device.
 type routeJob struct {
+	d      *Device
 	l      *link
 	dirIdx int
 	vc     asi.VCID
@@ -98,43 +91,53 @@ type electKey struct {
 // IDs in logs.
 const dsnBase asi.DSN = 0xA510_0000
 
-func newDevice(f *Fabric, n topo.Node) (*Device, error) {
+// init builds the device for topology node n in place. ports and store
+// are the device's shares of the fabric's port and config-block slabs.
+func (d *Device) init(f *Fabric, n topo.Node, ports []devPort, store []uint32) error {
 	dsn := dsnBase + asi.DSN(n.ID)
-	// Endpoints are FM-capable; in this model any endpoint can host a
-	// fabric manager, and election picks the winners.
-	cs, err := asi.NewConfigSpace(n.Type, dsn, n.Ports, 2176, n.Type == asi.DeviceEndpoint)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: node %s: %w", n.Label, err)
-	}
 	region := 0
 	if f.regionOf != nil {
 		region = f.regionOf[n.ID]
 	}
-	d := &Device{
-		f:         f,
-		ID:        n.ID,
-		Type:      n.Type,
-		Label:     n.Label,
-		DSN:       dsn,
-		Config:    cs,
-		eng:       f.Engine,
-		region:    region,
-		ctr:       &f.counters[region],
-		ports:     make([]devPort, n.Ports),
-		alive:     true,
-		electSeen: make(map[electKey]bool),
+	*d = Device{
+		f:      f,
+		ID:     n.ID,
+		Type:   n.Type,
+		Label:  n.Label,
+		DSN:    dsn,
+		eng:    f.Engine,
+		region: region,
+		ctr:    &f.counters[region],
+		ports:  ports,
+		alive:  true,
 	}
+	// Endpoints are FM-capable; in this model any endpoint can host a
+	// fabric manager, and election picks the winners.
+	if err := d.config.Init(n.Type, dsn, n.Ports, 2176, n.Type == asi.DeviceEndpoint, store); err != nil {
+		return fmt.Errorf("fabric: node %s: %w", n.Label, err)
+	}
+	d.Config = &d.config
 	if f.group != nil {
 		d.eng = f.group.Engine(region)
 	}
-	d.pi4Timer = d.eng.NewTimer(func(*sim.Engine) {
-		if d.alive {
-			d.completePI4(d.pi4Cur)
-		}
-		d.startNextPI4()
-	})
-	d.routeFn = func(_ *sim.Engine, arg any) { d.routePending(arg.(*routeJob)) }
-	return d, nil
+	return nil
+}
+
+// pi4ServiceDone fires when a device's T_Device service interval ends.
+func pi4ServiceDone(_ *sim.Engine, arg any) {
+	d := arg.(*Device)
+	if pkt := d.pi4Cur; pkt != nil {
+		d.pi4Cur = nil
+		d.completePI4(pkt)
+	}
+	d.startNextPI4()
+}
+
+// routeDeferred is the cut-through routing callback of every switch; the
+// job names its device.
+func routeDeferred(_ *sim.Engine, arg any) {
+	j := arg.(*routeJob)
+	j.d.routePending(j)
 }
 
 // Alive reports whether the device is powered and present in the fabric.
@@ -219,12 +222,12 @@ func (d *Device) arrive(port int, vc asi.VCID, pkt *asi.Packet, l *link, dirIdx 
 		// Cut-through routing decision after the header latency.
 		j := d.freeJobs
 		if j == nil {
-			j = &routeJob{}
+			j = &routeJob{d: d}
 		} else {
 			d.freeJobs = j.next
 		}
 		j.l, j.dirIdx, j.vc, j.pkt, j.port = l, dirIdx, vc, pkt, port
-		e.AfterArg(d.f.cfg.SwitchLatency, d.routeFn, j)
+		e.AfterArg(d.f.cfg.SwitchLatency, routeDeferred, j)
 	}
 }
 
@@ -279,6 +282,9 @@ func (d *Device) floodElection(port int, pkt *asi.Packet) {
 	if d.electSeen[key] || el.TTL == 0 {
 		return
 	}
+	if d.electSeen == nil {
+		d.electSeen = make(map[electKey]bool)
+	}
 	d.electSeen[key] = true
 	el.TTL--
 	for p := range d.ports {
@@ -322,13 +328,12 @@ func (d *Device) consume(port int, pkt *asi.Packet) {
 	d.RxBytes += uint64(pkt.WireSize())
 	d.ctr.Delivered[pkt.Header.PI]++
 	d.f.traceEvent(trace.Deliver, d, port, pkt, "")
-	if p4, ok := pkt.Payload.(asi.PI4); ok && !p4.Op.IsCompletion() {
-		pend := pendingPI4{req: p4, hdr: pkt.Header, port: port}
-		if d.f.spans != nil {
-			pend.span = pkt.Span
-			pend.queuedAt = d.eng.Now()
-		}
-		d.servicePI4(pend)
+	if p4, ok := pkt.Payload.(*asi.PI4); ok && !p4.Op.IsCompletion() {
+		// The completion reports the port the request arrived on; the
+		// device knows it now, and stamping it here is all the queue
+		// needs to remember beside the packet itself.
+		p4.ArrivalPort = uint8(port)
+		d.servicePI4(pkt)
 		return
 	}
 	if d.handler != nil {
@@ -345,13 +350,18 @@ func (d *Device) consume(port int, pkt *asi.Packet) {
 	}
 }
 
-// servicePI4 queues a PI-4 request on the device's serial config-space
-// server and starts it if idle.
-func (d *Device) servicePI4(p pendingPI4) {
-	d.pi4Queue.Push(p)
-	if !d.pi4Busy {
-		d.startNextPI4()
+// servicePI4 hands a PI-4 request to the device's serial config-space
+// server: straight into service if it is idle, else behind the requests
+// already waiting.
+func (d *Device) servicePI4(pkt *asi.Packet) {
+	if d.f.spans != nil {
+		d.f.spanQueueStamp(pkt)
 	}
+	if d.pi4Busy {
+		d.pi4Queue.Push(pkt)
+		return
+	}
+	d.startPI4(pkt)
 }
 
 func (d *Device) startNextPI4() {
@@ -359,74 +369,97 @@ func (d *Device) startNextPI4() {
 		d.pi4Busy = false
 		return
 	}
+	d.startPI4(d.pi4Queue.Pop())
+}
+
+func (d *Device) startPI4(pkt *asi.Packet) {
 	d.pi4Busy = true
-	d.pi4Cur = d.pi4Queue.Pop()
-	d.pi4Timer.ScheduleAfter(d.f.deviceService())
+	d.pi4Cur = pkt
+	d.eng.AfterArg(d.f.deviceService(), pi4ServiceDone, d)
+}
+
+// dropPI4 forgets every request the device holds, waiting or in service,
+// as a power loss does. A pending pi4ServiceDone still fires and finds
+// nothing to complete.
+func (d *Device) dropPI4() {
+	if d.f.spans != nil {
+		for i := 0; i < d.pi4Queue.Len(); i++ {
+			delete(d.f.queuedAt, d.pi4Queue.At(i))
+		}
+		delete(d.f.queuedAt, d.pi4Cur)
+	}
+	d.pi4Queue.Clear()
+	d.pi4Cur = nil
 }
 
 // completePI4 executes the request against the config space and sends the
-// completion back the way the request came (header reversed, same port).
-func (d *Device) completePI4(p pendingPI4) {
-	resp := asi.PI4{Tag: p.req.Tag, Offset: p.req.Offset, Count: p.req.Count, ArrivalPort: uint8(p.port)}
-	switch p.req.Op {
+// packet back the way it came as the completion: header reversed and
+// payload overwritten in place, out the port it arrived on. Tag, Offset,
+// Count and the causal-trace span ID carry over untouched.
+func (d *Device) completePI4(pkt *asi.Packet) {
+	p4 := pkt.Payload.(*asi.PI4)
+	port := int(p4.ArrivalPort)
+	switch p4.Op {
 	case asi.PI4ReadRequest:
-		data, err := d.Config.Read(p.req.Offset, p.req.Count)
+		data, err := d.Config.ReadInto(p4.Data[:0], p4.Offset, p4.Count)
 		if err != nil {
-			resp.Op = asi.PI4ReadCompletionError
+			p4.Op = asi.PI4ReadCompletionError
 		} else {
-			resp.Op = asi.PI4ReadCompletionData
-			resp.Data = data
+			p4.Op = asi.PI4ReadCompletionData
 		}
+		p4.Data = data
 	case asi.PI4WriteRequest:
-		if err := d.Config.Write(p.req.Offset, p.req.Data); err != nil {
-			resp.Op = asi.PI4WriteCompletionError
+		if err := d.Config.Write(p4.Offset, p4.Data); err != nil {
+			p4.Op = asi.PI4WriteCompletionError
 		} else {
-			resp.Op = asi.PI4WriteCompletion
+			p4.Op = asi.PI4WriteCompletion
 		}
+		p4.Data = p4.Data[:0]
 	case asi.PI4ClaimRequest:
-		resp.Op, resp.Data = d.serviceClaim(p.req)
+		d.serviceClaim(p4)
 	default:
-		resp.Op = asi.PI4ReadCompletionError
+		p4.Op = asi.PI4ReadCompletionError
+		p4.Data = p4.Data[:0]
 	}
-	out := &asi.Packet{Header: p.hdr.Reverse(), Payload: resp}
-	out.Header.PI = asi.PI4DeviceManagement
-	if d.f.spans != nil && p.span != 0 {
+	pkt.Header = pkt.Header.Reverse()
+	pkt.Header.PI = asi.PI4DeviceManagement
+	if d.f.spans != nil && pkt.Span != 0 {
 		// Device-side timeline: queue wait (if any) then the T_Device
 		// service interval, both under the owning request; the completion
 		// carries the span ID back so the return hops attribute too.
-		out.Span = p.span
 		now := d.eng.Now()
 		start := now.Add(-d.f.deviceService())
-		if p.queuedAt < start {
-			d.f.spanComplete(span.KindDevQueue, out, p.queuedAt, start, d, p.port)
+		if queuedAt, ok := d.f.spanQueueTake(pkt); ok && queuedAt < start {
+			d.f.spanComplete(span.KindDevQueue, pkt, queuedAt, start, d, port)
 		}
-		d.f.spanComplete(span.KindDevService, out, start, now, d, p.port)
+		d.f.spanComplete(span.KindDevService, pkt, start, now, d, port)
 	}
-	d.transmit(p.port, out)
+	d.transmit(port, pkt)
 }
 
 // serviceClaim atomically resolves a distributed-discovery ownership
-// claim: Data = [generation, claimant]. A newer generation overwrites the
-// stored owner; the completion always carries the resulting
-// [generation, owner], so the requester learns whether it won.
-func (d *Device) serviceClaim(req asi.PI4) (asi.PI4Op, []uint32) {
-	if len(req.Data) < int(asi.OwnerBlocks) {
-		return asi.PI4ReadCompletionError, nil
+// claim in place: Data = [generation, claimant]. A newer generation
+// overwrites the stored owner; the completion always carries the
+// resulting [generation, owner], so the requester learns whether it won.
+func (d *Device) serviceClaim(p4 *asi.PI4) {
+	claim := p4.Data
+	p4.Op, p4.Data = asi.PI4ReadCompletionError, p4.Data[:0]
+	if len(claim) < int(asi.OwnerBlocks) {
+		return
 	}
+	claim = claim[:asi.OwnerBlocks]
 	off := asi.OwnerOffset(len(d.ports))
 	cur, err := d.Config.Read(off, asi.OwnerBlocks)
 	if err != nil {
-		return asi.PI4ReadCompletionError, nil
+		return
 	}
-	if req.Data[0] > cur[0] {
-		if err := d.Config.Write(off, req.Data[:asi.OwnerBlocks]); err != nil {
-			return asi.PI4ReadCompletionError, nil
+	if claim[0] > cur[0] {
+		if err := d.Config.Write(off, claim); err != nil {
+			return
 		}
-		cur = req.Data[:asi.OwnerBlocks]
+		cur = claim
 	}
-	out := make([]uint32, asi.OwnerBlocks)
-	copy(out, cur)
-	return asi.PI4ClaimCompletion, out
+	p4.Op, p4.Data = asi.PI4ClaimCompletion, append(p4.Data, cur...)
 }
 
 // LookupPath scans an endpoint's FM-programmed path table for the route

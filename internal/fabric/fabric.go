@@ -162,8 +162,11 @@ type Fabric struct {
 	cfg    Config
 	rng    *sim.RNG
 
+	// devices points into one slab of Device records and links is the
+	// slab of link records; build sizes both, and the port and
+	// config-block slabs the devices share, from the topology.
 	devices []*Device
-	links   []*link
+	links   []link
 	byDSN   map[asi.DSN]*Device
 
 	// group coordinates the per-region engines on the parallel path; nil
@@ -181,10 +184,11 @@ type Fabric struct {
 	tel      *fabricTelemetry
 
 	// spans is the causal span tracer (SetSpanTracer), nil when
-	// detached; linkQueued stamps when traced packets entered a VC
-	// queue, allocated only while spans is set.
-	spans      *span.Tracer
-	linkQueued map[*asi.Packet]sim.Time
+	// detached; queuedAt stamps when traced packets entered the queue
+	// they wait in (a packet is in one at a time), allocated only while
+	// spans is set.
+	spans    *span.Tracer
+	queuedAt map[*asi.Packet]sim.Time
 }
 
 // New instantiates the fabric described by t on the given engine. All
@@ -242,7 +246,9 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 		rng:      rng,
 		group:    group,
 		regionOf: regionOf,
-		byDSN:    make(map[asi.DSN]*Device),
+		devices:  make([]*Device, len(t.Nodes)),
+		links:    make([]link, len(t.Links)),
+		byDSN:    make(map[asi.DSN]*Device, len(t.Nodes)),
 	}
 	regions := 1
 	if group != nil {
@@ -252,24 +258,35 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 	for i := range f.counters {
 		f.counters[i].Delivered = make(map[asi.PI]uint64)
 	}
+	var nPorts, nBlocks int
 	for _, n := range t.Nodes {
-		d, err := newDevice(f, n)
-		if err != nil {
+		nPorts += n.Ports
+		nBlocks += asi.HeadBlocks(n.Ports)
+	}
+	devices := make([]Device, len(t.Nodes))
+	ports := make([]devPort, nPorts)
+	blocks := make([]uint32, nBlocks)
+	for i, n := range t.Nodes {
+		d := &devices[i]
+		nb := asi.HeadBlocks(n.Ports)
+		// Capacities end with each device's own share, so a config space
+		// that outgrows it reallocates and never spills into the next.
+		if err := d.init(f, n, ports[:n.Ports:n.Ports], blocks[:0:nb]); err != nil {
 			return nil, err
 		}
-		f.devices = append(f.devices, d)
+		ports, blocks = ports[n.Ports:], blocks[nb:]
+		f.devices[i] = d
 		f.byDSN[d.DSN] = d
 	}
-	for _, l := range t.Links {
-		lk := newLink(f, f.devices[l.A], l.APort, f.devices[l.B], l.BPort)
-		lk.idx = len(f.links)
-		f.links = append(f.links, lk)
+	for i, l := range t.Links {
+		lk := &f.links[i]
+		lk.init(f, i, f.devices[l.A], l.APort, f.devices[l.B], l.BPort)
 		f.devices[l.A].ports[l.APort].link = lk
 		f.devices[l.B].ports[l.BPort].link = lk
 	}
 	// Train every cabled link: ports become active, config spaces updated.
-	for _, lk := range f.links {
-		lk.setUp(true)
+	for i := range f.links {
+		f.links[i].setUp(true)
 	}
 	return f, nil
 }

@@ -52,7 +52,7 @@ func readReq(t *testing.T, p route.Path, tag uint32, offset uint16, count uint8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &asi.Packet{Header: hdr, Payload: asi.PI4{
+	return &asi.Packet{Header: hdr, Payload: &asi.PI4{
 		Op: asi.PI4ReadRequest, Tag: tag, Offset: offset, Count: count,
 	}}
 }
@@ -69,7 +69,7 @@ func TestPI4ReadAdjacentSwitch(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatalf("received %d packets, want 1", len(*got))
 	}
-	resp := (*got)[0].pkt.Payload.(asi.PI4)
+	resp := (*got)[0].pkt.Payload.(*asi.PI4)
 	if resp.Op != asi.PI4ReadCompletionData || resp.Tag != 7 {
 		t.Fatalf("unexpected completion: %+v", resp)
 	}
@@ -109,7 +109,7 @@ func TestPI4ReadAcrossMultipleHops(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatalf("received %d packets, want 1", len(*got))
 	}
-	resp := (*got)[0].pkt.Payload.(asi.PI4)
+	resp := (*got)[0].pkt.Payload.(*asi.PI4)
 	g, _ := asi.ParseGeneralInfo(resp.Data)
 	sw02 := f.Device(topo.NodeID(2))
 	if g.DSN != sw02.DSN {
@@ -136,7 +136,7 @@ func TestPI4ReadRemoteEndpoint(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatalf("received %d packets, want 1", len(*got))
 	}
-	g, err := asi.ParseGeneralInfo((*got)[0].pkt.Payload.(asi.PI4).Data)
+	g, err := asi.ParseGeneralInfo((*got)[0].pkt.Payload.(*asi.PI4).Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPI4ReadErrorCompletion(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatalf("received %d packets, want 1", len(*got))
 	}
-	resp := (*got)[0].pkt.Payload.(asi.PI4)
+	resp := (*got)[0].pkt.Payload.(*asi.PI4)
 	if resp.Op != asi.PI4ReadCompletionError || resp.Tag != 3 {
 		t.Errorf("expected error completion, got %+v", resp)
 	}
@@ -177,14 +177,14 @@ func TestPI4WriteEventRouteAndEmitPI5(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr, _ := route.Header(nil, asi.PI4DeviceManagement)
-	ep.Inject(&asi.Packet{Header: hdr, Payload: asi.PI4{
+	ep.Inject(&asi.Packet{Header: hdr, Payload: &asi.PI4{
 		Op: asi.PI4WriteRequest, Tag: 5,
 		Offset: asi.EventRouteOffset(16),
 		Data:   asi.EncodeEventRoute(pool, ptr),
 	}})
 	e.Run()
 
-	if len(*got) != 1 || (*got)[0].pkt.Payload.(asi.PI4).Op != asi.PI4WriteCompletion {
+	if len(*got) != 1 || (*got)[0].pkt.Payload.(*asi.PI4).Op != asi.PI4WriteCompletion {
 		t.Fatalf("write completion missing: %+v", got)
 	}
 
@@ -378,7 +378,7 @@ func TestRouteErrorDrops(t *testing.T) {
 	// Header with 2 leftover bits: not enough for a 16-port switch turn.
 	pkt := &asi.Packet{
 		Header:  asi.RouteHeader{TurnPool: 3, TurnPointer: 2, PI: asi.PI4DeviceManagement, TC: asi.TCManagement},
-		Payload: asi.PI4{Op: asi.PI4ReadRequest, Tag: 1, Count: 1},
+		Payload: &asi.PI4{Op: asi.PI4ReadRequest, Tag: 1, Count: 1},
 	}
 	ep.Inject(pkt)
 	e.Run()
@@ -588,7 +588,7 @@ func TestBFSPathMatchesFabricRouting(t *testing.T) {
 		}
 		var answer asi.DSN
 		ep.SetHandler(HandlerFunc(func(port int, pkt *asi.Packet) {
-			if p4, ok := pkt.Payload.(asi.PI4); ok && p4.Op == asi.PI4ReadCompletionData {
+			if p4, ok := pkt.Payload.(*asi.PI4); ok && p4.Op == asi.PI4ReadCompletionData {
 				if g, err := asi.ParseGeneralInfo(p4.Data); err == nil {
 					answer = g.DSN
 				}

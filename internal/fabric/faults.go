@@ -157,7 +157,7 @@ func (f *Fabric) FlapLink(link int, at sim.Time, d sim.Duration) error {
 
 // scheduleFlap arms the down/up event pair of one validated flap.
 func (f *Fabric) scheduleFlap(fl Flap) {
-	lk := f.links[fl.Link]
+	lk := &f.links[fl.Link]
 	f.Engine.At(fl.At, func(*sim.Engine) {
 		if !lk.up {
 			return // already down (e.g. hot removal); nothing to flap

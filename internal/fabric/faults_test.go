@@ -30,7 +30,7 @@ func injectReads(e *sim.Engine, ep *Device, n int) {
 			if err != nil {
 				panic(err)
 			}
-			ep.Inject(&asi.Packet{Header: hdr, Payload: asi.PI4{
+			ep.Inject(&asi.Packet{Header: hdr, Payload: &asi.PI4{
 				Op: asi.PI4ReadRequest, Tag: tag,
 				Offset: asi.GeneralInfoOffset, Count: asi.GeneralInfoBlocks,
 			}})

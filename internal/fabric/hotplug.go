@@ -41,7 +41,7 @@ func (f *Fabric) SetDeviceDown(id topo.NodeID, quiet bool) error {
 		return fmt.Errorf("fabric: device %s: %w", d.Label, ErrAlreadyDown)
 	}
 	d.alive = false
-	d.pi4Queue.Clear()
+	d.dropPI4()
 	// Flush the dead device's own transmit queues; packets already on
 	// the wire stay in flight and die at arrival.
 	for p := range d.ports {

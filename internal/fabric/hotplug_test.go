@@ -135,7 +135,9 @@ func TestHotplugPI5Suppression(t *testing.T) {
 // Whether the packet is on the final wire, inside the cut-through
 // routing latency, or already being serviced (so only the completion is
 // pending), the traffic must die at the dead device — DropDeadDevice —
-// and no completion may reach the requester.
+// and no completion may reach the requester. That holds even when power
+// returns before the service interval would have ended: a device that
+// lost power forgets the request it was serving.
 func TestInFlightPacketsDieAtDeadDevice(t *testing.T) {
 	// ep(0,0) -> sw(0,0) -> sw(0,1) on the 3x3 mesh, as in
 	// TestPI4ReadAcrossMultipleHops.
@@ -153,16 +155,22 @@ func TestInFlightPacketsDieAtDeadDevice(t *testing.T) {
 		// the config-space server just never completes (the requester
 		// sees a timeout), so nothing is counted.
 		wantDrop uint64
+		// reviveAfter, when set, is how long after the removal the victim
+		// powers back up.
+		reviveAfter func(f *Fabric) sim.Duration
 	}{
 		{"dies on the wire", func(f *Fabric, arrive sim.Duration) sim.Duration {
 			return arrive - f.cfg.Propagation/2
-		}, 1},
+		}, 1, nil},
 		{"dies in cut-through routing", func(f *Fabric, arrive sim.Duration) sim.Duration {
 			return arrive + f.cfg.SwitchLatency/2
-		}, 1},
+		}, 1, nil},
 		{"completion dies mid-service", func(f *Fabric, arrive sim.Duration) sim.Duration {
 			return arrive + f.cfg.SwitchLatency + f.deviceService()/2
-		}, 0},
+		}, 0, nil},
+		{"no ghost completion after a power cycle", func(f *Fabric, arrive sim.Duration) sim.Duration {
+			return arrive + f.cfg.SwitchLatency + f.deviceService()/4
+		}, 0, func(f *Fabric) sim.Duration { return f.deviceService() / 4 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,6 +191,13 @@ func TestInFlightPacketsDieAtDeadDevice(t *testing.T) {
 					t.Errorf("SetDeviceDown: %v", err)
 				}
 			})
+			if tc.reviveAfter != nil {
+				e.At(sim.Time(0).Add(kill+tc.reviveAfter(f)), func(*sim.Engine) {
+					if err := f.SetDeviceUp(victim, true); err != nil {
+						t.Errorf("SetDeviceUp: %v", err)
+					}
+				})
+			}
 			e.Run()
 
 			if len(*got) != 0 {

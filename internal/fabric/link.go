@@ -29,75 +29,99 @@ type link struct {
 // and the receiver returns it once the packet has left its input buffer.
 //
 // The transmit path is allocation-free in steady state: the VC queues are
-// rings, the two kick handlers are bound once at link construction, and
-// in-flight packets ride pooled flight records instead of per-packet
-// closures.
+// rings, the scheduled callbacks are package functions that take the half
+// link (or the flight) as their argument, so a link binds no closures,
+// and in-flight packets ride flight records pooled on the sending device.
 type halfLink struct {
+	l         *link
+	dir       int // index in l.half: 0 sends a->b, 1 sends b->a
 	busyUntil sim.Time
 	queues    [asi.NumVCs]sim.Ring[*asi.Packet]
 	credits   [asi.NumVCs]int
 
-	// kickTimer re-runs the transmit scheduler when the serializer frees
-	// while packets wait; kickFn is the unconditional post-transmit kick.
-	// Both live on the sender's engine.
-	kickTimer *sim.Timer
-	kickFn    sim.Handler
-	// deliverFn hands an arrived flight to the receiver; freeFlights is
-	// the pool it recycles through. Cut links instead use
-	// crossDeliverFn/crossCreditFn, which run on the receiving region's
-	// engine with freshly allocated flights (the pool is single-region
-	// state).
-	deliverFn    sim.ArgHandler
-	crossDeliver sim.ArgHandler
-	crossCredit  sim.ArgHandler
-	freeFlights  *flight
+	// wake is the pending kickHalf event that re-runs the transmit
+	// scheduler when the serializer frees while packets wait, if one is
+	// armed. It lives on the sender's engine.
+	wake sim.EventID
+	// crossCredit returns a buffer slot across the shard boundary of a cut
+	// link; nil on every other link. It runs on the sending region's
+	// engine.
+	crossCredit sim.ArgHandler
+}
+
+// sender returns the device that transmits in this direction.
+func (h *halfLink) sender() *Device {
+	if h.dir == 0 {
+		return h.l.a
+	}
+	return h.l.b
+}
+
+// receiver returns the device, and its port, this direction delivers to.
+func (h *halfLink) receiver() (*Device, int) {
+	if h.dir == 0 {
+		return h.l.b, h.l.bPort
+	}
+	return h.l.a, h.l.aPort
 }
 
 // flight is one packet in transit on a half link: the per-packet state an
 // arrival event needs, pooled so sustained traffic schedules arrivals
 // without allocating.
 type flight struct {
+	h    *halfLink
 	pkt  *asi.Packet
 	vc   asi.VCID
 	next *flight
 }
 
-func newLink(f *Fabric, a *Device, aPort int, b *Device, bPort int) *link {
-	l := &link{f: f, a: a, aPort: aPort, b: b, bPort: bPort}
+// kickHalf is the scheduled form of link.kick: the serializer of one
+// direction came free.
+func kickHalf(_ *sim.Engine, arg any) {
+	h := arg.(*halfLink)
+	h.l.kick(h.sender())
+}
+
+// deliverFlight completes a flight on the engine both ends share: the
+// record returns to the sender's pool and the packet arrives.
+func deliverFlight(_ *sim.Engine, arg any) {
+	fl := arg.(*flight)
+	h, pkt, vc := fl.h, fl.pkt, fl.vc
+	sender := h.sender()
+	fl.h, fl.pkt = nil, nil
+	fl.next = sender.freeFlights
+	sender.freeFlights = fl
+	receiver, rxPort := h.receiver()
+	receiver.arrive(rxPort, vc, pkt, h.l, h.dir)
+}
+
+// deliverCrossFlight completes a flight that crossed a shard boundary, on
+// the receiving region's engine. The record is not pooled: the sender's
+// pool is its own region's state.
+func deliverCrossFlight(_ *sim.Engine, arg any) {
+	fl := arg.(*flight)
+	receiver, rxPort := fl.h.receiver()
+	receiver.arrive(rxPort, fl.vc, fl.pkt, fl.h.l, fl.h.dir)
+}
+
+// init cables a's aPort to b's bPort as topology link idx.
+func (l *link) init(f *Fabric, idx int, a *Device, aPort int, b *Device, bPort int) {
+	*l = link{f: f, idx: idx, a: a, aPort: aPort, b: b, bPort: bPort}
 	for i := range l.half {
 		h := &l.half[i]
+		h.l, h.dir = l, i
 		for vc := range h.credits {
 			h.credits[vc] = f.cfg.CreditsPerVC
 		}
-		dirIdx := i
-		sender := a
-		if dirIdx == 1 {
-			sender = b
-		}
-		h.kickFn = func(*sim.Engine) { l.kick(sender) }
-		h.kickTimer = sender.eng.NewTimer(h.kickFn)
-		h.deliverFn = func(_ *sim.Engine, arg any) { l.deliver(dirIdx, arg.(*flight)) }
 	}
-	return l
 }
 
-// markCut binds the cross-region handoff handlers of a link that
-// straddles a shard boundary. Deliveries arrive as fresh flight records
-// (never pooled: the pool belongs to the sending region) and credits
-// return as posted VC values; both run on the engine of the region they
-// land in.
+// markCut marks a link that straddles a shard boundary and binds its
+// credit returns, which cross as posted VC values.
 func (l *link) markCut() {
 	l.cut = true
 	for i := range l.half {
 		dirIdx := i
-		l.half[i].crossDeliver = func(_ *sim.Engine, arg any) {
-			fl := arg.(*flight)
-			receiver, rxPort := l.b, l.bPort
-			if dirIdx == 1 {
-				receiver, rxPort = l.a, l.aPort
-			}
-			receiver.arrive(rxPort, fl.vc, fl.pkt, l, dirIdx)
-		}
 		l.half[i].crossCredit = func(_ *sim.Engine, arg any) {
 			l.applyCredit(dirIdx, arg.(asi.VCID))
 		}
@@ -142,10 +166,7 @@ func (l *link) setUp(up bool) {
 	if !up {
 		for i := range l.half {
 			h := &l.half[i]
-			sender := l.a
-			if i == 1 {
-				sender = l.b
-			}
+			sender := h.sender()
 			for vc := range h.queues {
 				l.f.spanFlushQueue(&h.queues[vc], sender, l.portOf(sender))
 				h.queues[vc].Clear()
@@ -189,8 +210,8 @@ func (l *link) kick(d *Device) {
 	dirIdx := l.halfFrom(d)
 	h := &l.half[dirIdx]
 	if h.busyUntil > e.Now() {
-		if !h.kickTimer.Armed() {
-			h.kickTimer.ScheduleAt(h.busyUntil)
+		if !e.Armed(h.wake) {
+			h.wake = e.AtArg(h.busyUntil, kickHalf, h)
 		}
 		return
 	}
@@ -242,37 +263,21 @@ func (l *link) kick(d *Device) {
 			// mailbox is always conservative-safe.
 			receiver, _ := l.otherEnd(d)
 			l.f.group.Post(d.region, receiver.region, e.Now().Add(arrive),
-				h.crossDeliver, &flight{pkt: pkt, vc: asi.VCID(vc)})
+				deliverCrossFlight, &flight{h: h, pkt: pkt, vc: asi.VCID(vc)})
 		} else {
-			fl := h.freeFlights
+			fl := d.freeFlights
 			if fl == nil {
 				fl = &flight{}
 			} else {
-				h.freeFlights = fl.next
+				d.freeFlights = fl.next
 			}
-			fl.pkt = pkt
-			fl.vc = asi.VCID(vc)
-			e.AfterArg(arrive, h.deliverFn, fl)
+			fl.h, fl.pkt, fl.vc = h, pkt, asi.VCID(vc)
+			e.AfterArg(arrive, deliverFlight, fl)
 		}
 		// Serializer free again at busyUntil; try the next packet.
-		e.At(h.busyUntil, h.kickFn)
+		e.AtArg(h.busyUntil, kickHalf, h)
 		return
 	}
-}
-
-// deliver completes a flight: the record returns to the pool and the
-// packet arrives at the receiving device.
-func (l *link) deliver(dirIdx int, fl *flight) {
-	h := &l.half[dirIdx]
-	pkt, vc := fl.pkt, fl.vc
-	fl.pkt = nil
-	fl.next = h.freeFlights
-	h.freeFlights = fl
-	receiver, rxPort := l.b, l.bPort
-	if dirIdx == 1 {
-		receiver, rxPort = l.a, l.aPort
-	}
-	receiver.arrive(rxPort, vc, pkt, l, dirIdx)
 }
 
 // returnCredit hands a buffer slot back to the sender of the given
@@ -287,12 +292,10 @@ func (l *link) returnCredit(dirIdx int, vc asi.VCID) {
 		return
 	}
 	if l.cut {
-		sender, receiver := l.a, l.b
-		if dirIdx == 1 {
-			sender, receiver = l.b, l.a
-		}
-		l.f.group.Post(receiver.region, sender.region,
-			receiver.eng.Now().Add(l.f.cfg.Propagation), l.half[dirIdx].crossCredit, vc)
+		h := &l.half[dirIdx]
+		receiver, _ := h.receiver()
+		l.f.group.Post(receiver.region, h.sender().region,
+			receiver.eng.Now().Add(l.f.cfg.Propagation), h.crossCredit, vc)
 		return
 	}
 	l.applyCredit(dirIdx, vc)
@@ -307,9 +310,5 @@ func (l *link) applyCredit(dirIdx int, vc asi.VCID) {
 	if h.credits[vc] < l.f.cfg.CreditsPerVC {
 		h.credits[vc]++
 	}
-	sender := l.a
-	if dirIdx == 1 {
-		sender = l.b
-	}
-	l.kick(sender)
+	l.kick(h.sender())
 }

@@ -179,7 +179,7 @@ func TestBackwardPacketToNowhereIsDropped(t *testing.T) {
 			Dir: true, TurnPointer: asi.TurnPoolBits,
 			PI: asi.PI4DeviceManagement, TC: asi.TCManagement,
 		},
-		Payload: asi.PI4{Op: asi.PI4ReadCompletionData, Tag: 1},
+		Payload: &asi.PI4{Op: asi.PI4ReadCompletionData, Tag: 1},
 	}
 	ep.Inject(pkt)
 	e.Run()
@@ -199,7 +199,7 @@ func TestEndpointPathToSwitchSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep.Inject(&asi.Packet{Header: hdr, Payload: asi.PI4{Op: asi.PI4ReadRequest, Tag: 9, Count: 1}})
+	ep.Inject(&asi.Packet{Header: hdr, Payload: &asi.PI4{Op: asi.PI4ReadRequest, Tag: 9, Count: 1}})
 	ep.SetHandler(HandlerFunc(func(port int, pkt *asi.Packet) { got++ }))
 	e.Run()
 	if sw.RxPackets != 1 || got != 1 {

@@ -24,9 +24,9 @@ func (f *Fabric) SetSpanTracer(t *span.Tracer) {
 	}
 	f.spans = t
 	if t != nil {
-		f.linkQueued = make(map[*asi.Packet]sim.Time)
+		f.queuedAt = make(map[*asi.Packet]sim.Time)
 	} else {
-		f.linkQueued = nil
+		f.queuedAt = nil
 	}
 }
 
@@ -51,23 +51,31 @@ func (f *Fabric) spanInstant(kind span.Kind, pkt *asi.Packet, d *Device, port in
 	}
 }
 
-// spanDrop marks a traced packet as discarded. Any pending link-queue
-// stamp dies with the packet.
+// spanDrop marks a traced packet as discarded. Any pending queue stamp
+// dies with the packet.
 func (f *Fabric) spanDrop(r DropReason, d *Device, port int, pkt *asi.Packet) {
 	if f.spans == nil || pkt == nil || pkt.Span == 0 {
 		return
 	}
-	delete(f.linkQueued, pkt)
+	delete(f.queuedAt, pkt)
 	f.spanInstant(span.KindDrop, pkt, d, port, r.String())
 }
 
-// spanQueueStamp remembers when a traced packet entered a VC queue, so
-// the pop side can emit a link-queue span for the time it waited.
+// spanQueueStamp remembers when a traced packet entered a queue — a
+// link's VC queue or a device's PI-4 service queue — so the pop side can
+// emit a span for the time it waited.
 func (f *Fabric) spanQueueStamp(pkt *asi.Packet) {
 	if f.spans == nil || pkt.Span == 0 {
 		return
 	}
-	f.linkQueued[pkt] = f.Engine.Now()
+	f.queuedAt[pkt] = f.Engine.Now()
+}
+
+// spanQueueTake removes and returns a packet's queue stamp.
+func (f *Fabric) spanQueueTake(pkt *asi.Packet) (sim.Time, bool) {
+	q, ok := f.queuedAt[pkt]
+	delete(f.queuedAt, pkt)
+	return q, ok
 }
 
 // spanWire records the transmit-side spans of one link traversal: the
@@ -79,11 +87,8 @@ func (f *Fabric) spanWire(pkt *asi.Packet, d *Device, port int, arrive, extra si
 		return
 	}
 	now := f.Engine.Now()
-	if q, ok := f.linkQueued[pkt]; ok {
-		delete(f.linkQueued, pkt)
-		if now > q {
-			f.spanComplete(span.KindLinkQueue, pkt, q, now, d, port)
-		}
+	if q, ok := f.spanQueueTake(pkt); ok && now > q {
+		f.spanComplete(span.KindLinkQueue, pkt, q, now, d, port)
 	}
 	f.spanComplete(span.KindWire, pkt, now, now.Add(arrive), d, port)
 	if extra > 0 {

@@ -48,7 +48,7 @@ func TestFabricTracingRecordsDrops(t *testing.T) {
 	// Route error: 2 leftover turn bits at a 16-port switch.
 	ep.Inject(&asi.Packet{
 		Header:  asi.RouteHeader{TurnPool: 3, TurnPointer: 2, PI: asi.PI4DeviceManagement, TC: asi.TCManagement},
-		Payload: asi.PI4{Op: asi.PI4ReadRequest, Tag: 1, Count: 1},
+		Payload: &asi.PI4{Op: asi.PI4ReadRequest, Tag: 1, Count: 1},
 	})
 	e.Run()
 	found := false

@@ -173,8 +173,10 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// armed reports whether the identified event is still scheduled.
-func (e *Engine) armed(id EventID) bool {
+// Armed reports whether the identified event is still scheduled. A record
+// that schedules one recurring event through AtArg can keep the EventID
+// and ask here before scheduling again, instead of owning a Timer.
+func (e *Engine) Armed(id EventID) bool {
 	if id.slot == 0 {
 		return false
 	}
@@ -387,7 +389,7 @@ func (e *Engine) NewTimer(fn Handler) *Timer {
 }
 
 // Armed reports whether the timer has a pending firing.
-func (t *Timer) Armed() bool { return t.e.armed(t.id) }
+func (t *Timer) Armed() bool { return t.e.Armed(t.id) }
 
 // ScheduleAt (re)schedules the timer to fire at the absolute instant at,
 // canceling any pending firing first.

@@ -54,11 +54,14 @@ func (r *Ring[T]) Clear() {
 	r.head, r.n = 0, 0
 }
 
-// grow doubles the buffer (minimum 8) and re-linearizes the contents.
+// grow doubles the buffer and re-linearizes the contents. It starts at
+// two slots: a large fabric holds tens of thousands of rings (one per
+// device service queue, three per link direction) and most never queue a
+// second element, so the first push must cost what one element costs.
 func (r *Ring[T]) grow() {
 	size := len(r.buf) * 2
-	if size < 8 {
-		size = 8
+	if size < 2 {
+		size = 2
 	}
 	nb := make([]T, size)
 	for i := 0; i < r.n; i++ {

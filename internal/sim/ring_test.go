@@ -105,3 +105,53 @@ func TestRingPopEmptyPanics(t *testing.T) {
 	var r Ring[int]
 	r.Pop()
 }
+
+// TestRingDifferential drives a ring and a plain slice through the same
+// random Push/Pop/At/Clear sequence, checking every observable after
+// every step. Depths cross the 2, 4, 8 and 16-slot growth steps with the
+// head anywhere in the buffer, so re-linearization is exercised at each.
+func TestRingDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := NewRNG(seed)
+		var r Ring[int]
+		var ref []int
+		next := 0
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 50 && len(ref) < 24:
+				r.Push(next)
+				ref = append(ref, next)
+				next++
+			case op < 95 && len(ref) > 0:
+				if got := r.Pop(); got != ref[0] {
+					t.Fatalf("seed %d step %d: Pop = %d, want %d", seed, step, got, ref[0])
+				}
+				ref = ref[1:]
+			case op >= 98:
+				r.Clear()
+				ref = ref[:0]
+			}
+			if r.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, r.Len(), len(ref))
+			}
+			for i, want := range ref {
+				if got := r.At(i); got != want {
+					t.Fatalf("seed %d step %d: At(%d) = %d, want %d", seed, step, i, got, want)
+				}
+			}
+			if n := len(r.buf); n&(n-1) != 0 {
+				t.Fatalf("seed %d step %d: buffer size %d is not a power of two", seed, step, n)
+			}
+		}
+	}
+}
+
+// TestRingFirstPushIsSmall pins the minimum: a ring that only ever holds
+// one element must not pay for eight.
+func TestRingFirstPushIsSmall(t *testing.T) {
+	var r Ring[int]
+	r.Push(1)
+	if len(r.buf) > 2 {
+		t.Errorf("first push sized the buffer to %d slots, want <= 2", len(r.buf))
+	}
+}
