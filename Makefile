@@ -13,7 +13,8 @@
 #                   plane smoke (Prometheus /metrics + staleness SLO),
 #                   continuous-assimilation smoke (keeper-driven coalesced
 #                   churn), benchmark regression diff (allocs/op, B/op,
-#                   ns/op) against BENCH_sim.json and BENCH_fm.json
+#                   ns/op) against BENCH_sim.json, BENCH_fm.json and
+#                   BENCH_serve.json
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness
 #   make bench    - figure + engine benchmarks -> BENCH_sim.json
@@ -21,6 +22,8 @@
 #                   with results/bench_baseline.txt embedded as the
 #                   before/baseline section), then the FM-database
 #                   ledger (internal/core, internal/fib) -> BENCH_fm.json
+#                   and the serving ledger (internal/rib) ->
+#                   BENCH_serve.json
 
 GO ?= go
 BENCHTIME ?= 3x
@@ -32,6 +35,10 @@ BENCH_BASELINE ?= results/bench_baseline.txt
 # The FM-database ledger's before section: the same benchmarks on the
 # commit before the adjacency index (link-map scans).
 BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
+# The serving ledger's before section: the same benchmarks on the commit
+# before the change-driven install (every generation built from scratch,
+# every delta filtered per subscriber).
+BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
 
 .PHONY: all build vet test race verify bench bench-smoke bench-diff bench-test fmt-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke fuzz
 
@@ -77,9 +84,11 @@ span-smoke:
 
 # alloc-check pins the allocation contracts: the instrumentation hooks'
 # disabled cost and a warm PI-4 round trip (FM -> device -> FM) at zero
-# allocations, and fabric.New within its bytes-per-device-or-link budget.
+# allocations, fabric.New within its bytes-per-device-or-link budget, and
+# the serving layer's fan-out: queueing and delivering a generation at
+# zero, one install at well under one allocation per extra subscriber.
 alloc-check:
-	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/sim/ ./internal/fabric/ ./internal/core/
+	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/sim/ ./internal/fabric/ ./internal/core/ ./internal/rib/
 
 # bench-test runs the repo benchmark's own tests. bench/ is a separate
 # module (replace repro => ../), so `go test ./...` from the root never
@@ -110,6 +119,7 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzGenerated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzCoalesce$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzInstallChangeSets$$' -fuzztime $(FUZZTIME)
 
 # par-smoke proves the region-sharded parallel simulation path: one
 # scenario per topology family (torus, fat-tree, dragonfly, autofat) at
@@ -143,10 +153,13 @@ assim-smoke:
 	$(GO) run ./cmd/asifmd -assim-smoke 12
 
 # bench-diff re-runs the benchmark suites and gates them against the
-# committed BENCH_sim.json and BENCH_fm.json: an allocs/op increase
+# committed BENCH_sim.json, BENCH_fm.json and BENCH_serve.json (the last
+# on allocations and bytes only): an allocs/op increase
 # beyond max(2, 0.1%) rounding/GC slack or a B/op increase beyond
 # max(64, 1%) fails; ns/op may regress at most 10% plus the noise both
-# runs measured across their -count repeats.
+# runs measured across their -count repeats. The serving benchmarks hand
+# batches between goroutines, so their ns/op follows the scheduler and
+# -ns-tolerance 1e9 leaves it ungated.
 # Regenerate the baselines with `make bench` when a change legitimately
 # moves the numbers.
 bench-diff:
@@ -154,6 +167,8 @@ bench-diff:
 		| $(GO) run ./cmd/benchjson -diff BENCH_sim.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
 		| $(GO) run ./cmd/benchjson -diff BENCH_fm.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/rib \
+		| $(GO) run ./cmd/benchjson -ns-tolerance 1e9 -diff BENCH_serve.json
 
 verify: fmt-check build vet test race bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
 
@@ -162,3 +177,5 @@ bench:
 		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_BASELINE) -o BENCH_sim.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
 		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_FM_BASELINE) -o BENCH_fm.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/rib \
+		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_SERVE_BASELINE) -o BENCH_serve.json

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/asi"
@@ -147,26 +149,39 @@ func (db *DB) Nodes() []*Node {
 	return out
 }
 
+// EachNode calls f for every entry in no particular order, for passes
+// that sort their own output (or need none) and should not pay for the
+// sorted copy Nodes makes.
+func (db *DB) EachNode(f func(*Node)) {
+	for _, n := range db.nodes {
+		f(n)
+	}
+}
+
 // Links returns all discovered links sorted canonically.
 func (db *DB) Links() []Link {
 	out := make([]Link, 0, len(db.links))
 	for l := range db.links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.APort != b.APort {
-			return a.APort < b.APort
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.BPort < b.BPort
-	})
+	sortLinks(out)
 	return out
+}
+
+// sortLinks puts links in the canonical order: by A, A's port, B, B's port.
+func sortLinks(ls []Link) {
+	slices.SortFunc(ls, func(a, b Link) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.APort, b.APort); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.B, b.B); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.BPort, b.BPort)
+	})
 }
 
 // Clone deep-copies the database: node entries (including their paths
@@ -475,19 +490,31 @@ func (db *DB) TreeFrom(src asi.DSN) *PathTree {
 // the target's arrival port along it; a nil path means unreachable. The
 // source itself is the empty, non-nil path.
 func (t *PathTree) PathTo(target asi.DSN) (route.Path, int) {
+	return t.PathInto(nil, target)
+}
+
+// PathInto is PathTo writing the route into buf's backing array when buf
+// is non-nil and large enough, so a pass that only compares each route
+// with one it already holds allocates nothing per target. The result
+// aliases buf; the caller copies what it keeps.
+func (t *PathTree) PathInto(buf route.Path, target asi.DSN) (route.Path, int) {
 	if t.prev == nil {
 		return nil, 0
 	}
-	if target == t.src {
-		return route.Path{}, 0
-	}
 	last, ok := t.prev[target]
-	if !ok {
+	if target == t.src {
+		last = pred{}
+	} else if !ok {
 		return nil, 0
 	}
 	// Non-nil even for adjacent targets: nil is the unreachable
 	// sentinel, a zero-hop path is a valid route.
-	path := make(route.Path, last.hops)
+	var path route.Path
+	if buf != nil && cap(buf) >= last.hops {
+		path = buf[:last.hops]
+	} else {
+		path = make(route.Path, last.hops)
+	}
 	for p, i := last, last.hops-1; i >= 0; i-- {
 		up := t.prev[p.from]
 		path[i] = route.Hop{Ports: p.fromPorts, In: up.arrivePort, Out: p.fromPort}

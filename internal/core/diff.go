@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/asi"
@@ -45,34 +46,42 @@ func (d Diff) String() string {
 }
 
 // DiffDBs compares two databases. Devices compare by DSN, links by their
-// normalized form; old or new may be nil (treated as empty).
+// normalized form; old or new may be nil (treated as empty). It scans the
+// two node and link maps directly and sorts only what differs (devices by
+// DSN, links canonically), so comparing two generations of a large fabric
+// costs no sorted copy of either.
 func DiffDBs(old, new *DB) Diff {
 	var d Diff
-	oldHas := func(dsn asi.DSN) bool { return old != nil && old.Node(dsn) != nil }
-	newHas := func(dsn asi.DSN) bool { return new != nil && new.Node(dsn) != nil }
-	if new != nil {
-		for _, n := range new.Nodes() {
-			if !oldHas(n.DSN) {
-				d.AddedDevices = append(d.AddedDevices, n.DSN)
-			}
-		}
-		for _, l := range new.Links() {
-			if old == nil || !old.HasLink(l) {
-				d.AddedLinks = append(d.AddedLinks, l)
-			}
+	var empty DB
+	if old == nil {
+		old = &empty
+	}
+	if new == nil {
+		new = &empty
+	}
+	for dsn := range new.nodes {
+		if old.nodes[dsn] == nil {
+			d.AddedDevices = append(d.AddedDevices, dsn)
 		}
 	}
-	if old != nil {
-		for _, n := range old.Nodes() {
-			if !newHas(n.DSN) {
-				d.RemovedDevices = append(d.RemovedDevices, n.DSN)
-			}
-		}
-		for _, l := range old.Links() {
-			if new == nil || !new.HasLink(l) {
-				d.RemovedLinks = append(d.RemovedLinks, l)
-			}
+	for dsn := range old.nodes {
+		if new.nodes[dsn] == nil {
+			d.RemovedDevices = append(d.RemovedDevices, dsn)
 		}
 	}
+	for l := range new.links {
+		if !old.links[l] {
+			d.AddedLinks = append(d.AddedLinks, l)
+		}
+	}
+	for l := range old.links {
+		if !new.links[l] {
+			d.RemovedLinks = append(d.RemovedLinks, l)
+		}
+	}
+	slices.Sort(d.AddedDevices)
+	slices.Sort(d.RemovedDevices)
+	sortLinks(d.AddedLinks)
+	sortLinks(d.RemovedLinks)
 	return d
 }

@@ -14,6 +14,7 @@
 package fib
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/asi"
@@ -38,6 +39,12 @@ type Route struct {
 	Hops []Hop `json:"hops"`
 	// ArrivalPort is the device port requests arrive on along Hops.
 	ArrivalPort int `json:"arrival_port"`
+
+	// typ and ports are the device's own type and port count when the
+	// entry was derived. With the walk they decide its EventRoute, so
+	// Update can tell that both entries still hold without re-encoding.
+	typ   asi.DeviceType
+	ports int
 }
 
 // EventRoute is the turn-pool encoding a device uses to source PI-5
@@ -67,26 +74,52 @@ type Table struct {
 // Derive computes the FIB for one database generation. The database is
 // read-only during the call; Derive never mutates it.
 func Derive(db *core.DB) *Table {
-	t := &Table{
+	t, _ := Update(nil, db)
+	return t
+}
+
+// Update is Derive given the previous generation's table (nil for none):
+// the result is the table Derive(db) returns, but every entry the change
+// left alone is prev's — its Hops slice included — and costs no
+// allocation. One breadth-first tree still decides every route, so the
+// port-order tie-break is Derive's. changed lists, ascending, the devices
+// whose Route or EventRoute is new, different from prev's or gone.
+func Update(prev *Table, db *core.DB) (t *Table, changed []asi.DSN) {
+	if prev == nil {
+		prev = &Table{}
+	}
+	t = &Table{
 		Host:        db.HostDSN,
 		Routes:      make(map[asi.DSN]Route, db.NumNodes()),
 		EventRoutes: make(map[asi.DSN]EventRoute, db.NumNodes()),
 	}
 	tree := db.TreeFrom(db.HostDSN)
-	for _, n := range db.Nodes() {
+	scratch := make(route.Path, 0, 16)
+	db.EachNode(func(n *core.Node) {
 		if n.DSN == db.HostDSN {
-			continue
+			return
 		}
-		p, arrival := tree.PathTo(n.DSN)
+		p, arrival := tree.PathInto(scratch, n.DSN)
 		if p == nil {
 			t.Unrouted++
-			continue
+			return
 		}
+		scratch = p[:0]
+		if old, ok := prev.Routes[n.DSN]; ok && old.follows(p, arrival) && old.typ == n.Type && old.ports == n.Ports {
+			t.Routes[n.DSN] = old
+			if ev, ok := prev.EventRoutes[n.DSN]; ok {
+				t.EventRoutes[n.DSN] = ev
+			} else {
+				t.Unencodable++
+			}
+			return
+		}
+		changed = append(changed, n.DSN)
 		hops := make([]Hop, len(p))
 		for i, h := range p {
 			hops[i] = Hop{Ports: h.Ports, In: h.In, Out: h.Out}
 		}
-		t.Routes[n.DSN] = Route{DSN: n.DSN, Hops: hops, ArrivalPort: arrival}
+		t.Routes[n.DSN] = Route{DSN: n.DSN, Hops: hops, ArrivalPort: arrival, typ: n.Type, ports: n.Ports}
 		// The event route derives from the same recomputed path, so a
 		// FIB generation is self-consistent even when the node's stored
 		// discovery path predates a link change.
@@ -96,11 +129,31 @@ func Derive(db *core.DB) *Table {
 		})
 		if err != nil {
 			t.Unencodable++
-			continue
+			return
 		}
 		t.EventRoutes[n.DSN] = EventRoute{DSN: n.DSN, Pool: pool, Ptr: ptr}
+	})
+	for dsn := range prev.Routes {
+		if _, ok := t.Routes[dsn]; !ok {
+			changed = append(changed, dsn)
+		}
 	}
-	return t
+	slices.Sort(changed)
+	return t, changed
+}
+
+// follows reports whether the route is exactly the walk p arriving on
+// the given port.
+func (r Route) follows(p route.Path, arrival int) bool {
+	if r.ArrivalPort != arrival || len(r.Hops) != len(p) {
+		return false
+	}
+	for i, h := range p {
+		if r.Hops[i] != (Hop{Ports: h.Ports, In: h.In, Out: h.Out}) {
+			return false
+		}
+	}
+	return true
 }
 
 // DSNs returns the route table's destinations in ascending order, the

@@ -113,6 +113,10 @@ type RIB struct {
 
 	installs atomic.Uint64
 	resyncs  atomic.Uint64
+	// built counts the shared views constructed (see view): full-state
+	// bodies, filtered deltas and encoded lines. Tests read it to hold
+	// each to once per (generation, prefix).
+	built struct{ syncs, filters, lines atomic.Uint64 }
 
 	// latMu guards the staleness-SLO accounting: the per-generation
 	// install stamps and the install→deliver latency histogram. Both are
@@ -175,14 +179,8 @@ func (r *RIB) Install(db *core.DB) (uint64, core.Diff) {
 
 	prev := r.Current()
 	clone := db.Clone()
-	next := buildSnapshot(prev, clone, prev.Gen+1)
 	d := core.DiffDBs(prev.DB, clone)
-	batch := Batch{
-		Gen:         next.Gen,
-		Type:        DeltaBatch,
-		Fingerprint: fpHex(next.Fingerprint),
-		Updates:     next.diff(prev),
-	}
+	next := prev.next(clone, d)
 
 	r.latMu.Lock()
 	r.stamps[next.Gen%installStampRing] = installStamp{gen: next.Gen, at: time.Now()}
@@ -192,7 +190,7 @@ func (r *RIB) Install(db *core.DB) (uint64, core.Diff) {
 	r.mu.Lock()
 	r.cur = next
 	for s := range r.subs {
-		if s.offer(batch) {
+		if s.offer(next.pub) {
 			overflows++
 		}
 	}
@@ -241,13 +239,16 @@ func (r *RIB) Subscribe(prefix string) *Subscription {
 		prefix: prefix,
 		notify: make(chan struct{}, 1),
 		out:    make(chan Batch),
+		views:  make(chan *view),
 		done:   make(chan struct{}),
 	}
+	// Under the lock only the registration: the sync batch is the
+	// generation's shared view for the prefix, built by the pump.
 	r.mu.Lock()
-	s.queue = []Batch{r.cur.sync(SyncBatch, prefix)}
+	cur := r.cur
 	r.subs[s] = struct{}{}
 	r.mu.Unlock()
-	go s.pump()
+	go s.pump(cur)
 	return s
 }
 
@@ -316,7 +317,7 @@ func (r *RIB) Stats() Stats {
 		Leaves:      cur.NumLeaves(),
 		Subscribers: len(lags),
 		Resyncs:     r.resyncs.Load(),
-		Fingerprint: fpHex(cur.Fingerprint),
+		Fingerprint: cur.pub.fpHex,
 		Staleness:   lagPercentiles(lags),
 	}
 	r.latMu.Lock()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
+	"unicode"
 )
 
 // Server exposes a RIB over HTTP in the gNMI subscribe spirit with
@@ -50,11 +52,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxPathLen bounds the ?path= prefix. Every leaf path is far shorter,
+// and the prefix is a client-chosen key of the per-generation view cache.
+const maxPathLen = 256
+
 // pathParam extracts and validates the ?path= prefix (default "/").
 func pathParam(req *http.Request) (string, error) {
 	p := req.URL.Query().Get("path")
 	if p == "" {
 		return "/", nil
+	}
+	if len(p) > maxPathLen {
+		return "", fmt.Errorf("path is %d bytes long, the limit is %d", len(p), maxPathLen)
+	}
+	if i := strings.IndexFunc(p, unicode.IsControl); i >= 0 {
+		return "", fmt.Errorf("path has a control character at byte %d", i)
 	}
 	if p[0] != '/' {
 		return "", fmt.Errorf("path %q must start with /", p)
@@ -79,14 +91,13 @@ func (s *Server) subscribe(w http.ResponseWriter, req *http.Request) {
 
 	sub := s.rib.Subscribe(prefix)
 	defer sub.Close()
-	enc := json.NewEncoder(w)
 	for {
 		select {
-		case b, ok := <-sub.Updates():
+		case v, ok := <-sub.views:
 			if !ok {
 				return
 			}
-			if err := enc.Encode(b); err != nil {
+			if _, err := w.Write(s.rib.line(v)); err != nil {
 				return // client went away
 			}
 			flusher.Flush()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -104,5 +105,91 @@ func TestServerSnapshotStatsHealth(t *testing.T) {
 	}
 	if code, _ := get("/snapshot?path=oops"); code != http.StatusBadRequest {
 		t.Errorf("relative snapshot path accepted with code %d", code)
+	}
+}
+
+// N HTTP subscribers on one path receive byte-identical lines — the line
+// json.Encoder.Encode writes for the batch an in-process subscriber on
+// that path gets — and each line is encoded once, not once per
+// connection.
+func TestServerEncodesOncePerPrefix(t *testing.T) {
+	const clients = 8
+	r := New(Config{})
+	r.Install(lineDB(6, 3))
+	ts := httptest.NewServer(NewServer(r).Handler())
+	defer ts.Close()
+
+	inproc := r.Subscribe(PathTopology)
+	defer inproc.Close()
+	readers := make([]*bufio.Reader, clients)
+	for i := range readers {
+		resp, err := http.Get(ts.URL + "/subscribe?path=" + PathTopology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		readers[i] = bufio.NewReader(resp.Body)
+	}
+	// One line from every client per generation: the sync they all
+	// attached at, then two deltas.
+	for gen := 1; gen <= 3; gen++ {
+		if gen > 1 {
+			r.Install(lineDB(6, 3-gen))
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(<-inproc.Updates()); err != nil {
+			t.Fatal(err)
+		}
+		for i, br := range readers {
+			line, err := br.ReadBytes('\n')
+			if err != nil {
+				t.Fatalf("client %d, generation %d: %v", i, gen, err)
+			}
+			if !bytes.Equal(line, want.Bytes()) {
+				t.Fatalf("client %d, generation %d: line\n%s\nwant\n%s", i, gen, line, want.Bytes())
+			}
+		}
+		if got := r.built.lines.Load(); got != uint64(gen) {
+			t.Errorf("%d lines encoded for %d generations and %d clients, want one per generation", got, gen, clients)
+		}
+	}
+}
+
+// The ?path= prefix is client input and a cache key: overlong paths and
+// control characters are refused with the reason.
+func TestServerBoundsPath(t *testing.T) {
+	r := New(Config{})
+	r.Install(lineDB(3, 0))
+	ts := httptest.NewServer(NewServer(r).Handler())
+	defer ts.Close()
+
+	long := "/" + strings.Repeat("a", maxPathLen)
+	for _, tc := range []struct {
+		path, reason string
+	}{
+		{long, "the limit is 256"},
+		{"/topology%00", "control character at byte 9"},
+		{"/fib%0A/routes", "control character at byte 4"},
+		{"/%7F", "control character at byte 1"},
+	} {
+		for _, endpoint := range []string{"/subscribe", "/snapshot"} {
+			resp, err := http.Get(ts.URL + endpoint + "?path=" + tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.reason) {
+				t.Errorf("GET %s?path=%.20q…: code %d, body %q; want 400 naming %q", endpoint, tc.path, resp.StatusCode, body, tc.reason)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/snapshot?path=" + long[:maxPathLen])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a %d-byte path was refused with code %d", maxPathLen, resp.StatusCode)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/asi"
@@ -32,10 +34,15 @@ const (
 
 // Snapshot is one immutable generation of the served state: the cloned
 // topology database it was installed from, the FIB derived from it, and
-// the flattened leaf map the streaming layer diffs and serves. Snapshots
-// are copy-on-write: leaves unchanged since the previous generation
-// share their encoded bytes, so a thousand subscribers reading old
-// generations cost no more than one.
+// the flattened leaf map the streaming layer serves. A generation is
+// built from the one before it: leaves the change did not touch are
+// carried over, sharing their encoded bytes, so a thousand subscribers
+// reading old generations cost no more than one.
+//
+// What the fan-out shares of a generation hangs off it: pub, the record
+// subscriber queues point at (the generation's delta and its per-prefix
+// views), and full, the full-state views of subscribers that attached or
+// were resynced while it was current.
 type Snapshot struct {
 	// Gen is the monotonic generation number; 0 is the empty pre-install
 	// snapshot every RIB starts from.
@@ -50,11 +57,13 @@ type Snapshot struct {
 	FIB *fib.Table
 
 	leaves map[string]json.RawMessage
+	pub    *generation
+	full   views
 }
 
 // emptySnapshot is generation 0: no topology, no leaves.
 func emptySnapshot() *Snapshot {
-	return &Snapshot{leaves: map[string]json.RawMessage{}}
+	return &Snapshot{leaves: map[string]json.RawMessage{}, pub: &generation{fpHex: fpHex(0)}}
 }
 
 // nodeLeaf is the encoded value of a topology node leaf.
@@ -72,104 +81,126 @@ type linkLeaf struct {
 	BPort int     `json:"b_port"`
 }
 
-// linkKey renders a link's canonical path segment.
-func linkKey(l core.Link) string {
-	return fmt.Sprintf("%d:%d-%d:%d", l.A, l.APort, l.B, l.BPort)
+// nodePath and nodeValue render a topology node's leaf: anything that is
+// not a switch is served as an endpoint.
+func nodePath(n *core.Node) string {
+	if n.Type == asi.DeviceSwitch {
+		return dsnPath(PathSwitches, n.DSN)
+	}
+	return dsnPath(PathEndpoints, n.DSN)
 }
 
-// buildSnapshot flattens an installed database (already cloned) and its
-// derived FIB into the next generation's leaf map, sharing encoded bytes
-// with the previous snapshot wherever a leaf is unchanged.
-func buildSnapshot(prev *Snapshot, db *core.DB, gen uint64) *Snapshot {
-	t := fib.Derive(db)
+func nodeValue(n *core.Node) nodeLeaf {
+	typ := "endpoint"
+	if n.Type == asi.DeviceSwitch {
+		typ = "switch"
+	}
+	return nodeLeaf{DSN: n.DSN, Type: typ, Ports: n.Ports}
+}
+
+// dsnPath renders a per-device leaf path under dir.
+func dsnPath(dir string, dsn asi.DSN) string {
+	return dir + strconv.FormatUint(uint64(dsn), 10)
+}
+
+// linkPath renders a link's canonical leaf path.
+func linkPath(l core.Link) string {
+	return fmt.Sprintf("%s%d:%d-%d:%d", PathLinks, l.A, l.APort, l.B, l.BPort)
+}
+
+// next builds the generation that follows prev from an installed
+// database (already cloned) and d, its diff against prev.DB. The cost is
+// the change's, not the fabric's: the leaf map is copied entry by entry
+// (no formatting, no encoding), and only the leaves d, a per-device
+// comparison of type and port count, and fib.Update name are formatted
+// and encoded — the generation's delta falls out of the same pass.
+func (prev *Snapshot) next(db *core.DB, d core.Diff) *Snapshot {
+	t, rerouted := fib.Update(prev.FIB, db)
 	s := &Snapshot{
-		Gen:         gen,
+		Gen:         prev.Gen + 1,
 		Fingerprint: db.Fingerprint(),
 		DB:          db,
 		FIB:         t,
-		leaves:      make(map[string]json.RawMessage, len(prev.leaves)),
+		leaves:      maps.Clone(prev.leaves),
 	}
-	put := func(path string, v any) {
+	var sets, dels []Update
+	set := func(path string, v any) {
 		b, err := json.Marshal(v)
 		if err != nil {
 			panic(fmt.Sprintf("rib: leaf %s does not marshal: %v", path, err)) // plain-data values
 		}
 		if old, ok := prev.leaves[path]; ok && bytes.Equal(old, b) {
-			b = old // COW: share the previous generation's bytes
+			return
 		}
 		s.leaves[path] = b
+		sets = append(sets, Update{Op: OpSet, Path: path, Value: b})
 	}
-	for _, n := range db.Nodes() {
-		switch n.Type {
-		case asi.DeviceSwitch:
-			put(fmt.Sprintf("%s%d", PathSwitches, n.DSN), nodeLeaf{DSN: n.DSN, Type: "switch", Ports: n.Ports})
-		default:
-			put(fmt.Sprintf("%s%d", PathEndpoints, n.DSN), nodeLeaf{DSN: n.DSN, Type: "endpoint", Ports: n.Ports})
+	del := func(path string) {
+		if _, ok := prev.leaves[path]; ok {
+			delete(s.leaves, path)
+			dels = append(dels, Update{Op: OpDelete, Path: path})
 		}
 	}
-	for _, l := range db.Links() {
-		put(PathLinks+linkKey(l), linkLeaf{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort})
+
+	for _, dsn := range d.RemovedDevices {
+		del(nodePath(prev.DB.Node(dsn)))
 	}
-	for _, dsn := range t.DSNs() {
-		put(fmt.Sprintf("%s%d", PathRoutes, dsn), t.Routes[dsn])
+	db.EachNode(func(n *core.Node) {
+		var old *core.Node
+		if prev.DB != nil {
+			old = prev.DB.Node(n.DSN)
+		}
+		switch {
+		case old == nil:
+		case old.Type == n.Type && old.Ports == n.Ports:
+			return
+		case (old.Type == asi.DeviceSwitch) != (n.Type == asi.DeviceSwitch):
+			del(nodePath(old)) // the leaf moves between switches/ and endpoints/
+		}
+		set(nodePath(n), nodeValue(n))
+	})
+	for _, l := range d.RemovedLinks {
+		del(linkPath(l))
+	}
+	for _, l := range d.AddedLinks {
+		set(linkPath(l), linkLeaf{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort})
+	}
+	for _, dsn := range rerouted {
+		if r, ok := t.Routes[dsn]; ok {
+			set(dsnPath(PathRoutes, dsn), r)
+		} else {
+			del(dsnPath(PathRoutes, dsn))
+		}
 		if ev, ok := t.EventRoutes[dsn]; ok {
-			put(fmt.Sprintf("%s%d", PathEventRoutes, dsn), ev)
+			set(dsnPath(PathEventRoutes, dsn), ev)
+		} else {
+			del(dsnPath(PathEventRoutes, dsn))
 		}
 	}
+	slices.SortFunc(sets, byPath)
+	slices.SortFunc(dels, byPath)
+	s.pub = &generation{gen: s.Gen, fpHex: fpHex(s.Fingerprint), delta: append(sets, dels...)}
 	return s
 }
 
-// diff computes the update list transforming prev's leaves into s's:
-// changed or new leaves as "set" ops, vanished leaves as "delete" ops,
-// each group in sorted path order.
-func (s *Snapshot) diff(prev *Snapshot) []Update {
+// syncBody lists the snapshot's leaves under a prefix as "set" ops in
+// sorted path order: the body of a full-state batch.
+func (s *Snapshot) syncBody(prefix string) []Update {
 	var ups []Update
+	if prefix == "/" {
+		ups = make([]Update, 0, len(s.leaves))
+	}
 	for path, v := range s.leaves {
-		if old, ok := prev.leaves[path]; !ok || !bytes.Equal(old, v) {
+		if underPrefix(path, prefix) {
 			ups = append(ups, Update{Op: OpSet, Path: path, Value: v})
 		}
 	}
-	for path := range prev.leaves {
-		if _, ok := s.leaves[path]; !ok {
-			ups = append(ups, Update{Op: OpDelete, Path: path})
-		}
-	}
-	sortUpdates(ups)
+	slices.SortFunc(ups, byPath)
 	return ups
 }
 
-// sortUpdates orders sets before deletes, each by path.
-func sortUpdates(ups []Update) {
-	sort.Slice(ups, func(i, j int) bool {
-		if ups[i].Op != ups[j].Op {
-			return ups[i].Op == OpSet
-		}
-		return ups[i].Path < ups[j].Path
-	})
-}
-
-// sync renders the snapshot as one full-state batch of the given type
-// ("sync" for an initial subscription, "resync" after an overflow),
-// filtered to the subscriber's path prefix.
-func (s *Snapshot) sync(typ string, prefix string) Batch {
-	b := Batch{Gen: s.Gen, Type: typ, Fingerprint: fpHex(s.Fingerprint)}
-	for _, path := range s.sortedPaths(prefix) {
-		b.Updates = append(b.Updates, Update{Op: OpSet, Path: path, Value: s.leaves[path]})
-	}
-	return b
-}
-
-// sortedPaths lists the snapshot's leaf paths under a prefix, sorted.
-func (s *Snapshot) sortedPaths(prefix string) []string {
-	out := make([]string, 0, len(s.leaves))
-	for path := range s.leaves {
-		if underPrefix(path, prefix) {
-			out = append(out, path)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// byPath orders updates by leaf path.
+func byPath(a, b Update) int { return strings.Compare(a.Path, b.Path) }
 
 // NumLeaves returns the number of served leaves.
 func (s *Snapshot) NumLeaves() int { return len(s.leaves) }

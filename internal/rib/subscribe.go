@@ -3,15 +3,17 @@ package rib
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sim"
 )
 
 // Subscription is one streaming reader of the RIB. The installer side
-// appends published batches to a bounded queue (offer, bounded work,
-// never blocking); a per-subscription pump goroutine drains the queue
-// onto the Updates channel at whatever pace the reader consumes. When
-// the reader stalls long enough for the queue to overflow, the backlog
-// is discarded and the pump delivers a ResyncBatch built from the then-
-// current snapshot instead — the stream stays correct (the resync
+// appends each published generation to a bounded queue (offer, bounded
+// work, never blocking); a per-subscription pump goroutine drains the
+// queue onto the Updates channel at whatever pace the reader consumes.
+// When the reader stalls long enough for the queue to overflow, the
+// backlog is discarded and the pump delivers a ResyncBatch built from the
+// then-current snapshot instead — the stream stays correct (the resync
 // supersedes every dropped delta), only its granularity degrades.
 type Subscription struct {
 	rib    *RIB
@@ -22,8 +24,11 @@ type Subscription struct {
 	// computed from (RIB.Stats reads it concurrently).
 	delivered atomic.Uint64
 
+	// queue holds the generations whose delta is pending, at most
+	// rib.depth of them: a ring, so steady-state offers reuse its slots
+	// and a delivered generation is no longer reachable from it.
 	mu       sync.Mutex
-	queue    []Batch
+	queue    sim.Ring[*generation]
 	overflow bool
 	closed   bool
 
@@ -31,7 +36,11 @@ type Subscription struct {
 	// number of pending batches); done tears the pump down.
 	notify chan struct{}
 	done   chan struct{}
-	out    chan Batch
+	// The pump offers every batch on both channels and whoever owns the
+	// subscription reads one: out behind Updates, or — the HTTP handler,
+	// which wants the encoded line too — the shared view itself.
+	out   chan Batch
+	views chan *view
 }
 
 // Updates is the subscription's delivery channel: an initial SyncBatch,
@@ -54,24 +63,24 @@ func (s *Subscription) Close() {
 	}
 }
 
-// offer appends one published batch, called by Install with rib.mu held.
-// Bounded work: append or drop, one channel poke, no waiting. The
+// offer queues one published generation, called by Install with rib.mu
+// held. Bounded work: push or drop, one channel poke, no waiting. The
 // returned flag reports a queue overflow (Install fires the OnEvent hook
 // for it after releasing the RIB lock).
-func (s *Subscription) offer(b Batch) (overflowed bool) {
+func (s *Subscription) offer(g *generation) (overflowed bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return false
 	}
-	if len(s.queue) >= s.rib.depth {
+	if s.queue.Len() >= s.rib.depth {
 		// The reader is stalled. Drop the whole backlog — the resync
 		// that replaces it carries the full state anyway.
-		s.queue = nil
+		s.queue.Clear()
 		s.overflow = true
 		overflowed = true
 	} else {
-		s.queue = append(s.queue, b)
+		s.queue.Push(g)
 	}
 	s.mu.Unlock()
 	select {
@@ -81,40 +90,46 @@ func (s *Subscription) offer(b Batch) (overflowed bool) {
 	return overflowed
 }
 
-// pump drains the queue onto the out channel. It keeps the delivered
+// pump delivers the full state of first, the generation current when the
+// subscription registered, then drains the queue. It keeps the delivered
 // stream monotonic in generation: a resync is built from the current
 // snapshot, which may already cover deltas still sitting in the queue
 // (enqueued between the overflow and the resync) — those are skipped,
-// since the resync supersedes them.
-func (s *Subscription) pump() {
+// since the resync supersedes them. Every batch is the generation's
+// shared view for the prefix, built here only if no other subscriber on
+// the prefix got there first.
+func (s *Subscription) pump(first *Snapshot) {
 	defer close(s.out)
-	var last uint64
+	defer close(s.views)
+	if !s.deliver(s.rib.fullView(first, SyncBatch, s.prefix)) {
+		return
+	}
+	last := first.Gen
 	for {
 		s.mu.Lock()
 		if s.overflow {
 			s.overflow = false
-			s.queue = nil
+			s.queue.Clear()
 			s.mu.Unlock()
 			s.rib.resyncs.Add(1)
-			b := s.rib.Current().sync(ResyncBatch, s.prefix)
-			last = b.Gen
+			cur := s.rib.Current()
+			last = cur.Gen
 			if s.rib.onEvent != nil {
-				s.rib.onEvent(EventResync, b.Gen)
+				s.rib.onEvent(EventResync, cur.Gen)
 			}
-			if !s.deliver(b) {
+			if !s.deliver(s.rib.fullView(cur, ResyncBatch, s.prefix)) {
 				return
 			}
 			continue
 		}
-		if len(s.queue) > 0 {
-			b := s.queue[0]
-			s.queue = s.queue[1:]
+		if s.queue.Len() > 0 {
+			g := s.queue.Pop()
 			s.mu.Unlock()
-			if b.Type == DeltaBatch && b.Gen <= last {
-				continue // already covered by a resync
+			if g.gen <= last {
+				continue // already covered by the sync or a resync
 			}
-			last = b.Gen
-			if !s.deliver(s.filter(b)) {
+			last = g.gen
+			if !s.deliver(s.rib.deltaView(g, s.prefix)) {
 				return
 			}
 			continue
@@ -132,31 +147,14 @@ func (s *Subscription) pump() {
 // is consumed or the subscription closes; false means stop pumping. A
 // consumed batch advances the subscriber's delivered generation and
 // feeds the install→deliver latency histogram.
-func (s *Subscription) deliver(b Batch) bool {
+func (s *Subscription) deliver(v *view) bool {
 	select {
-	case s.out <- b:
-		s.delivered.Store(b.Gen)
-		s.rib.observeDelivery(b.Gen)
-		return true
+	case s.out <- v.batch:
+	case s.views <- v:
 	case <-s.done:
 		return false
 	}
-}
-
-// filter restricts a shared batch to the subscription's path prefix.
-// Sync and resync batches are built pre-filtered; deltas are shared by
-// every subscriber and filtered here, on the subscription's own
-// goroutine.
-func (s *Subscription) filter(b Batch) Batch {
-	if s.prefix == "/" {
-		return b
-	}
-	out := b
-	out.Updates = nil
-	for _, u := range b.Updates {
-		if underPrefix(u.Path, s.prefix) {
-			out.Updates = append(out.Updates, u)
-		}
-	}
-	return out
+	s.delivered.Store(v.batch.Gen)
+	s.rib.observeDelivery(v.batch.Gen)
+	return true
 }
