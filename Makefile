@@ -1,8 +1,10 @@
 # Tier-1 verification for the asifabric reproduction.
 #
 #   make          - build + vet + test (the default gate)
-#   make verify   - the full gate: gofmt check, build, vet, test,
-#                   race-detector test, 1-iteration benchmark smoke,
+#   make verify   - the full gate: gofmt check, seam guard (one rig
+#                   recipe), build, vet, test, race-detector test,
+#                   bit-identity of every asibench table against
+#                   results/asibench-seeds4.txt, 1-iteration benchmark smoke,
 #                   JSON run-report schema smoke, span pipeline smoke,
 #                   zero-alloc and allocation-budget regressions, the repo
 #                   benchmark's own tests (bench/ is its own module, so
@@ -40,7 +42,7 @@ BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
 # every delta filtered per subscriber).
 BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
 
-.PHONY: all build vet test race verify bench bench-smoke bench-diff bench-test fmt-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke fuzz
+.PHONY: all build vet test race verify bench bench-smoke bench-diff bench-test fmt-check seam-check results-check json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke fuzz
 
 all: build vet test
 
@@ -65,6 +67,22 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# seam-check keeps the "topology -> engine -> fabric -> manager ->
+# observers" recipe written once: outside internal/sim, internal/fabric
+# and internal/rig, no non-test Go under cmd/ or internal/ may build a
+# shard group or a sharded fabric, or derive a random stream from a seed.
+seam-check:
+	@out="$$(grep -rnE 'sim\.NewShardGroup\(|fabric\.NewSharded\(|2654435761' cmd internal --include='*.go' \
+		| grep -vE '_test\.go:|^internal/(sim|fabric|rig)/')"; if [ -n "$$out" ]; then \
+		echo "the rig recipe is growing a copy outside internal/rig:"; echo "$$out"; exit 1; fi
+
+# results-check is the absolute referee for the simulation: every table
+# asibench prints must be byte-identical to the committed run. The
+# fingerprint suites only compare a run with itself; this catches a
+# change that reorders one random draw.
+results-check:
+	$(GO) run ./cmd/asibench -seeds 4 2>/dev/null | diff - results/asibench-seeds4.txt
+
 # json-smoke proves the machine-readable pipeline end to end: a telemetry
 # run's report must decode against the run-report schema.
 json-smoke:
@@ -73,7 +91,7 @@ json-smoke:
 
 # span-smoke proves the causal-trace pipeline end to end: a traced run's
 # Chrome trace-event file must load back through asitrace, and a traced
-# run report (spans section, v2 envelope) must decode.
+# run report (with its spans section) must decode.
 span-smoke:
 	$(GO) run ./cmd/asidisc -topo "3x3 mesh" -alg parallel \
 		-spans-out $${TMPDIR:-/tmp}/asi_span_smoke.json > /dev/null
@@ -170,7 +188,7 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/rib \
 		| $(GO) run ./cmd/benchjson -ns-tolerance 1e9 -diff BENCH_serve.json
 
-verify: fmt-check build vet test race bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
+verify: fmt-check seam-check build vet test race results-check bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \

@@ -106,10 +106,13 @@ func main() {
 		CrossCheck: crossCheck,
 		Workers:    *workers,
 	})
-	failures, vacuous := 0, 0
+	failures, vacuous, fellBack := 0, 0, 0
 	for _, r := range results {
 		if r.Vacuous {
 			vacuous++
+		}
+		if r.Regions == 1 {
+			fellBack++
 		}
 		if r.Err == nil {
 			if *verbose {
@@ -133,6 +136,10 @@ func main() {
 	}
 	fmt.Printf("%d scenarios, %d failures, %d vacuous (no trustworthy convergence comparison)\n",
 		*runs, failures, vacuous)
+	if *regions > 1 {
+		fmt.Fprintf(os.Stderr, "note: -regions %d: %d of %d scenarios ran sequentially "+
+			"(not shardable: scripted events, a fault plan or -spans)\n", *regions, fellBack, *runs)
+	}
 	if failures > 0 {
 		os.Exit(1)
 	}
@@ -179,6 +186,9 @@ func replayOne(sc chaos.Scenario, opt chaos.Options, shrink bool) error {
 		rep.WantDevices, rep.WantLinks, rep.PostChurnDevices, rep.PostChurnLinks)
 	fmt.Printf("pi5 after last: %d delivered\n", rep.PI5AfterLast)
 	fmt.Printf("fingerprint:    %#x (db %#x)\n", rep.Fingerprint, rep.DBFingerprint)
+	if opt.Regions > 1 && rep.Regions == 1 {
+		fmt.Fprintf(os.Stderr, "note: -regions %d: the scenario ran sequentially (not shardable)\n", opt.Regions)
+	}
 	if rep.Vacuous() {
 		fmt.Println("note:           vacuous run — no trustworthy convergence comparison")
 	}

@@ -43,7 +43,7 @@ func (d *daemon) runAssimSmoke(rounds int, jsonOut bool) error {
 	const interval = 100 * time.Millisecond
 	now := time.Now()
 	k := d.newKeeper(now, interval, true)
-	startPS := d.now()
+	startPS := d.rig.Now()
 	for d.rounds < rounds {
 		// Once returns the earliest next deadline; jumping the synthetic
 		// clock straight to it exercises every concern's own cadence.
@@ -51,8 +51,8 @@ func (d *daemon) runAssimSmoke(rounds int, jsonOut bool) error {
 	}
 	d.mu.Lock()
 	d.quiesce()
-	pending := d.m.AssimPending()
-	res, haveRes := d.m.LastResult()
+	pending := d.rig.Manager.AssimPending()
+	res, haveRes := d.rig.Manager.LastResult()
 	d.mu.Unlock()
 
 	if pending != 0 {
@@ -61,7 +61,7 @@ func (d *daemon) runAssimSmoke(rounds int, jsonOut bool) error {
 	if !haveRes {
 		return fmt.Errorf("asifmd: no discovery run ever completed")
 	}
-	if err := chaos.CheckConverged(d.f, d.m, res); err != nil {
+	if err := chaos.CheckConverged(d.rig.Fabric, d.rig.Manager, res); err != nil {
 		return fmt.Errorf("asifmd: post-quiesce audit diverged: %w", err)
 	}
 
@@ -101,7 +101,7 @@ func (d *daemon) runAssimSmoke(rounds int, jsonOut bool) error {
 		}
 	}
 
-	simSpan := d.now().Sub(startPS)
+	simSpan := d.rig.Now().Sub(startPS)
 	perSec := 0.0
 	if simSpan > 0 {
 		perSec = events / (float64(simSpan) / float64(sim.Second))

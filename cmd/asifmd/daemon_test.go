@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/fabric"
+	"repro/internal/obs"
 )
 
 // TestKeeperRaceSharded drives the keeper loop on a 4-region sharded
@@ -97,8 +100,8 @@ func TestKeeperRaceSharded(t *testing.T) {
 	d.mu.Lock()
 	keeperAudited := d.lastAudit
 	d.quiesce()
-	pending := d.m.AssimPending()
-	res, ok := d.m.LastResult()
+	pending := d.rig.Manager.AssimPending()
+	res, ok := d.rig.Manager.LastResult()
 	d.mu.Unlock()
 	if pending != 0 {
 		t.Errorf("%d reports stranded in the debounce window", pending)
@@ -106,10 +109,39 @@ func TestKeeperRaceSharded(t *testing.T) {
 	if !ok {
 		t.Fatal("no discovery run completed")
 	}
-	if err := chaos.CheckConverged(d.f, d.m, res); err != nil {
+	if err := chaos.CheckConverged(d.rig.Fabric, d.rig.Manager, res); err != nil {
 		t.Fatal(err)
 	}
 	if keeperAudited == 0 {
 		t.Error("keeper never audited (audit_every = 2 over 6 rounds)")
+	}
+}
+
+// TestChurnErrorsReachEventLog: a toggle the fabric refuses — here a
+// restore of a switch that is up — must land in the /events log on
+// either simulation path instead of vanishing.
+func TestChurnErrorsReachEventLog(t *testing.T) {
+	for _, regions := range []int{0, 4} {
+		cfg := experiment.DefaultDaemonConfig()
+		cfg.Topology = "4x4 mesh"
+		cfg.Regions = regions
+		d, err := newDaemon(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.bootstrap(); err != nil {
+			t.Fatal(err)
+		}
+		node := int(d.rig.HostSwitch) // up, like every device after bootstrap
+		d.applyChurn([]chaos.Event{{Op: chaos.OpUp, Node: node}})
+		var logged []obs.Event
+		for _, e := range d.plane.Events(100) {
+			if e.Kind == obs.EventChurnError {
+				logged = append(logged, e)
+			}
+		}
+		if len(logged) != 1 || !strings.Contains(logged[0].Detail, fabric.ErrAlreadyUp.Error()) {
+			t.Errorf("regions=%d: churn errors logged: %+v, want one carrying %q", regions, logged, fabric.ErrAlreadyUp)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func (d *daemon) newKeeper(start time.Time, interval time.Duration, quiet bool) 
 		if n := d.cfg.AuditEvery; n > 0 && d.rounds-d.lastAudit >= n {
 			trigger = fmt.Sprintf("%d rounds since audit", d.rounds-d.lastAudit)
 		} else if ms := d.cfg.StaleAfterMS; ms > 0 {
-			if _, _, max := d.m.DBStaleness(); max > sim.Duration(ms)*sim.Millisecond {
+			if _, _, max := d.rig.Manager.DBStaleness(); max > sim.Duration(ms)*sim.Millisecond {
 				trigger = fmt.Sprintf("max staleness %v", max)
 			}
 		}
@@ -94,7 +94,7 @@ func (d *daemon) newKeeper(start time.Time, interval time.Duration, quiet bool) 
 
 	k.add("expire", start.Add(4*interval), func(now time.Time) time.Time {
 		d.mu.Lock()
-		if n := d.m.ExpireReporters(); n > 0 && !quiet {
+		if n := d.rig.Manager.ExpireReporters(); n > 0 && !quiet {
 			fmt.Fprintf(os.Stderr, "asifmd: expired %d dead PI-5 cursors\n", n)
 		}
 		d.mu.Unlock()
@@ -103,7 +103,7 @@ func (d *daemon) newKeeper(start time.Time, interval time.Duration, quiet bool) 
 
 	k.add("flush", start.Add(interval/4), func(now time.Time) time.Time {
 		d.mu.Lock()
-		if d.m.AssimPending() > 0 {
+		if d.rig.Manager.AssimPending() > 0 {
 			// Draining the simulation fires the armed debounce timer.
 			d.run()
 		}

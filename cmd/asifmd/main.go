@@ -41,8 +41,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	_ "expvar" // -debug: /debug/vars on the default mux
 	"flag"
 	"fmt"
@@ -58,11 +56,10 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/rib"
+	"repro/internal/rig"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -172,15 +169,12 @@ func fatal(code int, err error) {
 	os.Exit(code)
 }
 
-// daemon owns the simulated fabric, its manager, the serving layer and
-// the observability plane. All simulation work happens under mu; the RIB
-// and the plane decouple every reader from that hot path.
+// daemon owns the managed fabric (one rig), the serving layer and the
+// observability plane. All simulation work happens under mu; the RIB and
+// the plane decouple every reader from that hot path.
 type daemon struct {
 	cfg experiment.DaemonConfig
-	e   *sim.Engine     // sequential engine (nil when sharded)
-	g   *sim.ShardGroup // sharded group (nil when sequential)
-	f   *fabric.Fabric
-	m   *core.Manager
+	rig *rig.Rig
 	rib *rib.RIB
 	ch  *chaos.Churner
 
@@ -188,14 +182,11 @@ type daemon struct {
 	// periodic telemetry scrape: the registry is not safe for concurrent
 	// use, so the scraper and the simulation take turns.
 	mu    sync.Mutex
-	reg   *telemetry.Registry
 	plane *obs.Plane
-	start time.Time
 
 	// simNow mirrors the simulation clock (picoseconds) for hooks that
 	// fire off the simulation goroutine (RIB overflow/resync events).
 	simNow    atomic.Int64
-	installs  int
 	rounds    int
 	lastAudit int // rounds value at the most recent audit
 }
@@ -205,59 +196,41 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &daemon{
-		cfg:   cfg,
-		reg:   telemetry.New(),
-		plane: obs.New(obs.Config{}),
-		start: time.Now(),
-	}
+	d := &daemon{cfg: cfg, plane: obs.New(obs.Config{})}
 	// Serving-layer events (subscriber overflow → resync) feed the
 	// structured event log; the hook fires without RIB locks held.
 	d.rib = rib.New(rib.Config{QueueDepth: cfg.QueueDepth, OnEvent: func(kind string, gen uint64) {
 		d.plane.Log(kind, gen, d.simNow.Load(), "")
 	}})
 
-	rng := sim.NewRNG(cfg.Seed*2654435761 + 1)
-	if cfg.Regions > 1 {
-		// The FM host seeds region 0, keeping the manager's engine local.
-		part, perr := tp.Partition(cfg.Regions, tp.Endpoints()[0])
-		if perr != nil {
-			return nil, perr
-		}
-		d.g = sim.NewShardGroup(part.Count, 0) // lookahead set by NewSharded
-		d.g.SeedRNGs(sim.NewRNG(cfg.Seed*2654435761 + 2))
-		d.f, err = fabric.NewSharded(d.g, part, tp, fabric.Config{}, rng)
-	} else {
-		d.e = sim.NewEngine()
-		d.f, err = fabric.New(d.e, tp, fabric.Config{}, rng)
+	rc := rig.Config{
+		Seed:      cfg.Seed,
+		Regions:   cfg.Regions,
+		Telemetry: true,
+		// Per-link fabric telemetry is sequential-only; the FM's own
+		// metrics are safe on either path (the manager runs on one
+		// region's engine).
+		LinkTelemetry: cfg.Regions <= 1,
+		Manager:       core.Options{Algorithm: cfg.Kind()},
 	}
-	if err != nil {
+	if cfg.AssimWindowUS > 0 {
+		rc.Manager.AssimWindow = sim.Micros(float64(cfg.AssimWindowUS))
+		rc.Manager.AssimBatchMax = cfg.AssimBatchMax
+	}
+	if d.rig, err = rig.New(tp, rc); err != nil {
 		return nil, err
 	}
-	// Per-link fabric telemetry is sequential-only; the FM's own metrics
-	// are safe on either path (the manager runs on one region's engine).
-	if d.g == nil {
-		d.f.EnableTelemetry(d.reg)
-	}
-	ep := d.f.Device(tp.Endpoints()[0])
-	mopt := core.Options{Algorithm: cfg.Kind(), Telemetry: d.reg}
-	if cfg.AssimWindowUS > 0 {
-		mopt.AssimWindow = sim.Micros(float64(cfg.AssimWindowUS))
-		mopt.AssimBatchMax = cfg.AssimBatchMax
-	}
-	d.m = core.NewManager(d.f, ep, mopt)
-	d.m.OnDiscoveryComplete = func(r core.Result) {
+	d.rig.Manager.OnDiscoveryComplete = func(r core.Result) {
 		// The install is the cold-path bridge from simulation to serving:
 		// clone the FM database, stamp a generation, fan out diffs.
-		gen, diff := d.rib.Install(d.m.DB())
-		d.installs++
+		gen, diff := d.rib.Install(d.rig.Manager.DB())
 		detail := fmt.Sprintf("%s in %s", d.cfg.Kind().Slug(), r.Duration)
 		if !diff.Empty() {
 			detail += fmt.Sprintf("; +%d/-%d devices +%d/-%d links",
 				len(diff.AddedDevices), len(diff.RemovedDevices),
 				len(diff.AddedLinks), len(diff.RemovedLinks))
 		}
-		d.plane.Log(obs.EventDiscoveryConverge, gen, int64(d.now()), detail)
+		d.plane.Log(obs.EventDiscoveryConverge, gen, int64(d.rig.Now()), detail)
 	}
 	if cfg.ChurnOps > 0 {
 		d.ch, err = chaos.NewChurner(tp, cfg.Seed)
@@ -268,41 +241,20 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 	return d, nil
 }
 
-// run drains the simulation to quiescence on whichever path is active;
-// now reads the (quiescent) simulation clock.
+// run drains the simulation to quiescence and publishes the (quiescent)
+// simulation clock to the off-goroutine hooks.
 func (d *daemon) run() {
-	if d.g != nil {
-		d.g.Run()
-	} else {
-		d.e.Run()
-	}
-	d.simNow.Store(int64(d.now()))
-}
-
-func (d *daemon) now() sim.Time {
-	if d.g != nil {
-		return d.g.Now()
-	}
-	return d.e.Now()
+	d.rig.Run()
+	d.simNow.Store(int64(d.rig.Now()))
 }
 
 // bootstrap runs the transient period: initial discovery plus
 // event-route distribution, producing RIB generation 1.
 func (d *daemon) bootstrap() error {
-	d.plane.Log(obs.EventDiscoveryStart, 0, int64(d.now()), "bootstrap")
-	d.m.StartDiscovery()
-	d.run()
-	if d.installs == 0 {
-		return fmt.Errorf("asifmd: initial discovery on %q completed no run", d.cfg.Topology)
-	}
-	var distErr error
-	d.m.DistributeEventRoutes(func(r core.DistResult) {
-		if r.Failures > 0 {
-			distErr = fmt.Errorf("asifmd: %d event-route distribution failures", r.Failures)
-		}
-	})
-	d.run()
-	return distErr
+	d.plane.Log(obs.EventDiscoveryStart, 0, int64(d.rig.Now()), "bootstrap")
+	err := d.rig.Bootstrap()
+	d.simNow.Store(int64(d.rig.Now()))
+	return err
 }
 
 // round applies one churn round and drains the simulation back to
@@ -310,37 +262,21 @@ func (d *daemon) bootstrap() error {
 // are the keeper's re-audit concern, not the round's. Callers hold d.mu.
 func (d *daemon) round() {
 	d.rounds++
-	base := d.now()
 	evs := d.ch.Round(d.cfg.ChurnOps)
-	d.plane.Log(obs.EventChurnApply, d.rib.Current().Gen, int64(base),
+	d.plane.Log(obs.EventChurnApply, d.rib.Current().Gen, int64(d.rig.Now()),
 		fmt.Sprintf("round %d: %d toggles", d.rounds, len(evs)))
-	d.applyChurn(base, evs)
+	d.applyChurn(evs)
 }
 
-// applyChurn injects the round's toggles and drains to quiescence. On
-// the sequential path the toggles are scheduled as engine events; on the
-// sharded path scheduling a closure that mutates both halves of a
-// cross-region link would race, so the coordinator instead advances all
-// regions to each toggle's time with RunUntil — between rounds it owns
-// every region — and applies the toggle directly.
-func (d *daemon) applyChurn(base sim.Time, evs []chaos.Event) {
-	toggle := func(ev chaos.Event) {
-		if ev.Op == chaos.OpDown {
-			d.f.SetDeviceDown(topo.NodeID(ev.Node), false)
-		} else {
-			d.f.SetDeviceUp(topo.NodeID(ev.Node), false)
-		}
-	}
-	if d.g != nil {
-		for _, ev := range evs {
-			d.g.RunUntil(base.Add(sim.Micros(ev.AtUS)))
-			toggle(ev)
-		}
-	} else {
-		for _, ev := range evs {
-			ev := ev
-			d.e.At(base.Add(sim.Micros(ev.AtUS)), func(*sim.Engine) { toggle(ev) })
-		}
+// applyChurn injects the toggles, offset from now, and drains to
+// quiescence. A toggle the fabric refuses goes to the event log.
+func (d *daemon) applyChurn(evs []chaos.Event) {
+	base := d.rig.Now()
+	for _, ev := range evs {
+		ev.Hotplug(d.rig, base, func(err error) {
+			d.plane.Log(obs.EventChurnError, d.rib.Current().Gen, int64(d.rig.Now()),
+				fmt.Sprintf("%s node %d: %v", ev.Op, ev.Node, err))
+		})
 	}
 	d.run()
 }
@@ -348,9 +284,9 @@ func (d *daemon) applyChurn(base sim.Time, evs []chaos.Event) {
 // audit forces a full rediscovery (one more generation, even when the
 // topology is unchanged); detail names what triggered it.
 func (d *daemon) audit(detail string) {
-	d.plane.Log(obs.EventAudit, d.rib.Current().Gen, int64(d.now()), detail)
-	d.plane.Log(obs.EventDiscoveryStart, d.rib.Current().Gen, int64(d.now()), "audit")
-	d.m.StartDiscovery()
+	d.plane.Log(obs.EventAudit, d.rib.Current().Gen, int64(d.rig.Now()), detail)
+	d.plane.Log(obs.EventDiscoveryStart, d.rib.Current().Gen, int64(d.rig.Now()), "audit")
+	d.rig.Manager.StartDiscovery()
 	d.run()
 	d.lastAudit = d.rounds
 }
@@ -361,33 +297,20 @@ func (d *daemon) quiesce() {
 	if d.ch == nil {
 		return
 	}
-	base := d.now()
-	evs := d.ch.Quiesce()
-	for i := range evs {
-		evs[i].Op = chaos.OpUp
-	}
-	d.applyChurn(base, evs)
+	d.applyChurn(d.ch.Quiesce())
 	d.audit("quiesce rediscovery")
 }
 
-// scrape publishes the engine/shard totals into the registry and stores
+// scrape publishes the simulation totals into the registry and stores
 // one observability sample. It takes d.mu, so it never overlaps
 // simulation work.
 func (d *daemon) scrape() {
 	d.mu.Lock()
-	if d.g != nil {
-		d.g.RecordTelemetry(d.reg)
-	} else {
-		d.e.RecordTelemetry(d.reg, time.Since(d.start))
-	}
-	// The flap tally lives on the fabric; republishing the total keeps
-	// repeated scrapes from double-counting.
-	d.reg.Counter(fabric.MetricLinkFlaps).SetTotal(d.f.Counters().LinkFlaps)
 	// Refresh the per-node DB-staleness percentile gauges at scrape time:
 	// they age with the simulation clock, not with churn.
-	d.m.RecordDBStaleness()
-	snap := d.reg.Snapshot()
-	simPS := int64(d.now())
+	d.rig.Manager.RecordDBStaleness()
+	snap := d.rig.Snapshot()
+	simPS := int64(d.rig.Now())
 	d.mu.Unlock()
 
 	stats := d.rib.Stats() // safe concurrently; outside the sim mutex
@@ -428,7 +351,7 @@ func (d *daemon) serve(interval time.Duration) {
 	}
 	go http.Serve(ln, d.handler())
 	fmt.Fprintf(os.Stderr, "asifmd: managing %q (%s, %d region(s)), serving on http://%s\n",
-		d.cfg.Topology, d.cfg.Kind(), d.regions(), ln.Addr())
+		d.cfg.Topology, d.cfg.Kind(), d.rig.Regions(), ln.Addr())
 
 	d.scrape() // populate /metrics before the first tick
 	go func() {
@@ -454,190 +377,4 @@ func (d *daemon) serve(interval time.Duration) {
 	fmt.Fprintf(os.Stderr, "asifmd: %d rounds done, fabric quiesced at gen %d; still serving\n",
 		d.rounds, d.rib.Current().Gen)
 	select {} // serve until the process is stopped
-}
-
-// regions reports the simulation width actually in use.
-func (d *daemon) regions() int {
-	if d.g != nil {
-		return d.g.Shards()
-	}
-	return 1
-}
-
-// smokeResult is one subscriber's verdict.
-type smokeResult struct {
-	id  int
-	err error
-}
-
-// runSmoke drives the configured churn while subscribers replay
-// concurrently, then verifies every reconstruction.
-func (d *daemon) runSmoke(subscribers int, jsonOut bool) error {
-	rounds := d.cfg.Rounds
-	if rounds == 0 {
-		rounds = 6
-	}
-
-	// targetGen, once non-zero, is the generation at which a subscriber
-	// stops reading; expected* are set before targetGen's batch is
-	// published, so a subscriber that reached the target can compare.
-	var (
-		targetGen    atomic.Uint64
-		expectedOnce sync.Once
-		expectedWait = make(chan struct{})
-		expectedCan  []byte
-		expectedFP   uint64
-	)
-	verify := func(id int, rep *rib.Replayer) smokeResult {
-		<-expectedWait
-		if got := rep.Canonical("/"); string(got) != string(expectedCan) {
-			return smokeResult{id, fmt.Errorf("subscriber %d: replayed state not byte-identical at gen %d", id, rep.Gen())}
-		}
-		fp, err := rep.Fingerprint()
-		if err != nil {
-			return smokeResult{id, fmt.Errorf("subscriber %d: %w", id, err)}
-		}
-		if fp != expectedFP {
-			return smokeResult{id, fmt.Errorf("subscriber %d: fingerprint %#x, live DB %#x", id, fp, expectedFP)}
-		}
-		return smokeResult{id, nil}
-	}
-
-	results := make(chan smokeResult, subscribers+16)
-	var wg sync.WaitGroup
-
-	// In-process subscribers: the ISSUE's >= 1000 concurrent readers.
-	for i := 0; i < subscribers; i++ {
-		sub := d.rib.Subscribe("/")
-		wg.Add(1)
-		go func(id int, sub *rib.Subscription) {
-			defer wg.Done()
-			defer sub.Close()
-			rep := rib.NewReplayer()
-			for {
-				b, ok := <-sub.Updates()
-				if !ok {
-					results <- smokeResult{id, fmt.Errorf("subscriber %d: stream closed early", id)}
-					return
-				}
-				if err := rep.Apply(b); err != nil {
-					results <- smokeResult{id, fmt.Errorf("subscriber %d: %w", id, err)}
-					return
-				}
-				if t := targetGen.Load(); t > 0 && rep.Gen() >= t {
-					break
-				}
-			}
-			results <- verify(id, rep)
-		}(i, sub)
-	}
-
-	// Real HTTP subscribers exercise the wire path end to end.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	go http.Serve(ln, d.handler())
-	const httpSubs = 8
-	for i := 0; i < httpSubs; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			resp, err := http.Get(fmt.Sprintf("http://%s/subscribe?path=/", ln.Addr()))
-			if err != nil {
-				results <- smokeResult{id, err}
-				return
-			}
-			defer resp.Body.Close()
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-			rep := rib.NewReplayer()
-			for sc.Scan() {
-				var b rib.Batch
-				if err := json.Unmarshal(sc.Bytes(), &b); err != nil {
-					results <- smokeResult{id, fmt.Errorf("http subscriber %d: %w", id, err)}
-					return
-				}
-				if err := rep.Apply(b); err != nil {
-					results <- smokeResult{id, fmt.Errorf("http subscriber %d: %w", id, err)}
-					return
-				}
-				if t := targetGen.Load(); t > 0 && rep.Gen() >= t {
-					results <- verify(id, rep)
-					return
-				}
-			}
-			results <- smokeResult{id, fmt.Errorf("http subscriber %d: stream ended early: %v", id, sc.Err())}
-		}(subscribers + i)
-	}
-
-	// Continuous churn on this goroutine while subscribers stream; a
-	// scrape per round keeps the observability plane live in smoke mode.
-	for i := 0; i < rounds && d.ch != nil; i++ {
-		d.mu.Lock()
-		d.round()
-		d.mu.Unlock()
-		d.scrape()
-	}
-	d.mu.Lock()
-	d.quiesce()
-	d.mu.Unlock()
-
-	// Publish the finish line, then one final audit so every subscriber
-	// receives a batch at or past the target and can stop reading. The
-	// audit rediscovers the identical fabric, so only the generation
-	// number moves — expected values are computed for that final gen.
-	finalGen := d.rib.Current().Gen + 1
-	targetGen.Store(finalGen)
-	d.mu.Lock()
-	d.audit("smoke finish line")
-	d.mu.Unlock()
-	expectedOnce.Do(func() {
-		cur := d.rib.Current()
-		if cur.Gen != finalGen {
-			// The audit installed more than once; re-target to reality.
-			targetGen.Store(cur.Gen)
-		}
-		expectedCan = d.rib.Current().Canonical("/")
-		expectedFP = d.m.DB().Fingerprint()
-		close(expectedWait)
-	})
-
-	wg.Wait()
-	close(results)
-	failures := 0
-	for r := range results {
-		if r.err != nil {
-			failures++
-			if failures <= 10 {
-				fmt.Fprintln(os.Stderr, r.err)
-			}
-		}
-	}
-	d.scrape()
-	s := d.rib.Stats()
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{
-			"topology":    d.cfg.Topology,
-			"algorithm":   d.cfg.Kind().Slug(),
-			"regions":     d.regions(),
-			"rounds":      d.rounds,
-			"generations": s.Gen,
-			"installs":    s.Installs,
-			"subscribers": subscribers + httpSubs,
-			"resyncs":     s.Resyncs,
-			"fingerprint": s.Fingerprint,
-			"failures":    failures,
-		})
-	} else {
-		fmt.Printf("asifmd smoke: %q %s: %d rounds, %d generations, %d+%d subscribers, %d resyncs, fingerprint %s: %d failures\n",
-			d.cfg.Topology, d.cfg.Kind().Slug(), d.rounds, s.Gen, subscribers, httpSubs, s.Resyncs, s.Fingerprint, failures)
-	}
-	if failures > 0 {
-		return fmt.Errorf("asifmd: %d of %d subscribers failed verification", failures, subscribers+httpSubs)
-	}
-	return nil
 }

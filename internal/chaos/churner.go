@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/asi"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -30,7 +31,7 @@ func NewChurner(tp *topo.Topology, seed uint64) (*Churner, error) {
 	c := &Churner{
 		host: host,
 		down: make(map[topo.NodeID]bool),
-		rng:  sim.NewRNG(seed*2654435761 + 5),
+		rng:  rig.Stream(seed, rig.StreamChurn),
 	}
 	for _, n := range tp.Nodes {
 		if n.Type == asi.DeviceSwitch && n.ID != host {

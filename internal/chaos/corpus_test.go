@@ -2,16 +2,25 @@ package chaos
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/corpus.golden")
+
 // TestCorpus is the committed-corpus regression gate. For every file
-// under testdata/corpus it checks three things: the file is byte-for-byte
+// under testdata/corpus it checks four things: the file is byte-for-byte
 // the canonical encoding of the generator's scenario (same seed =>
 // byte-identical scenario), two in-process executions produce identical
-// metrics fingerprints, and the oracle's verdict is clean both times.
+// metrics fingerprints, the oracle's verdict is clean both times, and
+// the run and database fingerprints equal the ones committed in
+// testdata/corpus.golden — the absolute referee: a refactor that
+// reorders one random draw or one scheduled event moves them. Refresh
+// deliberately with `go test ./internal/chaos -run TestCorpus -update`.
 func TestCorpus(t *testing.T) {
 	scenarios := CorpusScenarios()
 	if len(scenarios) < 10 {
@@ -30,6 +39,19 @@ func TestCorpus(t *testing.T) {
 		t.Errorf("testdata/corpus has %d files, CorpusScenarios %d; regenerate with asichaos -emit-corpus",
 			len(files), len(scenarios))
 	}
+	goldenPath := filepath.Join("testdata", "corpus.golden")
+	golden := map[string]string{}
+	if !*updateGolden {
+		b, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create)", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			name, fps, _ := strings.Cut(line, " ")
+			golden[name] = fps
+		}
+	}
+	var regenerated strings.Builder
 	for _, fe := range files {
 		fe := fe
 		t.Run(fe.Name(), func(t *testing.T) {
@@ -65,6 +87,16 @@ func TestCorpus(t *testing.T) {
 			if err := (Oracle{}).Check(b); err != nil {
 				t.Errorf("oracle (second run): %v", err)
 			}
+			fps := fmt.Sprintf("run=%#016x db=%#016x", a.Fingerprint, a.DBFingerprint)
+			fmt.Fprintf(&regenerated, "%s %s\n", fe.Name(), fps)
+			if !*updateGolden && golden[fe.Name()] != fps {
+				t.Errorf("fingerprints %s, %s has %q", fps, goldenPath, golden[fe.Name()])
+			}
 		})
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(regenerated.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

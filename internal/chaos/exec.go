@@ -2,15 +2,14 @@ package chaos
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/asi"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/telemetry"
-	"repro/internal/topo"
 )
 
 // Options configures how a scenario is executed (none of it is part of
@@ -36,8 +35,9 @@ type Options struct {
 	SkipPI5 int
 	// Regions > 1 selects the conservative region-sharded parallel
 	// simulation path. Scenarios the sharded fabric cannot execute —
-	// scripted events, fault plans, telemetry, spans — silently fall back
-	// to the sequential path; Report.Regions records what actually ran.
+	// scripted events, fault plans, telemetry, spans — fall back to the
+	// sequential path; Report.Regions records what actually ran, and
+	// asichaos -regions reports how many did.
 	Regions int
 	// OnDiscovery, when non-nil, observes every completed discovery run
 	// with the manager's live database — the hook a RIB installer uses
@@ -69,9 +69,6 @@ type Options struct {
 // fabric under maximum loss and retries quiesces in well under a second
 // of simulated time.
 const DefaultHorizon = 30 * sim.Second
-
-// spanCap bounds the span log like the experiment layer does.
-const spanCap = 1 << 20
 
 // Report is everything the oracle (and a human debugging a failure)
 // needs to know about one executed scenario.
@@ -144,7 +141,7 @@ type Report struct {
 	// Processed is the total simulation event count (summed over regions
 	// when sharded); Counters the final fabric accounting. Regions is the
 	// region count the run actually used (1 = sequential, including any
-	// silent fallback from Options.Regions). It is deliberately excluded
+	// fallback from Options.Regions). It is deliberately excluded
 	// from the fingerprint: event counts differ across region counts, so
 	// the cross-R identity contract is DBFingerprint plus the oracle, not
 	// the full metrics fingerprint.
@@ -173,11 +170,37 @@ func (p *pi5Filter) HandlePacket(port int, pkt *asi.Packet) {
 	p.inner.HandlePacket(port, pkt)
 }
 
+// execution is one scenario run in progress: the rig it runs on, the
+// report the phases fill in, and what they share.
+type execution struct {
+	opt     Options
+	horizon sim.Duration
+	rig     *rig.Rig
+	churner *Churner // non-nil when the continuous phase is on
+	rep     *Report
+}
+
 // Execute runs one scenario to completion and reports everything the
 // oracle checks. The error return covers scenario construction problems
 // only (invalid scenario, unbuildable topology); anomalies of the run
 // itself land in the Report for the Oracle to judge.
+//
+// The run is a chain of phases over one execution record. Each reports
+// whether the run may continue: a phase that exhausts the horizon with
+// events still queued names itself in Report.Hung and the rest are
+// skipped. finish closes the report either way.
 func Execute(sc Scenario, opt Options) (*Report, error) {
+	x, err := newExecution(sc, opt)
+	if err != nil {
+		return nil, err
+	}
+	_ = x.transient() && x.script() && x.continuous() && x.audit()
+	x.finish()
+	return x.rep, nil
+}
+
+// newExecution validates the scenario and assembles its rig.
+func newExecution(sc Scenario, opt Options) (*execution, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -189,164 +212,113 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := opt.Horizon
-	if horizon <= 0 {
-		horizon = DefaultHorizon
+	x := &execution{opt: opt, horizon: opt.Horizon, rep: &Report{Scenario: sc, ChurnRun: -1}}
+	if x.horizon <= 0 {
+		x.horizon = DefaultHorizon
 	}
-
-	regions := opt.Regions
-	if regions > 1 && (len(sc.Events) > 0 || !sc.FaultPlan().Empty() || opt.Telemetry || opt.Spans || opt.Continuous > 0) {
-		regions = 1 // sharded fabrics cannot run these; fall back silently
-	}
-
-	rep := &Report{Scenario: sc, ChurnRun: -1, Regions: 1}
-	var (
-		e     *sim.Engine
-		group *sim.ShardGroup
-		f     *fabric.Fabric
-
-		reg       *telemetry.Registry
-		sp        *span.Tracer
-		wallStart time.Time
-	)
-	if opt.Telemetry {
-		reg = telemetry.New()
-		wallStart = time.Now()
-	}
-	if opt.Spans {
-		sp = span.New(spanCap)
-	}
-	rng := sim.NewRNG(sc.Seed*2654435761 + 1)
-	if regions > 1 {
-		part, perr := tp.Partition(regions, tp.Endpoints()[0])
-		if perr != nil {
-			return nil, perr
-		}
-		group = sim.NewShardGroup(part.Count, 0) // lookahead set by NewSharded
-		group.SeedRNGs(sim.NewRNG(sc.Seed*2654435761 + 2))
-		e = group.Engine(0)
-		f, err = fabric.NewSharded(group, part, tp, fabric.Config{}, rng)
-		rep.Regions = part.Count
-	} else {
-		e = sim.NewEngine()
-		f, err = fabric.New(e, tp, fabric.Config{}, rng)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if reg != nil {
-		f.EnableTelemetry(reg)
-	}
-	if sp != nil {
-		f.SetSpanTracer(sp)
-	}
-	if err := f.SetFaultPlan(sc.FaultPlan()); err != nil {
-		return nil, err
-	}
-	ep := f.Device(tp.Endpoints()[0])
-	mopt := core.Options{
-		Algorithm:    kind,
-		MaxRetries:   sc.MaxRetries,
-		RetryBackoff: sim.Micros(sc.BackoffUS),
-		Telemetry:    reg,
-		Spans:        sp,
+	cfg := rig.Config{
+		Seed:          sc.Seed,
+		Regions:       opt.Regions,
+		Faults:        sc.FaultPlan(),
+		Telemetry:     opt.Telemetry,
+		LinkTelemetry: opt.Telemetry,
+		Spans:         opt.Spans,
+		Manager: core.Options{
+			Algorithm:    kind,
+			MaxRetries:   sc.MaxRetries,
+			RetryBackoff: sim.Micros(sc.BackoffUS),
+		},
 	}
 	if opt.Coalesce {
 		w := opt.CoalesceWindowUS
 		if w <= 0 {
 			w = 200
 		}
-		mopt.AssimWindow = sim.Micros(w)
-		mopt.AssimBatchMax = opt.CoalesceBatchMax
+		cfg.Manager.AssimWindow = sim.Micros(w)
+		cfg.Manager.AssimBatchMax = opt.CoalesceBatchMax
 	}
-	m := core.NewManager(f, ep, mopt)
+	// The documented fallback: the script and continuous phases time
+	// their bookkeeping on one engine, and the rest is the rig's rule.
+	if len(sc.Events) > 0 || opt.Continuous > 0 || cfg.Shardable() != nil {
+		cfg.Regions = 1
+	}
+	if x.rig, err = rig.New(tp, cfg); err != nil {
+		return nil, err
+	}
+	if opt.Continuous > 0 {
+		if x.churner, err = NewChurner(tp, sc.Seed); err != nil {
+			return nil, err
+		}
+	}
+	x.rep.Regions = x.rig.Regions()
+	m := x.rig.Manager
 	if opt.SkipPI5 > 0 {
-		ep.SetHandler(&pi5Filter{inner: m, skip: opt.SkipPI5})
+		m.Device().SetHandler(&pi5Filter{inner: m, skip: opt.SkipPI5})
 	}
 	m.OnDiscoveryComplete = func(r core.Result) {
-		rep.Results = append(rep.Results, r)
+		x.rep.Results = append(x.rep.Results, r)
 		if opt.OnDiscovery != nil {
 			opt.OnDiscovery(m.DB(), r)
 		}
 	}
+	return x, nil
+}
 
-	runPhase := func(name string) bool {
-		if group != nil {
-			group.RunUntil(group.Now().Add(horizon))
-			if group.Pending() > 0 {
-				rep.Hung = name
-				return false
-			}
-			return true
-		}
-		e.RunUntil(e.Now().Add(horizon))
-		if e.Pending() > 0 {
-			rep.Hung = name
-			return false
-		}
+// drain runs the simulation for one horizon; a queue still holding
+// events then is the oracle's "engine hung" signal, recorded under the
+// phase's name.
+func (x *execution) drain(phase string) bool {
+	if x.rig.RunFor(x.horizon) {
 		return true
 	}
-	finish := func() *Report {
-		if group != nil {
-			rep.Processed = group.Processed()
-		} else {
-			rep.Processed = e.Processed
-		}
-		rep.Counters = f.Counters()
-		rep.DBFingerprint = m.DB().Fingerprint()
-		if sp != nil {
-			l := sp.Log()
-			rep.Spans = &l
-		}
-		if reg != nil {
-			f.FinishTelemetry(reg)
-			e.RecordTelemetry(reg, time.Since(wallStart))
-			s := reg.Snapshot()
-			rep.Telemetry = &s
-		}
-		rep.Fingerprint = rep.fingerprint()
-		return rep
-	}
+	x.rep.Hung = phase
+	return false
+}
 
-	// Transient period: initial discovery, then event-route distribution.
+// pi5Delivered reads the PI-5 reports the fabric has delivered so far.
+func (x *execution) pi5Delivered() uint64 {
+	return x.rig.Fabric.Counters().Delivered[asi.PI5EventReporting]
+}
+
+// transient is the transient period: initial discovery, then event-route
+// distribution. It ends at T0, where the event script's clock starts.
+func (x *execution) transient() bool {
+	rep, m := x.rep, x.rig.Manager
 	m.StartDiscovery()
-	if !runPhase("initial discovery") {
-		return finish(), nil
+	if !x.drain("initial discovery") {
+		return false
 	}
 	if len(rep.Results) >= 1 {
 		rep.InitialOK = true
 		if rep.Trustworthy(rep.Results[0]) {
-			rep.InitialErr = CheckConverged(f, m, rep.Results[0])
+			rep.InitialErr = CheckConverged(x.rig.Fabric, m, rep.Results[0])
 		}
 	}
-	m.DistributeEventRoutes(func(d core.DistResult) { rep.DistFailures = d.Failures })
-	if !runPhase("event-route distribution") {
-		return finish(), nil
+	var drained bool
+	if rep.DistFailures, drained = x.rig.DistributeEventRoutes(x.horizon); !drained {
+		rep.Hung = "event-route distribution"
+		return false
 	}
-	rep.T0 = e.Now()
+	rep.T0 = x.rig.Now()
+	return true
+}
 
-	// Event script: schedule every perturbation relative to T0 and note
-	// when the last one is fully applied.
+// script schedules every scripted perturbation relative to T0, notes
+// when the last one is fully applied, runs them out, and records what
+// the fabric and the database look like once they settled.
+func (x *execution) script() bool {
+	rep, f, m := x.rep, x.rig.Fabric, x.rig.Manager
 	rep.LastChange = rep.T0
-	for i, ev := range sc.Events {
-		i, ev := i, ev
+	for i, ev := range rep.Scenario.Events {
 		at := rep.T0.Add(sim.Micros(ev.AtUS))
 		switch ev.Op {
 		case OpDown, OpUp:
 			if at > rep.LastChange {
 				rep.LastChange = at
 			}
-			e.At(at, func(*sim.Engine) {
-				var err error
-				if ev.Op == OpDown {
-					err = f.SetDeviceDown(topo.NodeID(ev.Node), false)
-				} else {
-					err = f.SetDeviceUp(topo.NodeID(ev.Node), false)
-				}
-				if err != nil {
-					rep.EventErrs = append(rep.EventErrs,
-						fmt.Sprintf("event %d (%s node %d at %v): %v", i, ev.Op, ev.Node, at, err))
-				}
+			ev.Hotplug(x.rig, rep.T0, func(err error) {
+				rep.EventErrs = append(rep.EventErrs,
+					fmt.Sprintf("event %d (%s node %d at %v): %v", i, ev.Op, ev.Node, at, err))
 			})
 		case OpFlap:
 			up := at.Add(sim.Micros(ev.DurUS))
@@ -359,19 +331,18 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 			}
 		}
 	}
-	pi5Delivered := func() uint64 { return f.Counters().Delivered[asi.PI5EventReporting] }
 	var pi5Before uint64
 	if rep.LastChange == rep.T0 {
-		pi5Before = pi5Delivered()
+		pi5Before = x.pi5Delivered()
 	} else {
 		// PI-5 emission trails any change by the detect delay, so a
 		// snapshot at LastChange itself cleanly splits before/after.
-		e.At(rep.LastChange, func(*sim.Engine) { pi5Before = pi5Delivered() })
+		x.rig.Engine.At(rep.LastChange, func(*sim.Engine) { pi5Before = x.pi5Delivered() })
 	}
-	if !runPhase("event script") {
-		return finish(), nil
+	if !x.drain("event script") {
+		return false
 	}
-	rep.PI5AfterLast = pi5Delivered() - pi5Before
+	rep.PI5AfterLast = x.pi5Delivered() - pi5Before
 	rep.StillDiscovering = m.Discovering()
 	for i, r := range rep.Results {
 		// A run started after the last change covers it; so does a
@@ -383,131 +354,156 @@ func Execute(sc Scenario, opt Options) (*Report, error) {
 			rep.ChurnRun = i
 		}
 	}
-	rep.WantDevices, rep.WantLinks = GroundTruth(f, ep.ID)
+	rep.WantDevices, rep.WantLinks = GroundTruth(f, m.Device().ID)
 	rep.PostChurnDevices, rep.PostChurnLinks = m.DB().NumNodes(), m.DB().NumLinks()
 	rep.PostChurnFP = m.DB().Fingerprint()
+	return true
+}
 
-	// Continuous steady-state churn: Churner rounds against the settled
-	// fabric, each run to quiescence and checked there — the referee for
-	// the coalescing front-end under sustained PI-5 load.
-	if opt.Continuous > 0 && !rep.StillDiscovering {
-		ch, cerr := NewChurner(tp, sc.Seed)
-		if cerr != nil {
-			return nil, cerr
-		}
-		ops := opt.ContinuousOps
-		if ops <= 0 {
-			ops = 4
-		}
-		contErr := func(round int, format string, args ...any) {
-			rep.ContinuousErrs = append(rep.ContinuousErrs,
-				fmt.Sprintf("round %d: %s", round, fmt.Sprintf(format, args...)))
-		}
-		applyRound := func(round int, evs []Event) bool {
-			base := e.Now()
-			for _, ev := range evs {
-				ev := ev
-				e.At(base.Add(sim.Micros(ev.AtUS)), func(*sim.Engine) {
-					var err error
-					if ev.Op == OpDown {
-						err = f.SetDeviceDown(topo.NodeID(ev.Node), false)
-					} else {
-						err = f.SetDeviceUp(topo.NodeID(ev.Node), false)
-					}
-					if err != nil {
-						contErr(round, "%s node %d: %v", ev.Op, ev.Node, err)
-					}
-				})
-			}
-			return runPhase(fmt.Sprintf("continuous round %d", round))
-		}
-		totalDrops := func() uint64 {
-			var sum uint64
-			for _, d := range f.Counters().Drops {
-				sum += d
-			}
-			return sum
-		}
-		// Convergence at a quiescent point is only guaranteed on a
-		// loss-free fabric, and only when the restoration segment itself
-		// dropped nothing: a restoration PI-5 whose event route crossed a
-		// still-down switch is silently lost, and partial assimilation
-		// stops exploring at known devices — the resulting hole is
-		// legitimate staleness the next audit repairs. Storm-segment drops
-		// are unavoidable (a downed switch's own endpoint can never report
-		// its death), so drops are accounted per segment.
-		lossFree := sc.Loss == 0 && sc.DropFirst == 0 && sc.FaultPlan().Empty()
-		for round := 0; round < opt.Continuous; round++ {
-			delivered := pi5Delivered()
-			nres := len(rep.Results)
-			// One round = a churn storm drained to quiescence, then full
-			// restoration drained again, so the quiescent ground truth is
-			// the whole fabric.
-			if !applyRound(round, ch.Round(ops)) {
-				return finish(), nil
-			}
-			dropsBefore := totalDrops()
-			if !applyRound(round, ch.Quiesce()) {
-				return finish(), nil
-			}
-			cleanRestore := totalDrops() == dropsBefore
-			rep.ContinuousRounds++
-			// Liveness invariants hold unconditionally: the drained queue
-			// must leave the manager idle with nothing held back in the
-			// debounce window.
-			if m.Discovering() {
-				contErr(round, "manager still discovering at quiescence")
-				continue
-			}
-			if n := m.AssimPending(); n > 0 {
-				contErr(round, "%d reports left pending in the debounce window", n)
-			}
-			if !lossFree {
-				continue
-			}
-			if pi5Delivered() > delivered && len(rep.Results) == nres {
-				contErr(round, "PI-5 reports delivered but no discovery run completed")
-				continue
-			}
-			// With everything restored the database may at worst lag
-			// behind the fabric — it must never claim devices or links
-			// the fabric does not have.
-			wd, wl := GroundTruth(f, ep.ID)
-			if m.DB().NumNodes() > wd || m.DB().NumLinks() > wl {
-				contErr(round, "database has %d devices / %d links at quiescence, fabric only %d / %d",
-					m.DB().NumNodes(), m.DB().NumLinks(), wd, wl)
-			}
-			if !cleanRestore {
-				continue
-			}
-			rep.ContinuousChecked++
-			if m.DB().NumNodes() != wd || m.DB().NumLinks() != wl {
-				contErr(round, "database has %d devices / %d links at quiescence, ground truth %d / %d",
-					m.DB().NumNodes(), m.DB().NumLinks(), wd, wl)
-			}
-		}
-		rep.StillDiscovering = m.Discovering()
+// continuous is the steady-state churn phase (Options.Continuous):
+// Churner rounds against the settled fabric, each run to quiescence and
+// checked there — the referee for the coalescing front-end under
+// sustained PI-5 load.
+func (x *execution) continuous() bool {
+	if x.churner == nil || x.rep.StillDiscovering {
+		return true
 	}
-
-	// Audit: force a full rediscovery of the settled fabric. Whatever the
-	// churn did to the database, a trustworthy audit must reconstruct the
-	// ground truth exactly.
-	if !opt.NoAudit && !rep.StillDiscovering {
-		rep.AuditRequested = true
-		before := len(rep.Results)
-		m.StartDiscovery()
-		if !runPhase("audit rediscovery") {
-			return finish(), nil
-		}
-		if len(rep.Results) > before {
-			rep.AuditRan = true
-			rep.Audit = rep.Results[len(rep.Results)-1]
-			if rep.Trustworthy(rep.Audit) {
-				rep.AuditErr = CheckConverged(f, m, rep.Audit)
-			}
+	ops := x.opt.ContinuousOps
+	if ops <= 0 {
+		ops = 4
+	}
+	sc := x.rep.Scenario
+	lossFree := sc.Loss == 0 && sc.DropFirst == 0 && sc.FaultPlan().Empty()
+	for round := 0; round < x.opt.Continuous; round++ {
+		if !x.continuousRound(round, ops, lossFree) {
+			return false
 		}
 	}
-	return finish(), nil
+	x.rep.StillDiscovering = x.rig.Manager.Discovering()
+	return true
+}
+
+// contErr records one invariant violated at a quiescent point.
+func (x *execution) contErr(round int, format string, args ...any) {
+	x.rep.ContinuousErrs = append(x.rep.ContinuousErrs,
+		fmt.Sprintf("round %d: %s", round, fmt.Sprintf(format, args...)))
+}
+
+// churn applies one batch of toggles, offset from now, and drains.
+func (x *execution) churn(round int, evs []Event) bool {
+	base := x.rig.Now()
+	for _, ev := range evs {
+		ev.Hotplug(x.rig, base, func(err error) { x.contErr(round, "%s node %d: %v", ev.Op, ev.Node, err) })
+	}
+	return x.drain(fmt.Sprintf("continuous round %d", round))
+}
+
+// continuousRound is one round: a churn storm drained to quiescence,
+// then full restoration drained again, so the quiescent ground truth is
+// the whole fabric — and the checks that hold there.
+//
+// Convergence at a quiescent point is only guaranteed on a loss-free
+// fabric, and only when the restoration segment itself dropped nothing: a
+// restoration PI-5 whose event route crossed a still-down switch is
+// silently lost, and partial assimilation stops exploring at known
+// devices — the resulting hole is legitimate staleness the next audit
+// repairs. Storm-segment drops are unavoidable (a downed switch's own
+// endpoint can never report its death), so drops are accounted per
+// segment.
+func (x *execution) continuousRound(round, ops int, lossFree bool) bool {
+	rep, f, m := x.rep, x.rig.Fabric, x.rig.Manager
+	totalDrops := func() (sum uint64) {
+		for _, d := range f.Counters().Drops {
+			sum += d
+		}
+		return sum
+	}
+	delivered := x.pi5Delivered()
+	nres := len(rep.Results)
+	if !x.churn(round, x.churner.Round(ops)) {
+		return false
+	}
+	dropsBefore := totalDrops()
+	if !x.churn(round, x.churner.Quiesce()) {
+		return false
+	}
+	cleanRestore := totalDrops() == dropsBefore
+	rep.ContinuousRounds++
+	// Liveness invariants hold unconditionally: the drained queue must
+	// leave the manager idle with nothing held back in the debounce
+	// window.
+	if m.Discovering() {
+		x.contErr(round, "manager still discovering at quiescence")
+		return true
+	}
+	if n := m.AssimPending(); n > 0 {
+		x.contErr(round, "%d reports left pending in the debounce window", n)
+	}
+	if !lossFree {
+		return true
+	}
+	if x.pi5Delivered() > delivered && len(rep.Results) == nres {
+		x.contErr(round, "PI-5 reports delivered but no discovery run completed")
+		return true
+	}
+	// With everything restored the database may at worst lag behind the
+	// fabric — it must never claim devices or links the fabric does not
+	// have.
+	wd, wl := GroundTruth(f, m.Device().ID)
+	if m.DB().NumNodes() > wd || m.DB().NumLinks() > wl {
+		x.contErr(round, "database has %d devices / %d links at quiescence, fabric only %d / %d",
+			m.DB().NumNodes(), m.DB().NumLinks(), wd, wl)
+	}
+	if !cleanRestore {
+		return true
+	}
+	rep.ContinuousChecked++
+	if m.DB().NumNodes() != wd || m.DB().NumLinks() != wl {
+		x.contErr(round, "database has %d devices / %d links at quiescence, ground truth %d / %d",
+			m.DB().NumNodes(), m.DB().NumLinks(), wd, wl)
+	}
+	return true
+}
+
+// audit forces a full rediscovery of the settled fabric. Whatever the
+// churn did to the database, a trustworthy audit must reconstruct the
+// ground truth exactly.
+func (x *execution) audit() bool {
+	rep, m := x.rep, x.rig.Manager
+	if x.opt.NoAudit || rep.StillDiscovering {
+		return true
+	}
+	rep.AuditRequested = true
+	before := len(rep.Results)
+	m.StartDiscovery()
+	if !x.drain("audit rediscovery") {
+		return false
+	}
+	if len(rep.Results) > before {
+		rep.AuditRan = true
+		rep.Audit = rep.Results[len(rep.Results)-1]
+		if rep.Trustworthy(rep.Audit) {
+			rep.AuditErr = CheckConverged(x.rig.Fabric, m, rep.Audit)
+		}
+	}
+	return true
+}
+
+// finish closes the report: totals, the observers' logs, fingerprints.
+func (x *execution) finish() {
+	rep := x.rep
+	rep.Processed = x.rig.Processed()
+	rep.Counters = x.rig.Fabric.Counters()
+	rep.DBFingerprint = x.rig.Manager.DB().Fingerprint()
+	if x.rig.Spans != nil {
+		l := x.rig.Spans.Log()
+		rep.Spans = &l
+	}
+	if x.rig.Registry != nil {
+		s := x.rig.Snapshot()
+		rep.Telemetry = &s
+	}
+	rep.Fingerprint = rep.fingerprint()
 }
 
 // fingerprint folds every deterministic observable of the run into one
@@ -574,20 +570,22 @@ func (rep *Report) fingerprint() uint64 {
 // on the final topology fingerprint — the serial and parallel algorithms
 // must reconstruct the same fabric.
 func CrossCheck(sc Scenario, opt Options) error {
-	_, err := CrossCheckFingerprint(sc, opt)
+	_, _, err := crossCheck(sc, opt)
 	return err
 }
 
-// CrossCheckFingerprint is CrossCheck returning a deterministic
-// observable too: every mode's full run fingerprint folded together
-// (FNV-1a; PaperKinds order, then Partial again with the coalescing
-// front-end). Two executions of the same scenario must return the same
-// value, which is what the parallel sweep's determinism smoke compares
-// across worker counts. Beyond the per-mode oracle, it checks that all
-// trustworthy audits agree on the final topology, and that per-event and
-// coalesced Partial — when neither was defeated by injected loss — reach
-// byte-identical quiescent databases after the scripted churn.
-func CrossCheckFingerprint(sc Scenario, opt Options) (uint64, error) {
+// crossCheck is CrossCheck returning two deterministic observables too:
+// every mode's full run fingerprint folded together (FNV-1a; PaperKinds
+// order, then Partial again with the coalescing front-end) — two
+// executions of the same scenario must return the same value, which is
+// what the parallel sweep's determinism smoke compares across worker
+// counts — and the simulation width, the same for every mode because
+// what makes a scenario unshardable does not depend on the algorithm.
+// Beyond the per-mode oracle, it checks that all trustworthy audits agree
+// on the final topology, and that per-event and coalesced Partial — when
+// neither was defeated by injected loss — reach byte-identical quiescent
+// databases after the scripted churn.
+func crossCheck(sc Scenario, opt Options) (fp uint64, regions int, err error) {
 	type mode struct {
 		kind     core.Kind
 		coalesce bool
@@ -627,10 +625,11 @@ func CrossCheckFingerprint(sc Scenario, opt Options) (uint64, error) {
 		o.Coalesce = md.coalesce
 		rep, err := Execute(s, o)
 		if err != nil {
-			return 0, fmt.Errorf("chaos: %s: %w", name(md), err)
+			return 0, 0, fmt.Errorf("chaos: %s: %w", name(md), err)
 		}
+		regions = rep.Regions
 		if err := (Oracle{}).Check(rep); err != nil {
-			return 0, fmt.Errorf("chaos: %s: %w", name(md), err)
+			return 0, regions, fmt.Errorf("chaos: %s: %w", name(md), err)
 		}
 		fold(rep.Fingerprint)
 		if rep.AuditRan && rep.Trustworthy(rep.Audit) {
@@ -646,7 +645,7 @@ func CrossCheckFingerprint(sc Scenario, opt Options) (uint64, error) {
 	}
 	for i := 1; i < len(fps); i++ {
 		if fps[i].fp != fps[0].fp {
-			return 0, fmt.Errorf("chaos: algorithms disagree on final topology: %s=%#x, %s=%#x",
+			return 0, regions, fmt.Errorf("chaos: algorithms disagree on final topology: %s=%#x, %s=%#x",
 				name(fps[0].mode), fps[0].fp, name(fps[i].mode), fps[i].fp)
 		}
 	}
@@ -657,10 +656,10 @@ func CrossCheckFingerprint(sc Scenario, opt Options) (uint64, error) {
 	if perEvent != nil && coalesced != nil &&
 		allTrustworthy(perEvent) && allTrustworthy(coalesced) &&
 		perEvent.PostChurnFP != coalesced.PostChurnFP {
-		return 0, fmt.Errorf("chaos: partial assimilation modes disagree post-churn: per-event=%#x, coalesced=%#x",
+		return 0, regions, fmt.Errorf("chaos: partial assimilation modes disagree post-churn: per-event=%#x, coalesced=%#x",
 			perEvent.PostChurnFP, coalesced.PostChurnFP)
 	}
-	return combined, nil
+	return combined, regions, nil
 }
 
 // allTrustworthy reports whether every completed run in the report was

@@ -25,6 +25,7 @@ import (
 	"repro/internal/asi"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -54,6 +55,12 @@ type Event struct {
 	Link int `json:"link,omitempty"`
 	// DurUS is the flap outage length in microseconds.
 	DurUS float64 `json:"dur_us,omitempty"`
+}
+
+// Hotplug hands a down/up event, due AtUS after base, to the rig's
+// hot-plug applier; fail receives the fabric's refusal, if any.
+func (ev Event) Hotplug(r *rig.Rig, base sim.Time, fail func(error)) {
+	r.Hotplug(base.Add(sim.Micros(ev.AtUS)), topo.NodeID(ev.Node), ev.Op == OpDown, fail)
 }
 
 // TopologySpec selects the fabric under test: a Table 1 catalogue name,

@@ -27,9 +27,9 @@ type SweepOptions struct {
 type SweepResult struct {
 	Scenario Scenario
 	// Fingerprint is the run's combined observable hash:
-	// Report.Fingerprint for a single-algorithm run, the
-	// CrossCheckFingerprint fold otherwise. Zero when the scenario could
-	// not execute at all (oracle verdicts still fingerprint the run).
+	// Report.Fingerprint for a single-algorithm run, the cross-check's
+	// fold over every mode otherwise. Zero when the scenario could not
+	// execute at all (oracle verdicts still fingerprint the run).
 	Fingerprint uint64
 	// Vacuous reports a run with no trustworthy convergence comparison
 	// (single-algorithm runs only).
@@ -39,7 +39,11 @@ type SweepResult struct {
 	// holds at most Workers logs in memory at once.
 	SpanCount   int
 	SpanDropped int
-	Err         error
+	// Regions is the simulation width the run used: below
+	// Exec.Regions when the scenario was not shardable and fell back to
+	// the sequential path (1), zero when it could not execute at all.
+	Regions int
+	Err     error
 }
 
 // Sweep generates and executes Runs scenarios across a bounded worker
@@ -74,7 +78,7 @@ func Sweep(o SweepOptions) []SweepResult {
 func sweepOne(sc Scenario, o SweepOptions) SweepResult {
 	res := SweepResult{Scenario: sc}
 	if o.CrossCheck {
-		res.Fingerprint, res.Err = CrossCheckFingerprint(sc, o.Exec)
+		res.Fingerprint, res.Regions, res.Err = crossCheck(sc, o.Exec)
 		return res
 	}
 	rep, err := Execute(sc, o.Exec)
@@ -83,6 +87,7 @@ func sweepOne(sc Scenario, o SweepOptions) SweepResult {
 		return res
 	}
 	res.Fingerprint = rep.Fingerprint
+	res.Regions = rep.Regions
 	res.Vacuous = rep.Vacuous()
 	if rep.Spans != nil {
 		res.SpanCount = len(rep.Spans.Spans)

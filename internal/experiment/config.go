@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -54,10 +55,38 @@ type Config struct {
 	// Regions selects the conservative parallel simulation path: the
 	// fabric is partitioned into up to Regions regions, each with its own
 	// event queue and worker, synchronized with link-latency lookahead.
-	// 0 or 1 is the sequential referee path. Regions > 1 excludes every
-	// run perturbation that cannot be sharded deterministically: tracing,
-	// telemetry, spans, loss and fault plans.
+	// 0 or 1 is the sequential referee path. Regions > 1 excludes what
+	// rig.Config.Shardable excludes: tracing, telemetry, spans, loss and
+	// fault plans.
 	Regions int
+}
+
+// rigConfig translates the run description into the assembly it needs: the
+// loss model becomes a fault plan, the retry policy and factors the
+// manager's options.
+func (c Config) rigConfig() rig.Config {
+	rc := rig.Config{
+		Seed:          c.Seed,
+		Regions:       c.Regions,
+		DeviceFactor:  c.DeviceFactor,
+		Trace:         c.Trace,
+		Telemetry:     c.Telemetry,
+		LinkTelemetry: c.Telemetry,
+		Spans:         c.Spans,
+		Manager: core.Options{
+			Algorithm:    c.Algorithm,
+			FMFactor:     c.FMFactor,
+			MaxRetries:   c.MaxRetries,
+			RetryBackoff: c.RetryBackoff,
+		},
+	}
+	switch {
+	case c.Faults != nil:
+		rc.Faults = *c.Faults
+	case c.LossRate > 0:
+		rc.Faults = fabric.Uniform(c.LossRate)
+	}
+	return rc
 }
 
 // Option adjusts a Config under construction in NewConfig.
@@ -164,17 +193,5 @@ func (c Config) Validate() error {
 	if c.Regions < 0 {
 		return fmt.Errorf("experiment: negative region count %d", c.Regions)
 	}
-	if c.Regions > 1 {
-		switch {
-		case c.Trace != nil:
-			return fmt.Errorf("experiment: packet tracing is unsupported with parallel regions")
-		case c.Telemetry:
-			return fmt.Errorf("experiment: telemetry is unsupported with parallel regions")
-		case c.Spans:
-			return fmt.Errorf("experiment: span tracing is unsupported with parallel regions")
-		case c.LossRate > 0 || c.Faults != nil:
-			return fmt.Errorf("experiment: fault injection is unsupported with parallel regions")
-		}
-	}
-	return nil
+	return c.rigConfig().Shardable()
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -101,8 +100,13 @@ func sweepReports(outs []Outcome, idA, titleA, idB, titleB string) (perRun, aver
 		Title:  titleB,
 		Header: []string{"Topology", "Physical Nodes", "Serial Packet (s)", "Serial Device (s)", "Parallel (s)"},
 	}
-	type key struct{ topoName string }
-	agg := map[string][3]*metrics.Sample{}
+	// Running means (mean += (x-mean)/n): a sweep needs nothing else, so
+	// no run's duration is retained.
+	type runningMean struct {
+		n    int
+		mean float64
+	}
+	agg := map[string]*[3]runningMean{}
 	nodes := map[string]int{}
 	order := []string{}
 	for i := 0; i+2 < len(outs); i += 3 {
@@ -112,11 +116,7 @@ func sweepReports(outs []Outcome, idA, titleA, idB, titleB string) (perRun, aver
 			fmt.Sprint(o.ActiveNodes),
 		}
 		if _, ok := agg[o.Config.Topology]; !ok {
-			// Streaming samples: sweeps only need the mean, so there is
-			// no reason to retain every run's duration.
-			agg[o.Config.Topology] = [3]*metrics.Sample{
-				metrics.NewStreaming(), metrics.NewStreaming(), metrics.NewStreaming(),
-			}
+			agg[o.Config.Topology] = new([3]runningMean)
 			nodes[o.Config.Topology] = o.PhysicalNodes
 			order = append(order, o.Config.Topology)
 		}
@@ -127,14 +127,16 @@ func sweepReports(outs []Outcome, idA, titleA, idB, titleB string) (perRun, aver
 				continue
 			}
 			row = append(row, secs(oj.Result.Duration))
-			agg[o.Config.Topology][j].Add(oj.Result.Duration.Seconds())
+			m := &agg[o.Config.Topology][j]
+			m.n++
+			m.mean += (oj.Result.Duration.Seconds() - m.mean) / float64(m.n)
 		}
 		perRun.Rows = append(perRun.Rows, row)
 	}
 	for _, name := range order {
 		row := []string{name, fmt.Sprint(nodes[name])}
 		for j := 0; j < 3; j++ {
-			row = append(row, fmt.Sprintf("%.6f", agg[name][j].Mean()))
+			row = append(row, fmt.Sprintf("%.6f", agg[name][j].mean))
 		}
 		averaged.Rows = append(averaged.Rows, row)
 	}

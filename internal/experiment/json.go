@@ -11,16 +11,11 @@ import (
 )
 
 // RunReportSchema identifies the JSON envelope version emitted by the
-// CLIs. v2 added the optional spans section, v3 the optional regions
-// section; older documents (which predate those sections) still decode.
-// Consumers should reject any other schema string.
-const (
-	RunReportSchema   = "asi-discovery/run-report/v3"
-	RunReportSchemaV2 = "asi-discovery/run-report/v2"
-	RunReportSchemaV1 = "asi-discovery/run-report/v1"
-)
+// CLIs. Consumers should reject any other schema string, as
+// DecodeRunReport does.
+const RunReportSchema = "asi-discovery/run-report/v3"
 
-// RegionsReport is the v3 envelope's parallel-simulation section: how
+// RegionsReport is the envelope's parallel-simulation section: how
 // the conservative region-sharded run actually executed. Regions == 1
 // means the sequential path (the section is usually omitted then).
 type RegionsReport struct {
@@ -60,12 +55,10 @@ type RunReport struct {
 	Reports []Report `json:"reports,omitempty"`
 	// Telemetry is the run's metric snapshot when collection was enabled.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-	// Spans is the run's causal span log when span tracing was enabled
-	// (v2+; a v1 document carrying spans is rejected).
+	// Spans is the run's causal span log when span tracing was enabled.
 	Spans *span.Log `json:"spans,omitempty"`
 	// Regions describes the parallel-simulation execution when the run
-	// was region-sharded (v3 only; older documents carrying it are
-	// rejected).
+	// was region-sharded.
 	Regions *RegionsReport `json:"regions,omitempty"`
 	// Events counts processed simulation events; EventsPerSec is the
 	// simulator's wall-clock throughput where the caller measured one.
@@ -127,18 +120,7 @@ func DecodeRunReport(r io.Reader) (RunReport, error) {
 	if err := dec.Decode(&rr); err != nil {
 		return RunReport{}, fmt.Errorf("experiment: decoding run report: %w", err)
 	}
-	switch rr.Schema {
-	case RunReportSchema:
-	case RunReportSchemaV2, RunReportSchemaV1:
-		if rr.Spans != nil && rr.Schema == RunReportSchemaV1 {
-			return RunReport{}, fmt.Errorf("experiment: run report schema %q carries spans, which require %q or later",
-				RunReportSchemaV1, RunReportSchemaV2)
-		}
-		if rr.Regions != nil {
-			return RunReport{}, fmt.Errorf("experiment: run report schema %q carries a regions section, which requires %q",
-				rr.Schema, RunReportSchema)
-		}
-	default:
+	if rr.Schema != RunReportSchema {
 		return RunReport{}, fmt.Errorf("experiment: run report schema %q, want %q", rr.Schema, RunReportSchema)
 	}
 	if rr.Regions != nil && rr.Regions.Regions < 1 {

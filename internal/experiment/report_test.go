@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -102,7 +103,7 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// A region-sharded run's report carries the v3 regions section and
+// A region-sharded run's report carries the regions section and
 // survives the round trip.
 func TestRunReportRegionsRoundTrip(t *testing.T) {
 	o := RunConfig(MustConfig("6x6 mesh", core.Parallel, WithSeed(1), WithParallelRegions(4)))
@@ -148,17 +149,22 @@ func TestRunReportRegionsRoundTrip(t *testing.T) {
 	}
 }
 
-// Older envelope versions still decode — minus sections they predate.
+// Retired envelope versions get no partial back-compat decoding: a v1 or
+// v2 document is refused by the unknown-schema error whatever it carries.
 func TestDecodeRunReportBackCompat(t *testing.T) {
-	for _, schema := range []string{RunReportSchemaV1, RunReportSchemaV2} {
-		doc := `{"schema":"` + schema + `","error":"x"}`
-		if _, err := DecodeRunReport(bytes.NewReader([]byte(doc))); err != nil {
-			t.Errorf("plain %s document rejected: %v", schema, err)
+	for _, version := range []string{"v1", "v2"} {
+		schema := "asi-discovery/run-report/" + version
+		for _, body := range []string{
+			`"error":"x"`,
+			`"error":"x","spans":{"spans":null,"dropped":0}`,
+			`"error":"x","regions":{"regions":2}`,
+		} {
+			doc := `{"schema":"` + schema + `",` + body + `}`
+			_, err := DecodeRunReport(bytes.NewReader([]byte(doc)))
+			if err == nil || !strings.Contains(err.Error(), "schema") {
+				t.Errorf("%s document {%s}: error %v, want the unknown-schema rejection", version, body, err)
+			}
 		}
-	}
-	v2spans := `{"schema":"` + RunReportSchemaV2 + `","error":"x","spans":{"spans":null,"dropped":0}}`
-	if _, err := DecodeRunReport(bytes.NewReader([]byte(v2spans))); err != nil {
-		t.Errorf("v2 document with spans rejected: %v", err)
 	}
 }
 
@@ -170,12 +176,6 @@ func TestDecodeRunReportRejects(t *testing.T) {
 		"unknown field": `{"schema":"` + RunReportSchema + `","error":"x","bogus":1}`,
 		"ragged row": `{"schema":"` + RunReportSchema + `","reports":[` +
 			`{"id":"r","title":"t","header":["a","b"],"rows":[["only"]]}]}`,
-		"spans in v1": `{"schema":"` + RunReportSchemaV1 + `","error":"x",` +
-			`"spans":{"spans":null,"dropped":0}}`,
-		"regions in v1": `{"schema":"` + RunReportSchemaV1 + `","error":"x",` +
-			`"regions":{"regions":2}}`,
-		"regions in v2": `{"schema":"` + RunReportSchemaV2 + `","error":"x",` +
-			`"regions":{"regions":2}}`,
 		"zero region count": `{"schema":"` + RunReportSchema + `","error":"x",` +
 			`"regions":{"regions":0}}`,
 	}

@@ -14,8 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/sim"
+	"repro/internal/rig"
 	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -97,12 +96,6 @@ type Outcome struct {
 	Spans *span.Log
 }
 
-// spanCap bounds the per-run span log. A full discovery of the largest
-// Table 1 topology stays well under this; if a pathological fault plan
-// exceeds it, the tracer counts the overflow in Log.Dropped instead of
-// growing without bound.
-const spanCap = 1 << 20
-
 // totalEvents accumulates Engine.Processed across every Run, including
 // runs executing concurrently under RunAll's worker pool.
 var totalEvents atomic.Uint64
@@ -114,7 +107,8 @@ func TakeProcessedEvents() uint64 {
 	return totalEvents.Swap(0)
 }
 
-// RunConfig executes one run configuration to completion.
+// RunConfig executes one run configuration to completion: the paper's
+// procedure, step for step, on one rig.
 func RunConfig(cfg Config) (out Outcome) {
 	out = Outcome{Config: cfg}
 	tp, err := topo.ByName(cfg.Topology)
@@ -125,210 +119,111 @@ func RunConfig(cfg Config) (out Outcome) {
 	out.PhysicalNodes = len(tp.Nodes)
 	out.Switches = tp.NumSwitches()
 
-	if cfg.Regions > 1 {
-		// The parallel path is incompatible with instrumentation and fault
-		// injection (Config.Validate rejects these combinations up front;
-		// RunConfig tolerates unvalidated configs).
-		if cfg.Trace != nil || cfg.Telemetry || cfg.Spans || cfg.LossRate > 0 || cfg.Faults != nil {
-			out.Err = fmt.Errorf("experiment: instrumentation and fault injection are unsupported with parallel regions")
-			return out
-		}
-	}
-
-	var (
-		e         = sim.NewEngine()
-		group     *sim.ShardGroup
-		reg       *telemetry.Registry
-		wallStart = time.Now()
-		f         *fabric.Fabric
-		sp        *span.Tracer
-	)
-	if cfg.Telemetry {
-		reg = telemetry.New()
-	}
-	if cfg.Spans {
-		sp = span.New(spanCap)
-	}
-	defer func() {
-		out.Regions = 1
-		if group != nil {
-			out.Events = group.Processed()
-			out.Regions = group.Shards()
-			out.RegionEvents = group.RegionProcessed()
-			out.SyncRounds = group.Rounds
-			out.LookaheadStalls = group.Stalls
-		} else {
-			out.Events = e.Processed
-		}
-		totalEvents.Add(out.Events)
-		out.Wall = time.Since(wallStart)
-		if s := out.Wall.Seconds(); s > 0 {
-			out.EventsPerSec = float64(out.Events) / s
-		}
-		if sp != nil {
-			l := sp.Log()
-			out.Spans = &l
-		}
-		if reg == nil {
-			return
-		}
-		// Cold end-of-run publication: fold the fabric and engine tallies
-		// into the registry, then freeze everything into the Outcome.
-		if f != nil {
-			f.FinishTelemetry(reg)
-		}
-		e.RecordTelemetry(reg, time.Since(wallStart))
-		s := reg.Snapshot()
-		out.Telemetry = &s
-	}()
-	rng := sim.NewRNG(cfg.Seed*2654435761 + 1)
-	if cfg.Regions > 1 {
-		// The FM host is the first endpoint, below; pinning its region
-		// with the partitioner keeps the manager's engine local.
-		part, perr := tp.Partition(cfg.Regions, tp.Endpoints()[0])
-		if perr != nil {
-			out.Err = perr
-			return out
-		}
-		group = sim.NewShardGroup(part.Count, 0) // lookahead set by NewSharded
-		// Per-shard random streams split off a dedicated root, so the
-		// fabric-level stream (switch choice, faults) stays undisturbed
-		// and R=1 vs R>1 runs draw identically.
-		group.SeedRNGs(sim.NewRNG(cfg.Seed*2654435761 + 2))
-		f, err = fabric.NewSharded(group, part, tp, fabric.Config{DeviceFactor: cfg.DeviceFactor}, rng)
-	} else {
-		f, err = fabric.New(e, tp, fabric.Config{DeviceFactor: cfg.DeviceFactor}, rng)
-	}
+	wallStart := time.Now()
+	// Unvalidated configs are tolerated: what Validate would have refused
+	// comes back from rig.New.
+	r, err := rig.New(tp, cfg.rigConfig())
 	if err != nil {
 		out.Err = err
 		return out
 	}
-	if cfg.Trace != nil {
-		f.SetTracer(cfg.Trace)
-	}
-	if reg != nil {
-		f.EnableTelemetry(reg)
-	}
-	if sp != nil {
-		f.SetSpanTracer(sp)
-	}
-	plan := fabric.FaultPlan{}
-	switch {
-	case cfg.Faults != nil:
-		plan = *cfg.Faults
-	case cfg.LossRate > 0:
-		plan = fabric.Uniform(cfg.LossRate)
-	}
-	if err := f.SetFaultPlan(plan); err != nil {
-		out.Err = err
-		return out
-	}
-	ep := f.Device(tp.Endpoints()[0])
-	m := core.NewManager(f, ep, core.Options{
-		Algorithm:    cfg.Algorithm,
-		FMFactor:     cfg.FMFactor,
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: cfg.RetryBackoff,
-		Telemetry:    reg,
-		Spans:        sp,
-	})
+	defer out.measure(r, wallStart)
 
 	// Pick the changed switch up front (never the FM's host switch,
-	// which would cut the manager off entirely).
+	// which would cut the manager off entirely). The draw continues the
+	// fabric stream where building the fabric left it.
 	var target topo.NodeID = -1
 	if cfg.Change != NoChange {
-		hostSwitch, _, _ := tp.Peer(ep.ID, 0)
 		for {
-			target = f.RandomSwitch(rng)
-			if target != hostSwitch {
+			target = r.Fabric.RandomSwitch(r.RNG)
+			if target != r.HostSwitch {
 				break
 			}
 		}
 	}
 	if cfg.Change == AddSwitch {
-		if err := f.SetDeviceDown(target, true); err != nil {
-			out.Err = err
+		if out.Err = r.Fabric.SetDeviceDown(target, true); out.Err != nil {
 			return out
-		}
-	}
-
-	// run drains the simulation to quiescence on whichever path is
-	// active; after it returns all region clocks agree.
-	run := func() {
-		if group != nil {
-			group.Run()
-		} else {
-			e.Run()
 		}
 	}
 
 	// Transient period: initial discovery and event-route distribution.
 	var results []core.Result
-	m.OnDiscoveryComplete = func(r core.Result) { results = append(results, r) }
-	m.StartDiscovery()
-	run()
+	r.Manager.OnDiscoveryComplete = func(res core.Result) { results = append(results, res) }
+	if out.Err = r.Bootstrap(); out.Err != nil {
+		return out
+	}
 	if len(results) != 1 {
 		out.Err = fmt.Errorf("experiment: initial discovery produced %d results", len(results))
 		return out
 	}
 	out.Initial = results[0]
-	var distErr error
-	m.DistributeEventRoutes(func(d core.DistResult) {
-		if d.Failures > 0 {
-			distErr = fmt.Errorf("experiment: %d event-route failures", d.Failures)
-		}
-	})
-	run()
-	if distErr != nil {
-		out.Err = distErr
-		return out
-	}
-
 	if cfg.Change == NoChange {
 		out.Result = out.Initial
-		out.ActiveNodes = f.AliveReachableFrom(ep.ID)
+		out.ActiveNodes = r.Fabric.AliveReachableFrom(r.Manager.Device().ID)
 		return out
 	}
 
 	// Inject the change; PI-5 reports trigger the measured assimilation.
-	switch cfg.Change {
-	case RemoveSwitch:
-		err = f.SetDeviceDown(target, false)
-	case AddSwitch:
-		err = f.SetDeviceUp(target, false)
-	}
-	if err != nil {
-		out.Err = err
+	if out.Err = r.Toggle(target, cfg.Change == RemoveSwitch); out.Err != nil {
 		return out
 	}
-	run()
+	r.Run()
 	if len(results) < 2 {
 		out.Err = fmt.Errorf("experiment: change on %s (switch %d) triggered no discovery",
 			cfg.Topology, target)
 		return out
 	}
-	// Partial assimilation may produce several small runs (one per
-	// coalesced report batch); aggregate them into one measurement.
-	out.Result = results[1]
-	for _, r := range results[2:] {
-		out.Result.End = r.End
-		out.Result.Duration += r.Duration
-		out.Result.PacketsSent += r.PacketsSent
-		out.Result.BytesSent += r.BytesSent
-		out.Result.PacketsReceived += r.PacketsReceived
-		out.Result.BytesReceived += r.BytesReceived
-		out.Result.Processed += r.Processed
-		out.Result.FMBusy += r.FMBusy
-		out.Result.TimedOut += r.TimedOut
-		out.Result.Retries += r.Retries
-		out.Result.GaveUp += r.GaveUp
-		out.Result.Stale += r.Stale
-		out.Result.Devices = r.Devices
-		out.Result.Switches = r.Switches
-		out.Result.Links = r.Links
-	}
-	out.ActiveNodes = f.AliveReachableFrom(ep.ID)
+	out.Result = aggregate(results[1:])
+	out.ActiveNodes = r.Fabric.AliveReachableFrom(r.Manager.Device().ID)
 	return out
+}
+
+// measure closes the run's books, whether it succeeded or not: event
+// counts, wall-clock throughput, the sharded path's statistics, and the
+// observers' logs.
+func (out *Outcome) measure(r *rig.Rig, wallStart time.Time) {
+	out.Events = r.Processed()
+	out.Regions = r.Regions()
+	out.RegionEvents, out.SyncRounds, out.LookaheadStalls = r.RegionStats()
+	totalEvents.Add(out.Events)
+	out.Wall = time.Since(wallStart)
+	if s := out.Wall.Seconds(); s > 0 {
+		out.EventsPerSec = float64(out.Events) / s
+	}
+	if r.Spans != nil {
+		l := r.Spans.Log()
+		out.Spans = &l
+	}
+	if r.Registry != nil {
+		s := r.Snapshot()
+		out.Telemetry = &s
+	}
+}
+
+// aggregate folds the runs one change triggered into one measurement:
+// partial assimilation may produce several small runs, one per coalesced
+// report batch.
+func aggregate(runs []core.Result) core.Result {
+	sum := runs[0]
+	for _, r := range runs[1:] {
+		sum.End = r.End
+		sum.Duration += r.Duration
+		sum.PacketsSent += r.PacketsSent
+		sum.BytesSent += r.BytesSent
+		sum.PacketsReceived += r.PacketsReceived
+		sum.BytesReceived += r.BytesReceived
+		sum.Processed += r.Processed
+		sum.FMBusy += r.FMBusy
+		sum.TimedOut += r.TimedOut
+		sum.Retries += r.Retries
+		sum.GaveUp += r.GaveUp
+		sum.Stale += r.Stale
+		sum.Devices = r.Devices
+		sum.Switches = r.Switches
+		sum.Links = r.Links
+	}
+	return sum
 }
 
 // RunConfigWithRetry reruns with shifted seeds when a run fails for a

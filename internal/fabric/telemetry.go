@@ -54,11 +54,12 @@ func (f *Fabric) EnableTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// FinishTelemetry folds the end-of-run fabric totals (flap count) into
-// the registry. Cold path; call once when a run completes.
+// FinishTelemetry publishes the fabric totals kept outside the registry
+// (flap count) into it. Cold path; the total is republished, so a daemon
+// may call it on every scrape as well as once when a run completes.
 func (f *Fabric) FinishTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Counter(MetricLinkFlaps).Add(f.Counters().LinkFlaps)
+	reg.Counter(MetricLinkFlaps).SetTotal(f.Counters().LinkFlaps)
 }

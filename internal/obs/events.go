@@ -20,6 +20,9 @@ const (
 	// EventChurnApply marks one churn round's toggles entering the
 	// fabric.
 	EventChurnApply = "churn.apply"
+	// EventChurnError marks a churn toggle the fabric refused (the
+	// device already was in the requested state).
+	EventChurnError = "churn.error"
 	// EventAudit marks a forced full rediscovery being scheduled.
 	EventAudit = "audit"
 )

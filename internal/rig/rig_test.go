@@ -1,0 +1,292 @@
+package rig_test
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/asi"
+	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/rig"
+	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/trace"
+)
+
+// run is everything two executions of one discovery case must agree on.
+type run struct {
+	results    []core.Result // Timeline dropped
+	processed  uint64
+	maxPending int
+	counters   fabric.Counters
+	dbFP       uint64
+}
+
+// collect is the run's completion hook: results without their
+// timelines, as the benchmark keeps them.
+func (r *run) collect(res core.Result) {
+	res.Timeline = nil
+	r.results = append(r.results, res)
+}
+
+// The changes of a discovery case, as bench/discover.go names them.
+const (
+	noChange = iota
+	removeSwitch
+	addSwitch
+)
+
+// byHand is the recipe spelled out layer by layer, as bench/discover.go
+// writes it: engine, fabric on the seed's fabric stream, manager on the
+// first endpoint, target drawn from the same stream, discovery, and —
+// only when there is a change to detect — event routes, the toggle and
+// the assimilation.
+func byHand(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uint64) run {
+	t.Helper()
+	e := sim.NewEngine()
+	rng := sim.NewRNG(seed*2654435761 + 1)
+	f, err := fabric.New(e, tp, fabric.Config{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := f.Device(tp.Endpoints()[0])
+	m := core.NewManager(f, ep, core.Options{Algorithm: alg})
+	hostSwitch, _, _ := tp.Peer(ep.ID, 0)
+	var target topo.NodeID
+	if change != noChange {
+		for target = f.RandomSwitch(rng); target == hostSwitch; {
+			target = f.RandomSwitch(rng)
+		}
+	}
+	if change == addSwitch {
+		if err := f.SetDeviceDown(target, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out run
+	m.OnDiscoveryComplete = out.collect
+	m.StartDiscovery()
+	e.Run()
+	if change != noChange {
+		failures := 0
+		m.DistributeEventRoutes(func(d core.DistResult) { failures = d.Failures })
+		e.Run()
+		if failures > 0 {
+			t.Fatalf("%d event-route distribution failures", failures)
+		}
+		if change == removeSwitch {
+			err = f.SetDeviceDown(target, false)
+		} else {
+			err = f.SetDeviceUp(target, false)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run()
+	}
+	out.processed, out.maxPending = e.Processed, e.MaxPending
+	out.counters, out.dbFP = f.Counters(), m.DB().Fingerprint()
+	return out
+}
+
+// onRig is the same case driven through the rig.
+func onRig(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uint64) run {
+	t.Helper()
+	r, err := rig.New(tp, rig.Config{Seed: seed, Manager: core.Options{Algorithm: alg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target topo.NodeID
+	if change != noChange {
+		for target = r.Fabric.RandomSwitch(r.RNG); target == r.HostSwitch; {
+			target = r.Fabric.RandomSwitch(r.RNG)
+		}
+	}
+	if change == addSwitch {
+		if err := r.Fabric.SetDeviceDown(target, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out run
+	r.Manager.OnDiscoveryComplete = out.collect
+	if change == noChange {
+		r.Manager.StartDiscovery()
+		r.Run()
+	} else {
+		if err := r.Bootstrap(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Toggle(target, change == removeSwitch); err != nil {
+			t.Fatal(err)
+		}
+		r.Run()
+	}
+	out.processed, out.maxPending = r.Processed(), r.Engine.MaxPending
+	out.counters, out.dbFP = r.Fabric.Counters(), r.Manager.DB().Fingerprint()
+	return out
+}
+
+// TestRigEqualsHandAssembly pins the seam: a run built by rig.New equals
+// the recipe assembled by hand from sim, fabric and core — the same
+// discovery results, event count, heap high-water, fabric accounting and
+// database, for every algorithm and change on one fabric per family. It
+// is what lets the benchmark's own assemblies move onto the rig later
+// without re-pinning their goldens.
+func TestRigEqualsHandAssembly(t *testing.T) {
+	for _, name := range []string{"4x4 mesh", "4x4 torus", "4-port 3-tree"} {
+		tp, err := topo.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range core.PaperKinds() {
+			for change, changeName := range []string{"none", "remove", "add"} {
+				t.Run(fmt.Sprintf("%s/%s/%s", name, alg.Slug(), changeName), func(t *testing.T) {
+					const seed = 3
+					want, got := byHand(t, tp, alg, change, seed), onRig(t, tp, alg, change, seed)
+					if len(want.results) == 0 || (change != noChange && len(want.results) < 2) {
+						t.Fatalf("hand-assembled run completed %d discoveries; the case measures nothing", len(want.results))
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("rig-built run differs from the hand-assembled one:\n got %+v\nwant %+v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestHotplugReportsAndConverges applies one toggle list — including a
+// down of a device already down and an up of one already up — on a
+// sequential and on a sharded rig. Both must hand the fabric's refusals
+// back (the daemon used to drop them) and end on the same database.
+func TestHotplugReportsAndConverges(t *testing.T) {
+	tp, err := topo.ByName("6x6 mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []uint64
+	for _, regions := range []int{1, 4} {
+		r, err := rig.New(tp, rig.Config{Seed: 7, Regions: regions, Manager: core.Options{Algorithm: core.Parallel}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Regions() != regions {
+			t.Fatalf("rig has %d regions, want %d", r.Regions(), regions)
+		}
+		if err := r.Bootstrap(); err != nil {
+			t.Fatalf("R=%d: %v", regions, err)
+		}
+		// Any two switches but the manager's own.
+		var churned []topo.NodeID
+		for _, n := range tp.Nodes {
+			if n.Type == asi.DeviceSwitch && n.ID != r.HostSwitch && len(churned) < 2 {
+				churned = append(churned, n.ID)
+			}
+		}
+		a, b := churned[0], churned[1]
+		base := r.Now()
+		at := func(i int) sim.Time { return base.Add(sim.Duration(i) * 50 * sim.Microsecond) }
+		got := map[int]error{}
+		for i, t := range []struct {
+			node topo.NodeID
+			down bool
+		}{
+			{a, true},
+			{a, true}, // already down
+			{b, true},
+			{a, false},
+			{a, false}, // already up
+			{b, false},
+		} {
+			r.Hotplug(at(i), t.node, t.down, func(err error) { got[i] = err })
+		}
+		r.Run()
+		if len(got) != 2 || !errors.Is(got[1], fabric.ErrAlreadyDown) || !errors.Is(got[4], fabric.ErrAlreadyUp) {
+			t.Errorf("R=%d: Hotplug reported %v, want ErrAlreadyDown for toggle 1 and ErrAlreadyUp for toggle 4", regions, got)
+		}
+		if n := r.Manager.DB().NumNodes(); n != len(tp.Nodes) {
+			t.Errorf("R=%d: database has %d devices after full restoration, fabric %d", regions, n, len(tp.Nodes))
+		}
+		fps = append(fps, r.Manager.DB().Fingerprint())
+	}
+	if fps[0] != fps[1] {
+		t.Errorf("database fingerprint %#x sequential, %#x at R=4", fps[0], fps[1])
+	}
+}
+
+// TestNotShardable is the one statement of what a sharded rig refuses,
+// cause by cause; a sequential rig takes all of it.
+func TestNotShardable(t *testing.T) {
+	tp, err := topo.ByName("3x3 mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		set  func(*rig.Config)
+		want string
+	}{
+		{"packet tracer", func(c *rig.Config) { c.Trace = &trace.Buffer{} }, "packet tracing is unsupported with parallel regions"},
+		{"per-link telemetry", func(c *rig.Config) { c.Telemetry, c.LinkTelemetry = true, true }, "telemetry is unsupported with parallel regions"},
+		{"spans", func(c *rig.Config) { c.Spans = true }, "span tracing is unsupported with parallel regions"},
+		{"fault plan", func(c *rig.Config) { c.Faults = fabric.Uniform(0.01) }, "fault injection is unsupported with parallel regions"},
+	}
+	for _, c := range cases {
+		cfg := rig.Config{Seed: 1, Regions: 2}
+		c.set(&cfg)
+		if err := cfg.Shardable(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Shardable() = %v, want %q", c.name, err, c.want)
+		}
+		if _, err := rig.New(tp, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New = %v, want %q", c.name, err, c.want)
+		}
+		cfg.Regions = 1
+		if err := cfg.Shardable(); err != nil {
+			t.Errorf("%s: sequential config refused: %v", c.name, err)
+		}
+		if _, err := rig.New(tp, cfg); err != nil {
+			t.Errorf("%s: sequential rig refused: %v", c.name, err)
+		}
+	}
+	// FM-level telemetry alone is what the sharded daemon runs with.
+	if _, err := rig.New(tp, rig.Config{Seed: 1, Regions: 2, Telemetry: true}); err != nil {
+		t.Errorf("sharded rig with FM-only telemetry refused: %v", err)
+	}
+}
+
+// TestRunForStopsAtHorizon: a horizon that cuts a discovery short must
+// be reported as undrained — the chaos oracle's "engine hung" signal —
+// with the clock at the horizon, not beyond it, on either path.
+func TestRunForStopsAtHorizon(t *testing.T) {
+	tp, err := topo.ByName("4x4 mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, regions := range []int{1, 4} {
+		r, err := rig.New(tp, rig.Config{Seed: 1, Regions: regions, Manager: core.Options{Algorithm: core.Parallel}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Manager.StartDiscovery()
+		const horizon = 20 * sim.Microsecond
+		start := r.Now()
+		if r.RunFor(horizon) {
+			t.Fatalf("R=%d: a 16-switch discovery drained within %v", regions, horizon)
+		}
+		if r.Pending() == 0 || !r.Manager.Discovering() {
+			t.Errorf("R=%d: undrained run left %d events pending, discovering=%v", regions, r.Pending(), r.Manager.Discovering())
+		}
+		if now := r.Now(); now != start.Add(horizon) {
+			t.Errorf("R=%d: clock at %v after RunFor(%v) from %v", regions, now, horizon, start)
+		}
+		if !r.RunFor(sim.Second) {
+			t.Fatalf("R=%d: discovery still undrained a simulated second later", regions)
+		}
+		if _, ok := r.Manager.LastResult(); !ok || r.Pending() != 0 {
+			t.Errorf("R=%d: drained run completed no discovery (pending %d)", regions, r.Pending())
+		}
+	}
+}

@@ -240,7 +240,7 @@ func (s Span) String() string {
 
 // Log is the serializable form of a finished trace: the spans in ID
 // order plus how many were discarded once the cap was hit. It is the
-// "spans" section of the run-report/v2 envelope.
+// "spans" section of the run-report envelope.
 type Log struct {
 	Spans   []Span `json:"spans"`
 	Dropped int    `json:"dropped,omitempty"`
