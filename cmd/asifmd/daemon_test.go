@@ -30,13 +30,7 @@ func TestKeeperRaceSharded(t *testing.T) {
 	cfg.AuditEvery = 2
 	cfg.AssimWindowUS = 200
 	cfg.StaleAfterMS = 1
-	d, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.bootstrap(); err != nil {
-		t.Fatal(err)
-	}
+	d := startDaemon(t, cfg)
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
@@ -125,13 +119,7 @@ func TestChurnErrorsReachEventLog(t *testing.T) {
 		cfg := experiment.DefaultDaemonConfig()
 		cfg.Topology = "4x4 mesh"
 		cfg.Regions = regions
-		d, err := newDaemon(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.bootstrap(); err != nil {
-			t.Fatal(err)
-		}
+		d := startDaemon(t, cfg)
 		node := int(d.rig.HostSwitch) // up, like every device after bootstrap
 		d.applyChurn([]chaos.Event{{Op: chaos.OpUp, Node: node}})
 		var logged []obs.Event

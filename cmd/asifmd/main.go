@@ -15,8 +15,6 @@
 //	asifmd -rounds 100 -interval 250ms       # bounded churn, 4 rounds/s
 //	asifmd -regions 4                        # region-sharded simulation
 //	asifmd -debug :6060                      # net/http/pprof + expvar
-//	asifmd -smoke 1000 -rounds 6             # verification mode (see below)
-//	asifmd -assim-smoke 12                   # continuous-assimilation check
 //
 // Observe with any HTTP client:
 //
@@ -25,19 +23,6 @@
 //	curl 'http://localhost:8080/events?n=50' # NDJSON event log tail
 //	curl 'http://localhost:8080/obs.json'    # dashboard doc (cmd/asitop)
 //	curl 'http://localhost:8080/stats'       # serving layer + staleness SLO
-//
-// Smoke mode (-smoke N) runs the configured churn rounds while N
-// in-process subscribers plus a set of real HTTP subscribers replay the
-// diff stream concurrently, then verifies every reconstruction is
-// byte-identical to the live snapshot and fingerprint-identical to the
-// FM's database. It exits non-zero on any mismatch — `make daemon-smoke`
-// is this mode.
-//
-// Assim-smoke mode (-assim-smoke N) forces the partial algorithm with
-// the coalescing front-end and drives N keeper-driven churn rounds on a
-// synthetic clock, then verifies ground-truth convergence, the
-// /metrics assimilation counters and the DB-staleness gauges — `make
-// assim-smoke` is this mode.
 package main
 
 import (
@@ -66,7 +51,6 @@ import (
 func main() {
 	var common cli.Common
 	common.RegisterConfig(flag.CommandLine)
-	common.RegisterJSON(flag.CommandLine)
 	common.RegisterRegions(flag.CommandLine)
 	topoName := flag.String("topo", "", "override the config topology")
 	alg := flag.String("alg", "", "override the config algorithm ("+
@@ -76,10 +60,8 @@ func main() {
 	rounds := flag.Int("rounds", 0, "override the config churn-round bound (0 = config value)")
 	churnOps := flag.Int("churn-ops", -1, "override the config toggles per churn round")
 	scrapeMS := flag.Int("scrape-ms", 0, "override the config observability scrape interval (ms)")
-	interval := flag.Duration("interval", time.Second, "wall-clock pause between churn rounds (serve mode)")
+	interval := flag.Duration("interval", time.Second, "wall-clock pause between churn rounds")
 	debugAddr := flag.String("debug", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
-	smoke := flag.Int("smoke", 0, "smoke mode: N concurrent in-process subscribers, verify replay, exit")
-	assimSmoke := flag.Int("assim-smoke", 0, "assimilation smoke mode: N keeper-driven churn rounds against the coalescing partial FM, verify convergence and metrics, exit")
 	flag.Parse()
 	if err := common.Validate(); err != nil {
 		fatal(2, err)
@@ -115,17 +97,6 @@ func main() {
 			cfg.Regions = common.Regions
 		}
 	})
-	if *assimSmoke > 0 {
-		// The mode verifies the coalescing partial path; force it on
-		// unless the config already selected it.
-		cfg.Algorithm = core.Partial.Slug()
-		if cfg.AssimWindowUS == 0 {
-			cfg.AssimWindowUS = 200
-		}
-		if cfg.StaleAfterMS == 0 {
-			cfg.StaleAfterMS = 5
-		}
-	}
 	if err := cfg.Validate(); err != nil {
 		fatal(2, err)
 	}
@@ -147,19 +118,6 @@ func main() {
 	}
 	if err := d.bootstrap(); err != nil {
 		fatal(1, err)
-	}
-
-	if *assimSmoke > 0 {
-		if err := d.runAssimSmoke(*assimSmoke, common.JSON); err != nil {
-			fatal(1, err)
-		}
-		return
-	}
-	if *smoke > 0 {
-		if err := d.runSmoke(*smoke, common.JSON); err != nil {
-			fatal(1, err)
-		}
-		return
 	}
 	d.serve(*interval)
 }

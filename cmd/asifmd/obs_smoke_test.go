@@ -48,13 +48,7 @@ func TestObsSmoke(t *testing.T) {
 	cfg.Topology = "4x4 mesh"
 	cfg.ChurnOps = 2
 	cfg.AuditEvery = 2
-	d, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.bootstrap(); err != nil {
-		t.Fatal(err)
-	}
+	d := startDaemon(t, cfg)
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
@@ -176,13 +170,7 @@ func TestObsSmokeSharded(t *testing.T) {
 	cfg.Topology = "8x8 mesh"
 	cfg.ChurnOps = 2
 	cfg.Regions = 4
-	d, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.bootstrap(); err != nil {
-		t.Fatal(err)
-	}
+	d := startDaemon(t, cfg)
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 

@@ -5,18 +5,32 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"os"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
+	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/rib"
 )
 
-// smokeRun is one `-smoke N` verification in progress: the finish line
-// the subscribers read up to, what they must have reconstructed there,
-// and where they report.
+// startDaemon builds and bootstraps a daemon as main does.
+func startDaemon(t *testing.T, cfg experiment.DaemonConfig) *daemon {
+	t.Helper()
+	d, err := newDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// smokeRun is one serving-layer verification in progress: the finish
+// line the subscribers read up to, what they must have reconstructed
+// there, and where they report.
 type smokeRun struct {
 	d *daemon
 
@@ -35,39 +49,41 @@ type smokeRun struct {
 // httpSubs is how many real HTTP subscribers join the in-process ones.
 const httpSubs = 8
 
-// runSmoke drives the configured churn while subscribers replay
-// concurrently, then verifies every reconstruction.
-func (d *daemon) runSmoke(subscribers int, jsonOut bool) error {
-	rounds := d.cfg.Rounds
-	if rounds == 0 {
-		rounds = 6
+// TestDaemonSmoke proves the daemon's serving layer end to end (`make
+// daemon-smoke`): the default daemon manages its fat-tree through six
+// churn rounds while 1000 in-process subscribers (100 with -short) plus a
+// set of real HTTP subscribers replay the diff stream concurrently; every
+// reconstruction must be byte-identical to the live snapshot and
+// fingerprint-identical to the FM's database, and the run must end where
+// it always has: generation 14, fingerprint 0x87ffec68144fe12a.
+func TestDaemonSmoke(t *testing.T) {
+	subscribers := 1000
+	if testing.Short() {
+		subscribers = 100
 	}
+	const rounds = 6
+	d := startDaemon(t, experiment.DefaultDaemonConfig())
 	s := &smokeRun{
 		d:            d,
 		expectedWait: make(chan struct{}),
 		results:      make(chan error, subscribers+httpSubs),
 	}
 
-	// In-process subscribers: the ISSUE's >= 1000 concurrent readers.
 	for i := 0; i < subscribers; i++ {
 		s.wg.Add(1)
 		go s.inProcess(i, d.rib.Subscribe("/"))
 	}
 	// Real HTTP subscribers exercise the wire path end to end.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	go http.Serve(ln, d.handler())
+	ts := httptest.NewServer(d.handler())
+	defer ts.Close()
 	for i := 0; i < httpSubs; i++ {
 		s.wg.Add(1)
-		go s.overHTTP(subscribers+i, fmt.Sprintf("http://%s/subscribe?path=/", ln.Addr()))
+		go s.overHTTP(subscribers+i, ts.URL+"/subscribe?path=/")
 	}
 
 	// Continuous churn on this goroutine while subscribers stream; a
-	// scrape per round keeps the observability plane live in smoke mode.
-	for i := 0; i < rounds && d.ch != nil; i++ {
+	// scrape per round keeps the observability plane live.
+	for i := 0; i < rounds; i++ {
 		d.mu.Lock()
 		d.round()
 		d.mu.Unlock()
@@ -83,18 +99,22 @@ func (d *daemon) runSmoke(subscribers int, jsonOut bool) error {
 	failures := 0
 	for err := range s.results {
 		if err != nil {
-			failures++
-			if failures <= 10 {
-				fmt.Fprintln(os.Stderr, err)
+			if failures++; failures <= 10 {
+				t.Error(err)
 			}
 		}
 	}
-	d.scrape()
-	d.printSmoke(subscribers, failures, jsonOut)
 	if failures > 0 {
-		return fmt.Errorf("asifmd: %d of %d subscribers failed verification", failures, subscribers+httpSubs)
+		t.Errorf("%d of %d subscribers failed verification", failures, subscribers+httpSubs)
 	}
-	return nil
+	d.scrape()
+	st := d.rib.Stats()
+	t.Logf("%q %s: %d rounds, %d generations, %d+%d subscribers, %d resyncs, fingerprint %s",
+		d.cfg.Topology, d.cfg.Kind().Slug(), d.rounds, st.Gen, subscribers, httpSubs, st.Resyncs, st.Fingerprint)
+	if d.rounds != rounds || st.Gen != 14 || st.Installs != 14 || st.Fingerprint != "0x87ffec68144fe12a" {
+		t.Errorf("%d rounds ended at generation %d (%d installs), fingerprint %s; want generation 14, 14 installs, 0x87ffec68144fe12a",
+			d.rounds, st.Gen, st.Installs, st.Fingerprint)
+	}
 }
 
 // finishLine publishes the target generation, then runs one final audit
@@ -182,28 +202,4 @@ func (s *smokeRun) overHTTP(id int, url string) {
 		}
 		return b, json.Unmarshal(sc.Bytes(), &b)
 	})
-}
-
-// printSmoke prints the smoke run's one-line or JSON verdict.
-func (d *daemon) printSmoke(subscribers, failures int, jsonOut bool) {
-	s := d.rib.Stats()
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{
-			"topology":    d.cfg.Topology,
-			"algorithm":   d.cfg.Kind().Slug(),
-			"regions":     d.rig.Regions(),
-			"rounds":      d.rounds,
-			"generations": s.Gen,
-			"installs":    s.Installs,
-			"subscribers": subscribers + httpSubs,
-			"resyncs":     s.Resyncs,
-			"fingerprint": s.Fingerprint,
-			"failures":    failures,
-		})
-		return
-	}
-	fmt.Printf("asifmd smoke: %q %s: %d rounds, %d generations, %d+%d subscribers, %d resyncs, fingerprint %s: %d failures\n",
-		d.cfg.Topology, d.cfg.Kind().Slug(), d.rounds, s.Gen, subscribers, httpSubs, s.Resyncs, s.Fingerprint, failures)
 }

@@ -1,7 +1,7 @@
-// Hotswap walks the full ASI fabric-management lifecycle of the paper:
-// primary/secondary FM election, initial topology discovery, event-route
-// distribution, a live switch removal detected via PI-5 and assimilated
-// by rediscovery, and finally the switch's hot re-addition.
+// Hotswap walks the ASI change-assimilation lifecycle of the paper:
+// initial topology discovery, event-route distribution, a live switch
+// removal detected via PI-5 and assimilated by rediscovery, and finally
+// the switch's hot re-addition.
 //
 //	go run ./examples/hotswap
 package main
@@ -23,49 +23,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eps := tp.Endpoints()
-
-	// Two FM-capable endpoints contend; priorities decide.
-	candidates := []*core.Manager{
-		core.NewManager(fab, fab.Device(eps[0]), core.Options{Algorithm: core.Parallel, ElectionPriority: 3}),
-		core.NewManager(fab, fab.Device(eps[10]), core.Options{Algorithm: core.Parallel, ElectionPriority: 8}),
-	}
-
-	var primary *core.Manager
-	for _, m := range candidates {
-		m := m
-		m.OnDiscoveryComplete = func(r core.Result) {
-			fmt.Printf("[%-9v] discovery: %v\n", engine.Now(), r)
-			// After every discovery, (re)program event routes so
-			// devices can report the next change.
-			m.DistributeEventRoutes(func(d core.DistResult) {
-				fmt.Printf("[%-9v] event routes: %d writes, %d failures, %v\n",
-					engine.Now(), d.Writes, d.Failures, d.Duration)
-			})
-		}
-		m.StartElection(0, func(o core.ElectionOutcome) {
-			fmt.Printf("[%-9v] election at %s: role=%v primary=%v candidates=%d\n",
-				engine.Now(), m.Device().Label, o.Role, o.Primary, o.Candidates)
-			if o.Role == core.RolePrimary {
-				primary = m
-				m.StartDiscovery()
-			}
+	fm := core.NewManager(fab, fab.Device(tp.Endpoints()[0]), core.Options{Algorithm: core.Parallel})
+	fm.OnDiscoveryComplete = func(r core.Result) {
+		fmt.Printf("[%-9v] discovery: %v\n", engine.Now(), r)
+		// After every discovery, (re)program event routes so devices can
+		// report the next change.
+		fm.DistributeEventRoutes(func(d core.DistResult) {
+			fmt.Printf("[%-9v] event routes: %d writes, %d failures, %v\n",
+				engine.Now(), d.Writes, d.Failures, d.Duration)
 		})
 	}
+	fm.StartDiscovery()
 	engine.Run()
-	if primary == nil {
-		log.Fatal("no primary elected")
-	}
 
 	// Hot-remove a switch: its neighbours detect the dead ports and
-	// report via PI-5; the primary coalesces the burst and rediscovers.
+	// report via PI-5; the FM coalesces the burst and rediscovers.
 	victim := topo.NodeID(5)
 	fmt.Printf("\n[%-9v] *** hot-removing %s ***\n", engine.Now(), fab.Device(victim).Label)
 	if err := fab.SetDeviceDown(victim, false); err != nil {
 		log.Fatal(err)
 	}
 	engine.Run()
-	fmt.Printf("[%-9v] database now: %v\n", engine.Now(), primary.DB())
+	fmt.Printf("[%-9v] database now: %v\n", engine.Now(), fm.DB())
 
 	// Hot-add it back.
 	fmt.Printf("\n[%-9v] *** hot-adding %s back ***\n", engine.Now(), fab.Device(victim).Label)
@@ -73,5 +52,5 @@ func main() {
 		log.Fatal(err)
 	}
 	engine.Run()
-	fmt.Printf("[%-9v] database now: %v\n", engine.Now(), primary.DB())
+	fmt.Printf("[%-9v] database now: %v\n", engine.Now(), fm.DB())
 }

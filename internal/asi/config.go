@@ -15,6 +15,8 @@ import "fmt"
 //	blocks 6..6+2P   two blocks per port: state/speed/width, reserved
 //	then 3 blocks    event route: the turn pool toward the FM that the
 //	                 device stamps on PI-5 packets (written by the FM)
+//	then 2 blocks    discovery ownership: claim generation and owner
+//	                 (written by PI-4 claims of collaborating FMs)
 //
 // The first six blocks are the "general information" the discovery
 // algorithms read first; the per-port blocks are the "additional
@@ -35,18 +37,6 @@ const (
 	// the claiming FM's identity. Devices update it atomically while
 	// servicing a PI-4 claim request.
 	OwnerBlocks uint8 = 2
-	// PathTableEntryBlocks is the size of one endpoint path-table
-	// entry: destination DSN (2), turn pool (2), pointer + valid (1).
-	PathTableEntryBlocks uint8 = 5
-	// PathTableEntries is the capacity of an endpoint's path table,
-	// sized for the largest evaluated fabric (10x10 torus: 99 remote
-	// endpoints).
-	PathTableEntries = 128
-	// MFTGroups is the number of multicast groups a switch's forwarding
-	// table supports; each entry is one block holding the output-port
-	// bitmask (the model supports switches up to 32 ports, within the
-	// spec's 256-port limit).
-	MFTGroups = 16
 	// capabilityVersion identifies this layout.
 	capabilityVersion = 1
 )
@@ -73,53 +63,6 @@ func OwnerOffset(ports int) uint16 {
 	return EventRouteOffset(ports) + uint16(EventRouteBlocks)
 }
 
-// PathTableOffset returns the block offset of an endpoint's path table.
-// Only endpoints carry one; the FM writes it during path distribution so
-// the endpoint can source-route traffic to its peers ("path determination
-// between endpoints", paper section 2).
-func PathTableOffset(ports int) uint16 {
-	return OwnerOffset(ports) + uint16(OwnerBlocks)
-}
-
-// PathEntryOffset returns the block offset of path-table entry i.
-func PathEntryOffset(ports, i int) uint16 {
-	return PathTableOffset(ports) + uint16(i)*uint16(PathTableEntryBlocks)
-}
-
-// MFTOffset returns the block offset of a switch's multicast forwarding
-// table. Multicast packets look their group up here to find the
-// replication port mask (one block per group). Only switches carry one.
-func MFTOffset(ports int) uint16 {
-	return OwnerOffset(ports) + uint16(OwnerBlocks)
-}
-
-// MFTEntryOffset returns the block offset of group mgid's port mask.
-func MFTEntryOffset(ports int, mgid uint16) uint16 {
-	return MFTOffset(ports) + mgid
-}
-
-// EncodePathEntry packs one path-table entry.
-func EncodePathEntry(dst DSN, pool uint64, ptr uint8) []uint32 {
-	return []uint32{
-		uint32(dst >> 32), uint32(dst),
-		uint32(pool >> 32), uint32(pool),
-		uint32(ptr) | 1<<31,
-	}
-}
-
-// DecodePathEntry unpacks one path-table entry; valid is false for an
-// unwritten slot.
-func DecodePathEntry(blocks []uint32) (dst DSN, pool uint64, ptr uint8, valid bool) {
-	if len(blocks) < int(PathTableEntryBlocks) {
-		return 0, 0, 0, false
-	}
-	valid = blocks[4]&(1<<31) != 0
-	dst = DSN(uint64(blocks[0])<<32 | uint64(blocks[1]))
-	pool = uint64(blocks[2])<<32 | uint64(blocks[3])
-	ptr = uint8(blocks[4] & 0x7f)
-	return dst, pool, ptr, valid
-}
-
 // GeneralInfo is the decoded form of the first six capability blocks.
 type GeneralInfo struct {
 	Type      DeviceType
@@ -143,39 +86,22 @@ type PortInfo struct {
 	Width int
 }
 
-// ConfigSpace is a device's capability storage, served to PI-4 reads.
-//
-// Only a prefix of the capability is materialized: the device-owned head
-// (general information and port blocks) always, the FM-writable tail only
-// up to the highest block a Write has reached. Blocks past the prefix are
-// zero by definition — no Write has touched them — so Read serves them as
-// zeros and a discovery, which writes nothing, never pays for a
-// 128-entry path table per endpoint or a forwarding table per switch.
+// ConfigSpace is a device's capability storage, served to PI-4 reads:
+// HeadBlocks(ports) blocks, the device-owned general information and port
+// blocks followed by the two FM-writable regions.
 type ConfigSpace struct {
-	blocks []uint32 // materialized prefix, len(blocks) <= size
-	size   int      // the capability's full size in blocks
+	blocks []uint32
 	ports  int
 }
 
-// NewConfigSpace builds the capability structure for a device.
-func NewConfigSpace(t DeviceType, dsn DSN, ports, maxPacket int, fmCapable bool) (*ConfigSpace, error) {
-	c := new(ConfigSpace)
-	if err := c.Init(t, dsn, ports, maxPacket, fmCapable, nil); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// HeadBlocks returns how many blocks Init materializes for a device with
-// the given port count: the head plus the event-route and ownership
-// regions, which event-route distribution and distributed discovery
-// write on every device.
+// HeadBlocks returns the capability's size in blocks for a device with
+// the given port count.
 func HeadBlocks(ports int) int { return int(OwnerOffset(ports)) + int(OwnerBlocks) }
 
 // Init builds the capability structure in place, for a ConfigSpace
 // embedded in a larger record. store, when it has capacity for
-// HeadBlocks(ports) blocks, backs the materialized prefix (a fabric
-// carves every device's from one array); otherwise Init allocates it.
+// HeadBlocks(ports) blocks, backs it (a fabric carves every device's from
+// one array); otherwise Init allocates.
 func (c *ConfigSpace) Init(t DeviceType, dsn DSN, ports, maxPacket int, fmCapable bool, store []uint32) error {
 	switch t {
 	case DeviceSwitch:
@@ -191,18 +117,11 @@ func (c *ConfigSpace) Init(t DeviceType, dsn DSN, ports, maxPacket int, fmCapabl
 	}
 	n := HeadBlocks(ports)
 	if cap(store) < n {
-		store = make([]uint32, 0, n)
+		store = make([]uint32, n)
 	}
-	head := int(EventRouteOffset(ports))
-	blocks := store[:head]
+	blocks := store[:n]
 	clear(blocks)
-	switch t {
-	case DeviceEndpoint:
-		n += PathTableEntries * int(PathTableEntryBlocks)
-	case DeviceSwitch:
-		n += MFTGroups
-	}
-	*c = ConfigSpace{blocks: blocks, size: n, ports: ports}
+	*c = ConfigSpace{blocks: blocks, ports: ports}
 	c.blocks[0] = uint32(t)<<24 | capabilityVersion<<16 | uint32(ports)&0xffff
 	c.blocks[1] = uint32(dsn >> 32)
 	c.blocks[2] = uint32(dsn)
@@ -220,9 +139,6 @@ func (c *ConfigSpace) Init(t DeviceType, dsn DSN, ports, maxPacket int, fmCapabl
 // Ports returns the device's port count.
 func (c *ConfigSpace) Ports() int { return c.ports }
 
-// NumBlocks returns the total capability size in 32-bit blocks.
-func (c *ConfigSpace) NumBlocks() int { return c.size }
-
 // Read returns count blocks starting at offset, as a PI-4 read would. It
 // fails for out-of-range accesses or reads wider than MaxReadBlocks; the
 // device then answers with a read completion with error.
@@ -237,49 +153,26 @@ func (c *ConfigSpace) ReadInto(dst []uint32, offset uint16, count uint8) ([]uint
 		return dst, fmt.Errorf("asi: read count %d out of range 1..%d", count, MaxReadBlocks)
 	}
 	end := int(offset) + int(count)
-	if end > c.size {
-		return dst, fmt.Errorf("asi: read [%d,%d) beyond capability end %d", offset, end, c.size)
+	if end > len(c.blocks) {
+		return dst, fmt.Errorf("asi: read [%d,%d) beyond capability end %d", offset, end, len(c.blocks))
 	}
-	for i := int(offset); i < end; i++ {
-		var w uint32
-		if i < len(c.blocks) {
-			w = c.blocks[i]
-		}
-		dst = append(dst, w)
-	}
-	return dst, nil
+	return append(dst, c.blocks[offset:end]...), nil
 }
 
-// Write stores data at offset. Only the event-route region and the
-// regions after it are writable; everything else is device-owned and a
-// write there fails, producing a write completion with error.
+// Write stores data at offset. Only the event-route and ownership regions
+// are writable; everything else is device-owned and a write there fails,
+// producing a write completion with error.
 func (c *ConfigSpace) Write(offset uint16, data []uint32) error {
 	if len(data) == 0 || len(data) > MaxReadBlocks {
 		return fmt.Errorf("asi: write of %d blocks out of range 1..%d", len(data), MaxReadBlocks)
 	}
 	lo := int(EventRouteOffset(c.ports))
 	end := int(offset) + len(data)
-	if int(offset) < lo || end > c.size {
-		return fmt.Errorf("asi: write [%d,%d) outside writable region [%d,%d)", offset, end, lo, c.size)
-	}
-	if end > len(c.blocks) {
-		c.materialize(end)
+	if int(offset) < lo || end > len(c.blocks) {
+		return fmt.Errorf("asi: write [%d,%d) outside writable region [%d,%d)", offset, end, lo, len(c.blocks))
 	}
 	copy(c.blocks[offset:], data)
 	return nil
-}
-
-// materialize extends the prefix to n blocks, zero-filled. The first
-// write past the co-allocated event-route and ownership regions (a path
-// table or forwarding-table entry) materializes the whole capability, so
-// a device's storage moves at most once.
-func (c *ConfigSpace) materialize(n int) {
-	old := len(c.blocks)
-	if n > cap(c.blocks) {
-		c.blocks = append(make([]uint32, 0, c.size), c.blocks...)
-	}
-	c.blocks = c.blocks[:n]
-	clear(c.blocks[old:])
 }
 
 // SetPortState updates a port's capability blocks; the device model calls

@@ -5,9 +5,14 @@ import (
 	"testing/quick"
 )
 
+func newConfigSpace(typ DeviceType, dsn DSN, ports int, fm bool) (*ConfigSpace, error) {
+	c := new(ConfigSpace)
+	return c, c.Init(typ, dsn, ports, 2176, fm, nil)
+}
+
 func mustConfig(t *testing.T, typ DeviceType, dsn DSN, ports int, fm bool) *ConfigSpace {
 	t.Helper()
-	c, err := NewConfigSpace(typ, dsn, ports, 2176, fm)
+	c, err := newConfigSpace(typ, dsn, ports, fm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,7 @@ func TestConfigPortStateRoundTrip(t *testing.T) {
 
 func TestConfigPortStateRoundTripProperty(t *testing.T) {
 	f := func(port uint8, active bool, width uint8) bool {
-		c, err := NewConfigSpace(DeviceSwitch, 1, 16, 2176, false)
+		c, err := newConfigSpace(DeviceSwitch, 1, 16, false)
 		if err != nil {
 			return false
 		}
@@ -97,12 +102,19 @@ func TestConfigReadBounds(t *testing.T) {
 	if _, err := c.Read(0, MaxReadBlocks+1); err == nil {
 		t.Error("oversize read accepted")
 	}
-	if _, err := c.Read(uint16(c.NumBlocks()), 1); err == nil {
-		t.Error("out-of-range read accepted")
-	}
-	// Read of the final blocks succeeds.
-	if _, err := c.Read(uint16(c.NumBlocks()-1), 1); err != nil {
-		t.Errorf("final-block read failed: %v", err)
+	// The capability ends with the ownership region, on a switch and on an
+	// endpoint alike: nothing is readable or writable past HeadBlocks.
+	for _, c := range []*ConfigSpace{c, mustConfig(t, DeviceSwitch, 2, 16, false)} {
+		end := uint16(HeadBlocks(c.Ports()))
+		if _, err := c.Read(end, 1); err == nil {
+			t.Errorf("%d ports: read at the capability end accepted", c.Ports())
+		}
+		if err := c.Write(end, []uint32{1}); err == nil {
+			t.Errorf("%d ports: write at the capability end accepted", c.Ports())
+		}
+		if _, err := c.Read(end-1, 1); err != nil {
+			t.Errorf("%d ports: final-block read failed: %v", c.Ports(), err)
+		}
 	}
 }
 
@@ -131,7 +143,7 @@ func TestConfigWriteOnlyEventRouteRegion(t *testing.T) {
 	if err := c.Write(off, nil); err == nil {
 		t.Error("empty write accepted")
 	}
-	if err := c.Write(uint16(c.NumBlocks()-1), route); err == nil {
+	if err := c.Write(uint16(HeadBlocks(4)-1), route); err == nil {
 		t.Error("write past capability end accepted")
 	}
 	// The owner region after the event route is writable too.
@@ -176,8 +188,8 @@ func TestNewConfigSpaceValidation(t *testing.T) {
 		{DeviceType(0), 4},
 	}
 	for _, c := range cases {
-		if _, err := NewConfigSpace(c.typ, 1, c.ports, 2176, false); err == nil {
-			t.Errorf("NewConfigSpace(%v, ports=%d) accepted", c.typ, c.ports)
+		if _, err := newConfigSpace(c.typ, 1, c.ports, false); err == nil {
+			t.Errorf("Init(%v, ports=%d) accepted", c.typ, c.ports)
 		}
 	}
 }
@@ -217,8 +229,5 @@ func TestDefaultTCtoVCMapsManagementHighest(t *testing.T) {
 		if m[tc] != VCBulk {
 			t.Errorf("bulk TC%d maps to VC %d, want %d", tc, m[tc], VCBulk)
 		}
-	}
-	if KindOfVC(VCBulk) != BVC || KindOfVC(VCMulticast) != MVC || KindOfVC(VCManagement) != OVC {
-		t.Error("VC kinds wrong")
 	}
 }

@@ -8,8 +8,8 @@ import (
 // PIFMSync is the protocol interface used by collaborating fabric
 // managers to ship topology reports to the primary — the inter-FM
 // synchronization channel of the paper's future-work distributed
-// discovery. Like PIElection, the concrete PI code is a model choice
-// within the management range.
+// discovery. The concrete PI code is a model choice within the
+// management range.
 const PIFMSync PI = 6
 
 // FMSync is one chunk of a collaborator's topology report. Entries counts

@@ -33,9 +33,11 @@ type RouteHeader struct {
 	TurnPointer uint8
 	// Dir is the D bit: false = forward, true = backward.
 	Dir bool
-	// Multicast marks a multicast packet: instead of turn-pool source
-	// routing, switches replicate it along the group's forwarding-table
-	// ports. MGID selects the group.
+	// Multicast marks a multicast packet and MGID its group: in ASI,
+	// switches replicate it along the group's forwarding-table ports
+	// instead of consuming turns. The model encodes both but its switches
+	// have no forwarding table, so they drop the packet as unroutable
+	// (route.SwitchRoute).
 	Multicast bool
 	MGID      uint16
 	// PI identifies the encapsulated protocol.

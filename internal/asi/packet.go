@@ -7,7 +7,7 @@ import (
 )
 
 // Payload is the decoded body of an ASI packet. Concrete types: *PI4, PI5,
-// Election, FMSync, Heartbeat and AppData. A PI-4 payload travels by
+// FMSync, Heartbeat and AppData. A PI-4 payload travels by
 // pointer because it is rewritten in place: the device that services a
 // request turns that very payload into the completion (see NewPI4Packet).
 type Payload interface {
@@ -22,62 +22,6 @@ func (p *PI4) ProtocolInterface() PI { return PI4DeviceManagement }
 
 // ProtocolInterface implements Payload.
 func (p PI5) ProtocolInterface() PI { return PI5EventReporting }
-
-// PIElection is the protocol interface the model assigns to fabric-manager
-// election traffic. The ASI spec runs election as part of fabric
-// initialization over a reserved management PI; the exact code is not
-// material to the paper.
-const PIElection PI = 3
-
-// Election is the payload of a fabric-manager election packet. Candidates
-// flood announcements carrying their priority and DSN; the
-// highest (priority, DSN) pair wins primary, the runner-up becomes
-// secondary (paper section 2: "a distributed process is triggered in order
-// to select primary and secondary fabric managers").
-type Election struct {
-	Priority  uint8
-	Candidate DSN
-	// TTL bounds flooding; decremented per switch hop.
-	TTL uint8
-	// Sequence numbers successive election rounds.
-	Sequence uint32
-}
-
-const electionSize = 14
-
-// ProtocolInterface implements Payload.
-func (p Election) ProtocolInterface() PI { return PIElection }
-
-// WireSize implements Payload.
-func (p Election) WireSize() int { return electionSize }
-
-// String summarizes the announcement.
-func (p Election) String() string {
-	return fmt.Sprintf("elect{prio=%d cand=%s ttl=%d seq=%d}", p.Priority, p.Candidate, p.TTL, p.Sequence)
-}
-
-// EncodeElection serializes p: prio(1) dsn(8) ttl(1) seq(4).
-func EncodeElection(p Election) []byte {
-	b := make([]byte, electionSize)
-	b[0] = p.Priority
-	binary.BigEndian.PutUint64(b[1:9], uint64(p.Candidate))
-	b[9] = p.TTL
-	binary.BigEndian.PutUint32(b[10:14], p.Sequence)
-	return b
-}
-
-// DecodeElection parses an election payload.
-func DecodeElection(b []byte) (Election, error) {
-	var p Election
-	if len(b) < electionSize {
-		return p, fmt.Errorf("asi: election payload too short: %d bytes", len(b))
-	}
-	p.Priority = b[0]
-	p.Candidate = DSN(binary.BigEndian.Uint64(b[1:9]))
-	p.TTL = b[9]
-	p.Sequence = binary.BigEndian.Uint32(b[10:14])
-	return p, nil
-}
 
 // AppData models encapsulated application traffic of a given size; only
 // its length matters to the fabric.
@@ -99,9 +43,9 @@ type Packet struct {
 	Payload Payload
 	// Span is the causal-trace request ID riding with the packet (zero
 	// when tracing is off). It is simulator metadata, not an on-the-wire
-	// field: Encode/Decode ignore it, Clone carries it, and devices copy
-	// it from a PI-4 request into the completion so the return trip is
-	// attributed to the same request span.
+	// field: Encode/Decode ignore it, and devices copy it from a PI-4
+	// request into the completion so the return trip is attributed to the
+	// same request span.
 	Span uint64
 }
 
@@ -154,8 +98,6 @@ func (p *Packet) Encode() ([]byte, error) {
 		}
 	case PI5:
 		body = EncodePI5(pl)
-	case Election:
-		body = EncodeElection(pl)
 	case FMSync:
 		body = EncodeFMSync(pl)
 	case Heartbeat:
@@ -205,12 +147,6 @@ func Decode(b []byte) (*Packet, error) {
 			return nil, err
 		}
 		pkt.Payload = pl
-	case PIElection:
-		pl, err := DecodeElection(rest)
-		if err != nil {
-			return nil, err
-		}
-		pkt.Payload = pl
 	case PIFMSync:
 		pl, err := DecodeFMSync(rest)
 		if err != nil {
@@ -229,21 +165,4 @@ func Decode(b []byte) (*Packet, error) {
 		return nil, fmt.Errorf("asi: unknown protocol interface %d", hdr.PI)
 	}
 	return pkt, nil
-}
-
-// Clone returns a deep copy of the packet; the fabric uses it when a
-// flooded packet must leave through several ports with independent
-// headers.
-func (p *Packet) Clone() *Packet {
-	pl, ok := p.Payload.(*PI4)
-	if !ok {
-		c := *p
-		return &c
-	}
-	c, cpl := NewPI4Packet()
-	c.Header, c.Span = p.Header, p.Span
-	data := cpl.Data
-	*cpl = *pl
-	cpl.Data = append(data, pl.Data...)
-	return c
 }

@@ -1,6 +1,9 @@
 package asi
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -40,7 +43,6 @@ func TestPacketEncodeDecodeAllPayloadTypes(t *testing.T) {
 	payloads := []Payload{
 		&PI4{Op: PI4ReadRequest, Tag: 1, Count: 6},
 		PI5{Code: PI5PortUp, Port: 3, Reporter: 99, Sequence: 1},
-		Election{Priority: 2, Candidate: 7, TTL: 16, Sequence: 1},
 		AppData{Bytes: 64},
 	}
 	for _, pl := range payloads {
@@ -72,15 +74,19 @@ func TestPacketCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestPacketDecodeRejectsUnknownPI(t *testing.T) {
-	p := &Packet{Header: RouteHeader{}, Payload: AppData{Bytes: 4}}
-	b, _ := p.Encode()
-	// Forge a bogus PI and fix both CRCs by re-encoding the header.
-	hdr, _ := DecodeHeader(b[:HeaderWireSize])
-	hdr.PI = 99
-	// Packet-level CRC will no longer match, so expect an error either way.
-	copy(b, EncodeHeader(hdr))
-	if _, err := Decode(b); err == nil {
-		t.Error("unknown PI accepted")
+	// 3 was the model's election PI; no payload is defined for it now.
+	for _, pi := range []PI{3, 99} {
+		p := &Packet{Header: RouteHeader{}, Payload: AppData{Bytes: 4}}
+		b, _ := p.Encode()
+		// Forge the PI and repair both CRCs, so only the PI is wrong.
+		hdr, _ := DecodeHeader(b[:HeaderWireSize])
+		hdr.PI = pi
+		copy(b, EncodeHeader(hdr))
+		body := b[:len(b)-packetTrailerSize]
+		binary.BigEndian.PutUint32(b[len(body):], crc32.ChecksumIEEE(body))
+		if _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "unknown protocol interface") {
+			t.Errorf("PI %d: Decode = %v, want the unknown-PI error", pi, err)
+		}
 	}
 }
 
@@ -101,23 +107,6 @@ func TestPacketWireSizesMatchPaperScale(t *testing.T) {
 	}
 	if resp.WireSize() <= req.WireSize() {
 		t.Errorf("completion (%dB) not larger than request (%dB)", resp.WireSize(), req.WireSize())
-	}
-}
-
-func TestPacketCloneIsDeep(t *testing.T) {
-	p := &Packet{
-		Header:  RouteHeader{TurnPool: 5},
-		Payload: &PI4{Op: PI4ReadCompletionData, Data: []uint32{1, 2}},
-	}
-	c := p.Clone()
-	c.Header.TurnPool = 9
-	cp := c.Payload.(*PI4)
-	cp.Data[0] = 42
-	if p.Header.TurnPool != 5 {
-		t.Error("clone shares header")
-	}
-	if p.Payload.(*PI4).Data[0] != 1 {
-		t.Error("clone shares PI-4 data slice")
 	}
 }
 

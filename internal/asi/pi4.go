@@ -17,7 +17,7 @@ const (
 	// PI4ReadCompletionError reports a failed read.
 	PI4ReadCompletionError
 	// PI4WriteRequest asks a device to store Data into its configuration
-	// space at Offset (used for event-route and path-table programming).
+	// space at Offset (used for event-route programming).
 	PI4WriteRequest
 	// PI4WriteCompletion acknowledges a write.
 	PI4WriteCompletion

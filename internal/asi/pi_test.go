@@ -144,27 +144,12 @@ func TestPI5DecodeShort(t *testing.T) {
 	}
 }
 
-func TestElectionRoundTrip(t *testing.T) {
-	p := Election{Priority: 9, Candidate: 0xabc, TTL: 31, Sequence: 5}
-	got, err := DecodeElection(EncodeElection(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Errorf("round trip changed payload: got %+v want %+v", got, p)
-	}
-	if _, err := DecodeElection(nil); err == nil {
-		t.Error("nil election payload accepted")
-	}
-}
-
 func TestStringerCoverage(t *testing.T) {
 	for _, s := range []string{
 		DeviceSwitch.String(), DeviceEndpoint.String(), DeviceType(99).String(),
-		BVC.String(), OVC.String(), MVC.String(), VCKind(9).String(),
 		PI4ReadRequest.String(), PI4Op(99).String(),
 		PI5PortUp.String(), PI5PortDown.String(), PI5EventCode(9).String(),
-		(&PI4{}).String(), PI5{}.String(), Election{}.String(), DSN(1).String(),
+		(&PI4{}).String(), PI5{}.String(), DSN(1).String(),
 	} {
 		if s == "" {
 			t.Error("empty Stringer output")

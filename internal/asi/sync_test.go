@@ -85,45 +85,27 @@ func TestFMSyncAndHeartbeatThroughPacket(t *testing.T) {
 }
 
 func TestConfigSpaceOffsetsDisjoint(t *testing.T) {
-	// The writable regions of switches and endpoints must be laid out
-	// without overlap: event route, owner, then MFT (switch) or path
-	// table (endpoint).
+	// The writable regions are laid out without overlap after the port
+	// blocks — event route, then owner — and end the capability.
 	for _, ports := range []int{2, 4, 16} {
 		er := EventRouteOffset(ports)
 		ow := OwnerOffset(ports)
+		if er != PortInfoOffset(ports) {
+			t.Errorf("ports=%d: event route misplaced", ports)
+		}
 		if int(ow) != int(er)+int(EventRouteBlocks) {
 			t.Errorf("ports=%d: owner region misplaced", ports)
 		}
-		if MFTOffset(ports) != ow+uint16(OwnerBlocks) {
-			t.Errorf("ports=%d: MFT region misplaced", ports)
-		}
-		if PathTableOffset(ports) != ow+uint16(OwnerBlocks) {
-			t.Errorf("ports=%d: path table misplaced", ports)
-		}
-		if MFTEntryOffset(ports, 3) != MFTOffset(ports)+3 {
-			t.Errorf("ports=%d: MFT entry stride wrong", ports)
-		}
-		if PathEntryOffset(ports, 2) != PathTableOffset(ports)+2*uint16(PathTableEntryBlocks) {
-			t.Errorf("ports=%d: path entry stride wrong", ports)
+		if HeadBlocks(ports) != int(ow)+int(OwnerBlocks) {
+			t.Errorf("ports=%d: capability size %d", ports, HeadBlocks(ports))
 		}
 	}
-	// Capability sizes include the regions.
-	sw, err := NewConfigSpace(DeviceSwitch, 1, 16, 2176, false)
+	sw, err := newConfigSpace(DeviceSwitch, 1, 16, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sw.NumBlocks() != int(MFTOffset(16))+MFTGroups {
-		t.Errorf("switch capability size %d", sw.NumBlocks())
 	}
 	if sw.Ports() != 16 {
 		t.Errorf("Ports() = %d", sw.Ports())
-	}
-	ep, err := NewConfigSpace(DeviceEndpoint, 1, 1, 2176, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.NumBlocks() != int(PathTableOffset(1))+PathTableEntries*int(PathTableEntryBlocks) {
-		t.Errorf("endpoint capability size %d", ep.NumBlocks())
 	}
 }
 

@@ -71,33 +71,6 @@ const MaxTrafficClass TrafficClass = 7
 // influences discovery time.
 const TCManagement TrafficClass = 7
 
-// VCKind is one of the three ASI virtual channel types.
-type VCKind uint8
-
-const (
-	// BVC is a unicast bypassable VC: an ordered queue plus a bypass
-	// queue that OO/TS-marked packets may jump to.
-	BVC VCKind = iota
-	// OVC is a unicast ordered VC.
-	OVC
-	// MVC is a multicast VC.
-	MVC
-)
-
-// String names the VC kind as in the specification.
-func (k VCKind) String() string {
-	switch k {
-	case BVC:
-		return "BVC"
-	case OVC:
-		return "OVC"
-	case MVC:
-		return "MVC"
-	default:
-		return fmt.Sprintf("VCKind(%d)", uint8(k))
-	}
-}
-
 // VCID addresses a virtual channel within a port.
 type VCID uint8
 
@@ -121,30 +94,20 @@ func DefaultTCtoVC() TCtoVC {
 	return m
 }
 
-// The model instantiates three virtual channels per port.
+// The model instantiates three virtual channels per port, one of each
+// ASI channel type.
 const (
-	// VCBulk is the unicast bypassable channel for application data.
+	// VCBulk is the unicast bypassable channel (BVC) for application
+	// data.
 	VCBulk VCID = 0
-	// VCMulticast is the MVC carrying replicated traffic.
+	// VCMulticast is the multicast channel (MVC).
 	VCMulticast VCID = 1
-	// VCManagement is the highest-priority ordered channel for PI-4/5
-	// and other management packets.
+	// VCManagement is the highest-priority ordered channel (OVC) for
+	// PI-4/5 and other management packets.
 	VCManagement VCID = 2
 	// NumVCs is the per-port channel count.
 	NumVCs = 3
 )
-
-// KindOfVC reports the channel type backing each VCID in the model.
-func KindOfVC(vc VCID) VCKind {
-	switch vc {
-	case VCBulk:
-		return BVC
-	case VCMulticast:
-		return MVC
-	default:
-		return OVC
-	}
-}
 
 // Link-layer constants from the specification for an ASI x1 link.
 const (

@@ -51,16 +51,6 @@ func newNode(gi asi.GeneralInfo, path route.Path, arrivalPort int) *Node {
 	}
 }
 
-// PortsRead reports whether every port's attributes have been read.
-func (n *Node) PortsRead() bool {
-	for _, k := range n.PortKnown {
-		if !k {
-			return false
-		}
-	}
-	return true
-}
-
 // Link records a discovered cable between two device ports.
 type Link struct {
 	A     asi.DSN
@@ -420,18 +410,12 @@ func (db *DB) PathBetween(src, dst asi.DSN) route.Path {
 	return p
 }
 
-// Chain returns the cable-level walk of a shortest path from src to dst
-// over the database graph, or nil if unreachable.
-func (db *DB) Chain(src, dst asi.DSN) []ChainLink {
-	return db.TreeFrom(src).Chain(dst)
-}
-
 // PathTree is the shortest-path tree of one breadth-first search over the
 // database graph: built once in O(devices + links), it then answers
-// PathTo and Chain for any target in O(hops). It is a snapshot — it holds
-// no reference to the database and does not follow later mutations — so
-// the per-device passes (path refresh, FIB derivation, path tables) build
-// one per pass and drop it; the database itself never caches one, because
+// PathTo for any target in O(hops). It is a snapshot — it holds no
+// reference to the database and does not follow later mutations — so the
+// per-device passes (path refresh, FIB derivation, the distributed merge)
+// build one per pass and drop it; the database itself never caches one, because
 // a served snapshot's DB is read concurrently and queries must not write.
 type PathTree struct {
 	src asi.DSN
@@ -521,34 +505,6 @@ func (t *PathTree) PathInto(buf route.Path, target asi.DSN) (route.Path, int) {
 		p = up
 	}
 	return path, last.arrivePort
-}
-
-// ChainLink is one cable traversal on a database path.
-type ChainLink struct {
-	From     asi.DSN
-	FromPort int
-	To       asi.DSN
-	ToPort   int
-}
-
-// Chain returns the cable-level walk of the tree's path from its source
-// to dst, or nil if unreachable. Multicast tree construction uses it to
-// mark the ports a group spans.
-func (t *PathTree) Chain(dst asi.DSN) []ChainLink {
-	if dst == t.src {
-		return []ChainLink{}
-	}
-	last, ok := t.prev[dst]
-	if !ok {
-		return nil
-	}
-	out := make([]ChainLink, last.hops+1)
-	for i, at := last.hops, dst; i >= 0; i-- {
-		p := t.prev[at]
-		out[i] = ChainLink{From: p.from, FromPort: p.fromPort, To: at, ToPort: p.arrivePort}
-		at = p.from
-	}
-	return out
 }
 
 // String summarizes the database.

@@ -156,27 +156,6 @@ func (r refDB) pathFrom(src, target asi.DSN) (route.Path, int) {
 	return hops, prev[target].arrivePort
 }
 
-func (r refDB) chain(src, dst asi.DSN) []ChainLink {
-	if src == dst {
-		return []ChainLink{}
-	}
-	prev := r.bfsFrom(src)
-	if _, ok := prev[dst]; !ok {
-		return nil
-	}
-	var out []ChainLink
-	at := dst
-	for at != src {
-		p := prev[at]
-		out = append(out, ChainLink{From: p.from, FromPort: p.fromPort, To: at, ToPort: p.arrivePort})
-		at = p.from
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
 // The differential walk's universe: DSNs 1..walkDSNs may become nodes,
 // links may also name walkDSNs+1..walkDSNs+2 (devices never in the node
 // set), on ports 0..walkPorts-1.
@@ -250,15 +229,12 @@ func (p dbPair) check(t *testing.T, when string) {
 				t.Fatalf("%s: %s(%v) = %#v %d, reference %#v %d", when, name, dsn, got, arrive, wantPath, wantArrive)
 			}
 		}
-		// A second source exercises PathBetween and Chain from devices
-		// of either type, present or not.
+		// A second source exercises PathBetween from devices of either
+		// type, present or not.
 		src := asi.DSN(1 + (uint64(dsn)*7)%(walkDSNs+1))
 		wantPath, _ = ref.pathFrom(src, dsn)
 		if got := db.PathBetween(src, dsn); !reflect.DeepEqual(got, wantPath) {
 			t.Fatalf("%s: PathBetween(%v, %v) = %#v, reference %#v", when, src, dsn, got, wantPath)
-		}
-		if got, want := db.Chain(src, dsn), ref.chain(src, dsn); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Chain(%v, %v) = %#v, reference %#v", when, src, dsn, got, want)
 		}
 	}
 }

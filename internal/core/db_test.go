@@ -212,14 +212,3 @@ func TestDBPathBetweenEndpoints(t *testing.T) {
 		t.Error("unknown source got a path")
 	}
 }
-
-func TestNodePortsRead(t *testing.T) {
-	n := &Node{PortKnown: []bool{true, false}}
-	if n.PortsRead() {
-		t.Error("incomplete ports reported read")
-	}
-	n.PortKnown[1] = true
-	if !n.PortsRead() {
-		t.Error("complete ports reported unread")
-	}
-}

@@ -20,8 +20,8 @@ func failoverSetup(t *testing.T) (*sim.Engine, *fabric.Fabric, *Manager, *Manage
 		t.Fatal(err)
 	}
 	eps := tp.Endpoints()
-	primary := NewManager(f, f.Device(eps[0]), Options{Algorithm: Parallel, ElectionPriority: 9})
-	secondary := NewManager(f, f.Device(eps[8]), Options{Algorithm: Parallel, ElectionPriority: 5})
+	primary := NewManager(f, f.Device(eps[0]), Options{Algorithm: Parallel})
+	secondary := NewManager(f, f.Device(eps[8]), Options{Algorithm: Parallel})
 
 	runDiscovery(t, e, primary)
 	primary.DistributeEventRoutes(nil)

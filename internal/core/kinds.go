@@ -1,7 +1,7 @@
-// Package core implements ASI fabric management: primary/secondary fabric
-// manager election, the topology discovery process in the three variants
-// the paper compares (Serial Packet, Serial Device, Parallel), PI-5 driven
-// change assimilation, and the paper's future-work extensions (discovery
+// Package core implements ASI fabric management: the topology discovery
+// process in the three variants the paper compares (Serial Packet, Serial
+// Device, Parallel), PI-5 driven change assimilation, failover to a
+// secondary manager, and the paper's future-work extensions (discovery
 // distributed over collaborating fabric managers, and partial rediscovery
 // of only the region affected by a change).
 //

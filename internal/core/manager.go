@@ -18,22 +18,9 @@ type Options struct {
 	// FMFactor is the FM processing-speed multiplier (paper Figs. 8-9);
 	// processing time = model time / factor. Zero means 1.
 	FMFactor float64
-	// Cost is the FM processing-time model; zero value means defaults.
-	Cost *CostModel
 	// RequestTimeout expires outstanding PI-4 requests; a timed-out
 	// probe is treated like a completion with error.
 	RequestTimeout sim.Duration
-	// VerifyTimeout expires partial-rediscovery validation reads. It is
-	// shorter than RequestTimeout because a verify targets a device the
-	// FM suspects may be gone; waiting the full window would make
-	// localized assimilation slower than a full rediscovery.
-	VerifyTimeout sim.Duration
-	// CoalesceDelay batches a burst of PI-5 reports for the same change
-	// into one discovery run.
-	CoalesceDelay sim.Duration
-	// ElectionPriority weighs this manager in FM election; ties break
-	// on DSN.
-	ElectionPriority uint8
 	// PortReadBatch is the number of ports fetched per PI-4 read
 	// (ablation: the paper's algorithms read one port per request; a
 	// PI-4 completion can carry up to MaxReadBlocks blocks, i.e. 4
@@ -84,18 +71,8 @@ func (o Options) withDefaults() Options {
 	if o.FMFactor <= 0 {
 		o.FMFactor = 1
 	}
-	if o.Cost == nil {
-		c := DefaultCostModel()
-		o.Cost = &c
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * sim.Millisecond
-	}
-	if o.VerifyTimeout <= 0 {
-		o.VerifyTimeout = 1 * sim.Millisecond
-	}
-	if o.CoalesceDelay <= 0 {
-		o.CoalesceDelay = 25 * sim.Microsecond
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
@@ -109,13 +86,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+const (
+	// verifyTimeout expires partial-rediscovery validation reads. It is
+	// shorter than Options.RequestTimeout because a verify targets a
+	// device the FM suspects may be gone; waiting the full window would
+	// make localized assimilation slower than a full rediscovery.
+	verifyTimeout = 1 * sim.Millisecond
+	// coalesceDelay batches a burst of PI-5 reports for the same change
+	// into one discovery run.
+	coalesceDelay = 25 * sim.Microsecond
+)
+
 // reqKind classifies outstanding PI-4 requests.
 type reqKind int
 
 const (
 	reqProbeGeneral reqKind = iota // general-info read through a port
 	reqReadPort                    // port-attribute read of a known device
-	reqWrite                       // event-route / path programming write
+	reqWrite                       // event-route programming write
 	reqVerify                      // partial rediscovery route validation
 	reqClaim                       // distributed discovery ownership claim
 	numReqKinds
@@ -209,6 +197,8 @@ type Manager struct {
 	dev *fabric.Device
 	e   *sim.Engine
 	opt Options
+	// cost is the FM processing-time model.
+	cost CostModel
 
 	db *DB
 	// prevDB is the database of the previous full run, kept to report
@@ -253,11 +243,7 @@ type Manager struct {
 	// measurements.
 	OnDiscoveryComplete func(Result)
 
-	elect *Elector
-	// preElection buffers announcements that arrive before this
-	// candidate calls StartElection.
-	preElection []asi.Election
-	dist        *distState
+	dist *distState
 
 	// team wires this manager into a distributed-discovery team;
 	// teamGen is the claim generation of the current round.
@@ -319,6 +305,7 @@ func NewManager(f *fabric.Fabric, dev *fabric.Device, opt Options) *Manager {
 		dev:     dev,
 		e:       f.Engine,
 		opt:     opt.withDefaults(),
+		cost:    DefaultCostModel(),
 		pending: make(map[uint32]*request),
 		db:      NewDB(dev.DSN),
 	}
@@ -365,9 +352,6 @@ func (m *Manager) DB() *DB { return m.db }
 
 // Device returns the hosting endpoint.
 func (m *Manager) Device() *fabric.Device { return m.dev }
-
-// Options returns the effective options.
-func (m *Manager) Options() Options { return m.opt }
 
 // Discovering reports whether a discovery run is in progress.
 func (m *Manager) Discovering() bool { return m.discovering }
@@ -423,14 +407,6 @@ func (m *Manager) HandlePacket(port int, pkt *asi.Packet) {
 		if m.watchdog != nil {
 			m.watchdog.feed()
 		}
-	case asi.Election:
-		if m.elect != nil {
-			m.elect.handle(pl)
-		} else {
-			// Announcements can land before this candidate enters the
-			// election (power-up skew); buffer them for replay.
-			m.preElection = append(m.preElection, pl)
-		}
 	}
 }
 
@@ -462,9 +438,9 @@ func (m *Manager) processNext() {
 	}
 	switch m.curWork.kind {
 	case wEvent:
-		m.curCost = m.opt.Cost.EventProcessing(m.opt.FMFactor)
+		m.curCost = m.cost.EventProcessing(m.opt.FMFactor)
 	default:
-		m.curCost = m.opt.Cost.FMProcessing(m.opt.Algorithm, m.db.NumNodes(), m.opt.FMFactor)
+		m.curCost = m.cost.FMProcessing(m.opt.Algorithm, m.db.NumNodes(), m.opt.FMFactor)
 	}
 	m.workTimer.ScheduleAfter(m.curCost)
 }
@@ -700,7 +676,7 @@ func (m *Manager) issue(req *request) bool {
 	m.res.BytesSent += uint64(pkt.WireSize())
 	window := m.opt.RequestTimeout
 	if req.kind == reqVerify {
-		window = m.opt.VerifyTimeout
+		window = verifyTimeout
 	}
 	req.timeout = m.e.AfterArg(window, m.timeoutFn, req)
 	req.sentAt = m.e.Now()
@@ -998,7 +974,7 @@ func (m *Manager) scheduleDiscovery() {
 		return
 	}
 	m.coalesced = true
-	m.e.After(m.opt.CoalesceDelay, func(*sim.Engine) {
+	m.e.After(coalesceDelay, func(*sim.Engine) {
 		m.coalesced = false
 		m.StartDiscovery()
 	})

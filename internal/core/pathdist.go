@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/asi"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -14,8 +12,9 @@ import (
 // determination between endpoints" among the FM's tasks (section 2) and
 // names "dynamically distributing new paths to fabric endpoints after the
 // occurrence of a topological change" as future work (section 5). This
-// file implements both: event-route programming into every device (so
-// PI-5 reports can reach the FM) and endpoint-pair path computation.
+// file implements event-route programming into every device, so PI-5
+// reports can reach the FM; endpoint-pair routes are derived per
+// generation by the serving layer (internal/fib).
 
 // DistResult measures one path-distribution round.
 type DistResult struct {
@@ -46,11 +45,6 @@ func EventRouteFor(n *Node) (pool uint64, ptr uint8, err error) {
 	return route.Encode(rev)
 }
 
-// EventRouteFor is the method form of the package-level EventRouteFor.
-func (m *Manager) EventRouteFor(n *Node) (pool uint64, ptr uint8, err error) {
-	return EventRouteFor(n)
-}
-
 // DistributeEventRoutes writes the event route into every discovered
 // device except the host, with all writes in flight concurrently (the FM
 // is past discovery; programming is parallel like the Parallel
@@ -67,7 +61,7 @@ func (m *Manager) DistributeEventRoutes(onDone func(DistResult)) {
 		if n.DSN == m.dev.DSN {
 			continue
 		}
-		pool, ptr, err := m.EventRouteFor(n)
+		pool, ptr, err := EventRouteFor(n)
 		if err != nil {
 			m.dist.res.Failures++
 			continue
@@ -128,105 +122,4 @@ func (m *Manager) finishDist() {
 	if d.onDone != nil {
 		d.onDone(d.res)
 	}
-}
-
-// PathBetween computes a shortest source route between two discovered
-// endpoints over the database graph, from src's point of view. It returns
-// nil when either endpoint is unknown or unreachable.
-func (m *Manager) PathBetween(src, dst asi.DSN) route.Path {
-	return m.db.PathBetween(src, dst)
-}
-
-// DistributePathTables writes every endpoint's source-route table (one
-// entry per remote endpoint) into its configuration space, one PI-4 write
-// per entry, all in flight concurrently. The host endpoint's own table is
-// written locally. onDone fires when the last write completes. Entries
-// beyond an endpoint's table capacity are counted as failures.
-func (m *Manager) DistributePathTables(onDone func(DistResult)) {
-	if m.discovering {
-		panic("core: DistributePathTables during discovery")
-	}
-	m.dist = &distState{res: DistResult{Start: m.e.Now()}, onDone: onDone}
-	if m.sp != nil {
-		m.dist.span = m.beginRunSpan("path-tables")
-	}
-	table := m.EndpointPathTable()
-	for _, n := range m.db.Nodes() {
-		if n.Type != asi.DeviceEndpoint {
-			continue
-		}
-		row := table[n.DSN]
-		// Deterministic entry order: destination DSN ascending (the
-		// Nodes iteration of EndpointPathTable is already sorted, but
-		// map rows are not).
-		idx := 0
-		for _, dst := range sortedDSNs(row) {
-			p := row[dst]
-			pool, ptr, err := route.Encode(p)
-			if err != nil || idx >= asi.PathTableEntries {
-				m.dist.res.Failures++
-				continue
-			}
-			data := asi.EncodePathEntry(dst, pool, ptr)
-			off := asi.PathEntryOffset(n.Ports, idx)
-			idx++
-			if n.DSN == m.dev.DSN {
-				// Local table: written directly, no packets.
-				if werr := m.dev.Config.Write(off, data); werr != nil {
-					m.dist.res.Failures++
-				}
-				continue
-			}
-			req := m.newRequest(request{kind: reqWrite, path: n.Path, dsn: n.DSN})
-			payload := asi.PI4{Op: asi.PI4WriteRequest, Offset: off, Data: data}
-			sz := (&asi.Packet{Payload: &payload}).WireSize()
-			if !m.send(req, payload) {
-				m.dist.res.Failures++
-				continue
-			}
-			m.dist.res.Writes++
-			m.dist.res.BytesSent += uint64(sz)
-			m.dist.outstanding++
-		}
-	}
-	if m.dist.outstanding == 0 {
-		m.finishDist()
-	}
-}
-
-// sortedDSNs returns a path-table row's destinations in ascending order.
-func sortedDSNs(row map[asi.DSN]route.Path) []asi.DSN {
-	out := make([]asi.DSN, 0, len(row))
-	for dsn := range row {
-		out = append(out, dsn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// EndpointPathTable computes the all-pairs endpoint path table the FM
-// would distribute to fabric endpoints: for every discovered endpoint,
-// the source route to every other endpoint.
-func (m *Manager) EndpointPathTable() map[asi.DSN]map[asi.DSN]route.Path {
-	var eps []asi.DSN
-	for _, n := range m.db.Nodes() {
-		if n.Type == asi.DeviceEndpoint {
-			eps = append(eps, n.DSN)
-		}
-	}
-	table := make(map[asi.DSN]map[asi.DSN]route.Path, len(eps))
-	for _, src := range eps {
-		row := make(map[asi.DSN]route.Path, len(eps)-1)
-		tree := m.db.TreeFrom(src)
-		for _, dst := range eps {
-			if src == dst {
-				continue
-			}
-			if p, _ := tree.PathTo(dst); p != nil {
-				row[dst] = p
-			}
-		}
-		table[src] = row
-	}
-	return table
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/asi"
 	"repro/internal/fabric"
-	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -57,73 +56,11 @@ func TestEventRouteForSelfTurnCase(t *testing.T) {
 		if n.DSN == m.Device().DSN {
 			continue
 		}
-		if _, _, err := m.EventRouteFor(n); err != nil {
+		if _, _, err := EventRouteFor(n); err != nil {
 			t.Errorf("EventRouteFor(%v): %v", n.DSN, err)
 		}
 	}
 	_ = f
-}
-
-func TestEndpointPathTableComplete(t *testing.T) {
-	tp := topo.Mesh(3, 3)
-	e, _, m := setup(t, tp, Parallel)
-	runDiscovery(t, e, m)
-	table := m.EndpointPathTable()
-	if len(table) != 9 {
-		t.Fatalf("table has %d sources, want 9", len(table))
-	}
-	for src, row := range table {
-		if len(row) != 8 {
-			t.Errorf("source %v has %d destinations, want 8", src, len(row))
-		}
-		for dst, p := range row {
-			if p == nil {
-				t.Errorf("nil path %v -> %v", src, dst)
-			}
-			if _, _, err := route.Encode(p); err != nil {
-				t.Errorf("unencodable path %v -> %v: %v", src, dst, err)
-			}
-		}
-	}
-}
-
-func TestEndpointPathTablePathsDeliver(t *testing.T) {
-	// Inject application data along every table path and confirm the
-	// right endpoint receives it — the table is real, not just decorative.
-	tp := topo.Torus(3, 3)
-	e, f, m := setup(t, tp, Parallel)
-	runDiscovery(t, e, m)
-	table := m.EndpointPathTable()
-
-	counts := map[asi.DSN]int{}
-	for _, id := range tp.Endpoints() {
-		d := f.Device(id)
-		if d.DSN == m.Device().DSN {
-			continue
-		}
-		dsn := d.DSN
-		d.SetHandler(fabric.HandlerFunc(func(port int, pkt *asi.Packet) {
-			if _, ok := pkt.Payload.(asi.AppData); ok {
-				counts[dsn]++
-			}
-		}))
-	}
-
-	src := m.Device()
-	for dst, p := range table[src.DSN] {
-		hdr, err := route.Header(p, asi.PIApplication)
-		if err != nil {
-			t.Fatalf("path to %v: %v", dst, err)
-		}
-		hdr.TC = 0
-		src.Inject(&asi.Packet{Header: hdr, Payload: asi.AppData{Bytes: 64}})
-	}
-	e.Run()
-	for dst := range table[src.DSN] {
-		if counts[dst] != 1 {
-			t.Errorf("endpoint %v received %d packets, want 1", dst, counts[dst])
-		}
-	}
 }
 
 func TestDistributionAfterChangeStillWorks(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -60,21 +61,22 @@ func ExtPartial(seeds, workers int) Report {
 }
 
 // distRun measures one distributed round with k collaborating FMs on the
-// named topology; it returns the merged result.
-func distRun(topoName string, k int, seed uint64) (core.TeamResult, error) {
+// named topology; it returns the merged result. The rig gets no seed:
+// without a fault plan nothing in the run draws a random number.
+func distRun(topoName string, k int) (core.TeamResult, error) {
 	tp, err := topo.ByName(topoName)
 	if err != nil {
 		return core.TeamResult{}, err
 	}
-	e := sim.NewEngine()
-	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(seed*31+7))
+	opt := core.Options{Algorithm: core.Distributed}
+	r, err := rig.New(tp, rig.Config{Manager: opt})
 	if err != nil {
 		return core.TeamResult{}, err
 	}
 	eps := tp.Endpoints()
-	members := make([]*core.Manager, k)
-	for i := 0; i < k; i++ {
-		members[i] = core.NewManager(f, f.Device(eps[i*len(eps)/k]), core.Options{Algorithm: core.Distributed})
+	members := []*core.Manager{r.Manager}
+	for i := 1; i < k; i++ {
+		members = append(members, r.AddManager(eps[i*len(eps)/k], opt))
 	}
 	team := core.NewTeam(members)
 	// Bootstrap round: the primary alone discovers so Prepare can
@@ -83,7 +85,7 @@ func distRun(topoName string, k int, seed uint64) (core.TeamResult, error) {
 	var boot bool
 	members[0].OnDiscoveryComplete = func(core.Result) { boot = true }
 	members[0].StartDiscovery()
-	e.Run()
+	r.Run()
 	if !boot {
 		return core.TeamResult{}, fmt.Errorf("experiment: distributed bootstrap failed on %s", topoName)
 	}
@@ -92,7 +94,7 @@ func distRun(topoName string, k int, seed uint64) (core.TeamResult, error) {
 	var res *core.TeamResult
 	team.OnComplete = func(r core.TeamResult) { res = &r }
 	team.StartDiscovery()
-	e.Run()
+	r.Run()
 	if res == nil {
 		return core.TeamResult{}, fmt.Errorf("experiment: distributed round hung on %s", topoName)
 	}
@@ -114,7 +116,7 @@ func ExtDistributed() Report {
 	for _, tn := range []string{"6x6 mesh", "8x8 torus", "10x10 torus"} {
 		var base sim.Duration
 		for _, k := range []int{1, 2, 4} {
-			res, err := distRun(tn, k, 1)
+			res, err := distRun(tn, k)
 			if err != nil {
 				r.Rows = append(r.Rows, []string{tn, fmt.Sprint(k), "ERR: " + err.Error(), "", "", "", ""})
 				continue
@@ -181,7 +183,7 @@ func ExtFailover() Report {
 		},
 	}
 	for _, tn := range []string{"4x4 mesh", "6x6 torus", "8x8 mesh"} {
-		row, err := failoverRun(tn, 300*sim.Microsecond)
+		row, err := failoverRun(tn)
 		if err != nil {
 			r.Rows = append(r.Rows, []string{tn, "", "ERR: " + err.Error(), "", "", ""})
 			continue
@@ -191,49 +193,45 @@ func ExtFailover() Report {
 	return r
 }
 
-func failoverRun(topoName string, hb sim.Duration) ([]string, error) {
+// failoverRun kills the primary FM under a secondary that watches its
+// heartbeats, and returns the outage broken down by phase as a table row.
+func failoverRun(topoName string) ([]string, error) {
+	const hb = 300 * sim.Microsecond
 	tp, err := topo.ByName(topoName)
 	if err != nil {
 		return nil, err
 	}
-	e := sim.NewEngine()
-	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(13))
+	opt := core.Options{Algorithm: core.Parallel}
+	r, err := rig.New(tp, rig.Config{Manager: opt})
 	if err != nil {
 		return nil, err
 	}
 	eps := tp.Endpoints()
-	primary := core.NewManager(f, f.Device(eps[0]), core.Options{Algorithm: core.Parallel})
-	secondary := core.NewManager(f, f.Device(eps[len(eps)/2]), core.Options{Algorithm: core.Parallel})
-	var ready bool
-	primary.OnDiscoveryComplete = func(core.Result) {
-		primary.DistributeEventRoutes(func(core.DistResult) { ready = true })
-	}
-	primary.StartDiscovery()
-	e.Run()
-	if !ready {
-		return nil, fmt.Errorf("experiment: primary never configured %s", topoName)
+	primary, secondary := r.Manager, r.AddManager(eps[len(eps)/2], opt)
+	if err := r.Bootstrap(); err != nil {
+		return nil, err
 	}
 	primary.StartHeartbeats(secondary.Device().DSN, hb)
 	var detectAt, rediscoverAt, reprogramAt sim.Time
-	w := secondary.WatchPrimary(hb, 3, func() { detectAt = e.Now() })
+	w := secondary.WatchPrimary(hb, 3, func() { detectAt = r.Now() })
 	secondary.OnDiscoveryComplete = func(core.Result) {
 		if rediscoverAt == 0 {
-			rediscoverAt = e.Now()
+			rediscoverAt = r.Now()
 		}
 	}
-	e.RunUntil(e.Now().Add(2 * sim.Millisecond))
+	r.RunFor(2 * sim.Millisecond)
 
-	dieAt := e.Now()
-	if err := f.SetDeviceDown(primary.Device().ID, true); err != nil {
+	dieAt := r.Now()
+	if err := r.Fabric.SetDeviceDown(primary.Device().ID, true); err != nil {
 		return nil, err
 	}
 	// Drain until the takeover's redistribution completes; the watchdog
 	// wrapper redistributes, so wait for an idle fabric.
-	e.Run()
+	r.Run()
 	if !w.TookOver() || rediscoverAt == 0 {
 		return nil, fmt.Errorf("experiment: failover did not complete on %s", topoName)
 	}
-	reprogramAt = e.Now()
+	reprogramAt = r.Now()
 	return []string{
 		topoName,
 		fmt.Sprintf("%.0f", hb.Microseconds()),
@@ -251,22 +249,21 @@ func runLoaded(topoName string, k core.Kind, seed uint64) (sim.Duration, error) 
 	if err != nil {
 		return 0, err
 	}
-	e := sim.NewEngine()
-	rng := sim.NewRNG(seed)
-	f, err := fabric.New(e, tp, fabric.Config{}, rng)
+	r, err := rig.New(tp, rig.Config{Seed: seed, Manager: core.Options{Algorithm: k}})
 	if err != nil {
 		return 0, err
 	}
-	gen := fabric.NewTrafficGen(f, rng.Split(), 5*sim.Microsecond, 1024)
+	// The generator's stream is its own: the fabric draws nothing from its
+	// stream without a fault plan.
+	gen := fabric.NewTrafficGen(r.Fabric, sim.NewRNG(seed).Split(), 5*sim.Microsecond, 1024)
 	gen.Start()
-	m := core.NewManager(f, f.Device(tp.Endpoints()[0]), core.Options{Algorithm: k})
 	var res *core.Result
-	m.OnDiscoveryComplete = func(r core.Result) { res = &r }
+	r.Manager.OnDiscoveryComplete = func(cr core.Result) { res = &cr }
 	// Let traffic build up before the discovery starts.
-	e.RunUntil(e.Now().Add(200 * sim.Microsecond))
-	m.StartDiscovery()
-	for res == nil && e.Pending() > 0 {
-		e.Step()
+	r.RunFor(200 * sim.Microsecond)
+	r.Manager.StartDiscovery()
+	for res == nil && r.Pending() > 0 {
+		r.Engine.Step()
 	}
 	gen.Stop()
 	if res == nil {

@@ -16,14 +16,6 @@ type Opts struct {
 	Regions int
 }
 
-// withDefaults fills zero options.
-func (o Opts) withDefaults() Opts {
-	if o.Seeds <= 0 {
-		o.Seeds = 4
-	}
-	return o
-}
-
 // Runner is a registered experiment.
 type Runner struct {
 	// ID is the key used by cmd/asibench -exp.
@@ -93,13 +85,4 @@ func ByID(id string) (Runner, error) {
 		}
 	}
 	return Runner{}, fmt.Errorf("experiment: unknown id %q", id)
-}
-
-// RunByID is a convenience wrapper used by the CLI and benchmarks.
-func RunByID(id string, o Opts) ([]Report, error) {
-	r, err := ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(o.withDefaults()), nil
 }

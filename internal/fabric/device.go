@@ -52,13 +52,7 @@ type Device struct {
 	freeJobs    *routeJob
 	freeFlights *flight
 
-	// electSeen deduplicates flooded election announcements; nil until
-	// the first one arrives.
-	electSeen map[electKey]bool
-	pi5Seq    uint32
-
-	// limiter optionally meters application-traffic injection.
-	limiter *rateLimiter
+	pi5Seq uint32
 
 	// RxPackets/RxBytes count packets delivered to (consumed by) this
 	// device.
@@ -80,11 +74,6 @@ type routeJob struct {
 	pkt    *asi.Packet
 	port   int
 	next   *routeJob
-}
-
-type electKey struct {
-	cand asi.DSN
-	seq  uint32
 }
 
 // dsnBase offsets device serial numbers so they never collide with node
@@ -111,8 +100,8 @@ func (d *Device) init(f *Fabric, n topo.Node, ports []devPort, store []uint32) e
 		ports:  ports,
 		alive:  true,
 	}
-	// Endpoints are FM-capable; in this model any endpoint can host a
-	// fabric manager, and election picks the winners.
+	// Endpoints are FM-capable: in this model any endpoint can host a
+	// fabric manager.
 	if err := d.config.Init(n.Type, dsn, n.Ports, 2176, n.Type == asi.DeviceEndpoint, store); err != nil {
 		return fmt.Errorf("fabric: node %s: %w", n.Label, err)
 	}
@@ -175,17 +164,13 @@ func (d *Device) setPortActive(port int, active bool) {
 }
 
 // Inject transmits a packet from an endpoint into the fabric. Management
-// entities use it to source PI-4 requests, PI-5 events and election
-// announcements. Endpoints have a single port (port 0 in this model).
+// entities use it to source PI-4 requests, FM-to-FM reports and
+// heartbeats. Endpoints have a single port (port 0 in this model).
 func (d *Device) Inject(pkt *asi.Packet) {
 	if d.Type != asi.DeviceEndpoint {
 		panic("fabric: Inject is for endpoints; switches forward only")
 	}
 	d.f.traceEvent(trace.Inject, d, 0, pkt, "")
-	if d.limiter != nil && limited(pkt) {
-		d.injectLimited(pkt)
-		return
-	}
 	d.transmit(0, pkt)
 }
 
@@ -247,17 +232,8 @@ func (d *Device) routePending(j *routeJob) {
 	d.routeAtSwitch(port, pkt)
 }
 
-// routeAtSwitch applies turn-pool routing (or election flooding) to a
-// packet at a switch.
+// routeAtSwitch applies turn-pool routing to a packet at a switch.
 func (d *Device) routeAtSwitch(port int, pkt *asi.Packet) {
-	if pkt.Header.PI == asi.PIElection {
-		d.floodElection(port, pkt)
-		return
-	}
-	if pkt.Header.Multicast {
-		d.multicastForward(port, pkt)
-		return
-	}
 	dec, err := route.SwitchRoute(&pkt.Header, len(d.ports), port)
 	if err != nil {
 		d.f.dropTraced(DropRouteError, d, port, pkt)
@@ -268,56 +244,6 @@ func (d *Device) routeAtSwitch(port int, pkt *asi.Packet) {
 		return
 	}
 	d.transmit(dec.Out, pkt)
-}
-
-// floodElection forwards an election announcement on every active port
-// except the arrival port, once per (candidate, sequence).
-func (d *Device) floodElection(port int, pkt *asi.Packet) {
-	el, ok := pkt.Payload.(asi.Election)
-	if !ok {
-		d.f.dropTraced(DropRouteError, d, port, pkt)
-		return
-	}
-	key := electKey{el.Candidate, el.Sequence}
-	if d.electSeen[key] || el.TTL == 0 {
-		return
-	}
-	if d.electSeen == nil {
-		d.electSeen = make(map[electKey]bool)
-	}
-	d.electSeen[key] = true
-	el.TTL--
-	for p := range d.ports {
-		if p == port || !d.ports[p].active {
-			continue
-		}
-		out := pkt.Clone()
-		out.Payload = el
-		d.transmit(p, out)
-	}
-}
-
-// multicastForward replicates a multicast packet along the group's
-// forwarding-table ports, excluding the arrival port. The table is part
-// of the configuration space, programmed by the FM; an unknown group
-// drops the packet, as hardware with an empty MFT entry must.
-func (d *Device) multicastForward(port int, pkt *asi.Packet) {
-	if int(pkt.Header.MGID) >= asi.MFTGroups {
-		d.f.dropTraced(DropRouteError, d, port, pkt)
-		return
-	}
-	blocks, err := d.Config.Read(asi.MFTEntryOffset(len(d.ports), pkt.Header.MGID), 1)
-	if err != nil || blocks[0] == 0 {
-		d.f.dropTraced(DropRouteError, d, port, pkt)
-		return
-	}
-	mask := blocks[0]
-	for p := 0; p < len(d.ports) && p < 32; p++ {
-		if p == port || mask&(1<<uint(p)) == 0 {
-			continue
-		}
-		d.transmit(p, pkt.Clone())
-	}
 }
 
 // consume delivers a packet to this device: PI-4 requests enter the
@@ -340,12 +266,8 @@ func (d *Device) consume(port int, pkt *asi.Packet) {
 		d.handler.HandlePacket(port, pkt)
 		return
 	}
-	switch pkt.Payload.(type) {
-	case asi.AppData:
-		// Plain data sink.
-	case asi.Election:
-		// Non-candidate endpoint; announcement dies here.
-	default:
+	// An unmanaged device is a plain data sink; nothing else has a taker.
+	if _, ok := pkt.Payload.(asi.AppData); !ok {
 		d.f.dropTraced(DropNoHandler, d, port, pkt)
 	}
 }
@@ -460,29 +382,6 @@ func (d *Device) serviceClaim(p4 *asi.PI4) {
 		cur = claim
 	}
 	p4.Op, p4.Data = asi.PI4ClaimCompletion, append(p4.Data, cur...)
-}
-
-// LookupPath scans an endpoint's FM-programmed path table for the route
-// to a destination endpoint. It models the local table consultation an
-// ASI endpoint performs when sourcing unicast traffic.
-func (d *Device) LookupPath(dst asi.DSN) (pool uint64, ptr uint8, ok bool) {
-	if d.Type != asi.DeviceEndpoint {
-		return 0, 0, false
-	}
-	for i := 0; i < asi.PathTableEntries; i++ {
-		blocks, err := d.Config.Read(asi.PathEntryOffset(len(d.ports), i), asi.PathTableEntryBlocks)
-		if err != nil {
-			return 0, 0, false
-		}
-		entryDst, pool, ptr, valid := asi.DecodePathEntry(blocks)
-		if !valid {
-			return 0, 0, false // table is dense; first invalid slot ends it
-		}
-		if entryDst == dst {
-			return pool, ptr, true
-		}
-	}
-	return 0, 0, false
 }
 
 // EmitPI5 sends a PI-5 event toward the FM using the event route the FM

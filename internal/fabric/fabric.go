@@ -138,7 +138,7 @@ type Counters struct {
 // Handler is a management entity attached to an endpoint (a fabric
 // manager). The fabric calls it for every management packet delivered to
 // the endpoint that the endpoint's own PI-4 configuration servicing does
-// not consume: PI-4 completions, PI-5 events, and election traffic.
+// not consume: PI-4 completions, PI-5 events, FM reports and heartbeats.
 type Handler interface {
 	HandlePacket(arrivalPort int, pkt *asi.Packet)
 }
@@ -167,7 +167,6 @@ type Fabric struct {
 	// config-block slabs the devices share, from the topology.
 	devices []*Device
 	links   []link
-	byDSN   map[asi.DSN]*Device
 
 	// group coordinates the per-region engines on the parallel path; nil
 	// on the sequential path. regionOf maps NodeID to region (nil when
@@ -248,7 +247,6 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 		regionOf: regionOf,
 		devices:  make([]*Device, len(t.Nodes)),
 		links:    make([]link, len(t.Links)),
-		byDSN:    make(map[asi.DSN]*Device, len(t.Nodes)),
 	}
 	regions := 1
 	if group != nil {
@@ -269,14 +267,12 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 	for i, n := range t.Nodes {
 		d := &devices[i]
 		nb := asi.HeadBlocks(n.Ports)
-		// Capacities end with each device's own share, so a config space
-		// that outgrows it reallocates and never spills into the next.
-		if err := d.init(f, n, ports[:n.Ports:n.Ports], blocks[:0:nb]); err != nil {
+		// Capacities end with each device's own share of the slabs.
+		if err := d.init(f, n, ports[:n.Ports:n.Ports], blocks[:nb:nb]); err != nil {
 			return nil, err
 		}
 		ports, blocks = ports[n.Ports:], blocks[nb:]
 		f.devices[i] = d
-		f.byDSN[d.DSN] = d
 	}
 	for i, l := range t.Links {
 		lk := &f.links[i]
@@ -316,12 +312,6 @@ func (f *Fabric) Device(id topo.NodeID) *Device { return f.devices[id] }
 
 // Devices returns all devices in node-ID order.
 func (f *Fabric) Devices() []*Device { return f.devices }
-
-// DeviceByDSN looks a device up by serial number.
-func (f *Fabric) DeviceByDSN(dsn asi.DSN) (*Device, bool) {
-	d, ok := f.byDSN[dsn]
-	return d, ok
-}
 
 // Counters returns a snapshot of fabric-wide accounting, merged across
 // regions on the sharded path. Every field is a sum, so the merge is

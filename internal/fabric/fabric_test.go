@@ -372,77 +372,44 @@ func TestPacketToDeadDeviceIsDropped(t *testing.T) {
 	}
 }
 
+// TestRouteErrorDrops pins what a switch does with headers it cannot
+// route — and with one it can: routing is decided by the turn pool alone,
+// so a PI the model gives no meaning is forwarded like any other, and
+// a multicast header, which names a forwarding-table entry no switch has,
+// is a route error even when its turn pool would have delivered it.
 func TestRouteErrorDrops(t *testing.T) {
-	e, f := testFabric(t, topo.Mesh(3, 3))
-	ep := firstEndpoint(f)
-	// Header with 2 leftover bits: not enough for a 16-port switch turn.
-	pkt := &asi.Packet{
-		Header:  asi.RouteHeader{TurnPool: 3, TurnPointer: 2, PI: asi.PI4DeviceManagement, TC: asi.TCManagement},
-		Payload: &asi.PI4{Op: asi.PI4ReadRequest, Tag: 1, Count: 1},
+	// A valid route to the 2-hop endpoint ep(0,1) of a 3x3 mesh.
+	toEp01, err := route.Header(route.Path{
+		{Ports: 16, In: topo.PortHost, Out: topo.PortEast},
+		{Ports: 16, In: topo.PortWest, Out: topo.PortHost},
+	}, asi.PIApplication)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ep.Inject(pkt)
-	e.Run()
-	if f.Counters().Drops[DropRouteError] != 1 {
-		t.Errorf("route-error drops = %d, want 1", f.Counters().Drops[DropRouteError])
-	}
-}
-
-func TestElectionFloodReachesAllEndpointsOnce(t *testing.T) {
-	e, f := testFabric(t, topo.Torus(4, 4))
-	ep := firstEndpoint(f)
-
-	type hit struct{ n int }
-	hits := make(map[topo.NodeID]*hit)
-	for _, d := range f.Devices() {
-		if d.Type != asi.DeviceEndpoint || d == ep {
-			continue
+	multicast, unknownPI := toEp01, toEp01
+	multicast.Multicast, multicast.MGID = true, 3
+	unknownPI.PI = 3
+	for _, tc := range []struct {
+		name              string
+		hdr               asi.RouteHeader
+		drops, deliveries uint64
+	}{
+		// 2 leftover bits: not enough for a 16-port switch turn.
+		{"pool exhausted mid-path", asi.RouteHeader{TurnPool: 3, TurnPointer: 2, PI: asi.PIApplication}, 1, 0},
+		{"routable", toEp01, 0, 1},
+		{"multicast flag", multicast, 1, 0},
+		{"PI the model does not define", unknownPI, 0, 1},
+	} {
+		e, f := testFabric(t, topo.Mesh(3, 3))
+		firstEndpoint(f).Inject(&asi.Packet{Header: tc.hdr, Payload: asi.AppData{Bytes: 64}})
+		e.Run()
+		c := f.Counters()
+		if got := c.Drops[DropRouteError]; got != tc.drops {
+			t.Errorf("%s: route-error drops = %d, want %d", tc.name, got, tc.drops)
 		}
-		d := d
-		h := &hit{}
-		hits[d.ID] = h
-		d.SetHandler(HandlerFunc(func(port int, pkt *asi.Packet) {
-			if _, ok := pkt.Payload.(asi.Election); ok {
-				h.n++
-			}
-		}))
-	}
-
-	ep.Inject(&asi.Packet{
-		Header:  asi.RouteHeader{PI: asi.PIElection, TC: asi.TCManagement},
-		Payload: asi.Election{Priority: 3, Candidate: ep.DSN, TTL: 32, Sequence: 1},
-	})
-	e.Run()
-
-	for id, h := range hits {
-		if h.n != 1 {
-			t.Errorf("endpoint %d received %d announcements, want exactly 1", id, h.n)
+		if got := c.Delivered[tc.hdr.PI]; got != tc.deliveries {
+			t.Errorf("%s: deliveries = %d, want %d", tc.name, got, tc.deliveries)
 		}
-	}
-}
-
-func TestElectionTTLBoundsFlood(t *testing.T) {
-	e, f := testFabric(t, topo.Mesh(3, 3))
-	ep := firstEndpoint(f) // at corner (0,0)
-	reached := 0
-	for _, d := range f.Devices() {
-		if d.Type != asi.DeviceEndpoint || d == ep {
-			continue
-		}
-		d.SetHandler(HandlerFunc(func(port int, pkt *asi.Packet) {
-			if _, ok := pkt.Payload.(asi.Election); ok {
-				reached++
-			}
-		}))
-	}
-	// TTL 2: first switch consumes one (reaching sw(0,0)=TTL1 at
-	// neighbours), so only endpoints within 2 switch hops hear it.
-	ep.Inject(&asi.Packet{
-		Header:  asi.RouteHeader{PI: asi.PIElection, TC: asi.TCManagement},
-		Payload: asi.Election{Priority: 1, Candidate: ep.DSN, TTL: 2, Sequence: 2},
-	})
-	e.Run()
-	if reached == 0 || reached == 8 {
-		t.Errorf("TTL-2 flood reached %d endpoints, expected a strict subset > 0", reached)
 	}
 }
 
@@ -611,16 +578,9 @@ func TestNewRejectsInvalidTopology(t *testing.T) {
 	}
 }
 
-func TestDeviceByDSNAndAccessors(t *testing.T) {
+func TestDeviceAccessors(t *testing.T) {
 	_, f := testFabric(t, topo.Mesh(3, 3))
 	d := f.Device(0)
-	got, ok := f.DeviceByDSN(d.DSN)
-	if !ok || got != d {
-		t.Error("DeviceByDSN lookup failed")
-	}
-	if _, ok := f.DeviceByDSN(0); ok {
-		t.Error("bogus DSN found")
-	}
 	if d.Ports() != topo.GridPorts {
 		t.Errorf("Ports() = %d", d.Ports())
 	}

@@ -19,19 +19,12 @@ type TrafficGen struct {
 	MeanGap sim.Duration
 	// PacketBytes is the application payload size.
 	PacketBytes int
-	// UseTables makes sources route via their FM-programmed path tables
-	// instead of the generator's own BFS — the production data path
-	// once the FM has distributed endpoint paths. Destinations absent
-	// from a source's table are skipped (counted in NoRoute).
-	UseTables bool
 
 	paths   map[[2]topo.NodeID]route.Path
 	eps     []topo.NodeID
 	running bool
-	// Injected counts generated packets; NoRoute counts skipped
-	// injections for lack of a table entry.
+	// Injected counts generated packets.
 	Injected uint64
-	NoRoute  uint64
 }
 
 // NewTrafficGen prepares a generator over all alive endpoints, with
@@ -84,24 +77,13 @@ func (g *TrafficGen) injectOne(src topo.NodeID) {
 	if dst == src || !g.f.Device(dst).Alive() {
 		return
 	}
-	var hdr asi.RouteHeader
-	if g.UseTables {
-		pool, ptr, ok := dev.LookupPath(g.f.Device(dst).DSN)
-		if !ok {
-			g.NoRoute++
-			return
-		}
-		hdr = asi.RouteHeader{TurnPool: pool, TurnPointer: ptr, PI: asi.PIApplication}
-	} else {
-		p, ok := g.path(src, dst)
-		if !ok {
-			return
-		}
-		var err error
-		hdr, err = route.Header(p, asi.PIApplication)
-		if err != nil {
-			return
-		}
+	p, ok := g.path(src, dst)
+	if !ok {
+		return
+	}
+	hdr, err := route.Header(p, asi.PIApplication)
+	if err != nil {
+		return
 	}
 	hdr.TC = 0 // bulk traffic class, lowest-priority VC
 	dev.Inject(&asi.Packet{Header: hdr, Payload: asi.AppData{Bytes: g.PacketBytes}})

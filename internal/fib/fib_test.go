@@ -62,7 +62,7 @@ func TestDeriveCoversFabric(t *testing.T) {
 			t.Fatalf("no event route for %v", dsn)
 		}
 		n := db.Node(dsn)
-		wantPool, wantPtr, err := m.EventRouteFor(&core.Node{
+		wantPool, wantPtr, err := core.EventRouteFor(&core.Node{
 			DSN: n.DSN, Type: n.Type, Ports: n.Ports,
 			Path: r.PathOf(), ArrivalPort: r.ArrivalPort,
 		})

@@ -1,10 +1,10 @@
 // Package rig assembles one managed fabric — topology, engine, fabric,
 // manager, observers — the way every number in the paper's section 4
-// needs it. New performs the assembly once, in one order;
-// experiment.RunConfig, chaos.Execute and cmd/asifmd are drivers over the
-// Rig it returns. The engine-or-shard-group union of the two simulation
-// paths lives here and nowhere above: a driver asks the rig to run, tell
-// the time or hot-plug a device, and never learns which path answered.
+// needs it. New performs the assembly once, in one order; the
+// experiments, chaos.Execute and cmd/asifmd are drivers over the Rig it
+// returns. The engine-or-shard-group union of the two simulation paths
+// lives here and nowhere above: a driver asks the rig to run, tell the
+// time or hot-plug a device, and never learns which path answered.
 package rig
 
 import (
@@ -163,12 +163,19 @@ func New(tp *topo.Topology, cfg Config) (*Rig, error) {
 	if err := r.Fabric.SetFaultPlan(cfg.Faults); err != nil {
 		return nil, err
 	}
-	ep := r.Fabric.Device(host)
-	r.HostSwitch, _, _ = tp.Peer(ep.ID, 0)
-	mopt := cfg.Manager
-	mopt.Telemetry, mopt.Spans = r.Registry, r.Spans
-	r.Manager = core.NewManager(r.Fabric, ep, mopt)
+	r.HostSwitch, _, _ = tp.Peer(host, 0)
+	r.Manager = r.AddManager(host, cfg.Manager)
 	return r, nil
+}
+
+// AddManager attaches a manager to the rig's fabric on the given
+// endpoint, with the rig's Telemetry and Spans filled in (the fm.* series
+// of one registry then add up over its managers). New attaches the first,
+// Rig.Manager; distributed discovery and failover attach their further
+// ones here, each on an endpoint of its own.
+func (r *Rig) AddManager(host topo.NodeID, opt core.Options) *core.Manager {
+	opt.Telemetry, opt.Spans = r.Registry, r.Spans
+	return core.NewManager(r.Fabric, r.Fabric.Device(host), opt)
 }
 
 // Run drains the simulation to quiescence.

@@ -290,3 +290,55 @@ func TestRunForStopsAtHorizon(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoManagersOneRig: a manager added on a further endpoint shares the
+// rig's fabric with the first and not its endpoint. Both discover the
+// whole fabric, each other's host included, and each consumes exactly
+// the completions of its own requests — if the second were attached to
+// (or overwrote the handler of) endpoint 0, the first would hear nothing
+// and never finish.
+func TestTwoManagersOneRig(t *testing.T) {
+	tp, err := topo.ByName("4x4 mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rig.New(tp, rig.Config{Seed: 1, Telemetry: true, Manager: core.Options{Algorithm: core.Parallel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := tp.Endpoints()
+	second := r.AddManager(eps[len(eps)/2], core.Options{Algorithm: core.Parallel})
+	if r.Manager.Device().ID != eps[0] || second.Device().ID != eps[len(eps)/2] {
+		t.Fatalf("managers on endpoints %d and %d, want %d and %d",
+			r.Manager.Device().ID, second.Device().ID, eps[0], eps[len(eps)/2])
+	}
+	r.Manager.StartDiscovery()
+	second.StartDiscovery()
+	r.Run()
+	var received uint64
+	for i, m := range []*core.Manager{r.Manager, second} {
+		res, ok := m.LastResult()
+		if !ok {
+			t.Fatalf("manager %d completed no discovery", i)
+		}
+		if res.Devices != len(tp.Nodes) || res.TimedOut != 0 || res.PacketsReceived != res.PacketsSent {
+			t.Errorf("manager %d: %d of %d devices, %d timeouts, %d sent / %d received",
+				i, res.Devices, len(tp.Nodes), res.TimedOut, res.PacketsSent, res.PacketsReceived)
+		}
+		received += res.PacketsReceived
+	}
+	if r.Manager.DB().Node(second.Device().DSN) == nil || second.DB().Node(r.Manager.Device().DSN) == nil {
+		t.Error("the managers did not discover each other's endpoints")
+	}
+	// The rig handed the second manager its registry too: the fm.rtt.*
+	// histograms count both managers' round trips.
+	var roundTrips uint64
+	for _, h := range r.Snapshot().Histograms {
+		if strings.HasPrefix(h.Name, core.MetricFMRTTPrefix) {
+			roundTrips += h.Count
+		}
+	}
+	if roundTrips != received {
+		t.Errorf("registry saw %d round trips, the two managers received %d completions", roundTrips, received)
+	}
+}

@@ -96,8 +96,9 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // Jitter returns d scaled by a uniform factor in [1-frac, 1+frac]. It is
-// used to desynchronize otherwise-identical device timers (e.g. power-up
-// and election backoffs) the way real oscillator skew would.
+// used to desynchronize otherwise-identical timers (e.g. the traffic
+// generator's per-endpoint injection gaps) the way real oscillator skew
+// would.
 func (r *RNG) Jitter(d Duration, frac float64) Duration {
 	if frac <= 0 {
 		return d

@@ -326,15 +326,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum
 }
 
-// Mean returns the exact arithmetic mean of the observations, 0 when
-// empty or nil.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 func (h *Histogram) reset() {
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 	for i := range h.counts {

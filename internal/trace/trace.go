@@ -133,16 +133,6 @@ func (b *Buffer) CountByKind() map[Kind]int {
 	return out
 }
 
-// FilterPI returns a recorder that forwards only events for the given
-// protocol interface to next.
-func FilterPI(next Recorder, pi asi.PI) Recorder {
-	return filterFunc(func(e Event) {
-		if e.PI == pi {
-			next.Record(e)
-		}
-	})
-}
-
 // FilterKind returns a recorder that forwards only the given kinds.
 func FilterKind(next Recorder, kinds ...Kind) Recorder {
 	var set [numKinds]bool

@@ -59,9 +59,8 @@ func TestCountByKind(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	b := &Buffer{}
-	f := FilterPI(FilterKind(b, Deliver), asi.PI5EventReporting)
-	f.Record(ev(Deliver, asi.PI5EventReporting)) // passes both
-	f.Record(ev(Deliver, asi.PI4DeviceManagement))
+	f := FilterKind(b, Deliver)
+	f.Record(ev(Deliver, asi.PI5EventReporting))
 	f.Record(ev(Inject, asi.PI5EventReporting))
 	if len(b.Events) != 1 {
 		t.Errorf("filtered to %d events", len(b.Events))
