@@ -3,7 +3,8 @@
 #   make          - build + vet + test (the default gate)
 #   make verify   - the full gate, in this order:
 #                   fmt-check      gofmt -l is empty
-#                   seam-check     a fabric is assembled in internal/rig only
+#                   seam-check     a fabric is assembled in internal/rig only,
+#                                  and never a sharded one
 #                   build vet test race
 #                   results-check  every asibench table byte-identical to
 #                                  results/asibench-seeds4.txt
@@ -13,17 +14,15 @@
 #                   json-smoke span-smoke
 #                                  run report and span pipelines decode
 #                   alloc-check    zero-alloc and allocation-budget pins
-#                   chaos-smoke chaos-par-smoke par-smoke
-#                                  chaos sweep, its -workers determinism, the
-#                                  region-sharded path's identity
+#                   chaos-smoke chaos-par-smoke
+#                                  chaos sweep and its -workers determinism
 #                   daemon-smoke obs-smoke assim-smoke
 #                                  the three end-to-end tests of cmd/asifmd:
 #                                  1000-subscriber replay identity, the
 #                                  observability plane, coalesced assimilation
-#                   bench-diff     allocs/op, B/op and ns/op against
-#                                  BENCH_sim.json, BENCH_fm.json and
-#                                  BENCH_serve.json (the ns/op gate fails on
-#                                  host noise alone; the other two are exact)
+#                   bench-diff     allocs/op and B/op against BENCH_sim.json,
+#                                  BENCH_fm.json and BENCH_serve.json (both
+#                                  exact; ns/op is printed, never gated)
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness
 #   make bench    - figure + engine benchmarks -> BENCH_sim.json
@@ -51,7 +50,7 @@ BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
 
 .PHONY: all build vet test race verify bench bench-smoke bench-diff bench-test \
 	fmt-check seam-check results-check json-smoke span-smoke alloc-check \
-	chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke fuzz
+	chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke fuzz
 
 all: build vet test
 
@@ -79,14 +78,21 @@ fmt-check:
 # seam-check keeps the "topology -> engine -> fabric -> manager ->
 # observers" recipe written once: outside the layers themselves
 # (internal/sim, internal/fabric, internal/core) and internal/rig, no
-# non-test Go under cmd/ or internal/ may create an engine or a shard
-# group, build a fabric, attach a manager, or derive a random stream from
-# a seed. Further managers on one fabric come from rig.Rig.AddManager.
+# non-test Go under cmd/ or internal/ may create an engine, build a
+# fabric, attach a manager, or derive a random stream from a seed.
+# Further managers on one fabric come from rig.Rig.AddManager. The
+# region-sharded mechanism (partition, shard group, sharded fabric) has
+# no caller at all outside the layers that implement it: only bench/
+# links it.
 seam-check:
-	@out="$$(grep -rnE 'sim\.NewEngine\(|sim\.NewShardGroup\(|fabric\.New\(|fabric\.NewSharded\(|core\.NewManager\(|2654435761' \
+	@out="$$(grep -rnE 'sim\.NewEngine\(|fabric\.New\(|core\.NewManager\(|2654435761' \
 		cmd internal --include='*.go' \
 		| grep -vE '_test\.go:|^internal/(sim|fabric|core|rig)/')"; if [ -n "$$out" ]; then \
 		echo "a managed fabric is being assembled outside internal/rig:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'sim\.NewShardGroup\(|fabric\.NewSharded\(|\.Partition\(' \
+		cmd internal --include='*.go' \
+		| grep -vE '_test\.go:|^internal/(sim|fabric|topo)/')"; if [ -n "$$out" ]; then \
+		echo "the region-sharded mechanism has a caller outside internal/{sim,fabric,topo}:"; echo "$$out"; exit 1; fi
 
 # results-check is the absolute referee for the simulation: every table
 # asibench prints must be byte-identical to the committed run. The
@@ -151,13 +157,6 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzCoalesce$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzInstallChangeSets$$' -fuzztime $(FUZZTIME)
 
-# par-smoke proves the region-sharded parallel simulation path: one
-# scenario per topology family (torus, fat-tree, dragonfly, autofat) at
-# R in {2,4,8} must reconstruct the sequential referee's exact database
-# fingerprint and pass the convergence oracle.
-par-smoke:
-	$(GO) test -run 'TestParallelRegions' ./internal/chaos/
-
 # daemon-smoke proves the FM daemon's serving layer end to end: an
 # in-process asifmd manages a fat-tree under scripted churn while 1000
 # in-process plus 8 HTTP subscribers replay the diff stream; every
@@ -169,9 +168,8 @@ daemon-smoke:
 
 # obs-smoke proves the continuous observability plane end to end: an
 # in-process asifmd under churn is scraped twice over HTTP; the
-# Prometheus text must parse, every windowed rate must be finite, the
-# staleness percentiles must be populated, and the sharded variant must
-# expose the per-region event split.
+# Prometheus text must parse, every windowed rate must be finite, and
+# the staleness percentiles must be populated.
 obs-smoke:
 	$(GO) test -run 'TestObsSmoke' -count=1 ./cmd/asifmd/
 
@@ -184,13 +182,10 @@ assim-smoke:
 	$(GO) test -run 'TestAssimSmoke' -count=1 ./cmd/asifmd/
 
 # bench-diff re-runs the benchmark suites and gates them against the
-# committed BENCH_sim.json, BENCH_fm.json and BENCH_serve.json (the last
-# on allocations and bytes only): an allocs/op increase
-# beyond max(2, 0.1%) rounding/GC slack or a B/op increase beyond
-# max(64, 1%) fails; ns/op may regress at most 10% plus the noise both
-# runs measured across their -count repeats. The serving benchmarks hand
-# batches between goroutines, so their ns/op follows the scheduler and
-# -ns-tolerance 1e9 leaves it ungated.
+# committed BENCH_sim.json, BENCH_fm.json and BENCH_serve.json: an
+# allocs/op increase beyond max(2, 0.1%) rounding/GC slack or a B/op
+# increase beyond max(64, 1%) fails. ns/op is printed next to the
+# committed value and not gated: on a shared host it fails on noise alone.
 # Regenerate the baselines with `make bench` when a change legitimately
 # moves the numbers.
 bench-diff:
@@ -199,9 +194,9 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
 		| $(GO) run ./cmd/benchjson -diff BENCH_fm.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/rib \
-		| $(GO) run ./cmd/benchjson -ns-tolerance 1e9 -diff BENCH_serve.json
+		| $(GO) run ./cmd/benchjson -diff BENCH_serve.json
 
-verify: fmt-check seam-check build vet test race results-check bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
+verify: fmt-check seam-check build vet test race results-check bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \

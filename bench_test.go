@@ -9,10 +9,7 @@ package repro
 // reproduction check.
 
 import (
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -348,54 +345,6 @@ func BenchmarkDiscoveryOp(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportEventsPerSec(b, events)
-		})
-	}
-}
-
-// BenchmarkParallelDiscovery measures the region-sharded parallel
-// simulation path against the sequential referee on the same fabric and
-// seed, reporting wall-clock speedup (sequential wall / parallel wall at
-// R=8) and the core count it was measured on. Speedup needs parallel
-// hardware: on a single-core host the conservative protocol's barrier
-// rounds are pure overhead and the metric honestly lands at or below 1.
-// The 10,000-switch dragonfly target (16x625) runs when ASI_BENCH_10K is
-// set; the committed baseline uses the 1k-switch instance so `make
-// bench` stays minutes.
-func BenchmarkParallelDiscovery(b *testing.B) {
-	names := []string{"dragonfly 16x64"}
-	if os.Getenv("ASI_BENCH_10K") != "" {
-		names = append(names, "dragonfly 16x625")
-	}
-	for _, name := range names {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var seqWall, parWall time.Duration
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				seq := experiment.RunConfig(experiment.MustConfig(name, core.Parallel,
-					experiment.WithSeed(1)))
-				if seq.Err != nil {
-					b.Fatal(seq.Err)
-				}
-				par := experiment.RunConfig(experiment.MustConfig(name, core.Parallel,
-					experiment.WithSeed(1), experiment.WithParallelRegions(8)))
-				if par.Err != nil {
-					b.Fatal(par.Err)
-				}
-				if par.Result.Devices != seq.Result.Devices || par.Result.Links != seq.Result.Links {
-					b.Fatalf("parallel discovered %d/%d devices/links, sequential %d/%d",
-						par.Result.Devices, par.Result.Links, seq.Result.Devices, seq.Result.Links)
-				}
-				seqWall += seq.Wall
-				parWall += par.Wall
-				events += seq.Events + par.Events
-			}
-			b.StopTimer()
-			if parWall > 0 {
-				b.ReportMetric(seqWall.Seconds()/parWall.Seconds(), "speedup")
-			}
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 			reportEventsPerSec(b, events)
 		})
 	}

@@ -35,7 +35,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id to run (see -list), or 'all'")
 	seeds := flag.Int("seeds", 4, "repetitions of each change scenario")
 	common.RegisterWorkers(flag.CommandLine)
-	common.RegisterRegions(flag.CommandLine)
 	common.RegisterJSON(flag.CommandLine)
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	outDir := flag.String("o", "", "also write one .txt (and .csv) file per report into this directory")
@@ -70,7 +69,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/debug/pprof and /debug/vars\n", *debugAddr)
 	}
 
-	opts := experiment.Opts{Seeds: *seeds, Workers: common.Workers, Regions: common.Regions}
+	opts := experiment.Opts{Seeds: *seeds, Workers: common.Workers}
 	var runners []experiment.Runner
 	if *exp == "all" {
 		for _, r := range experiment.Runners() {

@@ -33,12 +33,11 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base seed; run i uses seed+i")
 	runs := flag.Int("runs", 1, "number of generated scenarios to execute")
 	profile := flag.String("profile", "quick", "generation profile: "+strings.Join(chaos.ProfileNames(), ", "))
-	algs := flag.String("algs", "", "\"all\" cross-checks every paper algorithm per scenario (default: the scenario's own)")
+	algs := flag.String("algs", "", "\"all\" cross-checks every paper algorithm per scenario; \"scenario\" (default) runs each scenario's own")
 	replay := flag.String("replay", "", "replay a scenario JSON file instead of generating")
 	shrink := flag.Bool("shrink", true, "greedily shrink failing scenarios before reporting")
 	spans := flag.Bool("spans", false, "trace causal spans and print the span report (replay mode)")
 	common.RegisterWorkers(flag.CommandLine)
-	common.RegisterRegions(flag.CommandLine)
 	verbose := flag.Bool("v", false, "print a line per scenario")
 	emitCorpus := flag.String("emit-corpus", "", "write the built-in corpus scenarios into a directory and exit")
 	flag.Parse()
@@ -50,7 +49,6 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fail(2, err)
 	}
-	workers, regions := &common.Workers, &common.Regions
 
 	if *emitCorpus != "" {
 		if err := emit(*emitCorpus); err != nil {
@@ -59,10 +57,8 @@ func main() {
 		return
 	}
 
-	// Telemetry adds oracle coverage, but it forces the sequential path:
-	// keep it only when regions weren't requested, so -regions actually
-	// exercises the sharded executor instead of silently falling back.
-	opt := chaos.Options{Telemetry: *regions <= 1, Spans: *spans, Regions: *regions}
+	// Telemetry is on for the oracle coverage it adds.
+	opt := chaos.Options{Telemetry: true, Spans: *spans}
 
 	if *replay != "" {
 		b, err := os.ReadFile(*replay)
@@ -85,7 +81,7 @@ func main() {
 	case "all":
 		crossCheck = true
 	default:
-		fail(2, fmt.Errorf("bad -algs %q (valid: all)", *algs))
+		fail(2, fmt.Errorf("bad -algs %q (valid: scenario, all)", *algs))
 	}
 	p, ok := chaos.ProfileByName(*profile)
 	if !ok {
@@ -104,15 +100,12 @@ func main() {
 		Profile:    p,
 		Exec:       opt,
 		CrossCheck: crossCheck,
-		Workers:    *workers,
+		Workers:    common.Workers,
 	})
-	failures, vacuous, fellBack := 0, 0, 0
+	failures, vacuous := 0, 0
 	for _, r := range results {
 		if r.Vacuous {
 			vacuous++
-		}
-		if r.Regions == 1 {
-			fellBack++
 		}
 		if r.Err == nil {
 			if *verbose {
@@ -136,10 +129,6 @@ func main() {
 	}
 	fmt.Printf("%d scenarios, %d failures, %d vacuous (no trustworthy convergence comparison)\n",
 		*runs, failures, vacuous)
-	if *regions > 1 {
-		fmt.Fprintf(os.Stderr, "note: -regions %d: %d of %d scenarios ran sequentially "+
-			"(not shardable: scripted events, a fault plan or -spans)\n", *regions, fellBack, *runs)
-	}
 	if failures > 0 {
 		os.Exit(1)
 	}
@@ -186,9 +175,6 @@ func replayOne(sc chaos.Scenario, opt chaos.Options, shrink bool) error {
 		rep.WantDevices, rep.WantLinks, rep.PostChurnDevices, rep.PostChurnLinks)
 	fmt.Printf("pi5 after last: %d delivered\n", rep.PI5AfterLast)
 	fmt.Printf("fingerprint:    %#x (db %#x)\n", rep.Fingerprint, rep.DBFingerprint)
-	if opt.Regions > 1 && rep.Regions == 1 {
-		fmt.Fprintf(os.Stderr, "note: -regions %d: the scenario ran sequentially (not shardable)\n", opt.Regions)
-	}
 	if rep.Vacuous() {
 		fmt.Println("note:           vacuous run — no trustworthy convergence comparison")
 	}

@@ -39,7 +39,7 @@ func TestAssimSmoke(t *testing.T) {
 	const interval = 100 * time.Millisecond
 	now := time.Now()
 	k := d.newKeeper(now, interval, true)
-	startPS := d.rig.Now()
+	startPS := d.rig.Engine.Now()
 	for d.rounds < rounds {
 		// Once returns the earliest next deadline; jumping the synthetic
 		// clock straight to it exercises every concern's own cadence.
@@ -83,7 +83,7 @@ func TestAssimSmoke(t *testing.T) {
 	for _, name := range []string{"asi_fm_db_staleness_p50", "asi_fm_db_staleness_p99", "asi_fm_db_staleness_max"} {
 		metric(name)
 	}
-	if simSpan := d.rig.Now().Sub(startPS); simSpan > 0 {
+	if simSpan := d.rig.Engine.Now().Sub(startPS); simSpan > 0 {
 		t.Logf("%q: sustained %.0f PI-5s/s (sim)", d.cfg.Topology, events/(float64(simSpan)/float64(sim.Second)))
 	}
 }

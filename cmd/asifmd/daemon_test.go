@@ -15,17 +15,16 @@ import (
 	"repro/internal/obs"
 )
 
-// TestKeeperRaceSharded drives the keeper loop on a 4-region sharded
-// daemon with the coalescing partial FM while the observability scraper,
-// HTTP metric readers and a RIB subscriber run concurrently — the
-// configuration `go test -race ./cmd/asifmd` checks for data races
-// between the keeper's concerns (churn, staleness-keyed re-audit, cursor
-// expiry, debounce flush) and every reader path.
-func TestKeeperRaceSharded(t *testing.T) {
+// TestKeeperRace drives the keeper loop on a daemon with the coalescing
+// partial FM while the observability scraper, HTTP metric readers and a
+// RIB subscriber run concurrently — the configuration `go test -race
+// ./cmd/asifmd` checks for data races between the keeper's concerns
+// (churn, staleness-keyed re-audit, cursor expiry, debounce flush) and
+// every reader path.
+func TestKeeperRace(t *testing.T) {
 	cfg := experiment.DefaultDaemonConfig()
 	cfg.Topology = "8x8 mesh"
 	cfg.Algorithm = core.Partial.Slug()
-	cfg.Regions = 4
 	cfg.ChurnOps = 2
 	cfg.AuditEvery = 2
 	cfg.AssimWindowUS = 200
@@ -112,24 +111,21 @@ func TestKeeperRaceSharded(t *testing.T) {
 }
 
 // TestChurnErrorsReachEventLog: a toggle the fabric refuses — here a
-// restore of a switch that is up — must land in the /events log on
-// either simulation path instead of vanishing.
+// restore of a switch that is up — must land in the /events log instead
+// of vanishing.
 func TestChurnErrorsReachEventLog(t *testing.T) {
-	for _, regions := range []int{0, 4} {
-		cfg := experiment.DefaultDaemonConfig()
-		cfg.Topology = "4x4 mesh"
-		cfg.Regions = regions
-		d := startDaemon(t, cfg)
-		node := int(d.rig.HostSwitch) // up, like every device after bootstrap
-		d.applyChurn([]chaos.Event{{Op: chaos.OpUp, Node: node}})
-		var logged []obs.Event
-		for _, e := range d.plane.Events(100) {
-			if e.Kind == obs.EventChurnError {
-				logged = append(logged, e)
-			}
+	cfg := experiment.DefaultDaemonConfig()
+	cfg.Topology = "4x4 mesh"
+	d := startDaemon(t, cfg)
+	node := int(d.rig.HostSwitch) // up, like every device after bootstrap
+	d.applyChurn([]chaos.Event{{Op: chaos.OpUp, Node: node}})
+	var logged []obs.Event
+	for _, e := range d.plane.Events(100) {
+		if e.Kind == obs.EventChurnError {
+			logged = append(logged, e)
 		}
-		if len(logged) != 1 || !strings.Contains(logged[0].Detail, fabric.ErrAlreadyUp.Error()) {
-			t.Errorf("regions=%d: churn errors logged: %+v, want one carrying %q", regions, logged, fabric.ErrAlreadyUp)
-		}
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0].Detail, fabric.ErrAlreadyUp.Error()) {
+		t.Errorf("churn errors logged: %+v, want one carrying %q", logged, fabric.ErrAlreadyUp)
 	}
 }

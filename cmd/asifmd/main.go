@@ -13,7 +13,6 @@
 //	asifmd -config daemon.json               # full config file
 //	asifmd -topo "8x8 mesh" -listen :9000    # flag overrides
 //	asifmd -rounds 100 -interval 250ms       # bounded churn, 4 rounds/s
-//	asifmd -regions 4                        # region-sharded simulation
 //	asifmd -debug :6060                      # net/http/pprof + expvar
 //
 // Observe with any HTTP client:
@@ -51,15 +50,14 @@ import (
 func main() {
 	var common cli.Common
 	common.RegisterConfig(flag.CommandLine)
-	common.RegisterRegions(flag.CommandLine)
 	topoName := flag.String("topo", "", "override the config topology")
 	alg := flag.String("alg", "", "override the config algorithm ("+
 		"serial-packet, serial-device, parallel, partial; aliases sp, sd, p)")
 	seed := flag.Uint64("seed", 0, "override the config seed")
 	listen := flag.String("listen", "", "override the config listen address")
-	rounds := flag.Int("rounds", 0, "override the config churn-round bound (0 = config value)")
+	rounds := flag.Int("rounds", 0, "override the config churn-round bound (an explicit 0 runs until stopped)")
 	churnOps := flag.Int("churn-ops", -1, "override the config toggles per churn round")
-	scrapeMS := flag.Int("scrape-ms", 0, "override the config observability scrape interval (ms)")
+	scrapeMS := flag.Int("scrape-ms", 0, "override the config observability scrape interval in ms (an explicit 0 selects the 1000 ms default)")
 	interval := flag.Duration("interval", time.Second, "wall-clock pause between churn rounds")
 	debugAddr := flag.String("debug", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
 	flag.Parse()
@@ -93,8 +91,6 @@ func main() {
 			cfg.ChurnOps = *churnOps
 		case "scrape-ms":
 			cfg.ScrapeMS = *scrapeMS
-		case "regions":
-			cfg.Regions = common.Regions
 		}
 	})
 	if err := cfg.Validate(); err != nil {
@@ -163,13 +159,8 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 
 	rc := rig.Config{
 		Seed:      cfg.Seed,
-		Regions:   cfg.Regions,
 		Telemetry: true,
-		// Per-link fabric telemetry is sequential-only; the FM's own
-		// metrics are safe on either path (the manager runs on one
-		// region's engine).
-		LinkTelemetry: cfg.Regions <= 1,
-		Manager:       core.Options{Algorithm: cfg.Kind()},
+		Manager:   core.Options{Algorithm: cfg.Kind()},
 	}
 	if cfg.AssimWindowUS > 0 {
 		rc.Manager.AssimWindow = sim.Micros(float64(cfg.AssimWindowUS))
@@ -188,7 +179,7 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 				len(diff.AddedDevices), len(diff.RemovedDevices),
 				len(diff.AddedLinks), len(diff.RemovedLinks))
 		}
-		d.plane.Log(obs.EventDiscoveryConverge, gen, int64(d.rig.Now()), detail)
+		d.plane.Log(obs.EventDiscoveryConverge, gen, int64(d.rig.Engine.Now()), detail)
 	}
 	if cfg.ChurnOps > 0 {
 		d.ch, err = chaos.NewChurner(tp, cfg.Seed)
@@ -203,15 +194,15 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 // simulation clock to the off-goroutine hooks.
 func (d *daemon) run() {
 	d.rig.Run()
-	d.simNow.Store(int64(d.rig.Now()))
+	d.simNow.Store(int64(d.rig.Engine.Now()))
 }
 
 // bootstrap runs the transient period: initial discovery plus
 // event-route distribution, producing RIB generation 1.
 func (d *daemon) bootstrap() error {
-	d.plane.Log(obs.EventDiscoveryStart, 0, int64(d.rig.Now()), "bootstrap")
+	d.plane.Log(obs.EventDiscoveryStart, 0, int64(d.rig.Engine.Now()), "bootstrap")
 	err := d.rig.Bootstrap()
-	d.simNow.Store(int64(d.rig.Now()))
+	d.simNow.Store(int64(d.rig.Engine.Now()))
 	return err
 }
 
@@ -221,7 +212,7 @@ func (d *daemon) bootstrap() error {
 func (d *daemon) round() {
 	d.rounds++
 	evs := d.ch.Round(d.cfg.ChurnOps)
-	d.plane.Log(obs.EventChurnApply, d.rib.Current().Gen, int64(d.rig.Now()),
+	d.plane.Log(obs.EventChurnApply, d.rib.Current().Gen, int64(d.rig.Engine.Now()),
 		fmt.Sprintf("round %d: %d toggles", d.rounds, len(evs)))
 	d.applyChurn(evs)
 }
@@ -229,10 +220,10 @@ func (d *daemon) round() {
 // applyChurn injects the toggles, offset from now, and drains to
 // quiescence. A toggle the fabric refuses goes to the event log.
 func (d *daemon) applyChurn(evs []chaos.Event) {
-	base := d.rig.Now()
+	base := d.rig.Engine.Now()
 	for _, ev := range evs {
 		ev.Hotplug(d.rig, base, func(err error) {
-			d.plane.Log(obs.EventChurnError, d.rib.Current().Gen, int64(d.rig.Now()),
+			d.plane.Log(obs.EventChurnError, d.rib.Current().Gen, int64(d.rig.Engine.Now()),
 				fmt.Sprintf("%s node %d: %v", ev.Op, ev.Node, err))
 		})
 	}
@@ -242,8 +233,8 @@ func (d *daemon) applyChurn(evs []chaos.Event) {
 // audit forces a full rediscovery (one more generation, even when the
 // topology is unchanged); detail names what triggered it.
 func (d *daemon) audit(detail string) {
-	d.plane.Log(obs.EventAudit, d.rib.Current().Gen, int64(d.rig.Now()), detail)
-	d.plane.Log(obs.EventDiscoveryStart, d.rib.Current().Gen, int64(d.rig.Now()), "audit")
+	d.plane.Log(obs.EventAudit, d.rib.Current().Gen, int64(d.rig.Engine.Now()), detail)
+	d.plane.Log(obs.EventDiscoveryStart, d.rib.Current().Gen, int64(d.rig.Engine.Now()), "audit")
 	d.rig.Manager.StartDiscovery()
 	d.run()
 	d.lastAudit = d.rounds
@@ -268,7 +259,7 @@ func (d *daemon) scrape() {
 	// they age with the simulation clock, not with churn.
 	d.rig.Manager.RecordDBStaleness()
 	snap := d.rig.Snapshot()
-	simPS := int64(d.rig.Now())
+	simPS := int64(d.rig.Engine.Now())
 	d.mu.Unlock()
 
 	stats := d.rib.Stats() // safe concurrently; outside the sim mutex
@@ -308,8 +299,8 @@ func (d *daemon) serve(interval time.Duration) {
 		fatal(1, err)
 	}
 	go http.Serve(ln, d.handler())
-	fmt.Fprintf(os.Stderr, "asifmd: managing %q (%s, %d region(s)), serving on http://%s\n",
-		d.cfg.Topology, d.cfg.Kind(), d.rig.Regions(), ln.Addr())
+	fmt.Fprintf(os.Stderr, "asifmd: managing %q (%s), serving on http://%s\n",
+		d.cfg.Topology, d.cfg.Kind(), ln.Addr())
 
 	d.scrape() // populate /metrics before the first tick
 	go func() {

@@ -162,56 +162,3 @@ func TestObsSmoke(t *testing.T) {
 		}
 	}
 }
-
-// TestObsSmokeSharded repeats the scrape cycle on the region-sharded
-// path: shard counters and the per-region event split must appear.
-func TestObsSmokeSharded(t *testing.T) {
-	cfg := experiment.DefaultDaemonConfig()
-	cfg.Topology = "8x8 mesh"
-	cfg.ChurnOps = 2
-	cfg.Regions = 4
-	d := startDaemon(t, cfg)
-	ts := httptest.NewServer(d.handler())
-	defer ts.Close()
-
-	d.scrape()
-	for i := 0; i < 2; i++ {
-		d.mu.Lock()
-		d.round()
-		d.mu.Unlock()
-	}
-	d.scrape()
-	byName, types := scrapeMetrics(t, ts.URL)
-
-	if types["asi_sim_shard_rounds"] != "counter" || len(byName["asi_sim_shard_rounds"]) == 0 {
-		t.Fatalf("shard rounds missing: %v", types)
-	}
-	if byName["asi_sim_shard_rounds"][0].Value == 0 {
-		t.Error("shard rounds zero after sharded churn")
-	}
-	split := byName["asi_sim_region_events"]
-	if len(split) < 2 {
-		t.Fatalf("per-region split has %d series, want >= 2", len(split))
-	}
-	var sum, total float64
-	for _, pt := range split {
-		sum += pt.Value
-	}
-	total = byName["asi_sim_events"][0].Value
-	if sum != total {
-		t.Errorf("region split sums to %v, total %v", sum, total)
-	}
-
-	resp, err := http.Get(ts.URL + "/obs.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc obs.DashDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("obs.json did not parse: %v", err)
-	}
-	if len(doc.Regions) < 2 {
-		t.Errorf("dashboard regions %+v, want >= 2", doc.Regions)
-	}
-}

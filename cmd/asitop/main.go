@@ -1,8 +1,7 @@
 // Command asitop is a live terminal dashboard for a running asifmd: it
 // polls the daemon's /obs.json endpoint and renders the windowed metric
 // rates (with client-side sparklines), the serving layer's staleness
-// SLO, the per-region simulation load, and the structured event tail —
-// plain ANSI, no terminal library.
+// SLO, and the structured event tail — plain ANSI, no terminal library.
 //
 // Usage:
 //
@@ -129,14 +128,6 @@ func render(doc *obs.DashDoc, hist map[string][]float64, url string) string {
 			time.Duration(sv.DeliverP50NS), time.Duration(sv.DeliverP99NS), sv.DeliverLatency.Count)
 	}
 	assimBlock(&b, doc)
-
-	if len(doc.Regions) > 0 {
-		b.WriteString("\nregions   ")
-		for _, r := range doc.Regions {
-			fmt.Fprintf(&b, "[%d] %d ev %.0f/s   ", r.Region, r.Events, r.PerSec)
-		}
-		b.WriteString("\n")
-	}
 
 	if len(doc.Rates) > 0 {
 		b.WriteString("\nrates (windowed, with local history)\n")

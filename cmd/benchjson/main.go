@@ -23,15 +23,10 @@
 // per packet and lands orders of magnitude past that — or more bytes per
 // op, beyond 1% (map growth and size-class rounding move a run's bytes a
 // little between repeats; an object that got bigger or a buffer that is
-// no longer reused moves them a lot) — or slows down by
-// more than -ns-tolerance
-// (default 10%) beyond the measured noise: both sides fold `-count N`
-// repeats by minimum, and the time gate widens by each side's observed
-// (max-min)/min spread, so a quiet multicore host gets the pure 10% gate
-// while a contended single-core host is not failed on scheduler noise.
-// Benchmarks faster than 1µs/op are exempt from the time gate — at that
-// scale short `-benchtime` runs measure timer quantization, not the
-// code — but never from the allocation gate.
+// no longer reused moves them a lot). Both sides fold `-count N` repeats
+// by minimum. ns/op is printed next to the committed value and never
+// gated: on a shared host it moves more between two runs of one binary
+// than any change this gate is meant to catch.
 package main
 
 import (
@@ -80,7 +75,6 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	tee := flag.Bool("tee", false, "echo input lines to stderr while parsing")
 	diff := flag.String("diff", "", "committed benchjson document to gate the fresh run on stdin against")
-	nsTol := flag.Float64("ns-tolerance", 0.10, "allowed fractional ns/op regression in -diff mode")
 	flag.Parse()
 
 	var echo io.Writer
@@ -92,7 +86,7 @@ func main() {
 		fatal(err)
 	}
 	if *diff != "" {
-		if err := diffAgainst(cur, *diff, *nsTol); err != nil {
+		if err := diffAgainst(os.Stdout, cur, *diff); err != nil {
 			fatal(err)
 		}
 		return
@@ -147,8 +141,8 @@ func allocSlack(baseline float64) float64 {
 // bytesSlack is the allowed B/op increase before the gate fails: 1% of
 // the baseline, and never less than 64 bytes so a benchmark that
 // allocates almost nothing is not failed on one size-class step. Bytes
-// are as deterministic as allocation counts on this host, where ns/op is
-// not, and they are what an allocation-lean change buys.
+// are as deterministic as allocation counts, and they are what an
+// allocation-lean change buys.
 func bytesSlack(baseline float64) float64 {
 	if s := 0.01 * baseline; s > 64 {
 		return s
@@ -156,23 +150,15 @@ func bytesSlack(baseline float64) float64 {
 	return 64
 }
 
-// nsGateFloor exempts sub-microsecond benchmarks from the time gate:
-// with the short -benchtime the verify target uses, their ns/op is
-// dominated by timer quantization. The allocation gate still applies.
-const nsGateFloor = 1000.0
-
 // diffAgainst gates a fresh run against the "current" section of a
 // committed benchjson document. An allocs/op increase beyond
 // allocSlack or a B/op increase beyond bytesSlack fails (both are
-// otherwise deterministic); ns/op may regress by at most
-// nsTol plus the noise both runs measured about themselves (the
-// (max-min)/min spread of their -count repeats). Benchmarks present on
-// only one side are reported but never fail the gate — new benchmarks
-// land before their baseline is regenerated. Both sides are aggregated
-// by min over repeated results (`go test -count N`) first: the minimum
-// is the standard noise-robust benchmark statistic, and short -benchtime
-// runs on a busy host need it.
-func diffAgainst(cur Suite, path string, nsTol float64) error {
+// otherwise deterministic); ns/op is shown, not judged. Benchmarks
+// present on only one side are reported but never fail the gate — new
+// benchmarks land before their baseline is regenerated. Both sides are
+// aggregated by min over repeated results (`go test -count N`) first.
+// The per-benchmark table goes to w.
+func diffAgainst(w io.Writer, cur Suite, path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -189,14 +175,13 @@ func diffAgainst(cur Suite, path string, nsTol float64) error {
 		fresh := freshByName[name]
 		prev, ok := base[name]
 		if !ok {
-			fmt.Printf("NEW   %-55s %12.0f ns/op %10.0f B/op %8.0f allocs/op (no committed baseline)\n",
+			fmt.Fprintf(w, "NEW   %-55s %12.0f ns/op %10.0f B/op %8.0f allocs/op (no committed baseline)\n",
 				name, fresh.NsPerOp, fresh.BytesPerOp, fresh.AllocsPerOp)
 			continue
 		}
 		delete(base, name)
 		compared++
 		status := "ok"
-		effTol := nsTol + fresh.nsSpread() + prev.nsSpread()
 		if fresh.AllocsPerOp > prev.AllocsPerOp+allocSlack(prev.AllocsPerOp) {
 			status = fmt.Sprintf("FAIL allocs/op %0.f -> %0.f", prev.AllocsPerOp, fresh.AllocsPerOp)
 			regressions++
@@ -204,65 +189,41 @@ func diffAgainst(cur Suite, path string, nsTol float64) error {
 			status = fmt.Sprintf("FAIL B/op %0.f -> %0.f (%+.1f%%)", prev.BytesPerOp, fresh.BytesPerOp,
 				100*(fresh.BytesPerOp/prev.BytesPerOp-1))
 			regressions++
-		} else if prev.NsPerOp >= nsGateFloor && fresh.NsPerOp > prev.NsPerOp*(1+effTol) {
-			status = fmt.Sprintf("FAIL ns/op %+.1f%% (limit %+.0f%% incl. measured noise)",
-				100*(fresh.NsPerOp/prev.NsPerOp-1), 100*effTol)
-			regressions++
 		}
-		fmt.Printf("%-5s %-55s %12.0f ns/op (was %12.0f) %10.0f B/op (was %10.0f) %6.0f allocs/op (was %6.0f)\n",
+		fmt.Fprintf(w, "%-5s %-55s %12.0f ns/op (was %12.0f) %10.0f B/op (was %10.0f) %6.0f allocs/op (was %6.0f)\n",
 			strings.Fields(status)[0], name, fresh.NsPerOp, prev.NsPerOp,
 			fresh.BytesPerOp, prev.BytesPerOp, fresh.AllocsPerOp, prev.AllocsPerOp)
 		if strings.HasPrefix(status, "FAIL") {
-			fmt.Printf("      ^ %s\n", status)
+			fmt.Fprintf(w, "      ^ %s\n", status)
 		}
 	}
 	for name := range base {
-		fmt.Printf("GONE  %-55s (in %s but not in this run)\n", name, path)
+		fmt.Fprintf(w, "GONE  %-55s (in %s but not in this run)\n", name, path)
 	}
 	if regressions > 0 {
 		return fmt.Errorf("%d of %d benchmarks regressed vs %s", regressions, compared, path)
 	}
-	fmt.Printf("bench-diff: %d benchmarks within gate (allocs/op +max(2, 0.1%%), B/op +max(64, 1%%), ns/op +%.0f%% + measured noise)\n", compared, 100*nsTol)
+	fmt.Fprintf(w, "bench-diff: %d benchmarks within gate (allocs/op +max(2, 0.1%%), B/op +max(64, 1%%); ns/op not gated)\n", compared)
 	return nil
-}
-
-// aggregated is one benchmark folded across `-count N` repeats: the
-// Benchmark holds the per-field minimum, nsMax the slowest repeat, so
-// the fold knows its own measurement noise.
-type aggregated struct {
-	Benchmark
-	nsMax float64
-}
-
-// nsSpread is the fold's relative noise, (max-min)/min across repeats.
-// A single sample (or a pre-noise-tracking baseline) reports 0.
-func (a aggregated) nsSpread() float64 {
-	if a.NsPerOp <= 0 || a.nsMax <= a.NsPerOp {
-		return 0
-	}
-	return a.nsMax/a.NsPerOp - 1
 }
 
 // aggregate folds repeated results for the same (normalized) benchmark
 // name into one entry holding the minimum ns/op, B/op and allocs/op
-// observed (plus the max ns/op for the spread), returning the fold and
-// first-seen name order for stable output.
-func aggregate(benchmarks []Benchmark) (map[string]aggregated, []string) {
-	agg := make(map[string]aggregated, len(benchmarks))
+// observed, returning the fold and first-seen name order for stable
+// output.
+func aggregate(benchmarks []Benchmark) (map[string]Benchmark, []string) {
+	agg := make(map[string]Benchmark, len(benchmarks))
 	var order []string
 	for _, bm := range benchmarks {
 		name := normalizeName(bm.Name)
 		prev, seen := agg[name]
 		if !seen {
 			order = append(order, name)
-			agg[name] = aggregated{Benchmark: bm, nsMax: bm.NsPerOp}
+			agg[name] = bm
 			continue
 		}
 		if bm.NsPerOp < prev.NsPerOp {
 			prev.NsPerOp = bm.NsPerOp
-		}
-		if bm.NsPerOp > prev.nsMax {
-			prev.nsMax = bm.NsPerOp
 		}
 		if bm.AllocsPerOp < prev.AllocsPerOp {
 			prev.AllocsPerOp = bm.AllocsPerOp

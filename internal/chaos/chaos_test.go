@@ -72,6 +72,9 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown algorithm", func(s *Scenario) { s.Algorithm = "bogus" }},
 		{"distributed needs a team", func(s *Scenario) { s.Algorithm = core.Distributed.Slug() }},
 		{"loss out of range", func(s *Scenario) { s.Loss = 1.5 }},
+		{"oversized catalogue fabric", func(s *Scenario) { s.Topology = TopologySpec{Catalogue: "100000x100000 mesh"} }},
+		{"oversized random fabric", func(s *Scenario) { s.Topology = TopologySpec{Switches: 1 << 30} }},
+		{"unbounded extra links", func(s *Scenario) { s.Topology = TopologySpec{Switches: 4, ExtraLinks: 1 << 30} }},
 		{"unknown op", func(s *Scenario) { s.Events = []Event{{AtUS: 1, Op: "explode"}} }},
 		{"down on endpoint", func(s *Scenario) { s.Events = []Event{{AtUS: 1, Op: OpDown, Node: int(tp.Endpoints()[0])}} }},
 		{"down on host switch", func(s *Scenario) { s.Events = []Event{{AtUS: 1, Op: OpDown, Node: host}} }},

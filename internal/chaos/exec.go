@@ -33,12 +33,6 @@ type Options struct {
 	// oracle must notice (delivered-but-unassimilated reports), which is
 	// how the harness tests itself.
 	SkipPI5 int
-	// Regions > 1 selects the conservative region-sharded parallel
-	// simulation path. Scenarios the sharded fabric cannot execute —
-	// scripted events, fault plans, telemetry, spans — fall back to the
-	// sequential path; Report.Regions records what actually ran, and
-	// asichaos -regions reports how many did.
-	Regions int
 	// OnDiscovery, when non-nil, observes every completed discovery run
 	// with the manager's live database — the hook a RIB installer uses
 	// to turn scripted churn into a continuous stream of generations
@@ -59,8 +53,7 @@ type Options struct {
 	// scripted events settle: that many rounds, each a Churner storm of
 	// ContinuousOps toggles (default 4) followed by full restoration,
 	// run to quiescence with the database checked against ground truth
-	// at every quiescent point. Continuous scenarios always run on the
-	// sequential path.
+	// at every quiescent point.
 	Continuous    int
 	ContinuousOps int
 }
@@ -138,15 +131,9 @@ type Report struct {
 	DBFingerprint uint64
 	Fingerprint   uint64
 
-	// Processed is the total simulation event count (summed over regions
-	// when sharded); Counters the final fabric accounting. Regions is the
-	// region count the run actually used (1 = sequential, including any
-	// fallback from Options.Regions). It is deliberately excluded
-	// from the fingerprint: event counts differ across region counts, so
-	// the cross-R identity contract is DBFingerprint plus the oracle, not
-	// the full metrics fingerprint.
+	// Processed is the total simulation event count; Counters the final
+	// fabric accounting.
 	Processed uint64
-	Regions   int
 	Counters  fabric.Counters
 	// Telemetry and Spans are present only when requested in Options.
 	Telemetry *telemetry.Snapshot
@@ -217,12 +204,10 @@ func newExecution(sc Scenario, opt Options) (*execution, error) {
 		x.horizon = DefaultHorizon
 	}
 	cfg := rig.Config{
-		Seed:          sc.Seed,
-		Regions:       opt.Regions,
-		Faults:        sc.FaultPlan(),
-		Telemetry:     opt.Telemetry,
-		LinkTelemetry: opt.Telemetry,
-		Spans:         opt.Spans,
+		Seed:      sc.Seed,
+		Faults:    sc.FaultPlan(),
+		Telemetry: opt.Telemetry,
+		Spans:     opt.Spans,
 		Manager: core.Options{
 			Algorithm:    kind,
 			MaxRetries:   sc.MaxRetries,
@@ -237,11 +222,6 @@ func newExecution(sc Scenario, opt Options) (*execution, error) {
 		cfg.Manager.AssimWindow = sim.Micros(w)
 		cfg.Manager.AssimBatchMax = opt.CoalesceBatchMax
 	}
-	// The documented fallback: the script and continuous phases time
-	// their bookkeeping on one engine, and the rest is the rig's rule.
-	if len(sc.Events) > 0 || opt.Continuous > 0 || cfg.Shardable() != nil {
-		cfg.Regions = 1
-	}
 	if x.rig, err = rig.New(tp, cfg); err != nil {
 		return nil, err
 	}
@@ -250,7 +230,6 @@ func newExecution(sc Scenario, opt Options) (*execution, error) {
 			return nil, err
 		}
 	}
-	x.rep.Regions = x.rig.Regions()
 	m := x.rig.Manager
 	if opt.SkipPI5 > 0 {
 		m.Device().SetHandler(&pi5Filter{inner: m, skip: opt.SkipPI5})
@@ -299,7 +278,7 @@ func (x *execution) transient() bool {
 		rep.Hung = "event-route distribution"
 		return false
 	}
-	rep.T0 = x.rig.Now()
+	rep.T0 = x.rig.Engine.Now()
 	return true
 }
 
@@ -391,7 +370,7 @@ func (x *execution) contErr(round int, format string, args ...any) {
 
 // churn applies one batch of toggles, offset from now, and drains.
 func (x *execution) churn(round int, evs []Event) bool {
-	base := x.rig.Now()
+	base := x.rig.Engine.Now()
 	for _, ev := range evs {
 		ev.Hotplug(x.rig, base, func(err error) { x.contErr(round, "%s node %d: %v", ev.Op, ev.Node, err) })
 	}
@@ -492,7 +471,7 @@ func (x *execution) audit() bool {
 // finish closes the report: totals, the observers' logs, fingerprints.
 func (x *execution) finish() {
 	rep := x.rep
-	rep.Processed = x.rig.Processed()
+	rep.Processed = x.rig.Engine.Processed
 	rep.Counters = x.rig.Fabric.Counters()
 	rep.DBFingerprint = x.rig.Manager.DB().Fingerprint()
 	if x.rig.Spans != nil {
@@ -570,22 +549,20 @@ func (rep *Report) fingerprint() uint64 {
 // on the final topology fingerprint — the serial and parallel algorithms
 // must reconstruct the same fabric.
 func CrossCheck(sc Scenario, opt Options) error {
-	_, _, err := crossCheck(sc, opt)
+	_, err := crossCheck(sc, opt)
 	return err
 }
 
-// crossCheck is CrossCheck returning two deterministic observables too:
+// crossCheck is CrossCheck returning a deterministic observable too:
 // every mode's full run fingerprint folded together (FNV-1a; PaperKinds
 // order, then Partial again with the coalescing front-end) — two
 // executions of the same scenario must return the same value, which is
 // what the parallel sweep's determinism smoke compares across worker
-// counts — and the simulation width, the same for every mode because
-// what makes a scenario unshardable does not depend on the algorithm.
-// Beyond the per-mode oracle, it checks that all trustworthy audits agree
-// on the final topology, and that per-event and coalesced Partial — when
-// neither was defeated by injected loss — reach byte-identical quiescent
-// databases after the scripted churn.
-func crossCheck(sc Scenario, opt Options) (fp uint64, regions int, err error) {
+// counts. Beyond the per-mode oracle, it checks that all trustworthy
+// audits agree on the final topology, and that per-event and coalesced
+// Partial — when neither was defeated by injected loss — reach
+// byte-identical quiescent databases after the scripted churn.
+func crossCheck(sc Scenario, opt Options) (fp uint64, err error) {
 	type mode struct {
 		kind     core.Kind
 		coalesce bool
@@ -625,11 +602,10 @@ func crossCheck(sc Scenario, opt Options) (fp uint64, regions int, err error) {
 		o.Coalesce = md.coalesce
 		rep, err := Execute(s, o)
 		if err != nil {
-			return 0, 0, fmt.Errorf("chaos: %s: %w", name(md), err)
+			return 0, fmt.Errorf("chaos: %s: %w", name(md), err)
 		}
-		regions = rep.Regions
 		if err := (Oracle{}).Check(rep); err != nil {
-			return 0, regions, fmt.Errorf("chaos: %s: %w", name(md), err)
+			return 0, fmt.Errorf("chaos: %s: %w", name(md), err)
 		}
 		fold(rep.Fingerprint)
 		if rep.AuditRan && rep.Trustworthy(rep.Audit) {
@@ -645,7 +621,7 @@ func crossCheck(sc Scenario, opt Options) (fp uint64, regions int, err error) {
 	}
 	for i := 1; i < len(fps); i++ {
 		if fps[i].fp != fps[0].fp {
-			return 0, regions, fmt.Errorf("chaos: algorithms disagree on final topology: %s=%#x, %s=%#x",
+			return 0, fmt.Errorf("chaos: algorithms disagree on final topology: %s=%#x, %s=%#x",
 				name(fps[0].mode), fps[0].fp, name(fps[i].mode), fps[i].fp)
 		}
 	}
@@ -656,10 +632,10 @@ func crossCheck(sc Scenario, opt Options) (fp uint64, regions int, err error) {
 	if perEvent != nil && coalesced != nil &&
 		allTrustworthy(perEvent) && allTrustworthy(coalesced) &&
 		perEvent.PostChurnFP != coalesced.PostChurnFP {
-		return 0, regions, fmt.Errorf("chaos: partial assimilation modes disagree post-churn: per-event=%#x, coalesced=%#x",
+		return 0, fmt.Errorf("chaos: partial assimilation modes disagree post-churn: per-event=%#x, coalesced=%#x",
 			perEvent.PostChurnFP, coalesced.PostChurnFP)
 	}
-	return combined, regions, nil
+	return combined, nil
 }
 
 // allTrustworthy reports whether every completed run in the report was

@@ -77,8 +77,11 @@ func (ts TopologySpec) Build() (*topo.Topology, error) {
 	if ts.Catalogue != "" {
 		return topo.ByName(ts.Catalogue)
 	}
-	if ts.Switches < 2 {
-		return nil, fmt.Errorf("chaos: random topology needs >= 2 switches, have %d", ts.Switches)
+	// A replayed scenario's counts come from outside: keep the fabric
+	// inside the bound topo.ParseName keeps named ones to.
+	if ts.Switches < 2 || ts.Switches > topo.MaxSize/2 || ts.ExtraLinks > topo.MaxSize {
+		return nil, fmt.Errorf("chaos: random topology needs 2..%d switches and at most %d extra links, have %d and %d",
+			topo.MaxSize/2, topo.MaxSize, ts.Switches, ts.ExtraLinks)
 	}
 	return topo.Random(ts.Switches, ts.ExtraLinks, sim.NewRNG(ts.Seed)), nil
 }

@@ -39,11 +39,7 @@ type SweepResult struct {
 	// holds at most Workers logs in memory at once.
 	SpanCount   int
 	SpanDropped int
-	// Regions is the simulation width the run used: below
-	// Exec.Regions when the scenario was not shardable and fell back to
-	// the sequential path (1), zero when it could not execute at all.
-	Regions int
-	Err     error
+	Err         error
 }
 
 // Sweep generates and executes Runs scenarios across a bounded worker
@@ -78,7 +74,7 @@ func Sweep(o SweepOptions) []SweepResult {
 func sweepOne(sc Scenario, o SweepOptions) SweepResult {
 	res := SweepResult{Scenario: sc}
 	if o.CrossCheck {
-		res.Fingerprint, res.Regions, res.Err = crossCheck(sc, o.Exec)
+		res.Fingerprint, res.Err = crossCheck(sc, o.Exec)
 		return res
 	}
 	rep, err := Execute(sc, o.Exec)
@@ -87,7 +83,6 @@ func sweepOne(sc Scenario, o SweepOptions) SweepResult {
 		return res
 	}
 	res.Fingerprint = rep.Fingerprint
-	res.Regions = rep.Regions
 	res.Vacuous = rep.Vacuous()
 	if rep.Spans != nil {
 		res.SpanCount = len(rep.Spans.Spans)

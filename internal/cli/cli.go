@@ -61,10 +61,12 @@ func Change(s string) (experiment.Change, error) {
 	}
 }
 
-// Topology validates a Table 1 topology name and returns it unchanged.
+// Topology validates a catalogue or parametric topology name and returns
+// it unchanged; the error keeps topo's reason (unknown family, bad
+// parameter, too large) and lists the catalogue.
 func Topology(s string) (string, error) {
 	if _, err := topo.ByName(s); err != nil {
-		return "", fmt.Errorf("unknown topology %q (valid: %s)", s, strings.Join(topo.Names(), ", "))
+		return "", fmt.Errorf("%v (catalogue: %s)", err, strings.Join(topo.Names(), ", "))
 	}
 	return s, nil
 }

@@ -9,27 +9,18 @@ import (
 )
 
 // Common is the typed parser for the flag surface the long-running and
-// sweep tools share (-regions, -workers, -json, -config). Each tool
+// sweep tools share (-workers, -json, -config). Each tool
 // registers only the subset it supports on its FlagSet, parses, then
 // calls Validate — one definition of each flag's meaning, defaults and
 // error wording instead of three drifting copies across asibench,
 // asichaos and asifmd.
 type Common struct {
-	// Regions selects the region-sharded parallel simulation path
-	// (0 or 1 = sequential).
-	Regions int
 	// Workers sizes the tool's worker pool (0 = GOMAXPROCS).
 	Workers int
 	// JSON switches stdout to one machine-readable document.
 	JSON bool
 	// ConfigPath names a JSON daemon-config file ("" = defaults).
 	ConfigPath string
-}
-
-// RegisterRegions adds the -regions flag.
-func (c *Common) RegisterRegions(fs *flag.FlagSet) {
-	fs.IntVar(&c.Regions, "regions", 0,
-		"region-sharded parallel simulation regions (0 or 1 = sequential)")
 }
 
 // RegisterWorkers adds the -workers flag.
@@ -52,9 +43,6 @@ func (c *Common) RegisterConfig(fs *flag.FlagSet) {
 
 // Validate checks the parsed values; errors name the valid range.
 func (c *Common) Validate() error {
-	if c.Regions < 0 {
-		return fmt.Errorf("bad -regions %d (valid: 0 or 1 for sequential, or a region count >= 2)", c.Regions)
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("bad -workers %d (valid: 0 for GOMAXPROCS, or a positive pool size)", c.Workers)
 	}

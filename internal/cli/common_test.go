@@ -14,7 +14,6 @@ func parseCommon(t *testing.T, args ...string) (*Common, error) {
 	var c Common
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	c.RegisterRegions(fs)
 	c.RegisterWorkers(fs)
 	c.RegisterJSON(fs)
 	c.RegisterConfig(fs)
@@ -25,24 +24,19 @@ func parseCommon(t *testing.T, args ...string) (*Common, error) {
 }
 
 func TestCommonParsesSharedFlags(t *testing.T) {
-	c, err := parseCommon(t, "-regions", "4", "-workers", "2", "-json", "-config", "x.json")
+	c, err := parseCommon(t, "-workers", "2", "-json", "-config", "x.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Regions != 4 || c.Workers != 2 || !c.JSON || c.ConfigPath != "x.json" {
+	if c.Workers != 2 || !c.JSON || c.ConfigPath != "x.json" {
 		t.Errorf("parsed %+v", c)
 	}
-	if c, err := parseCommon(t); err != nil || c.Regions != 0 || c.Workers != 0 || c.JSON {
+	if c, err := parseCommon(t); err != nil || c.Workers != 0 || c.JSON {
 		t.Errorf("defaults: %+v, %v", c, err)
 	}
 }
 
 func TestCommonValidateNamesValidValues(t *testing.T) {
-	if _, err := parseCommon(t, "-regions", "-2"); err == nil {
-		t.Error("negative regions accepted")
-	} else if !strings.Contains(err.Error(), "sequential") {
-		t.Errorf("regions error %q does not explain valid values", err)
-	}
 	if _, err := parseCommon(t, "-workers", "-1"); err == nil {
 		t.Error("negative workers accepted")
 	} else if !strings.Contains(err.Error(), "GOMAXPROCS") {

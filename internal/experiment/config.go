@@ -52,13 +52,6 @@ type Config struct {
 	// device-service child spans, snapshotted into Outcome.Spans.
 	// Enabling it never changes any simulated metric.
 	Spans bool
-	// Regions selects the conservative parallel simulation path: the
-	// fabric is partitioned into up to Regions regions, each with its own
-	// event queue and worker, synchronized with link-latency lookahead.
-	// 0 or 1 is the sequential referee path. Regions > 1 excludes what
-	// rig.Config.Shardable excludes: tracing, telemetry, spans, loss and
-	// fault plans.
-	Regions int
 }
 
 // rigConfig translates the run description into the assembly it needs: the
@@ -66,13 +59,11 @@ type Config struct {
 // manager's options.
 func (c Config) rigConfig() rig.Config {
 	rc := rig.Config{
-		Seed:          c.Seed,
-		Regions:       c.Regions,
-		DeviceFactor:  c.DeviceFactor,
-		Trace:         c.Trace,
-		Telemetry:     c.Telemetry,
-		LinkTelemetry: c.Telemetry,
-		Spans:         c.Spans,
+		Seed:         c.Seed,
+		DeviceFactor: c.DeviceFactor,
+		Trace:        c.Trace,
+		Telemetry:    c.Telemetry,
+		Spans:        c.Spans,
 		Manager: core.Options{
 			Algorithm:    c.Algorithm,
 			FMFactor:     c.FMFactor,
@@ -137,12 +128,6 @@ func WithSpans() Option {
 	return func(c *Config) { c.Spans = true }
 }
 
-// WithParallelRegions runs the simulation on the region-sharded parallel
-// path with up to r regions (r <= 1 selects the sequential path).
-func WithParallelRegions(r int) Option {
-	return func(c *Config) { c.Regions = r }
-}
-
 // NewConfig builds and validates a run configuration.
 func NewConfig(topology string, alg core.Kind, opts ...Option) (Config, error) {
 	cfg := Config{Topology: topology, Algorithm: alg}
@@ -190,8 +175,5 @@ func (c Config) Validate() error {
 	if c.RetryBackoff < 0 {
 		return fmt.Errorf("experiment: negative retry backoff %v", c.RetryBackoff)
 	}
-	if c.Regions < 0 {
-		return fmt.Errorf("experiment: negative region count %d", c.Regions)
-	}
-	return c.rigConfig().Shardable()
+	return nil
 }

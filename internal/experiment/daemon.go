@@ -38,10 +38,6 @@ type DaemonConfig struct {
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// Listen is the HTTP serving address; empty selects ":8080".
 	Listen string `json:"listen,omitempty"`
-	// Regions selects the region-sharded parallel simulation path for
-	// the daemon's fabric (0 or 1 = sequential). Sharding disables the
-	// fabric's per-link telemetry; engine, shard and FM metrics remain.
-	Regions int `json:"regions,omitempty"`
 	// ScrapeMS is the observability plane's scrape interval in
 	// milliseconds; 0 selects the default (1000).
 	ScrapeMS int `json:"scrape_ms,omitempty"`
@@ -112,9 +108,6 @@ func (dc DaemonConfig) Validate() error {
 	}
 	if dc.QueueDepth < 0 {
 		return fmt.Errorf("experiment: daemon config queue_depth %d is negative", dc.QueueDepth)
-	}
-	if dc.Regions < 0 {
-		return fmt.Errorf("experiment: daemon config regions %d is negative", dc.Regions)
 	}
 	if dc.ScrapeMS < 0 {
 		return fmt.Errorf("experiment: daemon config scrape_ms %d is negative", dc.ScrapeMS)

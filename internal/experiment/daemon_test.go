@@ -22,8 +22,7 @@ func TestDaemonConfigRoundTrip(t *testing.T) {
 	dc := DaemonConfig{
 		Topology: "4x4 mesh", Algorithm: "partial", Seed: 7,
 		ChurnOps: 2, Rounds: 5, AuditEvery: 3, QueueDepth: 16, Listen: ":9000",
-		Regions: 2, ScrapeMS: 250,
-		AssimWindowUS: 200, AssimBatchMax: 16, StaleAfterMS: 2,
+		ScrapeMS: 250, AssimWindowUS: 200, AssimBatchMax: 16, StaleAfterMS: 2,
 	}
 	back, err := DecodeDaemonConfig(bytes.NewReader(dc.EncodeJSON()))
 	if err != nil {
@@ -63,7 +62,6 @@ func TestDaemonConfigValidation(t *testing.T) {
 		{"rounds", func(c *DaemonConfig) { c.Rounds = -1 }, "rounds"},
 		{"audit", func(c *DaemonConfig) { c.AuditEvery = -2 }, "audit_every"},
 		{"queue", func(c *DaemonConfig) { c.QueueDepth = -3 }, "queue_depth"},
-		{"regions", func(c *DaemonConfig) { c.Regions = -1 }, "regions"},
 		{"scrape", func(c *DaemonConfig) { c.ScrapeMS = -1 }, "scrape_ms"},
 		{"assim window negative", func(c *DaemonConfig) { c.AssimWindowUS = -1 }, "assim_window_us"},
 		{"assim window non-partial", func(c *DaemonConfig) { c.AssimWindowUS = 200 }, "requires algorithm"},

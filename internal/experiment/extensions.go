@@ -213,15 +213,15 @@ func failoverRun(topoName string) ([]string, error) {
 	}
 	primary.StartHeartbeats(secondary.Device().DSN, hb)
 	var detectAt, rediscoverAt, reprogramAt sim.Time
-	w := secondary.WatchPrimary(hb, 3, func() { detectAt = r.Now() })
+	w := secondary.WatchPrimary(hb, 3, func() { detectAt = r.Engine.Now() })
 	secondary.OnDiscoveryComplete = func(core.Result) {
 		if rediscoverAt == 0 {
-			rediscoverAt = r.Now()
+			rediscoverAt = r.Engine.Now()
 		}
 	}
 	r.RunFor(2 * sim.Millisecond)
 
-	dieAt := r.Now()
+	dieAt := r.Engine.Now()
 	if err := r.Fabric.SetDeviceDown(primary.Device().ID, true); err != nil {
 		return nil, err
 	}
@@ -231,7 +231,7 @@ func failoverRun(topoName string) ([]string, error) {
 	if !w.TookOver() || rediscoverAt == 0 {
 		return nil, fmt.Errorf("experiment: failover did not complete on %s", topoName)
 	}
-	reprogramAt = r.Now()
+	reprogramAt = r.Engine.Now()
 	return []string{
 		topoName,
 		fmt.Sprintf("%.0f", hb.Microseconds()),
@@ -262,7 +262,7 @@ func runLoaded(topoName string, k core.Kind, seed uint64) (sim.Duration, error) 
 	// Let traffic build up before the discovery starts.
 	r.RunFor(200 * sim.Microsecond)
 	r.Manager.StartDiscovery()
-	for res == nil && r.Pending() > 0 {
+	for res == nil && r.Engine.Pending() > 0 {
 		r.Engine.Step()
 	}
 	gen.Stop()

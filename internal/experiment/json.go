@@ -15,22 +15,6 @@ import (
 // DecodeRunReport does.
 const RunReportSchema = "asi-discovery/run-report/v3"
 
-// RegionsReport is the envelope's parallel-simulation section: how
-// the conservative region-sharded run actually executed. Regions == 1
-// means the sequential path (the section is usually omitted then).
-type RegionsReport struct {
-	// Regions is the region count the run used after clamping.
-	Regions int `json:"regions"`
-	// RegionEvents is the per-region processed-event split.
-	RegionEvents []uint64 `json:"region_events,omitempty"`
-	// SyncRounds counts conservative barrier rounds; LookaheadStalls the
-	// region-rounds with work held back by the link-latency lookahead.
-	SyncRounds      uint64 `json:"sync_rounds,omitempty"`
-	LookaheadStalls uint64 `json:"lookahead_stalls,omitempty"`
-	// WallMS is the run's wall-clock duration in milliseconds.
-	WallMS float64 `json:"wall_ms,omitempty"`
-}
-
 // RunReport is the machine-readable envelope for simulation output: run
 // identification, the measured discovery, any rendered report tables,
 // and — when the run collected it — the full telemetry snapshot. It is
@@ -57,9 +41,6 @@ type RunReport struct {
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	// Spans is the run's causal span log when span tracing was enabled.
 	Spans *span.Log `json:"spans,omitempty"`
-	// Regions describes the parallel-simulation execution when the run
-	// was region-sharded.
-	Regions *RegionsReport `json:"regions,omitempty"`
 	// Events counts processed simulation events; EventsPerSec is the
 	// simulator's wall-clock throughput where the caller measured one.
 	Events       uint64  `json:"events,omitempty"`
@@ -80,15 +61,6 @@ func NewRunReport(o Outcome, reports ...Report) RunReport {
 		Telemetry:     o.Telemetry,
 		Spans:         o.Spans,
 		Events:        o.Events,
-	}
-	if o.Regions > 1 {
-		rr.Regions = &RegionsReport{
-			Regions:         o.Regions,
-			RegionEvents:    o.RegionEvents,
-			SyncRounds:      o.SyncRounds,
-			LookaheadStalls: o.LookaheadStalls,
-			WallMS:          float64(o.Wall.Microseconds()) / 1000,
-		}
 	}
 	if o.Err != nil {
 		rr.Error = o.Err.Error()
@@ -122,9 +94,6 @@ func DecodeRunReport(r io.Reader) (RunReport, error) {
 	}
 	if rr.Schema != RunReportSchema {
 		return RunReport{}, fmt.Errorf("experiment: run report schema %q, want %q", rr.Schema, RunReportSchema)
-	}
-	if rr.Regions != nil && rr.Regions.Regions < 1 {
-		return RunReport{}, fmt.Errorf("experiment: run report regions section with region count %d", rr.Regions.Regions)
 	}
 	if rr.Result == nil && rr.Error == "" && len(rr.Reports) == 0 {
 		return RunReport{}, fmt.Errorf("experiment: run report carries no result, error or reports")

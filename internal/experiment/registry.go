@@ -10,10 +10,6 @@ type Opts struct {
 	Seeds int
 	// Workers bounds the simulation worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// Regions selects the region-sharded parallel simulation path for the
-	// experiments that support it (currently ext-scale); <= 1 is the
-	// sequential referee path.
-	Regions int
 }
 
 // Runner is a registered experiment.
@@ -71,8 +67,8 @@ func Runners() []Runner {
 		{"ext-churn", "Extension: discovery under scripted churn (chaos scenarios)", false, func(o Opts) []Report {
 			return []Report{ExtChurn(o.Seeds)}
 		}},
-		{"ext-scale", "Extension: discovery at 1k-10k switches across all topology families", true, func(o Opts) []Report {
-			return []Report{ExtScale(o.Regions)}
+		{"ext-scale", "Extension: discovery at 1k-10k switches across all topology families", true, func(Opts) []Report {
+			return []Report{ExtScale()}
 		}},
 	}
 }

@@ -103,52 +103,6 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// A region-sharded run's report carries the regions section and
-// survives the round trip.
-func TestRunReportRegionsRoundTrip(t *testing.T) {
-	o := RunConfig(MustConfig("6x6 mesh", core.Parallel, WithSeed(1), WithParallelRegions(4)))
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
-	if o.Regions < 2 {
-		t.Fatalf("run used %d regions; the sharded path never engaged", o.Regions)
-	}
-	rr := NewRunReport(o)
-	if rr.Schema != RunReportSchema {
-		t.Errorf("schema %q", rr.Schema)
-	}
-	if rr.Regions == nil {
-		t.Fatal("sharded run produced no regions section")
-	}
-	var b bytes.Buffer
-	if err := rr.JSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRunReport(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rr, back) {
-		t.Errorf("round trip drifted:\n got %+v\nwant %+v", back, rr)
-	}
-	if back.Regions.Regions != o.Regions || back.Regions.SyncRounds != o.SyncRounds {
-		t.Errorf("regions section lost data: %+v from outcome %d/%d",
-			back.Regions, o.Regions, o.SyncRounds)
-	}
-	var sum uint64
-	for _, n := range back.Regions.RegionEvents {
-		sum += n
-	}
-	if sum != o.Events {
-		t.Errorf("region event split sums to %d, run processed %d", sum, o.Events)
-	}
-	// A sequential run must omit the section entirely.
-	seq := NewRunReport(RunConfig(MustConfig("3x3 mesh", core.Parallel, WithSeed(1))))
-	if seq.Regions != nil {
-		t.Errorf("sequential run carries a regions section: %+v", seq.Regions)
-	}
-}
-
 // Retired envelope versions get no partial back-compat decoding: a v1 or
 // v2 document is refused by the unknown-schema error whatever it carries.
 func TestDecodeRunReportBackCompat(t *testing.T) {
@@ -157,7 +111,6 @@ func TestDecodeRunReportBackCompat(t *testing.T) {
 		for _, body := range []string{
 			`"error":"x"`,
 			`"error":"x","spans":{"spans":null,"dropped":0}`,
-			`"error":"x","regions":{"regions":2}`,
 		} {
 			doc := `{"schema":"` + schema + `",` + body + `}`
 			_, err := DecodeRunReport(bytes.NewReader([]byte(doc)))
@@ -176,8 +129,9 @@ func TestDecodeRunReportRejects(t *testing.T) {
 		"unknown field": `{"schema":"` + RunReportSchema + `","error":"x","bogus":1}`,
 		"ragged row": `{"schema":"` + RunReportSchema + `","reports":[` +
 			`{"id":"r","title":"t","header":["a","b"],"rows":[["only"]]}]}`,
-		"zero region count": `{"schema":"` + RunReportSchema + `","error":"x",` +
-			`"regions":{"regions":0}}`,
+		// The sharded path's section left the schema with the path.
+		"retired regions section": `{"schema":"` + RunReportSchema + `","error":"x",` +
+			`"regions":{"regions":2}}`,
 	}
 	for name, doc := range cases {
 		if _, err := DecodeRunReport(bytes.NewReader([]byte(doc))); err == nil {

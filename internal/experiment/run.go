@@ -78,16 +78,6 @@ type Outcome struct {
 	// simulator throughput, measured for every run.
 	Wall         time.Duration
 	EventsPerSec float64
-	// Regions is the number of simulation regions actually used (1 on the
-	// sequential path; the requested count is clamped to the switch
-	// count). RegionEvents is the per-region event split, SyncRounds the
-	// number of conservative barrier rounds and LookaheadStalls the
-	// region-rounds that had pending work held back by the lookahead
-	// bound — all zero/nil on the sequential path.
-	Regions         int
-	RegionEvents    []uint64
-	SyncRounds      uint64
-	LookaheadStalls uint64
 	// Telemetry is the run's end-of-run metric snapshot, non-nil only
 	// when Config.Telemetry was set.
 	Telemetry *telemetry.Snapshot
@@ -180,12 +170,9 @@ func RunConfig(cfg Config) (out Outcome) {
 }
 
 // measure closes the run's books, whether it succeeded or not: event
-// counts, wall-clock throughput, the sharded path's statistics, and the
-// observers' logs.
+// counts, wall-clock throughput, and the observers' logs.
 func (out *Outcome) measure(r *rig.Rig, wallStart time.Time) {
-	out.Events = r.Processed()
-	out.Regions = r.Regions()
-	out.RegionEvents, out.SyncRounds, out.LookaheadStalls = r.RegionStats()
+	out.Events = r.Engine.Processed
 	totalEvents.Add(out.Events)
 	out.Wall = time.Since(wallStart)
 	if s := out.Wall.Seconds(); s > 0 {

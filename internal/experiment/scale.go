@@ -50,14 +50,13 @@ const scaleHorizon = 3600 * sim.Second
 // alive-fabric ground truth by the oracle; audited rows rediscover the
 // converged fabric a second time. Rows run sequentially so the
 // events-per-second column is honest single-run simulator throughput.
-// regions > 1 runs each row on the region-sharded parallel path.
-func ExtScale(regions int) Report {
-	return extScale(scaleRows(), regions)
+func ExtScale() Report {
+	return extScale(scaleRows())
 }
 
 // extScale runs the sweep over an explicit row set; tests use a trimmed
 // one to keep the regular suite fast.
-func extScale(rows []scaleRow, regions int) Report {
+func extScale(rows []scaleRow) Report {
 	r := Report{
 		ID:     "ext-scale",
 		Title:  "Discovery at scale: 100-10,000-switch fabrics across all generator families",
@@ -68,10 +67,6 @@ func extScale(rows []scaleRow, regions int) Report {
 			"Events/s is wall-clock simulator throughput for that row, measured sequentially",
 		},
 	}
-	if regions > 1 {
-		r.Notes = append(r.Notes,
-			fmt.Sprintf("rows run on the region-sharded parallel path (up to %d regions, link-latency lookahead)", regions))
-	}
 	for _, row := range rows {
 		sc := chaos.Scenario{
 			Name:      "scale " + row.Topology,
@@ -79,7 +74,7 @@ func extScale(rows []scaleRow, regions int) Report {
 			Algorithm: "parallel",
 		}
 		sc.Topology.Catalogue = row.Topology
-		opt := chaos.Options{Horizon: scaleHorizon, NoAudit: !row.Audit, Regions: regions}
+		opt := chaos.Options{Horizon: scaleHorizon, NoAudit: !row.Audit}
 		start := time.Now()
 		rep, err := chaos.Execute(sc, opt)
 		wall := time.Since(start)

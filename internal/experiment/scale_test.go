@@ -16,7 +16,7 @@ func TestExtScaleTrimmed(t *testing.T) {
 	rep := extScale([]scaleRow{
 		{"dragonfly 8x32", true},
 		{"autofat 32x512", false},
-	}, 0)
+	})
 	if len(rep.Rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rep.Rows))
 	}

@@ -287,23 +287,6 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 	return f, nil
 }
 
-// Sharded reports whether the fabric runs on the parallel region-sharded
-// path.
-func (f *Fabric) Sharded() bool { return f.group != nil }
-
-// Group returns the shard group a sharded fabric runs on (nil when
-// sequential).
-func (f *Fabric) Group() *sim.ShardGroup { return f.group }
-
-// Region returns the region a node was partitioned into (0 when
-// sequential).
-func (f *Fabric) Region(id topo.NodeID) int {
-	if f.regionOf == nil {
-		return 0
-	}
-	return f.regionOf[id]
-}
-
 // Config returns the fabric's effective configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"repro/internal/rib"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // DashDoc is the /obs.json document: one self-contained frame of the
@@ -30,9 +28,6 @@ type DashDoc struct {
 	Rates     []Rate          `json:"rates,omitempty"`
 	Gauges    []GaugeValue    `json:"gauges,omitempty"`
 	Quantiles []HistQuantiles `json:"quantiles,omitempty"`
-	// Regions is the per-region event split (from the sharded
-	// simulation's sim.region.events vector), cumulative and windowed.
-	Regions []RegionLoad `json:"regions,omitempty"`
 	// Serving is the RIB serving-layer view including the staleness SLO.
 	Serving rib.Stats `json:"serving"`
 	// Events is the tail of the structured event log, oldest first.
@@ -45,13 +40,6 @@ type DashDoc struct {
 type GaugeValue struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
-}
-
-// RegionLoad is one simulation region's share of the event load.
-type RegionLoad struct {
-	Region int     `json:"region"`
-	Events uint64  `json:"events"`
-	PerSec float64 `json:"per_sec"`
 }
 
 // Dash assembles the current dashboard document.
@@ -79,10 +67,9 @@ func (p *Plane) Dash(eventTail int) DashDoc {
 		doc.Gauges = append(doc.Gauges, GaugeValue{Name: g.Name, Value: g.Value})
 	}
 
-	var delta telemetry.Snapshot
 	if okBase {
 		if doc.WindowSec = cur.Wall.Sub(base.Wall).Seconds(); doc.WindowSec > 0 {
-			delta = cur.Telemetry.Delta(base.Telemetry)
+			delta := cur.Telemetry.Delta(base.Telemetry)
 			for _, c := range delta.Counters {
 				doc.Rates = append(doc.Rates, Rate{Name: c.Name, PerSec: float64(c.Value) / doc.WindowSec})
 			}
@@ -108,22 +95,6 @@ func (p *Plane) Dash(eventTail int) DashDoc {
 				})
 			}
 		}
-	}
-
-	// Per-region split: cumulative events from the newest sample, the
-	// windowed rate from the delta (when a window exists).
-	deltaRegion := map[int]uint64{}
-	for _, v := range delta.Vectors {
-		if v.Name == sim.MetricRegionEvents {
-			deltaRegion[v.Index] = v.Value
-		}
-	}
-	for _, v := range cur.Telemetry.Vector(sim.MetricRegionEvents) {
-		rl := RegionLoad{Region: v.Index, Events: v.Value}
-		if doc.WindowSec > 0 {
-			rl.PerSec = float64(deltaRegion[v.Index]) / doc.WindowSec
-		}
-		doc.Regions = append(doc.Regions, rl)
 	}
 	return doc
 }

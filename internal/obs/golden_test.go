@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/rib"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -40,8 +39,8 @@ func collectNames(s telemetry.Snapshot, into map[string]struct{}) {
 func TestMetricNamesGolden(t *testing.T) {
 	names := map[string]struct{}{}
 
-	// A telemetry-enabled sequential run registers the FM, fabric and
-	// engine metrics.
+	// A telemetry-enabled run registers the FM, fabric and engine
+	// metrics.
 	o := experiment.RunConfig(experiment.MustConfig(
 		"3x3 mesh", core.Parallel,
 		experiment.WithSeed(1),
@@ -52,17 +51,6 @@ func TestMetricNamesGolden(t *testing.T) {
 		t.Fatalf("telemetry run failed: %v", o.Err)
 	}
 	collectNames(*o.Telemetry, names)
-
-	// The sharded engine contributes the shard/region counters.
-	g := sim.NewShardGroup(2, sim.Duration(sim.Microsecond))
-	g.Engine(0).At(sim.Time(sim.Microsecond), func(*sim.Engine) {
-		g.Post(0, 1, sim.Time(2*sim.Microsecond), func(*sim.Engine, any) {}, nil)
-	})
-	g.Engine(1).At(sim.Time(sim.Microsecond), func(*sim.Engine) {})
-	g.Run()
-	reg := telemetry.New()
-	g.RecordTelemetry(reg)
-	collectNames(reg.Snapshot(), names)
 
 	// The serving layer hosts its own deliver-latency histogram.
 	names[rib.MetricDeliverLatency] = struct{}{}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rib"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -183,7 +182,7 @@ func TestPromExpositionParses(t *testing.T) {
 	reg := telemetry.New()
 	c := reg.Counter("fm.fake-total")
 	reg.Gauge("fm.queue.depth").Set(7)
-	v := reg.CounterVec(sim.MetricRegionEvents, 2)
+	v := reg.CounterVec("fm.fake.vec", 2)
 	h := reg.Histogram("fm.rtt.fake", "ps", []int64{100, 200})
 	c.Add(4)
 	v.Inc(0)
@@ -226,7 +225,7 @@ func TestPromExpositionParses(t *testing.T) {
 		{"asi_fm_fake_total", "counter", 10},
 		{"asi_fm_fake_total_rate", "gauge", 3}, // +6 over 2s
 		{"asi_fm_queue_depth", "gauge", 7},
-		{"asi_sim_region_events_rate", "gauge", 0.5}, // +1 family-wide over 2s
+		{"asi_fm_fake_vec_rate", "gauge", 0.5}, // +1 family-wide over 2s
 		{"asi_rib_generation", "gauge", 4},
 		{"asi_rib_installs_total", "counter", 4},
 	}
@@ -245,9 +244,9 @@ func TestPromExpositionParses(t *testing.T) {
 	}
 
 	// Vector indices carry labels.
-	if pts := byName["asi_sim_region_events"]; len(pts) != 2 ||
+	if pts := byName["asi_fm_fake_vec"]; len(pts) != 2 ||
 		pts[0].Labels["index"] != "0" || pts[1].Labels["index"] != "1" {
-		t.Errorf("region vector exposition wrong: %+v", pts)
+		t.Errorf("vector exposition wrong: %+v", pts)
 	}
 
 	// Histogram triple: final bucket equals count; sum sane.
@@ -314,7 +313,6 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 func TestMetricsAndDashHandlers(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter("a.count").Add(2)
-	reg.CounterVec(sim.MetricRegionEvents, 2).Inc(1)
 	p := obs.New(obs.Config{})
 	t0 := time.Unix(4000, 0)
 	p.Scrape(sampleAt(reg, t0, 1, rib.Stats{}))
@@ -353,10 +351,6 @@ func TestMetricsAndDashHandlers(t *testing.T) {
 	}
 	if len(doc.Rates) == 0 || doc.Rates[0].Name != "a.count" || doc.Rates[0].PerSec != 2 {
 		t.Errorf("dash rates %+v", doc.Rates)
-	}
-	// Zero vector slots are omitted from snapshots: only region 1 shows.
-	if len(doc.Regions) != 1 || doc.Regions[0].Region != 1 || doc.Regions[0].Events != 1 {
-		t.Errorf("dash regions %+v", doc.Regions)
 	}
 	if len(doc.Events) != 1 || doc.Events[0].Kind != obs.EventDiscoveryConverge {
 		t.Errorf("dash events %+v", doc.Events)

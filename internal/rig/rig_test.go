@@ -13,7 +13,6 @@ import (
 	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // run is everything two executions of one discovery case must agree on.
@@ -124,7 +123,7 @@ func onRig(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uint
 		}
 		r.Run()
 	}
-	out.processed, out.maxPending = r.Processed(), r.Engine.MaxPending
+	out.processed, out.maxPending = r.Engine.Processed, r.Engine.MaxPending
 	out.counters, out.dbFP = r.Fabric.Counters(), r.Manager.DB().Fingerprint()
 	return out
 }
@@ -159,135 +158,83 @@ func TestRigEqualsHandAssembly(t *testing.T) {
 }
 
 // TestHotplugReportsAndConverges applies one toggle list — including a
-// down of a device already down and an up of one already up — on a
-// sequential and on a sharded rig. Both must hand the fabric's refusals
-// back (the daemon used to drop them) and end on the same database.
+// down of a device already down and an up of one already up. The rig must
+// hand the fabric's refusals back (the daemon used to drop them) and end
+// on the whole fabric.
 func TestHotplugReportsAndConverges(t *testing.T) {
 	tp, err := topo.ByName("6x6 mesh")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fps []uint64
-	for _, regions := range []int{1, 4} {
-		r, err := rig.New(tp, rig.Config{Seed: 7, Regions: regions, Manager: core.Options{Algorithm: core.Parallel}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Regions() != regions {
-			t.Fatalf("rig has %d regions, want %d", r.Regions(), regions)
-		}
-		if err := r.Bootstrap(); err != nil {
-			t.Fatalf("R=%d: %v", regions, err)
-		}
-		// Any two switches but the manager's own.
-		var churned []topo.NodeID
-		for _, n := range tp.Nodes {
-			if n.Type == asi.DeviceSwitch && n.ID != r.HostSwitch && len(churned) < 2 {
-				churned = append(churned, n.ID)
-			}
-		}
-		a, b := churned[0], churned[1]
-		base := r.Now()
-		at := func(i int) sim.Time { return base.Add(sim.Duration(i) * 50 * sim.Microsecond) }
-		got := map[int]error{}
-		for i, t := range []struct {
-			node topo.NodeID
-			down bool
-		}{
-			{a, true},
-			{a, true}, // already down
-			{b, true},
-			{a, false},
-			{a, false}, // already up
-			{b, false},
-		} {
-			r.Hotplug(at(i), t.node, t.down, func(err error) { got[i] = err })
-		}
-		r.Run()
-		if len(got) != 2 || !errors.Is(got[1], fabric.ErrAlreadyDown) || !errors.Is(got[4], fabric.ErrAlreadyUp) {
-			t.Errorf("R=%d: Hotplug reported %v, want ErrAlreadyDown for toggle 1 and ErrAlreadyUp for toggle 4", regions, got)
-		}
-		if n := r.Manager.DB().NumNodes(); n != len(tp.Nodes) {
-			t.Errorf("R=%d: database has %d devices after full restoration, fabric %d", regions, n, len(tp.Nodes))
-		}
-		fps = append(fps, r.Manager.DB().Fingerprint())
-	}
-	if fps[0] != fps[1] {
-		t.Errorf("database fingerprint %#x sequential, %#x at R=4", fps[0], fps[1])
-	}
-}
-
-// TestNotShardable is the one statement of what a sharded rig refuses,
-// cause by cause; a sequential rig takes all of it.
-func TestNotShardable(t *testing.T) {
-	tp, err := topo.ByName("3x3 mesh")
+	r, err := rig.New(tp, rig.Config{Seed: 7, Manager: core.Options{Algorithm: core.Parallel}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		set  func(*rig.Config)
-		want string
+	if err := r.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	// Any two switches but the manager's own.
+	var churned []topo.NodeID
+	for _, n := range tp.Nodes {
+		if n.Type == asi.DeviceSwitch && n.ID != r.HostSwitch && len(churned) < 2 {
+			churned = append(churned, n.ID)
+		}
+	}
+	a, b := churned[0], churned[1]
+	base := r.Engine.Now()
+	at := func(i int) sim.Time { return base.Add(sim.Duration(i) * 50 * sim.Microsecond) }
+	got := map[int]error{}
+	for i, t := range []struct {
+		node topo.NodeID
+		down bool
 	}{
-		{"packet tracer", func(c *rig.Config) { c.Trace = &trace.Buffer{} }, "packet tracing is unsupported with parallel regions"},
-		{"per-link telemetry", func(c *rig.Config) { c.Telemetry, c.LinkTelemetry = true, true }, "telemetry is unsupported with parallel regions"},
-		{"spans", func(c *rig.Config) { c.Spans = true }, "span tracing is unsupported with parallel regions"},
-		{"fault plan", func(c *rig.Config) { c.Faults = fabric.Uniform(0.01) }, "fault injection is unsupported with parallel regions"},
+		{a, true},
+		{a, true}, // already down
+		{b, true},
+		{a, false},
+		{a, false}, // already up
+		{b, false},
+	} {
+		r.Hotplug(at(i), t.node, t.down, func(err error) { got[i] = err })
 	}
-	for _, c := range cases {
-		cfg := rig.Config{Seed: 1, Regions: 2}
-		c.set(&cfg)
-		if err := cfg.Shardable(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Shardable() = %v, want %q", c.name, err, c.want)
-		}
-		if _, err := rig.New(tp, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: New = %v, want %q", c.name, err, c.want)
-		}
-		cfg.Regions = 1
-		if err := cfg.Shardable(); err != nil {
-			t.Errorf("%s: sequential config refused: %v", c.name, err)
-		}
-		if _, err := rig.New(tp, cfg); err != nil {
-			t.Errorf("%s: sequential rig refused: %v", c.name, err)
-		}
+	r.Run()
+	if len(got) != 2 || !errors.Is(got[1], fabric.ErrAlreadyDown) || !errors.Is(got[4], fabric.ErrAlreadyUp) {
+		t.Errorf("Hotplug reported %v, want ErrAlreadyDown for toggle 1 and ErrAlreadyUp for toggle 4", got)
 	}
-	// FM-level telemetry alone is what the sharded daemon runs with.
-	if _, err := rig.New(tp, rig.Config{Seed: 1, Regions: 2, Telemetry: true}); err != nil {
-		t.Errorf("sharded rig with FM-only telemetry refused: %v", err)
+	if n := r.Manager.DB().NumNodes(); n != len(tp.Nodes) {
+		t.Errorf("database has %d devices after full restoration, fabric %d", n, len(tp.Nodes))
 	}
 }
 
 // TestRunForStopsAtHorizon: a horizon that cuts a discovery short must
 // be reported as undrained — the chaos oracle's "engine hung" signal —
-// with the clock at the horizon, not beyond it, on either path.
+// with the clock at the horizon, not beyond it.
 func TestRunForStopsAtHorizon(t *testing.T) {
 	tp, err := topo.ByName("4x4 mesh")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, regions := range []int{1, 4} {
-		r, err := rig.New(tp, rig.Config{Seed: 1, Regions: regions, Manager: core.Options{Algorithm: core.Parallel}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Manager.StartDiscovery()
-		const horizon = 20 * sim.Microsecond
-		start := r.Now()
-		if r.RunFor(horizon) {
-			t.Fatalf("R=%d: a 16-switch discovery drained within %v", regions, horizon)
-		}
-		if r.Pending() == 0 || !r.Manager.Discovering() {
-			t.Errorf("R=%d: undrained run left %d events pending, discovering=%v", regions, r.Pending(), r.Manager.Discovering())
-		}
-		if now := r.Now(); now != start.Add(horizon) {
-			t.Errorf("R=%d: clock at %v after RunFor(%v) from %v", regions, now, horizon, start)
-		}
-		if !r.RunFor(sim.Second) {
-			t.Fatalf("R=%d: discovery still undrained a simulated second later", regions)
-		}
-		if _, ok := r.Manager.LastResult(); !ok || r.Pending() != 0 {
-			t.Errorf("R=%d: drained run completed no discovery (pending %d)", regions, r.Pending())
-		}
+	r, err := rig.New(tp, rig.Config{Seed: 1, Manager: core.Options{Algorithm: core.Parallel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Manager.StartDiscovery()
+	const horizon = 20 * sim.Microsecond
+	start := r.Engine.Now()
+	if r.RunFor(horizon) {
+		t.Fatalf("a 16-switch discovery drained within %v", horizon)
+	}
+	if r.Engine.Pending() == 0 || !r.Manager.Discovering() {
+		t.Errorf("undrained run left %d events pending, discovering=%v", r.Engine.Pending(), r.Manager.Discovering())
+	}
+	if now := r.Engine.Now(); now != start.Add(horizon) {
+		t.Errorf("clock at %v after RunFor(%v) from %v", now, horizon, start)
+	}
+	if !r.RunFor(sim.Second) {
+		t.Fatal("discovery still undrained a simulated second later")
+	}
+	if _, ok := r.Manager.LastResult(); !ok || r.Engine.Pending() != 0 {
+		t.Errorf("drained run completed no discovery (pending %d)", r.Engine.Pending())
 	}
 }
 

@@ -349,21 +349,3 @@ func (g *ShardGroup) Pending() int {
 	}
 	return p
 }
-
-// Processed sums events fired across all regions.
-func (g *ShardGroup) Processed() uint64 {
-	var total uint64
-	for _, e := range g.engines {
-		total += e.Processed
-	}
-	return total
-}
-
-// RegionProcessed returns per-region fired-event counts.
-func (g *ShardGroup) RegionProcessed() []uint64 {
-	counts := make([]uint64, len(g.engines))
-	for i, e := range g.engines {
-		counts[i] = e.Processed
-	}
-	return counts
-}

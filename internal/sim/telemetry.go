@@ -19,26 +19,6 @@ const (
 	MetricEventsPerSec = "sim.events.per.sec"
 )
 
-// ShardGroup telemetry metric names, published by
-// ShardGroup.RecordTelemetry so parallel-DES health (barrier rounds,
-// inline fast-path hits, lookahead stalls, cross-region traffic, and the
-// per-region event split) is visible to the observability plane.
-const (
-	// MetricShardRounds counts conservative barrier rounds executed.
-	MetricShardRounds = "sim.shard.rounds"
-	// MetricShardInline counts rounds with exactly one active region,
-	// run inline on the coordinator at full speed.
-	MetricShardInline = "sim.shard.inline.rounds"
-	// MetricShardStalls counts region-rounds where pending work was held
-	// back by the lookahead bound.
-	MetricShardStalls = "sim.shard.lookahead.stalls"
-	// MetricShardCross counts cross-region message deliveries.
-	MetricShardCross = "sim.shard.cross.msgs"
-	// MetricRegionEvents is the per-region fired-event split (CounterVec
-	// indexed by region).
-	MetricRegionEvents = "sim.region.events"
-)
-
 // RecordTelemetry publishes the engine's run statistics to reg: events
 // processed, the pending-heap high-water mark, and — when the caller
 // supplies the run's wall-clock duration — the simulator's events/sec
@@ -50,36 +30,5 @@ func (e *Engine) RecordTelemetry(reg *telemetry.Registry, wall time.Duration) {
 	reg.Gauge(MetricHeapMax).SetMax(int64(e.MaxPending))
 	if wall > 0 {
 		reg.Gauge(MetricEventsPerSec).Set(int64(float64(e.Processed) / wall.Seconds()))
-	}
-}
-
-// RecordTelemetry publishes the group's cumulative parallel-simulation
-// statistics to reg: the shared sim.events total and heap high-water
-// across all regions, the barrier/inline/stall/cross counters, and the
-// per-region event split. Like the engine publisher it uses SetTotal
-// semantics, so periodic scrapes see monotonic counters instead of
-// compounding ones. Call it only between rounds (or after Run returns):
-// the coordinator owns every region's counters at those points.
-func (g *ShardGroup) RecordTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	var events uint64
-	var heapMax int
-	for _, e := range g.engines {
-		events += e.Processed
-		if e.MaxPending > heapMax {
-			heapMax = e.MaxPending
-		}
-	}
-	reg.Counter(MetricEvents).SetTotal(events)
-	reg.Gauge(MetricHeapMax).SetMax(int64(heapMax))
-	reg.Counter(MetricShardRounds).SetTotal(g.Rounds)
-	reg.Counter(MetricShardInline).SetTotal(g.Inline)
-	reg.Counter(MetricShardStalls).SetTotal(g.Stalls)
-	reg.Counter(MetricShardCross).SetTotal(g.Cross)
-	regions := reg.CounterVec(MetricRegionEvents, len(g.engines))
-	for i, e := range g.engines {
-		regions.Set(i, e.Processed)
 	}
 }

@@ -26,39 +26,3 @@ func TestEngineRecordTelemetryRepublishes(t *testing.T) {
 		t.Errorf("heap max %d, want %d", got, e.MaxPending)
 	}
 }
-
-func TestShardGroupRecordTelemetry(t *testing.T) {
-	g := NewShardGroup(2, Duration(Microsecond))
-	// Region 0 pings region 1, which pongs back: forces at least one
-	// multi-region interaction through the barrier machinery.
-	g.Engine(0).At(Time(Microsecond), func(*Engine) {
-		g.Post(0, 1, Time(2*Microsecond), func(*Engine, any) {}, nil)
-	})
-	g.Engine(1).At(Time(Microsecond), func(*Engine) {})
-	g.Run()
-
-	reg := telemetry.New()
-	g.RecordTelemetry(reg)
-	g.RecordTelemetry(reg) // republication is idempotent
-	s := reg.Snapshot()
-
-	if got, _ := s.Counter(MetricEvents); got != g.Processed() {
-		t.Errorf("sim.events %d, want %d", got, g.Processed())
-	}
-	if got, _ := s.Counter(MetricShardRounds); got != g.Rounds {
-		t.Errorf("rounds %d, want %d", got, g.Rounds)
-	}
-	if got, _ := s.Counter(MetricShardCross); got != g.Cross || g.Cross == 0 {
-		t.Errorf("cross %d, want non-zero %d", got, g.Cross)
-	}
-	split := s.Vector(MetricRegionEvents)
-	var sum uint64
-	for _, v := range split {
-		sum += v.Value
-	}
-	if sum != g.Processed() {
-		t.Errorf("region split sums to %d, want %d", sum, g.Processed())
-	}
-	// Nil registry is a no-op.
-	g.RecordTelemetry(nil)
-}

@@ -178,10 +178,9 @@ func (c *Counter) Value() uint64 {
 
 // SetTotal overwrites the count with an externally-accumulated total.
 // Publishers that already keep their own cumulative tally (the engine's
-// Processed count, a shard group's round counters) republish it on every
-// scrape with SetTotal, so repeated publication does not double-count
-// the way Add would. The counter stays semantically monotonic as long as
-// the source total is.
+// Processed count) republish it on every scrape with SetTotal, so
+// repeated publication does not double-count the way Add would. The
+// counter stays semantically monotonic as long as the source total is.
 func (c *Counter) SetTotal(v uint64) {
 	if c != nil {
 		c.v = v

@@ -3,6 +3,8 @@ package topo
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/asi"
 )
 
 // AutoFatTreeSpec sizes a two-layer fat-tree from a switch port count and
@@ -35,13 +37,14 @@ type Design struct {
 // minimizes.
 func (d Design) Switches() int { return d.Leaves + d.Spines }
 
-// Design solves the spec. It returns an error when no two-layer tree of
-// this radix can attach the required endpoints: the family's capacity is
-// down*Leaves with Leaves <= Ports (every spine needs one down port per
-// leaf), which tops out at Ports^2/2 hosts for a non-blocking tree.
+// Design solves the spec. It returns an error when the radix is not one
+// an ASI switch can have, or when no two-layer tree of this radix can
+// attach the required endpoints: the family's capacity is down*Leaves
+// with Leaves <= Ports (every spine needs one down port per leaf), which
+// tops out at Ports^2/2 hosts for a non-blocking tree.
 func (s AutoFatTreeSpec) Design() (Design, error) {
-	if s.Ports < 2 {
-		return Design{}, fmt.Errorf("topo: autofat radix %d must be >= 2", s.Ports)
+	if s.Ports < 2 || s.Ports > asi.MaxSwitchPorts {
+		return Design{}, fmt.Errorf("topo: autofat radix %d must be 2..%d", s.Ports, asi.MaxSwitchPorts)
 	}
 	if s.Endpoints < 1 {
 		return Design{}, fmt.Errorf("topo: autofat needs >= 1 endpoint, have %d", s.Endpoints)

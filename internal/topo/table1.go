@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Spec identifies one topology from the paper's Table 1 together with its
 // expected device counts, which double as a regression check on the
@@ -72,47 +75,99 @@ func ByName(name string) (*Topology, error) {
 	return ParseName(name)
 }
 
+// MaxSize bounds the fabrics ParseName builds, in nodes and in links.
+// Names arrive from outside the program (-topo, the daemon's config
+// file, replayed scenarios, the fuzzer) and the generators allocate every
+// node and cable, so without a bound a name can ask for any amount of
+// memory. 1<<20 nodes is ~50x dragonfly 16x625, the largest fabric any
+// test or benchmark builds.
+const MaxSize = 1 << 20
+
+// maxTreeDepth is log2(MaxSize): a deeper m-port n-tree has too many
+// nodes whatever m >= 4 is, and a 2-port one — a chain, whose node
+// labels grow with its depth — costs depth squared to build.
+const maxTreeDepth = 20
+
 // ParseName builds a topology from a parametric family name, so tools and
 // scenario specs can reference arbitrary instances without a catalogue
 // entry:
 //
 //	"RxC mesh"        Mesh(R, C), R and C >= 2
 //	"RxC torus"       Torus(R, C), R and C >= 2
-//	"M-port N-tree"   FatTree(M, N), M even >= 2, N >= 2
+//	"M-port N-tree"   FatTree(M, N), M even >= 2, 2 <= N <= 20
 //	"dragonfly KxM"   Dragonfly(K, M), K and M >= 2
-//	"autofat PxN"     AutoFatTree of radix P attaching N endpoints
+//	"autofat PxN"     AutoFatTree of radix P <= 256 attaching N endpoints
+//
+// An instance of more than MaxSize nodes or links is refused before
+// anything is built.
 func ParseName(name string) (*Topology, error) {
+	nodes, links, build, err := parametric(name)
+	if err != nil {
+		return nil, err
+	}
+	if nodes > MaxSize || links > MaxSize {
+		return nil, fmt.Errorf("topo: %q is too large: %.4g nodes and %.4g links, the limit is %d of each",
+			name, nodes, links, MaxSize)
+	}
+	return build(), nil
+}
+
+// parametric resolves a family name to the instance's node and link
+// counts and its constructor, building nothing. The counts are float64
+// so that no parameter can overflow them back into range; below 2^53,
+// far above MaxSize, they are exact.
+func parametric(name string) (nodes, links float64, build func() *Topology, err error) {
 	var a, b int
 	if n, _ := fmt.Sscanf(name, "dragonfly %dx%d", &a, &b); n == 2 {
 		if a < 2 || b < 2 {
-			return nil, fmt.Errorf("topo: dragonfly %dx%d needs K >= 2 and M >= 2", a, b)
+			return 0, 0, nil, fmt.Errorf("topo: dragonfly %dx%d needs K >= 2 and M >= 2", a, b)
 		}
-		return Dragonfly(a, b), nil
+		k, m := float64(a), float64(b)
+		return 2 * k * m, m*k*(k-1)/2 + m*(m-1)/2 + k*m, func() *Topology { return Dragonfly(a, b) }, nil
 	}
 	if n, _ := fmt.Sscanf(name, "autofat %dx%d", &a, &b); n == 2 {
+		// Design bounds the radix, and with it the endpoints.
 		spec := AutoFatTreeSpec{Ports: a, Endpoints: b}
-		if _, err := spec.Design(); err != nil {
-			return nil, err
+		d, err := spec.Design()
+		if err != nil {
+			return 0, 0, nil, err
 		}
-		return AutoFatTree(spec), nil
+		return float64(b + d.Switches()), float64(b + d.Leaves*d.Spines), func() *Topology { return AutoFatTree(spec) }, nil
 	}
 	if n, _ := fmt.Sscanf(name, "%d-port %d-tree", &a, &b); n == 2 {
 		if a < 2 || a%2 != 0 || b < 2 {
-			return nil, fmt.Errorf("topo: fat-tree %q needs an even port count >= 2 and depth >= 2", name)
+			return 0, 0, nil, fmt.Errorf("topo: fat-tree %q needs an even port count >= 2 and depth >= 2", name)
 		}
-		return FatTree(a, b), nil
+		if b > maxTreeDepth {
+			return 0, 0, nil, fmt.Errorf("topo: fat-tree %q is deeper than the limit of %d levels", name, maxTreeDepth)
+		}
+		// n-1 levels of 2h^(n-1) switches with h uplinks each, h^(n-1)
+		// roots, and h endpoints under every leaf switch.
+		h, depth := float64(a/2), float64(b)
+		row := math.Pow(h, depth-1)
+		return (2*depth-1)*row + 2*h*row, 2 * depth * h * row, func() *Topology { return FatTree(a, b) }, nil
 	}
 	var kind string
 	if n, _ := fmt.Sscanf(name, "%dx%d %s", &a, &b, &kind); n == 3 && (kind == "mesh" || kind == "torus") {
 		if a < 2 || b < 2 {
-			return nil, fmt.Errorf("topo: grid %q needs both dimensions >= 2", name)
+			return 0, 0, nil, fmt.Errorf("topo: grid %q needs both dimensions >= 2", name)
 		}
+		// One endpoint cable per switch, plus the east and south cables;
+		// a dimension wraps only when wider than 2.
+		r, c := float64(a), float64(b)
+		links = 3*r*c - r - c
 		if kind == "mesh" {
-			return Mesh(a, b), nil
+			return 2 * r * c, links, func() *Topology { return Mesh(a, b) }, nil
 		}
-		return Torus(a, b), nil
+		if b > 2 {
+			links += r
+		}
+		if a > 2 {
+			links += c
+		}
+		return 2 * r * c, links, func() *Topology { return Torus(a, b) }, nil
 	}
-	return nil, fmt.Errorf("topo: unknown topology %q (catalogue names, or parametric: %q, %q, %q, %q, %q)",
+	return 0, 0, nil, fmt.Errorf("topo: unknown topology %q (catalogue names, or parametric: %q, %q, %q, %q, %q)",
 		name, "RxC mesh", "RxC torus", "M-port N-tree", "dragonfly KxM", "autofat PxN")
 }
 

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +244,54 @@ func TestByNameParametric(t *testing.T) {
 	} {
 		if _, err := ByName(name); err == nil {
 			t.Errorf("ByName(%q) accepted a bad parametric name", name)
+		}
+	}
+}
+
+// TestParseNameBoundsSize: a name arrives from outside the program, so an
+// instance past MaxSize nodes or links — including one whose parameters
+// overflow an int when multiplied — must be refused from its parameters
+// alone, in every family, with an error naming the bound it broke.
+func TestParseNameBoundsSize(t *testing.T) {
+	for name, want := range map[string]string{
+		"100000x100000 mesh":              "limit",
+		"4294967296x4294967296 torus":     "limit", // 2^64 wraps to 0
+		"600x600 mesh":                    "limit", // 720 000 nodes, but 1 078 800 links
+		"64-port 9-tree":                  "limit",
+		"2-port 524288-tree":              "limit", // in range by nodes; labels grow with depth
+		"4-port 9223372036854775807-tree": "limit",
+		"dragonfly 65536x65536":           "limit",
+		"dragonfly 2x262144":              "limit", // 2^20 nodes, 3.4e10 global links
+		"dragonfly 3037000500x3037000500": "limit",
+		// An auto-designed tree is bounded by the ASI switch radix, and
+		// through it by the two-layer capacity.
+		"autofat 256x1048577":           "capacity 32768",
+		"autofat 1000000000x5":          "2..256", // one switch, a billion ports
+		"autofat 4294967296x4294967297": "2..256",
+	} {
+		if _, err := ParseName(name); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseName(%q) = %v, want a refusal naming its bound (%q)", name, err, want)
+		}
+	}
+	// The largest fabrics any test or benchmark builds stay well inside,
+	// and the counts the bound works from are the generators' own.
+	for _, name := range []string{
+		"dragonfly 16x625", "autofat 128x4096",
+		"2x2 mesh", "2x5 torus", "3x2 torus", "7x4 torus", "5x4 mesh",
+		"2-port 4-tree", "6-port 2-tree", "4-port 4-tree", "dragonfly 5x7", "autofat 16x100", "autofat 8x5",
+	} {
+		nodes, links, _, err := parametric(name)
+		if err != nil {
+			t.Errorf("parametric(%q): %v", name, err)
+			continue
+		}
+		tp, err := ParseName(name)
+		if err != nil {
+			t.Errorf("ParseName(%q): %v", name, err)
+			continue
+		}
+		if nodes != float64(len(tp.Nodes)) || links != float64(len(tp.Links)) {
+			t.Errorf("%q sized as %v nodes / %v links, built %d / %d", name, nodes, links, len(tp.Nodes), len(tp.Links))
 		}
 	}
 }
