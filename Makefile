@@ -118,8 +118,10 @@ span-smoke:
 		| $(GO) run ./cmd/reportjson > /dev/null
 	rm -f $${TMPDIR:-/tmp}/asi_span_smoke.json
 
-# alloc-check pins the allocation contracts: the instrumentation hooks'
-# disabled cost and a warm PI-4 round trip (FM -> device -> FM) at zero
+# alloc-check pins the allocation contracts: the engine's schedule, fire,
+# cancel and timer-rearm paths at zero both within the near run's capacity
+# and with spill and refill in play, the instrumentation hooks' disabled
+# cost and a warm PI-4 round trip (FM -> device -> FM) at zero
 # allocations, fabric.New within its bytes-per-device-or-link budget, and
 # the serving layer's fan-out: queueing and delivering a generation at
 # zero, one install at well under one allocation per extra subscriber.
@@ -150,12 +152,15 @@ chaos-par-smoke:
 
 # fuzz gives each native fuzz target a short bounded burst; the committed
 # corpus under internal/chaos/testdata/corpus seeds FuzzScenario.
+# FuzzQueueOrder replays schedule/cancel/step/run-until streams against a
+# sorted-slice reference of the engine's two-tier queue.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzGenerated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzCoalesce$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzInstallChangeSets$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
 
 # daemon-smoke proves the FM daemon's serving layer end to end: an
 # in-process asifmd manages a fat-tree under scripted churn while 1000

@@ -19,6 +19,8 @@ import (
 type run struct {
 	results    []core.Result // Timeline dropped
 	processed  uint64
+	scheduled  uint64
+	farPushes  uint64
 	maxPending int
 	counters   fabric.Counters
 	dbFP       uint64
@@ -86,7 +88,7 @@ func byHand(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uin
 		}
 		e.Run()
 	}
-	out.processed, out.maxPending = e.Processed, e.MaxPending
+	out.processed, out.scheduled, out.farPushes, out.maxPending = e.Processed, e.Scheduled, e.FarPushes, e.MaxPending
 	out.counters, out.dbFP = f.Counters(), m.DB().Fingerprint()
 	return out
 }
@@ -123,7 +125,8 @@ func onRig(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uint
 		}
 		r.Run()
 	}
-	out.processed, out.maxPending = r.Engine.Processed, r.Engine.MaxPending
+	e := r.Engine
+	out.processed, out.scheduled, out.farPushes, out.maxPending = e.Processed, e.Scheduled, e.FarPushes, e.MaxPending
 	out.counters, out.dbFP = r.Fabric.Counters(), r.Manager.DB().Fingerprint()
 	return out
 }
@@ -287,5 +290,39 @@ func TestTwoManagersOneRig(t *testing.T) {
 	}
 	if roundTrips != received {
 		t.Errorf("registry saw %d round trips, the two managers received %d completions", roundTrips, received)
+	}
+}
+
+// TestQueuePremiseFarPushShare pins the traffic assumption the engine's
+// event queue is built on: nearly every scheduled event is early enough to
+// be served by the sorted near run, and only a small share takes the far
+// heap's full sift. The cases are the bench workloads' shapes: a Parallel
+// rediscovery after a switch removal on the daemon's 8x8 torus (reads
+// 0.10 %), and cold Parallel discoveries of the two stress fabrics
+// (dragonfly 16x64: 0 %, at most 63 pending; autofat 128x4096: 2.6 %, the
+// deepest queue any workload builds, 1 439 pending). A fabric-model change
+// that moves these shares has moved the queue's premise: re-measure
+// (EXPERIMENTS.md "Event queue ledger") before touching a bound.
+func TestQueuePremiseFarPushShare(t *testing.T) {
+	for _, c := range []struct {
+		topo   string
+		change int
+		bound  float64
+	}{
+		{"8x8 torus", removeSwitch, 0.02},
+		{"dragonfly 16x64", noChange, 0.02},
+		{"autofat 128x4096", noChange, 0.05},
+	} {
+		tp, err := topo.ByName(c.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := onRig(t, tp, core.Parallel, c.change, 1)
+		share := float64(r.farPushes) / float64(r.scheduled)
+		t.Logf("%s: %d of %d scheduled events entered the far heap (%.3f %%), max pending %d",
+			c.topo, r.farPushes, r.scheduled, 100*share, r.maxPending)
+		if r.scheduled == 0 || share > c.bound {
+			t.Errorf("%s: far pushes are %.2f %% of %d scheduled events, bound %.0f %%", c.topo, 100*share, r.scheduled, 100*c.bound)
+		}
 	}
 }

@@ -7,60 +7,123 @@ import "testing"
 // not allocate. A regression here silently reintroduces per-event garbage
 // across every simulation in the repository.
 
+// Each steady-state pin runs at two depths: within the near run's capacity,
+// and with several times more pending than it holds, so that spilling the
+// run's maximum, far pushes, refills and far cancels are all inside the pin.
+var pinDepths = []struct {
+	name  string
+	batch int
+}{{"near", nearCap}, {"spill-refill", 4 * nearCap}}
+
 func TestSteadyStateScheduleFireZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	fn := func(*Engine) {}
-	// Warm the arena and heap past their steady-state size.
-	for i := 0; i < 256; i++ {
-		e.After(Duration(i%17), fn)
-	}
-	e.Run()
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 64; i++ {
-			e.After(Duration(i%7), fn)
-		}
-		e.Run()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state schedule/fire allocates %.1f per run, want 0", allocs)
+	for _, d := range pinDepths {
+		t.Run(d.name, func(t *testing.T) {
+			e := NewEngine()
+			fn := func(*Engine) {}
+			// Warm the arena and heap past their steady-state size.
+			for i := 0; i < 2*d.batch; i++ {
+				e.After(Duration(i%17), fn)
+			}
+			e.Run()
+			pushes := e.FarPushes
+			allocs := testing.AllocsPerRun(200, func() {
+				for i := 0; i < d.batch; i++ {
+					e.After(Duration((d.batch-i)%67), fn) // mostly ever earlier: a full run spills
+				}
+				e.Run()
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state schedule/fire allocates %.1f per run, want 0", allocs)
+			}
+			if spilled := e.FarPushes > pushes; spilled != (d.batch > nearCap) {
+				t.Errorf("far pushes moved: %v at batch %d", spilled, d.batch)
+			}
+		})
 	}
 }
 
 func TestSteadyStateCancelZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	fn := func(*Engine) {}
-	for i := 0; i < 256; i++ {
-		e.After(Duration(i%17), fn)
-	}
-	e.Run()
-	var ids [64]EventID
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := range ids {
-			ids[i] = e.After(Duration(i%13+1), fn)
-		}
-		for _, id := range ids {
-			e.Cancel(id)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state schedule/cancel allocates %.1f per run, want 0", allocs)
+	for _, d := range pinDepths {
+		t.Run(d.name, func(t *testing.T) {
+			e := NewEngine()
+			fn := func(*Engine) {}
+			for i := 0; i < 2*d.batch; i++ {
+				e.After(Duration(i%17), fn)
+			}
+			e.Run()
+			ids := make([]EventID, d.batch)
+			allocs := testing.AllocsPerRun(200, func() {
+				for i := range ids {
+					ids[i] = e.After(Duration(i%13+1), fn)
+				}
+				for _, id := range ids { // oldest first: near entries, then far ones
+					e.Cancel(id)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state schedule/cancel allocates %.1f per run, want 0", allocs)
+			}
+		})
 	}
 }
 
 func TestTimerRescheduleZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	tm := e.NewTimer(func(*Engine) {})
-	tm.ScheduleAfter(1)
-	e.Run()
-	allocs := testing.AllocsPerRun(200, func() {
-		tm.ScheduleAfter(1)
-		tm.ScheduleAfter(2) // reschedule while armed
-		e.Run()
-	})
-	if allocs != 0 {
-		t.Errorf("timer reuse allocates %.1f per run, want 0", allocs)
+	for _, d := range pinDepths {
+		t.Run(d.name, func(t *testing.T) {
+			e := NewEngine()
+			fn := func(*Engine) {}
+			tm := e.NewTimer(fn)
+			cycle := func() {
+				for i := nearCap; i < d.batch; i++ { // none at the first depth
+					e.After(Duration(10+i), fn)
+				}
+				tm.ScheduleAfter(1) // earliest of all: spills when the run is full
+				tm.ScheduleAfter(2) // reschedule while armed
+				e.Run()
+			}
+			cycle()
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Errorf("timer reuse allocates %.1f per run, want 0", allocs)
+			}
+		})
 	}
 }
+
+// TestNearRunAllocBudget pins where the near run lives: inside the
+// Engine, at its capacity. A fresh engine taking nearCap events allocates
+// itself plus exactly what growing the arena and the free list costs,
+// nothing per growth step of the run.
+func TestNearRunAllocBudget(t *testing.T) {
+	fn := func(*Engine) {}
+	growth := testing.AllocsPerRun(20, func() {
+		var arena []event
+		var free []int32
+		for i := 0; i < nearCap; i++ {
+			arena = append(arena, event{})
+		}
+		for i := 0; i < nearCap; i++ {
+			free = append(free, int32(i))
+		}
+		sinkArena, sinkFree = arena, free
+	})
+	got := testing.AllocsPerRun(20, func() {
+		e := NewEngine()
+		for i := 0; i < nearCap; i++ {
+			e.After(Duration(nearCap-i), fn)
+		}
+		e.Run()
+		sinkEngine = e
+	})
+	if got != growth+1 {
+		t.Errorf("a fresh engine and %d events allocate %.0f, want %.0f (arena and free-list growth) + 1 (the engine)", nearCap, got, growth)
+	}
+}
+
+var (
+	sinkArena  []event
+	sinkFree   []int32
+	sinkEngine *Engine
+)
 
 func TestAfterArgZeroAlloc(t *testing.T) {
 	type payload struct{ n int }

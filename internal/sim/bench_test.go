@@ -105,6 +105,100 @@ func BenchmarkChurn(b *testing.B) {
 	reportEventsPerSec(b, 0)
 }
 
+// BenchmarkQueueProfile holds the queue at a fixed depth under the four
+// insertion patterns the two tiers are built around; every fired event
+// schedules its successor, so one op is one pop plus one push.
+//
+//   - front-heavy: the rank mix measured on the bench workloads, at its
+//     conservative end — 38 % of schedules are the very next event to fire
+//     (measured: 40-60 %) and the mean insertion rank is 6 (measured: 5-10;
+//     TestQueueProfileRankMix pins the mix) — at the pending depth of the
+//     Table 1 fabrics (20) and at 1000, where the rest is long timeouts
+//     that stay in the heap.
+//   - uniform-1024: the classic hold model, mean rank n/2: nearly every
+//     push goes to the heap and every pop comes out of a refill.
+//   - cancel-storm: the FM retry layer — each op arms a far timeout,
+//     fires one near event and cancels the timeout armed 256 ops ago.
+func BenchmarkQueueProfile(b *testing.B) {
+	b.Run("front-heavy-20", func(b *testing.B) { benchHold(b, frontHeavy(15, 5)) })
+	b.Run("front-heavy-1000", func(b *testing.B) { benchHold(b, frontHeavy(15, 985)) })
+	b.Run("uniform-1024", func(b *testing.B) {
+		e := NewEngine()
+		rng := NewRNG(1)
+		var deltas [1024]Duration
+		for i := range deltas {
+			deltas[i] = Duration(rng.Intn(1 << 20))
+		}
+		k := 0
+		var hold Handler
+		hold = func(e *Engine) { k++; e.After(deltas[k&1023], hold) }
+		for i := 0; i < 1024; i++ {
+			e.After(deltas[i], hold)
+		}
+		benchHold(b, e)
+	})
+	b.Run("cancel-storm", func(b *testing.B) {
+		e := NewEngine()
+		var ring [256]EventID
+		timeout := func(*Engine) {}
+		k := 0
+		var tick Handler
+		tick = func(e *Engine) {
+			e.Cancel(ring[k&255])
+			ring[k&255] = e.After(Duration(100000+k&63), timeout)
+			k++
+			e.After(Duration(1+k&7), tick)
+		}
+		for i := 0; i < 4; i++ {
+			e.After(Duration(i), tick)
+		}
+		benchHold(b, e)
+	})
+}
+
+// frontHeavy builds an engine holding front short chains and back long
+// ones. A short chain's next delta is 0 on 35 % of its firings and uniform
+// on [1, 2000] otherwise; a long chain rearms far behind all of them.
+func frontHeavy(front, back int) *Engine {
+	e := NewEngine()
+	rng := NewRNG(1)
+	var deltas [1024]Duration
+	for i := range deltas {
+		if rng.Intn(100) >= 35 {
+			deltas[i] = Duration(1 + rng.Intn(2000))
+		}
+	}
+	k := 0
+	var short, long Handler
+	short = func(e *Engine) { k++; e.After(deltas[k&1023], short) }
+	long = func(e *Engine) { k++; e.After(1_000_000+1000*deltas[k&1023], long) }
+	for i := 0; i < front; i++ {
+		e.After(deltas[i], short)
+	}
+	for i := 0; i < back; i++ {
+		e.After(Duration(1_000_000+rng.Intn(2_000_000)), long)
+	}
+	return e
+}
+
+// benchHold fires holdBatch events per op on an engine whose handlers keep
+// the queue populated.
+func benchHold(b *testing.B, e *Engine) {
+	const holdBatch = 4096
+	b.ReportAllocs()
+	for i := 0; i < 4*holdBatch; i++ { // reach the steady state, warm the arena
+		e.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < holdBatch; j++ {
+			e.Step()
+		}
+	}
+	b.StopTimer()
+	reportEventsPerSec(b, holdBatch)
+}
+
 // reportEventsPerSec derives throughput from the engine-independent
 // counters: perOp > 0 means a fixed number of scheduled events per
 // iteration; 0 derives the count from b.N-scaled elapsed totals via the
@@ -131,5 +225,41 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			e.At(Time(j%97), func(*Engine) {})
 		}
 		e.Run()
+	}
+}
+
+// TestQueueProfileRankMix pins what "front-heavy" means: the insertion
+// rank (pending events that fire before the new one) of the generator
+// stays at the conservative end of the mix measured on the bench workloads
+// (EXPERIMENTS.md "Event queue ledger") — rank 0 on 30-42 %, mean 4.5-7.5 —
+// at both depths.
+func TestQueueProfileRankMix(t *testing.T) {
+	for _, back := range []int{5, 985} {
+		e := frontHeavy(15, back)
+		const steps = 20000
+		zero, sum := 0, 0
+		for i := 0; i < steps; i++ {
+			e.Step() // fires one event, which schedules exactly one
+			var newest int32
+			for idx := range e.arena {
+				if ev := &e.arena[idx]; ev.heapPos != posFree && ev.seq == e.nextSeq-1 {
+					newest = int32(idx)
+				}
+			}
+			rank := 0
+			for idx := range e.arena {
+				if e.arena[idx].heapPos != posFree && e.less(int32(idx), newest) {
+					rank++
+				}
+			}
+			if sum += rank; rank == 0 {
+				zero++
+			}
+		}
+		share, mean := float64(zero)/steps, float64(sum)/steps
+		if share < 0.30 || share > 0.42 || mean < 4.5 || mean > 7.5 {
+			t.Errorf("%d pending: rank 0 on %.1f %% of schedules, mean rank %.2f; want 30-42 %% and 4.5-7.5", 15+back, 100*share, mean)
+		}
+		t.Logf("%d pending: rank 0 %.1f %%, mean rank %.2f, far pushes %.2f %%", 15+back, 100*share, mean, 100*float64(e.FarPushes)/float64(e.Scheduled))
 	}
 }

@@ -25,7 +25,24 @@ type event struct {
 	afn     ArgHandler
 	arg     any
 	gen     uint32
-	heapPos int32 // position in the heap; -1 while the slot is free
+	heapPos int32 // position in the far heap, or posNear / posFree
+}
+
+const (
+	posFree = -1 // the slot is on the free list
+	posNear = -2 // the event sits in the near run
+)
+
+// nearCap bounds the near run. 32, 64 and 128 measured within noise of each
+// other end to end, 8 and 16 slower (EXPERIMENTS.md "Event queue ledger").
+const nearCap = 64
+
+// nearEntry is one event of the near run, with its ordering key inline so
+// that inserting, popping and peeking never touch the arena.
+type nearEntry struct {
+	at  Time
+	seq uint64
+	idx int32
 }
 
 // EventID identifies a scheduled event so it can be canceled. The zero
@@ -42,18 +59,30 @@ type EventID struct {
 // many independent Engine instances (one per simulation run) across a
 // worker pool — see internal/experiment.
 //
-// The event queue is a hand-specialized 4-ary min-heap of indices into an
-// arena of event slots with a free list: scheduling, firing and canceling
-// recycle slots instead of allocating, so the steady-state hot path is
-// allocation-free (see bench_test.go and the zero-alloc regression tests).
-// Cancel physically removes the event from the heap via its maintained
-// position — mass cancellation (e.g. the FM retry layer descheduling
-// timeouts) never leaves tombstones behind to bloat the queue.
+// Events live in an arena of slots with a free list: scheduling, firing
+// and canceling recycle slots instead of allocating, so the steady-state
+// hot path is allocation-free (see bench_test.go and the zero-alloc
+// regression tests). The queue over them has two tiers, one order (at, seq):
+//
+//   - near: a sorted run of at most nearCap entries, minimum last. Two in
+//     five or more scheduled events are the very next to fire and the mean
+//     insertion rank is 5-10, so insertion-sorting from the minimum costs
+//     the event's rank and pop is a length decrement.
+//   - far: a hand-specialized 4-ary min-heap of arena indices for
+//     everything later.
+//
+// Invariant: every near key < every far key. A new event earlier than the
+// far top enters near (a full run spills its maximum to far), any other
+// enters far; an empty near refills with far's smallest nearCap/2. Cancel
+// physically removes from either tier — mass cancellation (e.g. the FM
+// retry layer descheduling timeouts) never leaves tombstones behind.
 type Engine struct {
 	now     Time
 	arena   []event
 	free    []int32
-	heap    []int32
+	near    [nearCap]nearEntry // near[:nearLen], descending by (at, seq)
+	nearLen int
+	heap    []int32 // far
 	nextSeq uint64
 	stopped bool
 
@@ -62,10 +91,13 @@ type Engine struct {
 	// Scheduled counts events that have been scheduled (including later
 	// canceled ones).
 	Scheduled uint64
-	// MaxPending is the high-water mark of the event queue — the deepest
-	// the heap has ever been. Telemetry snapshots read it after a run to
-	// report how much simultaneity the scenario actually generated.
+	// MaxPending is the high-water mark of the event queue, both tiers
+	// together. Telemetry snapshots read it after a run to report how much
+	// simultaneity the scenario actually generated.
 	MaxPending int
+	// FarPushes counts events that entered the far heap, directly or spilled
+	// from a full near run; the queue is cheap while few of Scheduled do.
+	FarPushes uint64
 }
 
 // NewEngine returns an engine at time zero with an empty event queue.
@@ -78,9 +110,9 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of events currently scheduled. Canceled
 // events are physically removed, so they never count.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.nearLen + len(e.heap) }
 
-// alloc takes a free arena slot (or grows the arena) and initializes it.
+// alloc takes a free arena slot (or grows the arena), fills and queues it.
 func (e *Engine) alloc(t Time, fn Handler, afn ArgHandler, arg any) EventID {
 	var idx int32
 	if n := len(e.free); n > 0 {
@@ -91,19 +123,88 @@ func (e *Engine) alloc(t Time, fn Handler, afn ArgHandler, arg any) EventID {
 		idx = int32(len(e.arena) - 1)
 	}
 	ev := &e.arena[idx]
+	seq := e.nextSeq
 	ev.at = t
-	ev.seq = e.nextSeq
+	ev.seq = seq
 	ev.fn = fn
 	ev.afn = afn
 	ev.arg = arg
 	e.nextSeq++
 	e.Scheduled++
-	e.heap = append(e.heap, idx)
-	if len(e.heap) > e.MaxPending {
-		e.MaxPending = len(e.heap)
+	id := EventID{slot: idx + 1, gen: ev.gen}
+	n := e.nearLen
+	if p := n + len(e.heap) + 1; p > e.MaxPending {
+		e.MaxPending = p
 	}
+	// A new seq is the largest, so the event orders behind every pending
+	// one at the same instant and at alone decides its place.
+	if len(e.heap) > 0 && t >= e.arena[e.heap[0]].at {
+		e.pushFar(idx)
+		return id
+	}
+	i := n
+	if n < nearCap { // insertion sort from the minimum: cost is the event's rank
+		for ; i > 0 && e.near[i-1].at <= t; i-- {
+			e.near[i] = e.near[i-1]
+		}
+		e.nearLen = n + 1
+	} else {
+		for i > 0 && e.near[i-1].at <= t {
+			i--
+		}
+		if i == 0 { // later than the whole full run: the event is the spill
+			e.pushFar(idx)
+			return id
+		}
+		e.pushFar(e.near[0].idx) // spill the maximum, close the gap up to i
+		i--
+		copy(e.near[:i], e.near[1:i+1])
+	}
+	ev.heapPos = posNear
+	e.near[i] = nearEntry{at: t, seq: seq, idx: idx}
+	return id
+}
+
+// pushFar adds an arena slot to the far heap.
+func (e *Engine) pushFar(idx int32) {
+	e.FarPushes++
+	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
-	return EventID{slot: idx + 1, gen: ev.gen}
+}
+
+// refill moves the far heap's smallest nearCap/2 events into the empty
+// near run; half the capacity leaves room to insert without spilling.
+func (e *Engine) refill() {
+	k := len(e.heap)
+	if k > nearCap/2 {
+		k = nearCap / 2
+	}
+	for i := k - 1; i >= 0; i-- {
+		idx := e.popMin()
+		ev := &e.arena[idx]
+		ev.heapPos = posNear
+		e.near[i] = nearEntry{at: ev.at, seq: ev.seq, idx: idx}
+	}
+	e.nearLen = k
+}
+
+// nextAt returns the instant of the earliest pending event, if any,
+// refilling near when it has run dry. Every peek is here, every pop in next.
+func (e *Engine) nextAt() (Time, bool) {
+	if e.nearLen == 0 {
+		if len(e.heap) == 0 {
+			return 0, false
+		}
+		e.refill()
+	}
+	return e.near[e.nearLen-1].at, true
+}
+
+// next removes and returns the arena index of the earliest event; nextAt
+// must have just reported one.
+func (e *Engine) next() int32 {
+	e.nearLen--
+	return e.near[e.nearLen].idx
 }
 
 // release recycles a fired or canceled slot. Bumping the generation makes
@@ -115,7 +216,7 @@ func (e *Engine) release(idx int32) {
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
-	ev.heapPos = -1
+	ev.heapPos = posFree
 	e.free = append(e.free, idx)
 }
 
@@ -165,10 +266,14 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	idx := id.slot - 1
 	ev := &e.arena[idx]
-	if ev.gen != id.gen || ev.heapPos < 0 {
+	switch {
+	case ev.gen != id.gen || ev.heapPos == posFree:
 		return false
+	case ev.heapPos == posNear:
+		e.removeNear(ev.at, ev.seq)
+	default:
+		e.removeAt(int(ev.heapPos))
 	}
-	e.removeAt(int(ev.heapPos))
 	e.release(idx)
 	return true
 }
@@ -181,7 +286,7 @@ func (e *Engine) Armed(id EventID) bool {
 		return false
 	}
 	ev := &e.arena[id.slot-1]
-	return ev.gen == id.gen && ev.heapPos >= 0
+	return ev.gen == id.gen && ev.heapPos != posFree
 }
 
 // Stop makes the current Run return after the in-flight event handler
@@ -202,16 +307,18 @@ func (e *Engine) Run() Time {
 // deadline. It returns the current simulation time.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.heap[0]
-		at := e.arena[top].at
+	for !e.stopped {
+		at, ok := e.nextAt()
+		if !ok {
+			break
+		}
 		if at > deadline {
 			e.now = deadline
 			return e.now
 		}
-		e.fire(e.popMin())
+		e.fire(e.next())
 	}
-	if len(e.heap) == 0 && deadline != Never && e.now < deadline {
+	if e.Pending() == 0 && deadline != Never && e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
@@ -219,13 +326,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // NextEventTime returns the timestamp of the earliest pending event, and
 // whether one exists. The shard-group coordinator polls it to compute
-// conservative execution horizons; it never modifies the queue.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.arena[e.heap[0]].at, true
-}
+// conservative execution horizons; it never changes what is pending.
+func (e *Engine) NextEventTime() (Time, bool) { return e.nextAt() }
 
 // RunBefore processes events with timestamps strictly below limit, in
 // order, until none remain or Stop is called. Unlike RunUntil it never
@@ -235,21 +337,22 @@ func (e *Engine) NextEventTime() (Time, bool) {
 // span is safe.
 func (e *Engine) RunBefore(limit Time) Time {
 	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		if e.arena[e.heap[0]].at >= limit {
+	for !e.stopped {
+		at, ok := e.nextAt()
+		if !ok || at >= limit {
 			break
 		}
-		e.fire(e.popMin())
+		e.fire(e.next())
 	}
 	return e.now
 }
 
 // Step processes exactly one event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if _, ok := e.nextAt(); !ok {
 		return false
 	}
-	e.fire(e.popMin())
+	e.fire(e.next())
 	return true
 }
 
@@ -278,7 +381,7 @@ func (e *Engine) less(a, b int32) bool {
 	return ea.seq < eb.seq
 }
 
-// The heap is 4-ary: children of position i are 4i+1..4i+4. A wider node
+// The far heap is 4-ary: children of position i are 4i+1..4i+4. A wider node
 // trades slightly more comparisons per level for half the levels and much
 // better cache behaviour than a binary heap on the index slice.
 
@@ -331,7 +434,7 @@ func (e *Engine) siftDown(pos int) {
 	e.arena[idx].heapPos = int32(pos)
 }
 
-// popMin removes and returns the arena index of the earliest event.
+// popMin removes and returns the far heap's earliest slot, to be repositioned.
 func (e *Engine) popMin() int32 {
 	idx := e.heap[0]
 	last := len(e.heap) - 1
@@ -342,15 +445,27 @@ func (e *Engine) popMin() int32 {
 		e.arena[lidx].heapPos = 0
 		e.siftDown(0)
 	}
-	e.arena[idx].heapPos = -1
 	return idx
+}
+
+// removeNear deletes the near entry with key (at, seq), which must exist.
+func (e *Engine) removeNear(at Time, seq uint64) {
+	lo, hi := 0, e.nearLen
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m := &e.near[mid]; m.at > at || m.at == at && m.seq > seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	copy(e.near[lo:], e.near[lo+1:e.nearLen])
+	e.nearLen--
 }
 
 // removeAt deletes the heap entry at pos, restoring order around it.
 func (e *Engine) removeAt(pos int) {
 	last := len(e.heap) - 1
-	idx := e.heap[pos]
-	e.arena[idx].heapPos = -1
 	if pos == last {
 		e.heap = e.heap[:last]
 		return

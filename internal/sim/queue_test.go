@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Differential tests: the specialized 4-ary arena heap must fire events in
-// exactly the order a naive reference queue (a sorted slice over (at, seq))
+// Differential tests: the two-tier queue (sorted near run in front of the
+// 4-ary arena heap) must fire events in exactly the order a naive reference queue (a sorted slice over (at, seq))
 // produces, under randomized schedule/cancel/reschedule workloads. This
 // pins the determinism contract the simulated metrics depend on.
 
@@ -267,4 +267,306 @@ func TestMassCancelShrinksQueue(t *testing.T) {
 	if fired != 1 {
 		t.Fatal("post-cancel scheduling broken")
 	}
+}
+
+// diffQueue drives an engine and the reference in lockstep. After every
+// operation it compares what fired, Pending and MaxPending with the
+// reference, and checks the two tiers' invariant from the inside.
+type diffQueue struct {
+	t    testing.TB
+	e    *Engine
+	ref  refQueue
+	ids  map[int]EventID
+	got  []int
+	next int
+	max  int
+}
+
+func newDiffQueue(t testing.TB) *diffQueue {
+	return &diffQueue{t: t, e: NewEngine(), ids: map[int]EventID{}}
+}
+
+// schedule queues an event delta after now in both queues and returns its
+// test id.
+func (d *diffQueue) schedule(delta Duration) int {
+	id := d.next
+	d.next++
+	at := d.e.Now().Add(delta)
+	d.ref.schedule(at, d.e.nextSeq, id)
+	d.ids[id] = d.e.At(at, func(*Engine) { d.got = append(d.got, id) })
+	d.check()
+	return id
+}
+
+func (d *diffQueue) cancel(id int) {
+	d.t.Helper()
+	if eng, ref := d.e.Cancel(d.ids[id]), d.ref.cancel(id); eng != ref {
+		d.t.Fatalf("cancel(%d): engine=%v ref=%v", id, eng, ref)
+	}
+	d.check()
+}
+
+func (d *diffQueue) step() {
+	d.t.Helper()
+	var want []int
+	if len(d.ref.events) > 0 {
+		want = []int{d.ref.events[0].id}
+		d.ref.events = d.ref.events[1:]
+	}
+	d.got = d.got[:0]
+	if fired := d.e.Step(); fired != (len(want) == 1) || !intsEqual(d.got, want) {
+		d.t.Fatalf("Step fired %v %v, want %v", fired, d.got, want)
+	}
+	d.check()
+}
+
+// runUntil drains through the deadline. Handlers here never schedule, so
+// the reference's prefix is the whole expectation.
+func (d *diffQueue) runUntil(deadline Time) {
+	d.t.Helper()
+	want := d.ref.popThrough(deadline)
+	d.got = d.got[:0]
+	if now := d.e.RunUntil(deadline); now != deadline && deadline != Never {
+		d.t.Fatalf("RunUntil(%v) left the clock at %v", deadline, now)
+	}
+	if !intsEqual(d.got, want) {
+		d.t.Fatalf("RunUntil(%v) fired %v, want %v", deadline, d.got, want)
+	}
+	d.check()
+}
+
+func (d *diffQueue) check() {
+	d.t.Helper()
+	if n := len(d.ref.events); n > d.max {
+		d.max = n
+	}
+	if d.e.Pending() != len(d.ref.events) || d.e.MaxPending != d.max {
+		d.t.Fatalf("Pending %d MaxPending %d, reference %d and %d",
+			d.e.Pending(), d.e.MaxPending, len(d.ref.events), d.max)
+	}
+	checkTiers(d.t, d.e)
+}
+
+// checkTiers verifies the queue's structure: near strictly descending by
+// (at, seq), every near key below the far top, the far heap ordered, and
+// every queued slot's heapPos naming where it is.
+func checkTiers(t testing.TB, e *Engine) {
+	t.Helper()
+	for i := 0; i < e.nearLen; i++ {
+		n := e.near[i]
+		ev := &e.arena[n.idx]
+		if ev.at != n.at || ev.seq != n.seq || ev.heapPos != posNear {
+			t.Fatalf("near[%d] = %+v does not mirror its slot (at %v seq %d pos %d)", i, n, ev.at, ev.seq, ev.heapPos)
+		}
+		if i > 0 && !e.less(n.idx, e.near[i-1].idx) {
+			t.Fatalf("near[%d] does not order before near[%d]", i, i-1)
+		}
+	}
+	for pos, idx := range e.heap {
+		if e.arena[idx].heapPos != int32(pos) {
+			t.Fatalf("heap[%d]: slot says position %d", pos, e.arena[idx].heapPos)
+		}
+		if pos > 0 && e.less(idx, e.heap[(pos-1)>>2]) {
+			t.Fatalf("heap[%d] orders before its parent", pos)
+		}
+	}
+	if e.nearLen > 0 && len(e.heap) > 0 && !e.less(e.near[0].idx, e.heap[0]) {
+		t.Fatal("the near run's maximum does not order before the far top")
+	}
+}
+
+// TestQueueSpillAtCapacity schedules ever earlier events: each enters the
+// near run, and once the run is full each pushes the run's maximum out.
+func TestQueueSpillAtCapacity(t *testing.T) {
+	d := newDiffQueue(t)
+	const extra = 10
+	for i := 0; i < nearCap+extra; i++ {
+		d.schedule(Duration(1000 - i))
+	}
+	if d.e.nearLen != nearCap || len(d.e.heap) != extra || d.e.FarPushes != extra {
+		t.Fatalf("near %d far %d pushes %d, want %d %d %d", d.e.nearLen, len(d.e.heap), d.e.FarPushes, nearCap, extra, extra)
+	}
+	// Later than the whole full run but earlier than the far top: the new
+	// event is itself the spill.
+	d.schedule(1000 - extra)
+	if d.e.nearLen != nearCap || d.e.FarPushes != extra+1 {
+		t.Fatalf("near %d pushes %d after an event between the tiers", d.e.nearLen, d.e.FarPushes)
+	}
+	d.runUntil(Never)
+}
+
+// TestQueueRefillFromHeap schedules in firing order, so everything past
+// the capacity goes to the heap, then drains one event at a time across
+// several refills.
+func TestQueueRefillFromHeap(t *testing.T) {
+	d := newDiffQueue(t)
+	for i := 0; i < 3*nearCap; i++ {
+		d.schedule(Duration(i / 3)) // runs of equal instants
+	}
+	if d.e.nearLen != nearCap || len(d.e.heap) != 2*nearCap {
+		t.Fatalf("near %d far %d, want %d %d", d.e.nearLen, len(d.e.heap), nearCap, 2*nearCap)
+	}
+	for i := 0; i < nearCap; i++ {
+		d.step()
+	}
+	if d.e.nearLen != 0 {
+		t.Fatalf("near %d after draining it", d.e.nearLen)
+	}
+	d.step()
+	if d.e.nearLen != nearCap/2-1 || len(d.e.heap) != 2*nearCap-nearCap/2 {
+		t.Fatalf("near %d far %d after the first refill", d.e.nearLen, len(d.e.heap))
+	}
+	for d.e.Pending() > 0 {
+		d.step()
+	}
+	d.step() // empty: fires nothing
+}
+
+// TestQueueCancelEachTier cancels the run's minimum, its maximum, an
+// interior entry, the far top and a far leaf, then every other survivor.
+func TestQueueCancelEachTier(t *testing.T) {
+	d := newDiffQueue(t)
+	var ids []int
+	for i := 0; i < 2*nearCap; i++ {
+		ids = append(ids, d.schedule(Duration(i/2)))
+	}
+	for _, k := range []int{0, nearCap - 1, nearCap / 2, nearCap, 2*nearCap - 1} {
+		d.cancel(ids[k])
+		d.cancel(ids[k]) // stale now: a no-op on both sides
+	}
+	for k := 1; k < len(ids); k += 2 {
+		d.cancel(ids[k])
+	}
+	d.schedule(0) // reuses a canceled slot at the very front
+	d.runUntil(Never)
+}
+
+// TestQueueTiesStraddleTiers holds one instant in both tiers at once:
+// events of that instant must still fire in schedule order, whichever
+// tier each went through and whenever it was spilled.
+func TestQueueTiesStraddleTiers(t *testing.T) {
+	d := newDiffQueue(t)
+	for i := 0; i < nearCap+8; i++ {
+		d.schedule(10) // the last 8 go far
+	}
+	for i := 0; i < 4; i++ {
+		d.schedule(9)  // near; spills an instant-10 event that precedes all far ones
+		d.schedule(10) // ties the far top: far
+		d.schedule(11)
+	}
+	for i := 0; i < nearCap; i++ {
+		d.step()
+	}
+	d.schedule(10 - Duration(d.e.Now())) // same instant again, mid-drain
+	d.runUntil(Never)
+}
+
+// TestQueueRunUntilBetweenTiers stops at deadlines no event has: below the
+// run's minimum, between the tiers, and past everything.
+func TestQueueRunUntilBetweenTiers(t *testing.T) {
+	d := newDiffQueue(t)
+	for i := 0; i < nearCap; i++ {
+		d.schedule(Duration(10 + i))
+	}
+	for i := 0; i < nearCap; i++ {
+		d.schedule(Duration(1000 + i))
+	}
+	d.runUntil(5)
+	d.runUntil(500) // drains the run, refills it, fires none of the refill
+	if d.e.Pending() != nearCap {
+		t.Fatalf("Pending %d after a deadline between the tiers, want %d", d.e.Pending(), nearCap)
+	}
+	d.schedule(100) // earlier than the refilled run
+	d.runUntil(1000 + nearCap/2)
+	d.runUntil(5000)
+	if d.e.Pending() != 0 {
+		t.Fatalf("Pending %d after the last deadline", d.e.Pending())
+	}
+}
+
+// TestTimerRearmInsideHandlerNearFull rearms a timer from its own handler
+// at the moment the near run is full again, so the rearm spills; the firing
+// order must match cancel-plus-schedule on the reference.
+func TestTimerRearmInsideHandlerNearFull(t *testing.T) {
+	d := newDiffQueue(t)
+	const timerID = -1
+	var tm *Timer
+	rearm := func(delta Duration) {
+		d.ref.cancel(timerID)
+		d.ref.schedule(d.e.Now().Add(delta), d.e.nextSeq, timerID)
+		tm.ScheduleAfter(delta)
+		d.check()
+	}
+	fires := 0
+	tm = d.e.NewTimer(func(*Engine) {
+		d.got = append(d.got, timerID)
+		if fires++; fires > 6 {
+			return
+		}
+		d.schedule(3)              // takes the fired slot's place: full again
+		rearm(20)                  // lands inside the run: spills its maximum
+		rearm(Duration(2 * fires)) // rearmed while armed, still inside the handler
+	})
+	for i := 0; i < nearCap-1; i++ {
+		d.schedule(Duration(5 + i))
+	}
+	for i := 0; i < 8; i++ {
+		d.schedule(Duration(200 + i))
+	}
+	rearm(1)
+	if d.e.nearLen != nearCap {
+		t.Fatalf("near %d before the run, want it full", d.e.nearLen)
+	}
+	pushes := d.e.FarPushes
+	for d.e.Pending() > 0 {
+		d.step()
+	}
+	if fires != 7 || d.e.FarPushes == pushes {
+		t.Fatalf("timer fired %d times with %d spills; the case measures nothing", fires, d.e.FarPushes-pushes)
+	}
+}
+
+// FuzzQueueOrder replays an arbitrary stream of schedule / cancel / step /
+// run-until operations against the reference. Two bytes per operation;
+// small deltas make ties and front insertions common, and a long enough
+// stream fills the near run and works both tiers.
+func FuzzQueueOrder(f *testing.F) {
+	var deep, mixed []byte
+	for i := 0; i < 3*nearCap; i++ {
+		deep = append(deep, 0, byte(i*7))
+		mixed = append(mixed, byte(i), byte(i*13))
+	}
+	for i := 0; i < 3*nearCap; i++ {
+		deep = append(deep, byte(4+i%3), byte(i*5))
+	}
+	f.Add(deep)
+	f.Add(mixed)
+	f.Add([]byte{0, 3, 0, 3, 7, 0, 4, 1, 5, 0, 6, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		d := newDiffQueue(t)
+		var live []int
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%8, int(ops[i+1])
+			switch {
+			case op < 3:
+				live = append(live, d.schedule(Duration(arg%16)))
+			case op == 3:
+				live = append(live, d.schedule(Duration(arg)*8))
+			case op == 4 && len(live) > 0: // may already have fired: then a no-op on both sides
+				k := arg % len(live)
+				d.cancel(live[k])
+				live = append(live[:k], live[k+1:]...)
+			case op == 5:
+				d.step()
+			case op == 6:
+				d.runUntil(d.e.Now().Add(Duration(arg % 32)))
+			case op == 7:
+				d.runUntil(d.e.Now().Add(Duration(arg) * 8))
+			}
+		}
+		d.runUntil(Never)
+	})
 }

@@ -294,11 +294,12 @@ func (g *ShardGroup) runInline(i int, limit Time) {
 	e := g.engines[i]
 	e.stopped = false
 	g.dynIdx, g.dynLimit = i, limit
-	for len(e.heap) > 0 && !e.stopped {
-		if e.arena[e.heap[0]].at >= g.dynLimit {
+	for !e.stopped {
+		at, ok := e.nextAt()
+		if !ok || at >= g.dynLimit {
 			break
 		}
-		e.fire(e.popMin())
+		e.fire(e.next())
 	}
 	g.dynIdx = -1
 }
