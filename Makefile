@@ -4,7 +4,8 @@
 #   make verify   - the full gate, in this order:
 #                   fmt-check      gofmt -l is empty
 #                   seam-check     a fabric is assembled in internal/rig only,
-#                                  and never a sharded one
+#                                  never a sharded one, and spans are its
+#                                  only packet recorder
 #                   build vet test race
 #                   results-check  every asibench table byte-identical to
 #                                  results/asibench-seeds4.txt
@@ -83,7 +84,8 @@ fmt-check:
 # Further managers on one fabric come from rig.Rig.AddManager. The
 # region-sharded mechanism (partition, shard group, sharded fabric) has
 # no caller at all outside the layers that implement it: only bench/
-# links it.
+# links it. The span tracer is the fabric's one packet recorder: no
+# second tracer hook or packet-trace package comes back.
 seam-check:
 	@out="$$(grep -rnE 'sim\.NewEngine\(|fabric\.New\(|core\.NewManager\(|2654435761' \
 		cmd internal --include='*.go' \
@@ -93,6 +95,8 @@ seam-check:
 		cmd internal --include='*.go' \
 		| grep -vE '_test\.go:|^internal/(sim|fabric|topo)/')"; if [ -n "$$out" ]; then \
 		echo "the region-sharded mechanism has a caller outside internal/{sim,fabric,topo}:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'SetTracer\(|repro/internal/trace"' . --include='*.go')"; if [ -n "$$out" ]; then \
+		echo "a second packet recorder is attached beside the span tracer:"; echo "$$out"; exit 1; fi
 
 # results-check is the absolute referee for the simulation: every table
 # asibench prints must be byte-identical to the committed run. The
@@ -108,21 +112,23 @@ json-smoke:
 		| $(GO) run ./cmd/reportjson > /dev/null
 
 # span-smoke proves the causal-trace pipeline end to end: a traced run's
-# Chrome trace-event file must load back through asitrace, and a traced
-# run report (with its spans section) must decode.
+# Chrome trace-event file must load back through asitrace, a traced run
+# report (with its spans section) must decode, and the -trace packet view
+# over the span log must print.
 span-smoke:
 	$(GO) run ./cmd/asidisc -topo "3x3 mesh" -alg parallel \
 		-spans-out $${TMPDIR:-/tmp}/asi_span_smoke.json > /dev/null
 	$(GO) run ./cmd/asitrace $${TMPDIR:-/tmp}/asi_span_smoke.json > /dev/null
 	$(GO) run ./cmd/asidisc -topo "3x3 mesh" -alg parallel -spans -json \
 		| $(GO) run ./cmd/reportjson > /dev/null
+	$(GO) run ./cmd/asidisc -topo "3x3 mesh" -change remove -trace 40 | grep -q '^trace truncated: '
 	rm -f $${TMPDIR:-/tmp}/asi_span_smoke.json
 
 # alloc-check pins the allocation contracts: the engine's schedule, fire,
 # cancel and timer-rearm paths at zero both within the near run's capacity
 # and with spill and refill in play, the instrumentation hooks' disabled
-# cost and a warm PI-4 round trip (FM -> device -> FM) at zero
-# allocations, fabric.New within its bytes-per-device-or-link budget, and
+# cost and a warm PI-4 round trip (FM -> device -> FM, and the bare
+# fabric's BenchmarkForward/off) at zero allocations, fabric.New within its bytes-per-device-or-link budget, and
 # the serving layer's fan-out: queueing and delivering a generation at
 # zero, one install at well under one allocation per extra subscriber.
 alloc-check:

@@ -25,7 +25,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -36,7 +35,7 @@ func main() {
 	fmFactor := flag.Float64("fm-factor", 1, "FM processing speed factor")
 	devFactor := flag.Float64("dev-factor", 1, "device processing speed factor")
 	timeline := flag.Bool("timeline", false, "print the FM packet-processing timeline")
-	traceN := flag.Int("trace", 0, "record and print up to N packet-level fabric events")
+	traceN := flag.Int("trace", 0, "print the first N packet-level fabric events (implies span tracing)")
 	loss := flag.Float64("loss", 0, "uniform per-link packet loss probability (0 = lossless)")
 	retries := flag.Int("retries", 0, "max timeout retries per request (0 = paper behaviour: fail immediately)")
 	backoffUS := flag.Float64("retry-backoff", 0, "base retry backoff in microseconds (0 = default 100us; doubles per attempt)")
@@ -63,12 +62,18 @@ func main() {
 		fail(2, err)
 	}
 
-	opts := []experiment.Option{
-		experiment.WithSeed(*seed),
-		experiment.WithChange(ch),
-		experiment.WithFactors(*fmFactor, *devFactor),
-		experiment.WithLoss(*loss),
-		experiment.WithRetries(*retries, sim.Micros(*backoffUS)),
+	cfg := experiment.Config{
+		Topology:     *topoName,
+		Algorithm:    kind,
+		Seed:         *seed,
+		Change:       ch,
+		FMFactor:     *fmFactor,
+		DeviceFactor: *devFactor,
+		LossRate:     *loss,
+		MaxRetries:   *retries,
+		RetryBackoff: sim.Micros(*backoffUS),
+		Telemetry:    *tele,
+		Spans:        *spans || *spansOut != "" || *traceN > 0,
 	}
 	if *flapSpec != "" {
 		flap, err := cli.Flap(*flapSpec)
@@ -77,21 +82,9 @@ func main() {
 		}
 		plan := fabric.Uniform(*loss)
 		plan.Flaps = append(plan.Flaps, flap)
-		opts = append(opts, experiment.WithFaults(&plan))
+		cfg.Faults = &plan
 	}
-	var buf *trace.Buffer
-	if *traceN > 0 {
-		buf = &trace.Buffer{Max: *traceN}
-		opts = append(opts, experiment.WithTrace(buf))
-	}
-	if *tele {
-		opts = append(opts, experiment.WithTelemetry())
-	}
-	if *spans || *spansOut != "" {
-		opts = append(opts, experiment.WithSpans())
-	}
-	cfg, err := experiment.NewConfig(*topoName, kind, opts...)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		fail(2, err)
 	}
 	out := experiment.RunConfig(cfg)
@@ -157,13 +150,10 @@ func main() {
 			fmt.Printf("%7d  %.9f\n", p.Index, p.At.Seconds())
 		}
 	}
-	if buf != nil {
+	if *traceN > 0 && out.Spans != nil {
 		fmt.Println("\nfabric trace:")
-		if err := buf.WriteText(os.Stdout); err != nil {
+		if err := span.WritePackets(os.Stdout, *out.Spans, *traceN); err != nil {
 			fail(1, err)
-		}
-		if n := buf.Dropped(); n > 0 {
-			fmt.Printf("trace truncated: %d events dropped (raise -trace beyond %d)\n", n, *traceN)
 		}
 	}
 	if *spans && out.Spans != nil {
@@ -175,9 +165,9 @@ func main() {
 		if err := span.WriteReport(os.Stdout, a, span.GanttOptions{}); err != nil {
 			fail(1, err)
 		}
-		if out.Spans.Dropped > 0 {
-			fmt.Printf("span log truncated: %d spans dropped\n", out.Spans.Dropped)
-		}
+	}
+	if (*spans || *traceN > 0) && out.Spans != nil && out.Spans.Dropped > 0 {
+		fmt.Printf("span log truncated: %d spans dropped\n", out.Spans.Dropped)
 	}
 }
 

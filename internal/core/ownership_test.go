@@ -16,14 +16,12 @@ import (
 func ownershipConfigs(t *testing.T) []experiment.Config {
 	t.Helper()
 	var cfgs []experiment.Config
-	add := func(topology string, alg core.Kind, opts ...experiment.Option) {
-		cfgs = append(cfgs, experiment.MustConfig(topology, alg, opts...))
-	}
+	add := func(cfg experiment.Config) { cfgs = append(cfgs, cfg) }
 	for _, tn := range []string{"3x3 mesh", "4x4 mesh", "4x4 torus"} {
 		for _, k := range core.PaperKinds() {
 			for _, ch := range []experiment.Change{experiment.NoChange, experiment.RemoveSwitch} {
 				for _, seed := range []uint64{1, 2} {
-					add(tn, k, experiment.WithSeed(seed), experiment.WithChange(ch))
+					add(experiment.Config{Topology: tn, Algorithm: k, Seed: seed, Change: ch})
 				}
 			}
 		}
@@ -31,13 +29,13 @@ func ownershipConfigs(t *testing.T) []experiment.Config {
 	for _, tn := range []string{"4x4 mesh", "6x6 mesh"} {
 		for _, ch := range []experiment.Change{experiment.RemoveSwitch, experiment.AddSwitch} {
 			for _, seed := range []uint64{1, 3} {
-				add(tn, core.Partial, experiment.WithSeed(seed), experiment.WithChange(ch))
+				add(experiment.Config{Topology: tn, Algorithm: core.Partial, Seed: seed, Change: ch})
 			}
 		}
 	}
 	for _, k := range core.PaperKinds() {
 		for _, seed := range []uint64{1, 2} {
-			add("4x4 mesh", k, experiment.WithSeed(seed), experiment.WithLoss(0.01), experiment.WithRetries(3, 0))
+			add(experiment.Config{Topology: "4x4 mesh", Algorithm: k, Seed: seed, LossRate: 0.01, MaxRetries: 3})
 		}
 	}
 	if len(cfgs) != 50 {

@@ -8,15 +8,14 @@ import (
 	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
-// Config is the validated description of one simulation run. It collapses
-// the knobs that accreted across RunSpec and core.Options — loss model,
-// retry policy, tracing, telemetry — into one place. Build it with
-// NewConfig to get validation errors at construction time; the zero
-// values of the optional fields reproduce the paper's baseline (lossless
-// fabric, no retries, factors of 1, no instrumentation).
+// Config is the description of one simulation run. It collapses the
+// knobs that accreted across RunSpec and core.Options — loss model, retry
+// policy, telemetry, spans — into one place. Build it as a literal and
+// call Validate to get validation errors before running; the zero values
+// of the optional fields reproduce the paper's baseline (lossless fabric,
+// no retries, factors of 1, no instrumentation).
 type Config struct {
 	// Topology is a Table 1 topology name (topo.ByName).
 	Topology string
@@ -40,8 +39,6 @@ type Config struct {
 	// policy; zero MaxRetries disables retries.
 	MaxRetries   int
 	RetryBackoff sim.Duration
-	// Trace optionally records packet-level fabric events for the run.
-	Trace trace.Recorder
 	// Telemetry enables per-run metric collection: FM per-phase service
 	// and round-trip histograms, fabric per-link/per-VC counters, and
 	// engine statistics, snapshotted into Outcome.Telemetry. Enabling it
@@ -49,7 +46,8 @@ type Config struct {
 	Telemetry bool
 	// Spans enables causal span tracing: every FM-issued PI-4 request
 	// gets a request span with per-attempt, per-hop, queueing and
-	// device-service child spans, snapshotted into Outcome.Spans.
+	// device-service child spans, and every other packet's hops are
+	// recorded without a parent, all snapshotted into Outcome.Spans.
 	// Enabling it never changes any simulated metric.
 	Spans bool
 }
@@ -61,7 +59,6 @@ func (c Config) rigConfig() rig.Config {
 	rc := rig.Config{
 		Seed:         c.Seed,
 		DeviceFactor: c.DeviceFactor,
-		Trace:        c.Trace,
 		Telemetry:    c.Telemetry,
 		Spans:        c.Spans,
 		Manager: core.Options{
@@ -78,76 +75,6 @@ func (c Config) rigConfig() rig.Config {
 		rc.Faults = fabric.Uniform(c.LossRate)
 	}
 	return rc
-}
-
-// Option adjusts a Config under construction in NewConfig.
-type Option func(*Config)
-
-// WithSeed sets the run's reproducibility seed.
-func WithSeed(seed uint64) Option {
-	return func(c *Config) { c.Seed = seed }
-}
-
-// WithChange selects the topological change to inject.
-func WithChange(ch Change) Option {
-	return func(c *Config) { c.Change = ch }
-}
-
-// WithFactors scales the FM and device processing-time models.
-func WithFactors(fmFactor, deviceFactor float64) Option {
-	return func(c *Config) { c.FMFactor, c.DeviceFactor = fmFactor, deviceFactor }
-}
-
-// WithLoss injects uniform per-link-traversal packet loss.
-func WithLoss(rate float64) Option {
-	return func(c *Config) { c.LossRate = rate }
-}
-
-// WithFaults installs a full fault plan, overriding WithLoss.
-func WithFaults(p *fabric.FaultPlan) Option {
-	return func(c *Config) { c.Faults = p }
-}
-
-// WithRetries configures the FM's timeout-retry policy.
-func WithRetries(maxRetries int, backoff sim.Duration) Option {
-	return func(c *Config) { c.MaxRetries, c.RetryBackoff = maxRetries, backoff }
-}
-
-// WithTrace attaches a packet-level trace recorder.
-func WithTrace(rec trace.Recorder) Option {
-	return func(c *Config) { c.Trace = rec }
-}
-
-// WithTelemetry enables per-run metric collection.
-func WithTelemetry() Option {
-	return func(c *Config) { c.Telemetry = true }
-}
-
-// WithSpans enables causal span tracing for the run.
-func WithSpans() Option {
-	return func(c *Config) { c.Spans = true }
-}
-
-// NewConfig builds and validates a run configuration.
-func NewConfig(topology string, alg core.Kind, opts ...Option) (Config, error) {
-	cfg := Config{Topology: topology, Algorithm: alg}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// MustConfig is NewConfig for statically known-good configurations; it
-// panics on a validation error.
-func MustConfig(topology string, alg core.Kind, opts ...Option) Config {
-	cfg, err := NewConfig(topology, alg, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
 }
 
 // Validate reports the first problem that would make the run fail or be

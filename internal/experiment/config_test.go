@@ -8,48 +8,38 @@ import (
 	"repro/internal/sim"
 )
 
-func TestNewConfigAppliesOptions(t *testing.T) {
-	cfg, err := NewConfig("4x4 mesh", core.Parallel,
-		WithSeed(9),
-		WithChange(RemoveSwitch),
-		WithFactors(2, 0.5),
-		WithLoss(0.01),
-		WithRetries(3, 10*sim.Microsecond),
-		WithTelemetry(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{
+func TestConfigValidateRejects(t *testing.T) {
+	good := Config{
 		Topology: "4x4 mesh", Algorithm: core.Parallel,
 		Seed: 9, Change: RemoveSwitch,
 		FMFactor: 2, DeviceFactor: 0.5,
 		LossRate: 0.01, MaxRetries: 3, RetryBackoff: 10 * sim.Microsecond,
-		Telemetry: true,
+		Telemetry: true, Spans: true,
 	}
-	if cfg != want {
-		t.Errorf("NewConfig = %+v, want %+v", cfg, want)
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
-}
-
-func TestNewConfigValidates(t *testing.T) {
+	base := Config{Topology: "3x3 mesh", Algorithm: core.Parallel}
+	with := func(edit func(*Config)) Config {
+		c := base
+		edit(&c)
+		return c
+	}
 	cases := []struct {
 		name string
-		topo string
-		alg  core.Kind
-		opts []Option
+		cfg  Config
 		frag string
 	}{
-		{"topology", "17x17 blob", core.Parallel, nil, "unknown topology"},
-		{"algorithm", "3x3 mesh", core.Kind(99), nil, "unknown algorithm"},
-		{"change", "3x3 mesh", core.Parallel, []Option{WithChange(Change(7))}, "unknown change"},
-		{"factor", "3x3 mesh", core.Parallel, []Option{WithFactors(-1, 1)}, "negative processing factor"},
-		{"loss", "3x3 mesh", core.Parallel, []Option{WithLoss(1.5)}, "loss rate"},
-		{"retries", "3x3 mesh", core.Parallel, []Option{WithRetries(-1, 0)}, "negative retry limit"},
-		{"backoff", "3x3 mesh", core.Parallel, []Option{WithRetries(1, -sim.Microsecond)}, "negative retry backoff"},
+		{"topology", with(func(c *Config) { c.Topology = "17x17 blob" }), "unknown topology"},
+		{"algorithm", with(func(c *Config) { c.Algorithm = core.Kind(99) }), "unknown algorithm"},
+		{"change", with(func(c *Config) { c.Change = Change(7) }), "unknown change"},
+		{"factor", with(func(c *Config) { c.FMFactor, c.DeviceFactor = -1, 1 }), "negative processing factor"},
+		{"loss", with(func(c *Config) { c.LossRate = 1.5 }), "loss rate"},
+		{"retries", with(func(c *Config) { c.MaxRetries = -1 }), "negative retry limit"},
+		{"backoff", with(func(c *Config) { c.MaxRetries, c.RetryBackoff = 1, -sim.Microsecond }), "negative retry backoff"},
 	}
 	for _, tc := range cases {
-		if _, err := NewConfig(tc.topo, tc.alg, tc.opts...); err == nil {
+		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.frag)
@@ -60,7 +50,7 @@ func TestNewConfigValidates(t *testing.T) {
 // RunConfig with telemetry attaches a snapshot carrying the FM, fabric
 // and engine metric families end to end.
 func TestRunConfigTelemetrySnapshot(t *testing.T) {
-	o := RunConfig(MustConfig("3x3 mesh", core.Parallel, WithSeed(1), WithTelemetry()))
+	o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: core.Parallel, Seed: 1, Telemetry: true})
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
@@ -90,7 +80,7 @@ func TestRunConfigTelemetrySnapshot(t *testing.T) {
 
 // A telemetry-less run must not carry a snapshot.
 func TestRunConfigTelemetryOffByDefault(t *testing.T) {
-	o := RunConfig(MustConfig("3x3 mesh", core.Parallel, WithSeed(1)))
+	o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: core.Parallel, Seed: 1})
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}

@@ -14,14 +14,12 @@ import (
 func fingerprintConfigs(t *testing.T) []Config {
 	t.Helper()
 	var cfgs []Config
-	add := func(topology string, alg core.Kind, opts ...Option) {
-		cfgs = append(cfgs, MustConfig(topology, alg, opts...))
-	}
+	add := func(cfg Config) { cfgs = append(cfgs, cfg) }
 	for _, tn := range []string{"3x3 mesh", "4x4 mesh", "4x4 torus"} {
 		for _, k := range core.PaperKinds() {
 			for _, ch := range []Change{NoChange, RemoveSwitch} {
 				for _, seed := range []uint64{1, 2} {
-					add(tn, k, WithSeed(seed), WithChange(ch))
+					add(Config{Topology: tn, Algorithm: k, Seed: seed, Change: ch})
 				}
 			}
 		}
@@ -29,13 +27,13 @@ func fingerprintConfigs(t *testing.T) []Config {
 	for _, tn := range []string{"4x4 mesh", "6x6 mesh"} {
 		for _, ch := range []Change{RemoveSwitch, AddSwitch} {
 			for _, seed := range []uint64{1, 3} {
-				add(tn, core.Partial, WithSeed(seed), WithChange(ch))
+				add(Config{Topology: tn, Algorithm: core.Partial, Seed: seed, Change: ch})
 			}
 		}
 	}
 	for _, k := range core.PaperKinds() {
 		for _, seed := range []uint64{1, 2} {
-			add("4x4 mesh", k, WithSeed(seed), WithLoss(0.01), WithRetries(3, 0))
+			add(Config{Topology: "4x4 mesh", Algorithm: k, Seed: seed, LossRate: 0.01, MaxRetries: 3})
 		}
 	}
 	if len(cfgs) != 50 {

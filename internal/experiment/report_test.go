@@ -76,7 +76,7 @@ func TestReportJSONGolden(t *testing.T) {
 
 // A run report must survive an encode/decode round trip intact.
 func TestRunReportJSONRoundTrip(t *testing.T) {
-	o := RunConfig(MustConfig("3x3 mesh", core.Parallel, WithSeed(1), WithTelemetry()))
+	o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: core.Parallel, Seed: 1, Telemetry: true})
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}

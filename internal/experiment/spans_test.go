@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asi"
 	"repro/internal/core"
 	"repro/internal/span"
 )
@@ -11,19 +12,18 @@ import (
 // TestSpanLifecycleInvariants runs every paper algorithm over a clean and
 // a lossy fabric and checks the causal span log's structural guarantees:
 // every begun span ended exactly once with a terminal status, parents
-// always reference earlier spans, attempts and per-hop spans hang off
-// request spans, retries nest under the original request (not under the
+// always reference earlier spans, attempts and tagged packets' per-hop
+// spans hang off request spans, retries nest under the original request (not under the
 // prior attempt), and failed requests end in an error status.
 func TestSpanLifecycleInvariants(t *testing.T) {
 	for _, k := range core.PaperKinds() {
 		for _, lossy := range []bool{false, true} {
 			name := fmt.Sprintf("%v/lossy=%v", k, lossy)
 			t.Run(name, func(t *testing.T) {
-				opts := []Option{WithSeed(1), WithSpans()}
+				cfg := Config{Topology: "4x4 mesh", Algorithm: k, Seed: 1, Spans: true}
 				if lossy {
-					opts = append(opts, WithLoss(0.05), WithRetries(3, 0))
+					cfg.LossRate, cfg.MaxRetries = 0.05, 3
 				}
-				cfg := MustConfig("4x4 mesh", k, opts...)
 				out := RunConfig(cfg)
 				if out.Err != nil {
 					// A lossy run may legitimately give up on some writes;
@@ -48,6 +48,28 @@ func TestSpanLifecycleInvariants(t *testing.T) {
 					t.Errorf("Analyze rejected a valid log: %v", err)
 				}
 			})
+		}
+	}
+}
+
+// TestSpanLogOfHotRemoval checks the same structure across a switch
+// removal, whose PI-5 events are untagged packets: their hops must be
+// recorded, and without a parent.
+func TestSpanLogOfHotRemoval(t *testing.T) {
+	for _, k := range core.PaperKinds() {
+		out := RunConfig(Config{Topology: "4x4 mesh", Algorithm: k, Seed: 1, Change: RemoveSwitch, Spans: true})
+		if out.Err != nil {
+			t.Fatalf("%v: %v", k, out.Err)
+		}
+		checkSpanStructure(t, *out.Spans, out)
+		untagged := 0
+		for _, s := range out.Spans.Spans {
+			if s.Kind == span.KindDeliver && s.Parent == 0 && s.PI == uint8(asi.PI5EventReporting) {
+				untagged++
+			}
+		}
+		if untagged == 0 {
+			t.Errorf("%v: no parentless delivery of a PI-5 event in the span log", k)
 		}
 	}
 }
@@ -84,19 +106,35 @@ func checkSpanStructure(t *testing.T, l span.Log, out Outcome) {
 					s.ID, s.Parent)
 			}
 			attemptsOf[s.Parent] = append(attemptsOf[s.Parent], s)
-		case span.KindBackoff, span.KindFMQueue, span.KindFMService,
-			span.KindLinkQueue, span.KindWire, span.KindDevQueue,
-			span.KindDevService, span.KindStall, span.KindFaultDelay,
-			span.KindDrop:
+		case span.KindBackoff, span.KindFMQueue, span.KindFMService:
 			// FM-work spans parent to the enabling request when one exists,
-			// else to the run; per-hop spans always parent to a request.
-			ok := hasParent && (parent.Kind == span.KindRequest || parent.Kind == span.KindRun)
-			if s.Kind != span.KindFMQueue && s.Kind != span.KindFMService {
-				ok = hasParent && parent.Kind == span.KindRequest
+			// else to the run, and a PI-5 event handled between runs to
+			// nothing; backoffs always to their request.
+			ok := hasParent && parent.Kind == span.KindRequest
+			if s.Kind != span.KindBackoff {
+				ok = ok || hasParent && parent.Kind == span.KindRun || s.Parent == 0
 			}
 			if !ok {
 				t.Errorf("span #%d (%v): parent #%d has wrong kind", s.ID, s.Kind, s.Parent)
 			}
+		case span.KindInject, span.KindLinkQueue, span.KindWire, span.KindDevQueue,
+			span.KindDevService, span.KindStall, span.KindFaultDelay,
+			span.KindDrop, span.KindDeliver:
+			// A packet's hops parent to the request its tag names. Only an
+			// untagged packet (PI-5 events, heartbeats) records parentless
+			// hops; every PI-4 packet the FM sends carries a tag.
+			switch {
+			case s.Parent == 0 && s.PI == uint8(asi.PI4DeviceManagement):
+				t.Errorf("span #%d (%v): hop of a PI-4 packet has no request parent", s.ID, s.Kind)
+			case s.Parent != 0 && (!hasParent || parent.Kind != span.KindRequest):
+				t.Errorf("span #%d (%v): parent #%d is not a request span", s.ID, s.Kind, s.Parent)
+			}
+		case span.KindFlap:
+			if s.Parent != 0 {
+				t.Errorf("span #%d: flap has parent #%d", s.ID, s.Parent)
+			}
+		default:
+			t.Errorf("span #%d: unexpected kind %v", s.ID, s.Kind)
 		}
 		if hasParent && s.Start < parent.Start {
 			t.Errorf("span #%d starts at %v before its parent #%d (%v)", s.ID, s.Start, parent.ID, parent.Start)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Device is an instantiated fabric device: a switch or an endpoint with
@@ -170,7 +169,9 @@ func (d *Device) Inject(pkt *asi.Packet) {
 	if d.Type != asi.DeviceEndpoint {
 		panic("fabric: Inject is for endpoints; switches forward only")
 	}
-	d.f.traceEvent(trace.Inject, d, 0, pkt, "")
+	if d.f.spans != nil {
+		d.f.spanInstant(span.KindInject, pkt, d, 0, "")
+	}
 	d.transmit(0, pkt)
 }
 
@@ -253,7 +254,9 @@ func (d *Device) consume(port int, pkt *asi.Packet) {
 	d.RxPackets++
 	d.RxBytes += uint64(pkt.WireSize())
 	d.ctr.Delivered[pkt.Header.PI]++
-	d.f.traceEvent(trace.Deliver, d, port, pkt, "")
+	if d.f.spans != nil {
+		d.f.spanInstant(span.KindDeliver, pkt, d, port, "")
+	}
 	if p4, ok := pkt.Payload.(*asi.PI4); ok && !p4.Op.IsCompletion() {
 		// The completion reports the port the request arrived on; the
 		// device knows it now, and stamping it here is all the queue
@@ -345,7 +348,7 @@ func (d *Device) completePI4(pkt *asi.Packet) {
 	}
 	pkt.Header = pkt.Header.Reverse()
 	pkt.Header.PI = asi.PI4DeviceManagement
-	if d.f.spans != nil && pkt.Span != 0 {
+	if d.f.spans != nil {
 		// Device-side timeline: queue wait (if any) then the T_Device
 		// service interval, both under the owning request; the completion
 		// carries the span ID back so the return hops attribute too.

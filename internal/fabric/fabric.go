@@ -14,7 +14,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Config sets the physical and timing parameters of the fabric model.
@@ -178,13 +177,12 @@ type Fabric struct {
 	// increments never cross a shard boundary; sequential fabrics use a
 	// single block. Counters() merges them.
 	counters []Counters
-	tracer   trace.Recorder
 	faults   *faultState
 	tel      *fabricTelemetry
 
 	// spans is the causal span tracer (SetSpanTracer), nil when
-	// detached; queuedAt stamps when traced packets entered the queue
-	// they wait in (a packet is in one at a time), allocated only while
+	// detached; queuedAt stamps when packets entered the queue they
+	// wait in (a packet is in one at a time), allocated only while
 	// spans is set.
 	spans    *span.Tracer
 	queuedAt map[*asi.Packet]sim.Time
@@ -205,11 +203,11 @@ func New(e *sim.Engine, t *topo.Topology, cfg Config, rng *sim.RNG) (*Fabric, er
 // propagation delay as the lookahead. The group's lookahead and region
 // distances are configured here from the partition.
 //
-// The sharded path trades instrumentation for parallelism: packet
-// tracing, telemetry, span tracing, fault plans and the traffic
-// generator are unsupported (the respective setters reject them), so the
-// simulated discovery behaviour — and the resulting FM database — is
-// bit-identical to the sequential path.
+// The sharded path trades instrumentation for parallelism: telemetry,
+// span tracing, fault plans and the traffic generator are unsupported
+// (the respective setters reject them), so the simulated discovery
+// behaviour — and the resulting FM database — is bit-identical to the
+// sequential path.
 func NewSharded(g *sim.ShardGroup, part *topo.Partition, t *topo.Topology, cfg Config, rng *sim.RNG) (*Fabric, error) {
 	if part.Count != g.Shards() {
 		return nil, fmt.Errorf("fabric: partition has %d regions, shard group %d", part.Count, g.Shards())
@@ -359,44 +357,6 @@ func (f *Fabric) deviceService() sim.Duration {
 	return f.cfg.DeviceProcessing.Scale(1 / f.cfg.DeviceFactor)
 }
 
-// SetTracer attaches a packet-event recorder; nil detaches it. Tracing
-// costs nothing when detached. Sharded fabrics reject tracers: trace
-// order would depend on region interleaving.
-func (f *Fabric) SetTracer(t trace.Recorder) {
-	if t != nil && f.group != nil {
-		panic("fabric: packet tracing is unsupported with parallel regions")
-	}
-	f.tracer = t
-}
-
-// tracing reports whether a recorder is attached. Hot paths check it
-// before building event details, so detached tracing never formats.
-func (f *Fabric) tracing() bool { return f.tracer != nil }
-
-// traceEvent records a packet event if a tracer is attached.
-func (f *Fabric) traceEvent(kind trace.Kind, d *Device, port int, pkt *asi.Packet, detail string) {
-	if f.tracer == nil {
-		return
-	}
-	ev := trace.Event{
-		At:     f.Engine.Now(),
-		Kind:   kind,
-		Port:   port,
-		Detail: detail,
-	}
-	if d != nil {
-		ev.Device = d.Label
-	}
-	if pkt != nil {
-		ev.PI = pkt.Header.PI
-		ev.Bytes = pkt.WireSize()
-		if pkt.Payload != nil && ev.PI == 0 {
-			ev.PI = pkt.Payload.ProtocolInterface()
-		}
-	}
-	f.tracer.Record(ev)
-}
-
 // drop accounts a discarded packet with no device context (region 0;
 // only reachable on the sequential path).
 func (f *Fabric) drop(r DropReason) { f.dropIn(&f.counters[0], r) }
@@ -412,7 +372,6 @@ func (f *Fabric) dropIn(c *Counters, r DropReason) {
 // dropTraced accounts and traces a discarded packet with context.
 func (f *Fabric) dropTraced(r DropReason, d *Device, port int, pkt *asi.Packet) {
 	f.dropIn(d.ctr, r)
-	f.traceEvent(trace.Drop, d, port, pkt, r.String())
 	f.spanDrop(r, d, port, pkt)
 }
 

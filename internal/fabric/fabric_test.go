@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/asi"
@@ -634,5 +635,54 @@ func TestDropReasonStrings(t *testing.T) {
 	}
 	if DropReason(99).String() == "" {
 		t.Error("unknown DropReason empty")
+	}
+}
+
+// TestNewRejectsImpossibleRadix: a radix outside what the spec allows is
+// refused by topology validation before any per-port slab is sized — no
+// panic, and no work proportional to the bogus port count.
+func TestNewRejectsImpossibleRadix(t *testing.T) {
+	cases := []struct {
+		name  string
+		typ   asi.DeviceType
+		ports int
+	}{
+		{"lone switch -1", asi.DeviceSwitch, -1},
+		{"switch -1", asi.DeviceSwitch, -1},
+		{"switch 0", asi.DeviceSwitch, 0},
+		{"switch 1", asi.DeviceSwitch, 1},
+		{"switch max+1", asi.DeviceSwitch, asi.MaxSwitchPorts + 1},
+		{"switch 1<<24", asi.DeviceSwitch, 1 << 24},
+		{"endpoint -1", asi.DeviceEndpoint, -1},
+		{"endpoint 0", asi.DeviceEndpoint, 0},
+		{"endpoint max+1", asi.DeviceEndpoint, asi.MaxEndpointPorts + 1},
+		{"endpoint 1<<24", asi.DeviceEndpoint, 1 << 24},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tp := topo.New(tc.name)
+			sw := tp.AddSwitch(4, "sw")
+			victim := sw
+			if !strings.HasPrefix(tc.name, "lone") {
+				ep := tp.AddEndpoint("ep")
+				if err := tp.Connect(sw, 0, ep, 0); err != nil {
+					t.Fatal(err)
+				}
+				if tc.typ == asi.DeviceEndpoint {
+					victim = ep
+				}
+			}
+			tp.Nodes[victim].Ports = tc.ports
+			var err error
+			allocs := testing.AllocsPerRun(5, func() {
+				_, err = New(sim.NewEngine(), tp, Config{}, sim.NewRNG(1))
+			})
+			if err == nil {
+				t.Fatalf("fabric.New accepted a %d-port %v", tc.ports, tc.typ)
+			}
+			if allocs > 16 {
+				t.Errorf("rejecting the radix took %.0f allocations, want <= 16", allocs)
+			}
+		})
 	}
 }

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/asi"
 	"repro/internal/sim"
+	"repro/internal/span"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Fault injection. The paper's discovery algorithms assume a lossless
@@ -163,8 +163,8 @@ func (f *Fabric) scheduleFlap(fl Flap) {
 			return // already down (e.g. hot removal); nothing to flap
 		}
 		f.counters[0].LinkFlaps++
-		if f.tracing() {
-			f.traceEvent(trace.Fault, lk.a, lk.aPort, nil, fmt.Sprintf("flap-down link=%d for=%v", fl.Link, fl.Duration))
+		if f.spans != nil {
+			f.spanInstant(span.KindFlap, nil, lk.a, lk.aPort, fmt.Sprintf("flap-down link=%d for=%v", fl.Link, fl.Duration))
 		}
 		lk.setUp(false)
 	})
@@ -172,8 +172,8 @@ func (f *Fabric) scheduleFlap(fl Flap) {
 		if lk.up {
 			return
 		}
-		if f.tracing() {
-			f.traceEvent(trace.Fault, lk.a, lk.aPort, nil, fmt.Sprintf("flap-up link=%d", fl.Link))
+		if f.spans != nil {
+			f.spanInstant(span.KindFlap, nil, lk.a, lk.aPort, fmt.Sprintf("flap-up link=%d", fl.Link))
 		}
 		lk.setUp(true)
 	})
@@ -201,7 +201,6 @@ func (f *Fabric) faultDrop(l *link, d *Device, pkt *asi.Packet) bool {
 		if f.tel != nil {
 			f.tel.linkFault.Inc(l.idx)
 		}
-		f.traceEvent(trace.Drop, d, l.portOf(d), pkt, DropFaultInjected.String())
 		f.spanDrop(DropFaultInjected, d, l.portOf(d), pkt)
 	}
 	return drop

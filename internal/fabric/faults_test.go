@@ -1,13 +1,15 @@
 package fabric
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/asi"
 	"repro/internal/route"
 	"repro/internal/sim"
+	"repro/internal/span"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // hostLink returns the topology link index of ep's port-0 cable.
@@ -165,8 +167,8 @@ func TestFaultFlapWindowDropsThenRecovers(t *testing.T) {
 
 func TestFaultFlapTraced(t *testing.T) {
 	e, f := testFabric(t, topo.Mesh(3, 3))
-	buf := &trace.Buffer{}
-	f.SetTracer(trace.FilterKind(buf, trace.Fault))
+	tr := span.New(0)
+	f.SetSpanTracer(tr)
 	ep := firstEndpoint(f)
 	if err := f.SetFaultPlan(FaultPlan{Flaps: []Flap{
 		{Link: hostLink(t, f, ep), At: sim.Time(sim.Microsecond), Duration: sim.Microsecond},
@@ -174,8 +176,16 @@ func TestFaultFlapTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	if n := len(buf.Events); n != 2 {
-		t.Fatalf("traced %d fault events, want 2 (down + up)", n)
+	var flaps []string
+	for _, s := range tr.Spans() {
+		if s.Kind == span.KindFlap {
+			flaps = append(flaps, s.Name)
+		}
+	}
+	link := hostLink(t, f, ep)
+	want := []string{fmt.Sprintf("flap-down link=%d for=1.000us", link), fmt.Sprintf("flap-up link=%d", link)}
+	if !reflect.DeepEqual(flaps, want) {
+		t.Fatalf("flap spans %q, want %q", flaps, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"repro/internal/asi"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/trace"
 )
 
 // link is a full-duplex cable between two device ports, modelled as two
@@ -180,8 +179,7 @@ func (l *link) setUp(up bool) {
 // serializer if idle.
 func (l *link) send(d *Device, pkt *asi.Packet) {
 	if !l.up {
-		l.f.dropIn(d.ctr, DropInactivePort)
-		l.f.spanDrop(DropInactivePort, d, l.portOf(d), pkt)
+		l.f.dropTraced(DropInactivePort, d, l.portOf(d), pkt)
 		return
 	}
 	if l.f.faultDrop(l, d, pkt) {
@@ -196,9 +194,9 @@ func (l *link) send(d *Device, pkt *asi.Packet) {
 	l.kick(d)
 }
 
-// vcDetails are the preformatted trace details for each virtual channel,
-// so tracing a transmit never formats on the fly.
-var vcDetails = [asi.NumVCs]string{"vc=0", "vc=1", "vc=2"}
+// vcNames are the preformatted span names of each virtual channel, so
+// recording a transmit or a stall never formats on the fly.
+var vcNames = [asi.NumVCs]string{"vc=0", "vc=1", "vc=2"}
 
 // kick runs the transmit scheduler for d's direction: while the serializer
 // is idle, pick the highest-priority VC with both a queued packet and a
@@ -229,13 +227,8 @@ func (l *link) kick(d *Device) {
 			if l.f.tel != nil {
 				l.f.tel.linkStall.Inc(l.idx)
 			}
-			if l.f.tracing() {
-				l.f.traceEvent(trace.Stall, d, l.portOf(d), h.queues[vc].At(0), vcDetails[vc])
-			}
 			if l.f.spans != nil {
-				if head := h.queues[vc].At(0); head.Span != 0 {
-					l.f.spanInstant(span.KindStall, head, d, l.portOf(d), vcDetails[vc])
-				}
+				l.f.spanInstant(span.KindStall, h.queues[vc].At(0), d, l.portOf(d), vcNames[vc])
 			}
 			continue
 		}
@@ -245,9 +238,6 @@ func (l *link) kick(d *Device) {
 			l.f.tel.linkTx.Inc(l.idx)
 			l.f.tel.vcTx.Inc(vc)
 		}
-		if l.f.tracing() {
-			l.f.traceEvent(trace.Transmit, d, l.portOf(d), pkt, vcDetails[vc])
-		}
 		ser := l.f.serialization(pkt.WireSize())
 		h.busyUntil = e.Now().Add(ser)
 		d.ctr.TxPackets++
@@ -255,7 +245,7 @@ func (l *link) kick(d *Device) {
 		extra := l.f.faultDelay(l)
 		arrive := ser + l.f.cfg.Propagation + extra
 		if l.f.spans != nil {
-			l.f.spanWire(pkt, d, l.portOf(d), arrive, extra)
+			l.f.spanWire(pkt, d, l.portOf(d), vc, arrive, extra)
 		}
 		if l.cut {
 			// Cross-region hop: the arrival is at least Propagation (the

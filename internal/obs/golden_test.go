@@ -41,12 +41,10 @@ func TestMetricNamesGolden(t *testing.T) {
 
 	// A telemetry-enabled run registers the FM, fabric and engine
 	// metrics.
-	o := experiment.RunConfig(experiment.MustConfig(
-		"3x3 mesh", core.Parallel,
-		experiment.WithSeed(1),
-		experiment.WithTelemetry(),
-		experiment.WithChange(experiment.RemoveSwitch),
-	))
+	o := experiment.RunConfig(experiment.Config{
+		Topology: "3x3 mesh", Algorithm: core.Parallel,
+		Seed: 1, Telemetry: true, Change: experiment.RemoveSwitch,
+	})
 	if o.Err != nil {
 		t.Fatalf("telemetry run failed: %v", o.Err)
 	}

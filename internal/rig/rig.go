@@ -15,7 +15,6 @@ import (
 	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // The random streams one seed fans out into.
@@ -42,11 +41,11 @@ type Config struct {
 	// DeviceFactor scales the device processing-time model; zero means 1.
 	DeviceFactor float64
 	Faults       fabric.FaultPlan
-	Trace        trace.Recorder
 	// Telemetry creates Rig.Registry, records the fabric's per-link
 	// counters into it and hands it to the manager.
 	Telemetry bool
-	// Spans creates Rig.Spans and attaches it to fabric and manager.
+	// Spans creates Rig.Spans and attaches it to fabric and manager: the
+	// FM's request timeline and every packet's hops.
 	Spans bool
 	// Manager configures the fabric manager; New fills in its Telemetry
 	// and Spans.
@@ -73,9 +72,9 @@ type Rig struct {
 }
 
 // New builds tp's fabric on a fresh engine and attaches a manager to
-// the first endpoint. The order — fabric, packet tracer, telemetry, span
-// tracer, fault plan, manager — is part of the contract: it fixes the
-// draw order on the fabric stream and the order events are scheduled in.
+// the first endpoint. The order — fabric, telemetry, span tracer, fault
+// plan, manager — is part of the contract: it fixes the draw order on the
+// fabric stream and the order events are scheduled in.
 // OnDiscoveryComplete is left to the driver.
 func New(tp *topo.Topology, cfg Config) (*Rig, error) {
 	r := &Rig{Topo: tp, Engine: sim.NewEngine(), RNG: Stream(cfg.Seed, StreamFabric), start: time.Now()}
@@ -89,9 +88,6 @@ func New(tp *topo.Topology, cfg Config) (*Rig, error) {
 	var err error
 	if r.Fabric, err = fabric.New(r.Engine, tp, fabric.Config{DeviceFactor: cfg.DeviceFactor}, r.RNG); err != nil {
 		return nil, err
-	}
-	if cfg.Trace != nil {
-		r.Fabric.SetTracer(cfg.Trace)
 	}
 	if cfg.Telemetry {
 		r.Fabric.EnableTelemetry(r.Registry)

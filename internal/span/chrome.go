@@ -47,6 +47,8 @@ type chromeArgs struct {
 	Parent  ID     `json:"parent,omitempty"`
 	Kind    Kind   `json:"kind"`
 	Status  Status `json:"status"`
+	PI      uint8  `json:"pi,omitempty"`
+	Bytes   uint32 `json:"bytes,omitempty"`
 	StartPS int64  `json:"start_ps"`
 	EndPS   int64  `json:"end_ps"`
 	Name    string `json:"span_name,omitempty"`
@@ -124,6 +126,7 @@ func WriteChrome(w io.Writer, l Log) error {
 		s := &l.Spans[i]
 		args := &chromeArgs{
 			ID: s.ID, Parent: s.Parent, Kind: s.Kind, Status: s.Status,
+			PI: s.PI, Bytes: s.Bytes,
 			StartPS: int64(s.Start), EndPS: int64(s.End),
 			Name: s.Name, Device: s.Device, Port: s.Port,
 			Tag: s.Tag, Attempt: s.Attempt,
@@ -171,6 +174,7 @@ func ReadChrome(r io.Reader) (Log, error) {
 		a := ev.Args
 		l.Spans = append(l.Spans, Span{
 			ID: a.ID, Parent: a.Parent, Kind: a.Kind, Status: a.Status,
+			PI: a.PI, Bytes: a.Bytes,
 			Start: sim.Time(a.StartPS), End: sim.Time(a.EndPS),
 			Name: a.Name, Device: a.Device, Port: a.Port,
 			Tag: a.Tag, Attempt: a.Attempt,

@@ -178,7 +178,7 @@ func WriteReport(w io.Writer, a *Analysis, opt GanttOptions) error {
 				rowsOut = append(rowsOut, row{k, ra.ByKind[k]})
 			}
 		}
-		sort.Slice(rowsOut, func(i, j int) bool { return rowsOut[i].t.Total > rowsOut[j].t.Total })
+		sort.SliceStable(rowsOut, func(i, j int) bool { return rowsOut[i].t.Total > rowsOut[j].t.Total })
 		for _, r := range rowsOut {
 			fmt.Fprintf(w, "  %-12s %6d spans  %14v total\n", r.k, r.t.Count, r.t.Total)
 		}

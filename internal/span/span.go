@@ -1,12 +1,17 @@
 // Package span is a causal tracer for the discovery process: where
-// internal/trace records isolated packet events and internal/telemetry
-// aggregates histograms, span records the *life* of every FM-issued PI-4
-// request — issue, per-hop wire time, switch queueing, device servicing,
-// timeout, retry, completion — as begin/end intervals with parent links.
-// From a span log the paper's FM packet-processing timeline (Figs. 5-7)
-// is reconstructed per request: a Gantt row decomposing the round trip
-// into FM processing, wire, queueing and device time, plus the critical
-// path of dependent requests that determines total discovery time.
+// internal/telemetry aggregates histograms, span records the *life* of
+// every FM-issued PI-4 request — issue, per-hop wire time, switch
+// queueing, device servicing, timeout, retry, completion — as begin/end
+// intervals with parent links. From a span log the paper's FM
+// packet-processing timeline (Figs. 5-7) is reconstructed per request: a
+// Gantt row decomposing the round trip into FM processing, wire, queueing
+// and device time, plus the critical path of dependent requests that
+// determines total discovery time.
+//
+// The fabric records the hops of every packet, not only the FM's: an
+// untagged packet's spans (PI-5 events, heartbeats, application traffic)
+// carry no parent, and Analyze leaves them out of every run. WritePackets
+// reads the same log as a flat packet-event listing (asidisc -trace).
 //
 // Tracing is opt-in and non-perturbing: every hook in core and fabric is
 // guarded by a single nil check, so a disabled tracer costs no
@@ -69,9 +74,16 @@ const (
 	// KindFaultDelay marks a traversal the installed fault plan
 	// delivered late.
 	KindFaultDelay
-	// KindDrop marks the instant a packet of a traced request was
-	// discarded by the fabric.
+	// KindDrop marks the instant the fabric discarded a packet; Name is
+	// the drop reason.
 	KindDrop
+	// KindInject marks an endpoint putting a packet into the fabric.
+	KindInject
+	// KindDeliver marks a device consuming a packet.
+	KindDeliver
+	// KindFlap marks a fault-plan link flap going down or coming back
+	// up; Name says which, and for how long.
+	KindFlap
 	numKinds
 )
 
@@ -81,6 +93,7 @@ var kindNames = [numKinds]string{
 	"run", "request", "attempt", "backoff",
 	"fm-queue", "fm-service", "link-queue", "wire",
 	"dev-queue", "dev-service", "stall", "fault-delay", "drop",
+	"inject", "deliver", "flap",
 }
 
 // String names the kind.
@@ -204,6 +217,11 @@ type Span struct {
 	Parent ID     `json:"parent,omitempty"`
 	Kind   Kind   `json:"kind"`
 	Status Status `json:"status"`
+	// PI and Bytes describe the packet behind a fabric span: its
+	// protocol interface and wire size. They sit in the padding after
+	// Kind and Status, so they cost the record nothing.
+	PI    uint8  `json:"pi,omitempty"`
+	Bytes uint32 `json:"bytes,omitempty"`
 	// Start and End bound the interval in simulated time (picoseconds).
 	// They coincide for instant markers.
 	Start sim.Time `json:"start"`
@@ -281,7 +299,7 @@ func (t *Tracer) Begin(kind Kind, parent ID, at sim.Time) ID {
 
 // Span returns a pointer to the identified span for field annotation,
 // or nil for ID 0 and dropped spans. The pointer is invalidated by the
-// next Begin/Complete/Instant — annotate immediately, do not hold it.
+// next Begin or Complete — annotate immediately, do not hold it.
 func (t *Tracer) Span(id ID) *Span {
 	if id == 0 || int(id) > len(t.spans) {
 		return nil
@@ -308,11 +326,6 @@ func (t *Tracer) Complete(kind Kind, parent ID, start, end sim.Time, status Stat
 	id := t.Begin(kind, parent, start)
 	t.End(id, end, status)
 	return id
-}
-
-// Instant records a zero-length marker at the given time.
-func (t *Tracer) Instant(kind Kind, parent ID, at sim.Time) ID {
-	return t.Complete(kind, parent, at, at, StatusInstant)
 }
 
 // Len returns the number of recorded spans.

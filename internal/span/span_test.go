@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -171,6 +172,11 @@ func TestKindStatusNames(t *testing.T) {
 func sampleLog(t *testing.T) Log {
 	t.Helper()
 	tr := New(0)
+	// hop annotates a fabric span of a 36-byte PI-4 packet.
+	hop := func(id ID, device string, port int, name string) {
+		s := tr.Span(id)
+		s.Device, s.Port, s.Name, s.PI, s.Bytes = device, port, name, 4, 36
+	}
 	run := tr.Begin(KindRun, 0, us(0))
 	tr.Span(run).Name = "serial-packet"
 
@@ -181,7 +187,8 @@ func sampleLog(t *testing.T) Log {
 	tr.Span(r1).Device = "dsn:0000000000000001"
 	a1 := tr.Begin(KindAttempt, r1, us(1))
 	tr.Span(a1).Tag = 1
-	tr.Complete(KindWire, r1, us(1), us(2), StatusOK)
+	hop(tr.Complete(KindInject, r1, us(1), us(1), StatusInstant), "fm", 0, "")
+	hop(tr.Complete(KindWire, r1, us(1), us(2), StatusOK), "fm", 0, "vc=2")
 	tr.Complete(KindDevQueue, r1, us(2), us(3), StatusOK)
 	tr.Complete(KindDevService, r1, us(3), us(5), StatusOK)
 	tr.Complete(KindWire, r1, us(5), us(6), StatusOK)
@@ -210,6 +217,9 @@ func sampleLog(t *testing.T) Log {
 	tr.Complete(KindFMService, r2, us(17), us(18), StatusOK)
 	tr.End(r2, us(18), StatusOK)
 	tr.End(run, us(18), StatusOK)
+	// An untagged packet's hop and a link flap belong to no run.
+	hop(tr.Complete(KindDeliver, 0, us(19), us(19), StatusInstant), "sw0", 3, "")
+	tr.Span(tr.Complete(KindFlap, 0, us(20), us(20), StatusInstant)).Name = "flap-up link=4"
 
 	l := tr.Log()
 	if err := Validate(l); err != nil {
@@ -291,6 +301,46 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, l) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, l)
+	}
+}
+
+// TestSpanSize pins the record at 96 bytes: PI and Bytes live in the
+// padding after Kind and Status.
+func TestSpanSize(t *testing.T) {
+	if n := unsafe.Sizeof(Span{}); n != 96 {
+		t.Fatalf("sizeof(Span) = %d, want 96", n)
+	}
+}
+
+// TestWritePackets pins the packet view's line format, its choice of
+// kinds and its truncation notice.
+func TestWritePackets(t *testing.T) {
+	l := sampleLog(t)
+	var all bytes.Buffer
+	if err := WritePackets(&all, l, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := "" +
+		"1.000us      inject   fm           port=0   pi=4 36B\n" +
+		"1.000us      tx       fm           port=0   pi=4 36B vc=2\n" +
+		"5.000us      tx                    port=-1  pi=0 0B\n" +
+		"8.000us      drop                  port=-1  pi=0 0B\n" +
+		"14.000us     tx                    port=-1  pi=0 0B\n" +
+		"16.000us     tx                    port=-1  pi=0 0B\n" +
+		"19.000us     deliver  sw0          port=3   pi=4 36B\n" +
+		"20.000us     fault                 port=-1  pi=0 0B flap-up link=4\n"
+	if all.String() != want {
+		t.Fatalf("packet view:\n%s\nwant:\n%s", all.String(), want)
+	}
+	var capped bytes.Buffer
+	if err := WritePackets(&capped, l, 2); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(capped.String(), "\n"), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(want, lines[0]+"\n"+lines[1]+"\n") ||
+		lines[2] != "... 6 further events not recorded (buffer cap 2)" ||
+		lines[3] != "trace truncated: 6 events dropped (raise -trace beyond 2)" {
+		t.Fatalf("capped packet view:\n%s", capped.String())
 	}
 }
 

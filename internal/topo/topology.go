@@ -152,11 +152,23 @@ func (t *Topology) ReachableFrom(start NodeID) map[NodeID]bool {
 	return seen
 }
 
-// Validate checks structural invariants: endpoints have exactly one cable,
-// no endpoint-to-endpoint links, and the fabric is connected.
+// Validate checks structural invariants: every radix is one the spec
+// allows (switches 2..asi.MaxSwitchPorts, endpoints
+// 1..asi.MaxEndpointPorts), endpoints have exactly one cable, no
+// endpoint-to-endpoint links, and the fabric is connected.
 func (t *Topology) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("topo %s: empty", t.Name)
+	}
+	// Radices first: a fabric sizes its port slabs from them.
+	for _, n := range t.Nodes {
+		lo, hi := 2, asi.MaxSwitchPorts
+		if n.Type == asi.DeviceEndpoint {
+			lo, hi = 1, asi.MaxEndpointPorts
+		}
+		if n.Ports < lo || n.Ports > hi {
+			return fmt.Errorf("topo %s: %v %s has %d ports, want %d..%d", t.Name, n.Type, n.Label, n.Ports, lo, hi)
+		}
 	}
 	for _, n := range t.Nodes {
 		if n.Type == asi.DeviceEndpoint {
