@@ -25,8 +25,9 @@
 #                                  BENCH_fm.json and BENCH_serve.json (both
 #                                  exact; ns/op is printed, never gated)
 #   make race     - go test -race ./...
-#   make fuzz     - bounded native-fuzzing burst on the chaos harness
-#   make bench    - figure + engine benchmarks -> BENCH_sim.json
+#   make fuzz     - bounded native-fuzzing burst on the chaos harness,
+#                   the RIB, the event queue and the topology namer
+#   make bench    - figure, engine and topology benchmarks -> BENCH_sim.json
 #                   (benchstat-compatible raw lines plus parsed metrics,
 #                   with results/bench_baseline.txt embedded as the
 #                   before/baseline section), then the FM-database
@@ -42,7 +43,7 @@ BENCHTIME ?= 3x
 BENCHCOUNT ?= 5
 BENCH_BASELINE ?= results/bench_baseline.txt
 # The FM-database ledger's before section: the same benchmarks on the
-# commit before the adjacency index (link-map scans).
+# parent of the latest change to the database (the link set held twice).
 BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
 # The serving ledger's before section: the same benchmarks on the commit
 # before the change-driven install (every generation built from scratch,
@@ -128,11 +129,13 @@ span-smoke:
 # cancel and timer-rearm paths at zero both within the near run's capacity
 # and with spill and refill in play, the instrumentation hooks' disabled
 # cost and a warm PI-4 round trip (FM -> device -> FM, and the bare
-# fabric's BenchmarkForward/off) at zero allocations, fabric.New within its bytes-per-device-or-link budget, and
+# fabric's BenchmarkForward/off) at zero allocations, fabric.New within
+# its bytes-per-device-or-link budget, one cold Parallel discovery within
+# its bytes budget, the link and request records within their sizes, and
 # the serving layer's fan-out: queueing and delivering a generation at
 # zero, one install at well under one allocation per extra subscriber.
 alloc-check:
-	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/sim/ ./internal/fabric/ ./internal/core/ ./internal/rib/
+	$(GO) test -run 'ZeroAlloc|AllocBudget|RecordSizes' ./internal/sim/ ./internal/fabric/ ./internal/core/ ./internal/rib/
 
 # bench-test runs the repo benchmark's own tests. bench/ is a separate
 # module (replace repro => ../), so `go test ./...` from the root never
@@ -159,7 +162,9 @@ chaos-par-smoke:
 # fuzz gives each native fuzz target a short bounded burst; the committed
 # corpus under internal/chaos/testdata/corpus seeds FuzzScenario.
 # FuzzQueueOrder replays schedule/cancel/step/run-until streams against a
-# sorted-slice reference of the engine's two-tier queue.
+# sorted-slice reference of the engine's two-tier queue. FuzzParseName
+# builds every legal name it finds and checks the port table against the
+# cabling.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME)
@@ -167,6 +172,7 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzCoalesce$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzInstallChangeSets$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/topo -run '^$$' -fuzz '^FuzzParseName$$' -fuzztime $(FUZZTIME)
 
 # daemon-smoke proves the FM daemon's serving layer end to end: an
 # in-process asifmd manages a fat-tree under scripted churn while 1000
@@ -200,7 +206,7 @@ assim-smoke:
 # Regenerate the baselines with `make bench` when a change legitimately
 # moves the numbers.
 bench-diff:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim ./internal/topo \
 		| $(GO) run ./cmd/benchjson -diff BENCH_sim.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
 		| $(GO) run ./cmd/benchjson -diff BENCH_fm.json
@@ -210,7 +216,7 @@ bench-diff:
 verify: fmt-check seam-check build vet test race results-check bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim ./internal/topo \
 		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_BASELINE) -o BENCH_sim.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/core ./internal/fib \
 		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_FM_BASELINE) -o BENCH_fm.json

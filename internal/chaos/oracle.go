@@ -21,22 +21,21 @@ func GroundTruth(f *fabric.Fabric, start topo.NodeID) (devices, links int) {
 	if !f.Alive(start) {
 		return 0, 0
 	}
-	alive := map[topo.NodeID]bool{}
-	seen := map[topo.NodeID]bool{start: true}
-	queue := []topo.NodeID{start}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		alive[n] = true
+	// The queue ends up holding exactly the alive-reachable set.
+	alive := make([]bool, len(f.Topo.Nodes))
+	alive[start] = true
+	queue := append(make([]topo.NodeID, 0, len(f.Topo.Nodes)), start)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		for p := 0; p < f.Device(n).Ports(); p++ {
 			peer, _, ok := f.Topo.Peer(n, p)
-			if !ok || !f.Alive(peer) || seen[peer] {
+			if !ok || !f.Alive(peer) || alive[peer] {
 				continue
 			}
 			if !f.Device(n).PortActive(p) {
 				continue
 			}
-			seen[peer] = true
+			alive[peer] = true
 			queue = append(queue, peer)
 		}
 	}
@@ -45,7 +44,7 @@ func GroundTruth(f *fabric.Fabric, start topo.NodeID) (devices, links int) {
 			links++
 		}
 	}
-	return len(alive), links
+	return len(queue), links
 }
 
 // CheckConverged verifies that one completed discovery result matches the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/topo"
 )
@@ -56,5 +57,15 @@ func TestPI4RoundTripZeroAlloc(t *testing.T) {
 	}
 	if len(m.pending) != 0 || m.freeReqs == nil {
 		t.Errorf("round trips left %d requests pending, free list empty: %v", len(m.pending), m.freeReqs == nil)
+	}
+}
+
+// TestRecordSizes pins the request record at most 128 bytes: the Parallel
+// algorithm parks about 18 000 of them in the FM's queue at once on a
+// dragonfly 16x64 (184 bytes each with int-wide fields and the whole
+// payload kept for retransmission).
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(request{}); n > 128 {
+		t.Fatalf("sizeof(request) = %d, want <= 128", n)
 	}
 }

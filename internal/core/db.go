@@ -67,7 +67,8 @@ func (l Link) normalize() Link {
 	return l
 }
 
-// ends returns the link as its A end and as its B end see it.
+// ends returns the link as its A end and as its B end see it. A port
+// cabled to itself has one end, and both are the same Neighbor.
 func (l Link) ends() (a, b Neighbor) {
 	return Neighbor{DSN: l.B, LocalPort: l.APort, RemotePort: l.BPort},
 		Neighbor{DSN: l.A, LocalPort: l.BPort, RemotePort: l.APort}
@@ -78,33 +79,34 @@ func (l Link) ends() (a, b Neighbor) {
 // complete fabric topology, discarding all the previously collected
 // information".
 //
-// The link set is held twice: links is the canonical set (what Links,
-// Fingerprint and HasLink read), adj indexes it per device. After every
+// The link set is held once, in adj, indexed per device. After every
 // mutation each recorded link appears in adj exactly once under each of
-// its two ends, and adj holds nothing else; each device's entries stay
-// sorted by (LocalPort, DSN, RemotePort). That order is the order every
-// breadth-first search expands neighbours in, so it decides every
-// shortest-path tie-break and therefore every source route. AddLink,
-// RemoveLink, RemoveNode and Clone are the only writers of either.
+// its distinct ends (a port cabled to itself has one), numLinks counts
+// the links, and adj holds nothing else and no empty entry; each
+// device's entries stay sorted by (LocalPort, DSN, RemotePort). That
+// order is the order every breadth-first search expands neighbours in,
+// so it decides every shortest-path tie-break and therefore every source
+// route. The canonical end of a link — the device whose adjacency speaks
+// for it in Links, Fingerprint and DiffDBs — is its normalized A end.
+// AddLink, RemoveLink, RemoveNode and Clone are the only writers.
 type DB struct {
 	// HostDSN is the endpoint hosting the FM.
-	HostDSN asi.DSN
-	nodes   map[asi.DSN]*Node
-	links   map[Link]bool
-	adj     map[asi.DSN][]Neighbor
+	HostDSN  asi.DSN
+	nodes    map[asi.DSN]*Node
+	adj      map[asi.DSN][]Neighbor
+	numLinks int
 }
 
 // NewDB returns an empty database for an FM hosted on the given endpoint.
-func NewDB(host asi.DSN) *DB { return newDB(host, 0, 0) }
+func NewDB(host asi.DSN) *DB { return newDB(host, 0) }
 
 // newDB returns an empty database with room for the given number of
-// devices and links: a clone knows both, and a rediscovery expects about
-// what the database it replaces held.
-func newDB(host asi.DSN, nodes, links int) *DB {
+// devices: a clone knows it, and a rediscovery expects about what the
+// database it replaces held.
+func newDB(host asi.DSN, nodes int) *DB {
 	return &DB{
 		HostDSN: host,
 		nodes:   make(map[asi.DSN]*Node, nodes),
-		links:   make(map[Link]bool, links),
 		adj:     make(map[asi.DSN][]Neighbor, nodes),
 	}
 }
@@ -127,7 +129,7 @@ func (db *DB) NumSwitches() int {
 }
 
 // NumLinks returns the number of discovered links.
-func (db *DB) NumLinks() int { return len(db.links) }
+func (db *DB) NumLinks() int { return db.numLinks }
 
 // Nodes returns all entries sorted by DSN for deterministic iteration.
 func (db *DB) Nodes() []*Node {
@@ -148,13 +150,23 @@ func (db *DB) EachNode(f func(*Node)) {
 	}
 }
 
-// Links returns all discovered links sorted canonically.
+// Links returns all discovered links sorted canonically: devices in DSN
+// order, each emitting the links it is the canonical end of, which its
+// adjacency order already sorts by (APort, B, BPort).
 func (db *DB) Links() []Link {
-	out := make([]Link, 0, len(db.links))
-	for l := range db.links {
-		out = append(out, l)
+	dsns := make([]asi.DSN, 0, len(db.adj))
+	for dsn := range db.adj {
+		dsns = append(dsns, dsn)
 	}
-	sortLinks(out)
+	slices.Sort(dsns)
+	out := make([]Link, 0, db.numLinks)
+	for _, dsn := range dsns {
+		for _, nb := range db.adj[dsn] {
+			if nb.canonicalFrom(dsn) {
+				out = append(out, nb.linkFrom(dsn))
+			}
+		}
+	}
 	return out
 }
 
@@ -181,7 +193,8 @@ func sortLinks(ls []Link) {
 // mutating its live database (partial assimilation edits entries in
 // place).
 func (db *DB) Clone() *DB {
-	out := newDB(db.HostDSN, len(db.nodes), len(db.links))
+	out := newDB(db.HostDSN, len(db.nodes))
+	out.numLinks = db.numLinks
 	for dsn, n := range db.nodes {
 		c := *n
 		c.Path = append(route.Path(nil), n.Path...)
@@ -189,13 +202,10 @@ func (db *DB) Clone() *DB {
 		c.PortActive = append([]bool(nil), n.PortActive...)
 		out.nodes[dsn] = &c
 	}
-	for l := range db.links {
-		out.links[l] = true
-	}
 	// One backing array holds every device's adjacency; each slice's
 	// capacity ends with its own entries, so a later AddLink on the
 	// clone reallocates that device's slice, never spills into the next.
-	ends := make([]Neighbor, 0, 2*len(db.links))
+	ends := make([]Neighbor, 0, 2*db.numLinks)
 	for dsn, nbs := range db.adj {
 		ends = append(ends, nbs...)
 		out.adj[dsn] = ends[len(ends)-len(nbs) : len(ends) : len(ends)]
@@ -226,7 +236,7 @@ func (db *DB) Fingerprint() uint64 {
 		mix(uint64(n.Type))
 		mix(uint64(n.Ports))
 	}
-	mix(uint64(len(db.links)))
+	mix(uint64(db.numLinks))
 	for _, l := range db.Links() {
 		mix(uint64(l.A))
 		mix(uint64(l.APort))
@@ -252,12 +262,15 @@ func (db *DB) AddNode(n *Node) bool {
 func (db *DB) RemoveNode(dsn asi.DSN) {
 	delete(db.nodes, dsn)
 	for _, nb := range db.adj[dsn] {
-		l := nb.linkFrom(dsn)
-		delete(db.links, l.normalize())
+		// A cable between two of dsn's own ports is listed under both
+		// and counted once, at its canonical end.
 		if nb.DSN != dsn {
-			_, far := l.ends()
+			_, far := nb.linkFrom(dsn).ends()
 			db.unindex(nb.DSN, far)
+		} else if !nb.canonicalFrom(dsn) {
+			continue
 		}
+		db.numLinks--
 	}
 	delete(db.adj, dsn)
 }
@@ -266,29 +279,36 @@ func (db *DB) RemoveNode(dsn asi.DSN) {
 // side) collapse onto one entry.
 func (db *DB) AddLink(l Link) {
 	l = l.normalize()
-	if db.links[l] {
+	a, b := l.ends()
+	if slices.Contains(db.adj[l.A], a) {
 		return
 	}
-	db.links[l] = true
-	a, b := l.ends()
+	db.numLinks++
 	db.index(l.A, a)
-	db.index(l.B, b)
+	if b != a {
+		db.index(l.B, b)
+	}
 }
 
 // RemoveLink deletes a link.
 func (db *DB) RemoveLink(l Link) {
 	l = l.normalize()
-	if !db.links[l] {
+	a, b := l.ends()
+	if !db.unindex(l.A, a) {
 		return
 	}
-	delete(db.links, l)
-	a, b := l.ends()
-	db.unindex(l.A, a)
-	db.unindex(l.B, b)
+	db.numLinks--
+	if b != a {
+		db.unindex(l.B, b)
+	}
 }
 
 // HasLink reports whether a link is recorded, in either orientation.
-func (db *DB) HasLink(l Link) bool { return db.links[l.normalize()] }
+func (db *DB) HasLink(l Link) bool {
+	l = l.normalize()
+	a, _ := l.ends()
+	return slices.Contains(db.adj[l.A], a)
+}
 
 // Neighbor is one end of a recorded link as seen from a device: the port
 // it leaves on, the device it reaches and the port it arrives on there.
@@ -302,6 +322,13 @@ type Neighbor struct {
 // whose adjacency holds it.
 func (nb Neighbor) linkFrom(dsn asi.DSN) Link {
 	return Link{A: dsn, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort}
+}
+
+// canonicalFrom reports whether dsn, whose adjacency holds nb, is the
+// canonical (normalized A) end of the link: linkFrom(dsn) is already
+// normalized.
+func (nb Neighbor) canonicalFrom(dsn asi.DSN) bool {
+	return dsn < nb.DSN || dsn == nb.DSN && nb.LocalPort <= nb.RemotePort
 }
 
 // before is the adjacency order: (LocalPort, DSN, RemotePort).
@@ -336,19 +363,20 @@ func (db *DB) index(dsn asi.DSN, nb Neighbor) {
 	db.adj[dsn] = nbs
 }
 
-// unindex removes one link end from a device's adjacency.
-func (db *DB) unindex(dsn asi.DSN, nb Neighbor) {
+// unindex removes one link end from a device's adjacency and reports
+// whether it was there.
+func (db *DB) unindex(dsn asi.DSN, nb Neighbor) bool {
 	nbs := db.adj[dsn]
-	for i := range nbs {
-		if nbs[i] == nb {
-			if len(nbs) == 1 {
-				delete(db.adj, dsn)
-				return
-			}
-			db.adj[dsn] = append(nbs[:i], nbs[i+1:]...)
-			return
-		}
+	i := slices.Index(nbs, nb)
+	switch {
+	case i < 0:
+		return false
+	case len(nbs) == 1:
+		delete(db.adj, dsn)
+	default:
+		db.adj[dsn] = slices.Delete(nbs, i, i+1)
 	}
+	return true
 }
 
 // LinkAt returns the link attached to a device port, if recorded. Should

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,25 +12,36 @@ import (
 	"repro/internal/route"
 )
 
-// refDB is the database as it was before the adjacency index: the link
-// map alone, every graph question answered by scanning it. It is the
-// reference the indexed DB is compared against. It embeds a DB whose adj
-// is never populated, so Links and Fingerprint (which read only nodes and
-// links) come from the shared code over the reference's own maps.
+// refDB is the database as it was before the adjacency index: a node map
+// and a link map, every graph question answered by scanning them, and
+// the link set's own queries (Links, HasLink, NumLinks, Fingerprint,
+// DiffDBs) the bodies that read the link map. It is the reference the
+// indexed DB, which holds its link set only in the index, is compared
+// against.
 //
-// One deliberate difference from the old scan: a cable between two ports
-// of one device is listed under both of them. The old switch statement
-// listed it only under its A port, so NeighborsOf disagreed with LinkAt
-// about the B port; no search can see the difference, because a device is
-// never its own unseen neighbour.
-type refDB struct{ *DB }
-
-func newRefDB(host asi.DSN) refDB {
-	return refDB{&DB{HostDSN: host, nodes: map[asi.DSN]*Node{}, links: map[Link]bool{}}}
+// Two deliberate differences from the old scan: a cable between two
+// ports of one device is listed under both of them (the old switch
+// statement listed it only under its A port, so NeighborsOf disagreed
+// with LinkAt about the B port), and a port cabled to itself is listed
+// once, since it has one end. No search can see either difference,
+// because a device is never its own unseen neighbour.
+type refDB struct {
+	HostDSN asi.DSN
+	nodes   map[asi.DSN]*Node
+	links   map[Link]bool
 }
 
-func (r refDB) addLink(l Link)    { r.links[l.normalize()] = true }
-func (r refDB) removeLink(l Link) { delete(r.links, l.normalize()) }
+func newRefDB(host asi.DSN) refDB {
+	return refDB{HostDSN: host, nodes: map[asi.DSN]*Node{}, links: map[Link]bool{}}
+}
+
+func (r refDB) addLink(l Link)      { r.links[l.normalize()] = true }
+func (r refDB) removeLink(l Link)   { delete(r.links, l.normalize()) }
+func (r refDB) hasLink(l Link) bool { return r.links[l.normalize()] }
+
+func (r refDB) String() string {
+	return fmt.Sprintf("ref{%d devices, %d links}", len(r.nodes), len(r.links))
+}
 
 func (r refDB) removeNode(dsn asi.DSN) {
 	delete(r.nodes, dsn)
@@ -52,13 +64,90 @@ func (r refDB) clone() refDB {
 	return out
 }
 
+// linkList is Links over the link map: every key, sorted.
+func (r refDB) linkList() []Link {
+	out := make([]Link, 0, len(r.links))
+	for l := range r.links {
+		out = append(out, l)
+	}
+	sortLinks(out)
+	return out
+}
+
+// fingerprint is Fingerprint over the two maps.
+func (r refDB) fingerprint() uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= (v >> (8 * i)) & 0xff
+			h *= prime
+		}
+	}
+	mix(uint64(len(r.nodes)))
+	dsns := make([]asi.DSN, 0, len(r.nodes))
+	for dsn := range r.nodes {
+		dsns = append(dsns, dsn)
+	}
+	slices.Sort(dsns)
+	for _, dsn := range dsns {
+		n := r.nodes[dsn]
+		mix(uint64(n.DSN))
+		mix(uint64(n.Type))
+		mix(uint64(n.Ports))
+	}
+	mix(uint64(len(r.links)))
+	for _, l := range r.linkList() {
+		mix(uint64(l.A))
+		mix(uint64(l.APort))
+		mix(uint64(l.B))
+		mix(uint64(l.BPort))
+	}
+	return h
+}
+
+// refDiffDBs is DiffDBs as it was while the database held a link map:
+// the two node maps and the two link maps scanned directly, only the
+// differences sorted.
+func refDiffDBs(old, new refDB) Diff {
+	var d Diff
+	for dsn := range new.nodes {
+		if old.nodes[dsn] == nil {
+			d.AddedDevices = append(d.AddedDevices, dsn)
+		}
+	}
+	for dsn := range old.nodes {
+		if new.nodes[dsn] == nil {
+			d.RemovedDevices = append(d.RemovedDevices, dsn)
+		}
+	}
+	for l := range new.links {
+		if !old.links[l] {
+			d.AddedLinks = append(d.AddedLinks, l)
+		}
+	}
+	for l := range old.links {
+		if !new.links[l] {
+			d.RemovedLinks = append(d.RemovedLinks, l)
+		}
+	}
+	slices.Sort(d.AddedDevices)
+	slices.Sort(d.RemovedDevices)
+	sortLinks(d.AddedLinks)
+	sortLinks(d.RemovedLinks)
+	return d
+}
+
 func (r refDB) neighborsOf(dsn asi.DSN) []Neighbor {
 	var out []Neighbor
 	for l := range r.links {
 		if l.A == dsn {
 			out = append(out, Neighbor{DSN: l.B, LocalPort: l.APort, RemotePort: l.BPort})
 		}
-		if l.B == dsn {
+		if l.B == dsn && (l.A != l.B || l.APort != l.BPort) {
 			out = append(out, Neighbor{DSN: l.A, LocalPort: l.BPort, RemotePort: l.APort})
 		}
 	}
@@ -188,27 +277,33 @@ func (p dbPair) clone() dbPair          { return dbPair{db: p.db.Clone(), ref: p
 func (p dbPair) check(t *testing.T, when string) {
 	t.Helper()
 	db, ref := p.db, p.ref
-	if got, want := db.Links(), ref.Links(); !reflect.DeepEqual(got, want) {
+	if got, want := db.Links(), ref.linkList(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Links = %v, reference %v", when, got, want)
 	}
-	if db.NumLinks() != ref.NumLinks() || db.NumNodes() != ref.NumNodes() {
-		t.Fatalf("%s: %v, reference %v", when, db, ref.DB)
+	if db.NumLinks() != len(ref.links) || db.NumNodes() != len(ref.nodes) {
+		t.Fatalf("%s: %v, reference %v", when, db, ref)
 	}
-	if got, want := db.Fingerprint(), ref.Fingerprint(); got != want {
+	if got, want := db.Fingerprint(), ref.fingerprint(); got != want {
 		t.Fatalf("%s: Fingerprint = %x, reference %x", when, got, want)
 	}
 	if got, want := db.ReachableFromHost(), ref.reachableFromHost(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: ReachableFromHost = %v, reference %v", when, got, want)
 	}
-	ends := 0
+	ends, wantEnds := 0, 0
 	for dsn, nbs := range db.adj {
 		if len(nbs) == 0 {
 			t.Fatalf("%s: empty adjacency kept for %v", when, dsn)
 		}
 		ends += len(nbs)
 	}
-	if ends != 2*len(db.links) {
-		t.Fatalf("%s: index holds %d link ends for %d links", when, ends, len(db.links))
+	for l := range ref.links {
+		wantEnds += 2
+		if l.A == l.B && l.APort == l.BPort {
+			wantEnds-- // a port cabled to itself has one end
+		}
+	}
+	if ends != wantEnds {
+		t.Fatalf("%s: index holds %d link ends for %d links, want %d", when, ends, len(ref.links), wantEnds)
 	}
 	tree := db.TreeFrom(db.HostDSN)
 	for dsn := asi.DSN(0); dsn <= walkDSNs+3; dsn++ {
@@ -221,6 +316,15 @@ func (p dbPair) check(t *testing.T, when string) {
 			want, wok := ref.linkAt(dsn, port)
 			if got != want || gok != wok {
 				t.Fatalf("%s: LinkAt(%v, %d) = %v %v, reference %v %v", when, dsn, port, got, gok, want, wok)
+			}
+			// Every link this port could carry, named from this end.
+			for far := asi.DSN(1); far <= walkDSNs+2; far++ {
+				for farPort := 0; farPort < walkPorts; farPort++ {
+					l := Link{A: dsn, APort: port, B: far, BPort: farPort}
+					if got, want := db.HasLink(l), ref.hasLink(l); got != want {
+						t.Fatalf("%s: HasLink(%v) = %v, reference %v", when, l, got, want)
+					}
+				}
 			}
 		}
 		wantPath, wantArrive := ref.pathFrom(ref.HostDSN, dsn)
@@ -239,21 +343,34 @@ func (p dbPair) check(t *testing.T, when string) {
 	}
 }
 
+// checkDiff compares DiffDBs between two states against the link-map
+// body over the same two states.
+func checkDiff(t *testing.T, when string, prev, cur dbPair) {
+	t.Helper()
+	if got, want := DiffDBs(prev.db, cur.db), refDiffDBs(prev.ref, cur.ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: DiffDBs = %+v, reference %+v", when, got, want)
+	}
+}
+
 // TestDBIndexMatchesLinkScan drives the indexed database and the
 // link-scanning reference through the same mutation sequences — a
 // scripted prefix of the awkward cases, then a seeded random walk — and
-// compares every query after every step. Clones taken along the way are
-// mutated onward while the original they came from must keep answering
-// as it did.
+// compares every query after every step, and DiffDBs across the step.
+// Clones taken along the way are mutated onward while the original they
+// came from must keep answering as it did.
 func TestDBIndexMatchesLinkScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := dbPair{db: NewDB(walkHost), ref: newRefDB(walkHost)}
 		step := 0
 		do := func(what string, mutate func()) {
+			prev := p.clone()
 			mutate()
 			step++
-			p.check(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, what))
+			when := fmt.Sprintf("seed %d step %d (%s)", seed, step, what)
+			p.check(t, when)
+			checkDiff(t, when, prev, p)
+			checkDiff(t, when+" reversed", p, prev)
 		}
 
 		do("host", func() { p.addNode(1, asi.DeviceEndpoint) })
@@ -261,23 +378,35 @@ func TestDBIndexMatchesLinkScan(t *testing.T) {
 		do("link", func() { p.addLink(Link{A: 1, APort: 0, B: 2, BPort: 0}) })
 		do("same cable from the other side", func() { p.addLink(Link{A: 2, APort: 0, B: 1, BPort: 0}) })
 		do("far device not in the node set", func() { p.addLink(Link{A: 2, APort: 1, B: walkDSNs + 1, BPort: 3}) })
-		do("self-loop cable", func() { p.addLink(Link{A: 2, APort: 2, B: 2, BPort: 3}) })
+		do("self-loop cable", func() { p.addLink(Link{A: 2, APort: 3, B: 2, BPort: 2}) })
+		do("self-loop cable again, other way round", func() { p.addLink(Link{A: 2, APort: 2, B: 2, BPort: 3}) })
 		do("port cabled to itself", func() { p.addLink(Link{A: 2, APort: 1, B: 2, BPort: 1}) })
 		do("second link on a used port", func() { p.addLink(Link{A: 2, APort: 0, B: 3, BPort: 0}) })
+		do("third link on it, to a device below", func() { p.addLink(Link{A: 2, APort: 0, B: 1, BPort: 2}) })
 		do("remove a device", func() { p.removeNode(2) })
 		do("re-add it", func() { p.addNode(2, asi.DeviceSwitch) })
 		do("re-link it", func() { p.addLink(Link{A: 2, APort: 0, B: 1, BPort: 0}) })
+		do("port cabled to itself again", func() { p.addLink(Link{A: 2, APort: 3, B: 2, BPort: 3}) })
+		do("remove it", func() { p.removeLink(Link{A: 2, APort: 3, B: 2, BPort: 3}) })
+		do("self-loop cable, removed from its B end", func() {
+			p.addLink(Link{A: 2, APort: 1, B: 2, BPort: 2})
+			p.removeLink(Link{A: 2, APort: 2, B: 2, BPort: 1})
+		})
 
 		var frozen dbPair
 		for i := 0; i < 300; i++ {
 			dsn := func() asi.DSN { return asi.DSN(1 + rng.Intn(walkDSNs)) }
 			anyLink := func() Link {
-				return Link{A: dsn(), APort: rng.Intn(walkPorts), B: asi.DSN(1 + rng.Intn(walkDSNs+2)), BPort: rng.Intn(walkPorts)}
+				l := Link{A: dsn(), APort: rng.Intn(walkPorts), B: asi.DSN(1 + rng.Intn(walkDSNs+2)), BPort: rng.Intn(walkPorts)}
+				if rng.Intn(8) == 0 {
+					l.B = l.A // a cable between ports of one device
+				}
+				return l
 			}
 			// Most link mutations target a recorded link, named from
 			// either end; the rest are arbitrary.
 			someLink := func() Link {
-				links := p.ref.Links()
+				links := p.ref.linkList()
 				if len(links) == 0 || rng.Intn(4) == 0 {
 					return anyLink()
 				}

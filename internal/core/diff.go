@@ -47,9 +47,10 @@ func (d Diff) String() string {
 
 // DiffDBs compares two databases. Devices compare by DSN, links by their
 // normalized form; old or new may be nil (treated as empty). It scans the
-// two node and link maps directly and sorts only what differs (devices by
-// DSN, links canonically), so comparing two generations of a large fabric
-// costs no sorted copy of either.
+// two node maps and merges each device's two sorted adjacencies, keeping
+// the link ends a device is the canonical end of, and sorts only what
+// differs (devices by DSN, links canonically), so comparing two
+// generations of a large fabric costs no sorted copy of either.
 func DiffDBs(old, new *DB) Diff {
 	var d Diff
 	var empty DB
@@ -69,14 +70,12 @@ func DiffDBs(old, new *DB) Diff {
 			d.RemovedDevices = append(d.RemovedDevices, dsn)
 		}
 	}
-	for l := range new.links {
-		if !old.links[l] {
-			d.AddedLinks = append(d.AddedLinks, l)
-		}
+	for dsn, nbs := range new.adj {
+		d.RemovedLinks, d.AddedLinks = diffEnds(dsn, old.adj[dsn], nbs, d.RemovedLinks, d.AddedLinks)
 	}
-	for l := range old.links {
-		if !new.links[l] {
-			d.RemovedLinks = append(d.RemovedLinks, l)
+	for dsn, nbs := range old.adj {
+		if _, ok := new.adj[dsn]; !ok {
+			d.RemovedLinks, _ = diffEnds(dsn, nbs, nil, d.RemovedLinks, nil)
 		}
 	}
 	slices.Sort(d.AddedDevices)
@@ -84,4 +83,28 @@ func DiffDBs(old, new *DB) Diff {
 	sortLinks(d.AddedLinks)
 	sortLinks(d.RemovedLinks)
 	return d
+}
+
+// diffEnds merges one device's old and new adjacency, both in Neighbor
+// order, appending the links dsn is the canonical end of that only old
+// holds to removed and that only new holds to added.
+func diffEnds(dsn asi.DSN, old, new []Neighbor, removed, added []Link) ([]Link, []Link) {
+	i, j := 0, 0
+	for i < len(old) || j < len(new) {
+		switch {
+		case j == len(new) || i < len(old) && old[i].before(new[j]):
+			if old[i].canonicalFrom(dsn) {
+				removed = append(removed, old[i].linkFrom(dsn))
+			}
+			i++
+		case i == len(old) || new[j].before(old[i]):
+			if new[j].canonicalFrom(dsn) {
+				added = append(added, new[j].linkFrom(dsn))
+			}
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return removed, added
 }

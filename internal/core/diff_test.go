@@ -113,52 +113,19 @@ func TestAssimilationReportsExactChange(t *testing.T) {
 	_ = asi.DSN(0)
 }
 
-// refDiffDBs is DiffDBs as it was before it scanned the maps directly:
-// four sorted copies (Nodes and Links of each side), filtered in order.
-func refDiffDBs(old, new *DB) Diff {
-	var d Diff
-	oldHas := func(dsn asi.DSN) bool { return old != nil && old.Node(dsn) != nil }
-	newHas := func(dsn asi.DSN) bool { return new != nil && new.Node(dsn) != nil }
-	if new != nil {
-		for _, n := range new.Nodes() {
-			if !oldHas(n.DSN) {
-				d.AddedDevices = append(d.AddedDevices, n.DSN)
-			}
-		}
-		for _, l := range new.Links() {
-			if old == nil || !old.HasLink(l) {
-				d.AddedLinks = append(d.AddedLinks, l)
-			}
-		}
-	}
-	if old != nil {
-		for _, n := range old.Nodes() {
-			if !newHas(n.DSN) {
-				d.RemovedDevices = append(d.RemovedDevices, n.DSN)
-			}
-		}
-		for _, l := range old.Links() {
-			if new == nil || !new.HasLink(l) {
-				d.RemovedLinks = append(d.RemovedLinks, l)
-			}
-		}
-	}
-	return d
-}
-
-// DiffDBs must report exactly what the sorted-copy body reported, in the
-// same order, over random database pairs: independent ones, a clone
-// mutated a little (the shape Install sees), either side nil, and links
-// between two ports of one device.
+// DiffDBs must report exactly what the link-map body (refDiffDBs)
+// reported, in the same order, over random database pairs: independent
+// ones, a clone mutated a little (the shape Install sees), either side
+// nil, and links between two ports of one device.
 func TestDiffDBsMatchesSortedScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	randomDB := func() *DB {
+	randomDB := func() *dbPair {
 		if rng.Intn(8) == 0 {
 			return nil
 		}
-		db := NewDB(1)
+		p := dbPair{db: NewDB(1), ref: newRefDB(1)}
 		for i, n := 0, rng.Intn(14); i < n; i++ {
-			db.AddNode(&Node{DSN: asi.DSN(1 + rng.Intn(16)), Type: asi.DeviceSwitch, Ports: 4})
+			p.addNode(asi.DSN(1+rng.Intn(16)), asi.DeviceSwitch)
 		}
 		for i, n := 0, rng.Intn(24); i < n; i++ {
 			a := asi.DSN(1 + rng.Intn(16))
@@ -166,30 +133,36 @@ func TestDiffDBsMatchesSortedScan(t *testing.T) {
 			if rng.Intn(6) == 0 {
 				b = a // a cable between two ports of one device
 			}
-			db.AddLink(Link{A: a, APort: rng.Intn(4), B: b, BPort: rng.Intn(4)})
+			p.addLink(Link{A: a, APort: rng.Intn(4), B: b, BPort: rng.Intn(4)})
 		}
-		return db
+		return &p
 	}
-	mutate := func(db *DB) *DB {
-		if db == nil {
+	mutate := func(p *dbPair) *dbPair {
+		if p == nil {
 			return nil
 		}
-		out := db.Clone()
+		out := p.clone()
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			switch rng.Intn(4) {
 			case 0:
-				out.AddNode(&Node{DSN: asi.DSN(1 + rng.Intn(20)), Type: asi.DeviceEndpoint, Ports: 1})
+				out.addNode(asi.DSN(1+rng.Intn(20)), asi.DeviceEndpoint)
 			case 1:
-				out.RemoveNode(asi.DSN(1 + rng.Intn(16)))
+				out.removeNode(asi.DSN(1 + rng.Intn(16)))
 			case 2:
-				out.AddLink(Link{A: asi.DSN(1 + rng.Intn(16)), APort: rng.Intn(4), B: asi.DSN(1 + rng.Intn(16)), BPort: rng.Intn(4)})
+				out.addLink(Link{A: asi.DSN(1 + rng.Intn(16)), APort: rng.Intn(4), B: asi.DSN(1 + rng.Intn(16)), BPort: rng.Intn(4)})
 			case 3:
-				if links := out.Links(); len(links) > 0 {
-					out.RemoveLink(links[rng.Intn(len(links))])
+				if links := out.ref.linkList(); len(links) > 0 {
+					out.removeLink(links[rng.Intn(len(links))])
 				}
 			}
 		}
-		return out
+		return &out
+	}
+	sides := func(p *dbPair) (*DB, refDB) {
+		if p == nil {
+			return nil, newRefDB(1)
+		}
+		return p.db, p.ref
 	}
 	for i := 0; i < 2000; i++ {
 		old := randomDB()
@@ -197,8 +170,10 @@ func TestDiffDBsMatchesSortedScan(t *testing.T) {
 		if i%2 == 0 {
 			new = mutate(old)
 		}
-		if got, want := DiffDBs(old, new), refDiffDBs(old, new); !reflect.DeepEqual(got, want) {
-			t.Fatalf("pair %d (%v -> %v):\n got %+v\nwant %+v", i, old, new, got, want)
+		oldDB, oldRef := sides(old)
+		newDB, newRef := sides(new)
+		if got, want := DiffDBs(oldDB, newDB), refDiffDBs(oldRef, newRef); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pair %d (%v -> %v):\n got %+v\nwant %+v", i, oldRef, newRef, got, want)
 		}
 	}
 }

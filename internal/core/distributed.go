@@ -56,12 +56,9 @@ func (d *distributedDriver) onPort(req *request, n *Node, ok bool) {
 	if !ok {
 		return
 	}
-	count := req.nports
-	if count < 1 {
-		count = 1
-	}
-	for k := 0; k < count && req.port+k < n.Ports; k++ {
-		if p, ok := d.m.probeFromPort(n, req.port+k); ok {
+	lo, hi := req.ports(n)
+	for port := lo; port < hi; port++ {
+		if p, ok := d.m.probeFromPort(n, port); ok {
 			d.m.probe(p.path, p.srcDSN, p.srcPort)
 		}
 	}

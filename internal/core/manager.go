@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/asi"
 	"repro/internal/fabric"
@@ -34,7 +36,7 @@ type Options struct {
 	// MaxRetries is how many times a timed-out PI-4 request is re-issued
 	// along the same path before the timeout becomes a terminal failure.
 	// Zero (the default) preserves the paper's lossless-fabric behaviour:
-	// the first timeout is final.
+	// the first timeout is final. At most 255.
 	MaxRetries int
 	// RetryBackoff is the wait before the first re-issue; each further
 	// attempt doubles it, capped at 8x. Zero means 100us.
@@ -74,9 +76,7 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * sim.Millisecond
 	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
+	o.MaxRetries = min(max(o.MaxRetries, 0), math.MaxUint8)
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * sim.Microsecond
 	}
@@ -98,7 +98,7 @@ const (
 )
 
 // reqKind classifies outstanding PI-4 requests.
-type reqKind int
+type reqKind uint8
 
 const (
 	reqProbeGeneral reqKind = iota // general-info read through a port
@@ -110,30 +110,23 @@ const (
 )
 
 // request is one outstanding PI-4 request and the context to interpret
-// its completion.
+// its completion. The Parallel algorithm parks tens of thousands at once,
+// so each field has the width its range needs: a port fits a byte
+// (asi.MaxSwitchPorts), a batch is ≤ 4 ports, Options.MaxRetries ≤ 255.
 type request struct {
-	tag  uint32
-	kind reqKind
 	path route.Path
-	// For probes: the device and port the request crosses last (the
-	// near side of the link being explored). Zero srcDSN for the very
-	// first probe from the host endpoint... which uses the host DSN.
-	srcDSN  asi.DSN
-	srcPort int
-	// For port reads and writes: the target device and port index;
-	// nports > 1 for batched port reads.
-	dsn    asi.DSN
-	port   int
-	nports int
+	// data is the payload's Data: only writes and claims carry any.
+	data []uint32
+	// dsn and port name the request's subject. For probes: the device
+	// and port the request crosses last (the near side of the link being
+	// explored; the host for the very first probe). For everything else:
+	// the target device, and for port reads the first port index, with
+	// nports > 1 for batched reads.
+	dsn asi.DSN
 	// timeout fires if no completion arrives.
 	timeout sim.EventID
 	// sentAt stamps the latest issue, for round-trip telemetry.
 	sentAt sim.Time
-	// payload is the request payload, kept so a timed-out request can be
-	// re-issued verbatim (with a fresh tag) along the same path.
-	payload asi.PI4
-	// attempt counts re-issues: 0 for the original transmission.
-	attempt int
 	// retryGen snapshots the run generation when a retry backoff is
 	// armed, so backoffs from a superseded run recognize themselves.
 	retryGen uint64
@@ -148,6 +141,24 @@ type request struct {
 	pkt *asi.Packet
 	// next links released requests on the Manager's free list.
 	next *request
+	tag  uint32
+	// op, offset and count are the rest of the payload, kept with data so
+	// a timed-out request can be sent again verbatim (with a fresh tag)
+	// along the same path.
+	offset uint16
+	op     asi.PI4Op
+	count  uint8
+	kind   reqKind
+	port   uint8
+	nports uint8
+	// attempt counts retransmissions: 0 for the original one.
+	attempt uint8
+}
+
+// ports returns the port indices [lo, hi) of n a port read covers.
+func (r *request) ports(n *Node) (lo, hi int) {
+	lo = int(r.port)
+	return lo, min(lo+max(int(r.nports), 1), n.Ports)
 }
 
 // workKind classifies FM processing work items.
@@ -238,6 +249,8 @@ type Manager struct {
 
 	res  Result
 	last *Result
+	// timelineChunks are the full chunks of res.Timeline (appendTimeline).
+	timelineChunks [][]TimelinePoint
 
 	// OnDiscoveryComplete fires when a discovery run finishes, with its
 	// measurements.
@@ -459,7 +472,7 @@ func (m *Manager) completeWork(*sim.Engine) {
 	if m.discovering {
 		m.res.Processed++
 		m.res.FMBusy += m.curCost
-		m.res.Timeline = append(m.res.Timeline, TimelinePoint{Index: m.res.Processed, At: m.e.Now()})
+		m.appendTimeline(TimelinePoint{Index: m.res.Processed, At: m.e.Now()})
 	}
 	m.handleWork(w)
 	m.checkDone()
@@ -541,7 +554,7 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 			m.db.AddNode(n)
 		}
 		n.Validated = m.e.Now()
-		m.db.AddLink(Link{A: req.srcDSN, APort: req.srcPort, B: gi.DSN, BPort: int(resp.ArrivalPort)})
+		m.db.AddLink(Link{A: req.dsn, APort: int(req.port), B: gi.DSN, BPort: int(resp.ArrivalPort)})
 		m.drv.onGeneral(req, n, isNew, true)
 	case reqReadPort:
 		n := m.db.Node(req.dsn)
@@ -552,23 +565,18 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 			m.drv.onPort(req, nil, false)
 			return
 		}
-		count := req.nports
-		if count < 1 {
-			count = 1
-		}
 		ok := resp.Op == asi.PI4ReadCompletionData
 		if ok {
 			n.Validated = m.e.Now()
 		}
-		for k := 0; k < count && req.port+k < n.Ports; k++ {
-			port := req.port + k
+		lo, hi := req.ports(n)
+		for port := lo; port < hi; port++ {
 			n.PortKnown[port] = true
 			n.PortActive[port] = false
 			if ok {
-				lo := k * int(asi.PortInfoBlocks)
-				hi := lo + int(asi.PortInfoBlocks)
-				if hi <= len(resp.Data) {
-					if info, err := asi.ParsePortInfo(resp.Data[lo:hi]); err == nil {
+				at := (port - lo) * int(asi.PortInfoBlocks)
+				if end := at + int(asi.PortInfoBlocks); end <= len(resp.Data) {
+					if info, err := asi.ParsePortInfo(resp.Data[at:end]); err == nil {
 						n.PortActive[port] = info.Active
 					}
 				}
@@ -606,13 +614,10 @@ func (m *Manager) applyFailure(req *request) {
 	case reqReadPort:
 		n := m.db.Node(req.dsn)
 		if n != nil {
-			count := req.nports
-			if count < 1 {
-				count = 1
-			}
-			for k := 0; k < count && req.port+k < n.Ports; k++ {
-				n.PortKnown[req.port+k] = true
-				n.PortActive[req.port+k] = false
+			lo, hi := req.ports(n)
+			for port := lo; port < hi; port++ {
+				n.PortKnown[port] = true
+				n.PortActive[port] = false
 			}
 		}
 		// Notify even with a nil node: the driver accounts outstanding
@@ -633,7 +638,7 @@ func (m *Manager) applyFailure(req *request) {
 // It returns false when the path cannot be encoded (turn pool overflow) —
 // the device is unreachable by source routing from this FM.
 func (m *Manager) send(req *request, payload asi.PI4) bool {
-	req.payload = payload
+	req.op, req.offset, req.count, req.data = payload.Op, payload.Offset, payload.Count, payload.Data
 	if m.sp != nil {
 		m.beginRequestSpan(req)
 	}
@@ -665,10 +670,7 @@ func (m *Manager) issue(req *request) bool {
 		pkt, _ = asi.NewPI4Packet()
 	}
 	p4 := pkt.Payload.(*asi.PI4)
-	data := p4.Data[:0]
-	*p4 = req.payload
-	p4.Tag = req.tag
-	p4.Data = append(data, req.payload.Data...)
+	*p4 = asi.PI4{Op: req.op, Tag: req.tag, Offset: req.offset, Count: req.count, Data: append(p4.Data[:0], req.data...)}
 	pkt.Header = hdr
 	pkt.Span = uint64(req.span)
 	m.pending[req.tag] = req
@@ -709,7 +711,7 @@ func (m *Manager) onTimeout(req *request) {
 // backoff, or (attempts exhausted / retries disabled) a terminal failure.
 // It reports whether a retry was armed.
 func (m *Manager) retryRequest(req *request) bool {
-	if req.attempt >= m.opt.MaxRetries {
+	if int(req.attempt) >= m.opt.MaxRetries {
 		if m.opt.MaxRetries > 0 {
 			m.res.GaveUp++
 			if m.tel != nil {
@@ -760,7 +762,7 @@ func (m *Manager) onRetryBackoff(req *request) {
 // probe sends a general-information read through srcDSN's srcPort along
 // path, to identify whatever device is attached there.
 func (m *Manager) probe(path route.Path, srcDSN asi.DSN, srcPort int) bool {
-	req := m.newRequest(request{kind: reqProbeGeneral, path: path, srcDSN: srcDSN, srcPort: srcPort})
+	req := m.newRequest(request{kind: reqProbeGeneral, path: path, dsn: srcDSN, port: uint8(srcPort)})
 	return m.send(req, asi.PI4{
 		Op:     asi.PI4ReadRequest,
 		Offset: asi.GeneralInfoOffset,
@@ -788,7 +790,7 @@ func (m *Manager) readPortRange(n *Node, start int) (sent bool, next int) {
 	if start+count > n.Ports {
 		count = n.Ports - start
 	}
-	req := m.newRequest(request{kind: reqReadPort, path: n.Path, dsn: n.DSN, port: start, nports: count})
+	req := m.newRequest(request{kind: reqReadPort, path: n.Path, dsn: n.DSN, port: uint8(start), nports: uint8(count)})
 	ok := m.send(req, asi.PI4{
 		Op:     asi.PI4ReadRequest,
 		Offset: asi.PortInfoOffset(start),
@@ -887,7 +889,7 @@ func (m *Manager) beginRun() {
 	m.dirty = false
 	m.dropAssimPending()
 	m.prevDB = m.db
-	m.db = newDB(m.dev.DSN, m.prevDB.NumNodes(), m.prevDB.NumLinks())
+	m.db = newDB(m.dev.DSN, m.prevDB.NumNodes())
 	m.drv = m.newDriver()
 	for _, r := range m.pending {
 		m.e.Cancel(r.timeout)
@@ -906,6 +908,22 @@ func (m *Manager) beginRun() {
 	// by and grows its timeline.
 	m.res = Result{Algorithm: m.opt.Algorithm, Start: m.e.Now(),
 		Timeline: make([]TimelinePoint, 0, len(m.res.Timeline))}
+}
+
+// timelineChunk is the size, in points, of a long timeline's chunks.
+const timelineChunk = 4096
+
+// appendTimeline adds one point to the running result's timeline. A
+// timeline grows by append until its slice holds timelineChunk points,
+// then in fixed chunks that finishRun flattens once: a cold run of a large
+// fabric allocates about twice its timeline, not the five times that
+// regrowing one slice costs.
+func (m *Manager) appendTimeline(p TimelinePoint) {
+	if tl := m.res.Timeline; len(tl) == cap(tl) && cap(tl) >= timelineChunk {
+		m.timelineChunks = append(m.timelineChunks, tl)
+		m.res.Timeline = make([]TimelinePoint, 0, timelineChunk)
+	}
+	m.res.Timeline = append(m.res.Timeline, p)
 }
 
 // checkDone finishes the run when the driver is idle and nothing is in
@@ -935,6 +953,10 @@ func (m *Manager) finishRun() {
 	m.res.Devices = m.db.NumNodes()
 	m.res.Switches = m.db.NumSwitches()
 	m.res.Links = m.db.NumLinks()
+	if m.timelineChunks != nil {
+		m.res.Timeline = slices.Concat(append(m.timelineChunks, m.res.Timeline)...)
+		m.timelineChunks = nil
+	}
 	if m.prevDB != nil && m.prevDB.NumNodes() > 0 {
 		d := DiffDBs(m.prevDB, m.db)
 		m.res.Changes = &d

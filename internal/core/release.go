@@ -55,14 +55,16 @@ func (m *Manager) releaseRequest(r *request) {
 	}
 }
 
+// poisonData is the payload data of every poisoned request.
+var poisonData = []uint32{0xDEADBEEF}
+
 // poisonRequest overwrites every field a stale reader could use, of the
 // request and of its packet, with values no live record holds.
 func poisonRequest(r *request) {
 	*r = request{
-		tag: ^uint32(0), kind: numReqKinds, srcDSN: ^asi.DSN(0), srcPort: -1,
-		dsn: ^asi.DSN(0), port: -1, nports: -1, attempt: -1,
-		payload: asi.PI4{Op: 0xff, Tag: ^uint32(0), Offset: 0xffff, Count: 0xff},
-		pkt:     r.pkt, next: r.next,
+		tag: ^uint32(0), kind: numReqKinds, dsn: ^asi.DSN(0), port: 0xff, nports: 0xff, attempt: 0xff,
+		op: 0xff, offset: 0xffff, count: 0xff, data: poisonData,
+		pkt: r.pkt, next: r.next,
 	}
 	if r.pkt == nil {
 		return

@@ -39,12 +39,12 @@ func (m *Manager) beginRequestSpan(req *request) {
 	id := m.sp.Begin(span.KindRequest, parent, m.e.Now())
 	if s := m.sp.Span(id); s != nil {
 		s.Name = req.kind.label()
-		if req.dsn != 0 {
+		if req.kind != reqProbeGeneral {
 			s.Device = req.dsn.String()
 		} else {
-			// Probes target whatever answers beyond srcDSN's srcPort;
-			// name the near side of the link being explored.
-			s.Device = fmt.Sprintf("%s:%d", req.srcDSN, req.srcPort)
+			// Probes target whatever answers beyond dsn's port; name the
+			// near side of the link being explored.
+			s.Device = fmt.Sprintf("%s:%d", req.dsn, req.port)
 		}
 	}
 	req.span = id
@@ -56,7 +56,7 @@ func (m *Manager) beginAttemptSpan(req *request) {
 	if s := m.sp.Span(id); s != nil {
 		s.Name = req.kind.label()
 		s.Tag = req.tag
-		s.Attempt = req.attempt
+		s.Attempt = int(req.attempt)
 	}
 	req.attemptSpan = id
 }

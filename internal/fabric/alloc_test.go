@@ -3,6 +3,7 @@ package fabric
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asi"
 	"repro/internal/route"
@@ -185,18 +186,19 @@ func TestLinkKickTelemetryEnabledZeroAlloc(t *testing.T) {
 
 // TestFabricNewAllocBudget bounds what instantiating a fabric costs: the
 // devices, links, ports and config-space heads come out of a handful of
-// slabs sized from the topology, so the bill is a few hundred bytes per
-// device or link and the allocation count does not grow with the fabric.
-// (The parent of the slabs spent 1026 B per unit in 15 705 allocations on
-// this fabric.)
+// slabs sized from the topology, so the bill is a couple of hundred bytes
+// per device or link and the allocation count does not grow with the
+// fabric. (Before the slabs: 1026 B per unit in 15 705 allocations on this
+// fabric; with the VC rings inline in every link record and a map-keyed
+// topology port table: 477 B in 42.)
 func TestFabricNewAllocBudget(t *testing.T) {
 	tp, err := topo.ByName("dragonfly 8x32")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const (
-		bytesPerUnit = 560 // measured 477
-		maxAllocs    = 64  // measured 42
+		bytesPerUnit = 234 // measured 213
+		maxAllocs    = 64  // measured 12
 	)
 	units := uint64(len(tp.Nodes) + len(tp.Links))
 	var bytes, allocs uint64 = ^uint64(0), ^uint64(0)
@@ -215,5 +217,14 @@ func TestFabricNewAllocBudget(t *testing.T) {
 	}
 	if allocs > maxAllocs {
 		t.Errorf("fabric.New makes %d allocations, budget %d: something is allocated per device or per link again", allocs, maxAllocs)
+	}
+}
+
+// TestRecordSizes pins the link record, one per cable of a fabric, at
+// most 192 bytes: its six VC rings live in a block allocated only when a
+// packet has to wait (424 bytes with them inline).
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(link{}); n > 192 {
+		t.Fatalf("sizeof(link) = %d, want <= 192", n)
 	}
 }

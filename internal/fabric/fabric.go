@@ -9,6 +9,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/asi"
 	"repro/internal/sim"
@@ -33,7 +34,7 @@ type Config struct {
 	// paper's Figs. 8-9: service time = DeviceProcessing / DeviceFactor.
 	DeviceFactor float64
 	// CreditsPerVC is the per-VC receive buffer capacity, in packets, a
-	// port advertises to its link partner.
+	// port advertises to its link partner; at most math.MaxInt32.
 	CreditsPerVC int
 	// DetectDelay is the time a device needs to notice a local port
 	// state change before it can emit a PI-5 event.
@@ -76,6 +77,7 @@ func (c Config) withDefaults() Config {
 	if c.CreditsPerVC <= 0 {
 		c.CreditsPerVC = d.CreditsPerVC
 	}
+	c.CreditsPerVC = min(c.CreditsPerVC, math.MaxInt32)
 	if c.DetectDelay <= 0 {
 		c.DetectDelay = d.DetectDelay
 	}
@@ -169,9 +171,11 @@ type Fabric struct {
 
 	// group coordinates the per-region engines on the parallel path; nil
 	// on the sequential path. regionOf maps NodeID to region (nil when
-	// sequential).
-	group    *sim.ShardGroup
-	regionOf []int
+	// sequential). crossCredit binds the credit return of each half link
+	// whose link is cut by a region boundary.
+	group       *sim.ShardGroup
+	regionOf    []int
+	crossCredit map[*halfLink]sim.ArgHandler
 
 	// counters holds one accounting block per region so hot-path
 	// increments never cross a shard boundary; sequential fabrics use a
@@ -221,6 +225,7 @@ func NewSharded(g *sim.ShardGroup, part *topo.Partition, t *topo.Topology, cfg C
 	}
 	g.SetLookahead(f.cfg.Propagation)
 	g.SetDistances(part.RegionDistances(t))
+	f.crossCredit = make(map[*halfLink]sim.ArgHandler, 2*len(part.CutLinks))
 	for _, li := range part.CutLinks {
 		f.links[li].markCut()
 	}

@@ -106,7 +106,7 @@ func (f *Fabric) LinkAt(id topo.NodeID, port int) (int, bool) {
 	if port < 0 || port >= len(d.ports) || d.ports[port].link == nil {
 		return 0, false
 	}
-	return d.ports[port].link.idx, true
+	return int(d.ports[port].link.idx), true
 }
 
 // SetFaultPlan installs a fault plan, scheduling its flaps on the engine.
@@ -164,7 +164,7 @@ func (f *Fabric) scheduleFlap(fl Flap) {
 		}
 		f.counters[0].LinkFlaps++
 		if f.spans != nil {
-			f.spanInstant(span.KindFlap, nil, lk.a, lk.aPort, fmt.Sprintf("flap-down link=%d for=%v", fl.Link, fl.Duration))
+			f.spanInstant(span.KindFlap, nil, lk.a, int(lk.aPort), fmt.Sprintf("flap-down link=%d for=%v", fl.Link, fl.Duration))
 		}
 		lk.setUp(false)
 	})
@@ -173,7 +173,7 @@ func (f *Fabric) scheduleFlap(fl Flap) {
 			return
 		}
 		if f.spans != nil {
-			f.spanInstant(span.KindFlap, nil, lk.a, lk.aPort, fmt.Sprintf("flap-up link=%d", fl.Link))
+			f.spanInstant(span.KindFlap, nil, lk.a, int(lk.aPort), fmt.Sprintf("flap-up link=%d", fl.Link))
 		}
 		lk.setUp(true)
 	})
@@ -186,7 +186,7 @@ func (f *Fabric) faultDrop(l *link, d *Device, pkt *asi.Packet) bool {
 	if fs == nil {
 		return false
 	}
-	lf := fs.rule(l.idx)
+	lf := fs.rule(int(l.idx))
 	if !lf.active() {
 		return false
 	}
@@ -199,7 +199,7 @@ func (f *Fabric) faultDrop(l *link, d *Device, pkt *asi.Packet) bool {
 	if drop {
 		f.drop(DropFaultInjected)
 		if f.tel != nil {
-			f.tel.linkFault.Inc(l.idx)
+			f.tel.linkFault.Inc(int(l.idx))
 		}
 		f.spanDrop(DropFaultInjected, d, l.portOf(d), pkt)
 	}
@@ -213,7 +213,7 @@ func (f *Fabric) faultDelay(l *link) sim.Duration {
 	if fs == nil {
 		return 0
 	}
-	lf := fs.rule(l.idx)
+	lf := fs.rule(int(l.idx))
 	if lf.DelayProb <= 0 || lf.Delay <= 0 {
 		return 0
 	}

@@ -46,9 +46,10 @@ func (f *Fabric) SetDeviceDown(id topo.NodeID, quiet bool) error {
 	// the wire stay in flight and die at arrival.
 	for p := range d.ports {
 		if lk := d.ports[p].link; lk != nil {
-			h := &lk.half[lk.halfFrom(d)]
-			for vc := range h.queues {
-				h.queues[vc].Clear()
+			if q := lk.half[lk.halfFrom(d)].q; q != nil {
+				for vc := range q {
+					q[vc].Clear()
+				}
 			}
 		}
 	}

@@ -8,13 +8,15 @@ import (
 
 // link is a full-duplex cable between two device ports, modelled as two
 // independent half links, each with its own serializer occupancy and
-// credit state.
+// credit state. A large fabric holds one per cable, so each field has the
+// width its range needs: a topology has at most topo.MaxSize links and a
+// device at most asi.MaxSwitchPorts ports.
 type link struct {
 	f     *Fabric
-	idx   int // topology link index, keys per-link fault rules
 	a, b  *Device
-	aPort int
-	bPort int
+	idx   int32 // topology link index, keys per-link fault rules
+	aPort uint8
+	bPort uint8
 	up    bool
 	// cut marks a link whose ends live in different regions of a sharded
 	// fabric: deliveries and credit returns cross via the shard group's
@@ -27,26 +29,28 @@ type link struct {
 // buffer slots per VC at the far end; the sender consumes one per packet
 // and the receiver returns it once the packet has left its input buffer.
 //
-// The transmit path is allocation-free in steady state: the VC queues are
-// rings, the scheduled callbacks are package functions that take the half
-// link (or the flight) as their argument, so a link binds no closures,
-// and in-flight packets ride flight records pooled on the sending device.
+// A packet that finds the serializer idle, nothing queued and a credit
+// free goes straight to the wire; only a packet that must wait allocates
+// the VC queues, once per half link (85-95 % of a discovery's sends never
+// wait). The transmit path is allocation-free in steady state: the VC
+// queues are rings, the scheduled callbacks are package functions that
+// take the half link (or the flight) as their argument, so a link binds
+// no closures, and in-flight packets ride flight records pooled on the
+// sending device.
 type halfLink struct {
 	l         *link
-	dir       int // index in l.half: 0 sends a->b, 1 sends b->a
 	busyUntil sim.Time
-	queues    [asi.NumVCs]sim.Ring[*asi.Packet]
-	credits   [asi.NumVCs]int
-
 	// wake is the pending kickHalf event that re-runs the transmit
 	// scheduler when the serializer frees while packets wait, if one is
 	// armed. It lives on the sender's engine.
-	wake sim.EventID
-	// crossCredit returns a buffer slot across the shard boundary of a cut
-	// link; nil on every other link. It runs on the sending region's
-	// engine.
-	crossCredit sim.ArgHandler
+	wake    sim.EventID
+	q       *vcQueues // nil until a packet first has to wait
+	credits [asi.NumVCs]int32
+	dir     uint8 // index in l.half: 0 sends a->b, 1 sends b->a
 }
+
+// vcQueues are a half link's per-VC transmit queues.
+type vcQueues [asi.NumVCs]sim.Ring[*asi.Packet]
 
 // sender returns the device that transmits in this direction.
 func (h *halfLink) sender() *Device {
@@ -59,9 +63,9 @@ func (h *halfLink) sender() *Device {
 // receiver returns the device, and its port, this direction delivers to.
 func (h *halfLink) receiver() (*Device, int) {
 	if h.dir == 0 {
-		return h.l.b, h.l.bPort
+		return h.l.b, int(h.l.bPort)
 	}
-	return h.l.a, h.l.aPort
+	return h.l.a, int(h.l.aPort)
 }
 
 // flight is one packet in transit on a half link: the per-packet state an
@@ -91,7 +95,7 @@ func deliverFlight(_ *sim.Engine, arg any) {
 	fl.next = sender.freeFlights
 	sender.freeFlights = fl
 	receiver, rxPort := h.receiver()
-	receiver.arrive(rxPort, vc, pkt, h.l, h.dir)
+	receiver.arrive(rxPort, vc, pkt, h.l, int(h.dir))
 }
 
 // deliverCrossFlight completes a flight that crossed a shard boundary, on
@@ -100,28 +104,34 @@ func deliverFlight(_ *sim.Engine, arg any) {
 func deliverCrossFlight(_ *sim.Engine, arg any) {
 	fl := arg.(*flight)
 	receiver, rxPort := fl.h.receiver()
-	receiver.arrive(rxPort, fl.vc, fl.pkt, fl.h.l, fl.h.dir)
+	receiver.arrive(rxPort, fl.vc, fl.pkt, fl.h.l, int(fl.h.dir))
 }
 
 // init cables a's aPort to b's bPort as topology link idx.
 func (l *link) init(f *Fabric, idx int, a *Device, aPort int, b *Device, bPort int) {
-	*l = link{f: f, idx: idx, a: a, aPort: aPort, b: b, bPort: bPort}
+	*l = link{f: f, idx: int32(idx), a: a, aPort: uint8(aPort), b: b, bPort: uint8(bPort)}
 	for i := range l.half {
 		h := &l.half[i]
-		h.l, h.dir = l, i
-		for vc := range h.credits {
-			h.credits[vc] = f.cfg.CreditsPerVC
-		}
+		h.l, h.dir = l, uint8(i)
+		h.resetCredits()
+	}
+}
+
+// resetCredits fills every VC's credits to the receiver's buffer size.
+func (h *halfLink) resetCredits() {
+	for vc := range h.credits {
+		h.credits[vc] = int32(h.l.f.cfg.CreditsPerVC)
 	}
 }
 
 // markCut marks a link that straddles a shard boundary and binds its
-// credit returns, which cross as posted VC values.
+// credit returns, which cross as posted VC values, in the fabric's side
+// table of cut half links.
 func (l *link) markCut() {
 	l.cut = true
 	for i := range l.half {
 		dirIdx := i
-		l.half[i].crossCredit = func(_ *sim.Engine, arg any) {
+		l.f.crossCredit[&l.half[i]] = func(_ *sim.Engine, arg any) {
 			l.applyCredit(dirIdx, arg.(asi.VCID))
 		}
 	}
@@ -138,17 +148,17 @@ func (l *link) halfFrom(d *Device) int {
 // otherEnd returns the device and port at the opposite end from d.
 func (l *link) otherEnd(d *Device) (*Device, int) {
 	if d == l.a {
-		return l.b, l.bPort
+		return l.b, int(l.bPort)
 	}
-	return l.a, l.aPort
+	return l.a, int(l.aPort)
 }
 
 // portOf returns d's own port number on this link.
 func (l *link) portOf(d *Device) int {
 	if d == l.a {
-		return l.aPort
+		return int(l.aPort)
 	}
-	return l.bPort
+	return int(l.bPort)
 }
 
 // setUp trains or drops the link, updating port activity and config
@@ -165,18 +175,31 @@ func (l *link) setUp(up bool) {
 	if !up {
 		for i := range l.half {
 			h := &l.half[i]
-			sender := h.sender()
-			for vc := range h.queues {
-				l.f.spanFlushQueue(&h.queues[vc], sender, l.portOf(sender))
-				h.queues[vc].Clear()
-				h.credits[vc] = l.f.cfg.CreditsPerVC
+			if h.q != nil {
+				sender := h.sender()
+				for vc := range h.q {
+					l.f.spanFlushQueue(&h.q[vc], sender, l.portOf(sender))
+					h.q[vc].Clear()
+				}
 			}
+			h.resetCredits()
 		}
 	}
 }
 
-// send enqueues pkt for transmission from d over this link and starts the
-// serializer if idle.
+// queued reports whether a packet waits in any of h's VC queues.
+func (h *halfLink) queued() bool {
+	for vc := 0; h.q != nil && vc < len(h.q); vc++ {
+		if h.q[vc].Len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// send transmits pkt from d over this link: straight onto an idle wire
+// when nothing is queued ahead of it and a credit is free, else through
+// its VC queue and the transmit scheduler.
 func (l *link) send(d *Device, pkt *asi.Packet) {
 	if !l.up {
 		l.f.dropTraced(DropInactivePort, d, l.portOf(d), pkt)
@@ -190,7 +213,16 @@ func (l *link) send(d *Device, pkt *asi.Packet) {
 	if l.f.spans != nil {
 		l.f.spanQueueStamp(pkt)
 	}
-	h.queues[vc].Push(pkt)
+	// Exactly what kick would do with this packet alone in its queue: pop
+	// it and put it on the wire.
+	if !h.queued() && h.busyUntil <= d.eng.Now() && d.Alive() && h.credits[vc] > 0 {
+		l.transmit(d, h, pkt, vc)
+		return
+	}
+	if h.q == nil {
+		h.q = new(vcQueues)
+	}
+	h.q[vc].Push(pkt)
 	l.kick(d)
 }
 
@@ -205,69 +237,76 @@ var vcNames = [asi.NumVCs]string{"vc=0", "vc=1", "vc=2"}
 // states application traffic scarcely influences discovery time.
 func (l *link) kick(d *Device) {
 	e := d.eng
-	dirIdx := l.halfFrom(d)
-	h := &l.half[dirIdx]
+	h := &l.half[l.halfFrom(d)]
 	if h.busyUntil > e.Now() {
 		if !e.Armed(h.wake) {
 			h.wake = e.AtArg(h.busyUntil, kickHalf, h)
 		}
 		return
 	}
-	if !l.up || !d.Alive() {
+	if !l.up || !d.Alive() || h.q == nil {
 		return
 	}
 	// Highest VC index first: VC2 is the management channel.
 	for vc := asi.NumVCs - 1; vc >= 0; vc-- {
-		if h.queues[vc].Len() == 0 {
+		q := &h.q[vc]
+		if q.Len() == 0 {
 			continue
 		}
 		if h.credits[vc] <= 0 {
 			// Head-of-line packet starved for credits: the wire sits idle
 			// (for this VC) solely because the receiver's buffer is full.
 			if l.f.tel != nil {
-				l.f.tel.linkStall.Inc(l.idx)
+				l.f.tel.linkStall.Inc(int(l.idx))
 			}
 			if l.f.spans != nil {
-				l.f.spanInstant(span.KindStall, h.queues[vc].At(0), d, l.portOf(d), vcNames[vc])
+				l.f.spanInstant(span.KindStall, q.At(0), d, l.portOf(d), vcNames[vc])
 			}
 			continue
 		}
-		pkt := h.queues[vc].Pop()
-		h.credits[vc]--
-		if l.f.tel != nil {
-			l.f.tel.linkTx.Inc(l.idx)
-			l.f.tel.vcTx.Inc(vc)
-		}
-		ser := l.f.serialization(pkt.WireSize())
-		h.busyUntil = e.Now().Add(ser)
-		d.ctr.TxPackets++
-		d.ctr.TxBytes += uint64(pkt.WireSize())
-		extra := l.f.faultDelay(l)
-		arrive := ser + l.f.cfg.Propagation + extra
-		if l.f.spans != nil {
-			l.f.spanWire(pkt, d, l.portOf(d), vc, arrive, extra)
-		}
-		if l.cut {
-			// Cross-region hop: the arrival is at least Propagation (the
-			// group lookahead) in the future, so posting it through the
-			// mailbox is always conservative-safe.
-			receiver, _ := l.otherEnd(d)
-			l.f.group.Post(d.region, receiver.region, e.Now().Add(arrive),
-				deliverCrossFlight, &flight{h: h, pkt: pkt, vc: asi.VCID(vc)})
-		} else {
-			fl := d.freeFlights
-			if fl == nil {
-				fl = &flight{}
-			} else {
-				d.freeFlights = fl.next
-			}
-			fl.h, fl.pkt, fl.vc = h, pkt, asi.VCID(vc)
-			e.AfterArg(arrive, deliverFlight, fl)
-		}
-		// Serializer free again at busyUntil; try the next packet.
-		e.AtArg(h.busyUntil, kickHalf, h)
+		l.transmit(d, h, q.Pop(), asi.VCID(vc))
 		return
 	}
+}
+
+// transmit spends one of h's credits on pkt and puts it on the wire: the
+// serializer is busy for its wire time, the arrival is scheduled past the
+// cable, and a kick re-runs the scheduler when the serializer frees.
+func (l *link) transmit(d *Device, h *halfLink, pkt *asi.Packet, vc asi.VCID) {
+	e := d.eng
+	h.credits[vc]--
+	if l.f.tel != nil {
+		l.f.tel.linkTx.Inc(int(l.idx))
+		l.f.tel.vcTx.Inc(int(vc))
+	}
+	ser := l.f.serialization(pkt.WireSize())
+	h.busyUntil = e.Now().Add(ser)
+	d.ctr.TxPackets++
+	d.ctr.TxBytes += uint64(pkt.WireSize())
+	extra := l.f.faultDelay(l)
+	arrive := ser + l.f.cfg.Propagation + extra
+	if l.f.spans != nil {
+		l.f.spanWire(pkt, d, l.portOf(d), int(vc), arrive, extra)
+	}
+	if l.cut {
+		// Cross-region hop: the arrival is at least Propagation (the
+		// group lookahead) in the future, so posting it through the
+		// mailbox is always conservative-safe.
+		receiver, _ := l.otherEnd(d)
+		l.f.group.Post(d.region, receiver.region, e.Now().Add(arrive),
+			deliverCrossFlight, &flight{h: h, pkt: pkt, vc: vc})
+	} else {
+		fl := d.freeFlights
+		if fl == nil {
+			fl = &flight{}
+		} else {
+			d.freeFlights = fl.next
+		}
+		fl.h, fl.pkt, fl.vc = h, pkt, vc
+		e.AfterArg(arrive, deliverFlight, fl)
+	}
+	// Serializer free again at busyUntil; try the next packet.
+	e.AtArg(h.busyUntil, kickHalf, h)
 }
 
 // returnCredit hands a buffer slot back to the sender of the given
@@ -285,7 +324,7 @@ func (l *link) returnCredit(dirIdx int, vc asi.VCID) {
 		h := &l.half[dirIdx]
 		receiver, _ := h.receiver()
 		l.f.group.Post(receiver.region, h.sender().region,
-			receiver.eng.Now().Add(l.f.cfg.Propagation), h.crossCredit, vc)
+			receiver.eng.Now().Add(l.f.cfg.Propagation), l.f.crossCredit[h], vc)
 		return
 	}
 	l.applyCredit(dirIdx, vc)
@@ -297,7 +336,7 @@ func (l *link) applyCredit(dirIdx int, vc asi.VCID) {
 		return
 	}
 	h := &l.half[dirIdx]
-	if h.credits[vc] < l.f.cfg.CreditsPerVC {
+	if int(h.credits[vc]) < l.f.cfg.CreditsPerVC {
 		h.credits[vc]++
 	}
 	l.kick(h.sender())

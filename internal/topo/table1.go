@@ -3,6 +3,8 @@ package topo
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/asi"
 )
 
 // Spec identifies one topology from the paper's Table 1 together with its
@@ -123,6 +125,10 @@ func parametric(name string) (nodes, links float64, build func() *Topology, err 
 			return 0, 0, nil, fmt.Errorf("topo: dragonfly %dx%d needs K >= 2 and M >= 2", a, b)
 		}
 		k, m := float64(a), float64(b)
+		// Its switch radix grows with M/K; Dragonfly validates what it built.
+		if ports := k + math.Ceil((m-1)/k); ports > asi.MaxSwitchPorts {
+			return 0, 0, nil, fmt.Errorf("topo: dragonfly %dx%d needs %.4g-port switches, past the limit of 2..%d", a, b, ports, asi.MaxSwitchPorts)
+		}
 		return 2 * k * m, m*k*(k-1)/2 + m*(m-1)/2 + k*m, func() *Topology { return Dragonfly(a, b) }, nil
 	}
 	if n, _ := fmt.Sscanf(name, "autofat %dx%d", &a, &b); n == 2 {

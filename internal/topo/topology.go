@@ -34,10 +34,11 @@ type Link struct {
 	BPort int
 }
 
-// end identifies one side of a link for the occupancy index.
+// end is one entry of the port table: the node and port at the far end
+// of a cable, or node -1 for an uncabled port.
 type end struct {
-	node NodeID
-	port int
+	node int32
+	port int32
 }
 
 // Topology is a description of a fabric: its devices and cabling.
@@ -46,26 +47,50 @@ type Topology struct {
 	Nodes []Node
 	Links []Link
 
-	peers map[end]end
+	// peers is the dense port table: node n's ports are entries
+	// portBase[n] up to portBase[n+1], in port order. Nodes are only ever
+	// appended, so each new node's ports go on the end.
+	peers    []end
+	portBase []int32
 }
 
 // New returns an empty topology with the given name.
 func New(name string) *Topology {
-	return &Topology{Name: name, peers: make(map[end]end)}
+	return &Topology{Name: name}
 }
 
 // AddSwitch appends a switch node with the given port count.
 func (t *Topology) AddSwitch(ports int, label string) NodeID {
-	id := NodeID(len(t.Nodes))
-	t.Nodes = append(t.Nodes, Node{ID: id, Type: asi.DeviceSwitch, Ports: ports, Label: label})
-	return id
+	return t.add(Node{Type: asi.DeviceSwitch, Ports: ports, Label: label})
 }
 
 // AddEndpoint appends a 1-port endpoint node.
 func (t *Topology) AddEndpoint(label string) NodeID {
-	id := NodeID(len(t.Nodes))
-	t.Nodes = append(t.Nodes, Node{ID: id, Type: asi.DeviceEndpoint, Ports: 1, Label: label})
-	return id
+	return t.add(Node{Type: asi.DeviceEndpoint, Ports: 1, Label: label})
+}
+
+// add appends n and its uncabled ports to the port table.
+func (t *Topology) add(n Node) NodeID {
+	n.ID = NodeID(len(t.Nodes))
+	t.Nodes = append(t.Nodes, n)
+	if len(t.portBase) == 0 {
+		t.portBase = append(t.portBase, 0)
+	}
+	for i := 0; i < n.Ports; i++ {
+		t.peers = append(t.peers, end{node: -1})
+	}
+	t.portBase = append(t.portBase, int32(len(t.peers)))
+	return n.ID
+}
+
+// slot returns the port table index of n's port, or false when n had no
+// such port when it was added.
+func (t *Topology) slot(n NodeID, port int) (int, bool) {
+	if n < 0 || int(n)+1 >= len(t.portBase) || port < 0 {
+		return 0, false
+	}
+	i := int(t.portBase[n]) + port
+	return i, i < int(t.portBase[n+1])
 }
 
 // Connect cables port aPort of a to port bPort of b. It rejects dangling
@@ -74,22 +99,24 @@ func (t *Topology) Connect(a NodeID, aPort int, b NodeID, bPort int) error {
 	if a == b {
 		return fmt.Errorf("topo: self-link on node %d", a)
 	}
-	for _, e := range []end{{a, aPort}, {b, bPort}} {
-		if int(e.node) < 0 || int(e.node) >= len(t.Nodes) {
-			return fmt.Errorf("topo: unknown node %d", e.node)
+	nodes, ports := [2]NodeID{a, b}, [2]int{aPort, bPort}
+	var slots [2]int
+	for i, n := range nodes {
+		if int(n) < 0 || int(n) >= len(t.Nodes) {
+			return fmt.Errorf("topo: unknown node %d", n)
 		}
-		if e.port < 0 || e.port >= t.Nodes[e.node].Ports {
-			return fmt.Errorf("topo: node %d (%s) has no port %d",
-				e.node, t.Nodes[e.node].Label, e.port)
+		s, ok := t.slot(n, ports[i])
+		if !ok {
+			return fmt.Errorf("topo: node %d (%s) has no port %d", n, t.Nodes[n].Label, ports[i])
 		}
-		if peer, busy := t.peers[e]; busy {
-			return fmt.Errorf("topo: node %d port %d already cabled to node %d",
-				e.node, e.port, peer.node)
+		if peer := t.peers[s]; peer.node >= 0 {
+			return fmt.Errorf("topo: node %d port %d already cabled to node %d", n, ports[i], peer.node)
 		}
+		slots[i] = s
 	}
 	t.Links = append(t.Links, Link{A: a, APort: aPort, B: b, BPort: bPort})
-	t.peers[end{a, aPort}] = end{b, bPort}
-	t.peers[end{b, bPort}] = end{a, aPort}
+	t.peers[slots[0]] = end{int32(b), int32(bPort)}
+	t.peers[slots[1]] = end{int32(a), int32(aPort)}
 	return nil
 }
 
@@ -103,8 +130,11 @@ func (t *Topology) mustConnect(a NodeID, aPort int, b NodeID, bPort int) {
 
 // Peer reports what is cabled to the given port.
 func (t *Topology) Peer(n NodeID, port int) (NodeID, int, bool) {
-	p, ok := t.peers[end{n, port}]
-	return p.node, p.port, ok
+	s, ok := t.slot(n, port)
+	if !ok || t.peers[s].node < 0 {
+		return 0, 0, false
+	}
+	return NodeID(t.peers[s].node), int(t.peers[s].port), true
 }
 
 // NumSwitches counts switch nodes.
@@ -134,22 +164,22 @@ func (t *Topology) Endpoints() []NodeID {
 	return out
 }
 
-// ReachableFrom returns the set of nodes connected to start, including
-// start itself, following cables.
-func (t *Topology) ReachableFrom(start NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{start: true}
-	queue := []NodeID{start}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for p := 0; p < t.Nodes[n].Ports; p++ {
-			if peer, _, ok := t.Peer(n, p); ok && !seen[peer] {
-				seen[peer] = true
-				queue = append(queue, peer)
+// ReachableFrom returns the nodes connected to start, start first,
+// following cables breadth-first.
+func (t *Topology) ReachableFrom(start NodeID) []NodeID {
+	seen := make([]bool, len(t.Nodes))
+	seen[start] = true
+	queue := append(make([]NodeID, 0, len(t.Nodes)), start)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		for _, p := range t.peers[t.portBase[n]:t.portBase[n+1]] {
+			if p.node >= 0 && !seen[p.node] {
+				seen[p.node] = true
+				queue = append(queue, NodeID(p.node))
 			}
 		}
 	}
-	return seen
+	return queue
 }
 
 // Validate checks structural invariants: every radix is one the spec

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -263,6 +264,7 @@ func TestParseNameBoundsSize(t *testing.T) {
 		"dragonfly 65536x65536":           "limit",
 		"dragonfly 2x262144":              "limit", // 2^20 nodes, 3.4e10 global links
 		"dragonfly 3037000500x3037000500": "limit",
+		"dragonfly 2x600":                 "2..256", // 2 400 nodes, 302-port switches
 		// An auto-designed tree is bounded by the ASI switch radix, and
 		// through it by the two-layer capacity.
 		"autofat 256x1048577":           "capacity 32768",
@@ -374,9 +376,8 @@ func TestReachableFromSubset(t *testing.T) {
 	if err := tp.Connect(a, 0, b, 0); err != nil {
 		t.Fatal(err)
 	}
-	seen := tp.ReachableFrom(a)
-	if !seen[a] || !seen[b] || seen[c] {
-		t.Errorf("ReachableFrom = %v", seen)
+	if got := tp.ReachableFrom(a); !reflect.DeepEqual(got, []NodeID{a, b}) {
+		t.Errorf("ReachableFrom(%d) = %v, want [%d %d] (not %d)", a, got, a, b, c)
 	}
 }
 
