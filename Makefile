@@ -22,8 +22,9 @@
 #                                  1000-subscriber replay identity, the
 #                                  observability plane, coalesced assimilation
 #                   bench-diff     allocs/op and B/op against BENCH_sim.json,
-#                                  BENCH_fm.json and BENCH_serve.json (both
-#                                  exact; ns/op is printed, never gated)
+#                                  BENCH_fm.json, BENCH_serve.json and
+#                                  BENCH_obs.json (both exact; ns/op is
+#                                  printed, never gated)
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness,
 #                   the RIB, the event queue and the topology namer
@@ -31,9 +32,10 @@
 #                   (benchstat-compatible raw lines plus parsed metrics,
 #                   with results/bench_baseline.txt embedded as the
 #                   before/baseline section), then the FM-database
-#                   ledger (internal/core, internal/fib) -> BENCH_fm.json
-#                   and the serving ledger (internal/rib) ->
-#                   BENCH_serve.json
+#                   ledger (internal/core, internal/fib) -> BENCH_fm.json,
+#                   the serving ledger (internal/rib) -> BENCH_serve.json
+#                   and the observation ledger (internal/obs,
+#                   internal/telemetry) -> BENCH_obs.json
 
 GO ?= go
 BENCHTIME ?= 3x
@@ -43,12 +45,17 @@ BENCHTIME ?= 3x
 BENCHCOUNT ?= 5
 BENCH_BASELINE ?= results/bench_baseline.txt
 # The FM-database ledger's before section: the same benchmarks on the
-# parent of the latest change to the database (the link set held twice).
+# parent of the latest change to them (a fresh search tree and route per
+# device on every path refresh).
 BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
 # The serving ledger's before section: the same benchmarks on the commit
 # before the change-driven install (every generation built from scratch,
 # every delta filtered per subscriber).
 BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
+# The observation ledger's before section: the same benchmarks on the
+# commit before the append-based /metrics render and the presized
+# registry snapshot.
+BENCH_OBS_BASELINE ?= results/bench_obs_baseline.txt
 
 .PHONY: all build vet test race verify bench bench-smoke bench-diff bench-test \
 	fmt-check seam-check results-check json-smoke span-smoke alloc-check \
@@ -133,9 +140,12 @@ span-smoke:
 # its bytes-per-device-or-link budget, one cold Parallel discovery within
 # its bytes budget, the link and request records within their sizes, and
 # the serving layer's fan-out: queueing and delivering a generation at
-# zero, one install at well under one allocation per extra subscriber.
+# zero, one install at well under one allocation per extra subscriber;
+# the observation path: a path refresh of an unchanged database at the
+# node list, a /metrics render at two at most, a registry snapshot at one
+# allocation per section plus one per histogram.
 alloc-check:
-	$(GO) test -run 'ZeroAlloc|AllocBudget|RecordSizes' ./internal/sim/ ./internal/fabric/ ./internal/core/ ./internal/rib/
+	$(GO) test -run 'ZeroAlloc|AllocBudget|RecordSizes' ./internal/sim/ ./internal/fabric/ ./internal/core/ ./internal/rib/ ./internal/obs/ ./internal/telemetry/
 
 # bench-test runs the repo benchmark's own tests. bench/ is a separate
 # module (replace repro => ../), so `go test ./...` from the root never
@@ -199,7 +209,8 @@ assim-smoke:
 	$(GO) test -run 'TestAssimSmoke' -count=1 ./cmd/asifmd/
 
 # bench-diff re-runs the benchmark suites and gates them against the
-# committed BENCH_sim.json, BENCH_fm.json and BENCH_serve.json: an
+# committed BENCH_sim.json, BENCH_fm.json, BENCH_serve.json and
+# BENCH_obs.json: an
 # allocs/op increase beyond max(2, 0.1%) rounding/GC slack or a B/op
 # increase beyond max(64, 1%) fails. ns/op is printed next to the
 # committed value and not gated: on a shared host it fails on noise alone.
@@ -212,6 +223,8 @@ bench-diff:
 		| $(GO) run ./cmd/benchjson -diff BENCH_fm.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/rib \
 		| $(GO) run ./cmd/benchjson -diff BENCH_serve.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/obs ./internal/telemetry \
+		| $(GO) run ./cmd/benchjson -diff BENCH_obs.json
 
 verify: fmt-check seam-check build vet test race results-check bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
 
@@ -222,3 +235,5 @@ bench:
 		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_FM_BASELINE) -o BENCH_fm.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/rib \
 		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_SERVE_BASELINE) -o BENCH_serve.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/obs ./internal/telemetry \
+		| $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_OBS_BASELINE) -o BENCH_obs.json

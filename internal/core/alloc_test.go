@@ -69,3 +69,30 @@ func TestRecordSizes(t *testing.T) {
 		t.Fatalf("sizeof(request) = %d, want <= 128", n)
 	}
 }
+
+// TestRefreshPathsAllocBudget pins the repair pass of partial
+// assimilation on a database that did not change: its search tree and
+// route buffer are the Manager's, reused, so a refresh that reroutes
+// nothing allocates the sorted node list and nothing else.
+func TestRefreshPathsAllocBudget(t *testing.T) {
+	tp, err := topo.ByName("8x8 torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, m := setup(t, tp, Partial)
+	runDiscovery(t, e, m)
+	// Discovery leaves first-arrival routes; the first pass makes them
+	// shortest ones and warms the tree.
+	m.beginPartialRun()
+	m.refreshPaths()
+	e.Run()
+	sent := m.res.PacketsSent
+	var nodes []*Node
+	list := testing.AllocsPerRun(20, func() { nodes = m.db.Nodes() })
+	if allocs := testing.AllocsPerRun(20, m.refreshPaths); allocs > list {
+		t.Errorf("a refresh of an unchanged %d-device database allocates %.1f per run, want <= %.1f (the node list)", len(nodes), allocs, list)
+	}
+	if m.res.PacketsSent != sent {
+		t.Errorf("refreshing an unchanged database sent %d verification reads, want 0", m.res.PacketsSent-sent)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/asi"
 	"repro/internal/route"
@@ -137,7 +136,7 @@ func (db *DB) Nodes() []*Node {
 	for _, n := range db.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DSN < out[j].DSN })
+	slices.SortFunc(out, func(a, b *Node) int { return cmp.Compare(a.DSN, b.DSN) })
 	return out
 }
 
@@ -442,13 +441,18 @@ func (db *DB) PathBetween(src, dst asi.DSN) route.Path {
 // database graph: built once in O(devices + links), it then answers
 // PathTo for any target in O(hops). It is a snapshot — it holds no
 // reference to the database and does not follow later mutations — so the
-// per-device passes (path refresh, FIB derivation, the distributed merge)
-// build one per pass and drop it; the database itself never caches one, because
-// a served snapshot's DB is read concurrently and queries must not write.
+// per-device passes build one per pass: FIB derivation and the distributed
+// merge drop theirs, the path refresh rebuilds its Manager's in place. The
+// database itself never caches one, because a served snapshot's DB is read
+// concurrently and queries must not write.
 type PathTree struct {
 	src asi.DSN
-	// prev is nil when src is not in the database.
-	prev map[asi.DSN]pred
+	// rooted is false when src is not in the database.
+	rooted bool
+	prev   map[asi.DSN]pred
+	// queue is the search's work list, kept only by a tree that is rebuilt
+	// in place (Manager.refreshPaths), so a warm rebuild allocates nothing.
+	queue []*Node
 }
 
 // pred records how the search reached a node.
@@ -466,14 +470,28 @@ type pred struct {
 // forward. Neighbours expand in NeighborsOf order, which fixes the choice
 // among equally short paths.
 func (db *DB) TreeFrom(src asi.DSN) *PathTree {
-	t := &PathTree{src: src}
+	t := new(PathTree)
+	db.buildTree(t, src)
+	t.queue = nil
+	return t
+}
+
+// buildTree runs TreeFrom's search into t, clearing and refilling the
+// map and queue a previous search left there.
+func (db *DB) buildTree(t *PathTree, src asi.DSN) {
 	root, ok := db.nodes[src]
+	t.src, t.rooted = src, ok
+	clear(t.prev)
 	if !ok {
-		return t
+		return
 	}
-	t.prev = make(map[asi.DSN]pred, len(db.nodes))
-	queue := make([]*Node, 1, len(db.nodes))
-	queue[0] = root
+	if t.prev == nil {
+		t.prev = make(map[asi.DSN]pred, len(db.nodes))
+	}
+	if cap(t.queue) < len(db.nodes) {
+		t.queue = make([]*Node, 0, len(db.nodes))
+	}
+	queue := append(t.queue[:0], root)
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
 		hops := 0 // of a route that ends one cable past cur
@@ -495,7 +513,8 @@ func (db *DB) TreeFrom(src asi.DSN) *PathTree {
 			queue = append(queue, n)
 		}
 	}
-	return t
+	clear(queue) // hold no removed device until the next search
+	t.queue = queue[:0]
 }
 
 // PathTo returns the source route from the tree's source to target and
@@ -510,7 +529,7 @@ func (t *PathTree) PathTo(target asi.DSN) (route.Path, int) {
 // with one it already holds allocates nothing per target. The result
 // aliases buf; the caller copies what it keeps.
 func (t *PathTree) PathInto(buf route.Path, target asi.DSN) (route.Path, int) {
-	if t.prev == nil {
+	if !t.rooted {
 		return nil, 0
 	}
 	last, ok := t.prev[target]

@@ -92,6 +92,23 @@ func BenchmarkDBClone(b *testing.B) {
 	})
 }
 
+// linkNearHost returns the first switch-to-switch link of the switch the
+// host hangs off: cutting it reroutes a large share of the fabric.
+func linkNearHost(db *DB) Link {
+	first, _ := db.LinkAt(db.HostDSN, 0)
+	sw := first.A
+	if sw == db.HostDSN {
+		sw = first.B
+	}
+	for _, nb := range db.NeighborsOf(sw) {
+		if db.Node(nb.DSN).Type == asi.DeviceSwitch {
+			l, _ := db.LinkAt(sw, nb.LocalPort)
+			return l
+		}
+	}
+	panic("core: the host's switch has no switch neighbour")
+}
+
 // BenchmarkRefreshPaths times the repair pass of partial assimilation:
 // one switch-to-switch link next to the FM leaves the database and every
 // route is recomputed, the rerouted devices getting their verification
@@ -100,18 +117,7 @@ func BenchmarkRefreshPaths(b *testing.B) {
 	for _, name := range ledgerTopos {
 		b.Run(name, func(b *testing.B) {
 			e, m := benchDiscovered(b, name)
-			first, _ := m.db.LinkAt(m.db.HostDSN, 0)
-			sw := first.A
-			if sw == m.db.HostDSN {
-				sw = first.B
-			}
-			var cut Link
-			for _, nb := range m.db.NeighborsOf(sw) {
-				if m.db.Node(nb.DSN).Type == asi.DeviceSwitch {
-					cut, _ = m.db.LinkAt(sw, nb.LocalPort)
-					break
-				}
-			}
+			cut := linkNearHost(m.db)
 			repair := func(mutate func(Link)) {
 				m.beginPartialRun()
 				mutate(cut)

@@ -287,6 +287,10 @@ type Manager struct {
 	// stale counts completions whose request had already timed out.
 	stale int
 
+	// tree and pathBuf are refreshPaths' reused search tree and route buffer.
+	tree    PathTree
+	pathBuf route.Path
+
 	// tel holds the pre-registered telemetry handles, nil unless
 	// Options.Telemetry was set.
 	tel *fmTelemetry

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/asi"
 	"repro/internal/route"
 )
@@ -129,22 +131,26 @@ func (m *Manager) partialUp(rep *Node, port int) {
 // database, prunes unreachable devices, and validates each rerouted
 // device with one verification read. One tree serves the whole pass: the
 // devices pruned along the way are exactly those the tree does not reach,
-// so none of them lies on a surviving device's path.
+// so none of them lies on a surviving device's path. The tree and the
+// route buffer are the Manager's, reused pass after pass; only a changed
+// route is copied out of the buffer, into the node (and so into its
+// verification request).
 func (m *Manager) refreshPaths() {
-	tree := m.db.TreeFrom(m.dev.DSN)
+	m.db.buildTree(&m.tree, m.dev.DSN)
 	for _, n := range m.db.Nodes() {
 		if n.DSN == m.dev.DSN {
 			continue
 		}
-		p, arrive := tree.PathTo(n.DSN)
+		p, arrive := m.tree.PathInto(m.pathBuf, n.DSN)
 		if p == nil {
 			m.removeNode(n.DSN)
 			continue
 		}
+		m.pathBuf = p
 		if pathEqual(p, n.Path) {
 			continue
 		}
-		n.Path = p
+		n.Path = slices.Clone(p)
 		n.ArrivalPort = arrive
 		m.sendVerify(n)
 	}

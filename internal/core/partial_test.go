@@ -196,3 +196,41 @@ func TestPartialFallsBackToFullWithoutBaseline(t *testing.T) {
 	}
 	dbMatchesGroundTruth(t, f, m, "after fallback full discovery")
 }
+
+// TestRefreshPathsCopiesChangedRoutes checks that the repair pass leaves
+// every device holding its own copy of its new route, and every
+// verification read in flight the route of the device it verifies,
+// although the pass computes all routes in one reused buffer: a cut next
+// to the host reroutes dozens of devices, then restoring it reroutes them
+// back.
+func TestRefreshPathsCopiesChangedRoutes(t *testing.T) {
+	tp, err := topo.ByName("8x8 torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, m := setup(t, tp, Partial)
+	runDiscovery(t, e, m)
+	cut := linkNearHost(m.db)
+	for step, mutate := range []func(Link){m.db.RemoveLink, m.db.AddLink, m.db.RemoveLink} {
+		m.beginPartialRun()
+		mutate(cut)
+		sent := m.res.PacketsSent
+		m.refreshPaths()
+		if step > 0 && m.res.PacketsSent-sent < 8 {
+			t.Fatalf("step %d rerouted %d devices; the check needs several", step, m.res.PacketsSent-sent)
+		}
+		tree := m.db.TreeFrom(m.db.HostDSN)
+		for _, n := range m.db.Nodes() {
+			want, arrive := tree.PathTo(n.DSN)
+			if !pathEqual(n.Path, want) || (n.DSN != m.db.HostDSN && n.ArrivalPort != arrive) {
+				t.Fatalf("step %d: %v holds route %v (arrival %d), want %v (arrival %d)", step, n.DSN, n.Path, n.ArrivalPort, want, arrive)
+			}
+		}
+		for _, req := range m.pending {
+			if n := m.db.Node(req.dsn); req.kind == reqVerify && !pathEqual(req.path, n.Path) {
+				t.Fatalf("step %d: the verify of %v travels %v, the device's route is %v", step, req.dsn, req.path, n.Path)
+			}
+		}
+		e.Run()
+	}
+}

@@ -126,8 +126,9 @@ func (r DropReason) String() string {
 type Counters struct {
 	// TxPackets/TxBytes count link transmissions (per hop).
 	TxPackets, TxBytes uint64
-	// Delivered counts packets consumed by a device, per PI.
-	Delivered map[asi.PI]uint64
+	// Delivered counts packets consumed by a device, indexed by PI: every
+	// value the header's PI byte can hold has a slot.
+	Delivered [1 << 8]uint64
 	// Drops counts discarded packets by reason.
 	Drops [numDropReasons]uint64
 	// FaultDelays counts traversals the installed FaultPlan delivered
@@ -256,9 +257,6 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 		regions = group.Shards()
 	}
 	f.counters = make([]Counters, regions)
-	for i := range f.counters {
-		f.counters[i].Delivered = make(map[asi.PI]uint64)
-	}
 	var nPorts, nBlocks int
 	for _, n := range t.Nodes {
 		nPorts += n.Ports
@@ -304,15 +302,14 @@ func (f *Fabric) Devices() []*Device { return f.devices }
 // independent of region count.
 func (f *Fabric) Counters() Counters {
 	var c Counters
-	c.Delivered = make(map[asi.PI]uint64, len(f.counters[0].Delivered))
 	for i := range f.counters {
 		r := &f.counters[i]
 		c.TxPackets += r.TxPackets
 		c.TxBytes += r.TxBytes
 		c.FaultDelays += r.FaultDelays
 		c.LinkFlaps += r.LinkFlaps
-		for k, v := range r.Delivered {
-			c.Delivered[k] += v
+		for pi := range r.Delivered {
+			c.Delivered[pi] += r.Delivered[pi]
 		}
 		for j := range r.Drops {
 			c.Drops[j] += r.Drops[j]
@@ -380,12 +377,15 @@ func (f *Fabric) dropTraced(r DropReason, d *Device, port int, pkt *asi.Packet) 
 	f.spanDrop(r, d, port, pkt)
 }
 
+// tcToVC is the model's unicast TC/VC mapping table, built once: every
+// port direction of every device uses the default one.
+var tcToVC = asi.DefaultTCtoVC()
+
 // vcOf maps a packet to its virtual channel: multicast always rides the
 // MVC, unicast follows the TC/VC mapping table.
 func (f *Fabric) vcOf(pkt *asi.Packet) asi.VCID {
 	if pkt.Header.Multicast {
 		return asi.VCMulticast
 	}
-	m := asi.DefaultTCtoVC()
-	return m[pkt.Header.TC&asi.MaxTrafficClass]
+	return tcToVC[pkt.Header.TC&asi.MaxTrafficClass]
 }

@@ -69,31 +69,7 @@ func (p *Plane) Dash(eventTail int) DashDoc {
 
 	if okBase {
 		if doc.WindowSec = cur.Wall.Sub(base.Wall).Seconds(); doc.WindowSec > 0 {
-			delta := cur.Telemetry.Delta(base.Telemetry)
-			for _, c := range delta.Counters {
-				doc.Rates = append(doc.Rates, Rate{Name: c.Name, PerSec: float64(c.Value) / doc.WindowSec})
-			}
-			vecTotals := map[string]uint64{}
-			var vecNames []string
-			for _, v := range delta.Vectors {
-				if _, seen := vecTotals[v.Name]; !seen {
-					vecNames = append(vecNames, v.Name)
-				}
-				vecTotals[v.Name] += v.Value
-			}
-			for _, name := range vecNames {
-				doc.Rates = append(doc.Rates, Rate{Name: name, PerSec: float64(vecTotals[name]) / doc.WindowSec})
-			}
-			sortRates(doc.Rates)
-			for _, h := range delta.Histograms {
-				if h.Count == 0 {
-					continue
-				}
-				doc.Quantiles = append(doc.Quantiles, HistQuantiles{
-					Name: h.Name, Unit: h.Unit, Count: h.Count,
-					P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
-				})
-			}
+			doc.Rates, doc.Quantiles = windowStats(cur, base, doc.WindowSec)
 		}
 	}
 	return doc

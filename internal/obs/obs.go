@@ -172,24 +172,8 @@ func (p *Plane) Rates() []Rate {
 	if !ok {
 		return nil
 	}
-	d := cur.Telemetry.Delta(base.Telemetry)
-	var out []Rate
-	for _, c := range d.Counters {
-		out = append(out, Rate{Name: c.Name, PerSec: float64(c.Value) / sec})
-	}
-	vecTotals := map[string]uint64{}
-	var vecNames []string
-	for _, v := range d.Vectors {
-		if _, seen := vecTotals[v.Name]; !seen {
-			vecNames = append(vecNames, v.Name)
-		}
-		vecTotals[v.Name] += v.Value
-	}
-	for _, name := range vecNames {
-		out = append(out, Rate{Name: name, PerSec: float64(vecTotals[name]) / sec})
-	}
-	sortRates(out)
-	return out
+	rates, _ := windowStats(cur, base, sec)
+	return rates
 }
 
 // Rate is one windowed counter rate.
@@ -209,26 +193,45 @@ func sortRates(rs []Rate) {
 // Quantiles estimates windowed p50/p90/p99 for every histogram with
 // observations inside the window, sorted by name.
 func (p *Plane) Quantiles() []HistQuantiles {
-	cur, base, _, ok := p.Window()
+	cur, base, sec, ok := p.Window()
 	if !ok {
 		return nil
 	}
+	_, qs := windowStats(cur, base, sec)
+	return qs
+}
+
+// windowStats derives the rates and quantiles of the window from base to
+// cur, sec wall seconds long.
+func windowStats(cur, base Sample, sec float64) ([]Rate, []HistQuantiles) {
 	d := cur.Telemetry.Delta(base.Telemetry)
-	var out []HistQuantiles
+	var rates []Rate
+	for _, c := range d.Counters {
+		rates = append(rates, Rate{Name: c.Name, PerSec: float64(c.Value) / sec})
+	}
+	vecTotals := map[string]uint64{}
+	var vecNames []string
+	for _, v := range d.Vectors {
+		if _, seen := vecTotals[v.Name]; !seen {
+			vecNames = append(vecNames, v.Name)
+		}
+		vecTotals[v.Name] += v.Value
+	}
+	for _, name := range vecNames {
+		rates = append(rates, Rate{Name: name, PerSec: float64(vecTotals[name]) / sec})
+	}
+	sortRates(rates)
+	var qs []HistQuantiles
 	for _, h := range d.Histograms {
 		if h.Count == 0 {
 			continue
 		}
-		out = append(out, HistQuantiles{
-			Name:  h.Name,
-			Unit:  h.Unit,
-			Count: h.Count,
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
+		qs = append(qs, HistQuantiles{
+			Name: h.Name, Unit: h.Unit, Count: h.Count,
+			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
 		})
 	}
-	return out // Delta preserves snapshot order, already name-sorted
+	return rates, qs // Delta preserves snapshot order: quantiles are name-sorted
 }
 
 // HistQuantiles is one histogram's windowed quantile estimate.

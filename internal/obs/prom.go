@@ -8,13 +8,13 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/telemetry"
 )
 
 // Prometheus text-format exposition (version 0.0.4), written without any
-// client library: the metric model here is small enough that the format
-// is just careful fmt.Fprintf. Naming scheme:
+// client library. Naming scheme:
 //
 //	telemetry "fm.rtt.port-read"  ->  asi_fm_rtt_port_read
 //
@@ -25,6 +25,9 @@ import (
 // standard _bucket/_sum/_count triple plus windowed _p50/_p99 gauges.
 // The serving layer contributes the staleness SLO (generation-lag
 // percentiles) and the install→deliver latency histogram.
+//
+// The document is appended into a pooled buffer and windowed values are
+// read from a telemetry.Window, so a steady-state render allocates nothing.
 
 // MetricsContentType is the exposition content type.
 const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -37,176 +40,200 @@ func (p *Plane) MetricsHandler() http.Handler {
 	})
 }
 
-// WriteProm renders the exposition document.
-func (p *Plane) WriteProm(w io.Writer) {
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
+// promWriter is one render's working state: the document, the Prometheus
+// name of the metric being written, and a windowed histogram's bucket
+// counts.
+type promWriter struct {
+	b, name []byte
+	counts  []uint64
+}
 
+var promWriters = sync.Pool{New: func() any { return new(promWriter) }}
+
+// WriteProm renders the exposition document. The plane's lock is held
+// only to read the two samples; the document is built and written
+// outside it, in one Write, so a slow reader delays no other render and
+// no scrape.
+func (p *Plane) WriteProm(w io.Writer) {
+	pw := promWriters.Get().(*promWriter)
+	pw.b = pw.b[:0]
+	p.render(pw)
+	w.Write(pw.b)
+	promWriters.Put(pw)
+}
+
+// render appends the exposition document of the latest sample to w.b.
+func (p *Plane) render(w *promWriter) {
 	p.mu.RLock()
 	cur, okCur := p.latest()
 	base, okBase := p.windowBase()
 	scrapes := p.scrapes
 	p.mu.RUnlock()
 
-	writeMeta(bw, "asi_up", "gauge", "whether the observability plane is serving")
-	writeSample(bw, "asi_up", "", 1)
-	writeMeta(bw, "asi_obs_scrapes_total", "counter", "telemetry samples stored")
-	writeSample(bw, "asi_obs_scrapes_total", "", float64(scrapes))
-	writeMeta(bw, "asi_obs_events_logged_total", "counter", "structured events appended to the bounded log")
-	writeSample(bw, "asi_obs_events_logged_total", "", float64(p.EventsLogged()))
-	writeMeta(bw, "asi_obs_events_dropped_total", "counter", "structured events evicted from the bounded log")
-	writeSample(bw, "asi_obs_events_dropped_total", "", float64(p.EventsDropped()))
+	w.fixed("asi_up", "gauge", "whether the observability plane is serving", 1)
+	w.fixed("asi_obs_scrapes_total", "counter", "telemetry samples stored", float64(scrapes))
+	w.fixed("asi_obs_events_logged_total", "counter", "structured events appended to the bounded log", float64(p.EventsLogged()))
+	w.fixed("asi_obs_events_dropped_total", "counter", "structured events evicted from the bounded log", float64(p.EventsDropped()))
 	if !okCur {
 		return
 	}
 
 	var sec float64
-	var delta telemetry.Snapshot
 	windowed := false
 	if okBase {
-		if sec = cur.Wall.Sub(base.Wall).Seconds(); sec > 0 {
-			delta = cur.Telemetry.Delta(base.Telemetry)
-			windowed = true
-		}
+		sec = cur.Wall.Sub(base.Wall).Seconds()
+		windowed = sec > 0
 	}
-	writeMeta(bw, "asi_obs_window_seconds", "gauge", "wall span of the rate window")
-	writeSample(bw, "asi_obs_window_seconds", "", sec)
-	writeMeta(bw, "asi_sim_time_ps", "gauge", "simulation clock, picoseconds")
-	writeSample(bw, "asi_sim_time_ps", "", float64(cur.SimPS))
+	w.fixed("asi_obs_window_seconds", "gauge", "wall span of the rate window", sec)
+	w.fixed("asi_sim_time_ps", "gauge", "simulation clock, picoseconds", float64(cur.SimPS))
 
-	deltaC := map[string]uint64{}
-	deltaH := map[string]telemetry.HistogramSnap{}
-	if windowed {
-		for _, c := range delta.Counters {
-			deltaC[c.Name] = c.Value
-		}
-		for _, v := range delta.Vectors {
-			deltaC[v.Name] += v.Value
-		}
-		for _, h := range delta.Histograms {
-			deltaH[h.Name] = h
-		}
-	}
-
+	tw := telemetry.NewWindow(cur.Telemetry, base.Telemetry)
 	for _, c := range cur.Telemetry.Counters {
-		name := promName(c.Name)
-		writeMeta(bw, name, "counter", "telemetry counter "+c.Name)
-		writeSample(bw, name, "", float64(c.Value))
+		w.named(c.Name)
+		w.meta("", "counter", "telemetry counter ", c.Name, "")
+		w.sample("", float64(c.Value))
 		if windowed {
-			writeMeta(bw, name+"_rate", "gauge", "windowed per-second rate of "+c.Name)
-			writeSample(bw, name+"_rate", "", float64(deltaC[c.Name])/sec)
+			w.meta("_rate", "gauge", "windowed per-second rate of ", c.Name, "")
+			w.sample("_rate", windowRate(&tw, c.Name, sec))
 		}
 	}
 	for _, g := range cur.Telemetry.Gauges {
-		name := promName(g.Name)
-		writeMeta(bw, name, "gauge", "telemetry gauge "+g.Name)
-		writeSample(bw, name, "", float64(g.Value))
+		w.named(g.Name)
+		w.meta("", "gauge", "telemetry gauge ", g.Name, "")
+		w.sample("", float64(g.Value))
 	}
 	lastVec := ""
-	for _, v := range cur.Telemetry.Vectors {
-		name := promName(v.Name)
+	for i, v := range cur.Telemetry.Vectors {
+		if i == 0 || v.Name != cur.Telemetry.Vectors[i-1].Name {
+			w.named(v.Name)
+		}
 		if v.Name != lastVec {
-			writeMeta(bw, name, "counter", "telemetry counter family "+v.Name)
+			w.meta("", "counter", "telemetry counter family ", v.Name, "")
 			lastVec = v.Name
 			if windowed {
-				writeMeta(bw, name+"_rate", "gauge", "windowed per-second rate of "+v.Name+" (all indices)")
-				writeSample(bw, name+"_rate", "", float64(deltaC[v.Name])/sec)
+				w.meta("_rate", "gauge", "windowed per-second rate of ", v.Name, " (all indices)")
+				w.sample("_rate", windowRate(&tw, v.Name, sec))
 			}
 		}
-		writeSample(bw, name, fmt.Sprintf(`index="%d"`, v.Index), float64(v.Value))
+		w.b = append(append(w.b, w.name...), `{index="`...)
+		w.b = strconv.AppendInt(w.b, int64(v.Index), 10)
+		w.b = append(w.b, `"}`...)
+		w.value(float64(v.Value))
 	}
 	for _, h := range cur.Telemetry.Histograms {
-		writeHistogram(bw, promName(h.Name), "telemetry histogram "+h.Name, h)
-		if dh, ok := deltaH[h.Name]; ok && dh.Count > 0 {
-			name := promName(h.Name)
-			writeMeta(bw, name+"_p50", "gauge", "windowed p50 of "+h.Name)
-			writeSample(bw, name+"_p50", "", dh.Quantile(0.50))
-			writeMeta(bw, name+"_p99", "gauge", "windowed p99 of "+h.Name)
-			writeSample(bw, name+"_p99", "", dh.Quantile(0.99))
+		w.named(h.Name)
+		w.histogram("telemetry histogram ", h.Name, h)
+		if !windowed {
+			continue
+		}
+		dh, ok := tw.Histogram(h.Name, w.counts)
+		w.counts = dh.Counts
+		if ok && dh.Count > 0 {
+			w.meta("_p50", "gauge", "windowed p50 of ", h.Name, "")
+			w.sample("_p50", dh.Quantile(0.50))
+			w.meta("_p99", "gauge", "windowed p99 of ", h.Name, "")
+			w.sample("_p99", dh.Quantile(0.99))
 		}
 	}
 
 	// Serving layer: generations, subscribers, the staleness SLO.
 	sv := cur.Serving
-	writeMeta(bw, "asi_rib_generation", "gauge", "current RIB generation")
-	writeSample(bw, "asi_rib_generation", "", float64(sv.Gen))
-	writeMeta(bw, "asi_rib_installs_total", "counter", "RIB generations installed")
-	writeSample(bw, "asi_rib_installs_total", "", float64(sv.Installs))
-	writeMeta(bw, "asi_rib_leaves", "gauge", "served leaves in the current generation")
-	writeSample(bw, "asi_rib_leaves", "", float64(sv.Leaves))
-	writeMeta(bw, "asi_rib_subscribers", "gauge", "live subscriptions")
-	writeSample(bw, "asi_rib_subscribers", "", float64(sv.Subscribers))
-	writeMeta(bw, "asi_rib_resyncs_total", "counter", "full-state resyncs forced by subscriber overflow")
-	writeSample(bw, "asi_rib_resyncs_total", "", float64(sv.Resyncs))
-	writeMeta(bw, "asi_rib_deliveries_total", "counter", "batches consumed by subscriber readers")
-	writeSample(bw, "asi_rib_deliveries_total", "", float64(sv.Deliveries))
-	writeMeta(bw, "asi_rib_staleness_generations", "gauge", "subscriber generation-lag percentiles (staleness SLO)")
-	writeSample(bw, "asi_rib_staleness_generations", `quantile="0.5"`, float64(sv.Staleness.P50))
-	writeSample(bw, "asi_rib_staleness_generations", `quantile="0.99"`, float64(sv.Staleness.P99))
-	writeSample(bw, "asi_rib_staleness_generations", `quantile="1"`, float64(sv.Staleness.Max))
+	w.fixed("asi_rib_generation", "gauge", "current RIB generation", float64(sv.Gen))
+	w.fixed("asi_rib_installs_total", "counter", "RIB generations installed", float64(sv.Installs))
+	w.fixed("asi_rib_leaves", "gauge", "served leaves in the current generation", float64(sv.Leaves))
+	w.fixed("asi_rib_subscribers", "gauge", "live subscriptions", float64(sv.Subscribers))
+	w.fixed("asi_rib_resyncs_total", "counter", "full-state resyncs forced by subscriber overflow", float64(sv.Resyncs))
+	w.fixed("asi_rib_deliveries_total", "counter", "batches consumed by subscriber readers", float64(sv.Deliveries))
+	w.name = append(w.name[:0], "asi_rib_staleness_generations"...)
+	w.meta("", "gauge", "subscriber generation-lag percentiles (staleness SLO)", "", "")
+	w.sample(`{quantile="0.5"}`, float64(sv.Staleness.P50))
+	w.sample(`{quantile="0.99"}`, float64(sv.Staleness.P99))
+	w.sample(`{quantile="1"}`, float64(sv.Staleness.Max))
 	if sv.DeliverLatency.Count > 0 || len(sv.DeliverLatency.Bounds) > 0 {
-		writeHistogram(bw, "asi_rib_deliver_latency_ns", "install-to-deliver wall latency, nanoseconds", sv.DeliverLatency)
+		w.name = append(w.name[:0], "asi_rib_deliver_latency_ns"...)
+		w.histogram("install-to-deliver wall latency, nanoseconds", "", sv.DeliverLatency)
 	}
 }
 
-// writeMeta emits the HELP/TYPE preamble of one metric.
-func writeMeta(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// windowRate is the windowed per-second rate exposed under one name: the
+// change of the counter and of every vector slot called name.
+func windowRate(tw *telemetry.Window, name string, sec float64) float64 {
+	c, _ := tw.Counter(name)
+	return float64(c+tw.Family(name)) / sec
 }
 
-// writeSample emits one sample line.
-func writeSample(w io.Writer, name, labels string, v float64) {
-	if labels != "" {
-		labels = "{" + labels + "}"
+// named makes the Prometheus name of a telemetry metric the current one:
+// the asi_ namespace prefix plus every rune outside [a-zA-Z0-9_] mapped
+// to '_' ("fm.rtt.port-read" -> "asi_fm_rtt_port_read").
+func (w *promWriter) named(metric string) {
+	w.name = append(w.name[:0], "asi_"...)
+	for _, r := range metric {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			w.name = append(w.name, byte(r))
+		default:
+			w.name = append(w.name, '_')
+		}
 	}
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(v))
 }
 
-// writeHistogram emits the _bucket/_sum/_count exposition of one
-// fixed-bucket histogram snapshot.
-func writeHistogram(w io.Writer, name, help string, h telemetry.HistogramSnap) {
-	writeMeta(w, name, "histogram", help)
+// fixed writes a metric with a literal name and one sample.
+func (w *promWriter) fixed(name, typ, help string, v float64) {
+	w.name = append(w.name[:0], name...)
+	w.meta("", typ, help, "", "")
+	w.sample("", v)
+}
+
+// meta writes the HELP/TYPE preamble of the current name plus suffix; the
+// help text is the concatenation of its three parts.
+func (w *promWriter) meta(suffix, typ, help, subject, tail string) {
+	w.b = append(w.b, "# HELP "...)
+	w.b = append(append(w.b, w.name...), suffix...)
+	w.b = append(append(append(append(w.b, ' '), help...), subject...), tail...)
+	w.b = append(w.b, "\n# TYPE "...)
+	w.b = append(append(w.b, w.name...), suffix...)
+	w.b = append(append(append(w.b, ' '), typ...), '\n')
+}
+
+// sample writes one sample line of the current name plus suffix (a name
+// suffix, a label set, or both).
+func (w *promWriter) sample(suffix string, v float64) {
+	w.b = append(append(w.b, w.name...), suffix...)
+	w.value(v)
+}
+
+// value ends a sample line with v the way Prometheus expects it (+Inf,
+// -Inf and NaN included).
+func (w *promWriter) value(v float64) {
+	w.b = strconv.AppendFloat(append(w.b, ' '), v, 'g', -1, 64)
+	w.b = append(w.b, '\n')
+}
+
+// count ends a sample line with an integer count.
+func (w *promWriter) count(n uint64) {
+	w.b = strconv.AppendUint(append(w.b, ' '), n, 10)
+	w.b = append(w.b, '\n')
+}
+
+// histogram writes the _bucket/_sum/_count exposition of one fixed-bucket
+// histogram snapshot under the current name.
+func (w *promWriter) histogram(help, subject string, h telemetry.HistogramSnap) {
+	w.meta("", "histogram", help, subject, "")
 	cum := uint64(0)
 	for i, b := range h.Bounds {
 		if i < len(h.Counts) {
 			cum += h.Counts[i]
 		}
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(float64(b)), cum)
+		w.b = append(append(w.b, w.name...), `_bucket{le="`...)
+		w.b = strconv.AppendFloat(w.b, float64(b), 'g', -1, 64)
+		w.b = append(w.b, `"}`...)
+		w.count(cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count)
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(float64(h.Sum)))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
-}
-
-// formatFloat renders a sample value the way Prometheus expects.
-func formatFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promName converts a telemetry metric name to a Prometheus-legal one:
-// the asi_ namespace prefix plus every non-[a-zA-Z0-9_] rune mapped to
-// '_' ("fm.rtt.port-read" -> "asi_fm_rtt_port_read").
-func promName(name string) string {
-	var b strings.Builder
-	b.Grow(len(name) + 4)
-	b.WriteString("asi_")
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
+	w.b = append(append(w.b, w.name...), `_bucket{le="+Inf"}`...)
+	w.count(h.Count)
+	w.sample("_sum", float64(h.Sum))
+	w.b = append(append(w.b, w.name...), "_count"...)
+	w.count(h.Count)
 }
 
 // PromPoint is one parsed exposition sample.

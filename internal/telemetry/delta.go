@@ -1,5 +1,12 @@
 package telemetry
 
+import (
+	"cmp"
+	"math"
+	"slices"
+	"strings"
+)
+
 // Windowed views over snapshots. The continuous observability plane
 // (internal/obs) scrapes a registry periodically and derives per-window
 // statistics by diffing successive snapshots: counter deltas become
@@ -21,67 +28,162 @@ package telemetry
 //     cumulative extrema, and Quantile must not trust them on a delta.
 //
 // Metrics absent from prev pass through unchanged (they were registered
-// inside the window); metrics absent from s are dropped.
+// inside the window); metrics absent from s are dropped. Where prev holds
+// a name (or vector slot) twice, its last entry is the one subtracted.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
+	w := NewWindow(s, prev)
 	var d Snapshot
-
-	prevC := make(map[string]uint64, len(prev.Counters))
-	for _, c := range prev.Counters {
-		prevC[c.Name] = c.Value
-	}
 	for _, c := range s.Counters {
-		v := c.Value
-		if old, ok := prevC[c.Name]; ok && old <= v {
-			v -= old
-		}
-		d.Counters = append(d.Counters, CounterSnap{Name: c.Name, Value: v})
+		d.Counters = append(d.Counters, CounterSnap{Name: c.Name, Value: w.counter(c)})
 	}
-
 	d.Gauges = append(d.Gauges, s.Gauges...)
-
-	type slot struct {
-		name string
-		idx  int
-	}
-	prevV := make(map[slot]uint64, len(prev.Vectors))
-	for _, v := range prev.Vectors {
-		prevV[slot{v.Name, v.Index}] = v.Value
-	}
 	for _, v := range s.Vectors {
-		val := v.Value
-		if old, ok := prevV[slot{v.Name, v.Index}]; ok && old <= val {
-			val -= old
-		}
-		if val != 0 {
+		if val := w.vector(v); val != 0 {
 			d.Vectors = append(d.Vectors, VecSnap{Name: v.Name, Index: v.Index, Value: val})
 		}
 	}
-
-	prevH := make(map[string]HistogramSnap, len(prev.Histograms))
-	for _, h := range prev.Histograms {
-		prevH[h.Name] = h
-	}
 	for _, h := range s.Histograms {
-		dh := HistogramSnap{
-			Name:   h.Name,
-			Unit:   h.Unit,
-			Count:  h.Count,
-			Sum:    h.Sum,
-			Bounds: h.Bounds,
-			Counts: append([]uint64(nil), h.Counts...),
-		}
-		if old, ok := prevH[h.Name]; ok && old.Count <= h.Count && len(old.Counts) == len(h.Counts) {
-			dh.Count -= old.Count
-			dh.Sum -= old.Sum
-			for i := range dh.Counts {
-				if old.Counts[i] <= dh.Counts[i] {
-					dh.Counts[i] -= old.Counts[i]
-				}
-			}
-		}
-		d.Histograms = append(d.Histograms, dh)
+		d.Histograms = append(d.Histograms, w.histogram(h, nil))
 	}
 	return d
+}
+
+// Window answers, metric by metric, what Cur.Delta(Prev) would report,
+// without building that snapshot or any index: the /metrics exposition
+// reads one window per render. A lookup binary-searches a section whose
+// entries strictly ascend by name (and index), as every Registry
+// snapshot's do, and scans any other section from its end.
+type Window struct {
+	Cur, Prev Snapshot
+	// sorted flags the strictly ascending sections: [0] of Cur, [1] of
+	// Prev, each holding counters, vectors, histograms.
+	sorted [2][3]bool
+}
+
+// NewWindow prepares the lookups of the change from prev to cur.
+func NewWindow(cur, prev Snapshot) Window {
+	w := Window{Cur: cur, Prev: prev}
+	for i, s := range [2]Snapshot{cur, prev} {
+		w.sorted[i] = [3]bool{ascending(s.Counters, cmpCounter), ascending(s.Vectors, cmpVec), ascending(s.Histograms, cmpHist)}
+	}
+	return w
+}
+
+// Counter returns the change of the counter called name, as Delta reports
+// it for the last such counter in Cur; ok is false when Cur has none.
+func (w *Window) Counter(name string) (delta uint64, ok bool) {
+	i := find(w.Cur.Counters, CounterSnap{Name: name}, w.sorted[0][0], cmpCounter)
+	if i < 0 {
+		return 0, false
+	}
+	return w.counter(w.Cur.Counters[i]), true
+}
+
+// Family returns the summed change of every vector slot called name: the
+// counter family's windowed total.
+func (w *Window) Family(name string) (sum uint64) {
+	vs, sorted := w.Cur.Vectors, w.sorted[0][1]
+	if sorted {
+		lo, _ := slices.BinarySearchFunc(vs, VecSnap{Name: name, Index: math.MinInt}, cmpVec)
+		vs = vs[lo:]
+	}
+	for _, v := range vs {
+		if v.Name == name {
+			sum += w.vector(v)
+		} else if sorted {
+			break
+		}
+	}
+	return sum
+}
+
+// Histogram returns the change of the histogram called name, as Delta
+// reports it for the last such histogram in Cur, with its bucket counts
+// written into counts' backing array when it is large enough; ok is false
+// when Cur has none.
+func (w *Window) Histogram(name string, counts []uint64) (delta HistogramSnap, ok bool) {
+	i := find(w.Cur.Histograms, HistogramSnap{Name: name}, w.sorted[0][2], cmpHist)
+	if i < 0 {
+		return HistogramSnap{}, false
+	}
+	return w.histogram(w.Cur.Histograms[i], counts), true
+}
+
+// counter is c's change against Prev.
+func (w *Window) counter(c CounterSnap) uint64 {
+	if i := find(w.Prev.Counters, c, w.sorted[1][0], cmpCounter); i >= 0 && w.Prev.Counters[i].Value <= c.Value {
+		return c.Value - w.Prev.Counters[i].Value
+	}
+	return c.Value
+}
+
+// vector is slot v's change against Prev.
+func (w *Window) vector(v VecSnap) uint64 {
+	if i := find(w.Prev.Vectors, v, w.sorted[1][1], cmpVec); i >= 0 && w.Prev.Vectors[i].Value <= v.Value {
+		return v.Value - w.Prev.Vectors[i].Value
+	}
+	return v.Value
+}
+
+// histogram is h's change against Prev, its counts appended to counts[:0].
+func (w *Window) histogram(h HistogramSnap, counts []uint64) HistogramSnap {
+	d := HistogramSnap{
+		Name:   h.Name,
+		Unit:   h.Unit,
+		Count:  h.Count,
+		Sum:    h.Sum,
+		Bounds: h.Bounds,
+		Counts: append(counts[:0], h.Counts...),
+	}
+	i := find(w.Prev.Histograms, h, w.sorted[1][2], cmpHist)
+	if i < 0 {
+		return d
+	}
+	if old := w.Prev.Histograms[i]; old.Count <= h.Count && len(old.Counts) == len(h.Counts) {
+		d.Count -= old.Count
+		d.Sum -= old.Sum
+		for j := range d.Counts {
+			if old.Counts[j] <= d.Counts[j] {
+				d.Counts[j] -= old.Counts[j]
+			}
+		}
+	}
+	return d
+}
+
+// find returns the index of the last entry of s that compares equal to x,
+// or -1: a binary search when s strictly ascends, a backward scan
+// otherwise.
+func find[T any](s []T, x T, sorted bool, cmp func(a, b T) int) int {
+	if sorted {
+		if i, ok := slices.BinarySearchFunc(s, x, cmp); ok {
+			return i
+		}
+		return -1
+	}
+	for i := len(s) - 1; i >= 0; i-- {
+		if cmp(s[i], x) == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// ascending reports whether s strictly ascends under cmp.
+func ascending[T any](s []T, cmp func(a, b T) int) bool {
+	for i := 1; i < len(s); i++ {
+		if cmp(s[i-1], s[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// The orders of the snapshot sections: by name, vector slots then by index.
+func cmpCounter(a, b CounterSnap) int { return strings.Compare(a.Name, b.Name) }
+func cmpHist(a, b HistogramSnap) int  { return strings.Compare(a.Name, b.Name) }
+func cmpVec(a, b VecSnap) int {
+	return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Index, b.Index))
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the histogram by

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -139,4 +142,156 @@ func TestCounterSetTotalAndVecSet(t *testing.T) {
 	nilC.SetTotal(1)
 	var nilV *CounterVec
 	nilV.Set(0, 1)
+}
+
+// deltaRef is the map-based Delta the Window replaced, kept as the
+// referee: Delta and every Window lookup must agree with it on any pair
+// of snapshots, sorted or not, with repeated names or not.
+func deltaRef(s, prev Snapshot) Snapshot {
+	var d Snapshot
+	prevC := make(map[string]uint64, len(prev.Counters))
+	for _, c := range prev.Counters {
+		prevC[c.Name] = c.Value
+	}
+	for _, c := range s.Counters {
+		v := c.Value
+		if old, ok := prevC[c.Name]; ok && old <= v {
+			v -= old
+		}
+		d.Counters = append(d.Counters, CounterSnap{Name: c.Name, Value: v})
+	}
+	d.Gauges = append(d.Gauges, s.Gauges...)
+	type slot struct {
+		name string
+		idx  int
+	}
+	prevV := make(map[slot]uint64, len(prev.Vectors))
+	for _, v := range prev.Vectors {
+		prevV[slot{v.Name, v.Index}] = v.Value
+	}
+	for _, v := range s.Vectors {
+		val := v.Value
+		if old, ok := prevV[slot{v.Name, v.Index}]; ok && old <= val {
+			val -= old
+		}
+		if val != 0 {
+			d.Vectors = append(d.Vectors, VecSnap{Name: v.Name, Index: v.Index, Value: val})
+		}
+	}
+	prevH := make(map[string]HistogramSnap, len(prev.Histograms))
+	for _, h := range prev.Histograms {
+		prevH[h.Name] = h
+	}
+	for _, h := range s.Histograms {
+		dh := HistogramSnap{
+			Name:   h.Name,
+			Unit:   h.Unit,
+			Count:  h.Count,
+			Sum:    h.Sum,
+			Bounds: h.Bounds,
+			Counts: append([]uint64(nil), h.Counts...),
+		}
+		if old, ok := prevH[h.Name]; ok && old.Count <= h.Count && len(old.Counts) == len(h.Counts) {
+			dh.Count -= old.Count
+			dh.Sum -= old.Sum
+			for i := range dh.Counts {
+				if old.Counts[i] <= dh.Counts[i] {
+					dh.Counts[i] -= old.Counts[i]
+				}
+			}
+		}
+		d.Histograms = append(d.Histograms, dh)
+	}
+	return d
+}
+
+// randomSnapshot draws a snapshot over a small name pool: name-sorted
+// like a registry's, or shuffled, or with repeated names and slots.
+func randomSnapshot(rng *rand.Rand, shape int) Snapshot {
+	names := []string{"", "a", "a.b", "b", "c", "zz"}
+	name := func() string { return names[rng.Intn(len(names))] }
+	var s Snapshot
+	if shape == 0 { // a registry's: sorted, each name once per kind
+		r := New()
+		for i := rng.Intn(6); i > 0; i-- {
+			r.Counter(name()).Add(uint64(rng.Intn(20)))
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			r.Gauge(name()).Set(rng.Int63n(10) - 5)
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			r.CounterVec(name(), 4).Add(rng.Intn(4), uint64(rng.Intn(20)))
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			h := r.Histogram(name(), "ps", []int64{5, 50})
+			for j := rng.Intn(8); j > 0; j-- {
+				h.Observe(rng.Int63n(100))
+			}
+		}
+		return r.Snapshot()
+	}
+	for i := rng.Intn(8); i > 0; i-- {
+		s.Counters = append(s.Counters, CounterSnap{Name: name(), Value: uint64(rng.Intn(20))})
+	}
+	for i := rng.Intn(8); i > 0; i-- {
+		s.Vectors = append(s.Vectors, VecSnap{Name: name(), Index: rng.Intn(3), Value: uint64(rng.Intn(20))})
+	}
+	for i := rng.Intn(5); i > 0; i-- {
+		n := 1 + rng.Intn(3)
+		h := HistogramSnap{Name: name(), Bounds: make([]int64, n-1), Counts: make([]uint64, n)}
+		for j := range h.Counts {
+			h.Counts[j] = uint64(rng.Intn(9))
+			h.Count += h.Counts[j]
+		}
+		h.Sum = int64(rng.Intn(1000))
+		s.Histograms = append(s.Histograms, h)
+	}
+	if shape == 1 { // sorted, but names may repeat
+		slices.SortStableFunc(s.Counters, cmpCounter)
+		slices.SortStableFunc(s.Vectors, cmpVec)
+		slices.SortStableFunc(s.Histograms, cmpHist)
+	}
+	return s
+}
+
+func TestDeltaAndWindowMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		cur, prev := randomSnapshot(rng, rng.Intn(3)), randomSnapshot(rng, rng.Intn(3))
+		want := deltaRef(cur, prev)
+		if got := cur.Delta(prev); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Delta\n got %+v\nwant %+v\n(cur %+v, prev %+v)", trial, got, want, cur, prev)
+		}
+		// The exposition's by-name reads: the last entry of a name wins,
+		// a family sums every slot of its name.
+		lastC, family, lastH := map[string]uint64{}, map[string]uint64{}, map[string]HistogramSnap{}
+		for _, c := range want.Counters {
+			lastC[c.Name] = c.Value
+		}
+		for _, v := range want.Vectors {
+			family[v.Name] += v.Value
+		}
+		for _, h := range want.Histograms {
+			lastH[h.Name] = h
+		}
+		w := NewWindow(cur, prev)
+		var buf []uint64
+		for _, name := range []string{"", "a", "a.b", "b", "c", "zz", "absent"} {
+			c, ok := w.Counter(name)
+			if wc, wok := lastC[name]; c != wc || ok != wok {
+				t.Fatalf("trial %d: Counter(%q) = %d, %v; want %d, %v", trial, name, c, ok, wc, wok)
+			}
+			if got := w.Family(name); got != family[name] {
+				t.Fatalf("trial %d: Family(%q) = %d, want %d", trial, name, got, family[name])
+			}
+			h, ok := w.Histogram(name, buf)
+			buf = h.Counts
+			if len(h.Counts) == 0 {
+				h.Counts = nil // written into buf: empty, not nil
+			}
+			if wh, wok := lastH[name]; ok != wok || !reflect.DeepEqual(h, wh) {
+				t.Fatalf("trial %d: Histogram(%q) = %+v, %v; want %+v, %v", trial, name, h, ok, wh, wok)
+			}
+		}
+	}
 }

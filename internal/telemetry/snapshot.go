@@ -47,42 +47,61 @@ type HistogramSnap struct {
 }
 
 // Snapshot captures every registered metric. A nil registry snapshots to
-// the zero Snapshot.
+// the zero Snapshot. Each non-empty section is allocated once at its final
+// size, and each histogram copies its counts; a histogram's Bounds are
+// shared with the registry, which never changes them.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
-	for _, name := range sortedNames(r.counters) {
-		c := r.counters[name]
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.v})
+	s.Counters = sized[CounterSnap](len(r.counters))
+	for _, c := range r.counters {
+		s.Counters = append(s.Counters, CounterSnap{Name: c.name, Value: c.v})
 	}
-	for _, name := range sortedNames(r.gauges) {
-		g := r.gauges[name]
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.v})
+	s.Gauges = sized[GaugeSnap](len(r.gauges))
+	for _, g := range r.gauges {
+		s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name, Value: g.v})
 	}
-	for _, name := range sortedNames(r.vecs) {
-		v := r.vecs[name]
-		for i, val := range v.vals {
+	nonzero := 0
+	for _, v := range r.vecs {
+		for _, val := range v.vals {
 			if val != 0 {
-				s.Vectors = append(s.Vectors, VecSnap{Name: name, Index: i, Value: val})
+				nonzero++
 			}
 		}
 	}
-	for _, name := range sortedNames(r.hists) {
-		h := r.hists[name]
+	s.Vectors = sized[VecSnap](nonzero)
+	for _, v := range r.vecs {
+		for i, val := range v.vals {
+			if val != 0 {
+				s.Vectors = append(s.Vectors, VecSnap{Name: v.name, Index: i, Value: val})
+			}
+		}
+	}
+	s.Histograms = sized[HistogramSnap](len(r.hists))
+	for _, h := range r.hists {
 		s.Histograms = append(s.Histograms, HistogramSnap{
-			Name:   name,
+			Name:   h.name,
 			Unit:   h.unit,
 			Count:  h.count,
 			Sum:    h.sum,
 			Min:    h.min,
 			Max:    h.max,
-			Bounds: append([]int64(nil), h.bounds...),
+			Bounds: h.bounds,
 			Counts: append([]uint64(nil), h.counts...),
 		})
 	}
 	return s
+}
+
+// sized returns an empty slice with room for n entries, nil when n is 0
+// so an empty section stays absent.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // Counter returns the named counter's snapshot value and whether it was

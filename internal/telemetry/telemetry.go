@@ -24,7 +24,8 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Registry holds the metrics of one simulation run, keyed by name.
@@ -34,21 +35,27 @@ import (
 // off" registry: every constructor returns a nil metric, and nil metrics
 // ignore observations.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	vecs     map[string]*CounterVec
-	hists    map[string]*Histogram
+	// Each kind's metrics in name order: constructors binary-search them
+	// and a snapshot walks them without sorting.
+	counters []*Counter
+	gauges   []*Gauge
+	vecs     []*CounterVec
+	hists    []*Histogram
 }
 
 // New returns an empty registry.
-func New() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		vecs:     make(map[string]*CounterVec),
-		hists:    make(map[string]*Histogram),
-	}
+func New() *Registry { return &Registry{} }
+
+// lookup finds the metric called name in the name-ordered ms: its index,
+// or the index it would be inserted at, and whether it is there.
+func lookup[M interface{ metricName() string }](ms []M, name string) (int, bool) {
+	return slices.BinarySearchFunc(ms, name, func(m M, name string) int { return strings.Compare(m.metricName(), name) })
 }
+
+func (c *Counter) metricName() string    { return c.name }
+func (g *Gauge) metricName() string      { return g.name }
+func (v *CounterVec) metricName() string { return v.name }
+func (h *Histogram) metricName() string  { return h.name }
 
 // Counter returns the named counter, creating it on first use. Returns
 // nil on a nil registry.
@@ -56,12 +63,11 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c, ok := r.counters[name]
+	i, ok := lookup(r.counters, name)
 	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
+		r.counters = slices.Insert(r.counters, i, &Counter{name: name})
 	}
-	return c
+	return r.counters[i]
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil on
@@ -70,12 +76,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g, ok := r.gauges[name]
+	i, ok := lookup(r.gauges, name)
 	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
+		r.gauges = slices.Insert(r.gauges, i, &Gauge{name: name})
 	}
-	return g
+	return r.gauges[i]
 }
 
 // CounterVec returns the named indexed counter family of n slots,
@@ -85,16 +90,15 @@ func (r *Registry) CounterVec(name string, n int) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	v, ok := r.vecs[name]
+	i, ok := lookup(r.vecs, name)
 	if !ok {
-		v = &CounterVec{name: name, vals: make([]uint64, n)}
-		r.vecs[name] = v
-	} else if len(v.vals) < n {
+		r.vecs = slices.Insert(r.vecs, i, &CounterVec{name: name, vals: make([]uint64, n)})
+	} else if v := r.vecs[i]; len(v.vals) < n {
 		grown := make([]uint64, n)
 		copy(grown, v.vals)
 		v.vals = grown
 	}
-	return v
+	return r.vecs[i]
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it on
@@ -106,22 +110,21 @@ func (r *Registry) Histogram(name, unit string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	h, ok := r.hists[name]
+	i, ok := lookup(r.hists, name)
 	if !ok {
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending at %d", name, i))
+		for j := 1; j < len(bounds); j++ {
+			if bounds[j] <= bounds[j-1] {
+				panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending at %d", name, j))
 			}
 		}
-		h = &Histogram{
+		r.hists = slices.Insert(r.hists, i, &Histogram{
 			name:   name,
 			unit:   unit,
 			bounds: append([]int64(nil), bounds...),
 			counts: make([]uint64, len(bounds)+1),
-		}
-		r.hists[name] = h
+		})
 	}
-	return h
+	return r.hists[i]
 }
 
 // Reset zeroes every registered metric, keeping registrations. A no-op on
@@ -330,14 +333,4 @@ func (h *Histogram) reset() {
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
-}
-
-// sortedNames returns map keys in deterministic order for snapshots.
-func sortedNames[T any](m map[string]T) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
