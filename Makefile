@@ -27,7 +27,8 @@
 #                                  printed, never gated)
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness,
-#                   the RIB, the event queue and the topology namer
+#                   the RIB, the event queue, the topology namer and the
+#                   wire decoders
 #   make bench    - figure, engine and topology benchmarks -> BENCH_sim.json
 #                   (benchstat-compatible raw lines plus parsed metrics,
 #                   with results/bench_baseline.txt embedded as the
@@ -45,12 +46,12 @@ BENCHTIME ?= 3x
 BENCHCOUNT ?= 5
 BENCH_BASELINE ?= results/bench_baseline.txt
 # The FM-database ledger's before section: the same benchmarks on the
-# parent of the latest change to them (a fresh search tree and route per
-# device on every path refresh).
+# parent of the latest change to them (a Clone that deep-copied the
+# database).
 BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
-# The serving ledger's before section: the same benchmarks on the commit
-# before the change-driven install (every generation built from scratch,
-# every delta filtered per subscriber).
+# The serving ledger's before section: the same benchmarks on the parent
+# of the copy-on-write install (a deep Clone, a copied leaf map and a
+# fresh search tree per generation).
 BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
 # The observation ledger's before section: the same benchmarks on the
 # commit before the append-based /metrics render and the presized
@@ -139,9 +140,11 @@ span-smoke:
 # fabric's BenchmarkForward/off) at zero allocations, fabric.New within
 # its bytes-per-device-or-link budget, one cold Parallel discovery within
 # its bytes budget, the link and request records within their sizes, and
-# the serving layer's fan-out: queueing and delivering a generation at
-# zero, one install at well under one allocation per extra subscriber;
-# the observation path: a path refresh of an unchanged database at the
+# the serving layer: a Clone at the same allocations on any fabric and a
+# write after it at the two maps plus the one device it touches, one
+# install of the 8x8 torus within its bytes budget, queueing and
+# delivering a generation at zero, one install at well under one
+# allocation per extra subscriber; the observation path: a path refresh of an unchanged database at the
 # node list, a /metrics render at two at most, a registry snapshot at one
 # allocation per section plus one per histogram.
 alloc-check:
@@ -174,7 +177,9 @@ chaos-par-smoke:
 # FuzzQueueOrder replays schedule/cancel/step/run-until streams against a
 # sorted-slice reference of the engine's two-tier queue. FuzzParseName
 # builds every legal name it finds and checks the port table against the
-# cabling.
+# cabling. The four asi targets are the wire decoders' fuzz wall: no
+# panic, no read past the input, and what a decoder accepts re-encodes
+# byte for byte.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME)
@@ -183,6 +188,10 @@ fuzz:
 	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzInstallChangeSets$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topo -run '^$$' -fuzz '^FuzzParseName$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePacket$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePI4$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePI5$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME)
 
 # daemon-smoke proves the FM daemon's serving layer end to end: an
 # in-process asifmd manages a fat-tree under scripted churn while 1000

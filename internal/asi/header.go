@@ -101,6 +101,8 @@ func EncodeHeader(h RouteHeader) []byte {
 }
 
 // DecodeHeader unpacks a route header, verifying length and header CRC.
+// It accepts exactly what EncodeHeader produces: reserved flag bits and
+// framing bytes, and a multicast header's unused pool bytes, are zero.
 func DecodeHeader(b []byte) (RouteHeader, error) {
 	var h RouteHeader
 	if len(b) < HeaderWireSize {
@@ -111,8 +113,10 @@ func DecodeHeader(b []byte) (RouteHeader, error) {
 	}
 	flags := b[9]
 	h.Multicast = flags&flagMC != 0
+	reserved := flags&^(flagDir|flagOO|flagTS|flagMC) != 0 || b[12] != 0 || b[13] != 0
 	if h.Multicast {
 		h.MGID = binary.BigEndian.Uint16(b[6:8])
+		reserved = reserved || binary.BigEndian.Uint64(b[0:8])>>16 != 0 || b[8] != 0
 	} else {
 		h.TurnPool = binary.BigEndian.Uint64(b[0:8])
 		h.TurnPointer = b[8]
@@ -125,6 +129,9 @@ func DecodeHeader(b []byte) (RouteHeader, error) {
 	h.CreditsRequired = b[11] >> 3
 	if h.TurnPointer > TurnPoolBits {
 		return h, fmt.Errorf("asi: turn pointer %d exceeds pool width %d", h.TurnPointer, TurnPoolBits)
+	}
+	if reserved {
+		return h, fmt.Errorf("asi: header sets reserved bits")
 	}
 	return h, nil
 }

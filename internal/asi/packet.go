@@ -86,7 +86,8 @@ func (p *Packet) WireSize() int {
 }
 
 // Encode serializes the full packet, including the link-layer CRC-32 over
-// header and payload.
+// header and payload. A packet with no payload is its header alone, with
+// the header's own PI.
 func (p *Packet) Encode() ([]byte, error) {
 	var body []byte
 	var err error
@@ -109,7 +110,9 @@ func (p *Packet) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("asi: cannot encode payload type %T", p.Payload)
 	}
 	hdr := p.Header
-	hdr.PI = p.Payload.ProtocolInterface()
+	if p.Payload != nil {
+		hdr.PI = p.Payload.ProtocolInterface()
+	}
 	out := append(EncodeHeader(hdr), body...)
 	crc := crc32.ChecksumIEEE(out)
 	var tr [packetTrailerSize]byte

@@ -112,7 +112,9 @@ func EncodePI4(p PI4) ([]byte, error) {
 	return b, nil
 }
 
-// DecodePI4 parses a PI-4 payload.
+// DecodePI4 parses a PI-4 payload. It accepts exactly what EncodePI4
+// produces: the declared blocks and nothing after them, and a read
+// request's count in range.
 func DecodePI4(b []byte) (PI4, error) {
 	var p PI4
 	if len(b) < pi4FixedSize {
@@ -127,8 +129,11 @@ func DecodePI4(b []byte) (PI4, error) {
 	if n > MaxReadBlocks {
 		return p, fmt.Errorf("asi: PI-4 payload declares %d blocks, limit %d", n, MaxReadBlocks)
 	}
-	if len(b) < pi4FixedSize+4*n {
-		return p, fmt.Errorf("asi: PI-4 payload truncated: have %d bytes, need %d", len(b), pi4FixedSize+4*n)
+	if len(b) != pi4FixedSize+4*n {
+		return p, fmt.Errorf("asi: PI-4 payload is %d bytes, its %d blocks need %d", len(b), n, pi4FixedSize+4*n)
+	}
+	if p.Op == PI4ReadRequest && (p.Count == 0 || p.Count > MaxReadBlocks) {
+		return p, fmt.Errorf("asi: PI-4 read request count %d out of range 1..%d", p.Count, MaxReadBlocks)
 	}
 	if n > 0 {
 		p.Data = make([]uint32, n)

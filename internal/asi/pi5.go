@@ -55,11 +55,11 @@ func EncodePI5(p PI5) []byte {
 	return b
 }
 
-// DecodePI5 parses a PI-5 payload.
+// DecodePI5 parses a PI-5 payload, exactly pi5Size bytes.
 func DecodePI5(b []byte) (PI5, error) {
 	var p PI5
-	if len(b) < pi5Size {
-		return p, fmt.Errorf("asi: PI-5 payload too short: %d bytes", len(b))
+	if len(b) != pi5Size {
+		return p, fmt.Errorf("asi: PI-5 payload is %d bytes, want %d", len(b), pi5Size)
 	}
 	p.Code = PI5EventCode(b[0])
 	p.Port = b[1]

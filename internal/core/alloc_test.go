@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 	"unsafe"
 
@@ -94,5 +95,43 @@ func TestRefreshPathsAllocBudget(t *testing.T) {
 	}
 	if m.res.PacketsSent != sent {
 		t.Errorf("refreshing an unchanged database sent %d verification reads, want 0", m.res.PacketsSent-sent)
+	}
+}
+
+// TestCloneAllocBudget pins what freezing a generation costs: Clone
+// allocates the same on the 8x8 torus and on dragonfly 16x64, and the
+// first write after it copies the two maps and the one device it touches
+// — its Node, its port flags, its adjacency — and nothing else.
+func TestCloneAllocBudget(t *testing.T) {
+	var clones []float64
+	for _, name := range []string{"8x8 torus", "dragonfly 16x64"} {
+		tp, err := topo.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _, m := setup(t, tp, Parallel)
+		runDiscovery(t, e, m)
+		db := m.DB()
+		var frozen *DB
+		clone := testing.AllocsPerRun(20, func() { frozen = db.Clone() })
+		clones = append(clones, clone)
+		mapsOnly := testing.AllocsPerRun(20, func() { _, _ = maps.Clone(db.nodes), maps.Clone(db.adj) })
+		dsn := db.NeighborsOf(db.HostDSN)[0].DSN // the host's switch: a node, flags and an adjacency
+		write := testing.AllocsPerRun(20, func() {
+			frozen = db.Clone()
+			db.writable(dsn).Validated++
+		})
+		t.Logf("%s: Clone %.0f allocs; a write after it %.0f, of which the two maps %.0f", name, clone, write, mapsOnly)
+		// The device's three copies; the owned set is cleared, not remade.
+		if extra := write - clone - mapsOnly; extra > 3 {
+			t.Errorf("%s: a write after Clone allocates %.0f beyond the clone (%.0f) and the two map copies (%.0f), want <= 3",
+				name, extra, clone, mapsOnly)
+		}
+		if frozen.Node(dsn) == db.Node(dsn) || frozen.Node(dsn).Validated == db.Node(dsn).Validated {
+			t.Errorf("%s: the write after Clone reached the frozen copy", name)
+		}
+	}
+	if clones[0] != clones[1] {
+		t.Errorf("Clone allocates %.0f on the 8x8 torus and %.0f on dragonfly 16x64, want the same", clones[0], clones[1])
 	}
 }

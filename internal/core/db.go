@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/asi"
@@ -87,21 +88,32 @@ func (l Link) ends() (a, b Neighbor) {
 // so it decides every shortest-path tie-break and therefore every source
 // route. The canonical end of a link — the device whose adjacency speaks
 // for it in Links, Fingerprint and DiffDBs — is its normalized A end.
-// AddLink, RemoveLink, RemoveNode and Clone are the only writers.
+//
+// Clone shares: the two databases hold the same maps, Node entries and
+// adjacency slices until one of them writes. Every writer — AddNode,
+// RemoveNode, index, unindex and the package's direct Node field writes,
+// which fetch the entry through writable — goes through own first, which
+// copies the two maps on the first write after a Clone and then the one
+// device it touches, so neither side ever sees the other's writes.
 type DB struct {
 	// HostDSN is the endpoint hosting the FM.
 	HostDSN  asi.DSN
 	nodes    map[asi.DSN]*Node
 	adj      map[asi.DSN][]Neighbor
 	numLinks int
+	// shared is set by Clone on both databases while they hold the same
+	// maps. owned lists the devices whose Node and adjacency this database
+	// has copied since it last shared them; it stays nil until the first
+	// write after a Clone, so a database never cloned owns everything.
+	shared bool
+	owned  map[asi.DSN]struct{}
 }
 
 // NewDB returns an empty database for an FM hosted on the given endpoint.
 func NewDB(host asi.DSN) *DB { return newDB(host, 0) }
 
 // newDB returns an empty database with room for the given number of
-// devices: a clone knows it, and a rediscovery expects about what the
-// database it replaces held.
+// devices: a rediscovery expects about what the database it replaces held.
 func newDB(host asi.DSN, nodes int) *DB {
 	return &DB{
 		HostDSN: host,
@@ -185,31 +197,63 @@ func sortLinks(ls []Link) {
 	})
 }
 
-// Clone deep-copies the database: node entries (including their paths
-// and per-port attribute slices), the link set and its adjacency index
-// share nothing with the original. The serving layer uses it to freeze a
-// discovery result into an immutable RIB snapshot while the manager keeps
-// mutating its live database (partial assimilation edits entries in
-// place).
+// Clone freezes the database for a reader while the caller keeps
+// writing it: the serving layer takes one per generation, and the manager
+// goes on assimilating into its own. It allocates the same on any fabric:
+// the clone shares every map, Node and adjacency slice, and the first
+// write on either side copies what it touches (see own). Clone marks the
+// receiver shared, so it must not race with the receiver's writers.
 func (db *DB) Clone() *DB {
-	out := newDB(db.HostDSN, len(db.nodes))
-	out.numLinks = db.numLinks
-	for dsn, n := range db.nodes {
+	db.shared = true
+	return &DB{HostDSN: db.HostDSN, nodes: db.nodes, adj: db.adj, numLinks: db.numLinks, shared: true}
+}
+
+// own readies a device's Node and adjacency for a write in place. After a
+// Clone, the first write copies the two maps, and each device's first
+// write copies its Node, its port flags and its adjacency; a database
+// never cloned pays one branch.
+func (db *DB) own(dsn asi.DSN) {
+	if db.owned == nil && !db.shared {
+		return
+	}
+	db.unshare()
+	if _, ok := db.owned[dsn]; ok {
+		return
+	}
+	db.owned[dsn] = struct{}{}
+	if n := db.nodes[dsn]; n != nil {
 		c := *n
-		c.Path = append(route.Path(nil), n.Path...)
-		c.PortKnown = append([]bool(nil), n.PortKnown...)
-		c.PortActive = append([]bool(nil), n.PortActive...)
-		out.nodes[dsn] = &c
+		if len(n.PortKnown)+len(n.PortActive) > 0 {
+			flags := append(append(make([]bool, 0, len(n.PortKnown)+len(n.PortActive)), n.PortKnown...), n.PortActive...)
+			c.PortKnown, c.PortActive = flags[:len(n.PortKnown):len(n.PortKnown)], flags[len(n.PortKnown):]
+		}
+		db.nodes[dsn] = &c
 	}
-	// One backing array holds every device's adjacency; each slice's
-	// capacity ends with its own entries, so a later AddLink on the
-	// clone reallocates that device's slice, never spills into the next.
-	ends := make([]Neighbor, 0, 2*db.numLinks)
-	for dsn, nbs := range db.adj {
-		ends = append(ends, nbs...)
-		out.adj[dsn] = ends[len(ends)-len(nbs) : len(ends) : len(ends)]
+	if nbs, ok := db.adj[dsn]; ok {
+		db.adj[dsn] = slices.Clone(nbs)
 	}
-	return out
+}
+
+// unshare gives the database its own two maps if it shares them with a
+// clone; it owns no device until it copies one.
+func (db *DB) unshare() {
+	if !db.shared {
+		return
+	}
+	db.nodes, db.adj = maps.Clone(db.nodes), maps.Clone(db.adj)
+	db.shared = false
+	if db.owned == nil {
+		db.owned = make(map[asi.DSN]struct{})
+	} else {
+		clear(db.owned)
+	}
+}
+
+// writable returns a device's entry, or nil, ready for its fields to be
+// written in place.
+func (db *DB) writable(dsn asi.DSN) *Node {
+	db.own(dsn)
+	return db.nodes[dsn]
 }
 
 // Fingerprint hashes the database's topology content — the node set
@@ -252,6 +296,7 @@ func (db *DB) AddNode(n *Node) bool {
 	if _, ok := db.nodes[n.DSN]; ok {
 		return false
 	}
+	db.own(n.DSN)
 	db.nodes[n.DSN] = n
 	return true
 }
@@ -259,6 +304,7 @@ func (db *DB) AddNode(n *Node) bool {
 // RemoveNode deletes a device and all links touching it (used by partial
 // rediscovery when pruning an unreachable region).
 func (db *DB) RemoveNode(dsn asi.DSN) {
+	db.unshare()
 	delete(db.nodes, dsn)
 	for _, nb := range db.adj[dsn] {
 		// A cable between two of dsn's own ports is listed under both
@@ -345,6 +391,7 @@ func (a Neighbor) before(b Neighbor) bool {
 // device's first entry sizes the slice from its port count, so a device
 // with one cable per port never regrows it.
 func (db *DB) index(dsn asi.DSN, nb Neighbor) {
+	db.own(dsn)
 	nbs, ok := db.adj[dsn]
 	if !ok {
 		ports := 1
@@ -365,14 +412,14 @@ func (db *DB) index(dsn asi.DSN, nb Neighbor) {
 // unindex removes one link end from a device's adjacency and reports
 // whether it was there.
 func (db *DB) unindex(dsn asi.DSN, nb Neighbor) bool {
-	nbs := db.adj[dsn]
-	i := slices.Index(nbs, nb)
-	switch {
-	case i < 0:
+	i := slices.Index(db.adj[dsn], nb)
+	if i < 0 {
 		return false
-	case len(nbs) == 1:
+	}
+	db.own(dsn)
+	if nbs := db.adj[dsn]; len(nbs) == 1 {
 		delete(db.adj, dsn)
-	default:
+	} else {
 		db.adj[dsn] = slices.Delete(nbs, i, i+1)
 	}
 	return true
@@ -441,17 +488,17 @@ func (db *DB) PathBetween(src, dst asi.DSN) route.Path {
 // database graph: built once in O(devices + links), it then answers
 // PathTo for any target in O(hops). It is a snapshot — it holds no
 // reference to the database and does not follow later mutations — so the
-// per-device passes build one per pass: FIB derivation and the distributed
-// merge drop theirs, the path refresh rebuilds its Manager's in place. The
-// database itself never caches one, because a served snapshot's DB is read
-// concurrently and queries must not write.
+// per-device passes build one per pass: the distributed merge drops its
+// own, the path refresh and the RIB's FIB update each rebuild one they
+// keep (RebuildTree). The database itself never caches one, because a
+// served snapshot's DB is read concurrently and queries must not write.
 type PathTree struct {
 	src asi.DSN
 	// rooted is false when src is not in the database.
 	rooted bool
 	prev   map[asi.DSN]pred
 	// queue is the search's work list, kept only by a tree that is rebuilt
-	// in place (Manager.refreshPaths), so a warm rebuild allocates nothing.
+	// in place, so a warm rebuild allocates nothing.
 	queue []*Node
 }
 
@@ -471,14 +518,15 @@ type pred struct {
 // among equally short paths.
 func (db *DB) TreeFrom(src asi.DSN) *PathTree {
 	t := new(PathTree)
-	db.buildTree(t, src)
+	db.RebuildTree(t, src)
 	t.queue = nil
 	return t
 }
 
-// buildTree runs TreeFrom's search into t, clearing and refilling the
-// map and queue a previous search left there.
-func (db *DB) buildTree(t *PathTree, src asi.DSN) {
+// RebuildTree runs TreeFrom's search into t, clearing and refilling the
+// map and queue a previous search left there. A caller that keeps one
+// tree and rebuilds it pass after pass allocates nothing once it is warm.
+func (db *DB) RebuildTree(t *PathTree, src asi.DSN) {
 	root, ok := db.nodes[src]
 	t.src, t.rooted = src, ok
 	clear(t.prev)

@@ -50,7 +50,8 @@ func (d Diff) String() string {
 // two node maps and merges each device's two sorted adjacencies, keeping
 // the link ends a device is the canonical end of, and sorts only what
 // differs (devices by DSN, links canonically), so comparing two
-// generations of a large fabric costs no sorted copy of either.
+// generations of a large fabric costs no sorted copy of either. An
+// adjacency the two still share since a Clone is skipped unread.
 func DiffDBs(old, new *DB) Diff {
 	var d Diff
 	var empty DB
@@ -71,7 +72,9 @@ func DiffDBs(old, new *DB) Diff {
 		}
 	}
 	for dsn, nbs := range new.adj {
-		d.RemovedLinks, d.AddedLinks = diffEnds(dsn, old.adj[dsn], nbs, d.RemovedLinks, d.AddedLinks)
+		if was := old.adj[dsn]; len(was) != len(nbs) || &was[0] != &nbs[0] { // adjacencies are never empty
+			d.RemovedLinks, d.AddedLinks = diffEnds(dsn, was, nbs, d.RemovedLinks, d.AddedLinks)
+		}
 	}
 	for dsn, nbs := range old.adj {
 		if _, ok := new.adj[dsn]; !ok {

@@ -317,6 +317,7 @@ func (t *Team) merge() {
 			p.db.RemoveNode(n.DSN)
 			continue
 		}
+		n = p.db.writable(n.DSN)
 		n.Path = path
 		n.ArrivalPort = arrive
 	}

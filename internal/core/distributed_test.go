@@ -224,3 +224,33 @@ func TestTeamRejectsWrongAlgorithm(t *testing.T) {
 	}()
 	NewTeam([]*Manager{m})
 }
+
+// A database frozen by Clone when the primary's own run completes — what
+// an installer takes — must not see the merge that follows, which adds
+// the members' devices and rewrites source routes in the primary's live
+// database.
+func TestDistributedMergeLeavesCloneAlone(t *testing.T) {
+	e, _, team := teamSetup(t, topo.Mesh(6, 6), 3)
+	p := team.Primary()
+	var frozen *DB
+	var before string
+	done := p.OnDiscoveryComplete
+	p.OnDiscoveryComplete = func(r Result) {
+		frozen = p.DB().Clone()
+		before = dump(frozen, true)
+		done(r)
+	}
+	merged := false
+	team.OnComplete = func(TeamResult) { merged = true }
+	team.StartDiscovery()
+	e.Run()
+	if !merged || frozen == nil {
+		t.Fatalf("round merged %v, primary's run cloned %v", merged, frozen != nil)
+	}
+	if frozen.NumNodes() == p.DB().NumNodes() {
+		t.Fatalf("the merge added nothing to the primary's %d devices", frozen.NumNodes())
+	}
+	if after := dump(frozen, true); after != before {
+		t.Error("the merge changed the database cloned before it")
+	}
+}

@@ -551,7 +551,7 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 			m.drv.onGeneral(req, nil, false, false)
 			return
 		}
-		n := m.db.Node(gi.DSN)
+		n := m.db.writable(gi.DSN)
 		isNew := n == nil
 		if isNew {
 			n = newNode(gi, req.path, int(resp.ArrivalPort))
@@ -561,7 +561,7 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 		m.db.AddLink(Link{A: req.dsn, APort: int(req.port), B: gi.DSN, BPort: int(resp.ArrivalPort)})
 		m.drv.onGeneral(req, n, isNew, true)
 	case reqReadPort:
-		n := m.db.Node(req.dsn)
+		n := m.db.writable(req.dsn)
 		if n == nil {
 			// The device left the database between request and completion
 			// (partial-run pruning). The driver still must hear about the
@@ -616,7 +616,7 @@ func (m *Manager) applyFailure(req *request) {
 	case reqProbeGeneral:
 		m.drv.onGeneral(req, nil, false, false)
 	case reqReadPort:
-		n := m.db.Node(req.dsn)
+		n := m.db.writable(req.dsn)
 		if n != nil {
 			lo, hi := req.ports(n)
 			for port := lo; port < hi; port++ {

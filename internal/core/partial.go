@@ -88,6 +88,7 @@ func (m *Manager) partialDown(rep *Node, port int) {
 // several losses into one refreshPaths pass. It reports whether a link
 // was actually removed.
 func (m *Manager) dropLink(rep *Node, port int) bool {
+	rep = m.db.writable(rep.DSN)
 	if port < rep.Ports {
 		rep.PortActive[port] = false
 	}
@@ -97,6 +98,7 @@ func (m *Manager) dropLink(rep *Node, port int) bool {
 	}
 	m.db.RemoveLink(l)
 	// Mark the far side's port inactive too, if that device survives.
+	// RemoveLink has made its entry this database's own to write.
 	otherDSN, otherPort := l.A, l.APort
 	if otherDSN == rep.DSN && otherPort == port {
 		otherDSN, otherPort = l.B, l.BPort
@@ -109,6 +111,7 @@ func (m *Manager) dropLink(rep *Node, port int) bool {
 
 // partialUp probes through the newly active port.
 func (m *Manager) partialUp(rep *Node, port int) {
+	rep = m.db.writable(rep.DSN)
 	if port < rep.Ports {
 		rep.PortKnown[port] = true
 		rep.PortActive[port] = true
@@ -136,7 +139,7 @@ func (m *Manager) partialUp(rep *Node, port int) {
 // route is copied out of the buffer, into the node (and so into its
 // verification request).
 func (m *Manager) refreshPaths() {
-	m.db.buildTree(&m.tree, m.dev.DSN)
+	m.db.RebuildTree(&m.tree, m.dev.DSN)
 	for _, n := range m.db.Nodes() {
 		if n.DSN == m.dev.DSN {
 			continue
@@ -150,6 +153,7 @@ func (m *Manager) refreshPaths() {
 		if pathEqual(p, n.Path) {
 			continue
 		}
+		n = m.db.writable(n.DSN)
 		n.Path = slices.Clone(p)
 		n.ArrivalPort = arrive
 		m.sendVerify(n)
@@ -171,7 +175,7 @@ func (m *Manager) sendVerify(n *Node) {
 // that does not answer on its recomputed route is dropped, which may
 // cascade into further reroutes.
 func (m *Manager) onVerify(req *request, resp *asi.PI4, ok bool) {
-	n := m.db.Node(req.dsn)
+	n := m.db.writable(req.dsn)
 	if n == nil {
 		return
 	}

@@ -101,6 +101,9 @@ func (d *serialDriver) sendNextPortRead() {
 }
 
 func (d *serialDriver) onPort(req *request, n *Node, ok bool) {
+	if n != nil {
+		d.cur = n // as it stands now: after a Clone, what onGeneral handed us is frozen
+	}
 	if !d.perDeviceParallel {
 		// Serial Packet never tracks outstanding reads in portsLeft (it
 		// has exactly one in flight); decrementing here would drive the

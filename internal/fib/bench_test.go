@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/asi"
+	"repro/internal/core"
 )
 
 var sinkTable *Table
@@ -12,8 +13,9 @@ var sinkTable *Table
 // route and an event route for every discovered device. Part of the
 // FM-database ledger in BENCH_fm.json (see internal/core/db_bench_test.go).
 // The "with previous" rows are what Install pays since it hands Update the
-// previous generation's table, here at its floor: nothing changed, every
-// entry is reused, the tree and the two maps remain.
+// previous generation's table and its own tree, here at its floor: nothing
+// changed, every entry is reused, the tree is rebuilt in place, and the
+// two maps remain.
 func BenchmarkDerive(b *testing.B) {
 	for _, name := range []string{"8x8 torus", "dragonfly 16x64"} {
 		b.Run(name, func(b *testing.B) {
@@ -32,11 +34,12 @@ func BenchmarkDerive(b *testing.B) {
 			m, _ := discover(b, name)
 			db := m.DB()
 			prev := Derive(db)
+			var tree core.PathTree
 			var changed []asi.DSN
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkTable, changed = Update(prev, db)
+				sinkTable, changed = Update(prev, db, &tree)
 			}
 			if len(changed) != 0 || len(sinkTable.Routes) != len(prev.Routes) {
 				b.Fatalf("%d of %d routes changed on an unchanged database", len(changed), len(prev.Routes))

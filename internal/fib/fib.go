@@ -74,17 +74,18 @@ type Table struct {
 // Derive computes the FIB for one database generation. The database is
 // read-only during the call; Derive never mutates it.
 func Derive(db *core.DB) *Table {
-	t, _ := Update(nil, db)
+	t, _ := Update(nil, db, new(core.PathTree))
 	return t
 }
 
-// Update is Derive given the previous generation's table (nil for none):
-// the result is the table Derive(db) returns, but every entry the change
-// left alone is prev's — its Hops slice included — and costs no
-// allocation. One breadth-first tree still decides every route, so the
+// Update is Derive given the previous generation's table (nil for none)
+// and a tree to rebuild in place (the caller's, reused install after
+// install): the result is the table Derive(db) returns, but every entry
+// the change left alone is prev's — its Hops slice included — and costs
+// no allocation. One breadth-first tree still decides every route, so the
 // port-order tie-break is Derive's. changed lists, ascending, the devices
 // whose Route or EventRoute is new, different from prev's or gone.
-func Update(prev *Table, db *core.DB) (t *Table, changed []asi.DSN) {
+func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []asi.DSN) {
 	if prev == nil {
 		prev = &Table{}
 	}
@@ -93,7 +94,7 @@ func Update(prev *Table, db *core.DB) (t *Table, changed []asi.DSN) {
 		Routes:      make(map[asi.DSN]Route, db.NumNodes()),
 		EventRoutes: make(map[asi.DSN]EventRoute, db.NumNodes()),
 	}
-	tree := db.TreeFrom(db.HostDSN)
+	db.RebuildTree(tree, db.HostDSN)
 	scratch := make(route.Path, 0, 16)
 	db.EachNode(func(n *core.Node) {
 		if n.DSN == db.HostDSN {

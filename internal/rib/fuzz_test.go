@@ -28,6 +28,27 @@ func fuzzDB() *core.DB {
 	return db
 }
 
+// reshape gives a device another type or port count from outside core,
+// where a served entry must not be written in place: the entry is
+// replaced by an edited copy and its links are cabled back.
+func reshape(db *core.DB, dsn asi.DSN, edit func(*core.Node)) {
+	n := db.Node(dsn)
+	if n == nil {
+		return
+	}
+	c := *n
+	edit(&c)
+	var links []core.Link
+	for _, nb := range db.NeighborsOf(dsn) {
+		links = append(links, core.Link{A: dsn, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort})
+	}
+	db.RemoveNode(dsn)
+	db.AddNode(&c)
+	for _, l := range links {
+		db.AddLink(l)
+	}
+}
+
 // follower replays one subscription and checks it against the live
 // snapshot whenever asked.
 type follower struct {
@@ -73,7 +94,9 @@ func (f *follower) catchUp(r *RIB) error {
 // every install the generation must equal the from-scratch reference
 // (see referee), and subscribers on "/", /topology/links and /fib/routes
 // that read every delta, plus one on "/" that reads only at the end and
-// is resynced, must replay to the live snapshot.
+// is resynced, must replay to the live snapshot. The mutations write the
+// database every generation was installed from, and no served generation
+// may see them.
 func FuzzInstallChangeSets(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 0, 7, 0})                                     // empty changes
@@ -129,13 +152,9 @@ func FuzzInstallChangeSets(f *testing.F) {
 					db.RemoveLink(links[arg%len(links)])
 				}
 			case 4: // same DSN, other type
-				if n := db.Node(dsn); n != nil {
-					n.Type = asi.DeviceSwitch + asi.DeviceEndpoint - n.Type
-				}
+				reshape(db, dsn, func(n *core.Node) { n.Type = asi.DeviceSwitch + asi.DeviceEndpoint - n.Type })
 			case 5: // same DSN, other port count
-				if n := db.Node(dsn); n != nil {
-					n.Ports = 1 + (n.Ports+arg/16)%8
-				}
+				reshape(db, dsn, func(n *core.Node) { n.Ports = 1 + (n.Ports+arg/16)%8 })
 			case 6: // cut a device off; the next time, cable it back
 				if links, ok := cut[dsn]; ok {
 					for _, l := range links {
@@ -169,6 +188,9 @@ func FuzzInstallChangeSets(f *testing.F) {
 			if err := f.catchUp(r); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := ref.checkFrozen(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/asi"
@@ -14,26 +16,24 @@ import (
 	"repro/internal/fib"
 )
 
-// refSnapshot is the from-scratch build every Install ran before
-// generations were built from their predecessor: derive the whole FIB,
-// format and encode every leaf, share bytes with prev where equal. It is
-// the referee the change-driven Snapshot.next is compared against.
-func refSnapshot(prev *Snapshot, db *core.DB, gen uint64) *Snapshot {
+// refGen is one generation built from scratch, the way every Install
+// built it before generations were built from their predecessor: derive
+// the whole FIB, format and encode every leaf into one map. It is the
+// referee the change-driven Snapshot.next and the on-demand leaf
+// rendering are compared against.
+type refGen struct {
+	gen, fp uint64
+	fib     *fib.Table
+	leaves  map[string]json.RawMessage
+}
+
+func refSnapshot(db *core.DB, gen uint64) *refGen {
 	t := fib.Derive(db)
-	s := &Snapshot{
-		Gen:         gen,
-		Fingerprint: db.Fingerprint(),
-		DB:          db,
-		FIB:         t,
-		leaves:      make(map[string]json.RawMessage, len(prev.leaves)),
-	}
+	s := &refGen{gen: gen, fp: db.Fingerprint(), fib: t, leaves: map[string]json.RawMessage{}}
 	put := func(path string, v any) {
 		b, err := json.Marshal(v)
 		if err != nil {
 			panic(fmt.Sprintf("rib: leaf %s does not marshal: %v", path, err))
-		}
-		if old, ok := prev.leaves[path]; ok && bytes.Equal(old, b) {
-			b = old
 		}
 		s.leaves[path] = b
 	}
@@ -60,7 +60,7 @@ func refSnapshot(prev *Snapshot, db *core.DB, gen uint64) *Snapshot {
 // refDelta is the whole-map comparison that used to produce a delta:
 // every leaf of both generations visited, sets before deletes, each by
 // path.
-func refDelta(prev, s *Snapshot) []Update {
+func refDelta(prev, s *refGen) []Update {
 	var ups []Update
 	for path, v := range s.leaves {
 		if old, ok := prev.leaves[path]; !ok || !bytes.Equal(old, v) {
@@ -81,38 +81,75 @@ func refDelta(prev, s *Snapshot) []Update {
 	return ups
 }
 
-// referee installs every database into a RIB and into a chain of
-// from-scratch reference snapshots, and compares the two generation by
-// generation.
-type referee struct {
-	rib *RIB
-	ref *Snapshot
+// dbDigest hashes everything a database holds, bookkeeping included:
+// every node's fields (path, port flags and Validated among them), its
+// adjacency, and the link set.
+func dbDigest(db *core.DB) uint64 {
+	h := fnv.New64a()
+	for _, n := range db.Nodes() {
+		fmt.Fprintf(h, "%+v %v\n", *n, db.NeighborsOf(n.DSN))
+	}
+	fmt.Fprintln(h, db.Links())
+	return h.Sum64()
 }
 
-func newReferee(r *RIB) *referee { return &referee{rib: r, ref: emptySnapshot()} }
+// frozenGen is a served generation and the digest its database had when
+// it was installed.
+type frozenGen struct {
+	snap   *Snapshot
+	digest uint64
+}
+
+// referee installs every database into a RIB and into a chain of
+// from-scratch reference generations, and compares the two generation by
+// generation. It keeps every generation it served, to check later that
+// none of their databases changed since.
+type referee struct {
+	rib    *RIB
+	ref    *refGen
+	served []frozenGen
+}
+
+func newReferee(r *RIB) *referee {
+	return &referee{rib: r, ref: &refGen{fib: &fib.Table{}, leaves: map[string]json.RawMessage{}}}
+}
 
 // install publishes db and returns an error naming the first way the
 // incremental generation differs from the from-scratch one.
 func (f *referee) install(db *core.DB) error {
 	gen, _ := f.rib.Install(db)
 	got := f.rib.Current()
+	f.served = append(f.served, frozenGen{got, dbDigest(got.DB)})
 	prev := f.ref
-	f.ref = refSnapshot(prev, db.Clone(), prev.Gen+1)
+	f.ref = refSnapshot(db, prev.gen+1)
 	want := f.ref
 	switch {
-	case got.Gen != gen || got.Gen != want.Gen:
-		return fmt.Errorf("generation %d (Install returned %d), reference at %d", got.Gen, gen, want.Gen)
-	case got.Fingerprint != want.Fingerprint:
-		return fmt.Errorf("gen %d: fingerprint %#x, from scratch %#x", gen, got.Fingerprint, want.Fingerprint)
-	case !bytes.Equal(got.Canonical("/"), want.Canonical("/")):
-		return fmt.Errorf("gen %d: canonical state differs:\n%s\nfrom scratch:\n%s", gen, got.Canonical("/"), want.Canonical("/"))
-	case !reflect.DeepEqual(got.FIB, want.FIB):
+	case got.Gen != gen || got.Gen != want.gen:
+		return fmt.Errorf("generation %d (Install returned %d), reference at %d", got.Gen, gen, want.gen)
+	case got.Fingerprint != want.fp:
+		return fmt.Errorf("gen %d: fingerprint %#x, from scratch %#x", gen, got.Fingerprint, want.fp)
+	case got.NumLeaves() != len(want.leaves):
+		return fmt.Errorf("gen %d: %d leaves, from scratch %d", gen, got.NumLeaves(), len(want.leaves))
+	case !bytes.Equal(got.Canonical("/"), canonicalBytes(want.gen, want.leaves, "/")):
+		return fmt.Errorf("gen %d: canonical state differs:\n%s\nfrom scratch:\n%s", gen, got.Canonical("/"), canonicalBytes(want.gen, want.leaves, "/"))
+	case !reflect.DeepEqual(got.FIB, want.fib):
 		return fmt.Errorf("gen %d: FIB differs: %d routes, %d event routes, %d unrouted, %d unencodable; from scratch %d, %d, %d, %d",
 			gen, len(got.FIB.Routes), len(got.FIB.EventRoutes), got.FIB.Unrouted, got.FIB.Unencodable,
-			len(want.FIB.Routes), len(want.FIB.EventRoutes), want.FIB.Unrouted, want.FIB.Unencodable)
+			len(want.fib.Routes), len(want.fib.EventRoutes), want.fib.Unrouted, want.fib.Unencodable)
 	}
 	if wantDelta := refDelta(prev, want); len(got.pub.delta)+len(wantDelta) > 0 && !reflect.DeepEqual(got.pub.delta, wantDelta) {
 		return fmt.Errorf("gen %d: delta differs:\n%v\nfrom scratch:\n%v", gen, updatePaths(got.pub.delta), updatePaths(wantDelta))
+	}
+	return nil
+}
+
+// checkFrozen reports the first served generation whose database no longer
+// digests as it did when it was installed.
+func (f *referee) checkFrozen() error {
+	for _, g := range f.served {
+		if d := dbDigest(g.snap.DB); d != g.digest {
+			return fmt.Errorf("gen %d: the served database changed after install (digest %#x, was %#x)", g.snap.Gen, d, g.digest)
+		}
 	}
 	return nil
 }
@@ -130,8 +167,10 @@ func updatePaths(ups []Update) []string {
 // over the committed corpus: at every generation of every scenario, under
 // full rediscovery, per-event Partial and coalesced Partial assimilation,
 // the snapshot built from its predecessor and the change set is the
-// snapshot built from scratch — canonical bytes, fingerprint, FIB and the
-// delta's update list.
+// snapshot built from scratch — canonical bytes, leaf count, fingerprint,
+// FIB and the delta's update list. At the scenario's end every generation
+// served along the way must still hold the database it was installed
+// with, however the manager went on writing its own.
 func TestCorpusIncrementalSnapshotEquivalence(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -163,11 +202,62 @@ func TestCorpusIncrementalSnapshotEquivalence(t *testing.T) {
 				if _, err := chaos.Execute(sc, opt); err != nil {
 					t.Fatal(err)
 				}
-				if ref.ref.Gen == 0 {
+				if ref.ref.gen == 0 {
 					t.Error("scenario installed nothing")
 				}
-				t.Logf("%d generations compared", ref.ref.Gen)
+				if err := ref.checkFrozen(); err != nil {
+					t.Error(err)
+				}
+				t.Logf("%d generations compared", ref.ref.gen)
 			})
+		}
+	}
+}
+
+// TestServedGenerationsRaceLiveWrites renders every generation's full
+// state on pump goroutines — the sync body of a subscriber attached as the
+// generation is installed — while, over the whole corpus, the per-event
+// and coalesced Partial paths go on writing the manager's live database,
+// which the generation shares. Run under -race. Each rendered state must
+// also be the generation's from-scratch leaf set.
+func TestServedGenerationsRaceLiveWrites(t *testing.T) {
+	for _, sc := range chaos.CorpusScenarios() {
+		sc.Algorithm = core.Partial.Slug()
+		for _, coalesce := range []bool{false, true} {
+			r := New(Config{})
+			var wg sync.WaitGroup
+			errs := make(chan error, 1)
+			opt := chaos.Options{Coalesce: coalesce}
+			opt.OnDiscovery = func(db *core.DB, _ core.Result) {
+				gen, _ := r.Install(db)
+				want := refSnapshot(db, gen)
+				sub := r.Subscribe("/")
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer sub.Close()
+					rep := NewReplayer()
+					if err := rep.Apply(<-sub.Updates()); err != nil || rep.Gen() != gen ||
+						!bytes.Equal(rep.Canonical("/"), canonicalBytes(gen, want.leaves, "/")) {
+						select {
+						case errs <- fmt.Errorf("%s coalesce=%v: the sync body of gen %d (got gen %d, %v) is not its from-scratch state", sc.Name, coalesce, gen, rep.Gen(), err):
+						default:
+						}
+					}
+				}()
+			}
+			if _, err := chaos.Execute(sc, opt); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			select {
+			case err := <-errs:
+				t.Error(err)
+			default:
+			}
+			if r.Current().Gen < 2 {
+				t.Errorf("%s coalesce=%v: %d generations, want a live database written after an install", sc.Name, coalesce, r.Current().Gen)
+			}
 		}
 	}
 }

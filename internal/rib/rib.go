@@ -107,6 +107,7 @@ type RIB struct {
 	// and subscriber set and is held only for pointer swaps and queue
 	// appends, never for snapshot construction.
 	installMu sync.Mutex
+	tree      core.PathTree // fib.Update's, rebuilt by every install under installMu
 	mu        sync.Mutex
 	cur       *Snapshot
 	subs      map[*Subscription]struct{}
@@ -169,7 +170,8 @@ func New(cfg Config) *RIB {
 
 // Install publishes a new generation built from the discovery database.
 // The database is cloned before the RIB touches it, so the caller's copy
-// stays live and mutable (the manager keeps assimilating into it).
+// stays live and mutable (the manager keeps assimilating into it, and its
+// writes copy what they touch; see core.DB.Clone).
 // Install returns the new generation number and the topology-level diff
 // against the previous generation; it does bounded work per subscriber
 // and never blocks on any of them.
@@ -180,7 +182,7 @@ func (r *RIB) Install(db *core.DB) (uint64, core.Diff) {
 	prev := r.Current()
 	clone := db.Clone()
 	d := core.DiffDBs(prev.DB, clone)
-	next := prev.next(clone, d)
+	next := prev.next(clone, d, &r.tree)
 
 	r.latMu.Lock()
 	r.stamps[next.Gen%installStampRing] = installStamp{gen: next.Gen, at: time.Now()}

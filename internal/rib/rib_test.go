@@ -67,22 +67,26 @@ func TestInstallSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// Unchanged leaves share their encoded bytes across generations (the
-// copy-on-write contract that makes serving thousands of readers cheap).
+// Unchanged state is shared across generations: a generation installed
+// from the same live database after a change copies only what the change
+// touched, so an untouched device's entry and its route's hops are the
+// previous generation's, and the previous generation keeps what changed.
 func TestSnapshotLeafSharing(t *testing.T) {
 	r := New(Config{})
-	r.Install(lineDB(4, 0))
+	db := lineDB(4, 0) // host 1, then switches 2-3-4-5
+	r.Install(db)
 	prev := r.Current()
-	r.Install(lineDB(4, 1))
+	db.RemoveNode(5)
+	r.Install(db)
 	cur := r.Current()
-	path := fmt.Sprintf("%s%d", PathSwitches, 2)
-	a, ok1 := prev.leaves[path]
-	b, ok2 := cur.leaves[path]
-	if !ok1 || !ok2 {
-		t.Fatalf("leaf %s missing (prev %v, cur %v)", path, ok1, ok2)
+	if prev.DB.Node(3) != cur.DB.Node(3) {
+		t.Error("an untouched device's entry was copied")
 	}
-	if &a[0] != &b[0] {
-		t.Error("unchanged leaf was re-encoded instead of shared")
+	if a, b := prev.FIB.Routes[3].Hops, cur.FIB.Routes[3].Hops; len(a) == 0 || &a[0] != &b[0] {
+		t.Error("an unchanged route was re-derived instead of shared")
+	}
+	if prev.DB.Node(4) == cur.DB.Node(4) || len(prev.DB.NeighborsOf(4)) != 2 || len(cur.DB.NeighborsOf(4)) != 1 {
+		t.Error("the device the change touched is not copied, or the copy leaked into the previous generation")
 	}
 }
 

@@ -1,10 +1,8 @@
 package rib
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -32,12 +30,12 @@ const (
 	PathEventRoutes = "/fib/event-routes/"
 )
 
-// Snapshot is one immutable generation of the served state: the cloned
+// Snapshot is one immutable generation of the served state: the frozen
 // topology database it was installed from, the FIB derived from it, and
-// the flattened leaf map the streaming layer serves. A generation is
-// built from the one before it: leaves the change did not touch are
-// carried over, sharing their encoded bytes, so a thousand subscribers
-// reading old generations cost no more than one.
+// the delta from the generation before. A generation is built from that
+// one: only the leaves the change touched are encoded, for the delta, and
+// the full leaf set — a subscriber's sync body, Canonical — is rendered
+// from DB and FIB on demand, once per (generation, prefix) by the views.
 //
 // What the fan-out shares of a generation hangs off it: pub, the record
 // subscriber queues point at (the generation's delta and its per-prefix
@@ -50,20 +48,19 @@ type Snapshot struct {
 	// Fingerprint is core.DB.Fingerprint of the installed database
 	// (zero for generation 0).
 	Fingerprint uint64
-	// DB is the installed database clone. Read-only by contract: the
-	// RIB and every subscriber may hold it concurrently.
+	// DB is the installed database, a core.DB.Clone. Read-only by
+	// contract: the RIB and every subscriber may hold it concurrently.
 	DB *core.DB
 	// FIB is the forwarding state derived from DB.
 	FIB *fib.Table
 
-	leaves map[string]json.RawMessage
-	pub    *generation
-	full   views
+	pub  *generation
+	full views
 }
 
 // emptySnapshot is generation 0: no topology, no leaves.
 func emptySnapshot() *Snapshot {
-	return &Snapshot{leaves: map[string]json.RawMessage{}, pub: &generation{fpHex: fpHex(0)}}
+	return &Snapshot{DB: core.NewDB(0), FIB: &fib.Table{}, pub: &generation{fpHex: fpHex(0)}}
 }
 
 // nodeLeaf is the encoded value of a topology node leaf.
@@ -103,56 +100,44 @@ func dsnPath(dir string, dsn asi.DSN) string {
 	return dir + strconv.FormatUint(uint64(dsn), 10)
 }
 
+// linkValue renders a link's leaf value.
+func linkValue(l core.Link) linkLeaf {
+	return linkLeaf{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort}
+}
+
 // linkPath renders a link's canonical leaf path.
 func linkPath(l core.Link) string {
 	return fmt.Sprintf("%s%d:%d-%d:%d", PathLinks, l.A, l.APort, l.B, l.BPort)
 }
 
 // next builds the generation that follows prev from an installed
-// database (already cloned) and d, its diff against prev.DB. The cost is
-// the change's, not the fabric's: the leaf map is copied entry by entry
-// (no formatting, no encoding), and only the leaves d, a per-device
-// comparison of type and port count, and fib.Update name are formatted
-// and encoded — the generation's delta falls out of the same pass.
-func (prev *Snapshot) next(db *core.DB, d core.Diff) *Snapshot {
-	t, rerouted := fib.Update(prev.FIB, db)
+// database (already cloned) and d, its diff against prev.DB, rebuilding
+// tree for fib.Update. The cost is the change's, not the fabric's: the
+// delta compares structured values — each device's leaf value, d's links,
+// and the Route and EventRoute of every device fib.Update names — and
+// encodes only the leaves that differ.
+func (prev *Snapshot) next(db *core.DB, d core.Diff, tree *core.PathTree) *Snapshot {
+	t, rerouted := fib.Update(prev.FIB, db, tree)
 	s := &Snapshot{
 		Gen:         prev.Gen + 1,
 		Fingerprint: db.Fingerprint(),
 		DB:          db,
 		FIB:         t,
-		leaves:      maps.Clone(prev.leaves),
 	}
 	var sets, dels []Update
 	set := func(path string, v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			panic(fmt.Sprintf("rib: leaf %s does not marshal: %v", path, err)) // plain-data values
-		}
-		if old, ok := prev.leaves[path]; ok && bytes.Equal(old, b) {
-			return
-		}
-		s.leaves[path] = b
-		sets = append(sets, Update{Op: OpSet, Path: path, Value: b})
+		sets = append(sets, Update{Op: OpSet, Path: path, Value: encodeLeaf(path, v)})
 	}
-	del := func(path string) {
-		if _, ok := prev.leaves[path]; ok {
-			delete(s.leaves, path)
-			dels = append(dels, Update{Op: OpDelete, Path: path})
-		}
-	}
+	del := func(path string) { dels = append(dels, Update{Op: OpDelete, Path: path}) }
 
 	for _, dsn := range d.RemovedDevices {
 		del(nodePath(prev.DB.Node(dsn)))
 	}
 	db.EachNode(func(n *core.Node) {
-		var old *core.Node
-		if prev.DB != nil {
-			old = prev.DB.Node(n.DSN)
-		}
+		old := prev.DB.Node(n.DSN)
 		switch {
 		case old == nil:
-		case old.Type == n.Type && old.Ports == n.Ports:
+		case nodeValue(old) == nodeValue(n):
 			return
 		case (old.Type == asi.DeviceSwitch) != (n.Type == asi.DeviceSwitch):
 			del(nodePath(old)) // the leaf moves between switches/ and endpoints/
@@ -163,17 +148,23 @@ func (prev *Snapshot) next(db *core.DB, d core.Diff) *Snapshot {
 		del(linkPath(l))
 	}
 	for _, l := range d.AddedLinks {
-		set(linkPath(l), linkLeaf{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort})
+		set(linkPath(l), linkValue(l))
 	}
 	for _, dsn := range rerouted {
-		if r, ok := t.Routes[dsn]; ok {
+		r, ok := t.Routes[dsn]
+		old, had := prev.FIB.Routes[dsn]
+		switch {
+		case ok && !(had && old.ArrivalPort == r.ArrivalPort && slices.Equal(old.Hops, r.Hops)):
 			set(dsnPath(PathRoutes, dsn), r)
-		} else {
+		case !ok && had:
 			del(dsnPath(PathRoutes, dsn))
 		}
-		if ev, ok := t.EventRoutes[dsn]; ok {
+		ev, ok := t.EventRoutes[dsn]
+		oldEv, had := prev.FIB.EventRoutes[dsn]
+		switch {
+		case ok && !(had && oldEv == ev):
 			set(dsnPath(PathEventRoutes, dsn), ev)
-		} else {
+		case !ok && had:
 			del(dsnPath(PathEventRoutes, dsn))
 		}
 	}
@@ -183,17 +174,37 @@ func (prev *Snapshot) next(db *core.DB, d core.Diff) *Snapshot {
 	return s
 }
 
+// encodeLeaf renders one leaf value.
+func encodeLeaf(path string, v any) json.RawMessage {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("rib: leaf %s does not marshal: %v", path, err)) // plain-data values
+	}
+	return b
+}
+
 // syncBody lists the snapshot's leaves under a prefix as "set" ops in
-// sorted path order: the body of a full-state batch.
+// sorted path order — the body of a full-state batch — rendering each
+// from DB and FIB.
 func (s *Snapshot) syncBody(prefix string) []Update {
 	var ups []Update
 	if prefix == "/" {
-		ups = make([]Update, 0, len(s.leaves))
+		ups = make([]Update, 0, s.NumLeaves())
 	}
-	for path, v := range s.leaves {
+	put := func(path string, v any) {
 		if underPrefix(path, prefix) {
-			ups = append(ups, Update{Op: OpSet, Path: path, Value: v})
+			ups = append(ups, Update{Op: OpSet, Path: path, Value: encodeLeaf(path, v)})
 		}
+	}
+	s.DB.EachNode(func(n *core.Node) { put(nodePath(n), nodeValue(n)) })
+	for _, l := range s.DB.Links() {
+		put(linkPath(l), linkValue(l))
+	}
+	for dsn, r := range s.FIB.Routes {
+		put(dsnPath(PathRoutes, dsn), r)
+	}
+	for dsn, ev := range s.FIB.EventRoutes {
+		put(dsnPath(PathEventRoutes, dsn), ev)
 	}
 	slices.SortFunc(ups, byPath)
 	return ups
@@ -202,14 +213,22 @@ func (s *Snapshot) syncBody(prefix string) []Update {
 // byPath orders updates by leaf path.
 func byPath(a, b Update) int { return strings.Compare(a.Path, b.Path) }
 
-// NumLeaves returns the number of served leaves.
-func (s *Snapshot) NumLeaves() int { return len(s.leaves) }
+// NumLeaves returns the number of served leaves: one per device, link,
+// route and event route.
+func (s *Snapshot) NumLeaves() int {
+	return s.DB.NumNodes() + s.DB.NumLinks() + len(s.FIB.Routes) + len(s.FIB.EventRoutes)
+}
 
 // Canonical renders the snapshot's leaves under a prefix in the canonical
 // byte form replayed subscribers are compared against: a JSON object with
 // the generation and the sorted leaf map, indented, trailing newline.
 func (s *Snapshot) Canonical(prefix string) []byte {
-	return canonicalBytes(s.Gen, s.leaves, prefix)
+	body := s.syncBody(prefix)
+	leaves := make(map[string]json.RawMessage, len(body))
+	for _, u := range body {
+		leaves[u.Path] = u.Value
+	}
+	return canonicalBytes(s.Gen, leaves, prefix)
 }
 
 // canonicalBytes is the shared canonical encoder (Snapshot and Replayer
