@@ -46,12 +46,12 @@ BENCHTIME ?= 3x
 BENCHCOUNT ?= 5
 BENCH_BASELINE ?= results/bench_baseline.txt
 # The FM-database ledger's before section: the same benchmarks on the
-# parent of the latest change to them (a Clone that deep-copied the
-# database).
+# parent of the latest change to them (FIB tables held in two fresh maps
+# per generation).
 BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
 # The serving ledger's before section: the same benchmarks on the parent
-# of the copy-on-write install (a deep Clone, a copied leaf map and a
-# fresh search tree per generation).
+# of the change-sized install (map-based FIB tables, a delta appended and
+# copied again, leaves encoded by json.Marshal).
 BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
 # The observation ledger's before section: the same benchmarks on the
 # commit before the append-based /metrics render and the presized
@@ -141,14 +141,16 @@ span-smoke:
 # its bytes-per-device-or-link budget, one cold Parallel discovery within
 # its bytes budget, the link and request records within their sizes, and
 # the serving layer: a Clone at the same allocations on any fabric and a
-# write after it at the two maps plus the one device it touches, one
-# install of the 8x8 torus within its bytes budget, queueing and
-# delivering a generation at zero, one install at well under one
-# allocation per extra subscriber; the observation path: a path refresh of an unchanged database at the
-# node list, a /metrics render at two at most, a registry snapshot at one
-# allocation per section plus one per histogram.
+# write after it at the two maps plus the one device it touches, a FIB
+# update at its table and two slices plus one per rerouted device, one
+# install of the 8x8 torus (a link flap, an eight-switch storm) within
+# its bytes budget, queueing and delivering a generation at zero, one
+# install at well under one allocation per extra subscriber; the
+# observation path: a path refresh of an unchanged database and a
+# DB-staleness reading at zero, a /metrics render at two at most, a
+# registry snapshot at one allocation per section plus one per histogram.
 alloc-check:
-	$(GO) test -run 'ZeroAlloc|AllocBudget|RecordSizes' ./internal/sim/ ./internal/fabric/ ./internal/core/ ./internal/rib/ ./internal/obs/ ./internal/telemetry/
+	$(GO) test -run 'ZeroAlloc|AllocBudget|RecordSizes' ./internal/sim/ ./internal/fabric/ ./internal/core/ ./internal/fib/ ./internal/rib/ ./internal/obs/ ./internal/telemetry/
 
 # bench-test runs the repo benchmark's own tests. bench/ is a separate
 # module (replace repro => ../), so `go test ./...` from the root never
@@ -177,9 +179,11 @@ chaos-par-smoke:
 # FuzzQueueOrder replays schedule/cancel/step/run-until streams against a
 # sorted-slice reference of the engine's two-tier queue. FuzzParseName
 # builds every legal name it finds and checks the port table against the
-# cabling. The four asi targets are the wire decoders' fuzz wall: no
-# panic, no read past the input, and what a decoder accepts re-encodes
-# byte for byte.
+# cabling. The seven asi targets are the decoders' fuzz wall, on the wire
+# (packet, PI-4, PI-5, header) and in the configuration space (general
+# information, port information, event route, seeded from the Table 1
+# fabrics): no panic, no read past the input, and what a decoder accepts
+# re-encodes byte for byte.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME)
@@ -192,6 +196,9 @@ fuzz:
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePI4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePI5$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParseGeneralInfo$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParsePortInfo$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeEventRoute$$' -fuzztime $(FUZZTIME)
 
 # daemon-smoke proves the FM daemon's serving layer end to end: an
 # in-process asifmd manages a fat-tree under scripted churn while 1000

@@ -133,7 +133,7 @@ func BenchmarkFig7Timeline(b *testing.B) {
 				if len(res.Timeline) == 0 {
 					b.Fatal("no timeline")
 				}
-				last = res.Timeline[len(res.Timeline)-1].At.Seconds()
+				last = res.Timeline[len(res.Timeline)-1].Seconds()
 			}
 			b.StopTimer()
 			b.ReportMetric(last, "sim-s/last-pkt")

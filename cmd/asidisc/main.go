@@ -146,8 +146,8 @@ func main() {
 	}
 	if *timeline {
 		fmt.Println("\npacket#  processed-at (s)")
-		for _, p := range out.Result.Timeline {
-			fmt.Printf("%7d  %.9f\n", p.Index, p.At.Seconds())
+		for i, at := range out.Result.Timeline {
+			fmt.Printf("%7d  %.9f\n", i+1, at.Seconds())
 		}
 	}
 	if *traceN > 0 && out.Spans != nil {

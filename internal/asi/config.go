@@ -122,17 +122,11 @@ func (c *ConfigSpace) Init(t DeviceType, dsn DSN, ports, maxPacket int, fmCapabl
 	blocks := store[:n]
 	clear(blocks)
 	*c = ConfigSpace{blocks: blocks, ports: ports}
-	c.blocks[0] = uint32(t)<<24 | capabilityVersion<<16 | uint32(ports)&0xffff
-	c.blocks[1] = uint32(dsn >> 32)
-	c.blocks[2] = uint32(dsn)
-	c.blocks[3] = uint32(maxPacket)
-	if fmCapable {
-		c.blocks[4] |= statusFMCapable
-	}
-	if t == DeviceSwitch {
-		c.blocks[4] |= statusMulticast
-	}
-	c.blocks[5] = 0x1A51_0001 // vendor/part id of the model
+	AppendGeneralInfo(c.blocks[:0], GeneralInfo{
+		Type: t, Version: capabilityVersion, Ports: ports, DSN: dsn, MaxPacket: maxPacket,
+		FMCapable: fmCapable, Multicast: t == DeviceSwitch,
+		VendorID: 0x1A51_0001, // vendor/part id of the model
+	})
 	return nil
 }
 
@@ -181,18 +175,32 @@ func (c *ConfigSpace) SetPortState(port int, info PortInfo) error {
 	if port < 0 || port >= c.ports {
 		return fmt.Errorf("asi: port %d out of range 0..%d", port, c.ports-1)
 	}
-	var w uint32
-	if info.Active {
-		w |= 1
-	}
-	w |= (uint32(info.SpeedGbps*10) & 0xff) << 8
-	w |= (uint32(info.Width) & 0xf) << 4
-	c.blocks[PortInfoOffset(port)] = w
+	off := PortInfoOffset(port)
+	AppendPortInfo(c.blocks[off:off], info) // in place: the blocks follow
 	return nil
 }
 
+// AppendGeneralInfo appends the general-information blocks describing g
+// to dst, as a device's capability holds them and ParseGeneralInfo reads
+// them back.
+func AppendGeneralInfo(dst []uint32, g GeneralInfo) []uint32 {
+	var status uint32
+	if g.FMCapable {
+		status |= statusFMCapable
+	}
+	if g.Multicast {
+		status |= statusMulticast
+	}
+	return append(dst,
+		uint32(g.Type)<<24|uint32(g.Version)<<16|uint32(g.Ports)&0xffff,
+		uint32(g.DSN>>32), uint32(g.DSN),
+		uint32(g.MaxPacket), status, g.VendorID)
+}
+
 // ParseGeneralInfo decodes the general-information region as returned by a
-// PI-4 read of GeneralInfoBlocks blocks at GeneralInfoOffset.
+// PI-4 read of GeneralInfoBlocks blocks at GeneralInfoOffset. It refuses
+// what no capability holds: an unknown device type or version, or a
+// status bit this layout does not define.
 func ParseGeneralInfo(blocks []uint32) (GeneralInfo, error) {
 	var g GeneralInfo
 	if len(blocks) < int(GeneralInfoBlocks) {
@@ -212,38 +220,68 @@ func ParseGeneralInfo(blocks []uint32) (GeneralInfo, error) {
 	if g.Version != capabilityVersion {
 		return g, fmt.Errorf("asi: unsupported capability version %d", g.Version)
 	}
+	if reserved := blocks[4] &^ (statusFMCapable | statusMulticast); reserved != 0 {
+		return g, fmt.Errorf("asi: general info sets reserved status bits %#x", reserved)
+	}
 	return g, nil
 }
 
+// portInfoFields are the bits of a port's first block that PortInfo
+// carries: active (bit 0), width (4-7) and speed in tenths of Gb/s (8-15).
+// The rest of it, and the port's second block, are reserved.
+const portInfoFields = 0xfff1
+
+// AppendPortInfo appends the PortInfoBlocks blocks describing one port to
+// dst, as ParsePortInfo reads them back.
+func AppendPortInfo(dst []uint32, p PortInfo) []uint32 {
+	var w uint32
+	if p.Active {
+		w |= 1
+	}
+	w |= (uint32(p.SpeedGbps*10) & 0xff) << 8
+	w |= (uint32(p.Width) & 0xf) << 4
+	return append(dst, w, 0)
+}
+
 // ParsePortInfo decodes one port's blocks as returned by a PI-4 read of
-// PortInfoBlocks blocks at PortInfoOffset(port).
+// PortInfoBlocks blocks at PortInfoOffset(port). It refuses blocks with
+// reserved bits set.
 func ParsePortInfo(blocks []uint32) (PortInfo, error) {
 	var p PortInfo
 	if len(blocks) < int(PortInfoBlocks) {
 		return p, fmt.Errorf("asi: port info needs %d blocks, got %d", PortInfoBlocks, len(blocks))
 	}
 	w := blocks[0]
+	if w&^portInfoFields != 0 || blocks[1] != 0 {
+		return p, fmt.Errorf("asi: port info sets reserved bits: %#08x %#08x", w&^portInfoFields, blocks[1])
+	}
 	p.Active = w&1 != 0
 	p.SpeedGbps = float64((w>>8)&0xff) / 10
 	p.Width = int((w >> 4) & 0xf)
 	return p, nil
 }
 
+// eventRouteValid marks a programmed event route in the region's third
+// block, whose low byte is the turn pointer and whose other bits are
+// reserved.
+const eventRouteValid = 1 << 31
+
 // EncodeEventRoute packs a turn pool and pointer into the writable
 // event-route blocks. The FM writes this during path distribution so that
 // devices can source PI-5 packets toward it.
 func EncodeEventRoute(pool uint64, ptr uint8) []uint32 {
-	return []uint32{uint32(pool >> 32), uint32(pool), uint32(ptr) | 1<<31}
+	return []uint32{uint32(pool >> 32), uint32(pool), uint32(ptr) | eventRouteValid}
 }
 
 // DecodeEventRoute unpacks the event-route blocks. valid is false until
-// the FM has programmed the route.
+// the FM has programmed the route, and for blocks EncodeEventRoute never
+// writes: a third block with reserved bits set.
 func DecodeEventRoute(blocks []uint32) (pool uint64, ptr uint8, valid bool) {
-	if len(blocks) < int(EventRouteBlocks) {
+	if len(blocks) < int(EventRouteBlocks) || blocks[2]&^(eventRouteValid|0xff) != 0 {
 		return 0, 0, false
 	}
-	valid = blocks[2]&(1<<31) != 0
+	valid = blocks[2]&eventRouteValid != 0
 	pool = uint64(blocks[0])<<32 | uint64(blocks[1])
-	ptr = uint8(blocks[2] & 0x7f)
+	ptr = uint8(blocks[2])
 	return pool, ptr, valid
 }

@@ -55,7 +55,9 @@ func EncodeFMSync(p FMSync) []byte {
 	return b
 }
 
-// DecodeFMSync parses a chunk.
+// DecodeFMSync parses a chunk. It accepts exactly what EncodeFMSync
+// writes: a Final byte of 0 or 1, then Entries zero-filled records and
+// nothing after them.
 func DecodeFMSync(b []byte) (FMSync, error) {
 	var p FMSync
 	if len(b) < fmSyncFixedSize {
@@ -64,9 +66,29 @@ func DecodeFMSync(b []byte) (FMSync, error) {
 	p.From = DSN(binary.BigEndian.Uint64(b[0:8]))
 	p.Seq = binary.BigEndian.Uint16(b[8:10])
 	p.Entries = binary.BigEndian.Uint16(b[10:12])
-	p.Final = b[12] == 1
-	if len(b) < p.WireSize() {
-		return p, fmt.Errorf("asi: FM-sync payload truncated: %d of %d bytes", len(b), p.WireSize())
+	switch b[12] {
+	case 0:
+	case 1:
+		p.Final = true
+	default:
+		return p, fmt.Errorf("asi: FM-sync final flag %d, want 0 or 1", b[12])
+	}
+	if len(b) != p.WireSize() {
+		return p, fmt.Errorf("asi: FM-sync payload is %d bytes, %d entries make %d", len(b), p.Entries, p.WireSize())
+	}
+	if !zeroed(b[fmSyncFixedSize:]) {
+		return p, fmt.Errorf("asi: FM-sync records carry content; the model ships them zero-filled")
 	}
 	return p, nil
+}
+
+// zeroed reports whether every byte of b is zero: the content of the
+// bodies this model sizes but does not fill.
+func zeroed(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

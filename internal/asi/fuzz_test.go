@@ -2,7 +2,8 @@ package asi
 
 import (
 	"bytes"
-	"reflect"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
 
@@ -21,6 +22,7 @@ func goldenPackets() []*Packet {
 		{Header: hdr, Payload: &PI4{Op: PI4ReadRequest, Tag: 0x01020304, Offset: 6, Count: 2}},
 		{Header: hdr, Payload: &PI4{Op: PI4ReadCompletionData, Tag: 7, Count: 2, ArrivalPort: 3, Data: []uint32{0xdead, 0xbeef}}},
 		{Header: hdr, Payload: FMSync{From: 0x42, Seq: 2, Entries: 1, Final: true}},
+		{Header: hdr, Payload: FMSync{From: 0x42, Seq: 1}},
 		{Header: hdr, Payload: Heartbeat{From: 0x42, Seq: 9}},
 		{Header: RouteHeader{Multicast: true, MGID: 0x0102}, Payload: AppData{Bytes: 4}},
 		{Header: hdr},
@@ -37,26 +39,23 @@ func FuzzDecodePacket(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(b)
+		f.Add(b[:len(b)-packetTrailerSize])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		pkt, err := Decode(exact(b))
-		if err != nil {
-			return
-		}
-		again, err := pkt.Encode()
-		if err != nil {
-			t.Fatalf("Decode accepted %x, Encode refuses it: %v", b, err)
-		}
-		switch pkt.Payload.(type) {
-		case *PI4, PI5:
-			if !bytes.Equal(again, b) {
-				t.Fatalf("decode then encode changed the packet:\n in  %x\n out %x", b, again)
+		// As given, and as a header and payload the link CRC is appended
+		// to: mutated bytes almost never keep a valid CRC, and only the
+		// second form reaches the payload decoders.
+		for _, in := range [][]byte{b, appendCRC(bytes.Clone(b))} {
+			pkt, err := Decode(exact(in))
+			if err != nil {
+				continue
 			}
-		default:
-			// FM-sync, heartbeat and application bodies model only their
-			// size: the encoder zero-fills what the decoder skips.
-			if back, err := Decode(again); err != nil || !reflect.DeepEqual(back, pkt) {
-				t.Fatalf("%x decodes to %+v, its encoding to %+v (%v)", b, pkt, back, err)
+			again, err := pkt.Encode()
+			if err != nil {
+				t.Fatalf("Decode accepted %x, Encode refuses it: %v", in, err)
+			}
+			if !bytes.Equal(again, in) {
+				t.Fatalf("decode then encode changed the %T packet:\n in  %x\n out %x", pkt.Payload, in, again)
 			}
 		}
 	})
@@ -143,4 +142,44 @@ func TestPIDecodeRejectsTrailingBytes(t *testing.T) {
 	if _, err := DecodePI5(append(pi5, 0)); err == nil {
 		t.Error("PI-5 payload with a trailing byte accepted")
 	}
+}
+
+// The FM-sync and heartbeat decoders accept exactly what their encoders
+// write: no byte after the payload, an FM-sync Final byte of 0 or 1 and
+// records zero-filled, as is an application body inside a packet.
+func TestSizedDecodersRejectWhatNoEncoderWrites(t *testing.T) {
+	sync := EncodeFMSync(FMSync{From: 0x42, Seq: 2, Entries: 1, Final: true})
+	if _, err := DecodeFMSync(append(bytes.Clone(sync), 0)); err == nil {
+		t.Error("FM-sync payload with a trailing byte accepted")
+	}
+	for _, final := range []byte{2, 0x80, 0xff} {
+		b := bytes.Clone(sync)
+		b[12] = final
+		if _, err := DecodeFMSync(b); err == nil {
+			t.Errorf("FM-sync final byte %d accepted", final)
+		}
+	}
+	b := bytes.Clone(sync)
+	b[len(b)-1] = 1
+	if _, err := DecodeFMSync(b); err == nil {
+		t.Error("FM-sync record with content accepted")
+	}
+	beat := EncodeHeartbeat(Heartbeat{From: 0x42, Seq: 9})
+	if _, err := DecodeHeartbeat(append(beat, 0)); err == nil {
+		t.Error("heartbeat payload with a trailing byte accepted")
+	}
+	app, err := (&Packet{Payload: AppData{Bytes: 4}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Clone(app[:len(app)-packetTrailerSize])
+	body[HeaderWireSize] = 1
+	if _, err := Decode(appendCRC(body)); err == nil {
+		t.Error("application body with content accepted")
+	}
+}
+
+// appendCRC appends the link CRC Encode would write for a packet body.
+func appendCRC(body []byte) []byte {
+	return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }

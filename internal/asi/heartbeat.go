@@ -38,11 +38,11 @@ func EncodeHeartbeat(p Heartbeat) []byte {
 	return b
 }
 
-// DecodeHeartbeat parses a beacon.
+// DecodeHeartbeat parses a beacon, and refuses bytes after it.
 func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 	var p Heartbeat
-	if len(b) < heartbeatSize {
-		return p, fmt.Errorf("asi: heartbeat payload too short: %d bytes", len(b))
+	if len(b) != heartbeatSize {
+		return p, fmt.Errorf("asi: heartbeat payload is %d bytes, want %d", len(b), heartbeatSize)
 	}
 	p.From = DSN(binary.BigEndian.Uint64(b[0:8]))
 	p.Seq = binary.BigEndian.Uint32(b[8:12])

@@ -121,7 +121,9 @@ func (p *Packet) Encode() ([]byte, error) {
 }
 
 // Decode parses a full packet produced by Encode, verifying both CRCs and
-// dispatching the payload on the header's PI field.
+// dispatching the payload on the header's PI field. It accepts exactly
+// what Encode writes, so the bodies the model only sizes (FM-sync
+// records, application data) must be zero-filled.
 func Decode(b []byte) (*Packet, error) {
 	if len(b) < HeaderWireSize+packetTrailerSize {
 		return nil, fmt.Errorf("asi: packet too short: %d bytes", len(b))
@@ -163,6 +165,9 @@ func Decode(b []byte) (*Packet, error) {
 		}
 		pkt.Payload = pl
 	case PIApplication:
+		if !zeroed(rest) {
+			return nil, fmt.Errorf("asi: application body carries content; the model sizes it zero-filled")
+		}
 		pkt.Payload = AppData{Bytes: len(rest)}
 	default:
 		return nil, fmt.Errorf("asi: unknown protocol interface %d", hdr.PI)

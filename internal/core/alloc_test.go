@@ -72,9 +72,10 @@ func TestRecordSizes(t *testing.T) {
 }
 
 // TestRefreshPathsAllocBudget pins the repair pass of partial
-// assimilation on a database that did not change: its search tree and
-// route buffer are the Manager's, reused, so a refresh that reroutes
-// nothing allocates the sorted node list and nothing else.
+// assimilation on a database that did not change: its search tree, route
+// buffer and DSN visit list are the Manager's, reused, so a refresh that
+// reroutes nothing allocates nothing. So does a DB-staleness reading,
+// whose age list is the Manager's too.
 func TestRefreshPathsAllocBudget(t *testing.T) {
 	tp, err := topo.ByName("8x8 torus")
 	if err != nil {
@@ -88,10 +89,11 @@ func TestRefreshPathsAllocBudget(t *testing.T) {
 	m.refreshPaths()
 	e.Run()
 	sent := m.res.PacketsSent
-	var nodes []*Node
-	list := testing.AllocsPerRun(20, func() { nodes = m.db.Nodes() })
-	if allocs := testing.AllocsPerRun(20, m.refreshPaths); allocs > list {
-		t.Errorf("a refresh of an unchanged %d-device database allocates %.1f per run, want <= %.1f (the node list)", len(nodes), allocs, list)
+	if allocs := testing.AllocsPerRun(20, m.refreshPaths); allocs > 0 {
+		t.Errorf("a refresh of an unchanged %d-device database allocates %.1f per run, want 0", m.db.NumNodes(), allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.DBStaleness() }); allocs > 0 {
+		t.Errorf("a DB-staleness reading allocates %.1f per run, want 0", allocs)
 	}
 	if m.res.PacketsSent != sent {
 		t.Errorf("refreshing an unchanged database sent %d verification reads, want 0", m.res.PacketsSent-sent)

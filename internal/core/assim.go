@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/asi"
@@ -198,16 +199,14 @@ func (m *Manager) ExpireReporters() int {
 // keys its stale-region re-audit concern off the max and publishes the
 // percentiles next to the RIB generation-lag SLO.
 func (m *Manager) DBStaleness() (p50, p99, max sim.Duration) {
-	nodes := m.db.Nodes()
-	if len(nodes) == 0 {
+	if m.db.NumNodes() == 0 {
 		return 0, 0, 0
 	}
 	now := m.e.Now()
-	ages := make([]sim.Duration, 0, len(nodes))
-	for _, n := range nodes {
-		ages = append(ages, now.Sub(n.Validated))
-	}
-	sort.Slice(ages, func(i, j int) bool { return ages[i] < ages[j] })
+	ages := m.ageBuf[:0]
+	m.db.EachNode(func(n *Node) { ages = append(ages, now.Sub(n.Validated)) })
+	slices.Sort(ages)
+	m.ageBuf = ages
 	return ages[len(ages)/2], ages[len(ages)*99/100], ages[len(ages)-1]
 }
 

@@ -261,6 +261,11 @@ func (db *DB) writable(dsn asi.DSN) *Node {
 // value. Two databases fingerprint equally iff they describe the same
 // topology, regardless of discovery order or algorithm, so runs of
 // different algorithms over the same fabric can be compared in O(1).
+//
+// It reads the maps in place, in the order Nodes and Links list them,
+// from one sorted slice of DSNs: the devices, then any the adjacency
+// names without an entry. It writes nothing, so frozen clones may be
+// fingerprinted concurrently.
 func (db *DB) Fingerprint() uint64 {
 	const (
 		offset = 14695981039346656037
@@ -273,18 +278,34 @@ func (db *DB) Fingerprint() uint64 {
 			h *= prime
 		}
 	}
+	dsns := make([]asi.DSN, 0, len(db.nodes))
+	for dsn := range db.nodes {
+		dsns = append(dsns, dsn)
+	}
+	for dsn := range db.adj {
+		if _, ok := db.nodes[dsn]; !ok {
+			dsns = append(dsns, dsn)
+		}
+	}
+	slices.Sort(dsns)
 	mix(uint64(len(db.nodes)))
-	for _, n := range db.Nodes() {
-		mix(uint64(n.DSN))
-		mix(uint64(n.Type))
-		mix(uint64(n.Ports))
+	for _, dsn := range dsns {
+		if n := db.nodes[dsn]; n != nil {
+			mix(uint64(n.DSN))
+			mix(uint64(n.Type))
+			mix(uint64(n.Ports))
+		}
 	}
 	mix(uint64(db.numLinks))
-	for _, l := range db.Links() {
-		mix(uint64(l.A))
-		mix(uint64(l.APort))
-		mix(uint64(l.B))
-		mix(uint64(l.BPort))
+	for _, dsn := range dsns {
+		for _, nb := range db.adj[dsn] {
+			if nb.canonicalFrom(dsn) {
+				mix(uint64(dsn))
+				mix(uint64(nb.LocalPort))
+				mix(uint64(nb.DSN))
+				mix(uint64(nb.RemotePort))
+			}
+		}
 	}
 	return h
 }
@@ -564,6 +585,10 @@ func (db *DB) RebuildTree(t *PathTree, src asi.DSN) {
 	clear(queue) // hold no removed device until the next search
 	t.queue = queue[:0]
 }
+
+// Reached returns how many devices the search reached besides its
+// source: the number of targets PathTo routes.
+func (t *PathTree) Reached() int { return len(t.prev) }
 
 // PathTo returns the source route from the tree's source to target and
 // the target's arrival port along it; a nil path means unreachable. The

@@ -250,7 +250,7 @@ type Manager struct {
 	res  Result
 	last *Result
 	// timelineChunks are the full chunks of res.Timeline (appendTimeline).
-	timelineChunks [][]TimelinePoint
+	timelineChunks [][]sim.Time
 
 	// OnDiscoveryComplete fires when a discovery run finishes, with its
 	// measurements.
@@ -287,9 +287,12 @@ type Manager struct {
 	// stale counts completions whose request had already timed out.
 	stale int
 
-	// tree and pathBuf are refreshPaths' reused search tree and route buffer.
+	// tree, pathBuf and dsnBuf are refreshPaths' reused search tree, route
+	// buffer and visit list; ageBuf is DBStaleness' list of node ages.
 	tree    PathTree
 	pathBuf route.Path
+	dsnBuf  []asi.DSN
+	ageBuf  []sim.Duration
 
 	// tel holds the pre-registered telemetry handles, nil unless
 	// Options.Telemetry was set.
@@ -476,7 +479,7 @@ func (m *Manager) completeWork(*sim.Engine) {
 	if m.discovering {
 		m.res.Processed++
 		m.res.FMBusy += m.curCost
-		m.appendTimeline(TimelinePoint{Index: m.res.Processed, At: m.e.Now()})
+		m.appendTimeline(m.e.Now())
 	}
 	m.handleWork(w)
 	m.checkDone()
@@ -911,7 +914,7 @@ func (m *Manager) beginRun() {
 	// it (m.res still holds that run); the very first has nothing to go
 	// by and grows its timeline.
 	m.res = Result{Algorithm: m.opt.Algorithm, Start: m.e.Now(),
-		Timeline: make([]TimelinePoint, 0, len(m.res.Timeline))}
+		Timeline: make([]sim.Time, 0, len(m.res.Timeline))}
 }
 
 // timelineChunk is the size, in points, of a long timeline's chunks.
@@ -922,12 +925,12 @@ const timelineChunk = 4096
 // then in fixed chunks that finishRun flattens once: a cold run of a large
 // fabric allocates about twice its timeline, not the five times that
 // regrowing one slice costs.
-func (m *Manager) appendTimeline(p TimelinePoint) {
+func (m *Manager) appendTimeline(at sim.Time) {
 	if tl := m.res.Timeline; len(tl) == cap(tl) && cap(tl) >= timelineChunk {
 		m.timelineChunks = append(m.timelineChunks, tl)
-		m.res.Timeline = make([]TimelinePoint, 0, timelineChunk)
+		m.res.Timeline = make([]sim.Time, 0, timelineChunk)
 	}
-	m.res.Timeline = append(m.res.Timeline, p)
+	m.res.Timeline = append(m.res.Timeline, at)
 }
 
 // checkDone finishes the run when the driver is idle and nothing is in

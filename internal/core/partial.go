@@ -140,20 +140,26 @@ func (m *Manager) partialUp(rep *Node, port int) {
 // verification request).
 func (m *Manager) refreshPaths() {
 	m.db.RebuildTree(&m.tree, m.dev.DSN)
-	for _, n := range m.db.Nodes() {
-		if n.DSN == m.dev.DSN {
+	// Visit in DSN order: the order verifies are issued in is part of the
+	// simulation.
+	dsns := m.dsnBuf[:0]
+	m.db.EachNode(func(n *Node) { dsns = append(dsns, n.DSN) })
+	slices.Sort(dsns)
+	m.dsnBuf = dsns
+	for _, dsn := range dsns {
+		if dsn == m.dev.DSN {
 			continue
 		}
-		p, arrive := m.tree.PathInto(m.pathBuf, n.DSN)
+		p, arrive := m.tree.PathInto(m.pathBuf, dsn)
 		if p == nil {
-			m.removeNode(n.DSN)
+			m.removeNode(dsn)
 			continue
 		}
 		m.pathBuf = p
-		if pathEqual(p, n.Path) {
+		if pathEqual(p, m.db.Node(dsn).Path) {
 			continue
 		}
-		n = m.db.writable(n.DSN)
+		n := m.db.writable(dsn)
 		n.Path = slices.Clone(p)
 		n.ArrivalPort = arrive
 		m.sendVerify(n)

@@ -33,16 +33,18 @@ type DistResult struct {
 // It is a free function so the serving layer (internal/fib) can derive
 // event-route tables from a database snapshot without a Manager.
 func EventRouteFor(n *Node) (pool uint64, ptr uint8, err error) {
-	rev := route.Reverse(n.Path)
+	// A route that encodes has at most one hop per turn-pool bit, so the
+	// reversed path fits on the stack whenever it can succeed.
+	var buf [asi.TurnPoolBits + 1]route.Hop
+	rev := buf[:0]
 	if n.Type == asi.DeviceSwitch {
 		// The switch consumes its own first turn when originating; the
 		// virtual-ingress convention matches the hardware model. When
 		// the arrival port equals the virtual ingress this encodes the
 		// legal maximal self-turn.
-		first := route.Hop{Ports: n.Ports, In: asi.SourceVirtualIngress, Out: n.ArrivalPort}
-		rev = append(route.Path{first}, rev...)
+		rev = append(rev, route.Hop{Ports: n.Ports, In: asi.SourceVirtualIngress, Out: n.ArrivalPort})
 	}
-	return route.Encode(rev)
+	return route.Encode(route.AppendReverse(rev, n.Path))
 }
 
 // DistributeEventRoutes writes the event route into every discovered

@@ -6,14 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TimelinePoint records that the FM finished processing its n-th
-// management packet at a given simulation time — the data behind the
-// paper's Fig. 7(a).
-type TimelinePoint struct {
-	Index int
-	At    sim.Time
-}
-
 // Result captures one discovery run's measurements: the paper records the
 // topology discovery time, the amount of management packets and bytes
 // generated and received by the FM, and the FM processing timeline
@@ -51,8 +43,10 @@ type Result struct {
 	Coalesced int
 	// Devices/Switches/Links summarize the resulting topology database.
 	Devices, Switches, Links int
-	// Timeline is the per-packet FM processing trace (Fig. 7a).
-	Timeline []TimelinePoint
+	// Timeline is the per-packet FM processing trace behind the paper's
+	// Fig. 7(a): Timeline[i] is the simulated instant the FM finished
+	// processing its (i+1)-th management packet.
+	Timeline []sim.Time
 	// Changes summarizes what this run's topology differs from the
 	// previous full discovery's (nil on the very first run).
 	Changes *Diff

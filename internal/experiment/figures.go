@@ -168,7 +168,7 @@ func Fig7a() Report {
 			"Parallel: constant minimal slope (FM pipeline always full)",
 		},
 	}
-	var lines [3][]core.TimelinePoint
+	var lines [3][]sim.Time
 	for j, k := range core.PaperKinds() {
 		o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: k, Seed: 1, Change: NoChange})
 		if o.Err != nil {
@@ -187,7 +187,7 @@ func Fig7a() Report {
 		row := []string{fmt.Sprint(i + 1)}
 		for j := 0; j < 3; j++ {
 			if i < len(lines[j]) {
-				row = append(row, fmt.Sprintf("%.6f", lines[j][i].At.Seconds()))
+				row = append(row, fmt.Sprintf("%.6f", lines[j][i].Seconds()))
 			} else {
 				row = append(row, "")
 			}

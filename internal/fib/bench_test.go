@@ -14,8 +14,9 @@ var sinkTable *Table
 // FM-database ledger in BENCH_fm.json (see internal/core/db_bench_test.go).
 // The "with previous" rows are what Install pays since it hands Update the
 // previous generation's table and its own tree, here at its floor: nothing
-// changed, every entry is reused, the tree is rebuilt in place, and the
-// two maps remain.
+// changed, every entry is copied by value from the previous table, the
+// tree is rebuilt in place, and the table and its two DSN-sorted slices
+// remain.
 func BenchmarkDerive(b *testing.B) {
 	for _, name := range []string{"8x8 torus", "dragonfly 16x64"} {
 		b.Run(name, func(b *testing.B) {

@@ -14,8 +14,9 @@
 package fib
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strconv"
 
 	"repro/internal/asi"
 	"repro/internal/core"
@@ -60,15 +61,34 @@ type EventRoute struct {
 type Table struct {
 	// Host is the FM's endpoint, the root of every route.
 	Host asi.DSN
-	// Routes maps every other discovered device to the FM's source
-	// route; EventRoutes to the device's PI-5 route back.
-	Routes      map[asi.DSN]Route
-	EventRoutes map[asi.DSN]EventRoute
+	// Routes holds the FM's source route to every other discovered
+	// device, EventRoutes each such device's PI-5 route back, both in
+	// ascending DSN order; Route and EventRoute look one up.
+	Routes      []Route
+	EventRoutes []EventRoute
 	// Unrouted counts devices present in the database but unreachable
 	// over its recorded links (mid-churn generations can carry them),
 	// and Unencodable event routes whose turn pool overflowed.
 	Unrouted    int
 	Unencodable int
+}
+
+// Route returns the FM's source route to a device, if it has one.
+func (t *Table) Route(dsn asi.DSN) (Route, bool) {
+	i, ok := slices.BinarySearchFunc(t.Routes, dsn, func(r Route, dsn asi.DSN) int { return cmp.Compare(r.DSN, dsn) })
+	if !ok {
+		return Route{}, false
+	}
+	return t.Routes[i], true
+}
+
+// EventRoute returns a device's PI-5 route to the FM, if it has one.
+func (t *Table) EventRoute(dsn asi.DSN) (EventRoute, bool) {
+	i, ok := slices.BinarySearchFunc(t.EventRoutes, dsn, func(e EventRoute, dsn asi.DSN) int { return cmp.Compare(e.DSN, dsn) })
+	if !ok {
+		return EventRoute{}, false
+	}
+	return t.EventRoutes[i], true
 }
 
 // Derive computes the FIB for one database generation. The database is
@@ -81,21 +101,26 @@ func Derive(db *core.DB) *Table {
 // Update is Derive given the previous generation's table (nil for none)
 // and a tree to rebuild in place (the caller's, reused install after
 // install): the result is the table Derive(db) returns, but every entry
-// the change left alone is prev's — its Hops slice included — and costs
-// no allocation. One breadth-first tree still decides every route, so the
-// port-order tie-break is Derive's. changed lists, ascending, the devices
-// whose Route or EventRoute is new, different from prev's or gone.
+// the change left alone is copied from prev by value, its Hops slice
+// shared, and costs no allocation. One breadth-first tree still decides
+// every route, so the port-order tie-break is Derive's, and it sizes both
+// tables before they are filled: each is allocated once, for exactly the
+// number of routed devices (EventRoutes holds fewer only when a route
+// does not encode). changed lists, ascending, the devices whose
+// Route or EventRoute is new, different from prev's or gone.
 func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []asi.DSN) {
 	if prev == nil {
 		prev = &Table{}
 	}
+	db.RebuildTree(tree, db.HostDSN)
+	routed := tree.Reached()
 	t = &Table{
 		Host:        db.HostDSN,
-		Routes:      make(map[asi.DSN]Route, db.NumNodes()),
-		EventRoutes: make(map[asi.DSN]EventRoute, db.NumNodes()),
+		Routes:      make([]Route, 0, routed),
+		EventRoutes: make([]EventRoute, 0, routed),
 	}
-	db.RebuildTree(tree, db.HostDSN)
-	scratch := make(route.Path, 0, 16)
+	var buf [16]route.Hop
+	scratch := route.Path(buf[:0])
 	db.EachNode(func(n *core.Node) {
 		if n.DSN == db.HostDSN {
 			return
@@ -106,10 +131,10 @@ func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []
 			return
 		}
 		scratch = p[:0]
-		if old, ok := prev.Routes[n.DSN]; ok && old.follows(p, arrival) && old.typ == n.Type && old.ports == n.Ports {
-			t.Routes[n.DSN] = old
-			if ev, ok := prev.EventRoutes[n.DSN]; ok {
-				t.EventRoutes[n.DSN] = ev
+		if old, ok := prev.Route(n.DSN); ok && old.follows(p, arrival) && old.typ == n.Type && old.ports == n.Ports {
+			t.Routes = append(t.Routes, old)
+			if ev, ok := prev.EventRoute(n.DSN); ok {
+				t.EventRoutes = append(t.EventRoutes, ev)
 			} else {
 				t.Unencodable++
 			}
@@ -120,7 +145,7 @@ func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []
 		for i, h := range p {
 			hops[i] = Hop{Ports: h.Ports, In: h.In, Out: h.Out}
 		}
-		t.Routes[n.DSN] = Route{DSN: n.DSN, Hops: hops, ArrivalPort: arrival, typ: n.Type, ports: n.Ports}
+		t.Routes = append(t.Routes, Route{DSN: n.DSN, Hops: hops, ArrivalPort: arrival, typ: n.Type, ports: n.Ports})
 		// The event route derives from the same recomputed path, so a
 		// FIB generation is self-consistent even when the node's stored
 		// discovery path predates a link change.
@@ -132,11 +157,19 @@ func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []
 			t.Unencodable++
 			return
 		}
-		t.EventRoutes[n.DSN] = EventRoute{DSN: n.DSN, Pool: pool, Ptr: ptr}
+		t.EventRoutes = append(t.EventRoutes, EventRoute{DSN: n.DSN, Pool: pool, Ptr: ptr})
 	})
-	for dsn := range prev.Routes {
-		if _, ok := t.Routes[dsn]; !ok {
-			changed = append(changed, dsn)
+	slices.SortFunc(t.Routes, func(a, b Route) int { return cmp.Compare(a.DSN, b.DSN) })
+	slices.SortFunc(t.EventRoutes, func(a, b EventRoute) int { return cmp.Compare(a.DSN, b.DSN) })
+	// What prev routed and t does not is gone: one merge of the two
+	// sorted tables.
+	i := 0
+	for _, r := range prev.Routes {
+		for i < len(t.Routes) && t.Routes[i].DSN < r.DSN {
+			i++
+		}
+		if i == len(t.Routes) || t.Routes[i].DSN != r.DSN {
+			changed = append(changed, r.DSN)
 		}
 	}
 	slices.Sort(changed)
@@ -157,17 +190,6 @@ func (r Route) follows(p route.Path, arrival int) bool {
 	return true
 }
 
-// DSNs returns the route table's destinations in ascending order, the
-// iteration order of every serialization.
-func (t *Table) DSNs() []asi.DSN {
-	out := make([]asi.DSN, 0, len(t.Routes))
-	for dsn := range t.Routes {
-		out = append(out, dsn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // PathOf reconstructs the route.Path of a table entry (the inverse of the
 // Hop flattening), for callers that want to re-encode or validate it.
 func (r Route) PathOf() route.Path {
@@ -176,4 +198,38 @@ func (r Route) PathOf() route.Path {
 		p[i] = route.Hop{Ports: h.Ports, In: h.In, Out: h.Out}
 	}
 	return p
+}
+
+// AppendJSON appends the route's leaf encoding to b: exactly the bytes
+// json.Marshal writes for it, without reflection. A nil Hops encodes as
+// null, an empty one as [].
+func (r Route) AppendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"dsn":`...), uint64(r.DSN), 10)
+	b = append(b, `,"hops":`...)
+	if r.Hops == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, h := range r.Hops {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(b, `{"ports":`...), int64(h.Ports), 10)
+			b = strconv.AppendInt(append(b, `,"in":`...), int64(h.In), 10)
+			b = strconv.AppendInt(append(b, `,"out":`...), int64(h.Out), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendInt(append(b, `,"arrival_port":`...), int64(r.ArrivalPort), 10)
+	return append(b, '}')
+}
+
+// AppendJSON appends the event route's leaf encoding to b: exactly the
+// bytes json.Marshal writes for it.
+func (e EventRoute) AppendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"dsn":`...), uint64(e.DSN), 10)
+	b = strconv.AppendUint(append(b, `,"pool":`...), e.Pool, 10)
+	b = strconv.AppendUint(append(b, `,"ptr":`...), uint64(e.Ptr), 10)
+	return append(b, '}')
 }

@@ -50,14 +50,14 @@ func TestDeriveCoversFabric(t *testing.T) {
 	if tab.Unrouted != 0 || tab.Unencodable != 0 {
 		t.Errorf("unrouted=%d unencodable=%d on a healthy fabric", tab.Unrouted, tab.Unencodable)
 	}
-	for _, dsn := range tab.DSNs() {
-		r := tab.Routes[dsn]
+	for _, r := range tab.Routes {
+		dsn := r.DSN
 		// The recomputed path must encode and must match the node's
 		// event route when re-derived through the manager's code path.
 		if _, _, err := route.Encode(r.PathOf()); err != nil {
 			t.Fatalf("route to %v does not encode: %v", dsn, err)
 		}
-		ev, ok := tab.EventRoutes[dsn]
+		ev, ok := tab.EventRoute(dsn)
 		if !ok {
 			t.Fatalf("no event route for %v", dsn)
 		}
@@ -98,7 +98,7 @@ func TestDeriveUnroutedDevice(t *testing.T) {
 	if tab.Unrouted != 1 {
 		t.Errorf("unrouted = %d, want 1", tab.Unrouted)
 	}
-	if _, ok := tab.Routes[orphan]; ok {
+	if _, ok := tab.Route(orphan); ok {
 		t.Errorf("orphaned %v still has a route", orphan)
 	}
 }
@@ -117,10 +117,10 @@ func TestDeriveDeterministic(t *testing.T) {
 		t.Fatalf("table sizes differ: %d/%d vs %d/%d",
 			len(a.Routes), len(a.EventRoutes), len(b.Routes), len(b.EventRoutes))
 	}
-	for dsn, ra := range a.Routes {
-		rb := b.Routes[dsn]
-		if ra.ArrivalPort != rb.ArrivalPort || len(ra.Hops) != len(rb.Hops) {
-			t.Errorf("%v: routes differ: %+v vs %+v", dsn, ra, rb)
+	for i, ra := range a.Routes {
+		rb := b.Routes[i]
+		if ra.DSN != rb.DSN || ra.ArrivalPort != rb.ArrivalPort || len(ra.Hops) != len(rb.Hops) {
+			t.Errorf("route %d differs: %+v vs %+v", i, ra, rb)
 		}
 	}
 }

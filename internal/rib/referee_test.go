@@ -48,10 +48,10 @@ func refSnapshot(db *core.DB, gen uint64) *refGen {
 	for _, l := range db.Links() {
 		put(PathLinks+fmt.Sprintf("%d:%d-%d:%d", l.A, l.APort, l.B, l.BPort), linkLeaf{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort})
 	}
-	for _, dsn := range t.DSNs() {
-		put(fmt.Sprintf("%s%d", PathRoutes, dsn), t.Routes[dsn])
-		if ev, ok := t.EventRoutes[dsn]; ok {
-			put(fmt.Sprintf("%s%d", PathEventRoutes, dsn), ev)
+	for _, r := range t.Routes {
+		put(fmt.Sprintf("%s%d", PathRoutes, r.DSN), r)
+		if ev, ok := t.EventRoute(r.DSN); ok {
+			put(fmt.Sprintf("%s%d", PathEventRoutes, r.DSN), ev)
 		}
 	}
 	return s

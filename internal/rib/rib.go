@@ -107,7 +107,7 @@ type RIB struct {
 	// and subscriber set and is held only for pointer swaps and queue
 	// appends, never for snapshot construction.
 	installMu sync.Mutex
-	tree      core.PathTree // fib.Update's, rebuilt by every install under installMu
+	installer installer // reused by every install, under installMu
 	mu        sync.Mutex
 	cur       *Snapshot
 	subs      map[*Subscription]struct{}
@@ -182,7 +182,7 @@ func (r *RIB) Install(db *core.DB) (uint64, core.Diff) {
 	prev := r.Current()
 	clone := db.Clone()
 	d := core.DiffDBs(prev.DB, clone)
-	next := prev.next(clone, d, &r.tree)
+	next := prev.next(clone, d, &r.installer)
 
 	r.latMu.Lock()
 	r.stamps[next.Gen%installStampRing] = installStamp{gen: next.Gen, at: time.Now()}

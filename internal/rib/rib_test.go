@@ -82,7 +82,9 @@ func TestSnapshotLeafSharing(t *testing.T) {
 	if prev.DB.Node(3) != cur.DB.Node(3) {
 		t.Error("an untouched device's entry was copied")
 	}
-	if a, b := prev.FIB.Routes[3].Hops, cur.FIB.Routes[3].Hops; len(a) == 0 || &a[0] != &b[0] {
+	a, _ := prev.FIB.Route(3)
+	b, _ := cur.FIB.Route(3)
+	if len(a.Hops) == 0 || &a.Hops[0] != &b.Hops[0] {
 		t.Error("an unchanged route was re-derived instead of shared")
 	}
 	if prev.DB.Node(4) == cur.DB.Node(4) || len(prev.DB.NeighborsOf(4)) != 2 || len(cur.DB.NeighborsOf(4)) != 1 {

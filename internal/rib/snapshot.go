@@ -97,7 +97,8 @@ func nodeValue(n *core.Node) nodeLeaf {
 
 // dsnPath renders a per-device leaf path under dir.
 func dsnPath(dir string, dsn asi.DSN) string {
-	return dir + strconv.FormatUint(uint64(dsn), 10)
+	var buf [64]byte
+	return string(strconv.AppendUint(append(buf[:0], dir...), uint64(dsn), 10))
 }
 
 // linkValue renders a link's leaf value.
@@ -105,33 +106,105 @@ func linkValue(l core.Link) linkLeaf {
 	return linkLeaf{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort}
 }
 
-// linkPath renders a link's canonical leaf path.
+// linkPath renders a link's canonical leaf path, <a>:<ap>-<b>:<bp>.
 func linkPath(l core.Link) string {
-	return fmt.Sprintf("%s%d:%d-%d:%d", PathLinks, l.A, l.APort, l.B, l.BPort)
+	var buf [96]byte
+	b := strconv.AppendUint(append(buf[:0], PathLinks...), uint64(l.A), 10)
+	b = strconv.AppendInt(append(b, ':'), int64(l.APort), 10)
+	b = strconv.AppendUint(append(b, '-'), uint64(l.B), 10)
+	b = strconv.AppendInt(append(b, ':'), int64(l.BPort), 10)
+	return string(b)
+}
+
+// The leaf encoders write each value as exactly the bytes json.Marshal
+// writes for it, without boxing it into an interface or reflecting on it:
+// the value's appender fills a buffer on the caller's stack, and the leaf
+// is copied out of it into a slice of its own, at its exact size. A leaf
+// owns its bytes, so a Replayer or queued batch that keeps one pins
+// nothing else of its generation.
+
+// appendJSON appends the node leaf's encoding to b. Type is "switch" or
+// "endpoint" (nodeValue), which JSON needs no escape for.
+func (n nodeLeaf) appendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"dsn":`...), uint64(n.DSN), 10)
+	b = append(append(append(b, `,"type":"`...), n.Type...), '"')
+	b = strconv.AppendInt(append(b, `,"ports":`...), int64(n.Ports), 10)
+	return append(b, '}')
+}
+
+// appendJSON appends the link leaf's encoding to b.
+func (l linkLeaf) appendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"a":`...), uint64(l.A), 10)
+	b = strconv.AppendInt(append(b, `,"a_port":`...), int64(l.APort), 10)
+	b = strconv.AppendUint(append(b, `,"b":`...), uint64(l.B), 10)
+	b = strconv.AppendInt(append(b, `,"b_port":`...), int64(l.BPort), 10)
+	return append(b, '}')
+}
+
+// leafBuf is the stack buffer a leaf is encoded into: a route of 13
+// switch hops fits whatever its port numbers, a longer one grows it onto
+// the heap (one allocation more, same bytes).
+const leafBuf = 512
+
+func nodeJSON(n nodeLeaf) json.RawMessage {
+	var buf [leafBuf]byte
+	return exact(n.appendJSON(buf[:0]))
+}
+
+func linkJSON(l linkLeaf) json.RawMessage {
+	var buf [leafBuf]byte
+	return exact(l.appendJSON(buf[:0]))
+}
+
+func routeJSON(r fib.Route) json.RawMessage {
+	var buf [leafBuf]byte
+	return exact(r.AppendJSON(buf[:0]))
+}
+
+func eventRouteJSON(e fib.EventRoute) json.RawMessage {
+	var buf [leafBuf]byte
+	return exact(e.AppendJSON(buf[:0]))
+}
+
+// exact copies an encoded leaf into a slice of its own length.
+func exact(b []byte) json.RawMessage {
+	v := make(json.RawMessage, len(b))
+	copy(v, b)
+	return v
+}
+
+// installer is what the RIB reuses install after install, under
+// installMu: fib.Update's search tree and the two lists a delta is
+// gathered in before it is copied out at its exact size.
+type installer struct {
+	tree       core.PathTree
+	sets, dels []Update
+}
+
+func (w *installer) set(path string, v json.RawMessage) {
+	w.sets = append(w.sets, Update{Op: OpSet, Path: path, Value: v})
+}
+
+func (w *installer) del(path string) {
+	w.dels = append(w.dels, Update{Op: OpDelete, Path: path})
 }
 
 // next builds the generation that follows prev from an installed
-// database (already cloned) and d, its diff against prev.DB, rebuilding
-// tree for fib.Update. The cost is the change's, not the fabric's: the
-// delta compares structured values — each device's leaf value, d's links,
-// and the Route and EventRoute of every device fib.Update names — and
-// encodes only the leaves that differ.
-func (prev *Snapshot) next(db *core.DB, d core.Diff, tree *core.PathTree) *Snapshot {
-	t, rerouted := fib.Update(prev.FIB, db, tree)
+// database (already cloned) and d, its diff against prev.DB, with the
+// RIB's installer. The cost is the change's, not the fabric's: the delta
+// compares structured values — each device's leaf value, d's links, and
+// the Route and EventRoute of every device fib.Update names — and encodes
+// only the leaves that differ.
+func (prev *Snapshot) next(db *core.DB, d core.Diff, w *installer) *Snapshot {
+	t, rerouted := fib.Update(prev.FIB, db, &w.tree)
 	s := &Snapshot{
 		Gen:         prev.Gen + 1,
 		Fingerprint: db.Fingerprint(),
 		DB:          db,
 		FIB:         t,
 	}
-	var sets, dels []Update
-	set := func(path string, v any) {
-		sets = append(sets, Update{Op: OpSet, Path: path, Value: encodeLeaf(path, v)})
-	}
-	del := func(path string) { dels = append(dels, Update{Op: OpDelete, Path: path}) }
-
 	for _, dsn := range d.RemovedDevices {
-		del(nodePath(prev.DB.Node(dsn)))
+		w.del(nodePath(prev.DB.Node(dsn)))
 	}
 	db.EachNode(func(n *core.Node) {
 		old := prev.DB.Node(n.DSN)
@@ -140,47 +213,52 @@ func (prev *Snapshot) next(db *core.DB, d core.Diff, tree *core.PathTree) *Snaps
 		case nodeValue(old) == nodeValue(n):
 			return
 		case (old.Type == asi.DeviceSwitch) != (n.Type == asi.DeviceSwitch):
-			del(nodePath(old)) // the leaf moves between switches/ and endpoints/
+			w.del(nodePath(old)) // the leaf moves between switches/ and endpoints/
 		}
-		set(nodePath(n), nodeValue(n))
+		w.set(nodePath(n), nodeJSON(nodeValue(n)))
 	})
 	for _, l := range d.RemovedLinks {
-		del(linkPath(l))
+		w.del(linkPath(l))
 	}
 	for _, l := range d.AddedLinks {
-		set(linkPath(l), linkValue(l))
+		w.set(linkPath(l), linkJSON(linkValue(l)))
 	}
 	for _, dsn := range rerouted {
-		r, ok := t.Routes[dsn]
-		old, had := prev.FIB.Routes[dsn]
+		r, ok := t.Route(dsn)
+		old, had := prev.FIB.Route(dsn)
 		switch {
 		case ok && !(had && old.ArrivalPort == r.ArrivalPort && slices.Equal(old.Hops, r.Hops)):
-			set(dsnPath(PathRoutes, dsn), r)
+			w.set(dsnPath(PathRoutes, dsn), routeJSON(r))
 		case !ok && had:
-			del(dsnPath(PathRoutes, dsn))
+			w.del(dsnPath(PathRoutes, dsn))
 		}
-		ev, ok := t.EventRoutes[dsn]
-		oldEv, had := prev.FIB.EventRoutes[dsn]
+		ev, ok := t.EventRoute(dsn)
+		oldEv, had := prev.FIB.EventRoute(dsn)
 		switch {
 		case ok && !(had && oldEv == ev):
-			set(dsnPath(PathEventRoutes, dsn), ev)
+			w.set(dsnPath(PathEventRoutes, dsn), eventRouteJSON(ev))
 		case !ok && had:
-			del(dsnPath(PathEventRoutes, dsn))
+			w.del(dsnPath(PathEventRoutes, dsn))
 		}
 	}
-	slices.SortFunc(sets, byPath)
-	slices.SortFunc(dels, byPath)
-	s.pub = &generation{gen: s.Gen, fpHex: fpHex(s.Fingerprint), delta: append(sets, dels...)}
+	s.pub = &generation{gen: s.Gen, fpHex: fpHex(s.Fingerprint), delta: w.delta()}
 	return s
 }
 
-// encodeLeaf renders one leaf value.
-func encodeLeaf(path string, v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("rib: leaf %s does not marshal: %v", path, err)) // plain-data values
+// delta returns the gathered sets then deletes, each group in path order,
+// as one slice of exactly their length (nil when nothing changed), and
+// empties the lists without keeping any of their leaves alive.
+func (w *installer) delta() []Update {
+	slices.SortFunc(w.sets, byPath)
+	slices.SortFunc(w.dels, byPath)
+	var delta []Update
+	if n := len(w.sets) + len(w.dels); n > 0 {
+		delta = append(append(make([]Update, 0, n), w.sets...), w.dels...)
 	}
-	return b
+	clear(w.sets)
+	clear(w.dels)
+	w.sets, w.dels = w.sets[:0], w.dels[:0]
+	return delta
 }
 
 // syncBody lists the snapshot's leaves under a prefix as "set" ops in
@@ -191,20 +269,25 @@ func (s *Snapshot) syncBody(prefix string) []Update {
 	if prefix == "/" {
 		ups = make([]Update, 0, s.NumLeaves())
 	}
-	put := func(path string, v any) {
-		if underPrefix(path, prefix) {
-			ups = append(ups, Update{Op: OpSet, Path: path, Value: encodeLeaf(path, v)})
+	s.DB.EachNode(func(n *core.Node) {
+		if path := nodePath(n); underPrefix(path, prefix) {
+			ups = append(ups, Update{Op: OpSet, Path: path, Value: nodeJSON(nodeValue(n))})
+		}
+	})
+	for _, l := range s.DB.Links() {
+		if path := linkPath(l); underPrefix(path, prefix) {
+			ups = append(ups, Update{Op: OpSet, Path: path, Value: linkJSON(linkValue(l))})
 		}
 	}
-	s.DB.EachNode(func(n *core.Node) { put(nodePath(n), nodeValue(n)) })
-	for _, l := range s.DB.Links() {
-		put(linkPath(l), linkValue(l))
+	for _, r := range s.FIB.Routes {
+		if path := dsnPath(PathRoutes, r.DSN); underPrefix(path, prefix) {
+			ups = append(ups, Update{Op: OpSet, Path: path, Value: routeJSON(r)})
+		}
 	}
-	for dsn, r := range s.FIB.Routes {
-		put(dsnPath(PathRoutes, dsn), r)
-	}
-	for dsn, ev := range s.FIB.EventRoutes {
-		put(dsnPath(PathEventRoutes, dsn), ev)
+	for _, ev := range s.FIB.EventRoutes {
+		if path := dsnPath(PathEventRoutes, ev.DSN); underPrefix(path, prefix) {
+			ups = append(ups, Update{Op: OpSet, Path: path, Value: eventRouteJSON(ev)})
+		}
 	}
 	slices.SortFunc(ups, byPath)
 	return ups

@@ -107,11 +107,16 @@ func Header(p Path, pi asi.PI) (asi.RouteHeader, error) {
 // with ingress and egress swapped. The FM uses this to program event routes
 // (device -> FM) from its own FM -> device paths.
 func Reverse(p Path) Path {
-	r := make(Path, len(p))
-	for i, h := range p {
-		r[len(p)-1-i] = Hop{Ports: h.Ports, In: h.Out, Out: h.In}
+	return AppendReverse(make(Path, 0, len(p)), p)
+}
+
+// AppendReverse appends Reverse(p) to dst, for a caller that encodes the
+// reversed path and keeps nothing of it.
+func AppendReverse(dst, p Path) Path {
+	for i := len(p) - 1; i >= 0; i-- {
+		dst = append(dst, Hop{Ports: p[i].Ports, In: p[i].Out, Out: p[i].In})
 	}
-	return r
+	return dst
 }
 
 // Extend returns a new path that continues p through one more switch. It
