@@ -17,8 +17,7 @@
 #                   alloc-check    zero-alloc and allocation-budget pins
 #                   chaos-smoke chaos-par-smoke
 #                                  chaos sweep and its -workers determinism
-#                   daemon-smoke obs-smoke assim-smoke
-#                                  the three end-to-end tests of cmd/asifmd:
+#                   asifmd-smoke   the three end-to-end tests of cmd/asifmd:
 #                                  1000-subscriber replay identity, the
 #                                  observability plane, coalesced assimilation
 #                   bench-diff     allocs/op and B/op against BENCH_sim.json,
@@ -60,7 +59,7 @@ BENCH_OBS_BASELINE ?= results/bench_obs_baseline.txt
 
 .PHONY: all build vet test race verify bench bench-smoke bench-diff bench-test \
 	fmt-check seam-check results-check json-smoke span-smoke alloc-check \
-	chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke fuzz
+	chaos-smoke chaos-par-smoke asifmd-smoke fuzz
 
 all: build vet test
 
@@ -200,29 +199,23 @@ fuzz:
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParsePortInfo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeEventRoute$$' -fuzztime $(FUZZTIME)
 
-# daemon-smoke proves the FM daemon's serving layer end to end: an
-# in-process asifmd manages a fat-tree under scripted churn while 1000
-# in-process plus 8 HTTP subscribers replay the diff stream; every
-# reconstructed snapshot must be byte-identical to the live RIB and
-# fingerprint-identical to core.DB.Fingerprint, and the run must end at
-# its pinned generation and fingerprint.
-daemon-smoke:
-	$(GO) test -run 'TestDaemonSmoke' -count=1 ./cmd/asifmd/
-
-# obs-smoke proves the continuous observability plane end to end: an
-# in-process asifmd under churn is scraped twice over HTTP; the
-# Prometheus text must parse, every windowed rate must be finite, and
-# the staleness percentiles must be populated.
-obs-smoke:
-	$(GO) test -run 'TestObsSmoke' -count=1 ./cmd/asifmd/
-
-# assim-smoke proves the continuous-assimilation engine end to end: 12
-# keeper-driven churn rounds against the coalescing partial FM must
-# converge to ground truth at quiescence, leave nothing stranded in the
-# debounce window, and publish the pinned fm.assim.* counts plus the
-# DB-staleness gauges over /metrics.
-assim-smoke:
-	$(GO) test -run 'TestAssimSmoke' -count=1 ./cmd/asifmd/
+# asifmd-smoke runs the FM daemon's three end-to-end tests, each an
+# in-process asifmd under churn built like main's:
+#   TestDaemonSmoke  1000 in-process plus 8 HTTP subscribers replay a
+#                    fat-tree's diff stream; every reconstructed snapshot
+#                    must be byte-identical to the live RIB and
+#                    fingerprint-identical to core.DB.Fingerprint, and the
+#                    run must end at its pinned generation and fingerprint.
+#   TestObsSmoke     the observability plane, scraped twice over HTTP: the
+#                    Prometheus text must parse, every windowed rate must
+#                    be finite, the staleness percentiles populated.
+#   TestAssimSmoke   12 keeper-driven churn rounds against the coalescing
+#                    partial FM must converge to ground truth at
+#                    quiescence, leave nothing stranded in the debounce
+#                    window, and publish the pinned fm.assim.* counts plus
+#                    the DB-staleness gauges over /metrics.
+asifmd-smoke:
+	$(GO) test -run '^(TestDaemonSmoke|TestObsSmoke|TestAssimSmoke)$$' -count=1 ./cmd/asifmd/
 
 # bench-diff re-runs the benchmark suites and gates them against the
 # committed BENCH_sim.json, BENCH_fm.json, BENCH_serve.json and
@@ -242,7 +235,7 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/obs ./internal/telemetry \
 		| $(GO) run ./cmd/benchjson -diff BENCH_obs.json
 
-verify: fmt-check seam-check build vet test race results-check bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke daemon-smoke obs-smoke assim-smoke bench-diff
+verify: fmt-check seam-check build vet test race results-check bench-test bench-smoke json-smoke span-smoke alloc-check chaos-smoke chaos-par-smoke asifmd-smoke bench-diff
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/sim ./internal/topo \

@@ -12,7 +12,7 @@ import (
 )
 
 // TestAssimSmoke proves the continuous-assimilation engine end to end
-// (`make assim-smoke`). It drives 12 keeper-driven churn rounds against
+// (`make asifmd-smoke`). It drives 12 keeper-driven churn rounds against
 // the coalescing partial FM on a synthetic clock (every concern fires at
 // its exact deadline, no wall sleeping), restores the fabric, and fails
 // unless

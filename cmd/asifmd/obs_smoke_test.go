@@ -38,8 +38,8 @@ func scrapeMetrics(t *testing.T, url string) (map[string][]obs.PromPoint, map[st
 	return byName, types
 }
 
-// TestObsSmoke drives the full observability plane end to end, exactly
-// as `make obs-smoke`: an in-process asifmd under churn, scraped twice
+// TestObsSmoke drives the full observability plane end to end (one of
+// `make asifmd-smoke`'s three tests): an in-process asifmd under churn, scraped twice
 // over HTTP, must serve machine-parseable Prometheus text with finite
 // windowed rates, populated staleness percentiles, a dashboard document
 // and an NDJSON event log.

@@ -50,7 +50,7 @@ type smokeRun struct {
 const httpSubs = 8
 
 // TestDaemonSmoke proves the daemon's serving layer end to end (`make
-// daemon-smoke`): the default daemon manages its fat-tree through six
+// asifmd-smoke`): the default daemon manages its fat-tree through six
 // churn rounds while 1000 in-process subscribers (100 with -short) plus a
 // set of real HTTP subscribers replay the diff stream concurrently; every
 // reconstruction must be byte-identical to the live snapshot and

@@ -6,6 +6,7 @@ import (
 	"repro/internal/asi"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -152,7 +153,7 @@ func FuzzCoalesce(f *testing.F) {
 		}
 
 		// Churnable switches: everything but the FM's uplink switch.
-		host := hostSwitch(tp)
+		_, host := rig.Host(tp)
 		var switches []topo.NodeID
 		for _, n := range tp.Nodes {
 			if n.Type == asi.DeviceSwitch && n.ID != host {
@@ -214,7 +215,7 @@ func FuzzCoalesce(f *testing.F) {
 			m.StartDiscovery()
 			e.Run()
 		}
-		wantDev, wantLinks := GroundTruth(fb, ep.ID)
+		wantDev, wantLinks := fb.AliveReachable(ep.ID)
 		db := m.DB()
 		if db.NumNodes() != wantDev || db.NumLinks() != wantLinks {
 			t.Fatalf("database has %d devices / %d links at quiescence, ground truth %d / %d",

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asi"
 	"repro/internal/core"
+	"repro/internal/rig"
 	"repro/internal/topo"
 )
 
@@ -57,7 +58,8 @@ func TestValidateRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := int(hostSwitch(tp))
+	_, hostSw := rig.Host(tp)
+	host := int(hostSw)
 	leaf := -1
 	for _, n := range tp.Nodes {
 		if n.Type == asi.DeviceSwitch && int(n.ID) != host {
@@ -186,7 +188,7 @@ func TestOracleCatchesSkippedPI5AndShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := hostSwitch(tp)
+	_, host := rig.Host(tp)
 	for _, n := range tp.Nodes {
 		// A leaf switch has exactly one switch neighbour, so its removal
 		// produces exactly one deliverable PI-5 (the one the filter eats:

@@ -27,7 +27,7 @@ type Churner struct {
 // fewer than two switches — with only the host switch there is nothing
 // legal to churn.
 func NewChurner(tp *topo.Topology, seed uint64) (*Churner, error) {
-	host := hostSwitch(tp)
+	_, host := rig.Host(tp)
 	c := &Churner{
 		host: host,
 		down: make(map[topo.NodeID]bool),

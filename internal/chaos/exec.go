@@ -42,13 +42,10 @@ type Options struct {
 	OnDiscovery func(db *core.DB, r core.Result)
 	// Coalesce enables the manager's continuous-assimilation front-end
 	// (core.Options.AssimWindow): PI-5 reports debounce in a window of
-	// CoalesceWindowUS microseconds (default 200) bounded by
-	// CoalesceBatchMax distinct ports, and flush as one batched partial
-	// run. Only the Partial algorithm assimilates events localizedly, so
-	// the options are inert for the other kinds.
-	Coalesce         bool
-	CoalesceWindowUS float64
-	CoalesceBatchMax int
+	// coalesceWindow bounded by the manager's default batch cap, and
+	// flush as one batched partial run. Only the Partial algorithm
+	// assimilates events localizedly, so it is inert for the other kinds.
+	Coalesce bool
 	// Continuous > 0 appends a steady-state churn phase after the
 	// scripted events settle: that many rounds, each a Churner storm of
 	// ContinuousOps toggles (default 4) followed by full restoration,
@@ -57,6 +54,9 @@ type Options struct {
 	Continuous    int
 	ContinuousOps int
 }
+
+// coalesceWindow is Options.Coalesce's debounce window.
+const coalesceWindow = 200 * sim.Microsecond
 
 // DefaultHorizon is far beyond any legitimate phase: the worst Table 1
 // fabric under maximum loss and retries quiesces in well under a second
@@ -215,12 +215,7 @@ func newExecution(sc Scenario, opt Options) (*execution, error) {
 		},
 	}
 	if opt.Coalesce {
-		w := opt.CoalesceWindowUS
-		if w <= 0 {
-			w = 200
-		}
-		cfg.Manager.AssimWindow = sim.Micros(w)
-		cfg.Manager.AssimBatchMax = opt.CoalesceBatchMax
+		cfg.Manager.AssimWindow = coalesceWindow
 	}
 	if x.rig, err = rig.New(tp, cfg); err != nil {
 		return nil, err
@@ -333,7 +328,7 @@ func (x *execution) script() bool {
 			rep.ChurnRun = i
 		}
 	}
-	rep.WantDevices, rep.WantLinks = GroundTruth(f, m.Device().ID)
+	rep.WantDevices, rep.WantLinks = f.AliveReachable(m.Device().ID)
 	rep.PostChurnDevices, rep.PostChurnLinks = m.DB().NumNodes(), m.DB().NumLinks()
 	rep.PostChurnFP = m.DB().Fingerprint()
 	return true
@@ -428,7 +423,7 @@ func (x *execution) continuousRound(round, ops int, lossFree bool) bool {
 	// With everything restored the database may at worst lag behind the
 	// fabric — it must never claim devices or links the fabric does not
 	// have.
-	wd, wl := GroundTruth(f, m.Device().ID)
+	wd, wl := f.AliveReachable(m.Device().ID)
 	if m.DB().NumNodes() > wd || m.DB().NumLinks() > wl {
 		x.contErr(round, "database has %d devices / %d links at quiescence, fabric only %d / %d",
 			m.DB().NumNodes(), m.DB().NumLinks(), wd, wl)
@@ -490,17 +485,8 @@ func (x *execution) finish() {
 // discovery result's measurements, and the final database fingerprint.
 // Wall-clock-derived telemetry (events/sec) is deliberately excluded.
 func (rep *Report) fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
+	h := uint64(fnvOffset)
+	mix := func(v uint64) { h = fnvFold(h, v) }
 	mix(rep.Processed)
 	mix(rep.Counters.TxPackets)
 	mix(rep.Counters.TxBytes)
@@ -544,6 +530,21 @@ func (rep *Report) fingerprint() uint64 {
 	return h
 }
 
+// FNV-1a's offset basis and prime, for the fingerprints folded here.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvFold folds v's eight bytes, low first, into the FNV-1a hash h.
+func fnvFold(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= (v >> (8 * i)) & 0xff
+		h *= fnvPrime
+	}
+	return h
+}
+
 // CrossCheck executes the scenario once per paper algorithm and verifies
 // that every run passes the oracle and that all trustworthy audits agree
 // on the final topology fingerprint — the serial and parallel algorithms
@@ -571,17 +572,7 @@ func crossCheck(sc Scenario, opt Options) (fp uint64, err error) {
 		mode mode
 		fp   uint64
 	}
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	combined := uint64(offset)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			combined ^= (v >> (8 * i)) & 0xff
-			combined *= prime
-		}
-	}
+	fp = fnvOffset
 	modes := make([]mode, 0, len(core.PaperKinds())+1)
 	for _, k := range core.PaperKinds() {
 		modes = append(modes, mode{kind: k})
@@ -607,7 +598,7 @@ func crossCheck(sc Scenario, opt Options) (fp uint64, err error) {
 		if err := (Oracle{}).Check(rep); err != nil {
 			return 0, fmt.Errorf("chaos: %s: %w", name(md), err)
 		}
-		fold(rep.Fingerprint)
+		fp = fnvFold(fp, rep.Fingerprint)
 		if rep.AuditRan && rep.Trustworthy(rep.Audit) {
 			fps = append(fps, agreed{md, rep.DBFingerprint})
 		}
@@ -635,7 +626,7 @@ func crossCheck(sc Scenario, opt Options) (fp uint64, err error) {
 		return 0, fmt.Errorf("chaos: partial assimilation modes disagree post-churn: per-event=%#x, coalesced=%#x",
 			perEvent.PostChurnFP, coalesced.PostChurnFP)
 	}
-	return combined, nil
+	return fp, nil
 }
 
 // allTrustworthy reports whether every completed run in the report was

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asi"
 	"repro/internal/core"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -148,7 +149,7 @@ func generateEvents(rng *sim.RNG, ts TopologySpec, p Profile) []Event {
 	if err != nil {
 		panic(err) // generator specs are buildable by construction
 	}
-	host := hostSwitch(tp)
+	_, host := rig.Host(tp)
 	var switches []int
 	for _, n := range tp.Nodes {
 		if n.Type == asi.DeviceSwitch && n.ID != host {
@@ -204,10 +205,10 @@ func generateEvents(rng *sim.RNG, ts TopologySpec, p Profile) []Event {
 
 // hashString is FNV-1a, mixing a profile name into a generation seed.
 func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }

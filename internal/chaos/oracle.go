@@ -8,53 +8,16 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/span"
 	"repro/internal/telemetry"
-	"repro/internal/topo"
 )
 
-// GroundTruth computes the alive-reachable fabric as seen from start:
-// the number of devices reachable from it over live links through active
-// ports, and the number of topology links with both ends in that alive
-// set. It is the reference every discovery result is compared against
-// (promoted here from core's property tests so the chaos harness, the
-// property tests and external tools share one definition).
-func GroundTruth(f *fabric.Fabric, start topo.NodeID) (devices, links int) {
-	if !f.Alive(start) {
-		return 0, 0
-	}
-	// The queue ends up holding exactly the alive-reachable set.
-	alive := make([]bool, len(f.Topo.Nodes))
-	alive[start] = true
-	queue := append(make([]topo.NodeID, 0, len(f.Topo.Nodes)), start)
-	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		for p := 0; p < f.Device(n).Ports(); p++ {
-			peer, _, ok := f.Topo.Peer(n, p)
-			if !ok || !f.Alive(peer) || alive[peer] {
-				continue
-			}
-			if !f.Device(n).PortActive(p) {
-				continue
-			}
-			alive[peer] = true
-			queue = append(queue, peer)
-		}
-	}
-	for _, l := range f.Topo.Links {
-		if alive[l.A] && alive[l.B] {
-			links++
-		}
-	}
-	return len(queue), links
-}
-
 // CheckConverged verifies that one completed discovery result matches the
-// fabric's current alive-reachable ground truth and that the manager's
-// database is internally consistent: node and link counts agree with the
+// fabric's current alive-reachable ground truth (Fabric.AliveReachable)
+// and that the manager's database is internally consistent: node and link counts agree with the
 // result, and every stored node is reachable over the database's own
 // links from the host endpoint. Property tests and the executor's audit
 // phase share this check.
 func CheckConverged(f *fabric.Fabric, m *core.Manager, res core.Result) error {
-	wantDev, wantLinks := GroundTruth(f, m.Device().ID)
+	wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 	if res.Devices != wantDev || res.Links != wantLinks {
 		return fmt.Errorf("chaos: result has %d devices / %d links, ground truth %d / %d",
 			res.Devices, res.Links, wantDev, wantLinks)

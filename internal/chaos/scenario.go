@@ -173,7 +173,7 @@ func (sc Scenario) Validate() error {
 	if sc.DropFirst < 0 || sc.DelayUS < 0 || sc.BackoffUS < 0 || sc.MaxRetries < 0 {
 		return fmt.Errorf("chaos: negative fault/retry field")
 	}
-	host := hostSwitch(tp)
+	_, host := rig.Host(tp)
 	down := map[int]bool{}
 	prev := 0.0
 	for i, ev := range sc.Events {
@@ -211,14 +211,6 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// hostSwitch returns the switch cabled to the FM's host endpoint; taking
-// it down would sever the manager from the whole fabric, so scripts are
-// not allowed to target it (the paper's experiments exclude it too).
-func hostSwitch(tp *topo.Topology) topo.NodeID {
-	sw, _, _ := tp.Peer(tp.Endpoints()[0], 0)
-	return sw
 }
 
 // Sanitize clamps an arbitrary decoded scenario (fuzz input) into an
@@ -264,7 +256,7 @@ func Sanitize(sc Scenario) Scenario {
 // is valid against tp: in-range non-host switch targets with correct
 // down/up alternation, in-range flap links, clamped times and durations.
 func normalizeEvents(events []Event, tp *topo.Topology) []Event {
-	host := hostSwitch(tp)
+	_, host := rig.Host(tp)
 	down := map[int]bool{}
 	var out []Event
 	clamped := make([]Event, len(events))

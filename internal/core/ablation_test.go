@@ -26,7 +26,7 @@ func TestBatchedPortReadsStillCorrect(t *testing.T) {
 			tp := topo.Torus(4, 4)
 			e, f, m := setupOpts(t, tp, Options{Algorithm: kind, PortReadBatch: batch})
 			res := runDiscovery(t, e, m)
-			wantDev, wantLinks := groundTruth(f, m.Device().ID)
+			wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 			if res.Devices != wantDev || res.Links != wantLinks {
 				t.Errorf("%v batch=%d: %d devices / %d links, want %d / %d",
 					kind, batch, res.Devices, res.Links, wantDev, wantLinks)
@@ -67,7 +67,7 @@ func TestNoProbeMemoStillCorrect(t *testing.T) {
 		tp := topo.Torus(4, 4)
 		e, f, m := setupOpts(t, tp, Options{Algorithm: kind, NoProbeMemo: true})
 		res := runDiscovery(t, e, m)
-		wantDev, wantLinks := groundTruth(f, m.Device().ID)
+		wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 		if res.Devices != wantDev || res.Links != wantLinks {
 			t.Errorf("%v no-memo: %d devices / %d links, want %d / %d",
 				kind, res.Devices, res.Links, wantDev, wantLinks)
@@ -102,7 +102,7 @@ func TestBatchedReadsWithChangeAssimilation(t *testing.T) {
 	if res == nil {
 		t.Fatal("assimilation did not run")
 	}
-	wantDev, wantLinks := groundTruth(f, m.Device().ID)
+	wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 	if res.Devices != wantDev || res.Links != wantLinks {
 		t.Errorf("batched assimilation: %d/%d, want %d/%d", res.Devices, res.Links, wantDev, wantLinks)
 	}

@@ -77,7 +77,7 @@ func TestCoalescedStormFewerRuns(t *testing.T) {
 		// sw(0,0).
 		flapDevice(t, e, f, 15, flaps, 8*sim.Millisecond, 4*sim.Millisecond)
 		e.Run()
-		dbMatchesGroundTruth(t, f, m, "after storm")
+		dbMatchesFabric(t, f, m, "after storm")
 		if m.Discovering() {
 			t.Error("manager still discovering after drain")
 		}
@@ -113,7 +113,7 @@ func TestCoalescedBatchCapForcesFlush(t *testing.T) {
 		m.OnDiscoveryComplete = func(Result) { runs++ }
 		flapDevice(t, e, f, 8, 4, 60*sim.Microsecond, 30*sim.Microsecond)
 		e.Run()
-		dbMatchesGroundTruth(t, f, m, "after capped storm")
+		dbMatchesFabric(t, f, m, "after capped storm")
 		return runs
 	}
 	uncapped := run(Options{AssimWindow: 10 * sim.Millisecond})
@@ -156,7 +156,7 @@ func TestFullRunDropsPendingBatchButStaysDirty(t *testing.T) {
 	if runs < 2 {
 		t.Errorf("%d runs completed, want at least 2 (dropped batch must dirty the full run)", runs)
 	}
-	dbMatchesGroundTruth(t, f, m, "after full run over pending batch")
+	dbMatchesFabric(t, f, m, "after full run over pending batch")
 }
 
 // TestPartialSeqPrunedOnRemoval is the regression test for the unbounded
@@ -180,7 +180,7 @@ func TestPartialSeqPrunedOnRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	dbMatchesGroundTruth(t, f, m, "after victim removal")
+	dbMatchesFabric(t, f, m, "after victim removal")
 	if m.DB().Node(dsn) != nil {
 		t.Fatal("victim still in database")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,26 +54,22 @@ func TestDiffDBsNilSafe(t *testing.T) {
 	}
 }
 
+// The database after a change-triggered rediscovery differs from a
+// clone taken before the change by exactly the devices and links the
+// change stranded or restored.
 func TestAssimilationReportsExactChange(t *testing.T) {
 	tp := topo.Mesh(3, 3)
 	e, f, m := setup(t, tp, Parallel)
-	first := runDiscovery(t, e, m)
-	if first.Changes != nil {
-		t.Error("first discovery carries a change report")
-	}
+	runDiscovery(t, e, m)
 	m.DistributeEventRoutes(nil)
 	e.Run()
 
-	var res *Result
-	m.OnDiscoveryComplete = func(r Result) { res = &r }
+	before := m.DB().Clone()
 	if err := f.SetDeviceDown(8, false); err != nil { // corner sw(2,2)
 		t.Fatal(err)
 	}
 	e.Run()
-	if res == nil || res.Changes == nil {
-		t.Fatal("assimilation produced no change report")
-	}
-	d := *res.Changes
+	d := DiffDBs(before, m.DB())
 	// Corner removal strands the switch and its endpoint; 3 links die
 	// (2 mesh links + host link).
 	if len(d.RemovedDevices) != 2 {
@@ -84,33 +81,23 @@ func TestAssimilationReportsExactChange(t *testing.T) {
 	if len(d.AddedDevices) != 0 || len(d.AddedLinks) != 0 {
 		t.Errorf("spurious additions: %+v", d)
 	}
-	sw := f.Device(8).DSN
-	found := false
-	for _, dsn := range d.RemovedDevices {
-		if dsn == sw {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("removed switch not named in the report")
+	if !slices.Contains(d.RemovedDevices, f.Device(8).DSN) {
+		t.Error("removed switch not named in the diff")
 	}
 
-	// Restore: the next report shows exactly the additions.
-	res = nil
+	// Restore: the next diff shows exactly the additions.
+	before = m.DB().Clone()
 	if err := f.SetDeviceUp(8, false); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
-	if res == nil || res.Changes == nil {
-		t.Fatal("re-addition produced no change report")
+	d = DiffDBs(before, m.DB())
+	if len(d.AddedDevices) != 2 || len(d.AddedLinks) != 3 {
+		t.Errorf("addition diff: %+v", d)
 	}
-	if len(res.Changes.AddedDevices) != 2 || len(res.Changes.AddedLinks) != 3 {
-		t.Errorf("addition report: %+v", *res.Changes)
+	if len(d.RemovedDevices) != 0 || len(d.RemovedLinks) != 0 {
+		t.Errorf("spurious removals: %+v", d)
 	}
-	if len(res.Changes.RemovedDevices) != 0 {
-		t.Errorf("spurious removals: %v", res.Changes.RemovedDevices)
-	}
-	_ = asi.DSN(0)
 }
 
 // DiffDBs must report exactly what the link-map body (refDiffDBs)

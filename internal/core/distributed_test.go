@@ -143,7 +143,7 @@ func TestDistributedAfterChange(t *testing.T) {
 		t.Fatal("second round did not finish")
 	}
 	primary := team.Primary()
-	wantDev, wantLinks := groundTruth(f, primary.Device().ID)
+	wantDev, wantLinks := f.AliveReachable(primary.Device().ID)
 	if res.Devices != wantDev || res.Links != wantLinks {
 		t.Errorf("merged %d devices / %d links, want %d / %d",
 			res.Devices, res.Links, wantDev, wantLinks)

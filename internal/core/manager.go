@@ -211,10 +211,7 @@ type Manager struct {
 	// cost is the FM processing-time model.
 	cost CostModel
 
-	db *DB
-	// prevDB is the database of the previous full run, kept to report
-	// what a change-triggered rediscovery actually changed.
-	prevDB  *DB
+	db      *DB
 	pending map[uint32]*request
 	nextTag uint32
 
@@ -283,9 +280,6 @@ type Manager struct {
 	assimEvents  int
 	assimTimer   *sim.Timer
 	assimQueued  bool
-
-	// stale counts completions whose request had already timed out.
-	stale int
 
 	// tree, pathBuf and dsnBuf are refreshPaths' reused search tree, route
 	// buffer and visit list; ageBuf is DBStaleness' list of node ages.
@@ -398,7 +392,6 @@ func (m *Manager) HandlePacket(port int, pkt *asi.Packet) {
 			// possibly re-issued under a fresh tag). The retransmission's
 			// own completion is the one that counts; this one is dropped
 			// so the database never folds a response in twice.
-			m.stale++
 			if m.discovering {
 				m.res.Stale++
 			}
@@ -895,8 +888,7 @@ func (m *Manager) beginRun() {
 	m.partialRun = false
 	m.dirty = false
 	m.dropAssimPending()
-	m.prevDB = m.db
-	m.db = newDB(m.dev.DSN, m.prevDB.NumNodes())
+	m.db = newDB(m.dev.DSN, m.db.NumNodes())
 	m.drv = m.newDriver()
 	for _, r := range m.pending {
 		m.e.Cancel(r.timeout)
@@ -963,10 +955,6 @@ func (m *Manager) finishRun() {
 	if m.timelineChunks != nil {
 		m.res.Timeline = slices.Concat(append(m.timelineChunks, m.res.Timeline)...)
 		m.timelineChunks = nil
-	}
-	if m.prevDB != nil && m.prevDB.NumNodes() > 0 {
-		d := DiffDBs(m.prevDB, m.db)
-		m.res.Changes = &d
 	}
 	r := m.res
 	m.last = &r

@@ -22,42 +22,6 @@ func setup(t testing.TB, tp *topo.Topology, kind Kind) (*sim.Engine, *fabric.Fab
 	return e, f, m
 }
 
-// groundTruth walks the live fabric from the manager's endpoint and
-// returns the expected device and link counts. The exported definition
-// lives in chaos.GroundTruth; this internal-test copy exists because
-// chaos imports core, so package-core test files cannot import chaos
-// without a cycle (property_test.go moved to core_test for that reason).
-func groundTruth(f *fabric.Fabric, start topo.NodeID) (devices, links int) {
-	alive := map[topo.NodeID]bool{}
-	if !f.Device(start).Alive() {
-		return 0, 0
-	}
-	seen := map[topo.NodeID]bool{start: true}
-	queue := []topo.NodeID{start}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		alive[n] = true
-		for p := 0; p < f.Device(n).Ports(); p++ {
-			peer, _, ok := f.Topo.Peer(n, p)
-			if !ok || !f.Device(peer).Alive() || seen[peer] {
-				continue
-			}
-			if !f.Device(n).PortActive(p) {
-				continue
-			}
-			seen[peer] = true
-			queue = append(queue, peer)
-		}
-	}
-	for _, l := range f.Topo.Links {
-		if alive[l.A] && alive[l.B] {
-			links++
-		}
-	}
-	return len(alive), links
-}
-
 // runDiscovery starts a discovery and returns the result.
 func runDiscovery(t testing.TB, e *sim.Engine, m *Manager) Result {
 	t.Helper()
@@ -78,7 +42,7 @@ func TestDiscoveryFindsEverythingAllAlgorithmsAllTopologies(t *testing.T) {
 			tp := spec.Build()
 			e, f, m := setup(t, tp, kind)
 			res := runDiscovery(t, e, m)
-			wantDev, wantLinks := groundTruth(f, m.Device().ID)
+			wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 			if res.Devices != wantDev {
 				t.Errorf("%s / %s: discovered %d devices, want %d", spec.Name, kind, res.Devices, wantDev)
 			}
@@ -140,7 +104,7 @@ func TestDiscoveryAfterSwitchRemoval(t *testing.T) {
 		}
 		e.Run()
 		res := runDiscovery(t, e, m)
-		wantDev, wantLinks := groundTruth(f, m.Device().ID)
+		wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 		if res.Devices != wantDev || res.Links != wantLinks {
 			t.Errorf("%s: rediscovered %d devices / %d links, want %d / %d",
 				kind, res.Devices, res.Links, wantDev, wantLinks)
@@ -184,7 +148,7 @@ func TestChangeAssimilationEndToEnd(t *testing.T) {
 		if len(results) != 1 {
 			t.Fatalf("%s: change triggered %d discoveries, want 1", kind, len(results))
 		}
-		wantDev, wantLinks := groundTruth(f, m.Device().ID)
+		wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 		if results[0].Devices != wantDev || results[0].Links != wantLinks {
 			t.Errorf("%s: assimilated %d devices / %d links, want %d / %d",
 				kind, results[0].Devices, results[0].Links, wantDev, wantLinks)

@@ -28,10 +28,10 @@ func partialSetup(t *testing.T, tp *topo.Topology) (*sim.Engine, *fabric.Fabric,
 	return e, f, m
 }
 
-// dbMatchesGroundTruth checks the database against the live fabric.
-func dbMatchesGroundTruth(t *testing.T, f *fabric.Fabric, m *Manager, context string) {
+// dbMatchesFabric checks the database against the live fabric.
+func dbMatchesFabric(t *testing.T, f *fabric.Fabric, m *Manager, context string) {
 	t.Helper()
-	wantDev, wantLinks := groundTruth(f, m.Device().ID)
+	wantDev, wantLinks := f.AliveReachable(m.Device().ID)
 	if m.DB().NumNodes() != wantDev {
 		t.Errorf("%s: database has %d devices, fabric has %d", context, m.DB().NumNodes(), wantDev)
 	}
@@ -50,7 +50,7 @@ func TestPartialAssimilatesCornerRemoval(t *testing.T) {
 	}
 	e.Run()
 
-	dbMatchesGroundTruth(t, f, m, "after corner removal")
+	dbMatchesFabric(t, f, m, "after corner removal")
 	// The corner switch and its endpoint must be gone.
 	if m.DB().NumNodes() != 16 {
 		t.Errorf("database has %d devices, want 16", m.DB().NumNodes())
@@ -66,7 +66,7 @@ func TestPartialAssimilatesCentreRemovalWithReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	dbMatchesGroundTruth(t, f, m, "after centre removal")
+	dbMatchesFabric(t, f, m, "after centre removal")
 	// Every surviving device's stored path must still be BFS-reachable.
 	for _, n := range m.DB().Nodes() {
 		if n.DSN == m.Device().DSN {
@@ -101,7 +101,7 @@ func TestPartialAssimilatesAddition(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	dbMatchesGroundTruth(t, f, m, "after addition")
+	dbMatchesFabric(t, f, m, "after addition")
 	if m.DB().NumNodes() != 18 {
 		t.Errorf("database has %d devices after addition, want 18", m.DB().NumNodes())
 	}
@@ -194,7 +194,7 @@ func TestPartialFallsBackToFullWithoutBaseline(t *testing.T) {
 	if res == nil {
 		t.Fatal("no fallback discovery ran")
 	}
-	dbMatchesGroundTruth(t, f, m, "after fallback full discovery")
+	dbMatchesFabric(t, f, m, "after fallback full discovery")
 }
 
 // TestRefreshPathsCopiesChangedRoutes checks that the repair pass leaves

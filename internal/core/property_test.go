@@ -21,7 +21,7 @@ import (
 // comparison itself is chaos.CheckConverged, shared with the chaos
 // harness's executor so there is exactly one definition of "correct".
 
-func discoveryMatchesGroundTruth(t *testing.T, tp *topo.Topology, kind core.Kind, opt core.Options) bool {
+func discoveryMatchesFabric(t *testing.T, tp *topo.Topology, kind core.Kind, opt core.Options) bool {
 	t.Helper()
 	e := sim.NewEngine()
 	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(99))
@@ -51,7 +51,7 @@ func TestDiscoveryCorrectOnRandomTopologies(t *testing.T) {
 		nsw := int(n%18) + 2
 		tp := topo.Random(nsw, int(extra%24), sim.NewRNG(seed))
 		for _, kind := range core.PaperKinds() {
-			if !discoveryMatchesGroundTruth(t, tp, kind, core.Options{}) {
+			if !discoveryMatchesFabric(t, tp, kind, core.Options{}) {
 				return false
 			}
 		}
@@ -67,7 +67,7 @@ func TestDiscoveryCorrectOnRandomTopologiesWithAblations(t *testing.T) {
 		nsw := int(n%12) + 2
 		tp := topo.Random(nsw, int(seed%16), sim.NewRNG(seed))
 		opt := core.Options{PortReadBatch: int(batch%4) + 1, NoProbeMemo: noMemo}
-		return discoveryMatchesGroundTruth(t, tp, core.Parallel, opt)
+		return discoveryMatchesFabric(t, tp, core.Parallel, opt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -114,7 +114,7 @@ func TestAssimilationCorrectOnRandomTopologies(t *testing.T) {
 		if done < 2 {
 			return true
 		}
-		wantDev, wantLinks := chaos.GroundTruth(fab, m.Device().ID)
+		wantDev, wantLinks := fab.AliveReachable(m.Device().ID)
 		return m.DB().NumNodes() == wantDev && m.DB().NumLinks() == wantLinks
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

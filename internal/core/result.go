@@ -47,9 +47,6 @@ type Result struct {
 	// Fig. 7(a): Timeline[i] is the simulated instant the FM finished
 	// processing its (i+1)-th management packet.
 	Timeline []sim.Time
-	// Changes summarizes what this run's topology differs from the
-	// previous full discovery's (nil on the very first run).
-	Changes *Diff
 }
 
 // AvgFMProcessing returns the mean FM processing time per packet — the

@@ -13,7 +13,7 @@ import (
 // RunReportSchema identifies the JSON envelope version emitted by the
 // CLIs. Consumers should reject any other schema string, as
 // DecodeRunReport does.
-const RunReportSchema = "asi-discovery/run-report/v4"
+const RunReportSchema = "asi-discovery/run-report/v5"
 
 // RunReport is the machine-readable envelope for simulation output: run
 // identification, the measured discovery, any rendered report tables,

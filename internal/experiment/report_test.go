@@ -103,10 +103,10 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// Retired envelope versions get no partial back-compat decoding: a v1 or
-// v2 document is refused by the unknown-schema error whatever it carries.
+// Retired envelope versions get no partial back-compat decoding: a v1 to
+// v4 document is refused by the unknown-schema error whatever it carries.
 func TestDecodeRunReportBackCompat(t *testing.T) {
-	for _, version := range []string{"v1", "v2", "v3"} {
+	for _, version := range []string{"v1", "v2", "v3", "v4"} {
 		schema := "asi-discovery/run-report/" + version
 		for _, body := range []string{
 			`"error":"x"`,

@@ -150,7 +150,7 @@ func RunConfig(cfg Config) (out Outcome) {
 	out.Initial = results[0]
 	if cfg.Change == NoChange {
 		out.Result = out.Initial
-		out.ActiveNodes = r.Fabric.AliveReachableFrom(r.Manager.Device().ID)
+		out.ActiveNodes, _ = r.Fabric.AliveReachable(r.Manager.Device().ID)
 		return out
 	}
 
@@ -165,7 +165,7 @@ func RunConfig(cfg Config) (out Outcome) {
 		return out
 	}
 	out.Result = aggregate(results[1:])
-	out.ActiveNodes = r.Fabric.AliveReachableFrom(r.Manager.Device().ID)
+	out.ActiveNodes, _ = r.Fabric.AliveReachable(r.Manager.Device().ID)
 	return out
 }
 

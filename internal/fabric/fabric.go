@@ -318,32 +318,36 @@ func (f *Fabric) Counters() Counters {
 	return c
 }
 
-// AliveReachableFrom counts devices currently alive and reachable from the
-// given endpoint over live links — the "active and reachable devices"
-// x-axis of the paper's Fig. 6(a).
-func (f *Fabric) AliveReachableFrom(id topo.NodeID) int {
-	start := f.devices[id]
-	if !start.Alive() {
-		return 0
+// AliveReachable is the alive-reachable ground truth as seen from start:
+// the devices reachable from it through active ports to alive peers —
+// the "active and reachable devices" x-axis of the paper's Fig. 6(a) —
+// and the topology links with both ends among them. Every discovery
+// result is judged against it.
+func (f *Fabric) AliveReachable(start topo.NodeID) (devices, links int) {
+	if !f.devices[start].alive {
+		return 0, 0
 	}
-	seen := map[*Device]bool{start: true}
-	queue := []*Device{start}
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
+	// The queue ends up holding exactly the alive-reachable set.
+	reached := make([]bool, len(f.Topo.Nodes))
+	reached[start] = true
+	queue := append(make([]topo.NodeID, 0, len(f.Topo.Nodes)), start)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		d := f.devices[n]
 		for p := range d.ports {
-			pt := &d.ports[p]
-			if pt.link == nil || !pt.link.up {
-				continue
-			}
-			peer, _ := pt.link.otherEnd(d)
-			if peer.Alive() && !seen[peer] {
-				seen[peer] = true
+			peer, _, ok := f.Topo.Peer(n, p)
+			if ok && !reached[peer] && f.devices[peer].alive && d.ports[p].active {
+				reached[peer] = true
 				queue = append(queue, peer)
 			}
 		}
 	}
-	return len(seen)
+	for _, l := range f.Topo.Links {
+		if reached[l.A] && reached[l.B] {
+			links++
+		}
+	}
+	return len(queue), links
 }
 
 // serialization returns the wire time of size bytes on a link.

@@ -341,16 +341,16 @@ func TestQuietRemovalEmitsNothing(t *testing.T) {
 func TestAliveReachableAfterRemoval(t *testing.T) {
 	e, f := testFabric(t, topo.Mesh(3, 3))
 	ep := firstEndpoint(f)
-	if got := f.AliveReachableFrom(ep.ID); got != 18 {
-		t.Fatalf("initial reachable = %d, want 18", got)
+	if dev, links := f.AliveReachable(ep.ID); dev != 18 || links != 21 {
+		t.Fatalf("initial reachable = %d devices / %d links, want 18 / 21", dev, links)
 	}
 	// Removing a corner switch strands it and its endpoint.
 	if err := f.SetDeviceDown(8, true); err != nil { // sw(2,2)
 		t.Fatal(err)
 	}
 	e.Run()
-	if got := f.AliveReachableFrom(ep.ID); got != 16 {
-		t.Errorf("reachable after corner removal = %d, want 16", got)
+	if dev, links := f.AliveReachable(ep.ID); dev != 16 || links != 18 {
+		t.Errorf("reachable after corner removal = %d devices / %d links, want 16 / 18", dev, links)
 	}
 }
 

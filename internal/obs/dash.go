@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/rib"
+	"repro/internal/telemetry"
 )
 
 // DashDoc is the /obs.json document: one self-contained frame of the
@@ -44,33 +45,27 @@ type GaugeValue struct {
 
 // Dash assembles the current dashboard document.
 func (p *Plane) Dash(eventTail int) DashDoc {
-	p.mu.RLock()
-	cur, okCur := p.latest()
-	base, okBase := p.windowBase()
-	scrapes := p.scrapes
-	p.mu.RUnlock()
-
+	cur, base, sec, scrapes, ok := p.rateWindow()
 	doc := DashDoc{
 		Scrapes:       scrapes,
 		Events:        p.Events(eventTail),
 		EventsLogged:  p.EventsLogged(),
 		EventsDropped: p.EventsDropped(),
 	}
-	if !okCur {
+	if !ok {
 		return doc
 	}
 	doc.Wall = cur.Wall
+	doc.WindowSec = sec
 	doc.SimPS = cur.SimPS
 	doc.Gen = cur.Gen
 	doc.Serving = cur.Serving
 	for _, g := range cur.Telemetry.Gauges {
 		doc.Gauges = append(doc.Gauges, GaugeValue{Name: g.Name, Value: g.Value})
 	}
-
-	if okBase {
-		if doc.WindowSec = cur.Wall.Sub(base.Wall).Seconds(); doc.WindowSec > 0 {
-			doc.Rates, doc.Quantiles = windowStats(cur, base, doc.WindowSec)
-		}
+	if sec > 0 {
+		tw := telemetry.NewWindow(cur.Telemetry, base.Telemetry)
+		doc.Rates, doc.Quantiles = windowStats(&tw, sec)
 	}
 	return doc
 }

@@ -27,6 +27,8 @@
 package obs
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -127,53 +129,25 @@ func (p *Plane) Scrapes() uint64 {
 	return p.scrapes
 }
 
-// latest returns the newest sample; ok is false before the first scrape.
-// Caller must hold p.mu (read side suffices).
-func (p *Plane) latest() (Sample, bool) {
-	if p.n == 0 {
-		return Sample{}, false
-	}
-	return p.ring[(p.head-1+len(p.ring))%len(p.ring)], true
-}
-
-// windowBase returns the oldest sample inside the rate window (at most
-// p.window-1 steps behind the newest). Caller must hold p.mu.
-func (p *Plane) windowBase() (Sample, bool) {
-	if p.n < 2 {
-		return Sample{}, false
-	}
-	back := p.window - 1
-	if back > p.n-1 {
-		back = p.n - 1
-	}
-	return p.ring[(p.head-1-back+len(p.ring))%len(p.ring)], true
-}
-
-// Window returns the plane's current rate window: the newest sample, the
-// window-base sample it is diffed against, and the wall seconds between
-// them. ok is false until two samples exist.
-func (p *Plane) Window() (cur, base Sample, seconds float64, ok bool) {
+// rateWindow reads the plane under its lock: the newest sample (ok is false
+// before the first scrape), the oldest sample inside the rate window (at
+// most p.window-1 steps behind the newest), the wall seconds between the
+// two (zero until two samples exist; the window is usable only when
+// positive) and the number of samples ever stored. /metrics and /obs.json
+// both locate their window here.
+func (p *Plane) rateWindow() (cur, base Sample, sec float64, scrapes uint64, ok bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cur, okCur := p.latest()
-	base, okBase := p.windowBase()
-	if !okCur || !okBase {
-		return Sample{}, Sample{}, 0, false
+	if p.n == 0 {
+		return Sample{}, Sample{}, 0, p.scrapes, false
 	}
-	seconds = cur.Wall.Sub(base.Wall).Seconds()
-	return cur, base, seconds, seconds > 0
-}
-
-// Rates computes the per-second rate of every counter (and the summed
-// rate of every counter-vector family) over the current window, sorted
-// by name. Nil until two samples span a positive wall interval.
-func (p *Plane) Rates() []Rate {
-	cur, base, sec, ok := p.Window()
-	if !ok {
-		return nil
+	back := func(k int) Sample { return p.ring[(p.head-1-k+len(p.ring))%len(p.ring)] }
+	cur = back(0)
+	if p.n >= 2 {
+		base = back(min(p.window, p.n) - 1)
+		sec = cur.Wall.Sub(base.Wall).Seconds()
 	}
-	rates, _ := windowStats(cur, base, sec)
-	return rates
+	return cur, base, sec, p.scrapes, true
 }
 
 // Rate is one windowed counter rate.
@@ -182,56 +156,34 @@ type Rate struct {
 	PerSec float64 `json:"per_sec"`
 }
 
-func sortRates(rs []Rate) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Name < rs[j-1].Name; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
+// windowStats derives the statistics of the window tw, sec wall seconds
+// long: the per-second rate of every counter and the summed rate of every
+// counter-vector family that changed, sorted by name (a counter before a
+// family of the same name), and p50/p90/p99 of every histogram with
+// observations inside the window, in snapshot (name) order.
+func windowStats(tw *telemetry.Window, sec float64) (rates []Rate, qs []HistQuantiles) {
+	for _, c := range tw.Cur.Counters {
+		d, _ := tw.Counter(c.Name)
+		rates = append(rates, Rate{Name: c.Name, PerSec: float64(d) / sec})
 	}
-}
-
-// Quantiles estimates windowed p50/p90/p99 for every histogram with
-// observations inside the window, sorted by name.
-func (p *Plane) Quantiles() []HistQuantiles {
-	cur, base, sec, ok := p.Window()
-	if !ok {
-		return nil
-	}
-	_, qs := windowStats(cur, base, sec)
-	return qs
-}
-
-// windowStats derives the rates and quantiles of the window from base to
-// cur, sec wall seconds long.
-func windowStats(cur, base Sample, sec float64) ([]Rate, []HistQuantiles) {
-	d := cur.Telemetry.Delta(base.Telemetry)
-	var rates []Rate
-	for _, c := range d.Counters {
-		rates = append(rates, Rate{Name: c.Name, PerSec: float64(c.Value) / sec})
-	}
-	vecTotals := map[string]uint64{}
-	var vecNames []string
-	for _, v := range d.Vectors {
-		if _, seen := vecTotals[v.Name]; !seen {
-			vecNames = append(vecNames, v.Name)
-		}
-		vecTotals[v.Name] += v.Value
-	}
-	for _, name := range vecNames {
-		rates = append(rates, Rate{Name: name, PerSec: float64(vecTotals[name]) / sec})
-	}
-	sortRates(rates)
-	var qs []HistQuantiles
-	for _, h := range d.Histograms {
-		if h.Count == 0 {
+	for i, v := range tw.Cur.Vectors {
+		if i > 0 && v.Name == tw.Cur.Vectors[i-1].Name {
 			continue
 		}
-		qs = append(qs, HistQuantiles{
-			Name: h.Name, Unit: h.Unit, Count: h.Count,
-			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
-		})
+		if d := tw.Family(v.Name); d != 0 {
+			rates = append(rates, Rate{Name: v.Name, PerSec: float64(d) / sec})
+		}
 	}
-	return rates, qs // Delta preserves snapshot order: quantiles are name-sorted
+	slices.SortStableFunc(rates, func(a, b Rate) int { return strings.Compare(a.Name, b.Name) })
+	for _, h := range tw.Cur.Histograms {
+		if d, _ := tw.Histogram(h.Name, nil); d.Count > 0 {
+			qs = append(qs, HistQuantiles{
+				Name: h.Name, Unit: h.Unit, Count: d.Count,
+				P50: d.Quantile(0.50), P90: d.Quantile(0.90), P99: d.Quantile(0.99),
+			})
+		}
+	}
+	return rates, qs
 }
 
 // HistQuantiles is one histogram's windowed quantile estimate.

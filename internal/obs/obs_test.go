@@ -68,13 +68,13 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 	}
 	p.Scrape(sampleAt(reg, t0.Add(2*time.Second), 2, rib.Stats{}))
 
-	cur, base, sec, ok := p.Window()
-	if !ok || sec != 2 || cur.Gen != 2 || base.Gen != 1 {
-		t.Fatalf("window = gen %d..%d over %vs ok=%v", base.Gen, cur.Gen, sec, ok)
+	doc := p.Dash(0)
+	if doc.WindowSec != 2 || doc.Gen != 2 {
+		t.Fatalf("window = gen %d over %vs, want gen 2 over 2s", doc.Gen, doc.WindowSec)
 	}
 
 	rates := map[string]float64{}
-	for _, r := range p.Rates() {
+	for _, r := range doc.Rates {
 		rates[r.Name] = r.PerSec
 	}
 	if rates["a.count"] != 10 {
@@ -84,7 +84,7 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 		t.Errorf("v.per family rate %v, want 1/s", rates["v.per"])
 	}
 
-	qs := p.Quantiles()
+	qs := doc.Quantiles
 	if len(qs) != 1 || qs[0].Name != "h.lat" || qs[0].Count != 10 {
 		t.Fatalf("quantiles = %+v, want one h.lat entry with 10 windowed observations", qs)
 	}
@@ -103,13 +103,10 @@ func TestRingEvictionAndWindowClamp(t *testing.T) {
 	if p.Scrapes() != 10 {
 		t.Errorf("scrapes %d, want 10", p.Scrapes())
 	}
-	cur, base, sec, ok := p.Window()
-	if !ok {
-		t.Fatal("no window after 10 scrapes")
-	}
-	// Only 4 samples retained: the window clamps to 3 steps back.
-	if cur.Gen != 10 || base.Gen != 7 || sec != 3 {
-		t.Errorf("window = gen %d..%d over %vs, want 7..10 over 3s", base.Gen, cur.Gen, sec)
+	// Only 4 samples retained: the window clamps to 3 steps back, one
+	// second each.
+	if doc := p.Dash(0); doc.Gen != 10 || doc.WindowSec != 3 {
+		t.Errorf("window = gen %d over %vs, want gen 10 over 3s", doc.Gen, doc.WindowSec)
 	}
 }
 

@@ -64,26 +64,16 @@ func (p *Plane) WriteProm(w io.Writer) {
 
 // render appends the exposition document of the latest sample to w.b.
 func (p *Plane) render(w *promWriter) {
-	p.mu.RLock()
-	cur, okCur := p.latest()
-	base, okBase := p.windowBase()
-	scrapes := p.scrapes
-	p.mu.RUnlock()
-
+	cur, base, sec, scrapes, ok := p.rateWindow()
 	w.fixed("asi_up", "gauge", "whether the observability plane is serving", 1)
 	w.fixed("asi_obs_scrapes_total", "counter", "telemetry samples stored", float64(scrapes))
 	w.fixed("asi_obs_events_logged_total", "counter", "structured events appended to the bounded log", float64(p.EventsLogged()))
 	w.fixed("asi_obs_events_dropped_total", "counter", "structured events evicted from the bounded log", float64(p.EventsDropped()))
-	if !okCur {
+	if !ok {
 		return
 	}
 
-	var sec float64
-	windowed := false
-	if okBase {
-		sec = cur.Wall.Sub(base.Wall).Seconds()
-		windowed = sec > 0
-	}
+	windowed := sec > 0
 	w.fixed("asi_obs_window_seconds", "gauge", "wall span of the rate window", sec)
 	w.fixed("asi_sim_time_ps", "gauge", "simulation clock, picoseconds", float64(cur.SimPS))
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,12 +29,7 @@ func writePromRef(p *Plane, w io.Writer) {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 
-	p.mu.RLock()
-	cur, okCur := p.latest()
-	base, okBase := p.windowBase()
-	scrapes := p.scrapes
-	p.mu.RUnlock()
-
+	cur, base, sec, scrapes, ok := p.rateWindow()
 	writeMetaRef(bw, "asi_up", "gauge", "whether the observability plane is serving")
 	writeSampleRef(bw, "asi_up", "", 1)
 	writeMetaRef(bw, "asi_obs_scrapes_total", "counter", "telemetry samples stored")
@@ -42,18 +38,14 @@ func writePromRef(p *Plane, w io.Writer) {
 	writeSampleRef(bw, "asi_obs_events_logged_total", "", float64(p.EventsLogged()))
 	writeMetaRef(bw, "asi_obs_events_dropped_total", "counter", "structured events evicted from the bounded log")
 	writeSampleRef(bw, "asi_obs_events_dropped_total", "", float64(p.EventsDropped()))
-	if !okCur {
+	if !ok {
 		return
 	}
 
-	var sec float64
 	var delta telemetry.Snapshot
-	windowed := false
-	if okBase {
-		if sec = cur.Wall.Sub(base.Wall).Seconds(); sec > 0 {
-			delta = cur.Telemetry.Delta(base.Telemetry)
-			windowed = true
-		}
+	windowed := sec > 0
+	if windowed {
+		delta = deltaRef(cur.Telemetry, base.Telemetry)
 	}
 	writeMetaRef(bw, "asi_obs_window_seconds", "gauge", "wall span of the rate window")
 	writeSampleRef(bw, "asi_obs_window_seconds", "", sec)
@@ -131,6 +123,116 @@ func writePromRef(p *Plane, w io.Writer) {
 	writeSampleRef(bw, "asi_rib_staleness_generations", `quantile="1"`, float64(sv.Staleness.Max))
 	if sv.DeliverLatency.Count > 0 || len(sv.DeliverLatency.Bounds) > 0 {
 		writeHistogramRef(bw, "asi_rib_deliver_latency_ns", "install-to-deliver wall latency, nanoseconds", sv.DeliverLatency)
+	}
+}
+
+// deltaRef is the change from prev to cur, metric by metric, as the
+// Snapshot.Delta the telemetry.Window replaced computed it, kept as the
+// referee of both views' windowed values: counters and vector slots
+// subtract (a reset clamps to the current value), an unchanged vector
+// slot is left out, gauges keep cur's value, histograms subtract counts
+// and sums and zero their extrema. Names are unique in a registry
+// snapshot, so maps match them.
+func deltaRef(cur, prev telemetry.Snapshot) telemetry.Snapshot {
+	var d telemetry.Snapshot
+	sub := func(v, old uint64, ok bool) uint64 {
+		if ok && old <= v {
+			return v - old
+		}
+		return v
+	}
+	prevC := map[string]uint64{}
+	for _, c := range prev.Counters {
+		prevC[c.Name] = c.Value
+	}
+	for _, c := range cur.Counters {
+		old, ok := prevC[c.Name]
+		d.Counters = append(d.Counters, telemetry.CounterSnap{Name: c.Name, Value: sub(c.Value, old, ok)})
+	}
+	d.Gauges = cur.Gauges
+	type slot struct {
+		name string
+		idx  int
+	}
+	prevV := map[slot]uint64{}
+	for _, v := range prev.Vectors {
+		prevV[slot{v.Name, v.Index}] = v.Value
+	}
+	for _, v := range cur.Vectors {
+		old, ok := prevV[slot{v.Name, v.Index}]
+		if val := sub(v.Value, old, ok); val != 0 {
+			d.Vectors = append(d.Vectors, telemetry.VecSnap{Name: v.Name, Index: v.Index, Value: val})
+		}
+	}
+	prevH := map[string]telemetry.HistogramSnap{}
+	for _, h := range prev.Histograms {
+		prevH[h.Name] = h
+	}
+	for _, h := range cur.Histograms {
+		dh := telemetry.HistogramSnap{Name: h.Name, Unit: h.Unit, Count: h.Count, Sum: h.Sum,
+			Bounds: h.Bounds, Counts: append([]uint64(nil), h.Counts...)}
+		if old, ok := prevH[h.Name]; ok && old.Count <= h.Count && len(old.Counts) == len(h.Counts) {
+			dh.Count -= old.Count
+			dh.Sum -= old.Sum
+			for i := range dh.Counts {
+				dh.Counts[i] = sub(dh.Counts[i], old.Counts[i], true)
+			}
+		}
+		d.Histograms = append(d.Histograms, dh)
+	}
+	return d
+}
+
+// windowStatsRef is the Delta-based windowStats the Window replaced, kept
+// as the referee of /obs.json: rates in an insertion sort over counters
+// then vector families (in first-appearance order), quantiles of every
+// histogram with observations in the window.
+func windowStatsRef(cur, base Sample, sec float64) ([]Rate, []HistQuantiles) {
+	d := deltaRef(cur.Telemetry, base.Telemetry)
+	var rates []Rate
+	for _, c := range d.Counters {
+		rates = append(rates, Rate{Name: c.Name, PerSec: float64(c.Value) / sec})
+	}
+	vecTotals := map[string]uint64{}
+	var vecNames []string
+	for _, v := range d.Vectors {
+		if _, seen := vecTotals[v.Name]; !seen {
+			vecNames = append(vecNames, v.Name)
+		}
+		vecTotals[v.Name] += v.Value
+	}
+	for _, name := range vecNames {
+		rates = append(rates, Rate{Name: name, PerSec: float64(vecTotals[name]) / sec})
+	}
+	for i := 1; i < len(rates); i++ {
+		for j := i; j > 0 && rates[j].Name < rates[j-1].Name; j-- {
+			rates[j], rates[j-1] = rates[j-1], rates[j]
+		}
+	}
+	var qs []HistQuantiles
+	for _, h := range d.Histograms {
+		if h.Count > 0 {
+			qs = append(qs, HistQuantiles{Name: h.Name, Unit: h.Unit, Count: h.Count,
+				P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99)})
+		}
+	}
+	return rates, qs
+}
+
+// checkDashAgainstRef fails when the dashboard document's windowed
+// statistics differ from the Delta-based reference's.
+func checkDashAgainstRef(t *testing.T, p *Plane, what string) {
+	t.Helper()
+	doc := p.Dash(0)
+	cur, base, sec, _, ok := p.rateWindow()
+	var rates []Rate
+	var qs []HistQuantiles
+	if ok && sec > 0 {
+		rates, qs = windowStatsRef(cur, base, sec)
+	}
+	if doc.WindowSec != sec || !reflect.DeepEqual(doc.Rates, rates) || !reflect.DeepEqual(doc.Quantiles, qs) {
+		t.Fatalf("%s: dashboard window differs from the reference:\n got %v %+v %+v\nwant %v %+v %+v",
+			what, doc.WindowSec, doc.Rates, doc.Quantiles, sec, rates, qs)
 	}
 }
 
@@ -237,6 +339,7 @@ func TestWritePromMatchesReference(t *testing.T) {
 				p.Log(EventAudit, uint64(step), 0, "")
 			}
 			checkAgainstRef(t, p, fmt.Sprintf("seed %d, step %d", seed, step))
+			checkDashAgainstRef(t, p, fmt.Sprintf("seed %d, step %d", seed, step))
 		}
 	}
 }
@@ -341,6 +444,7 @@ func daemonPlane(tb testing.TB) *Plane {
 func TestWritePromDaemonPlaneMatchesReference(t *testing.T) {
 	p := daemonPlane(t)
 	checkAgainstRef(t, p, "daemon plane")
+	checkDashAgainstRef(t, p, "daemon plane")
 	var buf bytes.Buffer
 	p.WriteProm(&buf)
 	for _, want := range []string{"asi_fm_assim_events_rate ", "asi_fabric_link_tx_packets{index=", "asi_fm_rtt_verify_p99 "} {

@@ -84,7 +84,7 @@ func New(tp *topo.Topology, cfg Config) (*Rig, error) {
 	if cfg.Spans {
 		r.Spans = span.New(spanCap)
 	}
-	host := tp.Endpoints()[0]
+	host, hostSwitch := Host(tp)
 	var err error
 	if r.Fabric, err = fabric.New(r.Engine, tp, fabric.Config{DeviceFactor: cfg.DeviceFactor}, r.RNG); err != nil {
 		return nil, err
@@ -98,9 +98,19 @@ func New(tp *topo.Topology, cfg Config) (*Rig, error) {
 	if err := r.Fabric.SetFaultPlan(cfg.Faults); err != nil {
 		return nil, err
 	}
-	r.HostSwitch, _, _ = tp.Peer(host, 0)
+	r.HostSwitch = hostSwitch
 	r.Manager = r.AddManager(host, cfg.Manager)
 	return r, nil
+}
+
+// Host returns where New attaches the manager: the topology's first
+// endpoint, and the switch cabled to it. Taking that switch down cuts the
+// manager off from the whole fabric, so churn never targets it (the
+// paper's experiments exclude it too).
+func Host(tp *topo.Topology) (endpoint, sw topo.NodeID) {
+	endpoint = tp.Endpoints()[0]
+	sw, _, _ = tp.Peer(endpoint, 0)
+	return endpoint, sw
 }
 
 // AddManager attaches a manager to the rig's fabric on the given

@@ -15,44 +15,24 @@ import (
 // buckets. All of this is cold-path arithmetic over already-frozen
 // snapshots; the live registry is never touched.
 
-// Delta returns the change from prev to s, metric by metric (matched by
-// name):
+// Window is the change from Prev to Cur, read metric by metric (matched
+// by name) without building a delta snapshot or any index:
 //
 //   - Counters and vector slots subtract; a counter that went backwards
 //     (a registry reset) clamps to its current value, as a Prometheus
 //     rate window would.
-//   - Gauges keep s's instantaneous value — a gauge trajectory is a
-//     sequence of levels, not of differences.
 //   - Histograms subtract bucket counts, total count and sum. Min and
 //     Max are zeroed: extrema are not derivable for a window from
 //     cumulative extrema, and Quantile must not trust them on a delta.
+//   - A metric absent from Prev passes through unchanged (it was
+//     registered inside the window).
+//   - Gauges are levels, not differences: read them from Cur.
 //
-// Metrics absent from prev pass through unchanged (they were registered
-// inside the window); metrics absent from s are dropped. Where prev holds
-// a name (or vector slot) twice, its last entry is the one subtracted.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	w := NewWindow(s, prev)
-	var d Snapshot
-	for _, c := range s.Counters {
-		d.Counters = append(d.Counters, CounterSnap{Name: c.Name, Value: w.counter(c)})
-	}
-	d.Gauges = append(d.Gauges, s.Gauges...)
-	for _, v := range s.Vectors {
-		if val := w.vector(v); val != 0 {
-			d.Vectors = append(d.Vectors, VecSnap{Name: v.Name, Index: v.Index, Value: val})
-		}
-	}
-	for _, h := range s.Histograms {
-		d.Histograms = append(d.Histograms, w.histogram(h, nil))
-	}
-	return d
-}
-
-// Window answers, metric by metric, what Cur.Delta(Prev) would report,
-// without building that snapshot or any index: the /metrics exposition
-// reads one window per render. A lookup binary-searches a section whose
-// entries strictly ascend by name (and index), as every Registry
-// snapshot's do, and scans any other section from its end.
+// Where a section holds a name (or vector slot) twice, its last entry is
+// the one read. A lookup binary-searches a section whose entries strictly
+// ascend by name (and index), as every Registry snapshot's do, and scans
+// any other section from its end. Both views of the observability plane
+// read their windowed values from one.
 type Window struct {
 	Cur, Prev Snapshot
 	// sorted flags the strictly ascending sections: [0] of Cur, [1] of
@@ -69,8 +49,8 @@ func NewWindow(cur, prev Snapshot) Window {
 	return w
 }
 
-// Counter returns the change of the counter called name, as Delta reports
-// it for the last such counter in Cur; ok is false when Cur has none.
+// Counter returns the change of the last counter called name in Cur; ok
+// is false when Cur has none.
 func (w *Window) Counter(name string) (delta uint64, ok bool) {
 	i := find(w.Cur.Counters, CounterSnap{Name: name}, w.sorted[0][0], cmpCounter)
 	if i < 0 {
@@ -97,10 +77,9 @@ func (w *Window) Family(name string) (sum uint64) {
 	return sum
 }
 
-// Histogram returns the change of the histogram called name, as Delta
-// reports it for the last such histogram in Cur, with its bucket counts
-// written into counts' backing array when it is large enough; ok is false
-// when Cur has none.
+// Histogram returns the change of the last histogram called name in Cur,
+// with its bucket counts written into counts' backing array when it is
+// large enough; ok is false when Cur has none.
 func (w *Window) Histogram(name string, counts []uint64) (delta HistogramSnap, ok bool) {
 	i := find(w.Cur.Histograms, HistogramSnap{Name: name}, w.sorted[0][2], cmpHist)
 	if i < 0 {

@@ -126,18 +126,6 @@ func (s Snapshot) Gauge(name string) (int64, bool) {
 	return 0, false
 }
 
-// Vector returns every recorded (non-zero) slot of the named counter
-// family, in index order.
-func (s Snapshot) Vector(name string) []VecSnap {
-	var out []VecSnap
-	for _, v := range s.Vectors {
-		if v.Name == name {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Histogram returns the named histogram's snapshot and whether it was
 // recorded.
 func (s Snapshot) Histogram(name string) (HistogramSnap, bool) {
