@@ -26,8 +26,8 @@
 #                                  printed, never gated)
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness,
-#                   the RIB, the event queue, the topology namer and the
-#                   wire decoders
+#                   the RIB, the event queue, the topology namer, the
+#                   wire decoders, the run report and the daemon config
 #   make bench    - figure, engine and topology benchmarks -> BENCH_sim.json
 #                   (benchstat-compatible raw lines plus parsed metrics,
 #                   with results/bench_baseline.txt embedded as the
@@ -43,14 +43,12 @@ BENCHTIME ?= 3x
 # per-benchmark minimum, which keeps the regression gate stable on busy
 # or single-core hosts despite the short BENCHTIME.
 BENCHCOUNT ?= 5
+# The figure, engine and topology ledger's, the FM-database ledger's and
+# the serving ledger's before sections: the same benchmarks on the
+# parent of the latest change to them (24-byte hops and neighbours,
+# 152-byte database nodes, a source route built per probe).
 BENCH_BASELINE ?= results/bench_baseline.txt
-# The FM-database ledger's before section: the same benchmarks on the
-# parent of the latest change to them (FIB tables held in two fresh maps
-# per generation).
 BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
-# The serving ledger's before section: the same benchmarks on the parent
-# of the change-sized install (map-based FIB tables, a delta appended and
-# copied again, leaves encoded by json.Marshal).
 BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
 # The observation ledger's before section: the same benchmarks on the
 # commit before the append-based /metrics render and the presized
@@ -182,7 +180,9 @@ chaos-par-smoke:
 # (packet, PI-4, PI-5, header) and in the configuration space (general
 # information, port information, event route, seeded from the Table 1
 # fabrics): no panic, no read past the input, and what a decoder accepts
-# re-encodes byte for byte.
+# re-encodes byte for byte. The two experiment targets hold the run-report
+# envelope and the daemon config to the same rule: what they accept
+# re-encodes into a document that decodes to the same value.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME)
@@ -198,6 +198,8 @@ fuzz:
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParseGeneralInfo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParsePortInfo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeEventRoute$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/experiment -run '^$$' -fuzz '^FuzzDecodeRunReport$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/experiment -run '^$$' -fuzz '^FuzzDecodeDaemonConfig$$' -fuzztime $(FUZZTIME)
 
 # asifmd-smoke runs the FM daemon's three end-to-end tests, each an
 # in-process asifmd under churn built like main's:

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/route"
 	"repro/internal/topo"
 )
 
@@ -40,7 +41,7 @@ func TestPI4RoundTripZeroAlloc(t *testing.T) {
 		}
 		// Re-probing that link returns far's general information, which
 		// the database already holds.
-		if !m.probe(far.Path, last.A, last.APort) {
+		if !m.probe(probeThrough(m.db.Node(last.A), last.APort)) {
 			t.Fatal("probe not sent")
 		}
 		e.Run()
@@ -61,13 +62,28 @@ func TestPI4RoundTripZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the request record at most 128 bytes: the Parallel
-// algorithm parks about 18 000 of them in the FM's queue at once on a
-// dragonfly 16x64 (184 bytes each with int-wide fields and the whole
-// payload kept for retransmission).
+// TestRecordSizes pins the widths of the records discovery builds. The
+// request stays at most 128 bytes: the Parallel algorithm parks about
+// 18 000 of them in the FM's queue at once on a dragonfly 16x64 (184 bytes
+// each with int-wide fields and the whole payload kept for
+// retransmission), and a lazy probe's extra hop fits in its padding.
+// Every full rediscovery builds one Node per device, two Neighbors per
+// link and a path of Hops per device, which is most of what the daemon's
+// default mode allocates per change.
 func TestRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(request{}); n > 128 {
-		t.Fatalf("sizeof(request) = %d, want <= 128", n)
+	for _, c := range []struct {
+		name     string
+		got, max uintptr
+		exact    bool
+	}{
+		{"request", unsafe.Sizeof(request{}), 128, false},
+		{"Node", unsafe.Sizeof(Node{}), 112, false},
+		{"Neighbor", unsafe.Sizeof(Neighbor{}), 16, true},
+		{"route.Hop", unsafe.Sizeof(route.Hop{}), 4, true},
+	} {
+		if c.got > c.max || c.exact && c.got != c.max {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.max)
+		}
 	}
 }
 

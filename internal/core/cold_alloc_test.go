@@ -18,7 +18,10 @@ import (
 // timeline regrown point by point, a map-keyed port table) fails here
 // rather than only in a benchmark someone has to rerun.
 func TestColdDiscoveryAllocBudget(t *testing.T) {
-	const budget = 2_544_000 // measured 2 423 016 B; 3 391 344 B with the five rows above
+	// Measured 1 935 592 B: 2 212 176 B with 24-byte hops and neighbours,
+	// 152-byte nodes and a path built per probe, 3 391 344 B with the five
+	// rows above as well.
+	const budget = 2_033_000
 	tp, err := topo.ByName("dragonfly 8x32")
 	if err != nil {
 		t.Fatal(err)
@@ -43,5 +46,46 @@ func TestColdDiscoveryAllocBudget(t *testing.T) {
 	}
 	if bytes > budget {
 		t.Errorf("a cold Parallel discovery of %s allocates %d B, budget %d", tp.Name, bytes, budget)
+	}
+}
+
+// TestRediscoveryAllocBudget bounds what one full Parallel rediscovery of
+// the 8x8 torus allocates once the rig is warm: the repo benchmark's
+// churn-serve workload runs one per change, and the fresh database is most
+// of it. A record that widens again (a hop, a neighbour, a node), or a
+// probe that builds its path before it knows it found a device, fails
+// here with the number.
+func TestRediscoveryAllocBudget(t *testing.T) {
+	// Measured 61 488 B: 95 984 B with 24-byte hops and neighbours,
+	// 152-byte nodes and a path built per probe.
+	const budget = 64_600
+	tp, err := topo.ByName("8x8 torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rig.New(tp, rig.Config{Seed: 1, Manager: core.Options{Algorithm: core.Parallel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res core.Result
+	r.Manager.OnDiscoveryComplete = func(got core.Result) { res = got }
+	rediscover := func() {
+		r.Manager.StartDiscovery()
+		r.Run()
+	}
+	rediscover() // cold: the rig's first database, its request pool and packets
+	bytes := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ { // minimum of five: other goroutines only add
+		runtime.ReadMemStats(&before)
+		rediscover()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if err := chaos.CheckConverged(r.Fabric, r.Manager, res); err != nil {
+		t.Fatal(err)
+	}
+	if bytes > budget {
+		t.Errorf("a full Parallel rediscovery of %s allocates %d B, budget %d", tp.Name, bytes, budget)
 	}
 }

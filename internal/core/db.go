@@ -11,7 +11,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Node is one discovered device in the FM's topology database.
+// Node is one discovered device in the FM's topology database. A full
+// rediscovery builds one per device, so it holds only what the FM reads:
+// 112 bytes plus its path (4 bytes a hop) and two port flags a port.
 type Node struct {
 	DSN  asi.DSN
 	Type asi.DeviceType
@@ -25,8 +27,6 @@ type Node struct {
 	// PortKnown and PortActive record per-port attribute reads.
 	PortKnown  []bool
 	PortActive []bool
-	// General keeps the raw decoded general information.
-	General asi.GeneralInfo
 	// Validated stamps the last simulated instant the FM heard from the
 	// device itself (probe, port read, or verify completion) — the
 	// per-node staleness the daemon's keeper ages re-audits on. It is
@@ -47,7 +47,6 @@ func newNode(gi asi.GeneralInfo, path route.Path, arrivalPort int) *Node {
 		ArrivalPort: arrivalPort,
 		PortKnown:   flags[:gi.Ports:gi.Ports],
 		PortActive:  flags[gi.Ports:],
-		General:     gi,
 	}
 }
 
@@ -68,10 +67,14 @@ func (l Link) normalize() Link {
 }
 
 // ends returns the link as its A end and as its B end see it. A port
-// cabled to itself has one end, and both are the same Neighbor.
+// cabled to itself has one end, and both are the same Neighbor. The
+// ports narrow to a byte: the FM records a link from a probe's port and
+// the completion's arrival port, both bytes on the wire, and a port index
+// is below asi.MaxSwitchPorts; rib.Replayer refuses a served link leaf
+// outside that range before it gets here.
 func (l Link) ends() (a, b Neighbor) {
-	return Neighbor{DSN: l.B, LocalPort: l.APort, RemotePort: l.BPort},
-		Neighbor{DSN: l.A, LocalPort: l.BPort, RemotePort: l.APort}
+	return Neighbor{DSN: l.B, LocalPort: uint8(l.APort), RemotePort: uint8(l.BPort)},
+		Neighbor{DSN: l.A, LocalPort: uint8(l.BPort), RemotePort: uint8(l.APort)}
 }
 
 // DB is the fabric manager's topology database, rebuilt from scratch on
@@ -378,16 +381,18 @@ func (db *DB) HasLink(l Link) bool {
 
 // Neighbor is one end of a recorded link as seen from a device: the port
 // it leaves on, the device it reaches and the port it arrives on there.
+// A port index fits a byte (asi.MaxSwitchPorts = 256), so an end is 16
+// bytes; the database holds two per link.
 type Neighbor struct {
 	DSN        asi.DSN
-	LocalPort  int
-	RemotePort int
+	LocalPort  uint8
+	RemotePort uint8
 }
 
 // linkFrom returns the link this is one end of, oriented from the device
 // whose adjacency holds it.
 func (nb Neighbor) linkFrom(dsn asi.DSN) Link {
-	return Link{A: dsn, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort}
+	return Link{A: dsn, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)}
 }
 
 // canonicalFrom reports whether dsn, whose adjacency holds nb, is the
@@ -451,7 +456,7 @@ func (db *DB) unindex(dsn asi.DSN, nb Neighbor) bool {
 // in NeighborsOf order.
 func (db *DB) LinkAt(dsn asi.DSN, port int) (Link, bool) {
 	for _, nb := range db.adj[dsn] {
-		if nb.LocalPort == port {
+		if int(nb.LocalPort) == port {
 			return nb.linkFrom(dsn).normalize(), true
 		}
 	}
@@ -523,15 +528,16 @@ type PathTree struct {
 	queue []*Node
 }
 
-// pred records how the search reached a node.
+// pred records how the search reached a node: 16 bytes, in the widths
+// of the route.Hop it becomes.
 type pred struct {
 	from asi.DSN
-	// fromPorts is from's port count, the Ports of the hop through it;
-	// hops is the length of the source route to the node.
-	fromPorts  int
-	fromPort   int
-	arrivePort int
-	hops       int
+	// hops is the length of the source route to the node; fromPorts is
+	// from's port count, the Ports of the hop through it.
+	hops       int32
+	fromPorts  uint16
+	fromPort   uint8
+	arrivePort uint8
 }
 
 // TreeFrom runs one breadth-first search from src; only src and switches
@@ -563,7 +569,7 @@ func (db *DB) RebuildTree(t *PathTree, src asi.DSN) {
 	queue := append(t.queue[:0], root)
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		hops := 0 // of a route that ends one cable past cur
+		var hops int32 // of a route that ends one cable past cur
 		if cur != root {
 			if cur.Type != asi.DeviceSwitch {
 				continue
@@ -578,7 +584,10 @@ func (db *DB) RebuildTree(t *PathTree, src asi.DSN) {
 			if _, seen := t.prev[nb.DSN]; seen {
 				continue
 			}
-			t.prev[nb.DSN] = pred{from: cur.DSN, fromPorts: cur.Ports, fromPort: nb.LocalPort, arrivePort: nb.RemotePort, hops: hops}
+			// A device's port count is at most asi.MaxSwitchPorts
+			// (ParseGeneralInfo refuses more), and a search is no
+			// deeper than the topo.MaxSize devices it can visit.
+			t.prev[nb.DSN] = pred{from: cur.DSN, fromPorts: uint16(cur.Ports), fromPort: nb.LocalPort, arrivePort: nb.RemotePort, hops: hops}
 			queue = append(queue, n)
 		}
 	}
@@ -614,7 +623,7 @@ func (t *PathTree) PathInto(buf route.Path, target asi.DSN) (route.Path, int) {
 	// Non-nil even for adjacent targets: nil is the unreachable
 	// sentinel, a zero-hop path is a valid route.
 	var path route.Path
-	if buf != nil && cap(buf) >= last.hops {
+	if buf != nil && cap(buf) >= int(last.hops) {
 		path = buf[:last.hops]
 	} else {
 		path = make(route.Path, last.hops)
@@ -624,7 +633,7 @@ func (t *PathTree) PathInto(buf route.Path, target asi.DSN) (route.Path, int) {
 		path[i] = route.Hop{Ports: p.fromPorts, In: up.arrivePort, Out: p.fromPort}
 		p = up
 	}
-	return path, last.arrivePort
+	return path, int(last.arrivePort)
 }
 
 // String summarizes the database.

@@ -102,7 +102,7 @@ func linkNearHost(db *DB) Link {
 	}
 	for _, nb := range db.NeighborsOf(sw) {
 		if db.Node(nb.DSN).Type == asi.DeviceSwitch {
-			l, _ := db.LinkAt(sw, nb.LocalPort)
+			l, _ := db.LinkAt(sw, int(nb.LocalPort))
 			return l
 		}
 	}

@@ -145,10 +145,10 @@ func (r refDB) neighborsOf(dsn asi.DSN) []Neighbor {
 	var out []Neighbor
 	for l := range r.links {
 		if l.A == dsn {
-			out = append(out, Neighbor{DSN: l.B, LocalPort: l.APort, RemotePort: l.BPort})
+			out = append(out, Neighbor{DSN: l.B, LocalPort: uint8(l.APort), RemotePort: uint8(l.BPort)})
 		}
 		if l.B == dsn && (l.A != l.B || l.APort != l.BPort) {
-			out = append(out, Neighbor{DSN: l.A, LocalPort: l.BPort, RemotePort: l.APort})
+			out = append(out, Neighbor{DSN: l.A, LocalPort: uint8(l.BPort), RemotePort: uint8(l.APort)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].before(out[j]) })
@@ -160,7 +160,7 @@ func (r refDB) neighborsOf(dsn asi.DSN) []Neighbor {
 // iterated first).
 func (r refDB) linkAt(dsn asi.DSN, port int) (Link, bool) {
 	for _, nb := range r.neighborsOf(dsn) {
-		if nb.LocalPort == port {
+		if int(nb.LocalPort) == port {
 			return nb.linkFrom(dsn).normalize(), true
 		}
 	}
@@ -190,8 +190,8 @@ func (r refDB) reachableFromHost() map[asi.DSN]bool {
 
 type refPred struct {
 	from       asi.DSN
-	fromPort   int
-	arrivePort int
+	fromPort   uint8
+	arrivePort uint8
 }
 
 func (r refDB) bfsFrom(src asi.DSN) map[asi.DSN]refPred {
@@ -235,14 +235,14 @@ func (r refDB) pathFrom(src, target asi.DSN) (route.Path, int) {
 	for at != src {
 		p := prev[at]
 		if p.from != src {
-			hops = append(hops, route.Hop{Ports: r.nodes[p.from].Ports, In: prev[p.from].arrivePort, Out: p.fromPort})
+			hops = append(hops, route.Hop{Ports: uint16(r.nodes[p.from].Ports), In: prev[p.from].arrivePort, Out: p.fromPort})
 		}
 		at = p.from
 	}
 	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
 		hops[i], hops[j] = hops[j], hops[i]
 	}
-	return hops, prev[target].arrivePort
+	return hops, int(prev[target].arrivePort)
 }
 
 // The differential walk's universe: DSNs 1..walkDSNs may become nodes,

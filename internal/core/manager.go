@@ -114,6 +114,11 @@ const (
 // so each field has the width its range needs: a port fits a byte
 // (asi.MaxSwitchPorts), a batch is ≤ 4 ports, Options.MaxRetries ≤ 255.
 type request struct {
+	// path is the source route the request travels, shared with the
+	// database entry it came from, and hop, unless it is the zero Hop,
+	// one more switch traversal past it: a probe keeps its parent's path
+	// and the hop it adds, and only a probe that discovers a device
+	// builds the extended path (fullPath).
 	path route.Path
 	// data is the payload's Data: only writes and claims carry any.
 	data []uint32
@@ -153,6 +158,16 @@ type request struct {
 	nports uint8
 	// attempt counts retransmissions: 0 for the original one.
 	attempt uint8
+	hop     route.Hop
+}
+
+// fullPath returns the request's whole source route, building the
+// extended path of a probe.
+func (r *request) fullPath() route.Path {
+	if r.hop == (route.Hop{}) {
+		return r.path
+	}
+	return route.Extend(r.path, r.hop)
 }
 
 // ports returns the port indices [lo, hi) of n a port read covers.
@@ -550,7 +565,7 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 		n := m.db.writable(gi.DSN)
 		isNew := n == nil
 		if isNew {
-			n = newNode(gi, req.path, int(resp.ArrivalPort))
+			n = newNode(gi, req.fullPath(), int(resp.ArrivalPort))
 			m.db.AddNode(n)
 		}
 		n.Validated = m.e.Now()
@@ -658,7 +673,7 @@ func (m *Manager) send(req *request, payload asi.PI4) bool {
 // payload's Data is copied into the packet's own buffer, because the
 // answering device overwrites it with the completion.
 func (m *Manager) issue(req *request) bool {
-	hdr, err := route.Header(req.path, asi.PI4DeviceManagement)
+	hdr, err := route.HeaderNext(req.path, req.hop, asi.PI4DeviceManagement)
 	if err != nil {
 		return false
 	}
@@ -759,10 +774,10 @@ func (m *Manager) onRetryBackoff(req *request) {
 	m.checkDone()
 }
 
-// probe sends a general-information read through srcDSN's srcPort along
-// path, to identify whatever device is attached there.
-func (m *Manager) probe(path route.Path, srcDSN asi.DSN, srcPort int) bool {
-	req := m.newRequest(request{kind: reqProbeGeneral, path: path, dsn: srcDSN, port: uint8(srcPort)})
+// probe sends a general-information read through p.srcDSN's p.srcPort,
+// to identify whatever device is attached there.
+func (m *Manager) probe(p probeSpec) bool {
+	req := m.newRequest(request{kind: reqProbeGeneral, path: p.path, hop: p.hop, dsn: p.srcDSN, port: p.srcPort})
 	return m.send(req, asi.PI4{
 		Op:     asi.PI4ReadRequest,
 		Offset: asi.GeneralInfoOffset,
@@ -814,11 +829,27 @@ func (m *Manager) readAllPorts(n *Node) int {
 }
 
 // probeSpec describes an exploration step: what lies beyond a discovered
-// switch port.
+// switch port. It travels path, the discovered switch's own, and then hop
+// through the switch to srcPort; the host's probe has no hop.
 type probeSpec struct {
 	path    route.Path
 	srcDSN  asi.DSN
-	srcPort int
+	hop     route.Hop
+	srcPort uint8
+}
+
+// probeThrough is the exploration step out of a discovered switch's
+// port; the port is one of the switch's, so it fits a byte (hopThrough).
+func probeThrough(n *Node, port int) probeSpec {
+	return probeSpec{path: n.Path, srcDSN: n.DSN, hop: hopThrough(n, n.ArrivalPort, port), srcPort: uint8(port)}
+}
+
+// hopThrough is the traversal of a discovered switch from port in to
+// port out. The database's port counts come from general information,
+// which refuses more than asi.MaxSwitchPorts, and in and out are ports of
+// the device, so the hop's narrow fields hold them exactly.
+func hopThrough(n *Node, in, out int) route.Hop {
+	return route.Hop{Ports: uint16(n.Ports), In: uint8(in), Out: uint8(out)}
 }
 
 // probesFrom enumerates the exploration steps a fully port-read device
@@ -853,11 +884,7 @@ func (m *Manager) probeFromPort(n *Node, port int) (spec probeSpec, ok bool) {
 			return spec, false // arrival link, or a cycle link already crossed
 		}
 	}
-	return probeSpec{
-		path:    route.Extend(n.Path, route.Hop{Ports: n.Ports, In: n.ArrivalPort, Out: port}),
-		srcDSN:  n.DSN,
-		srcPort: port,
-	}, true
+	return probeThrough(n, port), true
 }
 
 // initialProbe explores the host endpoint's single port.
@@ -866,7 +893,7 @@ func (m *Manager) initialProbe() bool {
 	if host == nil || !host.PortActive[0] {
 		return false
 	}
-	return m.probe(route.Path{}, m.dev.DSN, 0)
+	return m.probe(probeSpec{path: route.Path{}, srcDSN: m.dev.DSN})
 }
 
 // StartDiscovery begins a full discovery run: the database is discarded

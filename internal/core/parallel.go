@@ -39,7 +39,7 @@ func (d *parallelDriver) onPort(req *request, n *Node, ok bool) {
 	lo, hi := req.ports(n)
 	for port := lo; port < hi; port++ {
 		if p, ok := d.m.probeFromPort(n, port); ok {
-			d.m.probe(p.path, p.srcDSN, p.srcPort)
+			d.m.probe(p)
 		}
 	}
 }

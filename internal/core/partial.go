@@ -126,8 +126,7 @@ func (m *Manager) partialUp(rep *Node, port int) {
 	if rep.Type != asi.DeviceSwitch {
 		return
 	}
-	path := route.Extend(rep.Path, route.Hop{Ports: rep.Ports, In: rep.ArrivalPort, Out: port})
-	m.probe(path, rep.DSN, port)
+	m.probe(probeThrough(rep, port))
 }
 
 // refreshPaths recomputes every device's source route over the repaired

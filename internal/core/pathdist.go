@@ -42,7 +42,7 @@ func EventRouteFor(n *Node) (pool uint64, ptr uint8, err error) {
 		// virtual-ingress convention matches the hardware model. When
 		// the arrival port equals the virtual ingress this encodes the
 		// legal maximal self-turn.
-		rev = append(rev, route.Hop{Ports: n.Ports, In: asi.SourceVirtualIngress, Out: n.ArrivalPort})
+		rev = append(rev, hopThrough(n, asi.SourceVirtualIngress, n.ArrivalPort))
 	}
 	return route.Encode(route.AppendReverse(rev, n.Path))
 }

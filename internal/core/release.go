@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/asi"
+import (
+	"repro/internal/asi"
+	"repro/internal/route"
+)
 
 // Recycling of the FM's per-request records. One discovery is tens of
 // thousands of PI-4 round trips; each used to cost a request, a packet
@@ -64,6 +67,7 @@ func poisonRequest(r *request) {
 	*r = request{
 		tag: ^uint32(0), kind: numReqKinds, dsn: ^asi.DSN(0), port: 0xff, nports: 0xff, attempt: 0xff,
 		op: 0xff, offset: 0xffff, count: 0xff, data: poisonData,
+		hop: route.Hop{Ports: 0xffff, In: 0xff, Out: 0xff},
 		pkt: r.pkt, next: r.next,
 	}
 	if r.pkt == nil {

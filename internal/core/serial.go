@@ -39,7 +39,7 @@ func (d *serialDriver) start() {
 	if host == nil || !host.PortActive[0] {
 		return // isolated FM: discovery is just the host endpoint
 	}
-	d.queue = append(d.queue, probeSpec{path: nil, srcDSN: host.DSN, srcPort: 0})
+	d.queue = append(d.queue, probeSpec{srcDSN: host.DSN})
 	d.advance()
 }
 
@@ -56,11 +56,11 @@ func (d *serialDriver) advance() {
 		// skipping here only drops probes whose answer is already
 		// recorded link-for-link.
 		if !d.m.opt.NoProbeMemo {
-			if _, known := d.m.db.LinkAt(p.srcDSN, p.srcPort); known {
+			if _, known := d.m.db.LinkAt(p.srcDSN, int(p.srcPort)); known {
 				continue
 			}
 		}
-		if d.m.probe(p.path, p.srcDSN, p.srcPort) {
+		if d.m.probe(p) {
 			d.idle = false
 			return
 		}

@@ -21,26 +21,26 @@ type DaemonConfig struct {
 	// Topology names the managed fabric (catalogue or parametric name).
 	Topology string `json:"topology"`
 	// Algorithm is a core.Kind slug; empty selects "parallel".
-	Algorithm string `json:"algorithm,omitempty"`
+	Algorithm string `json:"algorithm"`
 	// Seed drives every random stream: fabric build, churn schedule.
-	Seed uint64 `json:"seed,omitempty"`
+	Seed uint64 `json:"seed"`
 	// ChurnOps is the number of switch up/down toggles per churn round;
 	// 0 disables churn (the daemon only serves the initial discovery).
-	ChurnOps int `json:"churn_ops,omitempty"`
+	ChurnOps int `json:"churn_ops"`
 	// Rounds bounds the daemon's churn rounds; 0 means run until the
 	// process is stopped.
 	Rounds int `json:"rounds,omitempty"`
 	// AuditEvery forces a full rediscovery after every N rounds (0
 	// disables forced audits; change assimilation still runs on PI-5).
-	AuditEvery int `json:"audit_every,omitempty"`
+	AuditEvery int `json:"audit_every"`
 	// QueueDepth bounds each subscriber's batch queue; 0 selects the
 	// serving layer's default.
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// Listen is the HTTP serving address; empty selects ":8080".
-	Listen string `json:"listen,omitempty"`
+	Listen string `json:"listen"`
 	// ScrapeMS is the observability plane's scrape interval in
 	// milliseconds; 0 selects the default (1000).
-	ScrapeMS int `json:"scrape_ms,omitempty"`
+	ScrapeMS int `json:"scrape_ms"`
 	// AssimWindowUS enables the coalescing assimilation front-end
 	// (requires the "partial" algorithm): PI-5 reports debounce for this
 	// many microseconds of simulated time, then one batched partial run
@@ -157,7 +157,9 @@ func DecodeDaemonConfig(r io.Reader) (DaemonConfig, error) {
 }
 
 // EncodeJSON renders the config as indented JSON with a trailing
-// newline.
+// newline. A field whose default is not its zero value is always
+// written: a config that sets it to zero (churn_ops 0 disables churn)
+// must not decode back to the default.
 func (dc DaemonConfig) EncodeJSON() []byte {
 	b, err := json.MarshalIndent(dc, "", "  ")
 	if err != nil {

@@ -232,7 +232,7 @@ func programEventRoutes(t *testing.T, f *Fabric, ep *Device) {
 			// the device; the device's first hop when originating
 			// retraces it from the virtual ingress.
 			arrival := arrivalPortOf(f, ep.ID, d.ID)
-			evPath = append(route.Path{{Ports: d.Ports(), In: asi.SourceVirtualIngress, Out: arrival}}, rev...)
+			evPath = append(route.Path{{Ports: uint16(d.Ports()), In: asi.SourceVirtualIngress, Out: uint8(arrival)}}, rev...)
 		} else {
 			evPath = rev
 		}
@@ -265,7 +265,7 @@ func arrivalPortOf(f *Fabric, src, dst topo.NodeID) int {
 	peer, peerPort, _ := f.Topo.Peer(node, 0)
 	node, inPort = peer, peerPort
 	for _, h := range p {
-		peer, peerPort, _ = f.Topo.Peer(node, h.Out)
+		peer, peerPort, _ = f.Topo.Peer(node, int(h.Out))
 		node, inPort = peer, peerPort
 	}
 	return inPort

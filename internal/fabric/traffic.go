@@ -142,10 +142,13 @@ func bfsPath(t *topo.Topology, src, dst topo.NodeID) route.Path {
 		step := prev[at]
 		from := step.from
 		if from != src && t.Nodes[from].Type == asi.DeviceSwitch {
+			// A built fabric's switches have at most asi.MaxSwitchPorts
+			// ports (its devices' configuration spaces refuse more), so
+			// the count fits 16 bits and each port index a byte.
 			hops = append(hops, route.Hop{
-				Ports: t.Nodes[from].Ports,
-				In:    prev[from].inPort,
-				Out:   step.outPort,
+				Ports: uint16(t.Nodes[from].Ports),
+				In:    uint8(prev[from].inPort),
+				Out:   uint8(step.outPort),
 			})
 		}
 		at = from

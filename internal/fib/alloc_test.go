@@ -3,6 +3,7 @@ package fib
 import (
 	"math/bits"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asi"
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func TestUpdateAllocBudget(t *testing.T) {
 		}
 		for _, nb := range db.NeighborsOf(n.DSN) {
 			if db.Node(nb.DSN).Type == asi.DeviceSwitch && !unplugged {
-				flapped.RemoveLink(core.Link{A: n.DSN, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort})
+				flapped.RemoveLink(core.Link{A: n.DSN, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)})
 				unplugged = true
 			}
 		}
@@ -47,5 +48,13 @@ func TestUpdateAllocBudget(t *testing.T) {
 	t.Logf("one link flap reroutes %d devices: %.0f allocations", len(changed), allocs)
 	if allocs > want {
 		t.Errorf("an update rerouting %d devices allocates %.0f, want <= %.0f", len(changed), allocs, want)
+	}
+}
+
+// TestRecordSizes pins a served hop at route.Hop's 4 bytes: a FIB
+// generation holds one per switch traversal of every device's route.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Hop{}); n != 4 {
+		t.Errorf("sizeof(Hop) = %d, want 4", n)
 	}
 }

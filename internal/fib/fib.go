@@ -24,11 +24,13 @@ import (
 )
 
 // Hop is one switch traversal of a source route, with JSON names for the
-// streaming leaf encoding.
+// streaming leaf encoding. Its fields are route.Hop's, in its widths (4
+// bytes: a port count reaches asi.MaxSwitchPorts, a port index fits a
+// byte), so either converts to the other as is.
 type Hop struct {
-	Ports int `json:"ports"`
-	In    int `json:"in"`
-	Out   int `json:"out"`
+	Ports uint16 `json:"ports"`
+	In    uint8  `json:"in"`
+	Out   uint8  `json:"out"`
 }
 
 // Route is the FM's source route to one device: the unicast entry the FM
@@ -143,7 +145,7 @@ func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []
 		changed = append(changed, n.DSN)
 		hops := make([]Hop, len(p))
 		for i, h := range p {
-			hops[i] = Hop{Ports: h.Ports, In: h.In, Out: h.Out}
+			hops[i] = Hop(h)
 		}
 		t.Routes = append(t.Routes, Route{DSN: n.DSN, Hops: hops, ArrivalPort: arrival, typ: n.Type, ports: n.Ports})
 		// The event route derives from the same recomputed path, so a
@@ -183,7 +185,7 @@ func (r Route) follows(p route.Path, arrival int) bool {
 		return false
 	}
 	for i, h := range p {
-		if r.Hops[i] != (Hop{Ports: h.Ports, In: h.In, Out: h.Out}) {
+		if r.Hops[i] != Hop(h) {
 			return false
 		}
 	}
@@ -195,7 +197,7 @@ func (r Route) follows(p route.Path, arrival int) bool {
 func (r Route) PathOf() route.Path {
 	p := make(route.Path, len(r.Hops))
 	for i, h := range r.Hops {
-		p[i] = route.Hop{Ports: h.Ports, In: h.In, Out: h.Out}
+		p[i] = route.Hop(h)
 	}
 	return p
 }
@@ -214,9 +216,9 @@ func (r Route) AppendJSON(b []byte) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(append(b, `{"ports":`...), int64(h.Ports), 10)
-			b = strconv.AppendInt(append(b, `,"in":`...), int64(h.In), 10)
-			b = strconv.AppendInt(append(b, `,"out":`...), int64(h.Out), 10)
+			b = strconv.AppendUint(append(b, `{"ports":`...), uint64(h.Ports), 10)
+			b = strconv.AppendUint(append(b, `,"in":`...), uint64(h.In), 10)
+			b = strconv.AppendUint(append(b, `,"out":`...), uint64(h.Out), 10)
 			b = append(b, '}')
 		}
 		b = append(b, ']')

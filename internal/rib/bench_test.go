@@ -80,7 +80,7 @@ func changes(db *core.DB) map[string]*core.DB {
 		}
 		for _, nb := range db.NeighborsOf(n.DSN) {
 			if db.Node(nb.DSN).Type == asi.DeviceSwitch {
-				flap = []core.Link{{A: n.DSN, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort}}
+				flap = []core.Link{{A: n.DSN, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)}}
 				break
 			}
 		}

@@ -40,7 +40,7 @@ func reshape(db *core.DB, dsn asi.DSN, edit func(*core.Node)) {
 	edit(&c)
 	var links []core.Link
 	for _, nb := range db.NeighborsOf(dsn) {
-		links = append(links, core.Link{A: dsn, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort})
+		links = append(links, core.Link{A: dsn, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)})
 	}
 	db.RemoveNode(dsn)
 	db.AddNode(&c)
@@ -165,7 +165,7 @@ func FuzzInstallChangeSets(f *testing.F) {
 					delete(cut, dsn)
 				} else if db.Node(dsn) != nil {
 					for _, nb := range append([]core.Neighbor(nil), db.NeighborsOf(dsn)...) {
-						l := core.Link{A: dsn, APort: nb.LocalPort, B: nb.DSN, BPort: nb.RemotePort}
+						l := core.Link{A: dsn, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)}
 						cut[dsn] = append(cut[dsn], l)
 						db.RemoveLink(l)
 					}

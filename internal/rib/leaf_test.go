@@ -34,7 +34,7 @@ func checkLeaf(t *testing.T, name string, got json.RawMessage, v any) {
 	}
 }
 
-func hops(n int, ports, in, out int) []fib.Hop {
+func hops(n int, ports uint16, in, out uint8) []fib.Hop {
 	hs := make([]fib.Hop, n)
 	for i := range hs {
 		hs[i] = fib.Hop{Ports: ports, In: in, Out: out}
@@ -70,6 +70,7 @@ func TestLeafEncodersMatchJSONMarshal(t *testing.T) {
 		"14 hops":        {DSN: maxDSN, Hops: hops(14, 255, 0, 254), ArrivalPort: 255},
 		"64 hops":        {DSN: maxDSN, Hops: hops(64, 255, 255, 255), ArrivalPort: 255},
 		"port 0 and 255": {DSN: 1, Hops: []fib.Hop{{Ports: 256, In: 0, Out: 255}, {Ports: 2, In: 1, Out: 0}}},
+		"widest hop":     {DSN: 1, Hops: []fib.Hop{{Ports: math.MaxUint16, In: math.MaxUint8, Out: math.MaxUint8}}},
 	} {
 		checkLeaf(t, "route/"+name, routeJSON(r), r)
 	}
@@ -102,7 +103,8 @@ func TestLeafEncodersMatchJSONMarshal(t *testing.T) {
 		if k := rng.Intn(40) - 1; k >= 0 {
 			r.Hops = make([]fib.Hop, k)
 			for j := range r.Hops {
-				r.Hops[j] = fib.Hop{Ports: port(), In: port(), Out: port()}
+				// A hop's fields take every value of their types.
+				r.Hops[j] = fib.Hop{Ports: uint16(rng.Intn(1 << 16)), In: uint8(rng.Intn(256)), Out: uint8(rng.Intn(256))}
 			}
 		}
 		checkLeaf(t, "random route", routeJSON(r), r)

@@ -3,6 +3,7 @@ package rib
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/asi"
@@ -83,18 +84,30 @@ func (r *Replayer) Canonical(prefix string) []byte {
 // /topology leaves and returns its core fingerprint — the end-to-end
 // check that a diff stream reproduces exactly what the FM's database
 // holds. It fails when the stream carried no topology (e.g. a /fib-only
-// subscription) or a leaf does not parse.
+// subscription) or a leaf does not parse, and when a leaf's ports are
+// out of the range a device can have: a node's port count outside
+// 1..asi.MaxSwitchPorts, or a link port outside 0..255 or past its
+// device's port count. The database holds a port index in a byte, so
+// such a port would otherwise alias another.
 func (r *Replayer) Fingerprint() (uint64, error) {
 	if !r.synced {
 		return 0, fmt.Errorf("rib: no sync applied")
 	}
 	db := core.NewDB(0)
+	type link struct {
+		path string
+		l    core.Link
+	}
+	var links []link
 	for path, v := range r.leaves {
 		switch {
 		case strings.HasPrefix(path, PathSwitches), strings.HasPrefix(path, PathEndpoints):
 			var n nodeLeaf
 			if err := json.Unmarshal(v, &n); err != nil {
 				return 0, fmt.Errorf("rib: leaf %s: %w", path, err)
+			}
+			if n.Ports < 1 || n.Ports > asi.MaxSwitchPorts {
+				return 0, fmt.Errorf("rib: leaf %s: port count %d outside 1..%d", path, n.Ports, asi.MaxSwitchPorts)
 			}
 			typ := asi.DeviceEndpoint
 			if n.Type == "switch" {
@@ -106,8 +119,28 @@ func (r *Replayer) Fingerprint() (uint64, error) {
 			if err := json.Unmarshal(v, &l); err != nil {
 				return 0, fmt.Errorf("rib: leaf %s: %w", path, err)
 			}
-			db.AddLink(core.Link{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort})
+			links = append(links, link{path, core.Link{A: l.A, APort: l.APort, B: l.B, BPort: l.BPort}})
 		}
+	}
+	// Links are checked once every node is in: the leaves come in map
+	// order.
+	checkPort := func(path string, dsn asi.DSN, port int) error {
+		if port < 0 || port > math.MaxUint8 {
+			return fmt.Errorf("rib: leaf %s: port %d outside 0..%d", path, port, math.MaxUint8)
+		}
+		if n := db.Node(dsn); n != nil && port >= n.Ports {
+			return fmt.Errorf("rib: leaf %s: port %d past device %d's %d ports", path, port, dsn, n.Ports)
+		}
+		return nil
+	}
+	for _, l := range links {
+		if err := checkPort(l.path, l.l.A, l.l.APort); err != nil {
+			return 0, err
+		}
+		if err := checkPort(l.path, l.l.B, l.l.BPort); err != nil {
+			return 0, err
+		}
+		db.AddLink(l.l)
 	}
 	if db.NumNodes() == 0 {
 		return 0, fmt.Errorf("rib: reconstructed state carries no topology leaves")

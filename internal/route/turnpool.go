@@ -21,11 +21,15 @@ import (
 
 // Hop is one switch traversal on a source-routed path, in forward
 // direction. Ports is the switch's port count (which fixes the turn width),
-// In the ingress port and Out the egress port.
+// In the ingress port and Out the egress port. Each field has the width
+// its range needs: a switch has at most asi.MaxSwitchPorts = 256 ports,
+// so a count fits 16 bits and a port index a byte, and a hop is 4 bytes.
+// The FM holds one path per discovered device, so the width is what a
+// database costs per hop.
 type Hop struct {
-	Ports int
-	In    int
-	Out   int
+	Ports uint16
+	In    uint8
+	Out   uint8
 }
 
 // Path is a sequence of switch traversals from source endpoint to
@@ -66,32 +70,70 @@ func backPort(ports, in, turn int) int {
 // down. It returns the pool and the initial turn pointer (the number of
 // used bits). Paths whose turns exceed the pool width are rejected — the
 // caller (the FM) must then discover the device through a shorter path.
+// So is a hop through more than asi.MaxSwitchPorts ports, or through a
+// port its switch does not have.
 func Encode(p Path) (pool uint64, ptr uint8, err error) {
+	return encode(p, Hop{})
+}
+
+// encode packs p followed by next, unless next is the zero Hop, which no
+// switch traversal is (a switch has at least two ports).
+func encode(p Path, next Hop) (pool uint64, ptr uint8, err error) {
 	total := 0
 	for i, h := range p {
-		// In == Out is permitted: it encodes the maximal turn (ports-1),
-		// which sends a packet back out its ingress port — used by
-		// switch-sourced event routes whose virtual ingress happens to
-		// coincide with the first egress.
-		if h.Ports < 2 || h.In < 0 || h.In >= h.Ports || h.Out < 0 || h.Out >= h.Ports {
-			return 0, 0, fmt.Errorf("route: hop %d invalid: %+v", i, h)
+		w, err := h.width()
+		if err != nil {
+			return 0, 0, fmt.Errorf("route: hop %d %w", i, err)
 		}
-		total += TurnWidth(h.Ports)
+		total += w
+	}
+	if next != (Hop{}) {
+		w, err := next.width()
+		if err != nil {
+			return 0, 0, fmt.Errorf("route: hop %d %w", len(p), err)
+		}
+		total += w
 	}
 	if total > asi.TurnPoolBits {
 		return 0, 0, fmt.Errorf("route: path needs %d turn bits, pool holds %d", total, asi.TurnPoolBits)
 	}
 	for _, h := range p {
-		w := TurnWidth(h.Ports)
-		pool = pool<<w | uint64(Turn(h.Ports, h.In, h.Out))
+		pool = h.push(pool)
+	}
+	if next != (Hop{}) {
+		pool = next.push(pool)
 	}
 	return pool, uint8(total), nil
+}
+
+// width validates the hop and returns its turn width. In == Out is
+// permitted: it encodes the maximal turn (ports-1), which sends a packet
+// back out its ingress port — used by switch-sourced event routes whose
+// virtual ingress happens to coincide with the first egress.
+func (h Hop) width() (int, error) {
+	if h.Ports < 2 || h.Ports > asi.MaxSwitchPorts || uint16(h.In) >= h.Ports || uint16(h.Out) >= h.Ports {
+		return 0, fmt.Errorf("invalid: %+v", h)
+	}
+	return TurnWidth(int(h.Ports)), nil
+}
+
+// push shifts the hop's turn into the low end of a pool.
+func (h Hop) push(pool uint64) uint64 {
+	return pool<<TurnWidth(int(h.Ports)) | uint64(Turn(int(h.Ports), int(h.In), int(h.Out)))
 }
 
 // Header builds a forward route header for the path with the given PI and
 // management traffic class already applied.
 func Header(p Path, pi asi.PI) (asi.RouteHeader, error) {
-	pool, ptr, err := Encode(p)
+	return HeaderNext(p, Hop{}, pi)
+}
+
+// HeaderNext is Header(Extend(p, next), pi) without building the extended
+// path: a probe one switch past a known device encodes its parent's path
+// and the one hop it adds, and the extended path is only built for a
+// device the probe turns out to discover. The zero Hop adds nothing.
+func HeaderNext(p Path, next Hop, pi asi.PI) (asi.RouteHeader, error) {
+	pool, ptr, err := encode(p, next)
 	if err != nil {
 		return asi.RouteHeader{}, err
 	}
@@ -133,7 +175,7 @@ func Extend(p Path, hop Hop) Path {
 func (p Path) Bits() int {
 	n := 0
 	for _, h := range p {
-		n += TurnWidth(h.Ports)
+		n += TurnWidth(int(h.Ports))
 	}
 	return n
 }

@@ -52,7 +52,7 @@ func randomPath(rng *sim.RNG, hops int) Path {
 		for out == in {
 			out = rng.Intn(ports)
 		}
-		p[i] = Hop{Ports: ports, In: in, Out: out}
+		p[i] = Hop{Ports: uint16(ports), In: uint8(in), Out: uint8(out)}
 	}
 	return p
 }
@@ -63,15 +63,15 @@ func randomPath(rng *sim.RNG, hops int) Path {
 func walkForward(t *testing.T, p Path, h asi.RouteHeader) asi.RouteHeader {
 	t.Helper()
 	for i, hop := range p {
-		d, err := SwitchRoute(&h, hop.Ports, hop.In)
+		d, err := SwitchRoute(&h, int(hop.Ports), int(hop.In))
 		if err != nil {
 			t.Fatalf("hop %d: %v", i, err)
 		}
 		if d.Deliver {
 			t.Fatalf("hop %d: premature delivery", i)
 		}
-		if d.Out != hop.Out {
-			t.Fatalf("hop %d: routed to port %d, want %d", i, d.Out, hop.Out)
+		if d.Out != int(hop.Out) {
+			t.Fatalf("hop %d: routed to port %d, want %d", i, d.Out, int(hop.Out))
 		}
 	}
 	if h.TurnPointer != 0 {
@@ -112,15 +112,15 @@ func TestBackwardTraversalRetracesPath(t *testing.T) {
 		back := arrived.Reverse()
 		for i := len(p) - 1; i >= 0; i-- {
 			hop := p[i]
-			d, err := SwitchRoute(&back, hop.Ports, hop.Out)
+			d, err := SwitchRoute(&back, int(hop.Ports), int(hop.Out))
 			if err != nil {
 				t.Fatalf("reverse hop %d: %v", i, err)
 			}
 			if d.Deliver {
 				t.Fatalf("reverse hop %d: premature delivery", i)
 			}
-			if d.Out != hop.In {
-				t.Fatalf("reverse hop %d: routed to port %d, want %d", i, d.Out, hop.In)
+			if d.Out != int(hop.In) {
+				t.Fatalf("reverse hop %d: routed to port %d, want %d", i, d.Out, int(hop.In))
 			}
 		}
 		if int(back.TurnPointer) != p.Bits() {
@@ -142,8 +142,8 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		// Forward walk.
 		for _, hop := range p {
-			d, err := SwitchRoute(&h, hop.Ports, hop.In)
-			if err != nil || d.Deliver || d.Out != hop.Out {
+			d, err := SwitchRoute(&h, int(hop.Ports), int(hop.In))
+			if err != nil || d.Deliver || d.Out != int(hop.Out) {
 				return false
 			}
 		}
@@ -154,8 +154,8 @@ func TestRoundTripProperty(t *testing.T) {
 		back := h.Reverse()
 		for i := len(p) - 1; i >= 0; i-- {
 			hop := p[i]
-			d, err := SwitchRoute(&back, hop.Ports, hop.Out)
-			if err != nil || d.Deliver || d.Out != hop.In {
+			d, err := SwitchRoute(&back, int(hop.Ports), int(hop.Out))
+			if err != nil || d.Deliver || d.Out != int(hop.In) {
 				return false
 			}
 		}
@@ -169,12 +169,16 @@ func TestRoundTripProperty(t *testing.T) {
 func TestEncodeRejectsInvalidHops(t *testing.T) {
 	bad := []Path{
 		{{Ports: 1, In: 0, Out: 0}},
-		{{Ports: 4, In: -1, Out: 2}},
+		{{Ports: 4, In: 4, Out: 2}},
 		{{Ports: 4, In: 0, Out: 4}},
+		{{Ports: asi.MaxSwitchPorts + 1, In: 0, Out: 1}},
 	}
 	for _, p := range bad {
 		if _, _, err := Encode(p); err == nil {
 			t.Errorf("Encode(%v) accepted", p)
+		}
+		if _, err := HeaderNext(Path{{Ports: 4, In: 0, Out: 1}}, p[0], asi.PI4DeviceManagement); err == nil {
+			t.Errorf("HeaderNext(..., %+v) accepted", p[0])
 		}
 	}
 	// In == Out encodes the maximal turn and is legal (virtual-source
@@ -269,6 +273,47 @@ func TestReverseRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodePortCountRange pins the narrow hop's boundary: a port count
+// reaches asi.MaxSwitchPorts and a port index 255, and nothing past them
+// encodes, so no wider count aliases a narrower one.
+func TestEncodePortCountRange(t *testing.T) {
+	for _, c := range []struct {
+		ports   uint16
+		in, out uint8
+		ok      bool
+	}{
+		{ports: 255, in: 0, out: 254, ok: true},
+		{ports: 256, in: 0, out: 255, ok: true},
+		{ports: 256, in: 255, out: 255, ok: true},
+		{ports: 257, in: 0, out: 1},
+		{ports: 300, in: 0, out: 1},
+		{ports: 255, in: 0, out: 255},
+	} {
+		_, _, err := Encode(Path{{Ports: c.ports, In: c.in, Out: c.out}})
+		if (err == nil) != c.ok {
+			t.Errorf("Encode(ports %d, %d->%d) error %v, want ok=%v", c.ports, c.in, c.out, err, c.ok)
+		}
+	}
+}
+
+// TestHeaderNextMatchesExtend pins a lazy probe's header: the parent's
+// path plus one hop encodes exactly as the extended path does.
+func TestHeaderNextMatchesExtend(t *testing.T) {
+	rng := sim.NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		p := randomPath(rng, 1+rng.Intn(12))
+		base, next := p[:len(p)-1], p[len(p)-1]
+		want, werr := Header(p, asi.PI4DeviceManagement)
+		got, gerr := HeaderNext(base, next, asi.PI4DeviceManagement)
+		if (werr == nil) != (gerr == nil) || got != want {
+			t.Fatalf("HeaderNext(%v, %+v) = %+v, %v; Header of the extended path = %+v, %v", base, next, got, gerr, want, werr)
+		}
+	}
+	if got, _ := HeaderNext(nil, Hop{}, asi.PI4DeviceManagement); got.TurnPointer != 0 {
+		t.Errorf("the zero Hop added %d turn bits", got.TurnPointer)
 	}
 }
 
