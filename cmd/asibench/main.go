@@ -49,11 +49,7 @@ func main() {
 
 	if *list {
 		for _, r := range experiment.Runners() {
-			heavy := ""
-			if r.Heavy {
-				heavy = "  [heavy: run explicitly with -exp]"
-			}
-			fmt.Printf("%-16s %s%s\n", r.ID, r.Desc, heavy)
+			fmt.Printf("%-16s %s\n", r.ID, r.Desc)
 		}
 		return
 	}
@@ -70,16 +66,8 @@ func main() {
 	}
 
 	opts := experiment.Opts{Seeds: *seeds, Workers: common.Workers}
-	var runners []experiment.Runner
-	if *exp == "all" {
-		for _, r := range experiment.Runners() {
-			if r.Heavy {
-				fmt.Fprintf(os.Stderr, "skipping heavy experiment %s (run it with -exp %s)\n", r.ID, r.ID)
-				continue
-			}
-			runners = append(runners, r)
-		}
-	} else {
+	runners := experiment.Runners()
+	if *exp != "all" {
 		r, err := experiment.ByID(*exp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

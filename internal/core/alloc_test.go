@@ -1,10 +1,11 @@
 package core
 
 import (
-	"maps"
+	"runtime"
 	"testing"
 	"unsafe"
 
+	"repro/internal/asi"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -69,7 +70,9 @@ func TestPI4RoundTripZeroAlloc(t *testing.T) {
 // retransmission), and a lazy probe's extra hop fits in its padding.
 // Every full rediscovery builds one Node per device, two Neighbors per
 // link and a path of Hops per device, which is most of what the daemon's
-// default mode allocates per change.
+// default mode allocates per change. The Nodes live in pages of eight
+// with their adjacency headers and three words of bits, and a write after
+// a Clone copies one page.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -78,6 +81,7 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"request", unsafe.Sizeof(request{}), 128, false},
 		{"Node", unsafe.Sizeof(Node{}), 112, false},
+		{"page", unsafe.Sizeof(page{}), 1112, false},
 		{"Neighbor", unsafe.Sizeof(Neighbor{}), 16, true},
 		{"route.Hop", unsafe.Sizeof(route.Hop{}), 4, true},
 	} {
@@ -118,10 +122,14 @@ func TestRefreshPathsAllocBudget(t *testing.T) {
 
 // TestCloneAllocBudget pins what freezing a generation costs: Clone
 // allocates the same on the 8x8 torus and on dragonfly 16x64, and the
-// first write after it copies the two maps and the one device it touches
-// — its Node, its port flags, its adjacency — and nothing else.
+// first write after it copies the directory (its header and its page
+// list), the one page holding the device it touches and that device's
+// port flags and adjacency — five allocations on either fabric, about
+// one page's bytes — and a
+// write to a second device of that page copies only the second device's
+// flags and adjacency.
 func TestCloneAllocBudget(t *testing.T) {
-	var clones []float64
+	var clones, writes []float64
 	for _, name := range []string{"8x8 torus", "dragonfly 16x64"} {
 		tp, err := topo.ByName(name)
 		if err != nil {
@@ -132,24 +140,53 @@ func TestCloneAllocBudget(t *testing.T) {
 		db := m.DB()
 		var frozen *DB
 		clone := testing.AllocsPerRun(20, func() { frozen = db.Clone() })
-		clones = append(clones, clone)
-		mapsOnly := testing.AllocsPerRun(20, func() { _, _ = maps.Clone(db.nodes), maps.Clone(db.adj) })
-		dsn := db.NeighborsOf(db.HostDSN)[0].DSN // the host's switch: a node, flags and an adjacency
+		// The host's switch, a node with flags and an adjacency, and
+		// another switch in its page.
+		dsn := db.NeighborsOf(db.HostDSN)[0].DSN
+		pg, i := db.find(dsn)
+		other := asi.DSN(0)
+		for j := range pg.nodes {
+			if j != i && pg.has(j) && pg.nodes[j].Type == asi.DeviceSwitch && pg.adj[j] != nil {
+				other = pg.nodes[j].DSN
+				break
+			}
+		}
+		if other == 0 {
+			t.Fatalf("%s: no second switch in the page of %v", name, dsn)
+		}
 		write := testing.AllocsPerRun(20, func() {
 			frozen = db.Clone()
 			db.writable(dsn).Validated++
 		})
-		t.Logf("%s: Clone %.0f allocs; a write after it %.0f, of which the two maps %.0f", name, clone, write, mapsOnly)
-		// The device's three copies; the owned set is cleared, not remade.
-		if extra := write - clone - mapsOnly; extra > 3 {
-			t.Errorf("%s: a write after Clone allocates %.0f beyond the clone (%.0f) and the two map copies (%.0f), want <= 3",
-				name, extra, clone, mapsOnly)
+		second := testing.AllocsPerRun(20, func() {
+			frozen = db.Clone()
+			db.writable(dsn).Validated++
+			db.writable(other).Validated++
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		frozen = db.Clone()
+		db.writable(dsn).Validated++
+		runtime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: Clone %.0f allocs; a write after it %.0f (%d B), a second write in its page %.0f more",
+			name, clone, write, bytes, second-write)
+		clones, writes = append(clones, clone), append(writes, write)
+		if extra := write - clone; extra != 5 {
+			t.Errorf("%s: a write after Clone allocates %.0f beyond the clone, want 5: directory and its page list, page, flags, adjacency", name, extra)
+		}
+		if extra := second - write; extra != 2 {
+			t.Errorf("%s: a second write in the same page allocates %.0f more, want 2: flags, adjacency", name, extra)
+		}
+		if page := uint64(unsafe.Sizeof(page{})); bytes > page+page/4+uint64(len(db.dir.pages))*8+1024 {
+			t.Errorf("%s: a write after Clone allocates %d B, want about one %d-byte page", name, bytes, page)
 		}
 		if frozen.Node(dsn) == db.Node(dsn) || frozen.Node(dsn).Validated == db.Node(dsn).Validated {
 			t.Errorf("%s: the write after Clone reached the frozen copy", name)
 		}
 	}
-	if clones[0] != clones[1] {
-		t.Errorf("Clone allocates %.0f on the 8x8 torus and %.0f on dragonfly 16x64, want the same", clones[0], clones[1])
+	if clones[0] != clones[1] || writes[0] != writes[1] {
+		t.Errorf("Clone and a write after it allocate %.0f and %.0f on the 8x8 torus, %.0f and %.0f on dragonfly 16x64, want the same",
+			clones[0], writes[0], clones[1], writes[1])
 	}
 }

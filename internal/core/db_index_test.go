@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -62,6 +63,23 @@ func (r refDB) clone() refDB {
 		out.links[l] = true
 	}
 	return out
+}
+
+// sortLinks puts links in the canonical order: by A, A's port, B, B's
+// port.
+func sortLinks(ls []Link) {
+	slices.SortFunc(ls, func(a, b Link) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.APort, b.APort); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.B, b.B); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.BPort, b.BPort)
+	})
 }
 
 // linkList is Links over the link map: every key, sorted.
@@ -290,12 +308,12 @@ func (p dbPair) check(t *testing.T, when string) {
 		t.Fatalf("%s: ReachableFromHost = %v, reference %v", when, got, want)
 	}
 	ends, wantEnds := 0, 0
-	for dsn, nbs := range db.adj {
-		if len(nbs) == 0 {
+	db.each(func(dsn asi.DSN, pg *page, i int) {
+		if nbs := pg.adj[i]; nbs != nil && len(nbs) == 0 {
 			t.Fatalf("%s: empty adjacency kept for %v", when, dsn)
 		}
-		ends += len(nbs)
-	}
+		ends += len(pg.adj[i])
+	})
 	for l := range ref.links {
 		wantEnds += 2
 		if l.A == l.B && l.APort == l.BPort {
@@ -343,6 +361,21 @@ func (p dbPair) check(t *testing.T, when string) {
 	}
 }
 
+// rebuilt copies a database into one with an intern table of its own,
+// interning in descending DSN order, so its slots are not the original's:
+// DiffDBs between the two merges two different tables.
+func rebuilt(db *DB) *DB {
+	out := NewDB(db.HostDSN)
+	nodes, links := db.Nodes(), db.Links()
+	for i := len(nodes) - 1; i >= 0; i-- {
+		out.AddNode(nodes[i])
+	}
+	for i := len(links) - 1; i >= 0; i-- {
+		out.AddLink(links[i])
+	}
+	return out
+}
+
 // checkDiff compares DiffDBs between two states against the link-map
 // body over the same two states.
 func checkDiff(t *testing.T, when string, prev, cur dbPair) {
@@ -355,13 +388,19 @@ func checkDiff(t *testing.T, when string, prev, cur dbPair) {
 // TestDBIndexMatchesLinkScan drives the indexed database and the
 // link-scanning reference through the same mutation sequences — a
 // scripted prefix of the awkward cases, then a seeded random walk — and
-// compares every query after every step, and DiffDBs across the step.
-// Clones taken along the way are mutated onward while the original they
-// came from must keep answering as it did.
+// compares every query after every step, and DiffDBs across the step,
+// also against a copy with an intern table of its own. Clones taken along
+// the way are mutated onward while the original they came from must keep
+// answering as it did. Each seed first interns a different number of
+// DSNs that never get an entry, so the walk's devices straddle page
+// boundaries at different places.
 func TestDBIndexMatchesLinkScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := dbPair{db: NewDB(walkHost), ref: newRefDB(walkHost)}
+		for k := 0; k < int(seed)*3; k++ {
+			p.db.intern(asi.DSN(1000 + k))
+		}
 		step := 0
 		do := func(what string, mutate func()) {
 			prev := p.clone()
@@ -371,6 +410,12 @@ func TestDBIndexMatchesLinkScan(t *testing.T) {
 			p.check(t, when)
 			checkDiff(t, when, prev, p)
 			checkDiff(t, when+" reversed", p, prev)
+			foreign := dbPair{db: rebuilt(p.db), ref: p.ref}
+			if got, want := foreign.db.Fingerprint(), p.db.Fingerprint(); got != want {
+				t.Fatalf("%s: a copy with its own table fingerprints %x, want %x", when, got, want)
+			}
+			checkDiff(t, when+" against its own table", prev, foreign)
+			checkDiff(t, when+" from its own table", foreign, prev)
 		}
 
 		do("host", func() { p.addNode(1, asi.DeviceEndpoint) })

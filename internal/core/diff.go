@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/asi"
@@ -46,45 +45,55 @@ func (d Diff) String() string {
 }
 
 // DiffDBs compares two databases. Devices compare by DSN, links by their
-// normalized form; old or new may be nil (treated as empty). It scans the
-// two node maps and merges each device's two sorted adjacencies, keeping
-// the link ends a device is the canonical end of, and sorts only what
-// differs (devices by DSN, links canonically), so comparing two
-// generations of a large fabric costs no sorted copy of either. An
-// adjacency the two still share since a Clone is skipped unread.
+// normalized form; old or new may be nil (treated as empty). It merges the
+// two intern tables' DSN orders, so devices come out ascending and links
+// canonically sorted, with no sort and no copy of either database; per
+// DSN it merges the two sorted adjacencies, keeping the link ends the
+// device is the canonical end of. A DSN whose slot sits in a page the two
+// still share since a Clone is skipped unread.
 func DiffDBs(old, new *DB) Diff {
 	var d Diff
-	var empty DB
 	if old == nil {
-		old = &empty
+		old = NewDB(0)
 	}
 	if new == nil {
-		new = &empty
+		new = NewDB(0)
 	}
-	for dsn := range new.nodes {
-		if old.nodes[dsn] == nil {
-			d.AddedDevices = append(d.AddedDevices, dsn)
+	oo, no := old.tab.ordered(), new.tab.ordered()
+	for i, j := 0, 0; i < len(oo) || j < len(no); {
+		os, ns := int32(-1), int32(-1)
+		switch {
+		case j == len(no) || i < len(oo) && old.tab.dsns[oo[i]] < new.tab.dsns[no[j]]:
+			os, i = oo[i], i+1
+		case i == len(oo) || new.tab.dsns[no[j]] < old.tab.dsns[oo[i]]:
+			ns, j = no[j], j+1
+		default:
+			os, ns, i, j = oo[i], no[j], i+1, j+1
 		}
-	}
-	for dsn := range old.nodes {
-		if new.nodes[dsn] == nil {
+		po, io := old.slot(os)
+		pn, in := new.slot(ns)
+		if po == pn && io == in {
+			continue // the same page, or neither database has one
+		}
+		var dsn asi.DSN
+		var was, now []Neighbor
+		wasNode, isNode := po != nil && po.has(io), pn != nil && pn.has(in)
+		if po != nil {
+			dsn, was = old.tab.dsns[os], po.adj[io]
+		}
+		if pn != nil {
+			dsn, now = new.tab.dsns[ns], pn.adj[in]
+		}
+		switch {
+		case isNode && !wasNode:
+			d.AddedDevices = append(d.AddedDevices, dsn)
+		case wasNode && !isNode:
 			d.RemovedDevices = append(d.RemovedDevices, dsn)
 		}
-	}
-	for dsn, nbs := range new.adj {
-		if was := old.adj[dsn]; len(was) != len(nbs) || &was[0] != &nbs[0] { // adjacencies are never empty
-			d.RemovedLinks, d.AddedLinks = diffEnds(dsn, was, nbs, d.RemovedLinks, d.AddedLinks)
+		if len(was) != len(now) || len(was) > 0 && &was[0] != &now[0] {
+			d.RemovedLinks, d.AddedLinks = diffEnds(dsn, was, now, d.RemovedLinks, d.AddedLinks)
 		}
 	}
-	for dsn, nbs := range old.adj {
-		if _, ok := new.adj[dsn]; !ok {
-			d.RemovedLinks, _ = diffEnds(dsn, nbs, nil, d.RemovedLinks, nil)
-		}
-	}
-	slices.Sort(d.AddedDevices)
-	slices.Sort(d.RemovedDevices)
-	sortLinks(d.AddedLinks)
-	sortLinks(d.RemovedLinks)
 	return d
 }
 

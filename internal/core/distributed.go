@@ -298,8 +298,7 @@ func (t *Team) merge() {
 		}
 		db := t.reports[m.dev.DSN]
 		for _, n := range db.Nodes() {
-			c := *n
-			p.db.AddNode(&c)
+			p.db.AddNode(n)
 		}
 		for _, l := range db.Links() {
 			p.db.AddLink(l)

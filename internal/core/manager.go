@@ -544,7 +544,7 @@ func (m *Manager) discoverSelf() {
 		host.PortActive[p] = m.dev.PortActive(p)
 	}
 	host.Validated = m.e.Now()
-	m.db.AddNode(host)
+	m.db.AddNode(&host)
 }
 
 // applyCompletion folds a PI-4 completion into the database and notifies
@@ -565,8 +565,7 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 		n := m.db.writable(gi.DSN)
 		isNew := n == nil
 		if isNew {
-			n = newNode(gi, req.fullPath(), int(resp.ArrivalPort))
-			m.db.AddNode(n)
+			n = m.db.insert(newNode(gi, req.fullPath(), int(resp.ArrivalPort)))
 		}
 		n.Validated = m.e.Now()
 		m.db.AddLink(Link{A: req.dsn, APort: int(req.port), B: gi.DSN, BPort: int(resp.ArrivalPort)})
@@ -915,7 +914,7 @@ func (m *Manager) beginRun() {
 	m.partialRun = false
 	m.dirty = false
 	m.dropAssimPending()
-	m.db = newDB(m.dev.DSN, m.db.NumNodes())
+	m.db = m.db.fresh()
 	m.drv = m.newDriver()
 	for _, r := range m.pending {
 		m.e.Cancel(r.timeout)

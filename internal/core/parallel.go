@@ -29,7 +29,7 @@ func (d *parallelDriver) onPort(req *request, n *Node, ok bool) {
 	if !ok {
 		return
 	}
-	if n == d.m.db.Node(d.m.dev.DSN) {
+	if n.DSN == d.m.dev.DSN {
 		// Host endpoint port; handled by the initial probe.
 		return
 	}

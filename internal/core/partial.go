@@ -139,11 +139,10 @@ func (m *Manager) partialUp(rep *Node, port int) {
 // verification request).
 func (m *Manager) refreshPaths() {
 	m.db.RebuildTree(&m.tree, m.dev.DSN)
-	// Visit in DSN order: the order verifies are issued in is part of the
-	// simulation.
+	// Visit in DSN order, EachNode's: the order verifies are issued in is
+	// part of the simulation.
 	dsns := m.dsnBuf[:0]
 	m.db.EachNode(func(n *Node) { dsns = append(dsns, n.DSN) })
-	slices.Sort(dsns)
 	m.dsnBuf = dsns
 	for _, dsn := range dsns {
 		if dsn == m.dev.DSN {

@@ -18,9 +18,6 @@ type Runner struct {
 	ID string
 	// Desc summarizes what the experiment reproduces.
 	Desc string
-	// Heavy marks experiments that run for minutes (multi-thousand-switch
-	// fabrics); cmd/asibench skips them under -exp all.
-	Heavy bool
 	// Run executes the experiment and returns its reports.
 	Run func(o Opts) []Report
 }
@@ -28,46 +25,46 @@ type Runner struct {
 // Runners returns every registered experiment in presentation order.
 func Runners() []Runner {
 	return []Runner{
-		{"table1", "Table 1: topologies evaluated", false, func(Opts) []Report {
+		{"table1", "Table 1: topologies evaluated", func(Opts) []Report {
 			return []Report{Table1Report()}
 		}},
-		{"fig4", "Fig. 4: avg PI-4 processing time at the FM vs network size", false, func(o Opts) []Report {
+		{"fig4", "Fig. 4: avg PI-4 processing time at the FM vs network size", func(o Opts) []Report {
 			return []Report{Fig4(o.Workers)}
 		}},
-		{"fig6", "Fig. 6: discovery time after a change (per run and averaged)", false, func(o Opts) []Report {
+		{"fig6", "Fig. 6: discovery time after a change (per run and averaged)", func(o Opts) []Report {
 			return Fig6(o.Seeds, o.Workers)
 		}},
-		{"fig7a", "Fig. 7(a): FM packet-processing timeline on the 3x3 mesh", false, func(Opts) []Report {
+		{"fig7a", "Fig. 7(a): FM packet-processing timeline on the 3x3 mesh", func(Opts) []Report {
 			return []Report{Fig7a()}
 		}},
-		{"fig7b", "Fig. 7(b): idealized serial vs parallel per-packet behaviour", false, func(Opts) []Report {
+		{"fig7b", "Fig. 7(b): idealized serial vs parallel per-packet behaviour", func(Opts) []Report {
 			return []Report{Fig7b()}
 		}},
-		{"fig8", "Fig. 8: discovery time vs FM and device processing factors", false, func(o Opts) []Report {
+		{"fig8", "Fig. 8: discovery time vs FM and device processing factors", func(o Opts) []Report {
 			return Fig8(o.Workers)
 		}},
-		{"fig9", "Fig. 9: discovery time vs active nodes at three factor combinations", false, func(o Opts) []Report {
+		{"fig9", "Fig. 9: discovery time vs active nodes at three factor combinations", func(o Opts) []Report {
 			return Fig9(o.Seeds, o.Workers)
 		}},
-		{"ext-partial", "Extension: partial rediscovery of the affected region", false, func(o Opts) []Report {
+		{"ext-partial", "Extension: partial rediscovery of the affected region", func(o Opts) []Report {
 			return []Report{ExtPartial(o.Seeds, o.Workers)}
 		}},
-		{"ext-distributed", "Extension: collaborative multi-FM discovery", false, func(Opts) []Report {
+		{"ext-distributed", "Extension: collaborative multi-FM discovery", func(Opts) []Report {
 			return []Report{ExtDistributed()}
 		}},
-		{"ext-traffic", "Extension: discovery under background application traffic", false, func(Opts) []Report {
+		{"ext-traffic", "Extension: discovery under background application traffic", func(Opts) []Report {
 			return []Report{ExtTraffic()}
 		}},
-		{"ext-loss", "Extension: discovery under injected packet loss, with timeout retries", false, func(o Opts) []Report {
+		{"ext-loss", "Extension: discovery under injected packet loss, with timeout retries", func(o Opts) []Report {
 			return []Report{ExtLoss(o.Seeds, o.Workers)}
 		}},
-		{"ext-failover", "Extension: primary FM failure and secondary takeover", false, func(Opts) []Report {
+		{"ext-failover", "Extension: primary FM failure and secondary takeover", func(Opts) []Report {
 			return []Report{ExtFailover()}
 		}},
-		{"ext-churn", "Extension: discovery under scripted churn (chaos scenarios)", false, func(o Opts) []Report {
+		{"ext-churn", "Extension: discovery under scripted churn (chaos scenarios)", func(o Opts) []Report {
 			return []Report{ExtChurn(o.Seeds)}
 		}},
-		{"ext-scale", "Extension: discovery at 1k-10k switches across all topology families", true, func(Opts) []Report {
+		{"ext-scale", "Extension: audited discovery at 100-10k switches across all topology families", func(Opts) []Report {
 			return []Report{ExtScale()}
 		}},
 	}

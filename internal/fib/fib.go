@@ -108,8 +108,10 @@ func Derive(db *core.DB) *Table {
 // every route, so the port-order tie-break is Derive's, and it sizes both
 // tables before they are filled: each is allocated once, for exactly the
 // number of routed devices (EventRoutes holds fewer only when a route
-// does not encode). changed lists, ascending, the devices whose
-// Route or EventRoute is new, different from prev's or gone.
+// does not encode). The database lists its devices in DSN order, so the
+// tables fill in order and prev is read by one merge alongside them.
+// changed lists, ascending, the devices whose Route or EventRoute is new,
+// different from prev's or gone.
 func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []asi.DSN) {
 	if prev == nil {
 		prev = &Table{}
@@ -123,20 +125,40 @@ func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []
 	}
 	var buf [16]route.Hop
 	scratch := route.Path(buf[:0])
+	// pr and pe are the next unmerged entries of prev's two tables.
+	pr, pe := 0, 0
 	db.EachNode(func(n *core.Node) {
 		if n.DSN == db.HostDSN {
 			return
 		}
+		// What prev routed below n.DSN, t does not: gone.
+		for ; pr < len(prev.Routes) && prev.Routes[pr].DSN < n.DSN; pr++ {
+			changed = append(changed, prev.Routes[pr].DSN)
+		}
+		for pe < len(prev.EventRoutes) && prev.EventRoutes[pe].DSN < n.DSN {
+			pe++
+		}
+		var old *Route
+		if pr < len(prev.Routes) && prev.Routes[pr].DSN == n.DSN {
+			old, pr = &prev.Routes[pr], pr+1
+		}
+		var oldEv *EventRoute
+		if pe < len(prev.EventRoutes) && prev.EventRoutes[pe].DSN == n.DSN {
+			oldEv, pe = &prev.EventRoutes[pe], pe+1
+		}
 		p, arrival := tree.PathInto(scratch, n.DSN)
 		if p == nil {
 			t.Unrouted++
+			if old != nil {
+				changed = append(changed, n.DSN)
+			}
 			return
 		}
 		scratch = p[:0]
-		if old, ok := prev.Route(n.DSN); ok && old.follows(p, arrival) && old.typ == n.Type && old.ports == n.Ports {
-			t.Routes = append(t.Routes, old)
-			if ev, ok := prev.EventRoute(n.DSN); ok {
-				t.EventRoutes = append(t.EventRoutes, ev)
+		if old != nil && old.follows(p, arrival) && old.typ == n.Type && old.ports == n.Ports {
+			t.Routes = append(t.Routes, *old)
+			if oldEv != nil {
+				t.EventRoutes = append(t.EventRoutes, *oldEv)
 			} else {
 				t.Unencodable++
 			}
@@ -161,20 +183,9 @@ func Update(prev *Table, db *core.DB, tree *core.PathTree) (t *Table, changed []
 		}
 		t.EventRoutes = append(t.EventRoutes, EventRoute{DSN: n.DSN, Pool: pool, Ptr: ptr})
 	})
-	slices.SortFunc(t.Routes, func(a, b Route) int { return cmp.Compare(a.DSN, b.DSN) })
-	slices.SortFunc(t.EventRoutes, func(a, b EventRoute) int { return cmp.Compare(a.DSN, b.DSN) })
-	// What prev routed and t does not is gone: one merge of the two
-	// sorted tables.
-	i := 0
-	for _, r := range prev.Routes {
-		for i < len(t.Routes) && t.Routes[i].DSN < r.DSN {
-			i++
-		}
-		if i == len(t.Routes) || t.Routes[i].DSN != r.DSN {
-			changed = append(changed, r.DSN)
-		}
+	for ; pr < len(prev.Routes); pr++ {
+		changed = append(changed, prev.Routes[pr].DSN)
 	}
-	slices.Sort(changed)
 	return t, changed
 }
 

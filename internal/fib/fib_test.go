@@ -1,6 +1,8 @@
 package fib
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/asi"
@@ -122,5 +124,58 @@ func TestDeriveDeterministic(t *testing.T) {
 		if ra.DSN != rb.DSN || ra.ArrivalPort != rb.ArrivalPort || len(ra.Hops) != len(rb.Hops) {
 			t.Errorf("route %d differs: %+v vs %+v", i, ra, rb)
 		}
+	}
+}
+
+// TestUpdateMatchesDerive walks a discovered fabric through a seeded run
+// of link cuts, device removals and re-additions, each on a clone of the
+// one before and every tenth removing the highest DSN, and requires Update from the previous table to equal Derive
+// from scratch, with changed exactly the devices whose route or event
+// route appeared, moved or went away, ascending.
+func TestUpdateMatchesDerive(t *testing.T) {
+	m, _ := discover(t, "4x4 torus")
+	rng := sim.NewRNG(7)
+	db := m.DB().Clone()
+	all := db.Nodes()
+	prev := Derive(db)
+	var tree core.PathTree
+	for step := 0; step < 60; step++ {
+		db = db.Clone()
+		n, k := all[rng.Intn(len(all))], rng.Intn(3)
+		if step%10 == 9 { // the highest DSN goes, so the merge ends on prev's entries
+			n, k = all[len(all)-1], 1
+		}
+		switch {
+		case n.DSN == db.HostDSN:
+		case k == 0 && db.Node(n.DSN) != nil && len(db.NeighborsOf(n.DSN)) > 0:
+			nb := db.NeighborsOf(n.DSN)[rng.Intn(len(db.NeighborsOf(n.DSN)))]
+			db.RemoveLink(core.Link{A: n.DSN, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)})
+		case k == 1:
+			db.RemoveNode(n.DSN)
+		default:
+			db.AddNode(n)
+			for _, l := range m.DB().Links() {
+				if (l.A == n.DSN || l.B == n.DSN) && db.Node(l.A) != nil && db.Node(l.B) != nil {
+					db.AddLink(l)
+				}
+			}
+		}
+		got, changed := Update(prev, db, &tree)
+		want := Derive(db)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Update differs from Derive", step)
+		}
+		var wantChanged []asi.DSN
+		for _, d := range all {
+			a, had := prev.Route(d.DSN)
+			b, has := want.Route(d.DSN)
+			if had != has || had && !reflect.DeepEqual(a, b) {
+				wantChanged = append(wantChanged, d.DSN)
+			}
+		}
+		if !slices.Equal(changed, wantChanged) {
+			t.Fatalf("step %d: changed = %v, want %v", step, changed, wantChanged)
+		}
+		prev = got
 	}
 }

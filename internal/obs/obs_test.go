@@ -293,6 +293,9 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 		"1leading_digit 4\n",
 		"name{unterminated=\"x\" 4\n",
 		"name{l=unquoted} 4\n",
+		"name{l=`raw`} 4\n",
+		"name{1l=\"x\"} 4\n",
+		"name{l=\"x\" m=\"y\"} 4\n",
 		"name notafloat\n",
 		"# TYPE x sometype\n",
 	} {
@@ -300,9 +303,11 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 			t.Errorf("ParseProm accepted %q", bad)
 		}
 	}
-	// Prometheus-style edge values pass.
-	pts, _, err := obs.ParseProm(strings.NewReader("x +Inf\ny{a=\"b\",c=\"d\"} 1e3\n"))
-	if err != nil || len(pts) != 2 || !math.IsInf(pts[0].Value, 1) || pts[1].Labels["c"] != "d" {
+	// Prometheus-style edge values pass, and so does a label value that
+	// ends in an escaped backslash or holds a comma or a brace.
+	pts, _, err := obs.ParseProm(strings.NewReader("x +Inf\ny{a=\"b\",c=\"d\"} 1e3\nz{a=\"q\\\\\",b=\",}\",} 2\n"))
+	if err != nil || len(pts) != 3 || !math.IsInf(pts[0].Value, 1) || pts[1].Labels["c"] != "d" ||
+		pts[2].Labels["a"] != `q\` || pts[2].Labels["b"] != ",}" {
 		t.Errorf("edge parse: %+v, %v", pts, err)
 	}
 }

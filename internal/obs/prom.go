@@ -286,23 +286,11 @@ func parseSample(line string) (PromPoint, error) {
 	}
 	rest = strings.TrimSpace(rest)
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return pt, fmt.Errorf("unterminated labels in %q", line)
+		var err error
+		if rest, err = parseLabels(rest[1:], pt.Labels); err != nil {
+			return pt, fmt.Errorf("%v in %q", err, line)
 		}
-		for _, kv := range splitLabels(rest[1:end]) {
-			eq := strings.Index(kv, "=")
-			if eq < 0 {
-				return pt, fmt.Errorf("bad label %q", kv)
-			}
-			val := strings.TrimSpace(kv[eq+1:])
-			uq, err := strconv.Unquote(val)
-			if err != nil {
-				return pt, fmt.Errorf("bad label value %q: %v", val, err)
-			}
-			pt.Labels[strings.TrimSpace(kv[:eq])] = uq
-		}
-		rest = strings.TrimSpace(rest[end+1:])
+		rest = strings.TrimSpace(rest)
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 1 {
@@ -316,28 +304,46 @@ func parseSample(line string) (PromPoint, error) {
 	return pt, nil
 }
 
-// splitLabels splits "a=\"x\",b=\"y\"" on commas outside quotes.
-func splitLabels(s string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
+// parseLabels parses `l1="v1",l2="v2"}` into labels and returns what
+// follows the closing brace. A value is a double-quoted string whose
+// escapes strconv.Unquote reads; a comma or brace inside it is part of
+// it, and a trailing comma before the brace is allowed.
+func parseLabels(s string, labels map[string]string) (rest string, err error) {
+	for {
+		s = strings.TrimLeft(s, " \t")
+		if strings.HasPrefix(s, "}") {
+			return s[1:], nil
+		}
+		eq := strings.IndexByte(s, '=')
+		if eq < 0 {
+			return "", fmt.Errorf("unterminated labels")
+		}
+		name := strings.TrimSpace(s[:eq])
+		if !validLabelName(name) {
+			return "", fmt.Errorf("bad label name %q", name)
+		}
+		s = strings.TrimLeft(s[eq+1:], " \t")
+		end := 1
+		for ; end < len(s) && s[end] != '"'; end++ {
+			if s[end] == '\\' {
+				end++
 			}
 		}
+		if !strings.HasPrefix(s, `"`) || end >= len(s) {
+			return "", fmt.Errorf("bad label value for %q", name)
+		}
+		v, err := strconv.Unquote(s[:end+1])
+		if err != nil {
+			return "", fmt.Errorf("bad label value %s: %v", s[:end+1], err)
+		}
+		labels[name] = v
+		s = strings.TrimLeft(s[end+1:], " \t")
+		if strings.HasPrefix(s, ",") {
+			s = s[1:]
+		} else if !strings.HasPrefix(s, "}") {
+			return "", fmt.Errorf("unterminated labels")
+		}
 	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }
 
 // parsePromValue accepts the exposition's float syntax.
@@ -351,6 +357,11 @@ func parsePromValue(s string) (float64, error) {
 		return math.NaN(), nil
 	}
 	return strconv.ParseFloat(s, 64)
+}
+
+// validLabelName checks [a-zA-Z_][a-zA-Z0-9_]*.
+func validLabelName(name string) bool {
+	return !strings.Contains(name, ":") && validPromName(name)
 }
 
 // validPromName checks [a-zA-Z_:][a-zA-Z0-9_:]*.

@@ -69,14 +69,16 @@ func TestInstallSnapshotIsolation(t *testing.T) {
 
 // Unchanged state is shared across generations: a generation installed
 // from the same live database after a change copies only what the change
-// touched, so an untouched device's entry and its route's hops are the
-// previous generation's, and the previous generation keeps what changed.
+// touched. The database is paged, 64 devices a page: an untouched page's
+// entries and an untouched route's hops are the previous generation's; in
+// the touched page, an untouched device's adjacency is still shared; and
+// the previous generation keeps what changed.
 func TestSnapshotLeafSharing(t *testing.T) {
 	r := New(Config{})
-	db := lineDB(4, 0) // host 1, then switches 2-3-4-5
+	db := lineDB(130, 0) // host 1, then switches 2-3-...-131: three pages
 	r.Install(db)
 	prev := r.Current()
-	db.RemoveNode(5)
+	db.RemoveNode(131)
 	r.Install(db)
 	cur := r.Current()
 	if prev.DB.Node(3) != cur.DB.Node(3) {
@@ -87,8 +89,11 @@ func TestSnapshotLeafSharing(t *testing.T) {
 	if len(a.Hops) == 0 || &a.Hops[0] != &b.Hops[0] {
 		t.Error("an unchanged route was re-derived instead of shared")
 	}
-	if prev.DB.Node(4) == cur.DB.Node(4) || len(prev.DB.NeighborsOf(4)) != 2 || len(cur.DB.NeighborsOf(4)) != 1 {
+	if prev.DB.Node(130) == cur.DB.Node(130) || len(prev.DB.NeighborsOf(130)) != 2 || len(cur.DB.NeighborsOf(130)) != 1 {
 		t.Error("the device the change touched is not copied, or the copy leaked into the previous generation")
+	}
+	if was, now := prev.DB.NeighborsOf(129), cur.DB.NeighborsOf(129); len(now) != 2 || &was[0] != &now[0] {
+		t.Error("an untouched device's adjacency was copied with its page")
 	}
 }
 

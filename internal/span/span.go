@@ -118,7 +118,8 @@ func KindByName(s string) (Kind, bool) {
 // section and the Chrome trace args human-readable.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON accepts both the name and the numeric form.
+// UnmarshalJSON accepts both the name and the numeric form of a known
+// kind, so what it accepts MarshalJSON writes back as a name.
 func (k *Kind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err == nil {
@@ -130,8 +131,8 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	var n uint8
-	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("span: kind must be a name or number: %s", b)
+	if err := json.Unmarshal(b, &n); err != nil || Kind(n) >= numKinds {
+		return fmt.Errorf("span: kind must be a name or the number of one: %s", b)
 	}
 	*k = Kind(n)
 	return nil
@@ -186,7 +187,8 @@ func StatusByName(n string) (Status, bool) {
 // MarshalJSON renders the status by name.
 func (s Status) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
-// UnmarshalJSON accepts both the name and the numeric form.
+// UnmarshalJSON accepts both the name and the numeric form of a known
+// status.
 func (s *Status) UnmarshalJSON(b []byte) error {
 	var str string
 	if err := json.Unmarshal(b, &str); err == nil {
@@ -198,8 +200,8 @@ func (s *Status) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	var n uint8
-	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("span: status must be a name or number: %s", b)
+	if err := json.Unmarshal(b, &n); err != nil || Status(n) >= numStatuses {
+		return fmt.Errorf("span: status must be a name or the number of one: %s", b)
 	}
 	*s = Status(n)
 	return nil
