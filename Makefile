@@ -185,6 +185,10 @@ chaos-par-smoke:
 
 # fuzz gives each native fuzz target a short bounded burst; the committed
 # corpus under internal/chaos/testdata/corpus seeds FuzzScenario.
+# FuzzRIBStream referees delivery: random installs read by subscribers
+# that wait, dawdle, stall past the queue depth and close; every stream is
+# one sync then strictly increasing generations, resyncs only after an
+# overflow, replays to the live snapshot, and leaves no goroutine behind.
 # FuzzQueueOrder replays schedule/cancel/step/run-until streams against a
 # sorted-slice reference of the engine's two-tier queue. FuzzParseName
 # builds every legal name it finds and checks the port table against the
@@ -205,6 +209,7 @@ fuzz:
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzGenerated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzCoalesce$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzInstallChangeSets$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzRIBStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topo -run '^$$' -fuzz '^FuzzParseName$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePacket$$' -fuzztime $(FUZZTIME)

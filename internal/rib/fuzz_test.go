@@ -49,6 +49,55 @@ func reshape(db *core.DB, dsn asi.DSN, edit func(*core.Node)) {
 	}
 }
 
+// mutate applies one of FuzzInstallChangeSets' database changes, op 0..6
+// with its argument byte; cut remembers the links of each device cut off
+// (op 6), to cable them back the next time.
+func mutate(db *core.DB, cut map[asi.DSN][]core.Link, op byte, arg int) {
+	dsn := asi.DSN(1 + arg%16)
+	switch op {
+	case 0: // add a device, switch or endpoint by the argument's high bit
+		typ, ports := asi.DeviceEndpoint, 1
+		if arg >= 128 {
+			typ, ports = asi.DeviceSwitch, 4
+		}
+		db.AddNode(&core.Node{DSN: dsn, Type: typ, Ports: ports})
+	case 1:
+		db.RemoveNode(dsn)
+		delete(cut, dsn)
+	case 2: // cable two known devices, possibly one to itself
+		a, b := dsn, asi.DSN(1+(arg/16)%16)
+		if db.Node(a) != nil && db.Node(b) != nil {
+			l := core.Link{A: a, APort: arg % db.Node(a).Ports, B: b, BPort: (arg / 7) % db.Node(b).Ports}
+			if l.A != l.B || l.APort != l.BPort {
+				db.AddLink(l)
+			}
+		}
+	case 3:
+		if links := db.Links(); len(links) > 0 {
+			db.RemoveLink(links[arg%len(links)])
+		}
+	case 4: // same DSN, other type
+		reshape(db, dsn, func(n *core.Node) { n.Type = asi.DeviceSwitch + asi.DeviceEndpoint - n.Type })
+	case 5: // same DSN, other port count
+		reshape(db, dsn, func(n *core.Node) { n.Ports = 1 + (n.Ports+arg/16)%8 })
+	case 6: // cut a device off; the next time, cable it back
+		if links, ok := cut[dsn]; ok {
+			for _, l := range links {
+				if db.Node(l.A) != nil && db.Node(l.B) != nil {
+					db.AddLink(l)
+				}
+			}
+			delete(cut, dsn)
+		} else if db.Node(dsn) != nil {
+			for _, nb := range append([]core.Neighbor(nil), db.NeighborsOf(dsn)...) {
+				l := core.Link{A: dsn, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)}
+				cut[dsn] = append(cut[dsn], l)
+				db.RemoveLink(l)
+			}
+		}
+	}
+}
+
 // follower replays one subscription and checks it against the live
 // snapshot whenever asked.
 type follower struct {
@@ -128,48 +177,9 @@ func FuzzInstallChangeSets(f *testing.F) {
 		cut := map[asi.DSN][]core.Link{}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i]%8, int(data[i+1])
-			dsn := asi.DSN(1 + arg%16)
 			switch op {
-			case 0: // add a device, switch or endpoint by the argument's high bit
-				typ, ports := asi.DeviceEndpoint, 1
-				if arg >= 128 {
-					typ, ports = asi.DeviceSwitch, 4
-				}
-				db.AddNode(&core.Node{DSN: dsn, Type: typ, Ports: ports})
-			case 1:
-				db.RemoveNode(dsn)
-				delete(cut, dsn)
-			case 2: // cable two known devices, possibly one to itself
-				a, b := dsn, asi.DSN(1+(arg/16)%16)
-				if db.Node(a) != nil && db.Node(b) != nil {
-					l := core.Link{A: a, APort: arg % db.Node(a).Ports, B: b, BPort: (arg / 7) % db.Node(b).Ports}
-					if l.A != l.B || l.APort != l.BPort {
-						db.AddLink(l)
-					}
-				}
-			case 3:
-				if links := db.Links(); len(links) > 0 {
-					db.RemoveLink(links[arg%len(links)])
-				}
-			case 4: // same DSN, other type
-				reshape(db, dsn, func(n *core.Node) { n.Type = asi.DeviceSwitch + asi.DeviceEndpoint - n.Type })
-			case 5: // same DSN, other port count
-				reshape(db, dsn, func(n *core.Node) { n.Ports = 1 + (n.Ports+arg/16)%8 })
-			case 6: // cut a device off; the next time, cable it back
-				if links, ok := cut[dsn]; ok {
-					for _, l := range links {
-						if db.Node(l.A) != nil && db.Node(l.B) != nil {
-							db.AddLink(l)
-						}
-					}
-					delete(cut, dsn)
-				} else if db.Node(dsn) != nil {
-					for _, nb := range append([]core.Neighbor(nil), db.NeighborsOf(dsn)...) {
-						l := core.Link{A: dsn, APort: int(nb.LocalPort), B: nb.DSN, BPort: int(nb.RemotePort)}
-						cut[dsn] = append(cut[dsn], l)
-						db.RemoveLink(l)
-					}
-				}
+			default:
+				mutate(db, cut, op, arg)
 			case 7:
 				if err := ref.install(db); err != nil {
 					t.Fatal(err)

@@ -55,10 +55,11 @@ func (r *Replayer) Apply(b Batch) error {
 		case OpSet:
 			r.leaves[u.Path] = u.Value
 		case OpDelete:
-			if _, ok := r.leaves[u.Path]; !ok {
+			n := len(r.leaves)
+			delete(r.leaves, u.Path) // one probe: the count says whether it was there
+			if len(r.leaves) == n {
 				return fmt.Errorf("rib: delete of unknown leaf %s in generation %d", u.Path, b.Gen)
 			}
-			delete(r.leaves, u.Path)
 		default:
 			return fmt.Errorf("rib: unknown update op %q", u.Op)
 		}

@@ -10,7 +10,10 @@
 // queues: a reader that stalls long enough to overflow its queue has its
 // backlog dropped and receives a resync marker followed by a fresh full
 // snapshot — the installer never blocks on a slow reader, which is what
-// keeps the serving layer off the simulation hot path entirely.
+// keeps the serving layer off the simulation hot path entirely. A reader
+// already waiting when a generation is published receives its delta from
+// the installer directly; a subscription's pump goroutine carries only
+// its initial sync, a backlog and the resync.
 package rib
 
 import (
@@ -81,8 +84,9 @@ type Config struct {
 	QueueDepth int
 	// OnEvent, when non-nil, observes serving-layer events (EventOverflow,
 	// EventResync) with the generation current when they happened. It is
-	// called from installer and pump goroutines without RIB locks held;
-	// it must be cheap and must not call back into the RIB.
+	// called without RIB locks held: EventOverflow by the installer once
+	// its offers are made, EventResync by the pump that builds the
+	// resync. It must be cheap and must not call back into the RIB.
 	OnEvent func(kind string, gen uint64)
 }
 
@@ -103,11 +107,13 @@ type RIB struct {
 	depth   int
 	onEvent func(kind string, gen uint64)
 
-	// installMu serializes installers; mu guards the published snapshot
-	// and subscriber set and is held only for pointer swaps and queue
-	// appends, never for snapshot construction.
+	// installMu serializes installers, and so keeps every subscriber's
+	// offers in generation order; mu guards the published snapshot and
+	// subscriber set and is held only for the pointer swap and the copy
+	// of the set, never for snapshot construction or a hand-off.
 	installMu sync.Mutex
-	installer installer // reused by every install, under installMu
+	installer installer       // reused by every install, under installMu
+	fan       []*Subscription // the set an install offers to, under installMu
 	mu        sync.Mutex
 	cur       *Snapshot
 	subs      map[*Subscription]struct{}
@@ -121,8 +127,8 @@ type RIB struct {
 
 	// latMu guards the staleness-SLO accounting: the per-generation
 	// install stamps and the install→deliver latency histogram. Both are
-	// touched per delivered batch (pump goroutines) and per install —
-	// cold paths by construction, far from the simulation hot path.
+	// touched per install and per delivered batch (by the pump, or by
+	// the installer for a hand-off) — far from the simulation hot path.
 	latMu      sync.Mutex
 	stamps     [installStampRing]installStamp
 	latReg     *telemetry.Registry
@@ -175,6 +181,14 @@ func New(cfg Config) *RIB {
 // Install returns the new generation number and the topology-level diff
 // against the previous generation; it does bounded work per subscriber
 // and never blocks on any of them.
+//
+// The new generation is published (Current returns it) before any
+// subscriber is offered it, and the offers run outside the RIB lock, so
+// Current, Stats and Subscribe never wait behind them. A reader parked on
+// its channel receives its batch from the installer itself; building the
+// views that takes falls to the installer too, at most once per distinct
+// prefix. An install is O(subscribers + distinct prefixes × |delta|)
+// beyond the snapshot.
 func (r *RIB) Install(db *core.DB) (uint64, core.Diff) {
 	r.installMu.Lock()
 	defer r.installMu.Unlock()
@@ -188,15 +202,20 @@ func (r *RIB) Install(db *core.DB) (uint64, core.Diff) {
 	r.stamps[next.Gen%installStampRing] = installStamp{gen: next.Gen, at: time.Now()}
 	r.latMu.Unlock()
 
-	overflows := 0
 	r.mu.Lock()
 	r.cur = next
 	for s := range r.subs {
+		r.fan = append(r.fan, s)
+	}
+	r.mu.Unlock()
+	overflows := 0
+	for _, s := range r.fan {
 		if s.offer(next.pub) {
 			overflows++
 		}
 	}
-	r.mu.Unlock()
+	clear(r.fan) // a closed subscription is not kept alive until the next install
+	r.fan = r.fan[:0]
 	r.installs.Add(1)
 	if r.onEvent != nil {
 		for i := 0; i < overflows; i++ {
@@ -248,6 +267,7 @@ func (r *RIB) Subscribe(prefix string) *Subscription {
 	// generation's shared view for the prefix, built by the pump.
 	r.mu.Lock()
 	cur := r.cur
+	s.last = cur.Gen
 	r.subs[s] = struct{}{}
 	r.mu.Unlock()
 	go s.pump(cur)

@@ -218,7 +218,10 @@ func TestThousandSubscribersUnderChurn(t *testing.T) {
 	)
 	r := New(Config{QueueDepth: 8})
 	r.Install(lineDB(fabricSize, 0))
-	finalDB := lineDB(fabricSize, 0)
+	// Taken once, before the readers start: a database that is not
+	// frozen orders its slots lazily on the first read, so a thousand
+	// readers fingerprinting it at once would race on that write.
+	wantFP := lineDB(fabricSize, 0).Fingerprint()
 	finalGen := uint64(1 + installs)
 
 	var wg sync.WaitGroup
@@ -248,8 +251,8 @@ func TestThousandSubscribersUnderChurn(t *testing.T) {
 				errs <- fmt.Errorf("subscriber %d: %w", i, err)
 				return
 			}
-			if want := finalDB.Fingerprint(); fp != want {
-				errs <- fmt.Errorf("subscriber %d: fingerprint %#x, want %#x", i, fp, want)
+			if fp != wantFP {
+				errs <- fmt.Errorf("subscriber %d: fingerprint %#x, want %#x", i, fp, wantFP)
 			}
 		}(i, sub)
 	}

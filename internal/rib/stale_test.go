@@ -29,29 +29,60 @@ func settledStats(r *RIB, settled func(Stats) bool) Stats {
 
 // A reader that consumes promptly lags zero generations; one that never
 // reads its stream lags the full distance to the current generation.
+// Deliveries and the deliver-latency histogram count a batch the same
+// whichever path brought it: the pump's, to a reader that was busy when
+// the generation was published, or the installer's own hand-off, to a
+// reader already waiting.
 func TestStalenessLagAccounting(t *testing.T) {
 	r := New(Config{})
 	r.Install(lineDB(4, 0))
 
-	fresh := r.Subscribe("/")
-	defer fresh.Close()
-	<-fresh.Updates() // consume the initial sync
+	// Read by the installing goroutine, so never waiting at an install:
+	// every delta goes through the pump.
+	pumped := r.Subscribe("/")
+	defer pumped.Close()
+	<-pumped.Updates() // consume the initial sync
+
+	// Read by a goroutine parked on the channel at every install: every
+	// delta is handed over by the installer.
+	direct := r.Subscribe("/")
+	defer direct.Close()
+	rd := startReader(direct.Updates())
+	<-rd.got
+	waitIdle(t, direct)
 
 	stalled := r.Subscribe("/") // never read
 	defer stalled.Close()
 
-	for i := 1; i <= 3; i++ {
+	const installs = 3
+	for i := 1; i <= installs; i++ {
+		rd.waitParked(t)
 		r.Install(lineDB(4, i))
-		// Keep the fresh reader fresh.
-		<-fresh.Updates()
+		// Keep both readers fresh.
+		<-rd.got
+		<-pumped.Updates()
 	}
 
-	s := settledStats(r, func(s Stats) bool { return s.Staleness.P50 == 0 })
-	if s.Staleness.Subscribers != 2 {
-		t.Fatalf("staleness population %d, want 2", s.Staleness.Subscribers)
+	const consumed = 2 * (1 + installs) // two readers, a sync and three deltas each
+	s := settledStats(r, func(s Stats) bool {
+		return s.Staleness.P50 == 0 && s.Deliveries == consumed && s.DeliverLatency.Count == consumed
+	})
+	if s.Staleness.Subscribers != 3 {
+		t.Fatalf("staleness population %d, want 3", s.Staleness.Subscribers)
 	}
 	if s.Staleness.P50 != 0 {
-		t.Errorf("p50 lag %d, want 0 (fresh reader consumed gen %d)", s.Staleness.P50, s.Gen)
+		t.Errorf("p50 lag %d, want 0 (both readers consumed gen %d)", s.Staleness.P50, s.Gen)
+	}
+	for name, sub := range map[string]*Subscription{"pumped": pumped, "direct": direct} {
+		if d := sub.delivered.Load(); d != s.Gen {
+			t.Errorf("%s reader: delivered generation %d at quiescence, want %d", name, d, s.Gen)
+		}
+	}
+	if pumped.wakes.Load() == 0 {
+		t.Error("the installing goroutine's own reader was never served by its pump")
+	}
+	if w := direct.wakes.Load(); w != 0 {
+		t.Errorf("waiting reader's pump woke %d times, want 0", w)
 	}
 	// The stalled reader consumed nothing: max lag is the full current
 	// generation. (Its pump holds the sync batch it cannot deliver.)
@@ -59,11 +90,11 @@ func TestStalenessLagAccounting(t *testing.T) {
 		t.Errorf("max lag %d, want %d", s.Staleness.Max, s.Gen)
 	}
 	if s.Staleness.P99 != s.Staleness.Max {
-		t.Errorf("p99 lag %d, want %d with 2 subscribers", s.Staleness.P99, s.Staleness.Max)
+		t.Errorf("p99 lag %d, want %d with 3 subscribers", s.Staleness.P99, s.Staleness.Max)
 	}
-	if s.Deliveries == 0 || s.DeliverLatency.Count == 0 {
-		t.Errorf("deliver accounting empty: %d deliveries, %d latency observations",
-			s.Deliveries, s.DeliverLatency.Count)
+	if s.Deliveries != consumed || s.DeliverLatency.Count != consumed {
+		t.Errorf("deliver accounting: %d deliveries, %d latency observations, want %d of each",
+			s.Deliveries, s.DeliverLatency.Count, consumed)
 	}
 	if s.DeliverP99NS < s.DeliverP50NS || s.DeliverP50NS < 0 {
 		t.Errorf("latency quantiles inconsistent: p50 %v p99 %v", s.DeliverP50NS, s.DeliverP99NS)

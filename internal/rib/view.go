@@ -27,9 +27,12 @@ type generation struct {
 // view is what every subscriber on one prefix receives for one
 // generation: the batch — the generation's delta filtered to the prefix,
 // or the full sorted state under it — and, for HTTP subscribers, its
-// NDJSON line. Each is built once per (generation, prefix), by whichever
-// pump or handler first needs it and outside every RIB lock; never by the
-// installer, whose cost must not grow with the number of prefixes.
+// NDJSON line. Each is built once per (generation, prefix), outside every
+// RIB lock, by whichever goroutine first needs it: a pump or handler, or
+// the installer when it hands a delta to a reader already waiting. The
+// installer's share is bounded: at most one delta view per distinct
+// prefix per install, O(distinct prefixes × |delta|), and never a
+// full-state body or an encoded line.
 type view struct {
 	build sync.Once
 	batch Batch

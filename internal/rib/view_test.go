@@ -3,8 +3,10 @@ package rib
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Five hundred subscribers on three prefixes share three full-state
@@ -125,32 +127,157 @@ func followTo(r *RIB, prefix string, final uint64, toEnd bool) error {
 	return nil
 }
 
-// In steady state, queueing a generation and delivering its (already
-// built) view allocates nothing: the queue is a ring that reuses its
-// slots, and the entry is a pointer to the shared generation.
+// In steady state, handing a generation's (already built) view to a
+// reader allocates nothing, by either path. When the reader is busy the
+// generation is queued for the pump: the queue is a ring that reuses its
+// slots, and the entry is a pointer to the shared generation. When the
+// reader is already parked — on Updates(), or on the views channel as the
+// HTTP handler waits — offer sends the view itself and the pump sleeps.
 func TestOfferDeliverZeroAlloc(t *testing.T) {
 	for _, prefix := range []string{"/", PathFIB} {
-		r := New(Config{})
-		sub := r.Subscribe(prefix)
-		<-sub.Updates()
-		const runs = 200
-		gens := make([]*generation, runs+1) // AllocsPerRun warms up with one extra call
-		for i := range gens {
-			gens[i] = &generation{gen: uint64(i + 1), delta: []Update{{Op: OpDelete, Path: "/topology/links/x"}}}
-			r.deltaView(gens[i], prefix) // as if another subscriber on the prefix got there first
-		}
-		next := 0
-		allocs := testing.AllocsPerRun(runs, func() {
-			sub.offer(gens[next])
-			next++
-			if b := <-sub.Updates(); b.Gen != uint64(next) {
-				t.Fatalf("delivered generation %d, want %d", b.Gen, next)
+		for _, path := range []string{"pump", "direct/Updates", "direct/views"} {
+			r := New(Config{})
+			sub := r.Subscribe(prefix)
+			const runs = 200
+			gens := make([]*generation, runs+1) // AllocsPerRun warms up with one extra call
+			for i := range gens {
+				gens[i] = &generation{gen: uint64(i + 1), delta: []Update{{Op: OpDelete, Path: "/topology/links/x"}}}
+				r.deltaView(gens[i], prefix) // as if another subscriber on the prefix got there first
 			}
-		})
-		sub.Close()
-		if allocs != 0 {
-			t.Errorf("prefix %s: offer → deliver allocates %.1f times per batch, want 0", prefix, allocs)
+			// ready returns once a generation offered next finds the
+			// path under test; next takes the batch the reader got.
+			ready := func() {}
+			var next func() uint64
+			switch path {
+			case "pump":
+				<-sub.Updates()
+				// The offering goroutine is the reader: it is never parked
+				// when a generation is offered.
+				next = func() uint64 { return (<-sub.Updates()).Gen }
+			case "direct/Updates":
+				rd := startReader(sub.Updates())
+				<-rd.got // the sync
+				ready = func() { rd.waitParked(t) }
+				next = func() uint64 { return (<-rd.got).Gen }
+			case "direct/views":
+				rd := startReader((<-chan *view)(sub.views))
+				<-rd.got
+				ready = func() { rd.waitParked(t) }
+				next = func() uint64 { return (<-rd.got).batch.Gen }
+			}
+			waitIdle(t, sub)
+			n := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				ready()
+				sub.offer(gens[n])
+				n++
+				if gen := next(); gen != uint64(n) {
+					t.Fatalf("%s: delivered generation %d, want %d", path, gen, n)
+				}
+			})
+			wakes := sub.wakes.Load()
+			sub.Close()
+			if allocs != 0 {
+				t.Errorf("prefix %s, %s: offer → deliver allocates %.1f times per batch, want 0", prefix, path, allocs)
+			}
+			// On the pump path each batch is a notify; one token can cover
+			// two batches when the pump finds the second already queued.
+			if direct := path != "pump"; direct && wakes != 0 || !direct && (wakes == 0 || wakes > runs+1) {
+				t.Errorf("prefix %s, %s: the pump woke %d times for %d batches", prefix, path, wakes, runs+1)
+			}
 		}
+	}
+}
+
+// reader is a goroutine that forwards what a subscription's channel
+// carries to got, one value at a time, as a subscriber's own loop would.
+type reader[T any] struct {
+	got chan T
+	// parked is the header its stack dump shows while it is blocked
+	// receiving from the subscription's channel: "goroutine N [chan receive".
+	parked []byte
+	stacks []byte
+}
+
+func startReader[T any](in <-chan T) *reader[T] {
+	rd := &reader[T]{got: make(chan T), stacks: make([]byte, 1<<20)}
+	id := make(chan []byte)
+	go func() {
+		b := make([]byte, 64)
+		b = b[:runtime.Stack(b, false)] // "goroutine N [running]:\n..."
+		id <- append(b[:bytes.IndexByte(b, '[')+1], "chan receive"...)
+		for v := range in {
+			rd.got <- v
+		}
+	}()
+	rd.parked = <-id
+	return rd
+}
+
+// waitParked returns once the reader is blocked receiving from its
+// subscription's channel. Only a batch can wake it from there, so a
+// generation offered next, while the pump is idle, is handed to it
+// whatever the scheduler does.
+func (rd *reader[T]) waitParked(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !bytes.Contains(rd.stacks[:runtime.Stack(rd.stacks, true)], rd.parked) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never parked on its channel")
+		}
+		runtime.Gosched()
+	}
+}
+
+// waitIdle returns once the subscription's pump has parked with nothing
+// to deliver, from when on offer hands batches to a waiting reader itself.
+func waitIdle(t *testing.T, s *Subscription) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		idle := s.idle
+		s.mu.Unlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pump never went idle")
+		}
+		runtime.Gosched()
+	}
+}
+
+// A reader that is parked on its channel whenever a generation is
+// published is handed every batch by the installer: a hundred installs
+// leave its pump asleep, and the stream replays to the live state.
+func TestWaitingReaderNeverWakesPump(t *testing.T) {
+	r := New(Config{})
+	r.Install(lineDB(6, 0))
+	sub := r.Subscribe("/")
+	defer sub.Close()
+	rd := startReader(sub.Updates())
+	rep := NewReplayer()
+	if err := rep.Apply(<-rd.got); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, sub)
+	const installs = 100
+	for i := 1; i <= installs; i++ {
+		rd.waitParked(t)
+		r.Install(lineDB(6, i%5))
+		if err := rep.Apply(<-rd.got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := sub.wakes.Load(); w != 0 {
+		t.Errorf("%d installs to a waiting reader woke its pump %d times, want 0", installs, w)
+	}
+	if got, want := rep.Canonical("/"), r.Current().Canonical("/"); !bytes.Equal(got, want) {
+		t.Errorf("replayed state diverged at generation %d:\n%s\nwant:\n%s", rep.Gen(), got, want)
+	}
+	if s := r.Stats(); s.Deliveries != installs+1 || s.Staleness.Max != 0 {
+		t.Errorf("stats after %d direct deliveries: %d deliveries, lag %d", installs, s.Deliveries, s.Staleness.Max)
 	}
 }
 
