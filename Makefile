@@ -95,8 +95,8 @@ fmt-check:
 # seam-check keeps the "topology -> engine -> fabric -> manager ->
 # observers" recipe written once: outside the layers themselves
 # (internal/sim, internal/fabric, internal/core) and internal/rig, no
-# non-test Go under cmd/ or internal/ may create an engine, build a
-# fabric, attach a manager, or derive a random stream from a seed.
+# non-test Go under cmd/, internal/ or examples/ may create an engine,
+# build a fabric, attach a manager, or derive a random stream from a seed.
 # Further managers on one fabric come from rig.Rig.AddManager. The
 # region-sharded mechanism (partition, shard group, sharded fabric) has
 # no caller at all outside the layers that implement it: only bench/
@@ -104,7 +104,7 @@ fmt-check:
 # second tracer hook or packet-trace package comes back.
 seam-check:
 	@out="$$(grep -rnE 'sim\.NewEngine\(|fabric\.New\(|core\.NewManager\(|2654435761' \
-		cmd internal --include='*.go' \
+		cmd internal examples --include='*.go' \
 		| grep -vE '_test\.go:|^internal/(sim|fabric|core|rig)/')"; if [ -n "$$out" ]; then \
 		echo "a managed fabric is being assembled outside internal/rig:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'sim\.NewShardGroup\(|fabric\.NewSharded\(|\.Partition\(' \
@@ -234,11 +234,12 @@ fuzz:
 #   TestObsSmoke     the observability plane, scraped twice over HTTP: the
 #                    Prometheus text must parse, every windowed rate must
 #                    be finite, the staleness percentiles populated.
-#   TestAssimSmoke   12 keeper-driven churn rounds against the coalescing
-#                    partial FM must converge to ground truth at
-#                    quiescence, leave nothing stranded in the debounce
-#                    window, and publish the pinned fm.assim.* counts plus
-#                    the DB-staleness gauges over /metrics.
+#   TestAssimSmoke   12 daemon steps (churn round, re-audit check, cursor
+#                    expiry every 4th) against the coalescing partial FM
+#                    must converge to ground truth at quiescence, leave
+#                    nothing stranded in the debounce window, and publish
+#                    the pinned fm.assim.* counts plus the DB-staleness
+#                    gauges over /metrics.
 asifmd-smoke:
 	$(GO) test -run '^(TestDaemonSmoke|TestObsSmoke|TestAssimSmoke)$$' -count=1 ./cmd/asifmd/
 

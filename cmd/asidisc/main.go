@@ -69,7 +69,7 @@ func main() {
 		Change:       ch,
 		FMFactor:     *fmFactor,
 		DeviceFactor: *devFactor,
-		LossRate:     *loss,
+		Faults:       fabric.Uniform(*loss),
 		MaxRetries:   *retries,
 		RetryBackoff: sim.Micros(*backoffUS),
 		Telemetry:    *tele,
@@ -80,9 +80,7 @@ func main() {
 		if err != nil {
 			fail(2, err)
 		}
-		plan := fabric.Uniform(*loss)
-		plan.Flaps = append(plan.Flaps, flap)
-		cfg.Faults = &plan
+		cfg.Faults.Flaps = append(cfg.Faults.Flaps, flap)
 	}
 	if err := cfg.Validate(); err != nil {
 		fail(2, err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -70,5 +71,19 @@ func TestTraceView(t *testing.T) {
 		tail[0] != "... 3162 further events not recorded (buffer cap 40)" ||
 		tail[1] != "trace truncated: 3162 events dropped (raise -trace beyond 40)" {
 		t.Errorf("%d trace lines ending %q", len(lines), tail)
+	}
+}
+
+// TestLossOutOfRangeExits2: a uniform loss outside [0, 1] is a usage
+// error, refused by Config.Validate before any run.
+func TestLossOutOfRangeExits2(t *testing.T) {
+	for _, loss := range []string{"5", "-0.1"} {
+		cmd := exec.Command(os.Args[0], "-loss", loss)
+		cmd.Env = append(os.Environ(), "ASIDISC_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "loss rate") {
+			t.Errorf("asidisc -loss %s: %v, output %q; want exit 2 naming the loss rate", loss, err, out)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -12,10 +11,9 @@ import (
 )
 
 // TestAssimSmoke proves the continuous-assimilation engine end to end
-// (`make asifmd-smoke`). It drives 12 keeper-driven churn rounds against
-// the coalescing partial FM on a synthetic clock (every concern fires at
-// its exact deadline, no wall sleeping), restores the fabric, and fails
-// unless
+// (`make asifmd-smoke`). It drives 12 steps of churn against the
+// coalescing partial FM back to back (no wall sleeping), restores the
+// fabric, and fails unless
 //
 //   - the final audited database matches the live ground truth with a
 //     path-consistent view,
@@ -36,14 +34,9 @@ func TestAssimSmoke(t *testing.T) {
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
-	const interval = 100 * time.Millisecond
-	now := time.Now()
-	k := d.newKeeper(now, interval, true)
 	startPS := d.rig.Engine.Now()
 	for d.rounds < rounds {
-		// Once returns the earliest next deadline; jumping the synthetic
-		// clock straight to it exercises every concern's own cadence.
-		now = k.Once(now)
+		d.step()
 	}
 	d.mu.Lock()
 	d.quiesce()

@@ -15,13 +15,14 @@ import (
 	"repro/internal/obs"
 )
 
-// TestKeeperRace drives the keeper loop on a daemon with the coalescing
-// partial FM while the observability scraper, HTTP metric readers and a
-// RIB subscriber run concurrently — the configuration `go test -race
-// ./cmd/asifmd` checks for data races between the keeper's concerns
-// (churn, staleness-keyed re-audit, cursor expiry, debounce flush) and
-// every reader path.
-func TestKeeperRace(t *testing.T) {
+// TestStepRace drives the daemon's step loop with the coalescing partial
+// FM while the observability scraper, HTTP metric readers and a RIB
+// subscriber run concurrently — the configuration `go test -race
+// ./cmd/asifmd` checks for data races between a step (churn,
+// staleness-keyed re-audit, cursor expiry) and every reader path. It
+// also pins why serve needs no debounce-flush duty: every step leaves
+// the event queue empty and nothing in the debounce window.
+func TestStepRace(t *testing.T) {
 	cfg := experiment.DefaultDaemonConfig()
 	cfg.Topology = "8x8 mesh"
 	cfg.Algorithm = core.Partial.Slug()
@@ -76,12 +77,14 @@ func TestKeeperRace(t *testing.T) {
 		}
 	}()
 
-	// The keeper on its synthetic clock: jumping straight to each next
-	// deadline fires every concern at its own cadence.
-	now := time.Now()
-	k := d.newKeeper(now, 50*time.Millisecond, true)
 	for d.rounds < 6 {
-		now = k.Once(now)
+		d.step()
+		d.mu.Lock()
+		events, assim := d.rig.Engine.Pending(), d.rig.Manager.AssimPending()
+		d.mu.Unlock()
+		if events != 0 || assim != 0 {
+			t.Fatalf("round %d left %d events queued and %d reports in the debounce window", d.rounds, events, assim)
+		}
 	}
 
 	close(stop)
@@ -91,7 +94,7 @@ func TestKeeperRace(t *testing.T) {
 	// Restore and verify: after quiesce the audited database must match
 	// the live ground truth.
 	d.mu.Lock()
-	keeperAudited := d.lastAudit
+	stepAudited := d.lastAudit
 	d.quiesce()
 	pending := d.rig.Manager.AssimPending()
 	res, ok := d.rig.Manager.LastResult()
@@ -105,8 +108,8 @@ func TestKeeperRace(t *testing.T) {
 	if err := chaos.CheckConverged(d.rig.Fabric, d.rig.Manager, res); err != nil {
 		t.Fatal(err)
 	}
-	if keeperAudited == 0 {
-		t.Error("keeper never audited (audit_every = 2 over 6 rounds)")
+	if stepAudited == 0 {
+		t.Error("no step audited (audit_every = 2 over 6 rounds)")
 	}
 }
 

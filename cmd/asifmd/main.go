@@ -207,8 +207,8 @@ func (d *daemon) bootstrap() error {
 }
 
 // round applies one churn round and drains the simulation back to
-// quiescence; PI-5 driven assimilation installs along the way. Audits
-// are the keeper's re-audit concern, not the round's. Callers hold d.mu.
+// quiescence; PI-5 driven assimilation installs along the way. Callers
+// hold d.mu.
 func (d *daemon) round() {
 	d.rounds++
 	evs := d.ch.Round(d.cfg.ChurnOps)
@@ -228,6 +228,28 @@ func (d *daemon) applyChurn(evs []chaos.Event) {
 		})
 	}
 	d.run()
+}
+
+// step is one steady-state tick of serve: a churn round, then a
+// re-audit when one of its triggers is armed, then, on every fourth
+// round, expiry of dead PI-5 cursors. Each part drains the simulation to
+// quiescence, so no debounced report outlives a step. It takes d.mu and
+// returns the number of cursors expired.
+func (d *daemon) step() (expired int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.round()
+	if n := d.cfg.AuditEvery; n > 0 && d.rounds-d.lastAudit >= n {
+		d.audit(fmt.Sprintf("%d rounds since audit", d.rounds-d.lastAudit))
+	} else if ms := d.cfg.StaleAfterMS; ms > 0 {
+		if _, _, max := d.rig.Manager.DBStaleness(); max > sim.Duration(ms)*sim.Millisecond {
+			d.audit(fmt.Sprintf("max staleness %v", max))
+		}
+	}
+	if d.rounds%4 == 0 {
+		expired = d.rig.Manager.ExpireReporters()
+	}
+	return expired
 }
 
 // audit forces a full rediscovery (one more generation, even when the
@@ -290,9 +312,8 @@ func (d *daemon) scrapeEvery() time.Duration {
 }
 
 // serve streams forever (or for cfg.Rounds rounds): HTTP on cfg.Listen,
-// steady-state duties driven by the keeper on this goroutine (churn
-// paced by interval; re-audit, cursor expiry and debounce flush on their
-// own deadlines), scrapes paced by cfg.ScrapeMS on their own.
+// one step per interval on this goroutine, scrapes paced by cfg.ScrapeMS
+// on their own.
 func (d *daemon) serve(interval time.Duration) {
 	ln, err := net.Listen("tcp", d.cfg.Listen)
 	if err != nil {
@@ -315,10 +336,20 @@ func (d *daemon) serve(interval time.Duration) {
 		fmt.Fprintln(os.Stderr, "asifmd: churn disabled; serving the initial discovery")
 		select {} // serve until the process is stopped
 	}
-	k := d.newKeeper(time.Now(), interval, false)
+	if interval <= 0 {
+		interval = time.Second
+	}
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
 	for d.cfg.Rounds == 0 || d.rounds < d.cfg.Rounds {
-		next := k.Once(time.Now())
-		time.Sleep(time.Until(next))
+		<-tick.C
+		expired := d.step()
+		s := d.rib.Stats()
+		fmt.Fprintf(os.Stderr, "asifmd: round %d gen %d leaves %d subscribers %d down %d lag(p99) %d\n",
+			d.rounds, s.Gen, s.Leaves, s.Subscribers, d.ch.Down(), s.Staleness.P99)
+		if expired > 0 {
+			fmt.Fprintf(os.Stderr, "asifmd: expired %d dead PI-5 cursors\n", expired)
+		}
 	}
 	d.mu.Lock()
 	d.quiesce()

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
@@ -63,15 +62,13 @@ func TestObsSmoke(t *testing.T) {
 	stalled := d.rib.Subscribe("/")
 	defer stalled.Close()
 
-	// First scrape, keeper-driven churn, second scrape: the window
+	// First scrape, three steps of churn, second scrape: the window
 	// between them makes the rates non-degenerate, and the re-audit
-	// concern (audit_every = 2) fires along the way.
+	// (audit_every = 2) fires along the way.
 	d.scrape()
 	first, _ := scrapeMetrics(t, ts.URL)
-	now := time.Now()
-	k := d.newKeeper(now, 100*time.Millisecond, true)
 	for d.rounds < 3 {
-		now = k.Once(now)
+		d.step()
 	}
 	d.scrape()
 	second, types := scrapeMetrics(t, ts.URL)

@@ -11,24 +11,21 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/sim"
+	"repro/internal/rig"
 	"repro/internal/topo"
 )
 
 func run(teamSize int) {
 	tp := topo.Torus(8, 8)
-	engine := sim.NewEngine()
-	fab, err := fabric.New(engine, tp, fabric.DefaultConfig(), sim.NewRNG(11))
+	r, err := rig.New(tp, rig.Config{Seed: 11, Manager: core.Options{Algorithm: core.Distributed}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	eps := tp.Endpoints()
-	members := make([]*core.Manager, teamSize)
-	for i := range members {
+	members := []*core.Manager{r.Manager} // on eps[0]
+	for i := 1; i < teamSize; i++ {
 		// Spread the collaborators across the fabric.
-		ep := eps[i*len(eps)/teamSize]
-		members[i] = core.NewManager(fab, fab.Device(ep), core.Options{Algorithm: core.Distributed})
+		members = append(members, r.AddManager(eps[i*len(eps)/teamSize], core.Options{Algorithm: core.Distributed}))
 	}
 	team := core.NewTeam(members)
 
@@ -38,7 +35,7 @@ func run(teamSize int) {
 	done := false
 	members[0].OnDiscoveryComplete = func(core.Result) { done = true }
 	members[0].StartDiscovery()
-	engine.Run()
+	r.Run()
 	if !done {
 		log.Fatal("bootstrap discovery failed")
 	}
@@ -46,9 +43,9 @@ func run(teamSize int) {
 	team.Prepare()
 
 	var res core.TeamResult
-	team.OnComplete = func(r core.TeamResult) { res = r }
+	team.OnComplete = func(got core.TeamResult) { res = got }
 	team.StartDiscovery()
-	engine.Run()
+	r.Run()
 
 	fmt.Printf("%d FM(s): %v  devices=%d links=%d  total pkts=%d (sync %d)\n",
 		teamSize, res.Duration, res.Devices, res.Links, res.TotalPacketsSent, res.SyncPackets)

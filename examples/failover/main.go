@@ -13,25 +13,24 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
 func main() {
-	engine := sim.NewEngine()
 	tp := topo.Torus(4, 4)
-	fab, err := fabric.New(engine, tp, fabric.DefaultConfig(), sim.NewRNG(21))
+	r, err := rig.New(tp, rig.Config{Seed: 21, Manager: core.Options{Algorithm: core.Parallel}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eps := tp.Endpoints()
-	primary := core.NewManager(fab, fab.Device(eps[0]), core.Options{Algorithm: core.Parallel})
-	secondary := core.NewManager(fab, fab.Device(eps[8]), core.Options{Algorithm: core.Parallel})
+	engine, fab := r.Engine, r.Fabric
+	primary := r.Manager // on the first endpoint
+	secondary := r.AddManager(tp.Endpoints()[8], core.Options{Algorithm: core.Parallel})
 
 	// The primary discovers and configures the fabric.
-	primary.OnDiscoveryComplete = func(r core.Result) {
-		fmt.Printf("[%-9v] primary discovery: %v\n", engine.Now(), r)
+	primary.OnDiscoveryComplete = func(res core.Result) {
+		fmt.Printf("[%-9v] primary discovery: %v\n", engine.Now(), res)
 		primary.DistributeEventRoutes(nil)
 	}
 	primary.StartDiscovery()
@@ -43,8 +42,8 @@ func main() {
 		fmt.Printf("[%-9v] watchdog fired: secondary %s takes over\n",
 			engine.Now(), secondary.Device().Label)
 	})
-	secondary.OnDiscoveryComplete = func(r core.Result) {
-		fmt.Printf("[%-9v] new primary discovery: %v\n", engine.Now(), r)
+	secondary.OnDiscoveryComplete = func(res core.Result) {
+		fmt.Printf("[%-9v] new primary discovery: %v\n", engine.Now(), res)
 	}
 
 	engine.RunUntil(engine.Now().Add(2 * sim.Millisecond))

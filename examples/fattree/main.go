@@ -10,8 +10,7 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/sim"
+	"repro/internal/rig"
 	"repro/internal/topo"
 )
 
@@ -25,16 +24,14 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			engine := sim.NewEngine()
-			fab, err := fabric.New(engine, tp, fabric.DefaultConfig(), sim.NewRNG(1))
+			r, err := rig.New(tp, rig.Config{Seed: 1, Manager: core.Options{Algorithm: kind}})
 			if err != nil {
 				log.Fatal(err)
 			}
-			fm := core.NewManager(fab, fab.Device(tp.Endpoints()[0]), core.Options{Algorithm: kind})
 			var res core.Result
-			fm.OnDiscoveryComplete = func(r core.Result) { res = r }
-			fm.StartDiscovery()
-			engine.Run()
+			r.Manager.OnDiscoveryComplete = func(got core.Result) { res = got }
+			r.Manager.StartDiscovery()
+			r.Run()
 			if res.Devices != len(tp.Nodes) {
 				log.Fatalf("%s/%v: found %d of %d devices", name, kind, res.Devices, len(tp.Nodes))
 			}

@@ -11,21 +11,19 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/sim"
+	"repro/internal/rig"
 	"repro/internal/topo"
 )
 
 func main() {
-	engine := sim.NewEngine()
 	tp := topo.Torus(4, 4)
-	fab, err := fabric.New(engine, tp, fabric.DefaultConfig(), sim.NewRNG(7))
+	r, err := rig.New(tp, rig.Config{Seed: 7, Manager: core.Options{Algorithm: core.Parallel}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fm := core.NewManager(fab, fab.Device(tp.Endpoints()[0]), core.Options{Algorithm: core.Parallel})
-	fm.OnDiscoveryComplete = func(r core.Result) {
-		fmt.Printf("[%-9v] discovery: %v\n", engine.Now(), r)
+	engine, fab, fm := r.Engine, r.Fabric, r.Manager
+	fm.OnDiscoveryComplete = func(res core.Result) {
+		fmt.Printf("[%-9v] discovery: %v\n", engine.Now(), res)
 		// After every discovery, (re)program event routes so devices can
 		// report the next change.
 		fm.DistributeEventRoutes(func(d core.DistResult) {

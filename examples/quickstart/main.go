@@ -9,31 +9,27 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/sim"
+	"repro/internal/rig"
 	"repro/internal/topo"
 )
 
 func main() {
-	// A discrete-event engine drives everything.
-	engine := sim.NewEngine()
-
-	// Build the paper's smallest topology: a 3x3 mesh of 16-port
-	// switches, one endpoint per switch.
+	// Build the paper's smallest topology, a 3x3 mesh of 16-port
+	// switches with one endpoint per switch, as a managed fabric: a
+	// discrete-event engine drives the fabric, and a fabric manager sits
+	// on the first endpoint.
 	tp := topo.Mesh(3, 3)
-	fab, err := fabric.New(engine, tp, fabric.DefaultConfig(), sim.NewRNG(42))
+	r, err := rig.New(tp, rig.Config{Seed: 42, Manager: core.Options{Algorithm: core.Parallel}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Attach a fabric manager to the first endpoint and discover.
-	fm := core.NewManager(fab, fab.Device(tp.Endpoints()[0]), core.Options{
-		Algorithm: core.Parallel,
-	})
+	// Discover.
+	fm := r.Manager
 	var result core.Result
-	fm.OnDiscoveryComplete = func(r core.Result) { result = r }
+	fm.OnDiscoveryComplete = func(res core.Result) { result = res }
 	fm.StartDiscovery()
-	engine.Run()
+	r.Run()
 
 	fmt.Printf("discovered %s in %v using %d management packets\n",
 		tp, result.Duration, result.PacketsSent)

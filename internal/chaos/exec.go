@@ -26,8 +26,6 @@ type Options struct {
 	// execution cost.
 	Telemetry bool
 	Spans     bool
-	// NoAudit skips the forced post-quiescence rediscovery.
-	NoAudit bool
 	// SkipPI5 makes the FM's packet handler silently swallow the first N
 	// PI-5 event reports. It exists to break the system on purpose: the
 	// oracle must notice (delivered-but-unassimilated reports), which is
@@ -48,12 +46,14 @@ type Options struct {
 	Coalesce bool
 	// Continuous > 0 appends a steady-state churn phase after the
 	// scripted events settle: that many rounds, each a Churner storm of
-	// ContinuousOps toggles (default 4) followed by full restoration,
-	// run to quiescence with the database checked against ground truth
-	// at every quiescent point.
-	Continuous    int
-	ContinuousOps int
+	// continuousOps toggles followed by full restoration, run to
+	// quiescence with the database checked against ground truth at every
+	// quiescent point.
+	Continuous int
 }
+
+// continuousOps is the toggle count of one Options.Continuous storm.
+const continuousOps = 4
 
 // coalesceWindow is Options.Coalesce's debounce window.
 const coalesceWindow = 200 * sim.Microsecond
@@ -120,10 +120,9 @@ type Report struct {
 	ContinuousErrs    []string
 
 	// Audit is the forced post-quiescence rediscovery.
-	AuditRequested bool
-	AuditRan       bool
-	Audit          core.Result
-	AuditErr       error
+	AuditRan bool
+	Audit    core.Result
+	AuditErr error
 
 	// DBFingerprint hashes the final database topology; Fingerprint
 	// hashes the whole run's observable metrics. Two executions of the
@@ -342,14 +341,10 @@ func (x *execution) continuous() bool {
 	if x.churner == nil || x.rep.StillDiscovering {
 		return true
 	}
-	ops := x.opt.ContinuousOps
-	if ops <= 0 {
-		ops = 4
-	}
 	sc := x.rep.Scenario
 	lossFree := sc.Loss == 0 && sc.DropFirst == 0 && sc.FaultPlan().Empty()
 	for round := 0; round < x.opt.Continuous; round++ {
-		if !x.continuousRound(round, ops, lossFree) {
+		if !x.continuousRound(round, lossFree) {
 			return false
 		}
 	}
@@ -384,7 +379,7 @@ func (x *execution) churn(round int, evs []Event) bool {
 // repairs. Storm-segment drops are unavoidable (a downed switch's own
 // endpoint can never report its death), so drops are accounted per
 // segment.
-func (x *execution) continuousRound(round, ops int, lossFree bool) bool {
+func (x *execution) continuousRound(round int, lossFree bool) bool {
 	rep, f, m := x.rep, x.rig.Fabric, x.rig.Manager
 	totalDrops := func() (sum uint64) {
 		for _, d := range f.Counters().Drops {
@@ -394,7 +389,7 @@ func (x *execution) continuousRound(round, ops int, lossFree bool) bool {
 	}
 	delivered := x.pi5Delivered()
 	nres := len(rep.Results)
-	if !x.churn(round, x.churner.Round(ops)) {
+	if !x.churn(round, x.churner.Round(continuousOps)) {
 		return false
 	}
 	dropsBefore := totalDrops()
@@ -444,10 +439,9 @@ func (x *execution) continuousRound(round, ops int, lossFree bool) bool {
 // ground truth exactly.
 func (x *execution) audit() bool {
 	rep, m := x.rep, x.rig.Manager
-	if x.opt.NoAudit || rep.StillDiscovering {
+	if rep.StillDiscovering {
 		return true
 	}
-	rep.AuditRequested = true
 	before := len(rep.Results)
 	m.StartDiscovery()
 	if !x.drain("audit rediscovery") {

@@ -171,13 +171,12 @@ func (m *Manager) applyAssimBatch() {
 }
 
 // AssimPending reports how many distinct (reporter, port) changes wait in
-// the debounce window. The daemon's keeper uses it as the debounce-flush
-// concern: a non-empty batch at a deadline is drained by running the
-// simulation (the armed debounce timer fires inside).
+// the debounce window. Draining the simulation to quiescence empties it:
+// the armed debounce timer fires inside the drain.
 func (m *Manager) AssimPending() int { return len(m.assimPending) }
 
 // ExpireReporters prunes PI-5 sequence cursors for devices no longer in
-// the database — the dead-device expiry the daemon's keeper runs so the
+// the database — the dead-device expiry the daemon's step runs so the
 // cursor map cannot grow without bound under steady-state churn (full
 // rediscoveries rebuild the database but never touched the cursors).
 // Call it at quiescence; a device that later rejoins kept its monotonic

@@ -191,7 +191,7 @@ func TestPartialSeqPrunedOnRemoval(t *testing.T) {
 
 // TestExpireReportersPrunesAfterFullRebuild covers the other leak path:
 // a full rediscovery rebuilds the database from scratch and never touches
-// the cursor map, so the keeper's expiry sweep must reclaim cursors of
+// the cursor map, so the daemon's expiry sweep must reclaim cursors of
 // devices the rebuild no longer found.
 func TestExpireReportersPrunesAfterFullRebuild(t *testing.T) {
 	e, f, m := partialSetup(t, topo.Mesh(3, 3))

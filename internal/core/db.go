@@ -30,7 +30,7 @@ type Node struct {
 	PortActive []bool
 	// Validated stamps the last simulated instant the FM heard from the
 	// device itself (probe, port read, or verify completion) — the
-	// per-node staleness the daemon's keeper ages re-audits on. It is
+	// per-node staleness the daemon's re-audit is keyed on. It is
 	// bookkeeping, not topology: Fingerprint ignores it.
 	Validated sim.Time
 }

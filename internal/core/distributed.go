@@ -24,51 +24,15 @@ import (
 // fabric; the primary merges the views, recomputes its own source routes
 // for foreign-region devices, and completes.
 
-// distributedDriver is the claim-gated variant of the parallel driver.
-type distributedDriver struct {
-	m   *Manager
-	gen uint32
-}
-
-func (d *distributedDriver) start() {
-	d.m.initialProbe()
-}
-
-func (d *distributedDriver) onGeneral(req *request, n *Node, isNew, ok bool) {
-	if !ok || !isNew {
-		return
-	}
-	d.m.sendClaim(n, d.gen)
-}
-
-func (d *distributedDriver) onClaim(req *request, owner uint32, ok bool) {
-	if !ok || owner != uint32(d.m.dev.DSN) {
+// onClaim handles a claim completion of the claim-gated parallel driver:
+// the winner expands the device; a lost claim marks a region boundary.
+func (m *Manager) onClaim(req *request, owner uint32, ok bool) {
+	if !ok || owner != uint32(m.dev.DSN) {
 		return // lost the claim: region boundary, the winner expands
 	}
-	n := d.m.db.Node(req.dsn)
-	if n == nil {
-		return
+	if n := m.db.Node(req.dsn); n != nil {
+		m.readAllPorts(n)
 	}
-	d.m.readAllPorts(n)
-}
-
-func (d *distributedDriver) onPort(req *request, n *Node, ok bool) {
-	if !ok {
-		return
-	}
-	lo, hi := req.ports(n)
-	for port := lo; port < hi; port++ {
-		if p, ok := d.m.probeFromPort(n, port); ok {
-			d.m.probe(p)
-		}
-	}
-}
-
-func (d *distributedDriver) finished() bool { return true }
-
-// claimHandler is implemented by drivers that use ownership claims.
-type claimHandler interface {
-	onClaim(req *request, owner uint32, ok bool)
 }
 
 // sendClaim issues an atomic ownership claim for a discovered device.
@@ -100,6 +64,10 @@ type TeamResult struct {
 	Missing int
 }
 
+// syncTimeout bounds how long the primary waits for reports after all
+// members finished locally.
+const syncTimeout = 2 * sim.Millisecond
+
 // Team coordinates collaborating fabric managers. All members must use
 // Kind Distributed. The first member acts as primary.
 type Team struct {
@@ -109,10 +77,6 @@ type Team struct {
 
 	// OnComplete fires after every round with the merged result.
 	OnComplete func(TeamResult)
-
-	// SyncTimeout bounds how long the primary waits for reports after
-	// all members finished locally.
-	SyncTimeout sim.Duration
 
 	pathToPrimary map[asi.DSN]route.Path
 
@@ -139,8 +103,7 @@ func NewTeam(members []*Manager) *Team {
 		members: members,
 		// Claim generations must outrun any standalone (bootstrap) run,
 		// which uses generation 1.
-		gen:         1,
-		SyncTimeout: 2 * sim.Millisecond,
+		gen: 1,
 	}
 	for _, m := range members {
 		if m.opt.Algorithm != Distributed {
@@ -214,7 +177,7 @@ func (t *Team) onMemberDone(m *Manager, r Result) {
 	}
 	if t.localDone == len(t.members) && !t.armed {
 		t.armed = true
-		t.deadline = t.e.After(t.SyncTimeout, func(*sim.Engine) {
+		t.deadline = t.e.After(syncTimeout, func(*sim.Engine) {
 			t.armed = false
 			t.merge()
 		})

@@ -20,9 +20,6 @@ type Options struct {
 	// FMFactor is the FM processing-speed multiplier (paper Figs. 8-9);
 	// processing time = model time / factor. Zero means 1.
 	FMFactor float64
-	// RequestTimeout expires outstanding PI-4 requests; a timed-out
-	// probe is treated like a completion with error.
-	RequestTimeout sim.Duration
 	// PortReadBatch is the number of ports fetched per PI-4 read
 	// (ablation: the paper's algorithms read one port per request; a
 	// PI-4 completion can carry up to MaxReadBlocks blocks, i.e. 4
@@ -73,9 +70,6 @@ func (o Options) withDefaults() Options {
 	if o.FMFactor <= 0 {
 		o.FMFactor = 1
 	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 5 * sim.Millisecond
-	}
 	o.MaxRetries = min(max(o.MaxRetries, 0), math.MaxUint8)
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * sim.Microsecond
@@ -87,8 +81,11 @@ func (o Options) withDefaults() Options {
 }
 
 const (
+	// requestTimeout expires outstanding PI-4 requests; a timed-out
+	// probe is treated like a completion with error.
+	requestTimeout = 5 * sim.Millisecond
 	// verifyTimeout expires partial-rediscovery validation reads. It is
-	// shorter than Options.RequestTimeout because a verify targets a
+	// shorter than requestTimeout because a verify targets a
 	// device the FM suspects may be gone; waiting the full window would
 	// make localized assimilation slower than a full rediscovery.
 	verifyTimeout = 1 * sim.Millisecond
@@ -223,8 +220,6 @@ type Manager struct {
 	dev *fabric.Device
 	e   *sim.Engine
 	opt Options
-	// cost is the FM processing-time model.
-	cost CostModel
 
 	db      *DB
 	pending map[uint32]*request
@@ -334,7 +329,6 @@ func NewManager(f *fabric.Fabric, dev *fabric.Device, opt Options) *Manager {
 		dev:     dev,
 		e:       f.Engine,
 		opt:     opt.withDefaults(),
-		cost:    DefaultCostModel(),
 		pending: make(map[uint32]*request),
 		db:      NewDB(dev.DSN),
 	}
@@ -366,11 +360,8 @@ func (m *Manager) newDriver() driver {
 	case Parallel, Partial:
 		return &parallelDriver{m: m}
 	case Distributed:
-		gen := m.teamGen
-		if gen == 0 {
-			gen = 1 // standalone distributed manager
-		}
-		return &distributedDriver{m: m, gen: gen}
+		// A standalone distributed manager claims with generation 1.
+		return &parallelDriver{m: m, gen: max(m.teamGen, 1)}
 	default:
 		panic(fmt.Sprintf("core: unknown algorithm %v", m.opt.Algorithm))
 	}
@@ -466,9 +457,9 @@ func (m *Manager) processNext() {
 	}
 	switch m.curWork.kind {
 	case wEvent:
-		m.curCost = m.cost.EventProcessing(m.opt.FMFactor)
+		m.curCost = fmEvent.Scale(1 / m.opt.FMFactor)
 	default:
-		m.curCost = m.cost.FMProcessing(m.opt.Algorithm, m.db.NumNodes(), m.opt.FMFactor)
+		m.curCost = FMProcessing(m.opt.Algorithm, m.db.NumNodes(), m.opt.FMFactor)
 	}
 	m.workTimer.ScheduleAfter(m.curCost)
 }
@@ -602,14 +593,12 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 	case reqVerify:
 		m.onVerify(req, resp, true)
 	case reqClaim:
-		if ch, ok := m.drv.(claimHandler); ok {
-			won := resp.Op == asi.PI4ClaimCompletion && len(resp.Data) >= 2
-			var owner uint32
-			if won {
-				owner = resp.Data[1]
-			}
-			ch.onClaim(req, owner, won)
+		won := resp.Op == asi.PI4ClaimCompletion && len(resp.Data) >= 2
+		var owner uint32
+		if won {
+			owner = resp.Data[1]
 		}
+		m.onClaim(req, owner, won)
 	}
 }
 
@@ -642,9 +631,7 @@ func (m *Manager) applyFailure(req *request) {
 	case reqVerify:
 		m.onVerify(req, nil, false)
 	case reqClaim:
-		if ch, ok := m.drv.(claimHandler); ok {
-			ch.onClaim(req, 0, false)
-		}
+		m.onClaim(req, 0, false)
 	}
 }
 
@@ -690,7 +677,7 @@ func (m *Manager) issue(req *request) bool {
 	m.pending[req.tag] = req
 	m.res.PacketsSent++
 	m.res.BytesSent += uint64(pkt.WireSize())
-	window := m.opt.RequestTimeout
+	window := requestTimeout
 	if req.kind == reqVerify {
 		window = verifyTimeout
 	}

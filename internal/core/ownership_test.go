@@ -7,6 +7,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/fabric"
 )
 
 // ownershipConfigs is the 50-scenario fingerprint suite of
@@ -35,7 +36,7 @@ func ownershipConfigs(t *testing.T) []experiment.Config {
 	}
 	for _, k := range core.PaperKinds() {
 		for _, seed := range []uint64{1, 2} {
-			add(experiment.Config{Topology: "4x4 mesh", Algorithm: k, Seed: seed, LossRate: 0.01, MaxRetries: 3})
+			add(experiment.Config{Topology: "4x4 mesh", Algorithm: k, Seed: seed, Faults: fabric.Uniform(0.01), MaxRetries: 3})
 		}
 	}
 	if len(cfgs) != 50 {

@@ -7,8 +7,15 @@ package core
 // Manager's table of pending packets; the order in which devices are
 // discovered is not deterministic (it depends on response arrival order).
 // Discovery is complete when the pending table drains.
+//
+// With a nonzero claim generation it is also the Distributed algorithm:
+// a new device is expanded only after the FM wins its ownership claim
+// (Manager.onClaim; see distributed.go).
 type parallelDriver struct {
 	m *Manager
+	// gen is the claim generation of a distributed round, zero for the
+	// unclaimed Parallel and Partial algorithms.
+	gen uint32
 }
 
 func (d *parallelDriver) start() {
@@ -21,6 +28,10 @@ func (d *parallelDriver) onGeneral(req *request, n *Node, isNew, ok bool) {
 		// recorded by the Manager), or unreachable: nothing to expand.
 		return
 	}
+	if d.gen != 0 {
+		d.m.sendClaim(n, d.gen)
+		return
+	}
 	// New device: immediately inject reads for all of its ports.
 	d.m.readAllPorts(n)
 }
@@ -29,13 +40,10 @@ func (d *parallelDriver) onPort(req *request, n *Node, ok bool) {
 	if !ok {
 		return
 	}
-	if n.DSN == d.m.dev.DSN {
-		// Host endpoint port; handled by the initial probe.
-		return
-	}
 	// Each newly known active port immediately probes the device at the
 	// other end of its link (one request covers req.nports ports when
-	// reads are batched).
+	// reads are batched). The host endpoint's port is the initial
+	// probe's: probeFromPort refuses every non-switch.
 	lo, hi := req.ports(n)
 	for port := lo; port < hi; port++ {
 		if p, ok := d.m.probeFromPort(n, port); ok {

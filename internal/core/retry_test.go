@@ -164,9 +164,9 @@ func TestRetryRunsAreDeterministic(t *testing.T) {
 
 func TestStaleCompletionCounted(t *testing.T) {
 	// Delay one endpoint's link so its completions regularly lose the
-	// race against the request timeout and arrive while the FM is still
-	// retrying: each such arrival is a stale completion the run must
-	// count without folding into the database twice.
+	// race against the 5 ms request timeout and arrive while the FM is
+	// still retrying: each such arrival is a stale completion the run
+	// must count without folding into the database twice.
 	tp := topo.Mesh(4, 4)
 	e := sim.NewEngine()
 	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(1))
@@ -174,10 +174,10 @@ func TestStaleCompletionCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(f, f.Device(tp.Endpoints()[0]),
-		Options{Algorithm: Parallel, MaxRetries: 10, RequestTimeout: sim.Millisecond})
+		Options{Algorithm: Parallel, MaxRetries: 10})
 	if err := f.SetFaultPlan(fabric.FaultPlan{
 		PerLink: map[int]fabric.LinkFaults{
-			epLink(t, tp, f, 5): {DelayProb: 1, Delay: 2 * sim.Millisecond},
+			epLink(t, tp, f, 5): {DelayProb: 1, Delay: 10 * sim.Millisecond},
 		},
 	}); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ const (
 // (reporter, port); fm.assim.flushes the batched partial runs and
 // fm.assim.batch.size their size distribution. The fm.db.staleness.*
 // gauges publish the per-node last-validated age percentiles
-// (picoseconds) the daemon's keeper ages its re-audits on.
+// (picoseconds) the daemon's staleness re-audit is keyed on.
 const (
 	MetricFMAssimEvents     = "fm.assim.events"
 	MetricFMAssimCoalesced  = "fm.assim.events.coalesced"

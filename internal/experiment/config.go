@@ -29,12 +29,11 @@ type Config struct {
 	Seed uint64
 	// Change selects the topological change injected after the transient.
 	Change Change
-	// LossRate injects uniform per-link-traversal packet loss; zero means
-	// a lossless fabric, the paper's assumption.
-	LossRate float64
-	// Faults, when non-nil, overrides LossRate with a full fault plan
-	// (per-link rules, delays, flaps).
-	Faults *fabric.FaultPlan
+	// Faults is the fault plan the fabric runs under (per-link loss,
+	// delays, flaps); fabric.Uniform(loss) is the loss sweeps' uniform
+	// per-link-traversal loss. The zero plan is the paper's lossless
+	// fabric.
+	Faults fabric.FaultPlan
 	// MaxRetries and RetryBackoff configure the FM's timeout-retry
 	// policy; zero MaxRetries disables retries.
 	MaxRetries   int
@@ -52,13 +51,13 @@ type Config struct {
 	Spans bool
 }
 
-// rigConfig translates the run description into the assembly it needs: the
-// loss model becomes a fault plan, the retry policy and factors the
-// manager's options.
+// rigConfig translates the run description into the assembly it needs:
+// the retry policy and factors become the manager's options.
 func (c Config) rigConfig() rig.Config {
-	rc := rig.Config{
+	return rig.Config{
 		Seed:         c.Seed,
 		DeviceFactor: c.DeviceFactor,
+		Faults:       c.Faults,
 		Telemetry:    c.Telemetry,
 		Spans:        c.Spans,
 		Manager: core.Options{
@@ -68,13 +67,6 @@ func (c Config) rigConfig() rig.Config {
 			RetryBackoff: c.RetryBackoff,
 		},
 	}
-	switch {
-	case c.Faults != nil:
-		rc.Faults = *c.Faults
-	case c.LossRate > 0:
-		rc.Faults = fabric.Uniform(c.LossRate)
-	}
-	return rc
 }
 
 // Validate reports the first problem that would make the run fail or be
@@ -93,8 +85,8 @@ func (c Config) Validate() error {
 	if c.FMFactor < 0 || c.DeviceFactor < 0 {
 		return fmt.Errorf("experiment: negative processing factor (fm=%v, device=%v)", c.FMFactor, c.DeviceFactor)
 	}
-	if c.LossRate < 0 || c.LossRate > 1 {
-		return fmt.Errorf("experiment: loss rate %v outside [0, 1]", c.LossRate)
+	if loss := c.Faults.Default.Loss; loss < 0 || loss > 1 {
+		return fmt.Errorf("experiment: loss rate %v outside [0, 1]", loss)
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("experiment: negative retry limit %d", c.MaxRetries)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
@@ -13,7 +14,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		Topology: "4x4 mesh", Algorithm: core.Parallel,
 		Seed: 9, Change: RemoveSwitch,
 		FMFactor: 2, DeviceFactor: 0.5,
-		LossRate: 0.01, MaxRetries: 3, RetryBackoff: 10 * sim.Microsecond,
+		Faults: fabric.Uniform(0.01), MaxRetries: 3, RetryBackoff: 10 * sim.Microsecond,
 		Telemetry: true, Spans: true,
 	}
 	if err := good.Validate(); err != nil {
@@ -34,7 +35,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"algorithm", with(func(c *Config) { c.Algorithm = core.Kind(99) }), "unknown algorithm"},
 		{"change", with(func(c *Config) { c.Change = Change(7) }), "unknown change"},
 		{"factor", with(func(c *Config) { c.FMFactor, c.DeviceFactor = -1, 1 }), "negative processing factor"},
-		{"loss", with(func(c *Config) { c.LossRate = 1.5 }), "loss rate"},
+		{"loss", with(func(c *Config) { c.Faults = fabric.Uniform(1.5) }), "loss rate"},
 		{"retries", with(func(c *Config) { c.MaxRetries = -1 }), "negative retry limit"},
 		{"backoff", with(func(c *Config) { c.MaxRetries, c.RetryBackoff = 1, -sim.Microsecond }), "negative retry backoff"},
 	}

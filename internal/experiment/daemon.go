@@ -49,7 +49,7 @@ type DaemonConfig struct {
 	// AssimBatchMax caps distinct (reporter, port) changes per coalesced
 	// batch; 0 selects the core default. Requires AssimWindowUS.
 	AssimBatchMax int `json:"assim_batch_max,omitempty"`
-	// StaleAfterMS makes the keeper's re-audit concern fire whenever the
+	// StaleAfterMS makes the daemon's step re-audit whenever the
 	// maximum per-node database staleness (simulated time since last
 	// validated contact) exceeds this many milliseconds; 0 disables the
 	// staleness trigger (AuditEvery still audits by round count).

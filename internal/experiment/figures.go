@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/asi"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -201,11 +202,9 @@ func Fig7a() Report {
 // behaviours in terms of T_FM, T_Device and T_Prop, evaluated with the
 // model's default calibration.
 func Fig7b() Report {
-	cost := core.DefaultCostModel()
-	cfg := fabric.DefaultConfig()
 	// Representative one-hop transfer: a ~40-byte management packet.
-	tProp := cfg.Propagation + cfg.SwitchLatency + sim.Nanos(40*8/cfg.LinkBandwidthGbps)
-	tDev := cfg.DeviceProcessing
+	tProp := fabric.Propagation + fabric.SwitchLatency + sim.Nanos(40*8/asi.LinkEffectiveGbps)
+	tDev := fabric.DeviceProcessing
 	const dbSize = 18 // 3x3 mesh, fully discovered
 	r := Report{
 		ID:     "fig7b",
@@ -222,12 +221,12 @@ func Fig7b() Report {
 	add("T_Prop (per direction)", "wire + switch + serialization", tProp)
 	add("T_Device", "PI-4 service at a device", tDev)
 	for _, k := range core.PaperKinds() {
-		add(fmt.Sprintf("T_FM (%v)", k), "processing model at 18 devices", cost.FMProcessing(k, dbSize, 1))
+		add(fmt.Sprintf("T_FM (%v)", k), "processing model at 18 devices", core.FMProcessing(k, dbSize, 1))
 	}
 	add("serial per-packet", "T_FM + 2*T_Prop + T_Device",
-		cost.FMProcessing(core.SerialPacket, dbSize, 1)+2*tProp+tDev)
+		core.FMProcessing(core.SerialPacket, dbSize, 1)+2*tProp+tDev)
 	add("parallel per-packet", "T_FM",
-		cost.FMProcessing(core.Parallel, dbSize, 1))
+		core.FMProcessing(core.Parallel, dbSize, 1))
 	return r
 }
 

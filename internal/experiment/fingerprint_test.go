@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 )
 
 // fingerprintConfigs spans the simulation's behaviour space: every paper
@@ -33,7 +34,7 @@ func fingerprintConfigs(t *testing.T) []Config {
 	}
 	for _, k := range core.PaperKinds() {
 		for _, seed := range []uint64{1, 2} {
-			add(Config{Topology: "4x4 mesh", Algorithm: k, Seed: seed, LossRate: 0.01, MaxRetries: 3})
+			add(Config{Topology: "4x4 mesh", Algorithm: k, Seed: seed, Faults: fabric.Uniform(0.01), MaxRetries: 3})
 		}
 	}
 	if len(cfgs) != 50 {

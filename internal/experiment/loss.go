@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 )
 
 // ExtLoss sweeps injected per-link packet loss against the three paper
@@ -25,7 +26,7 @@ func ExtLoss(seeds, workers int) Report {
 					Topology:   topoName,
 					Algorithm:  k,
 					Seed:       uint64(seed),
-					LossRate:   loss,
+					Faults:     fabric.Uniform(loss),
 					MaxRetries: maxRetries,
 				})
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/asi"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/span"
 )
 
@@ -22,7 +23,7 @@ func TestSpanLifecycleInvariants(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := Config{Topology: "4x4 mesh", Algorithm: k, Seed: 1, Spans: true}
 				if lossy {
-					cfg.LossRate, cfg.MaxRetries = 0.05, 3
+					cfg.Faults, cfg.MaxRetries = fabric.Uniform(0.05), 3
 				}
 				out := RunConfig(cfg)
 				if out.Err != nil {

@@ -155,7 +155,7 @@ func (d *Device) setPortActive(port int, active bool) {
 	d.ports[port].active = active
 	info := asi.PortInfo{}
 	if active {
-		info = asi.PortInfo{Active: true, SpeedGbps: d.f.cfg.LinkBandwidthGbps, Width: 1}
+		info = asi.PortInfo{Active: true, SpeedGbps: asi.LinkEffectiveGbps, Width: 1}
 	}
 	if err := d.Config.SetPortState(port, info); err != nil {
 		panic(err) // port index is internally generated
@@ -213,7 +213,7 @@ func (d *Device) arrive(port int, vc asi.VCID, pkt *asi.Packet, l *link, dirIdx 
 			d.freeJobs = j.next
 		}
 		j.l, j.dirIdx, j.vc, j.pkt, j.port = l, dirIdx, vc, pkt, port
-		e.AfterArg(d.f.cfg.SwitchLatency, routeDeferred, j)
+		e.AfterArg(SwitchLatency, routeDeferred, j)
 	}
 }
 

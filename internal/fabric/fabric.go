@@ -17,70 +17,46 @@ import (
 	"repro/internal/topo"
 )
 
-// Config sets the physical and timing parameters of the fabric model.
-type Config struct {
-	// LinkBandwidthGbps is the usable link bandwidth. The ASI x1 default
-	// is 2.0 Gbps (2.5 Gbps raw minus 8b/10b overhead).
-	LinkBandwidthGbps float64
+// The fabric model's physical and timing constants, the calibration of
+// every experiment in the paper. The link runs at asi.LinkEffectiveGbps,
+// the ASI x1 rate after 8b/10b overhead.
+const (
 	// Propagation is the cable flight time per link.
-	Propagation sim.Duration
+	Propagation = 25 * sim.Nanosecond
 	// SwitchLatency is the header routing time of a cut-through switch.
-	SwitchLatency sim.Duration
+	SwitchLatency = 100 * sim.Nanosecond
 	// DeviceProcessing is the base time a fabric device needs to service
 	// one PI-4 request (T_Device in the paper's Fig. 7b); the paper
 	// observes it is small and independent of algorithm and fabric size.
-	DeviceProcessing sim.Duration
-	// DeviceFactor is the device processing-speed multiplier from the
-	// paper's Figs. 8-9: service time = DeviceProcessing / DeviceFactor.
-	DeviceFactor float64
-	// CreditsPerVC is the per-VC receive buffer capacity, in packets, a
-	// port advertises to its link partner; at most math.MaxInt32.
-	CreditsPerVC int
+	DeviceProcessing = 2 * sim.Microsecond
 	// DetectDelay is the time a device needs to notice a local port
 	// state change before it can emit a PI-5 event.
-	DetectDelay sim.Duration
-}
+	DetectDelay = 1 * sim.Microsecond
+)
 
-// DefaultConfig returns the parameters used throughout the paper's
-// experiments (factors 1).
-func DefaultConfig() Config {
-	return Config{
-		LinkBandwidthGbps: asi.LinkEffectiveGbps,
-		Propagation:       25 * sim.Nanosecond,
-		SwitchLatency:     100 * sim.Nanosecond,
-		DeviceProcessing:  2 * sim.Microsecond,
-		DeviceFactor:      1,
-		CreditsPerVC:      8,
-		DetectDelay:       1 * sim.Microsecond,
-	}
+// Config sets the fabric model's two variable parameters. The zero value
+// is the paper's baseline.
+type Config struct {
+	// DeviceFactor is the device processing-speed multiplier from the
+	// paper's Figs. 8-9: service time = DeviceProcessing / DeviceFactor.
+	// Zero means 1.
+	DeviceFactor float64
+	// CreditsPerVC is the per-VC receive buffer capacity, in packets, a
+	// port advertises to its link partner; zero means 8, at most
+	// math.MaxInt32.
+	CreditsPerVC int
 }
 
 // withDefaults fills zero fields with defaults so partially specified
 // configs behave.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.LinkBandwidthGbps <= 0 {
-		c.LinkBandwidthGbps = d.LinkBandwidthGbps
-	}
-	if c.Propagation <= 0 {
-		c.Propagation = d.Propagation
-	}
-	if c.SwitchLatency <= 0 {
-		c.SwitchLatency = d.SwitchLatency
-	}
-	if c.DeviceProcessing <= 0 {
-		c.DeviceProcessing = d.DeviceProcessing
-	}
 	if c.DeviceFactor <= 0 {
-		c.DeviceFactor = d.DeviceFactor
+		c.DeviceFactor = 1
 	}
 	if c.CreditsPerVC <= 0 {
-		c.CreditsPerVC = d.CreditsPerVC
+		c.CreditsPerVC = 8
 	}
 	c.CreditsPerVC = min(c.CreditsPerVC, math.MaxInt32)
-	if c.DetectDelay <= 0 {
-		c.DetectDelay = d.DetectDelay
-	}
 	return c
 }
 
@@ -224,7 +200,7 @@ func NewSharded(g *sim.ShardGroup, part *topo.Partition, t *topo.Topology, cfg C
 	if err != nil {
 		return nil, err
 	}
-	g.SetLookahead(f.cfg.Propagation)
+	g.SetLookahead(Propagation)
 	g.SetDistances(part.RegionDistances(t))
 	f.crossCredit = make(map[*halfLink]sim.ArgHandler, 2*len(part.CutLinks))
 	for _, li := range part.CutLinks {
@@ -288,9 +264,6 @@ func build(e *sim.Engine, group *sim.ShardGroup, regionOf []int, t *topo.Topolog
 	return f, nil
 }
 
-// Config returns the fabric's effective configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Device returns the device instantiated for a topology node.
 func (f *Fabric) Device(id topo.NodeID) *Device { return f.devices[id] }
 
@@ -353,14 +326,14 @@ func (f *Fabric) AliveReachable(start topo.NodeID) (devices, links int) {
 // serialization returns the wire time of size bytes on a link.
 func (f *Fabric) serialization(size int) sim.Duration {
 	bits := float64(size * 8)
-	ns := bits / f.cfg.LinkBandwidthGbps // Gbps: bits/ns
+	ns := bits / asi.LinkEffectiveGbps // Gbps: bits/ns
 	return sim.Nanos(ns)
 }
 
 // deviceService returns the effective PI-4 service time at a fabric
 // device under the configured speed factor.
 func (f *Fabric) deviceService() sim.Duration {
-	return f.cfg.DeviceProcessing.Scale(1 / f.cfg.DeviceFactor)
+	return DeviceProcessing.Scale(1 / f.cfg.DeviceFactor)
 }
 
 // drop accounts a discarded packet with no device context (region 0;

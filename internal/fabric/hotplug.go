@@ -87,7 +87,7 @@ func (f *Fabric) portsChanged(d *Device, quiet bool, code asi.PI5EventCode) {
 		// The detection timer belongs to the neighbour doing the
 		// detecting, so on a sharded fabric it fires on that region's
 		// engine.
-		peer.eng.After(f.cfg.DetectDelay, func(*sim.Engine) {
+		peer.eng.After(DetectDelay, func(*sim.Engine) {
 			if peer.Alive() {
 				peer.EmitPI5(code, port)
 			}

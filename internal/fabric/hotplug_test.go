@@ -160,16 +160,16 @@ func TestInFlightPacketsDieAtDeadDevice(t *testing.T) {
 		reviveAfter func(f *Fabric) sim.Duration
 	}{
 		{"dies on the wire", func(f *Fabric, arrive sim.Duration) sim.Duration {
-			return arrive - f.cfg.Propagation/2
+			return arrive - Propagation/2
 		}, 1, nil},
 		{"dies in cut-through routing", func(f *Fabric, arrive sim.Duration) sim.Duration {
-			return arrive + f.cfg.SwitchLatency/2
+			return arrive + SwitchLatency/2
 		}, 1, nil},
 		{"completion dies mid-service", func(f *Fabric, arrive sim.Duration) sim.Duration {
-			return arrive + f.cfg.SwitchLatency + f.deviceService()/2
+			return arrive + SwitchLatency + f.deviceService()/2
 		}, 0, nil},
 		{"no ghost completion after a power cycle", func(f *Fabric, arrive sim.Duration) sim.Duration {
-			return arrive + f.cfg.SwitchLatency + f.deviceService()/4
+			return arrive + SwitchLatency + f.deviceService()/4
 		}, 0, func(f *Fabric) sim.Duration { return f.deviceService() / 4 }},
 	}
 	for _, tc := range cases {
@@ -181,8 +181,8 @@ func TestInFlightPacketsDieAtDeadDevice(t *testing.T) {
 			pkt := readReq(t, toMid, 9, asi.GeneralInfoOffset, asi.GeneralInfoBlocks)
 			// Two serialize+propagate hops plus one routing decision put
 			// the request at the victim's input.
-			hop := f.serialization(pkt.WireSize()) + f.cfg.Propagation
-			arrive := hop + f.cfg.SwitchLatency + hop
+			hop := f.serialization(pkt.WireSize()) + Propagation
+			arrive := hop + SwitchLatency + hop
 			kill := tc.killAt(f, arrive)
 
 			ep.Inject(pkt)

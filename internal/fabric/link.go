@@ -284,7 +284,7 @@ func (l *link) transmit(d *Device, h *halfLink, pkt *asi.Packet, vc asi.VCID) {
 	d.ctr.TxPackets++
 	d.ctr.TxBytes += uint64(pkt.WireSize())
 	extra := l.f.faultDelay(l)
-	arrive := ser + l.f.cfg.Propagation + extra
+	arrive := ser + Propagation + extra
 	if l.f.spans != nil {
 		l.f.spanWire(pkt, d, l.portOf(d), int(vc), arrive, extra)
 	}
@@ -324,7 +324,7 @@ func (l *link) returnCredit(dirIdx int, vc asi.VCID) {
 		h := &l.half[dirIdx]
 		receiver, _ := h.receiver()
 		l.f.group.Post(receiver.region, h.sender().region,
-			receiver.eng.Now().Add(l.f.cfg.Propagation), l.f.crossCredit[h], vc)
+			receiver.eng.Now().Add(Propagation), l.f.crossCredit[h], vc)
 		return
 	}
 	l.applyCredit(dirIdx, vc)

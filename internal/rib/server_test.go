@@ -3,12 +3,16 @@ package rib
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestServerSubscribeStream(t *testing.T) {
@@ -192,4 +196,121 @@ func TestServerBoundsPath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("a %d-byte path was refused with code %d", maxPathLen, resp.StatusCode)
 	}
+}
+
+// TestServerSubscribeLeaksNothing holds the HTTP subscribe path to the
+// rule FuzzRIBStream holds in-process subscribers to: a stream that ends
+// leaves nothing behind. Three clients disconnect over a real socket —
+// one before reading its sync line, one mid-stream, one after reading so
+// slowly that its queue overflowed and it was resynced — and after each
+// the RIB's subscriber count and the process's goroutine count return to
+// their baselines.
+func TestServerSubscribeLeaksNothing(t *testing.T) {
+	var overflows atomic.Int64
+	r := New(Config{QueueDepth: 2, OnEvent: func(kind string, _ uint64) {
+		if kind == EventOverflow {
+			overflows.Add(1)
+		}
+	}})
+	full, empty := lineDB(64, 0), lineDB(64, 64)
+	r.Install(full)
+	ts := httptest.NewServer(NewServer(r).Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	base := runtime.NumGoroutine()
+
+	type stream struct {
+		cancel context.CancelFunc
+		body   io.Closer
+		sc     *bufio.Scanner
+	}
+	open := func() *stream {
+		t.Helper()
+		// The timeout turns a stream that stops short into a failure.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/subscribe?path=/", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+		return &stream{cancel: cancel, body: resp.Body, sc: sc}
+	}
+	next := func(s *stream) Batch {
+		t.Helper()
+		if !s.sc.Scan() {
+			t.Fatalf("stream ended early: %v", s.sc.Err())
+		}
+		var b Batch
+		if err := json.Unmarshal(s.sc.Bytes(), &b); err != nil {
+			t.Fatalf("bad stream line: %v", err)
+		}
+		return b
+	}
+	disconnect := func(who string, s *stream) {
+		t.Helper()
+		s.cancel()
+		s.body.Close()
+		client.CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for r.Stats().Subscribers != 0 || runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d subscribers and %d goroutines after the disconnect, want 0 and at most %d",
+					who, r.Stats().Subscribers, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	install := func() {
+		if r.Current().Gen%2 == 0 {
+			r.Install(full)
+		} else {
+			r.Install(empty)
+		}
+	}
+
+	disconnect("abort before sync", open())
+
+	mid := open()
+	if b := next(mid); b.Type != SyncBatch {
+		t.Fatalf("first batch %s, want sync", b.Type)
+	}
+	install()
+	install()
+	for range 2 {
+		if b := next(mid); b.Type != DeltaBatch {
+			t.Fatalf("mid-stream batch %s, want delta", b.Type)
+		}
+	}
+	disconnect("abort mid-stream", mid)
+
+	// Installs outpace an unread stream until its queue overflows; the
+	// reader then catches up slowly, through a resync.
+	slow := open()
+	last := next(slow).Gen
+	deadline := time.Now().Add(10 * time.Second)
+	for overflows.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("an unread stream never overflowed its queue")
+		}
+		install()
+	}
+	target := r.Current().Gen
+	resynced := false
+	for last < target {
+		time.Sleep(100 * time.Microsecond)
+		b := next(slow)
+		if b.Gen <= last {
+			t.Fatalf("slow reader: generation %d after %d", b.Gen, last)
+		}
+		last, resynced = b.Gen, resynced || b.Type == ResyncBatch
+	}
+	if !resynced {
+		t.Error("slow reader: overflowed but never resynced")
+	}
+	disconnect("slow reader", slow)
 }
