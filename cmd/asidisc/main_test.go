@@ -4,8 +4,13 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
+	"repro/internal/span"
 )
 
 // TestMain lets a test re-execute the test binary as asidisc itself.
@@ -85,5 +90,54 @@ func TestLossOutOfRangeExits2(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "loss rate") {
 			t.Errorf("asidisc -loss %s: %v, output %q; want exit 2 naming the loss rate", loss, err, out)
 		}
+	}
+}
+
+// report decodes a -json run report against the run-report schema:
+// unknown fields, a wrong schema version or a malformed span log fail it.
+func report(t *testing.T, out string) experiment.RunReport {
+	t.Helper()
+	rr, err := experiment.DecodeRunReport(strings.NewReader(out))
+	if err != nil {
+		t.Fatalf("run report does not decode: %v\n%s", err, out)
+	}
+	return rr
+}
+
+// TestJSONReportsDecode: the run report of a telemetry run and of a traced
+// run decode strictly, each carrying the section its flag adds.
+func TestJSONReportsDecode(t *testing.T) {
+	rr := report(t, asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-telemetry", "-json"))
+	if rr.Result == nil || rr.Telemetry == nil || len(rr.Telemetry.Histograms) == 0 {
+		t.Errorf("-telemetry -json report has result %v and telemetry %v, want both with histograms", rr.Result, rr.Telemetry)
+	}
+	rr = report(t, asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-spans", "-json"))
+	if rr.Result == nil || rr.Spans == nil || len(rr.Spans.Spans) == 0 {
+		t.Errorf("-spans -json report has result %v and spans %v, want both with spans", rr.Result, rr.Spans)
+	}
+}
+
+// TestSpansOutReadsBack: the Chrome trace-event file -spans-out writes
+// reads back through span.ReadChrome, the loader asitrace uses, to the
+// same span log the -spans -json report carries.
+func TestSpansOutReadsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spans.json")
+	asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-spans-out", path)
+	fh, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	got, err := span.ReadChrome(fh)
+	if err != nil {
+		t.Fatalf("ReadChrome: %v", err)
+	}
+	want := report(t, asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-spans", "-json")).Spans
+	if want == nil {
+		t.Fatal("-spans -json report has no span log")
+	}
+	if !reflect.DeepEqual(got, *want) {
+		t.Errorf("-spans-out read back %d spans (dropped %d), -spans -json has %d (dropped %d), and they differ",
+			len(got.Spans), got.Dropped, len(want.Spans), want.Dropped)
 	}
 }

@@ -10,10 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAssimSmoke proves the continuous-assimilation engine end to end
-// (`make asifmd-smoke`). It drives 12 steps of churn against the
-// coalescing partial FM back to back (no wall sleeping), restores the
-// fabric, and fails unless
+// TestAssimSmoke proves the continuous-assimilation engine end to end.
+// It drives 12 steps of churn against the coalescing partial FM back to
+// back (no wall sleeping), restores the fabric, and fails unless
 //
 //   - the final audited database matches the live ground truth with a
 //     path-consistent view,

@@ -49,13 +49,13 @@ type smokeRun struct {
 // httpSubs is how many real HTTP subscribers join the in-process ones.
 const httpSubs = 8
 
-// TestDaemonSmoke proves the daemon's serving layer end to end (`make
-// asifmd-smoke`): the default daemon manages its fat-tree through six
-// churn rounds while 1000 in-process subscribers (100 with -short) plus a
-// set of real HTTP subscribers replay the diff stream concurrently; every
-// reconstruction must be byte-identical to the live snapshot and
-// fingerprint-identical to the FM's database, and the run must end where
-// it always has: generation 14, fingerprint 0x87ffec68144fe12a.
+// TestDaemonSmoke proves the daemon's serving layer end to end: the
+// default daemon manages its fat-tree through six churn rounds while 1000
+// in-process subscribers (100 with -short) plus a set of real HTTP
+// subscribers replay the diff stream concurrently; every reconstruction
+// must be byte-identical to the live snapshot and fingerprint-identical to
+// the FM's database, and the run must end where it always has: generation
+// 14, fingerprint 0x87ffec68144fe12a.
 func TestDaemonSmoke(t *testing.T) {
 	subscribers := 1000
 	if testing.Short() {

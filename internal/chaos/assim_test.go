@@ -221,11 +221,8 @@ func FuzzCoalesce(f *testing.F) {
 			t.Fatalf("database has %d devices / %d links at quiescence, ground truth %d / %d",
 				db.NumNodes(), db.NumLinks(), wantDev, wantLinks)
 		}
-		reach := db.ReachableFromHost()
-		for _, n := range db.Nodes() {
-			if !reach[n.DSN] {
-				t.Fatalf("node %v unreachable in the FM's own database", n.DSN)
-			}
+		if reached := db.TreeFrom(db.HostDSN).Reached(); reached+1 != db.NumNodes() {
+			t.Fatalf("%d of %d nodes reachable in the FM's own database", reached+1, db.NumNodes())
 		}
 	})
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -261,4 +262,49 @@ func mustProfile(t *testing.T, name string) Profile {
 		t.Fatalf("missing profile %q", name)
 	}
 	return p
+}
+
+// TestCheckConvergedRejectsIsland keeps the database's device and link
+// counts at ground truth while cutting one endpoint off: its cable is
+// swapped for a bogus one between two free switch ports. Only the
+// reachability clause can tell, and it must name the endpoint.
+func TestCheckConvergedRejectsIsland(t *testing.T) {
+	r, err := rig.New(topo.Mesh(3, 3), rig.Config{Seed: 1, Manager: core.Options{Algorithm: core.Parallel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res core.Result
+	r.Manager.OnDiscoveryComplete = func(got core.Result) { res = got }
+	r.Manager.StartDiscovery()
+	r.Run()
+	if err := CheckConverged(r.Fabric, r.Manager, res); err != nil {
+		t.Fatal(err)
+	}
+
+	db := r.Manager.DB()
+	var island asi.DSN
+	var free []core.Link
+	for _, n := range db.Nodes() {
+		switch {
+		case n.Type != asi.DeviceSwitch && n.DSN != db.HostDSN && island == 0:
+			island = n.DSN
+		case n.Type == asi.DeviceSwitch:
+			for port := 0; port < n.Ports && len(free) < 2; port++ {
+				if _, used := db.LinkAt(n.DSN, port); !used {
+					free = append(free, core.Link{A: n.DSN, APort: port})
+				}
+			}
+		}
+	}
+	if island == 0 || len(free) < 2 {
+		t.Fatalf("no endpoint (%v) or fewer than two free switch ports (%v) to rewire", island, free)
+	}
+	cable, _ := db.LinkAt(island, int(db.NeighborsOf(island)[0].LocalPort))
+	db.RemoveLink(cable)
+	db.AddLink(core.Link{A: free[0].A, APort: free[0].APort, B: free[1].A, BPort: free[1].APort})
+
+	err = CheckConverged(r.Fabric, r.Manager, res)
+	if want := fmt.Sprintf("node %v unreachable", island); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckConverged = %v, want an error naming %q", err, want)
+	}
 }

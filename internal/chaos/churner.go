@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asi"
 	"repro/internal/rig"
@@ -20,7 +21,6 @@ type Churner struct {
 	switches []topo.NodeID
 	down     map[topo.NodeID]bool
 	rng      *sim.RNG
-	rounds   uint64
 }
 
 // NewChurner builds a churner for the topology. It fails on fabrics with
@@ -51,7 +51,6 @@ func NewChurner(tp *topo.Topology, seed uint64) (*Churner, error) {
 // churn.
 func (c *Churner) Round(ops int) []Event {
 	const eventGapUS = 50
-	c.rounds++
 	events := make([]Event, 0, ops)
 	for i := 0; i < ops; i++ {
 		sw := c.switches[c.rng.Intn(len(c.switches))]
@@ -76,11 +75,7 @@ func (c *Churner) Quiesce() []Event {
 		}
 	}
 	// Map order is random; node order keeps the stream deterministic.
-	for i := 1; i < len(downs); i++ {
-		for j := i; j > 0 && downs[j] < downs[j-1]; j-- {
-			downs[j], downs[j-1] = downs[j-1], downs[j]
-		}
-	}
+	slices.Sort(downs)
 	events := make([]Event, 0, len(downs))
 	for i, sw := range downs {
 		c.down[sw] = false
@@ -88,9 +83,6 @@ func (c *Churner) Quiesce() []Event {
 	}
 	return events
 }
-
-// Rounds returns how many rounds have been generated.
-func (c *Churner) Rounds() uint64 { return c.rounds }
 
 // Down returns how many switches the churner currently holds down.
 func (c *Churner) Down() int {

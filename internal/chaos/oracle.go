@@ -27,13 +27,16 @@ func CheckConverged(f *fabric.Fabric, m *core.Manager, res core.Result) error {
 		return fmt.Errorf("chaos: database has %d devices / %d links, ground truth %d / %d",
 			db.NumNodes(), db.NumLinks(), wantDev, wantLinks)
 	}
-	// One BFS covers every node: db.PathTo(n) is non-nil exactly when n
-	// is in the host's reachable set (endpoints hold a single cable, so
-	// switch-only forwarding and plain reachability agree). Over the
-	// database's adjacency index that search is O(V + L).
-	reach := db.ReachableFromHost()
+	// One search covers every node: the host's path tree reaches every
+	// other device exactly when each is reachable (endpoints hold a single
+	// cable, so switch-only forwarding and plain reachability agree). A
+	// node is named only when the count falls short.
+	tree := db.TreeFrom(db.HostDSN)
+	if db.Node(db.HostDSN) != nil && tree.Reached()+1 == db.NumNodes() {
+		return nil
+	}
 	for _, n := range db.Nodes() {
-		if !reach[n.DSN] {
+		if p, _ := tree.PathTo(n.DSN); p == nil {
 			return fmt.Errorf("chaos: node %v unreachable in the FM's own database", n.DSN)
 		}
 	}

@@ -620,28 +620,6 @@ func (db *DB) NeighborsOf(dsn asi.DSN) []Neighbor {
 	return pg.adj[i]
 }
 
-// ReachableFromHost walks the recorded links from the host endpoint and
-// returns the set of reachable DSNs.
-func (db *DB) ReachableFromHost() map[asi.DSN]bool {
-	if db.Node(db.HostDSN) == nil {
-		return map[asi.DSN]bool{}
-	}
-	seen := make(map[asi.DSN]bool, db.dir.numNodes)
-	seen[db.HostDSN] = true
-	queue := make([]asi.DSN, 1, db.dir.numNodes)
-	queue[0] = db.HostDSN
-	for head := 0; head < len(queue); head++ {
-		for _, nb := range db.NeighborsOf(queue[head]) {
-			if db.Node(nb.DSN) == nil || seen[nb.DSN] {
-				continue
-			}
-			seen[nb.DSN] = true
-			queue = append(queue, nb.DSN)
-		}
-	}
-	return seen
-}
-
 // PathTo computes a shortest source route from the host endpoint to the
 // target over the recorded links, breadth-first, and the target's arrival
 // port along it. It returns a nil path when the target is not reachable

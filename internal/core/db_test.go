@@ -150,23 +150,6 @@ func TestDBRemoveNodeDropsLinks(t *testing.T) {
 	}
 }
 
-func TestDBReachableFromHost(t *testing.T) {
-	db := buildTestDB()
-	seen := db.ReachableFromHost()
-	if len(seen) != 4 {
-		t.Errorf("reachable = %d, want 4", len(seen))
-	}
-	db.RemoveNode(10)
-	seen = db.ReachableFromHost()
-	if len(seen) != 1 {
-		t.Errorf("reachable after cut = %d, want 1", len(seen))
-	}
-	empty := NewDB(42)
-	if len(empty.ReachableFromHost()) != 0 {
-		t.Error("empty DB reachable nonzero")
-	}
-}
-
 func TestDBNeighborsSorted(t *testing.T) {
 	db := buildTestDB()
 	nbs := db.NeighborsOf(10)

@@ -13,13 +13,16 @@ import (
 type Diff struct {
 	AddedDevices   []asi.DSN
 	RemovedDevices []asi.DSN
+	// ChangedDevices are the devices on both sides whose type or port
+	// count differs.
+	ChangedDevices []asi.DSN
 	AddedLinks     []Link
 	RemovedLinks   []Link
 }
 
 // Empty reports whether nothing changed.
 func (d Diff) Empty() bool {
-	return len(d.AddedDevices) == 0 && len(d.RemovedDevices) == 0 &&
+	return len(d.AddedDevices) == 0 && len(d.RemovedDevices) == 0 && len(d.ChangedDevices) == 0 &&
 		len(d.AddedLinks) == 0 && len(d.RemovedLinks) == 0
 }
 
@@ -35,6 +38,9 @@ func (d Diff) String() string {
 	if n := len(d.RemovedDevices); n > 0 {
 		parts = append(parts, fmt.Sprintf("-%d devices", n))
 	}
+	if n := len(d.ChangedDevices); n > 0 {
+		parts = append(parts, fmt.Sprintf("~%d devices", n))
+	}
 	if n := len(d.AddedLinks); n > 0 {
 		parts = append(parts, fmt.Sprintf("+%d links", n))
 	}
@@ -44,13 +50,14 @@ func (d Diff) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// DiffDBs compares two databases. Devices compare by DSN, links by their
-// normalized form; old or new may be nil (treated as empty). It merges the
-// two intern tables' DSN orders, so devices come out ascending and links
-// canonically sorted, with no sort and no copy of either database; per
-// DSN it merges the two sorted adjacencies, keeping the link ends the
-// device is the canonical end of. A DSN whose slot sits in a page the two
-// still share since a Clone is skipped unread.
+// DiffDBs compares two databases. Devices compare by DSN (and, on both
+// sides, by type and port count), links by their normalized form; old or
+// new may be nil (treated as empty). It merges the two intern tables' DSN
+// orders, so devices come out ascending and links canonically sorted, with
+// no sort and no copy of either database; per DSN it merges the two
+// sorted adjacencies, keeping the link ends the device is the canonical
+// end of. A DSN whose slot sits in a page the two still share since a
+// Clone is skipped unread.
 func DiffDBs(old, new *DB) Diff {
 	var d Diff
 	if old == nil {
@@ -89,6 +96,10 @@ func DiffDBs(old, new *DB) Diff {
 			d.AddedDevices = append(d.AddedDevices, dsn)
 		case wasNode && !isNode:
 			d.RemovedDevices = append(d.RemovedDevices, dsn)
+		case wasNode && isNode:
+			if o, n := &po.nodes[io], &pn.nodes[in]; o.Type != n.Type || o.Ports != n.Ports {
+				d.ChangedDevices = append(d.ChangedDevices, dsn)
+			}
 		}
 		if len(was) != len(now) || len(was) > 0 && &was[0] != &now[0] {
 			d.RemovedLinks, d.AddedLinks = diffEnds(dsn, was, now, d.RemovedLinks, d.AddedLinks)

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/asi"
-	"repro/internal/route"
 )
 
 // Partial discovery — the paper's second future-work direction (section
@@ -154,7 +153,7 @@ func (m *Manager) refreshPaths() {
 			continue
 		}
 		m.pathBuf = p
-		if pathEqual(p, m.db.Node(dsn).Path) {
+		if slices.Equal(p, m.db.Node(dsn).Path) {
 			continue
 		}
 		n := m.db.writable(dsn)
@@ -191,17 +190,4 @@ func (m *Manager) onVerify(req *request, resp *asi.PI4, ok bool) {
 	}
 	m.removeNode(req.dsn)
 	m.refreshPaths()
-}
-
-// pathEqual compares two source routes hop by hop.
-func pathEqual(a, b route.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -222,12 +223,12 @@ func TestRefreshPathsCopiesChangedRoutes(t *testing.T) {
 		tree := m.db.TreeFrom(m.db.HostDSN)
 		for _, n := range m.db.Nodes() {
 			want, arrive := tree.PathTo(n.DSN)
-			if !pathEqual(n.Path, want) || (n.DSN != m.db.HostDSN && n.ArrivalPort != arrive) {
+			if !slices.Equal(n.Path, want) || (n.DSN != m.db.HostDSN && n.ArrivalPort != arrive) {
 				t.Fatalf("step %d: %v holds route %v (arrival %d), want %v (arrival %d)", step, n.DSN, n.Path, n.ArrivalPort, want, arrive)
 			}
 		}
 		for _, req := range m.pending {
-			if n := m.db.Node(req.dsn); req.kind == reqVerify && !pathEqual(req.path, n.Path) {
+			if n := m.db.Node(req.dsn); req.kind == reqVerify && !slices.Equal(req.path, n.Path) {
 				t.Fatalf("step %d: the verify of %v travels %v, the device's route is %v", step, req.dsn, req.path, n.Path)
 			}
 		}

@@ -84,7 +84,7 @@ func (rr RunReport) JSON(w io.Writer) error {
 }
 
 // DecodeRunReport parses and sanity-checks one envelope, the validation
-// used by the `reportjson` smoke tool and by tests.
+// the CLI tests run on every -json report.
 func DecodeRunReport(r io.Reader) (RunReport, error) {
 	var rr RunReport
 	dec := json.NewDecoder(r)

@@ -140,7 +140,7 @@ func FuzzPromRoundTrip(f *testing.F) {
 		h := fnv.New64a()
 		h.Write(doc)
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))
-		p := New(Config{Capacity: 1 + rng.Intn(4), Window: 1 + rng.Intn(4)})
+		p := New(Config{Window: 1 + rng.Intn(4)})
 		reg := telemetry.New()
 		wall := time.Unix(5000, 0)
 		for step := 0; step < 3; step++ {

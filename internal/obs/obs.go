@@ -38,13 +38,10 @@ import (
 
 // Config sizes the plane.
 type Config struct {
-	// Capacity bounds the sample ring (default DefaultCapacity). At the
-	// daemon's default 1s scrape interval the default ring holds ~4
-	// minutes of history.
-	Capacity int
 	// Window is the number of most-recent samples a windowed statistic
-	// (rate, histogram quantile) spans, capped by what the ring holds
-	// (default DefaultWindow).
+	// (rate, histogram quantile) spans, and all the sample ring holds
+	// (default DefaultWindow). At the daemon's default 1s scrape interval
+	// the default ring holds a minute of history.
 	Window int
 	// EventCapacity bounds the event log (default DefaultEventCapacity).
 	EventCapacity int
@@ -52,7 +49,6 @@ type Config struct {
 
 // Sizing defaults.
 const (
-	DefaultCapacity      = 256
 	DefaultWindow        = 60
 	DefaultEventCapacity = 1024
 )
@@ -75,8 +71,6 @@ type Sample struct {
 // Plane is the observability plane: sample ring + event log + derived
 // HTTP views.
 type Plane struct {
-	window int
-
 	mu      sync.RWMutex
 	ring    []Sample
 	head    int // next write position
@@ -88,10 +82,6 @@ type Plane struct {
 
 // New builds a plane.
 func New(cfg Config) *Plane {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
 	window := cfg.Window
 	if window <= 0 {
 		window = DefaultWindow
@@ -101,8 +91,7 @@ func New(cfg Config) *Plane {
 		evCap = DefaultEventCapacity
 	}
 	return &Plane{
-		window: window,
-		ring:   make([]Sample, capacity),
+		ring:   make([]Sample, window),
 		events: newEventLog(evCap),
 	}
 }
@@ -130,8 +119,8 @@ func (p *Plane) Scrapes() uint64 {
 }
 
 // rateWindow reads the plane under its lock: the newest sample (ok is false
-// before the first scrape), the oldest sample inside the rate window (at
-// most p.window-1 steps behind the newest), the wall seconds between the
+// before the first scrape), the oldest sample the ring holds (at most
+// Window-1 steps behind the newest), the wall seconds between the
 // two (zero until two samples exist; the window is usable only when
 // positive) and the number of samples ever stored. /metrics and /obs.json
 // both locate their window here.
@@ -144,7 +133,7 @@ func (p *Plane) rateWindow() (cur, base Sample, sec float64, scrapes uint64, ok 
 	back := func(k int) Sample { return p.ring[(p.head-1-k+len(p.ring))%len(p.ring)] }
 	cur = back(0)
 	if p.n >= 2 {
-		base = back(min(p.window, p.n) - 1)
+		base = back(p.n - 1)
 		sec = cur.Wall.Sub(base.Wall).Seconds()
 	}
 	return cur, base, sec, p.scrapes, true

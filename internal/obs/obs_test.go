@@ -95,7 +95,7 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 
 func TestRingEvictionAndWindowClamp(t *testing.T) {
 	reg := telemetry.New()
-	p := obs.New(obs.Config{Capacity: 4, Window: 100})
+	p := obs.New(obs.Config{Window: 4})
 	t0 := time.Unix(2000, 0)
 	for i := 0; i < 10; i++ {
 		p.Scrape(sampleAt(reg, t0.Add(time.Duration(i)*time.Second), uint64(i+1), rib.Stats{}))
@@ -103,7 +103,7 @@ func TestRingEvictionAndWindowClamp(t *testing.T) {
 	if p.Scrapes() != 10 {
 		t.Errorf("scrapes %d, want 10", p.Scrapes())
 	}
-	// Only 4 samples retained: the window clamps to 3 steps back, one
+	// Only 4 samples retained: the window spans 3 steps back, one
 	// second each.
 	if doc := p.Dash(0); doc.Gen != 10 || doc.WindowSec != 3 {
 		t.Errorf("window = gen %d over %vs, want gen 10 over 3s", doc.Gen, doc.WindowSec)

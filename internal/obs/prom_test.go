@@ -316,12 +316,12 @@ var refNames = []string{"", "a", "a.b", "fm.rtt.port-read", "x_y", "Z9", "sp ace
 // the exposition has to get right — no sample, one, many; counter and
 // histogram resets; vector slots that appear and vanish; metrics
 // registered inside the window; extreme gauges; windows that are empty,
-// negative or longer than the ring — and compares every render with the
+// negative or full, the ring evicting — and compares every render with the
 // fmt-based reference byte for byte.
 func TestWritePromMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := New(Config{Capacity: 1 + rng.Intn(5), Window: 1 + rng.Intn(8), EventCapacity: 1 + rng.Intn(4)})
+		p := New(Config{Window: 1 + rng.Intn(8), EventCapacity: 1 + rng.Intn(4)})
 		checkAgainstRef(t, p, fmt.Sprintf("seed %d, empty plane", seed))
 		reg := telemetry.New()
 		wall := time.Unix(5000, 0)
@@ -491,7 +491,7 @@ func (s stallWriter) Write(b []byte) (int, error) {
 func TestWritePromStalledReaderBlocksNothing(t *testing.T) {
 	reg := telemetry.New()
 	rng := rand.New(rand.NewSource(7))
-	p := New(Config{Capacity: 8, Window: 4})
+	p := New(Config{Window: 4})
 	t0 := time.Unix(7000, 0)
 	var samples []Sample
 	for i := 0; i < 40; i++ {

@@ -54,9 +54,9 @@ func without(db *core.DB, switches []asi.DSN, links []core.Link) *core.DB {
 	for _, l := range links {
 		out.RemoveLink(l)
 	}
-	reach := out.ReachableFromHost()
+	tree := out.TreeFrom(out.HostDSN)
 	for _, n := range out.Nodes() {
-		if !reach[n.DSN] {
+		if p, _ := tree.PathTo(n.DSN); p == nil {
 			out.RemoveNode(n.DSN)
 		}
 	}

@@ -192,9 +192,9 @@ func (w *installer) del(path string) {
 // next builds the generation that follows prev from an installed
 // database (already cloned) and d, its diff against prev.DB, with the
 // RIB's installer. The cost is the change's, not the fabric's: the delta
-// compares structured values — each device's leaf value, d's links, and
-// the Route and EventRoute of every device fib.Update names — and encodes
-// only the leaves that differ.
+// compares structured values — d's devices and links, and the Route and
+// EventRoute of every device fib.Update names — and encodes only the
+// leaves that differ.
 func (prev *Snapshot) next(db *core.DB, d core.Diff, w *installer) *Snapshot {
 	t, rerouted := fib.Update(prev.FIB, db, &w.tree)
 	s := &Snapshot{
@@ -206,17 +206,20 @@ func (prev *Snapshot) next(db *core.DB, d core.Diff, w *installer) *Snapshot {
 	for _, dsn := range d.RemovedDevices {
 		w.del(nodePath(prev.DB.Node(dsn)))
 	}
-	db.EachNode(func(n *core.Node) {
-		old := prev.DB.Node(n.DSN)
+	for _, dsn := range d.AddedDevices {
+		n := db.Node(dsn)
+		w.set(nodePath(n), nodeJSON(nodeValue(n)))
+	}
+	for _, dsn := range d.ChangedDevices {
+		old, n := prev.DB.Node(dsn), db.Node(dsn)
 		switch {
-		case old == nil:
 		case nodeValue(old) == nodeValue(n):
-			return
+			continue // a type change between two kinds served as endpoints
 		case (old.Type == asi.DeviceSwitch) != (n.Type == asi.DeviceSwitch):
 			w.del(nodePath(old)) // the leaf moves between switches/ and endpoints/
 		}
 		w.set(nodePath(n), nodeJSON(nodeValue(n)))
-	})
+	}
 	for _, l := range d.RemovedLinks {
 		w.del(linkPath(l))
 	}

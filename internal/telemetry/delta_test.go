@@ -115,25 +115,15 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestCounterSetTotalAndVecSet(t *testing.T) {
-	r := New()
-	c := r.Counter("c")
+func TestCounterSetTotal(t *testing.T) {
+	c := New().Counter("c")
 	c.SetTotal(42)
 	c.SetTotal(50)
 	if c.Value() != 50 {
 		t.Errorf("SetTotal value %d, want 50", c.Value())
 	}
-	v := r.CounterVec("v", 2)
-	v.Set(1, 9)
-	v.Set(1, 11)
-	if v.Value(1) != 11 {
-		t.Errorf("vec Set value %d, want 11", v.Value(1))
-	}
-	v.Set(5, 1) // out of range: ignored
 	var nilC *Counter
 	nilC.SetTotal(1)
-	var nilV *CounterVec
-	nilV.Set(0, 1)
 }
 
 // deltaRef is the map-based delta the Window replaced, kept as the

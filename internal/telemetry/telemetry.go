@@ -251,14 +251,6 @@ func (v *CounterVec) Add(i int, n uint64) {
 	}
 }
 
-// Set overwrites slot i with an externally-accumulated total; see
-// Counter.SetTotal.
-func (v *CounterVec) Set(i int, n uint64) {
-	if v != nil && i >= 0 && i < len(v.vals) {
-		v.vals[i] = n
-	}
-}
-
 // Value returns slot i's count, 0 on nil or out-of-range.
 func (v *CounterVec) Value(i int) uint64 {
 	if v == nil || i < 0 || i >= len(v.vals) {
