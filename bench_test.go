@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -98,7 +99,7 @@ func BenchmarkFig6DiscoveryTime(b *testing.B) {
 	for _, kind := range core.PaperKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			experiment.TakeProcessedEvents()
+			rig.TakeProcessed()
 			var secs float64
 			var pkts float64
 			for i := 0; i < b.N; i++ {
@@ -115,7 +116,7 @@ func BenchmarkFig6DiscoveryTime(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(secs, "sim-s/run")
 			b.ReportMetric(pkts, "pkts/run")
-			reportEventsPerSec(b, experiment.TakeProcessedEvents())
+			reportEventsPerSec(b, rig.TakeProcessed())
 		})
 	}
 }
@@ -188,7 +189,7 @@ func BenchmarkFig9FactorCombos(b *testing.B) {
 		for _, kind := range []core.Kind{core.SerialPacket, core.Parallel} {
 			b.Run(c.name+"/"+kind.String(), func(b *testing.B) {
 				b.ReportAllocs()
-				experiment.TakeProcessedEvents()
+				rig.TakeProcessed()
 				var secs float64
 				for i := 0; i < b.N; i++ {
 					o := experiment.RunConfig(experiment.Config{
@@ -203,7 +204,7 @@ func BenchmarkFig9FactorCombos(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(secs, "sim-s/run")
-				reportEventsPerSec(b, experiment.TakeProcessedEvents())
+				reportEventsPerSec(b, rig.TakeProcessed())
 			})
 		}
 	}

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiment"
+	"repro/internal/rig"
 )
 
 // benchEvents exposes the cumulative processed-event tally on the -debug
@@ -89,13 +90,13 @@ func main() {
 	)
 	for _, r := range runners {
 		// Time each experiment and derive simulator throughput from the
-		// engine-processed event tally. Stderr keeps stdout
+		// rigs' processed-event tally. Stderr keeps stdout
 		// machine-readable under -csv and -json.
-		experiment.TakeProcessedEvents()
+		rig.TakeProcessed()
 		start := time.Now()
 		reports := r.Run(opts)
 		elapsed := time.Since(start)
-		events := experiment.TakeProcessedEvents()
+		events := rig.TakeProcessed()
 		totalEvents += events
 		totalWall += elapsed
 		benchEvents.Add(int64(events))

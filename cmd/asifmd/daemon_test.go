@@ -50,7 +50,7 @@ func TestStepRace(t *testing.T) {
 			}
 		}
 	}()
-	// An HTTP reader hitting the exposition and the dashboard.
+	// An HTTP reader polling every endpoint asitop reads.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -59,7 +59,7 @@ func TestStepRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				for _, path := range []string{"/metrics", "/obs.json", "/stats"} {
+				for _, path := range []string{"/metrics", "/events", "/stats"} {
 					if resp, err := http.Get(ts.URL + path); err == nil {
 						resp.Body.Close()
 					}

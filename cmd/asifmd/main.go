@@ -4,8 +4,8 @@
 // topology RIB, derives a FIB per generation, and streams JSON diffs to
 // HTTP subscribers over gNMI-style paths. A continuous observability
 // plane scrapes the daemon's telemetry into a ring-buffer time-series
-// store and serves it as Prometheus text, a structured event log, and a
-// dashboard document.
+// store and serves it as Prometheus text and a structured event log;
+// cmd/asitop renders both, with /stats, as a live dashboard.
 //
 // Usage:
 //
@@ -20,7 +20,6 @@
 //	curl -N 'http://localhost:8080/subscribe?path=/fib/routes'
 //	curl 'http://localhost:8080/metrics'     # Prometheus exposition
 //	curl 'http://localhost:8080/events?n=50' # NDJSON event log tail
-//	curl 'http://localhost:8080/obs.json'    # dashboard doc (cmd/asitop)
 //	curl 'http://localhost:8080/stats'       # serving layer + staleness SLO
 package main
 
@@ -294,12 +293,11 @@ func (d *daemon) scrape() {
 }
 
 // handler builds the daemon's full HTTP surface: the RIB's serving
-// routes plus the observability plane's three views.
+// routes plus the observability plane's two views.
 func (d *daemon) handler() http.Handler {
 	srv := rib.NewServer(d.rib)
 	srv.Handle("GET /metrics", d.plane.MetricsHandler())
 	srv.Handle("GET /events", d.plane.EventsHandler())
-	srv.Handle("GET /obs.json", d.plane.DashHandler())
 	return srv.Handler()
 }
 

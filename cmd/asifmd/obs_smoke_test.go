@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
@@ -40,7 +41,8 @@ func scrapeMetrics(t *testing.T, url string) (map[string][]obs.PromPoint, map[st
 // TestObsSmoke drives the full observability plane end to end: an
 // in-process asifmd under churn, scraped twice over HTTP, must serve
 // machine-parseable Prometheus text with finite windowed rates, populated
-// staleness percentiles, a dashboard document and an NDJSON event log.
+// staleness percentiles, unit-labelled windowed quantiles and an NDJSON
+// event log.
 func TestObsSmoke(t *testing.T) {
 	cfg := experiment.DefaultDaemonConfig()
 	cfg.Topology = "4x4 mesh"
@@ -120,25 +122,29 @@ func TestObsSmoke(t *testing.T) {
 		t.Error("deliver latency histogram empty")
 	}
 
-	// The dashboard document parses and agrees with the exposition.
-	resp, err := http.Get(ts.URL + "/obs.json")
-	if err != nil {
-		t.Fatal(err)
+	// Every windowed quantile gauge carries its histogram's unit.
+	quantiles := 0
+	for name, pts := range second {
+		base, ok := strings.CutSuffix(name, "_p50")
+		if !ok {
+			base, ok = strings.CutSuffix(name, "_p99")
+		}
+		if !ok || types[base] != "histogram" {
+			continue
+		}
+		quantiles++
+		if u := pts[0].Labels["unit"]; u == "" {
+			t.Errorf("%s carries no unit label", name)
+		}
 	}
-	var doc obs.DashDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("obs.json did not parse: %v", err)
+	if quantiles == 0 {
+		t.Error("no windowed quantile gauges in the exposition")
 	}
-	resp.Body.Close()
-	if doc.Gen != uint64(value(second, "asi_rib_generation")) {
-		t.Errorf("dashboard gen %d, exposition %v", doc.Gen, value(second, "asi_rib_generation"))
+	if u := second["asi_fm_rtt_port_read_p50"]; len(u) == 0 || u[0].Labels["unit"] != "ps" {
+		t.Errorf("asi_fm_rtt_port_read_p50 = %+v, want a unit=\"ps\" sample", u)
 	}
-	if len(doc.Rates) == 0 || len(doc.Quantiles) == 0 {
-		t.Errorf("dashboard missing windowed stats: %d rates %d quantiles", len(doc.Rates), len(doc.Quantiles))
-	}
-
 	// The event log streamed NDJSON with converge and churn entries.
-	resp, err = http.Get(ts.URL + "/events?n=100")
+	resp, err := http.Get(ts.URL + "/events?n=100")
 	if err != nil {
 		t.Fatal(err)
 	}

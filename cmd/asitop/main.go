@@ -1,17 +1,21 @@
-// Command asitop is a live terminal dashboard for a running asifmd: it
-// polls the daemon's /obs.json endpoint and renders the windowed metric
-// rates (with client-side sparklines), the serving layer's staleness
-// SLO, and the structured event tail — plain ANSI, no terminal library.
+// Command asitop is a live terminal dashboard for a running asifmd. Each
+// frame reads three of the daemon's endpoints, each the one producer of
+// its numbers: /metrics for the windowed rates, gauges and quantiles,
+// /stats for the serving layer and its staleness SLO, and /events for
+// the structured event tail. It renders them with client-side
+// sparklines — plain ANSI, no terminal library.
 //
 // Usage:
 //
 //	asitop                                  # watch http://localhost:8080
 //	asitop -url http://host:9000            # another daemon
 //	asitop -interval 500ms                  # faster refresh
+//	asitop -events 20                       # a longer event tail
 //	asitop -once                            # print one frame and exit
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rib"
 	"repro/internal/sim"
 )
 
@@ -37,13 +42,13 @@ func main() {
 	hist := map[string][]float64{}
 
 	for {
-		doc, err := fetch(client, *url, *events)
+		f, err := fetch(client, *url, *events)
 		frame := ""
 		if err != nil {
 			frame = fmt.Sprintf("asitop: %v (retrying every %s)\n", err, *interval)
 		} else {
-			push(hist, doc.Rates)
-			frame = render(doc, hist, *url)
+			push(hist, f.rates)
+			frame = render(f, hist, *url)
 		}
 		if *once {
 			fmt.Print(frame)
@@ -59,34 +64,122 @@ func main() {
 	}
 }
 
-func fetch(client *http.Client, base string, events int) (*obs.DashDoc, error) {
-	resp, err := client.Get(fmt.Sprintf("%s/obs.json?events=%d", strings.TrimRight(base, "/"), events))
+// frame is one poll of the daemon.
+type frame struct {
+	// at is when asitop fetched the frame.
+	at time.Time
+	// values holds the first sample of every /metrics name; rates the
+	// windowed rate of every counter and counter family, and quantiles
+	// every histogram with observations in the window, in exposition
+	// order.
+	values    map[string]float64
+	rates     []rate
+	quantiles []quantile
+	serving   rib.Stats
+	events    []obs.Event
+}
+
+// rate is one windowed per-second rate, named as /metrics names its
+// counter without the asi_ prefix.
+type rate struct {
+	name   string
+	perSec float64
+}
+
+// quantile is one histogram's windowed p50 and p99 in its unit.
+type quantile struct {
+	name, unit string
+	p50, p99   float64
+}
+
+// fetch reads one frame from the daemon at base; events bounds the tail.
+func fetch(client *http.Client, base string, events int) (*frame, error) {
+	base = strings.TrimRight(base, "/")
+	f := &frame{at: time.Now(), values: map[string]float64{}}
+	for _, ep := range []struct {
+		path string
+		read func(io.Reader) error
+	}{
+		{"/metrics", f.readMetrics},
+		{"/stats", func(r io.Reader) error { return json.NewDecoder(r).Decode(&f.serving) }},
+		{fmt.Sprintf("/events?n=%d", events), f.readEvents},
+	} {
+		if err := get(client, base, ep.path, ep.read); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// get fetches base+path and hands a 200 response's body to read.
+func get(client *http.Client, base, path string, read func(io.Reader) error) error {
+	resp, err := client.Get(base + path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("GET /obs.json: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+		return fmt.Errorf("GET %s: %s: %s", path, resp.Status, strings.TrimSpace(string(body)))
 	}
-	var doc obs.DashDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("decoding /obs.json: %w", err)
+	if err := read(resp.Body); err != nil {
+		return fmt.Errorf("reading %s: %w", path, err)
 	}
-	return &doc, nil
+	return nil
+}
+
+// readMetrics files the exposition: a "<name>_rate" gauge is a rate when
+// <name> is a counter, and a "<name>_p50" gauge a quantile when <name>
+// is a histogram (with "<name>_p99" beside it).
+func (f *frame) readMetrics(r io.Reader) error {
+	points, types, err := obs.ParseProm(r)
+	if err != nil {
+		return err
+	}
+	for _, p := range points {
+		if _, seen := f.values[p.Name]; seen {
+			continue
+		}
+		f.values[p.Name] = p.Value
+		if base, ok := strings.CutSuffix(p.Name, "_rate"); ok && types[base] == "counter" {
+			f.rates = append(f.rates, rate{name: strings.TrimPrefix(base, "asi_"), perSec: p.Value})
+		}
+		if base, ok := strings.CutSuffix(p.Name, "_p50"); ok && types[base] == "histogram" {
+			f.quantiles = append(f.quantiles, quantile{name: base, unit: p.Labels["unit"], p50: p.Value})
+		}
+	}
+	for i := range f.quantiles {
+		q := &f.quantiles[i]
+		q.p99 = f.values[q.name+"_p99"]
+		q.name = strings.TrimPrefix(q.name, "asi_")
+	}
+	return nil
+}
+
+// readEvents reads the NDJSON event tail.
+func (f *frame) readEvents(r io.Reader) error {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		var e obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			return err
+		}
+		f.events = append(f.events, e)
+	}
+	return sc.Err()
 }
 
 // sparkCap bounds the per-metric client-side rate history.
 const sparkCap = 32
 
 // push appends this frame's rates to the sparkline histories.
-func push(hist map[string][]float64, rates []obs.Rate) {
+func push(hist map[string][]float64, rates []rate) {
 	for _, r := range rates {
-		h := append(hist[r.Name], r.PerSec)
+		h := append(hist[r.name], r.perSec)
 		if len(h) > sparkCap {
 			h = h[len(h)-sparkCap:]
 		}
-		hist[r.Name] = h
+		hist[r.name] = h
 	}
 }
 
@@ -112,13 +205,16 @@ func spark(h []float64) string {
 	return b.String()
 }
 
-func render(doc *obs.DashDoc, hist map[string][]float64, url string) string {
+func render(f *frame, hist map[string][]float64, url string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "asitop — %s — %s\n", url, doc.Wall.Format(time.TimeOnly))
+	fmt.Fprintf(&b, "asitop — %s — %s\n", url, f.at.Format(time.TimeOnly))
+	// gen is /stats', read with the serving block below; sim, window and
+	// scrapes describe the last scrape.
 	fmt.Fprintf(&b, "gen %d   sim %s   window %.1fs   scrapes %d\n\n",
-		doc.Gen, sim.Duration(doc.SimPS), doc.WindowSec, doc.Scrapes)
+		f.serving.Gen, sim.Duration(f.values["asi_sim_time_ps"]),
+		f.values["asi_obs_window_seconds"], uint64(f.values["asi_obs_scrapes_total"]))
 
-	sv := doc.Serving
+	sv := f.serving
 	fmt.Fprintf(&b, "serving   installs %-6d leaves %-6d subscribers %-4d resyncs %-4d deliveries %d\n",
 		sv.Installs, sv.Leaves, sv.Subscribers, sv.Resyncs, sv.Deliveries)
 	fmt.Fprintf(&b, "staleness p50 %-4d p99 %-4d max %-4d generations behind (%d subscribers)\n",
@@ -127,29 +223,29 @@ func render(doc *obs.DashDoc, hist map[string][]float64, url string) string {
 		fmt.Fprintf(&b, "deliver   p50 %-10s p99 %-10s (%d observations)\n",
 			time.Duration(sv.DeliverP50NS), time.Duration(sv.DeliverP99NS), sv.DeliverLatency.Count)
 	}
-	assimBlock(&b, doc)
+	assimBlock(&b, f)
 
-	if len(doc.Rates) > 0 {
+	if len(f.rates) > 0 {
 		b.WriteString("\nrates (windowed, with local history)\n")
 		// Busiest first; names keep the table readable at any width.
-		rates := append([]obs.Rate(nil), doc.Rates...)
-		sort.SliceStable(rates, func(i, j int) bool { return rates[i].PerSec > rates[j].PerSec })
+		rates := append([]rate(nil), f.rates...)
+		sort.SliceStable(rates, func(i, j int) bool { return rates[i].perSec > rates[j].perSec })
 		for _, r := range rates {
-			fmt.Fprintf(&b, "  %-28s %12.1f/s  %s\n", r.Name, r.PerSec, spark(hist[r.Name]))
+			fmt.Fprintf(&b, "  %-28s %12.1f/s  %s\n", r.name, r.perSec, spark(hist[r.name]))
 		}
 	}
 
-	if len(doc.Quantiles) > 0 {
+	if len(f.quantiles) > 0 {
 		b.WriteString("\nlatency (windowed percentile estimates)\n")
-		for _, q := range doc.Quantiles {
-			fmt.Fprintf(&b, "  %-28s p50 %-12s p90 %-12s p99 %-12s n=%d\n",
-				q.Name, quantity(q.P50, q.Unit), quantity(q.P90, q.Unit), quantity(q.P99, q.Unit), q.Count)
+		for _, q := range f.quantiles {
+			fmt.Fprintf(&b, "  %-28s p50 %-12s p99 %s\n", q.name, quantity(q.p50, q.unit), quantity(q.p99, q.unit))
 		}
 	}
 
-	if len(doc.Events) > 0 {
-		fmt.Fprintf(&b, "\nevents (%d logged, %d dropped)\n", doc.EventsLogged, doc.EventsDropped)
-		for _, e := range doc.Events {
+	if len(f.events) > 0 {
+		fmt.Fprintf(&b, "\nevents (%d logged, %d dropped)\n",
+			uint64(f.values["asi_obs_events_logged_total"]), uint64(f.values["asi_obs_events_dropped_total"]))
+		for _, e := range f.events {
 			detail := e.Detail
 			if detail != "" {
 				detail = "  " + detail
@@ -165,37 +261,16 @@ func render(doc *obs.DashDoc, hist map[string][]float64, url string) string {
 // gauges (published every scrape for any algorithm) and, when PI-5s
 // flowed in the window, the sustained assimilation rates with the
 // batch-size percentiles.
-func assimBlock(b *strings.Builder, doc *obs.DashDoc) {
-	gauge := func(name string) (int64, bool) {
-		for _, g := range doc.Gauges {
-			if g.Name == name {
-				return g.Value, true
-			}
-		}
-		return 0, false
-	}
-	rate := func(name string) float64 {
-		for _, r := range doc.Rates {
-			if r.Name == name {
-				return r.PerSec
-			}
-		}
-		return 0
-	}
-	if max, ok := gauge("fm.db.staleness.max"); ok {
-		p50, _ := gauge("fm.db.staleness.p50")
-		p99, _ := gauge("fm.db.staleness.p99")
+func assimBlock(b *strings.Builder, f *frame) {
+	if max, ok := f.values["asi_fm_db_staleness_max"]; ok {
 		fmt.Fprintf(b, "db-stale  p50 %-10s p99 %-10s max %-10s (per-node last-validated age, sim)\n",
-			sim.Duration(p50), sim.Duration(p99), sim.Duration(max))
+			sim.Duration(f.values["asi_fm_db_staleness_p50"]), sim.Duration(f.values["asi_fm_db_staleness_p99"]), sim.Duration(max))
 	}
-	if ev := rate("fm.assim.events"); ev > 0 {
+	if ev := f.values["asi_fm_assim_events_rate"]; ev > 0 {
 		line := fmt.Sprintf("assim     %.1f PI-5/s assimilated   %.1f/s coalesced   %.1f flushes/s",
-			ev, rate("fm.assim.events.coalesced"), rate("fm.assim.flushes"))
-		for _, q := range doc.Quantiles {
-			if q.Name == "fm.assim.batch.size" {
-				line += fmt.Sprintf("   batch p50 %.0f p99 %.0f", q.P50, q.P99)
-				break
-			}
+			ev, f.values["asi_fm_assim_events_coalesced_rate"], f.values["asi_fm_assim_flushes_rate"])
+		if p50, ok := f.values["asi_fm_assim_batch_size_p50"]; ok {
+			line += fmt.Sprintf("   batch p50 %.0f p99 %.0f", p50, f.values["asi_fm_assim_batch_size_p99"])
 		}
 		b.WriteString(line + "\n")
 	}

@@ -13,10 +13,9 @@ import (
 // DaemonConfig describes one long-running fabric-manager daemon
 // (cmd/asifmd): the fabric it manages, the discovery algorithm it runs,
 // and the churn and serving knobs of its steady state. It is the
-// daemon-mode analogue of Config — but where Config describes one finite
-// measured run, DaemonConfig describes an open-ended process, so it is
-// plain JSON data (loadable from a -config file) rather than functional
-// options.
+// daemon-mode analogue of Config: where Config describes one finite
+// measured run, DaemonConfig describes an open-ended process, and it is
+// loaded as JSON from a -config file.
 type DaemonConfig struct {
 	// Topology names the managed fabric (catalogue or parametric name).
 	Topology string `json:"topology"`

@@ -257,14 +257,14 @@ func runLoaded(topoName string, k core.Kind, seed uint64) (sim.Duration, error) 
 	// stream without a fault plan.
 	gen := fabric.NewTrafficGen(r.Fabric, sim.NewRNG(seed).Split(), 5*sim.Microsecond, 1024)
 	gen.Start()
+	// The generator never lets the queue drain: the discovery's
+	// completion stops the engine.
 	var res *core.Result
-	r.Manager.OnDiscoveryComplete = func(cr core.Result) { res = &cr }
+	r.Manager.OnDiscoveryComplete = func(cr core.Result) { res = &cr; r.Engine.Stop() }
 	// Let traffic build up before the discovery starts.
 	r.RunFor(200 * sim.Microsecond)
 	r.Manager.StartDiscovery()
-	for res == nil && r.Engine.Pending() > 0 {
-		r.Engine.Step()
-	}
+	r.Run()
 	gen.Stop()
 	if res == nil {
 		return 0, fmt.Errorf("experiment: loaded discovery hung on %s", topoName)

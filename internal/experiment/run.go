@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rig"
@@ -71,30 +69,14 @@ type Outcome struct {
 	// Err reports a failed run (e.g. no PI-5 reached the FM).
 	Err error
 	// Events counts the simulation events the engine processed for this
-	// run (all phases: transient, change, assimilation). Together with
-	// wall-clock time it yields the simulator's events/sec throughput.
+	// run (all phases: transient, change, assimilation).
 	Events uint64
-	// Wall is the run's wall-clock duration and EventsPerSec the derived
-	// simulator throughput, measured for every run.
-	Wall         time.Duration
-	EventsPerSec float64
 	// Telemetry is the run's end-of-run metric snapshot, non-nil only
 	// when Config.Telemetry was set.
 	Telemetry *telemetry.Snapshot
 	// Spans is the run's causal span log, non-nil only when
 	// Config.Spans was set.
 	Spans *span.Log
-}
-
-// totalEvents accumulates Engine.Processed across every Run, including
-// runs executing concurrently under RunAll's worker pool.
-var totalEvents atomic.Uint64
-
-// TakeProcessedEvents returns the number of simulation events processed
-// by all Runs since the previous call, and resets the tally. Reporting
-// layers (asibench, benchmarks) use it to derive aggregate events/sec.
-func TakeProcessedEvents() uint64 {
-	return totalEvents.Swap(0)
 }
 
 // RunConfig executes one run configuration to completion: the paper's
@@ -109,7 +91,6 @@ func RunConfig(cfg Config) (out Outcome) {
 	out.PhysicalNodes = len(tp.Nodes)
 	out.Switches = tp.NumSwitches()
 
-	wallStart := time.Now()
 	// Unvalidated configs are tolerated: what Validate would have refused
 	// comes back from rig.New.
 	r, err := rig.New(tp, cfg.rigConfig())
@@ -117,7 +98,7 @@ func RunConfig(cfg Config) (out Outcome) {
 		out.Err = err
 		return out
 	}
-	defer out.measure(r, wallStart)
+	defer out.measure(r)
 
 	// Pick the changed switch up front (never the FM's host switch,
 	// which would cut the manager off entirely). The draw continues the
@@ -169,15 +150,10 @@ func RunConfig(cfg Config) (out Outcome) {
 	return out
 }
 
-// measure closes the run's books, whether it succeeded or not: event
-// counts, wall-clock throughput, and the observers' logs.
-func (out *Outcome) measure(r *rig.Rig, wallStart time.Time) {
+// measure closes the run's books, whether it succeeded or not: the event
+// count and the observers' logs.
+func (out *Outcome) measure(r *rig.Rig) {
 	out.Events = r.Engine.Processed
-	totalEvents.Add(out.Events)
-	out.Wall = time.Since(wallStart)
-	if s := out.Wall.Seconds(); s > 0 {
-		out.EventsPerSec = float64(out.Events) / s
-	}
 	if r.Spans != nil {
 		l := r.Spans.Log()
 		out.Spans = &l

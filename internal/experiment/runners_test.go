@@ -3,6 +3,9 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/rig"
 )
 
 // TestAllRunnersSmoke executes every registered experiment at minimal
@@ -44,6 +47,35 @@ func TestAllRunnersSmoke(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunnersTallyEvents requires a processed-event count from each
+// experiment that drives its rigs outside RunConfig, and from a loaded
+// ext-traffic run (its idle runs go through RunConfig): asibench reports
+// events/s from the rigs' tally. It runs them one after another, not in
+// parallel, so the tally holds only the runner's own events.
+func TestRunnersTallyEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs skipped in -short mode")
+	}
+	for _, id := range []string{"ext-churn", "ext-failover", "ext-distributed"} {
+		r, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig.TakeProcessed()
+		r.Run(Opts{Seeds: 1})
+		if n := rig.TakeProcessed(); n == 0 {
+			t.Errorf("%s: the tally counted 0 events", id)
+		}
+	}
+	rig.TakeProcessed()
+	if _, err := runLoaded("4x4 mesh", core.Parallel, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := rig.TakeProcessed(); n == 0 {
+		t.Error("a loaded ext-traffic run: the tally counted 0 events")
 	}
 }
 

@@ -66,11 +66,6 @@ func extScale(rows []string) Report {
 		}
 		sc.Topology.Catalogue = name
 		rep, err := chaos.Execute(sc, chaos.Options{Horizon: scaleHorizon})
-		if rep != nil {
-			// Chaos runs bypass RunConfig, so fold their event counts into
-			// the package tally asibench derives events/sec from.
-			totalEvents.Add(rep.Processed)
-		}
 		if err != nil {
 			r.Rows = append(r.Rows, []string{name, "", "", "", "", "", "ERR " + err.Error()})
 			continue

@@ -6,18 +6,18 @@
 // A periodic scraper feeds Samples — a frozen telemetry.Snapshot plus
 // the serving layer's rib.Stats, stamped with wall time, simulation time
 // and RIB generation — into a fixed-capacity ring-buffer time-series
-// store. Successive samples are diffed into windowed statistics:
-// counter deltas become per-second rates, gauge values become
-// trajectories, and histogram-count deltas become windowed distributions
-// whose p50/p90/p99 are estimated by linear interpolation over the fixed
-// buckets (telemetry.HistogramSnap.Quantile).
+// store. The newest sample and the oldest one the ring holds bound the
+// window: counter deltas become per-second rates, and histogram-count
+// deltas become windowed distributions whose p50/p99 are estimated by
+// linear interpolation over the fixed buckets
+// (telemetry.HistogramSnap.Quantile).
 //
-// Three HTTP views are derived from the store, all dependency-free:
+// Two HTTP views are derived, both dependency-free:
 //
-//	GET /metrics   Prometheus text exposition (cumulative metrics,
-//	               windowed rates, staleness SLO, deliver latency)
+//	GET /metrics   Prometheus text exposition (cumulative metrics, the
+//	               windowed rates and quantiles, staleness SLO, deliver
+//	               latency): the plane's one windowed view
 //	GET /events    bounded structured NDJSON event log tail
-//	GET /obs.json  the dashboard document cmd/asitop renders
 //
 // The plane never touches the simulation hot path: scraping calls
 // Registry.Snapshot (a cold path by design), and the producer decides
@@ -27,8 +27,6 @@
 package obs
 
 import (
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -122,8 +120,8 @@ func (p *Plane) Scrapes() uint64 {
 // before the first scrape), the oldest sample the ring holds (at most
 // Window-1 steps behind the newest), the wall seconds between the
 // two (zero until two samples exist; the window is usable only when
-// positive) and the number of samples ever stored. /metrics and /obs.json
-// both locate their window here.
+// positive) and the number of samples ever stored. /metrics locates its
+// window here.
 func (p *Plane) rateWindow() (cur, base Sample, sec float64, scrapes uint64, ok bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -137,52 +135,6 @@ func (p *Plane) rateWindow() (cur, base Sample, sec float64, scrapes uint64, ok 
 		sec = cur.Wall.Sub(base.Wall).Seconds()
 	}
 	return cur, base, sec, p.scrapes, true
-}
-
-// Rate is one windowed counter rate.
-type Rate struct {
-	Name   string  `json:"name"`
-	PerSec float64 `json:"per_sec"`
-}
-
-// windowStats derives the statistics of the window tw, sec wall seconds
-// long: the per-second rate of every counter and the summed rate of every
-// counter-vector family that changed, sorted by name (a counter before a
-// family of the same name), and p50/p90/p99 of every histogram with
-// observations inside the window, in snapshot (name) order.
-func windowStats(tw *telemetry.Window, sec float64) (rates []Rate, qs []HistQuantiles) {
-	for _, c := range tw.Cur.Counters {
-		d, _ := tw.Counter(c.Name)
-		rates = append(rates, Rate{Name: c.Name, PerSec: float64(d) / sec})
-	}
-	for i, v := range tw.Cur.Vectors {
-		if i > 0 && v.Name == tw.Cur.Vectors[i-1].Name {
-			continue
-		}
-		if d := tw.Family(v.Name); d != 0 {
-			rates = append(rates, Rate{Name: v.Name, PerSec: float64(d) / sec})
-		}
-	}
-	slices.SortStableFunc(rates, func(a, b Rate) int { return strings.Compare(a.Name, b.Name) })
-	for _, h := range tw.Cur.Histograms {
-		if d, _ := tw.Histogram(h.Name, nil); d.Count > 0 {
-			qs = append(qs, HistQuantiles{
-				Name: h.Name, Unit: h.Unit, Count: d.Count,
-				P50: d.Quantile(0.50), P90: d.Quantile(0.90), P99: d.Quantile(0.99),
-			})
-		}
-	}
-	return rates, qs
-}
-
-// HistQuantiles is one histogram's windowed quantile estimate.
-type HistQuantiles struct {
-	Name  string  `json:"name"`
-	Unit  string  `json:"unit,omitempty"`
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
 }
 
 // Log appends one structured event to the bounded event log.

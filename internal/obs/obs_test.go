@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -47,6 +46,24 @@ func sampleAt(reg *telemetry.Registry, wall time.Time, gen uint64, serving rib.S
 	}
 }
 
+// exposition renders p and parses it into the first sample of each name.
+func exposition(t *testing.T, p *obs.Plane) map[string]obs.PromPoint {
+	t.Helper()
+	var buf bytes.Buffer
+	p.WriteProm(&buf)
+	points, _, err := obs.ParseProm(&buf)
+	if err != nil {
+		t.Fatalf("exposition did not parse: %v", err)
+	}
+	byName := map[string]obs.PromPoint{}
+	for _, pt := range points {
+		if _, seen := byName[pt.Name]; !seen {
+			byName[pt.Name] = pt
+		}
+	}
+	return byName
+}
+
 func TestWindowRatesAndQuantiles(t *testing.T) {
 	reg := telemetry.New()
 	c := reg.Counter("a.count")
@@ -68,28 +85,25 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 	}
 	p.Scrape(sampleAt(reg, t0.Add(2*time.Second), 2, rib.Stats{}))
 
-	doc := p.Dash(0)
-	if doc.WindowSec != 2 || doc.Gen != 2 {
-		t.Fatalf("window = gen %d over %vs, want gen 2 over 2s", doc.Gen, doc.WindowSec)
+	m := exposition(t, p)
+	if w := m["asi_obs_window_seconds"].Value; w != 2 {
+		t.Fatalf("window %vs, want 2s", w)
 	}
-
-	rates := map[string]float64{}
-	for _, r := range doc.Rates {
-		rates[r.Name] = r.PerSec
+	if r := m["asi_a_count_rate"].Value; r != 10 {
+		t.Errorf("a.count rate %v, want 10/s", r)
 	}
-	if rates["a.count"] != 10 {
-		t.Errorf("a.count rate %v, want 10/s", rates["a.count"])
+	if r := m["asi_v_per_rate"].Value; r != 1 {
+		t.Errorf("v.per family rate %v, want 1/s", r)
 	}
-	if rates["v.per"] != 1 {
-		t.Errorf("v.per family rate %v, want 1/s", rates["v.per"])
+	p50, ok := m["asi_h_lat_p50"]
+	if !ok {
+		t.Fatal("no windowed p50 of h.lat")
 	}
-
-	qs := doc.Quantiles
-	if len(qs) != 1 || qs[0].Name != "h.lat" || qs[0].Count != 10 {
-		t.Fatalf("quantiles = %+v, want one h.lat entry with 10 windowed observations", qs)
+	if p50.Value <= 10 || p50.Value > 100 {
+		t.Errorf("windowed p50 %v outside the (10,100] bucket", p50.Value)
 	}
-	if qs[0].P50 <= 10 || qs[0].P50 > 100 {
-		t.Errorf("windowed p50 %v outside the (10,100] bucket", qs[0].P50)
+	if p50.Labels["unit"] != "ns" || m["asi_h_lat_p99"].Labels["unit"] != "ns" {
+		t.Errorf("quantile labels %v %v, want unit=ns on both", p50.Labels, m["asi_h_lat_p99"].Labels)
 	}
 }
 
@@ -98,15 +112,16 @@ func TestRingEvictionAndWindowClamp(t *testing.T) {
 	p := obs.New(obs.Config{Window: 4})
 	t0 := time.Unix(2000, 0)
 	for i := 0; i < 10; i++ {
-		p.Scrape(sampleAt(reg, t0.Add(time.Duration(i)*time.Second), uint64(i+1), rib.Stats{}))
+		p.Scrape(sampleAt(reg, t0.Add(time.Duration(i)*time.Second), uint64(i+1), rib.Stats{Gen: uint64(i + 1)}))
 	}
 	if p.Scrapes() != 10 {
 		t.Errorf("scrapes %d, want 10", p.Scrapes())
 	}
 	// Only 4 samples retained: the window spans 3 steps back, one
 	// second each.
-	if doc := p.Dash(0); doc.Gen != 10 || doc.WindowSec != 3 {
-		t.Errorf("window = gen %d over %vs, want gen 10 over 3s", doc.Gen, doc.WindowSec)
+	m := exposition(t, p)
+	if g, w := m["asi_rib_generation"].Value, m["asi_obs_window_seconds"].Value; g != 10 || w != 3 {
+		t.Errorf("window = gen %v over %vs, want gen 10 over 3s", g, w)
 	}
 }
 
@@ -312,7 +327,7 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestMetricsAndDashHandlers(t *testing.T) {
+func TestMetricsHandler(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter("a.count").Add(2)
 	p := obs.New(obs.Config{})
@@ -328,51 +343,38 @@ func TestMetricsAndDashHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != obs.MetricsContentType {
 		t.Errorf("metrics content type %q", ct)
 	}
-	if _, _, err := obs.ParseProm(resp.Body); err != nil {
-		t.Errorf("served exposition did not parse: %v", err)
-	}
-	resp.Body.Close()
-
-	dts := httptest.NewServer(p.DashHandler())
-	defer dts.Close()
-	resp, err = http.Get(dts.URL + "?events=5")
+	points, _, err := obs.ParseProm(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("served exposition did not parse: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var doc obs.DashDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("dash doc did not parse: %v\n%s", err, body)
+	got := map[string]float64{}
+	for _, pt := range points {
+		got[pt.Name] = pt.Value
 	}
-	if doc.Gen != 2 || doc.Serving.Installs != 2 || doc.Scrapes != 2 {
-		t.Errorf("dash header wrong: gen %d installs %d scrapes %d", doc.Gen, doc.Serving.Installs, doc.Scrapes)
+	for name, want := range map[string]float64{
+		"asi_rib_generation": 2, "asi_rib_installs_total": 2, "asi_obs_scrapes_total": 2,
+		"asi_a_count_rate": 2, "asi_obs_events_logged_total": 1,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v", name, got[name], want)
+		}
 	}
-	if len(doc.Rates) == 0 || doc.Rates[0].Name != "a.count" || doc.Rates[0].PerSec != 2 {
-		t.Errorf("dash rates %+v", doc.Rates)
-	}
-	if len(doc.Events) != 1 || doc.Events[0].Kind != obs.EventDiscoveryConverge {
-		t.Errorf("dash events %+v", doc.Events)
-	}
-	if resp, err = http.Get(dts.URL + "?events=-1"); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad events param: %v %v", err, resp.Status)
-	}
-	resp.Body.Close()
 }
 
-// Before any scrape the plane serves degenerate but valid documents.
+// Before any scrape the plane serves a degenerate but valid exposition:
+// the plane's own counters and no window.
 func TestEmptyPlaneServes(t *testing.T) {
-	p := obs.New(obs.Config{})
-	var buf bytes.Buffer
-	p.WriteProm(&buf)
-	if _, _, err := obs.ParseProm(&buf); err != nil {
-		t.Errorf("empty exposition did not parse: %v", err)
+	m := exposition(t, obs.New(obs.Config{}))
+	if m["asi_up"].Value != 1 || m["asi_obs_scrapes_total"].Value != 0 {
+		t.Errorf("empty exposition %v", m)
 	}
-	doc := p.Dash(10)
-	if doc.Gen != 0 || doc.Scrapes != 0 || len(doc.Rates) != 0 {
-		t.Errorf("empty dash doc %+v", doc)
+	for _, absent := range []string{"asi_obs_window_seconds", "asi_rib_generation"} {
+		if _, ok := m[absent]; ok {
+			t.Errorf("empty exposition has %s", absent)
+		}
 	}
 }

@@ -22,7 +22,8 @@ import (
 // windowed per-second rate, so dashboards get rates even without a
 // Prometheus server computing them); counter vectors expose one sample
 // per non-zero index under an index="i" label; histograms expose the
-// standard _bucket/_sum/_count triple plus windowed _p50/_p99 gauges.
+// standard _bucket/_sum/_count triple plus windowed _p50/_p99 gauges
+// carrying the histogram's unit as a unit label.
 // The serving layer contributes the staleness SLO (generation-lag
 // percentiles) and the install→deliver latency histogram.
 //
@@ -120,9 +121,9 @@ func (p *Plane) render(w *promWriter) {
 		w.counts = dh.Counts
 		if ok && dh.Count > 0 {
 			w.meta("_p50", "gauge", "windowed p50 of ", h.Name, "")
-			w.sample("_p50", dh.Quantile(0.50))
+			w.quantile("_p50", h.Unit, dh.Quantile(0.50))
 			w.meta("_p99", "gauge", "windowed p99 of ", h.Name, "")
-			w.sample("_p99", dh.Quantile(0.99))
+			w.quantile("_p99", h.Unit, dh.Quantile(0.99))
 		}
 	}
 
@@ -192,6 +193,17 @@ func (w *promWriter) sample(suffix string, v float64) {
 	w.value(v)
 }
 
+// quantile writes one windowed quantile sample of the current name plus
+// suffix, labelled unit="<unit>" when the histogram registered a unit, so
+// a reader can tell a simulated duration (ps) from a wall one (ns).
+func (w *promWriter) quantile(suffix, unit string, v float64) {
+	w.b = append(append(w.b, w.name...), suffix...)
+	if unit != "" {
+		w.b = append(strconv.AppendQuote(append(w.b, "{unit="...), unit), '}')
+	}
+	w.value(v)
+}
+
 // value ends a sample line with v the way Prometheus expects it (+Inf,
 // -Inf and NaN included).
 func (w *promWriter) value(v float64) {
@@ -237,8 +249,7 @@ type PromPoint struct {
 // package writes (and the subset Prometheus itself accepts): HELP/TYPE
 // comments and name{labels} value samples. It returns every sample plus
 // the declared type per metric name, or an error naming the offending
-// line. The smoke tests and external tooling use it to assert the
-// endpoint stays machine-readable.
+// line. cmd/asitop reads the daemon's /metrics through it.
 func ParseProm(r io.Reader) (points []PromPoint, types map[string]string, err error) {
 	types = make(map[string]string)
 	sc := bufio.NewScanner(r)

@@ -78,8 +78,14 @@ func mutate(db *core.DB, cut map[asi.DSN][]core.Link, op byte, arg int) {
 		}
 	case 4: // same DSN, other type
 		reshape(db, dsn, func(n *core.Node) { n.Type = asi.DeviceSwitch + asi.DeviceEndpoint - n.Type })
-	case 5: // same DSN, other port count
-		reshape(db, dsn, func(n *core.Node) { n.Ports = 1 + (n.Ports+arg/16)%8 })
+	case 5: // same DSN, other port count, never below a cabled port:
+		// a device reports at least the ports it has cabled
+		reshape(db, dsn, func(n *core.Node) {
+			n.Ports = 1 + (n.Ports+arg/16)%8
+			for _, nb := range db.NeighborsOf(dsn) {
+				n.Ports = max(n.Ports, int(nb.LocalPort)+1)
+			}
+		})
 	case 6: // cut a device off; the next time, cable it back
 		if links, ok := cut[dsn]; ok {
 			for _, l := range links {

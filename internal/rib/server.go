@@ -19,8 +19,8 @@ import (
 //	GET /healthz                    liveness + current generation
 //
 // Streams are flushed per batch and end when the client disconnects.
-// Additional handlers (the observability plane's /metrics, /events and
-// /obs.json) mount onto the same mux through Handle.
+// Additional handlers (the observability plane's /metrics and /events)
+// mount onto the same mux through Handle.
 type Server struct {
 	rib   *RIB
 	extra map[string]http.Handler

@@ -7,6 +7,7 @@ package rig
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -126,6 +127,15 @@ func (r *Rig) AddManager(host topo.NodeID, opt core.Options) *core.Manager {
 // Run drains the simulation to quiescence.
 func (r *Rig) Run() { r.RunFor(0) }
 
+// processed tallies the events every rig's engine processed inside
+// RunFor, across goroutines; every driver drains through RunFor, so it is
+// the whole process's simulation work.
+var processed atomic.Uint64
+
+// TakeProcessed returns the events every rig processed since the
+// previous call, and resets the tally. asibench derives events/s from it.
+func TakeProcessed() uint64 { return processed.Swap(0) }
+
 // RunFor drains the simulation for at most horizon of simulated time
 // (unbounded if zero or less) and reports whether the queue emptied.
 // Either way a bounded run leaves the clock at the horizon; events still
@@ -135,7 +145,9 @@ func (r *Rig) RunFor(horizon sim.Duration) (drained bool) {
 	if horizon > 0 {
 		deadline = r.Engine.Now().Add(horizon)
 	}
+	before := r.Engine.Processed
 	r.Engine.RunUntil(deadline)
+	processed.Add(r.Engine.Processed - before)
 	return r.Engine.Pending() == 0
 }
 
