@@ -1,7 +1,7 @@
 package repro
 
 // Repository-level benchmarks: one per table/figure of the paper's
-// evaluation, plus ablations of the design choices called out in
+// evaluation, plus an ablation of a design choice called out in
 // DESIGN.md. Each benchmark iteration executes complete simulation runs;
 // besides wall-clock ns/op, the benchmarks report the *simulated*
 // quantities the paper plots (discovery seconds, packets) via
@@ -347,42 +347,6 @@ func BenchmarkDiscoveryOp(b *testing.B) {
 			}
 			b.StopTimer()
 			reportEventsPerSec(b, events)
-		})
-	}
-}
-
-// BenchmarkAblationPortReadBatching measures design choice 1 from
-// DESIGN.md: one port per PI-4 read (the paper's algorithms) vs the
-// 4-port batching a completion could carry.
-func BenchmarkAblationPortReadBatching(b *testing.B) {
-	for _, batch := range []int{1, 4} {
-		b.Run(map[int]string{1: "per-port", 4: "batched"}[batch], func(b *testing.B) {
-			var pkts, secs float64
-			for i := 0; i < b.N; i++ {
-				res := discoverOnce(b, "6x6 mesh",
-					core.Options{Algorithm: core.Parallel, PortReadBatch: batch}, 1)
-				pkts = float64(res.PacketsSent)
-				secs = res.Duration.Seconds()
-			}
-			b.ReportMetric(pkts, "pkts/run")
-			b.ReportMetric(secs, "sim-s/run")
-		})
-	}
-}
-
-// BenchmarkAblationProbeMemo measures design choice 2 from DESIGN.md:
-// suppressing probes over already-recorded links vs the naive flow chart
-// that probes every active port.
-func BenchmarkAblationProbeMemo(b *testing.B) {
-	for _, noMemo := range []bool{false, true} {
-		b.Run(map[bool]string{false: "memo", true: "no-memo"}[noMemo], func(b *testing.B) {
-			var pkts float64
-			for i := 0; i < b.N; i++ {
-				res := discoverOnce(b, "6x6 torus",
-					core.Options{Algorithm: core.Parallel, NoProbeMemo: noMemo}, 1)
-				pkts = float64(res.PacketsSent)
-			}
-			b.ReportMetric(pkts, "pkts/run")
 		})
 	}
 }

@@ -163,7 +163,6 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 	}
 	if cfg.AssimWindowUS > 0 {
 		rc.Manager.AssimWindow = sim.Micros(float64(cfg.AssimWindowUS))
-		rc.Manager.AssimBatchMax = cfg.AssimBatchMax
 	}
 	if d.rig, err = rig.New(tp, rc); err != nil {
 		return nil, err

@@ -117,18 +117,23 @@ func (r *pi5Recorder) HandlePacket(port int, pkt *asi.Packet) {
 // stale PI-5 re-deliveries against the coalescing front-end. Whatever the
 // interleaving, the FM must never panic, never strand accepted reports
 // (idle manager, empty debounce window at quiescence), and converge to
-// the live ground truth once the fabric is restored and drained.
+// the live ground truth once the fabric is restored and drained. The 4x4
+// torus has 75 (reporter, port) pairs facing a churnable switch, so a
+// storm can fill a batch past its 64-pair cap.
 func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})                               // down/up the same switch back to back
 	f.Add([]byte{0, 2, 0, 2})                         // toggles separated by drains
 	f.Add([]byte{0, 4, 3, 2, 8, 0, 3})                // toggles, stale dup, drain, more churn
 	f.Add([]byte{0, 8, 16, 24, 32, 40, 48, 56, 2, 3}) // storm across many switches, then dup
+	// Every churnable switch down and up at one instant: all 75 pairs
+	// report in one window, and the cap flushes the batch.
+	f.Add([]byte{0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28, 32, 32, 36, 36, 40, 40, 44, 44, 48, 48, 52, 52, 56, 56})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		tp := topo.Mesh(3, 3)
+		tp := topo.Torus(4, 4)
 		e := sim.NewEngine()
 		fb, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(1))
 		if err != nil {
@@ -136,9 +141,8 @@ func FuzzCoalesce(f *testing.F) {
 		}
 		ep := fb.Device(tp.Endpoints()[0])
 		m := core.NewManager(fb, ep, core.Options{
-			Algorithm:     core.Partial,
-			AssimWindow:   200 * sim.Microsecond,
-			AssimBatchMax: 8,
+			Algorithm:   core.Partial,
+			AssimWindow: 200 * sim.Microsecond,
 		})
 		var results []core.Result
 		m.OnDiscoveryComplete = func(r core.Result) { results = append(results, r) }

@@ -37,7 +37,7 @@ func TestPI4RoundTripZeroAlloc(t *testing.T) {
 		last = Link{A: last.B, APort: last.BPort, B: last.A, BPort: last.APort}
 	}
 	roundTrips := func() {
-		if ok, _ := m.readPortRange(far, 0); !ok {
+		if !m.readPort(far, 0) {
 			t.Fatal("port read not sent")
 		}
 		// Re-probing that link returns far's general information, which

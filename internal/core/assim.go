@@ -17,8 +17,8 @@ import (
 // debounce window: duplicate or superseded reports for the same
 // (reporter, port) collapse to the final state, and one batched partial
 // run walks the union of affected subtrees. The window slides with each
-// arrival; Options.AssimBatchMax bounds it so a sustained event stream
-// cannot postpone the flush forever.
+// arrival; assimBatchMax bounds it so a sustained event stream cannot
+// postpone the flush forever.
 
 // assimKey identifies the port a PI-5 report is about; later reports for
 // the same key supersede earlier ones.
@@ -34,7 +34,7 @@ func (m *Manager) assimEnabled() bool { return m.assimPending != nil }
 // options select it.
 func (m *Manager) initAssim() {
 	m.assimPending = make(map[assimKey]asi.PI5)
-	m.assimTimer = m.e.NewTimer(func(*sim.Engine) { m.queueAssimFlush() })
+	m.assimFn = func(*sim.Engine) { m.queueAssimFlush() }
 }
 
 // coalesce absorbs one accepted (non-stale) PI-5 report into the pending
@@ -52,11 +52,12 @@ func (m *Manager) coalesce(ev asi.PI5) {
 	}
 	m.assimPending[k] = ev
 	m.assimEvents++
-	if len(m.assimPending) >= m.opt.AssimBatchMax {
+	if len(m.assimPending) >= assimBatchMax {
 		m.queueAssimFlush()
 		return
 	}
-	m.assimTimer.ScheduleAfter(m.opt.AssimWindow)
+	m.e.Cancel(m.assimID)
+	m.assimID = m.e.After(m.opt.AssimWindow, m.assimFn)
 }
 
 // queueAssimFlush moves the pending batch into the FM's serial work queue
@@ -64,7 +65,7 @@ func (m *Manager) coalesce(ev asi.PI5) {
 // debounce timer and the batch cap both land here; the assimQueued flag
 // keeps them from enqueueing the flush twice.
 func (m *Manager) queueAssimFlush() {
-	m.assimTimer.Stop()
+	m.e.Cancel(m.assimID)
 	if m.assimQueued || len(m.assimPending) == 0 {
 		return
 	}
@@ -85,7 +86,7 @@ func (m *Manager) dropAssimPending() {
 		delete(m.assimPending, k)
 	}
 	m.assimEvents = 0
-	m.assimTimer.Stop()
+	m.e.Cancel(m.assimID)
 	m.dirty = true
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
@@ -102,27 +103,44 @@ func TestCoalescedStormFewerRuns(t *testing.T) {
 	}
 }
 
-// TestCoalescedBatchCapForcesFlush checks that AssimBatchMax bounds the
-// debounce window: with a cap of 2 distinct keys and a window far longer
-// than the storm, the sustained event stream still flushes mid-storm
-// instead of postponing assimilation to the window's end.
+// TestCoalescedBatchCapForcesFlush checks that assimBatchMax bounds the
+// debounce window. One switch of an 8x8 torus after another flaps, each
+// making its five live neighbours (four switches, one endpoint) report
+// the port they face it on, inside a window far longer than the storm:
+// twenty switches name more than assimBatchMax distinct (reporter, port)
+// pairs, and the cap flushes mid-storm; eight name fewer, and the batch
+// waits for the window and one run.
 func TestCoalescedBatchCapForcesFlush(t *testing.T) {
-	run := func(opt Options) int {
-		e, f, m := assimSetup(t, topo.Mesh(3, 3), opt)
-		runs := 0
+	storm := func(switches int) (runs, peak int) {
+		e, f, m := assimSetup(t, topo.Torus(8, 8), Options{AssimWindow: 10 * sim.Millisecond})
 		m.OnDiscoveryComplete = func(Result) { runs++ }
-		flapDevice(t, e, f, 8, 4, 60*sim.Microsecond, 30*sim.Microsecond)
-		e.Run()
-		dbMatchesFabric(t, f, m, "after capped storm")
-		return runs
+		base := e.Now().Add(10 * sim.Microsecond)
+		for i := 0; i < switches; i++ {
+			id := topo.NodeID(18 + i) // rows 2-4: away from the host on sw(0,0)
+			at := base.Add(sim.Duration(i) * 60 * sim.Microsecond)
+			e.At(at, func(*sim.Engine) {
+				if err := f.SetDeviceDown(id, false); err != nil {
+					t.Error(err)
+				}
+			})
+			e.At(at.Add(30*sim.Microsecond), func(*sim.Engine) {
+				if err := f.SetDeviceUp(id, false); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		for e.Step() {
+			peak = max(peak, m.AssimPending())
+		}
+		dbMatchesFabric(t, f, m, fmt.Sprintf("after a storm of %d switches", switches))
+		return runs, peak
 	}
-	uncapped := run(Options{AssimWindow: 10 * sim.Millisecond})
-	capped := run(Options{AssimWindow: 10 * sim.Millisecond, AssimBatchMax: 2})
-	if uncapped != 1 {
-		t.Errorf("10ms window over the whole storm: %d runs, want 1", uncapped)
+	if runs, peak := storm(20); runs < 2 || peak < assimBatchMax {
+		t.Errorf("20 switches: %d runs, at most %d pairs pending; want at least 2 runs after the batch reached %d",
+			runs, peak, assimBatchMax)
 	}
-	if capped < 2 {
-		t.Errorf("batch cap 2: %d runs, want at least 2 (cap must force mid-storm flushes)", capped)
+	if runs, peak := storm(8); runs != 1 || peak >= assimBatchMax {
+		t.Errorf("8 switches: %d runs, at most %d pairs pending; want 1 run, below the cap", runs, peak)
 	}
 }
 

@@ -20,16 +20,6 @@ type Options struct {
 	// FMFactor is the FM processing-speed multiplier (paper Figs. 8-9);
 	// processing time = model time / factor. Zero means 1.
 	FMFactor float64
-	// PortReadBatch is the number of ports fetched per PI-4 read
-	// (ablation: the paper's algorithms read one port per request; a
-	// PI-4 completion can carry up to MaxReadBlocks blocks, i.e. 4
-	// ports). Values are clamped to [1, 4].
-	PortReadBatch int
-	// NoProbeMemo disables the link-memo optimization that suppresses
-	// probes over links the FM has already recorded (ablation: every
-	// active port is probed, duplicates resolved by DSN as in the
-	// ASI-SIG flow chart).
-	NoProbeMemo bool
 	// MaxRetries is how many times a timed-out PI-4 request is re-issued
 	// along the same path before the timeout becomes a terminal failure.
 	// Zero (the default) preserves the paper's lossless-fabric behaviour:
@@ -45,11 +35,6 @@ type Options struct {
 	// state. Zero (the default) keeps per-event assimilation. Only the
 	// Partial algorithm consults it.
 	AssimWindow sim.Duration
-	// AssimBatchMax caps the distinct (reporter, port) entries a batch
-	// holds before flushing immediately — the bound that keeps a
-	// sustained event stream from sliding the debounce window forever.
-	// Zero selects 64 when AssimWindow is set.
-	AssimBatchMax int
 	// Telemetry, when non-nil, records the FM's operational metrics —
 	// per-phase service-time and round-trip histograms, work-queue depth,
 	// timeout/retry counters — into the given registry. Nil (the default)
@@ -74,9 +59,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * sim.Microsecond
 	}
-	if o.AssimWindow > 0 && o.AssimBatchMax <= 0 {
-		o.AssimBatchMax = 64
-	}
 	return o
 }
 
@@ -92,6 +74,11 @@ const (
 	// coalesceDelay batches a burst of PI-5 reports for the same change
 	// into one discovery run.
 	coalesceDelay = 25 * sim.Microsecond
+	// assimBatchMax caps the distinct (reporter, port) entries a
+	// coalesced batch holds before it flushes at once: the bound that
+	// keeps a sustained event stream from sliding the debounce window
+	// forever.
+	assimBatchMax = 64
 )
 
 // reqKind classifies outstanding PI-4 requests.
@@ -109,7 +96,7 @@ const (
 // request is one outstanding PI-4 request and the context to interpret
 // its completion. The Parallel algorithm parks tens of thousands at once,
 // so each field has the width its range needs: a port fits a byte
-// (asi.MaxSwitchPorts), a batch is ≤ 4 ports, Options.MaxRetries ≤ 255.
+// (asi.MaxSwitchPorts), Options.MaxRetries ≤ 255.
 type request struct {
 	// path is the source route the request travels, shared with the
 	// database entry it came from, and hop, unless it is the zero Hop,
@@ -122,8 +109,7 @@ type request struct {
 	// dsn and port name the request's subject. For probes: the device
 	// and port the request crosses last (the near side of the link being
 	// explored; the host for the very first probe). For everything else:
-	// the target device, and for port reads the first port index, with
-	// nports > 1 for batched reads.
+	// the target device, and for port reads the port.
 	dsn asi.DSN
 	// timeout fires if no completion arrives.
 	timeout sim.EventID
@@ -152,7 +138,6 @@ type request struct {
 	count  uint8
 	kind   reqKind
 	port   uint8
-	nports uint8
 	// attempt counts retransmissions: 0 for the original one.
 	attempt uint8
 	hop     route.Hop
@@ -165,12 +150,6 @@ func (r *request) fullPath() route.Path {
 		return r.path
 	}
 	return route.Extend(r.path, r.hop)
-}
-
-// ports returns the port indices [lo, hi) of n a port read covers.
-func (r *request) ports(n *Node) (lo, hi int) {
-	lo = int(r.port)
-	return lo, min(lo+max(int(r.nports), 1), n.Ports)
 }
 
 // workKind classifies FM processing work items.
@@ -227,12 +206,12 @@ type Manager struct {
 
 	// The FM software is a single serial processor: work items queue in
 	// a ring, the item in service parks in curWork, and its completion
-	// fires through the reusable workTimer — no closure per packet.
-	busy      bool
-	queue     sim.Ring[work]
-	curWork   work
-	curCost   sim.Duration
-	workTimer *sim.Timer
+	// fires workFn, bound once — no closure per packet.
+	busy    bool
+	queue   sim.Ring[work]
+	curWork work
+	curCost sim.Duration
+	workFn  sim.Handler
 	// enqAt stamps when each queued item entered the queue, and curEnqAt
 	// the item in service, for the fm-queue span; used only when span
 	// tracing is on.
@@ -285,10 +264,12 @@ type Manager struct {
 	// when Options.AssimWindow selects coalesced assimilation.
 	// assimEvents counts reports absorbed into the open batch (including
 	// superseded ones); assimQueued marks a wFlush item already in the
-	// work queue.
+	// work queue. assimID is the armed debounce event, which fires
+	// assimFn, bound once.
 	assimPending map[assimKey]asi.PI5
 	assimEvents  int
-	assimTimer   *sim.Timer
+	assimFn      sim.Handler
+	assimID      sim.EventID
 	assimQueued  bool
 
 	// tree, pathBuf and dsnBuf are refreshPaths' reused search tree, route
@@ -339,7 +320,7 @@ func NewManager(f *fabric.Fabric, dev *fabric.Device, opt Options) *Manager {
 		m.sp = opt.Spans
 		m.retryReqs = make(map[*request]struct{})
 	}
-	m.workTimer = m.e.NewTimer(m.completeWork)
+	m.workFn = m.completeWork
 	m.timeoutFn = func(_ *sim.Engine, arg any) { m.onTimeout(arg.(*request)) }
 	m.retryFn = func(_ *sim.Engine, arg any) { m.onRetryBackoff(arg.(*request)) }
 	if m.opt.Algorithm == Partial && m.opt.AssimWindow > 0 {
@@ -461,7 +442,7 @@ func (m *Manager) processNext() {
 	default:
 		m.curCost = FMProcessing(m.opt.Algorithm, m.db.NumNodes(), m.opt.FMFactor)
 	}
-	m.workTimer.ScheduleAfter(m.curCost)
+	m.e.After(m.curCost, m.workFn)
 }
 
 // completeWork finishes the work item in service when the FM processing
@@ -563,10 +544,11 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 		m.drv.onGeneral(req, n, isNew, true)
 	case reqReadPort:
 		n := m.db.writable(req.dsn)
-		if n == nil {
+		if n == nil || int(req.port) >= n.Ports {
 			// The device left the database between request and completion
-			// (partial-run pruning). The driver still must hear about the
-			// request, or the serial variants wait on it forever.
+			// (partial-run pruning), or no longer has the port. The driver
+			// still must hear about the request, or the serial variants
+			// wait on it forever.
 			m.drv.onPort(req, nil, false)
 			return
 		}
@@ -574,17 +556,11 @@ func (m *Manager) applyCompletion(req *request, resp *asi.PI4) {
 		if ok {
 			n.Validated = m.e.Now()
 		}
-		lo, hi := req.ports(n)
-		for port := lo; port < hi; port++ {
-			n.PortKnown[port] = true
-			n.PortActive[port] = false
-			if ok {
-				at := (port - lo) * int(asi.PortInfoBlocks)
-				if end := at + int(asi.PortInfoBlocks); end <= len(resp.Data) {
-					if info, err := asi.ParsePortInfo(resp.Data[at:end]); err == nil {
-						n.PortActive[port] = info.Active
-					}
-				}
+		n.PortKnown[req.port] = true
+		n.PortActive[req.port] = false
+		if ok {
+			if info, err := asi.ParsePortInfo(resp.Data); err == nil {
+				n.PortActive[req.port] = info.Active
 			}
 		}
 		m.drv.onPort(req, n, ok)
@@ -616,12 +592,9 @@ func (m *Manager) applyFailure(req *request) {
 		m.drv.onGeneral(req, nil, false, false)
 	case reqReadPort:
 		n := m.db.writable(req.dsn)
-		if n != nil {
-			lo, hi := req.ports(n)
-			for port := lo; port < hi; port++ {
-				n.PortKnown[port] = true
-				n.PortActive[port] = false
-			}
+		if n != nil && int(req.port) < n.Ports {
+			n.PortKnown[req.port] = true
+			n.PortActive[req.port] = false
 		}
 		// Notify even with a nil node: the driver accounts outstanding
 		// port reads and would otherwise never finish.
@@ -771,43 +744,24 @@ func (m *Manager) probe(p probeSpec) bool {
 	})
 }
 
-// portBatch returns the configured ports-per-read, clamped to what one
-// PI-4 completion can carry.
-func (m *Manager) portBatch() int {
-	b := m.opt.PortReadBatch
-	if b < 1 {
-		b = 1
-	}
-	if max := asi.MaxReadBlocks / int(asi.PortInfoBlocks); b > max {
-		b = max
-	}
-	return b
-}
-
-// readPortRange sends one (possibly batched) port read starting at port
-// start. It reports whether a request went out and the first unread port.
-func (m *Manager) readPortRange(n *Node, start int) (sent bool, next int) {
-	count := m.portBatch()
-	if start+count > n.Ports {
-		count = n.Ports - start
-	}
-	req := m.newRequest(request{kind: reqReadPort, path: n.Path, dsn: n.DSN, port: uint8(start), nports: uint8(count)})
-	ok := m.send(req, asi.PI4{
+// readPort sends the attribute read of one port of n: one port-information
+// block per PI-4 request, as the paper's algorithms read. It reports
+// whether the request went out.
+func (m *Manager) readPort(n *Node, port int) bool {
+	req := m.newRequest(request{kind: reqReadPort, path: n.Path, dsn: n.DSN, port: uint8(port)})
+	return m.send(req, asi.PI4{
 		Op:     asi.PI4ReadRequest,
-		Offset: asi.PortInfoOffset(start),
-		Count:  uint8(count) * asi.PortInfoBlocks,
+		Offset: asi.PortInfoOffset(port),
+		Count:  asi.PortInfoBlocks,
 	})
-	return ok, start + count
 }
 
-// readAllPorts issues attribute reads covering every port of n, batched
-// per the options, and returns the number of requests sent.
+// readAllPorts issues the attribute read of every port of n and returns
+// the number of requests sent.
 func (m *Manager) readAllPorts(n *Node) int {
 	sent := 0
-	for start := 0; start < n.Ports; {
-		var ok bool
-		ok, start = m.readPortRange(n, start)
-		if ok {
+	for port := 0; port < n.Ports; port++ {
+		if m.readPort(n, port) {
 			sent++
 		}
 	}
@@ -865,10 +819,8 @@ func (m *Manager) probeFromPort(n *Node, port int) (spec probeSpec, ok bool) {
 	if !n.PortKnown[port] || !n.PortActive[port] {
 		return spec, false
 	}
-	if !m.opt.NoProbeMemo {
-		if _, known := m.db.LinkAt(n.DSN, port); known {
-			return spec, false // arrival link, or a cycle link already crossed
-		}
+	if _, known := m.db.LinkAt(n.DSN, port); known {
+		return spec, false // arrival link, or a cycle link already crossed
 	}
 	return probeThrough(n, port), true
 }

@@ -40,15 +40,11 @@ func (d *parallelDriver) onPort(req *request, n *Node, ok bool) {
 	if !ok {
 		return
 	}
-	// Each newly known active port immediately probes the device at the
-	// other end of its link (one request covers req.nports ports when
-	// reads are batched). The host endpoint's port is the initial
+	// A newly known active port immediately probes the device at the
+	// other end of its link. The host endpoint's port is the initial
 	// probe's: probeFromPort refuses every non-switch.
-	lo, hi := req.ports(n)
-	for port := lo; port < hi; port++ {
-		if p, ok := d.m.probeFromPort(n, port); ok {
-			d.m.probe(p)
-		}
+	if p, ok := d.m.probeFromPort(n, int(req.port)); ok {
+		d.m.probe(p)
 	}
 }
 

@@ -21,15 +21,14 @@ import (
 // comparison itself is chaos.CheckConverged, shared with the chaos
 // harness's executor so there is exactly one definition of "correct".
 
-func discoveryMatchesFabric(t *testing.T, tp *topo.Topology, kind core.Kind, opt core.Options) bool {
+func discoveryMatchesFabric(t *testing.T, tp *topo.Topology, kind core.Kind) bool {
 	t.Helper()
 	e := sim.NewEngine()
 	f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(99))
 	if err != nil {
 		return false
 	}
-	opt.Algorithm = kind
-	m := core.NewManager(f, f.Device(tp.Endpoints()[0]), opt)
+	m := core.NewManager(f, f.Device(tp.Endpoints()[0]), core.Options{Algorithm: kind})
 	done := false
 	var res core.Result
 	m.OnDiscoveryComplete = func(r core.Result) { res, done = r, true }
@@ -51,25 +50,13 @@ func TestDiscoveryCorrectOnRandomTopologies(t *testing.T) {
 		nsw := int(n%18) + 2
 		tp := topo.Random(nsw, int(extra%24), sim.NewRNG(seed))
 		for _, kind := range core.PaperKinds() {
-			if !discoveryMatchesFabric(t, tp, kind, core.Options{}) {
+			if !discoveryMatchesFabric(t, tp, kind) {
 				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDiscoveryCorrectOnRandomTopologiesWithAblations(t *testing.T) {
-	f := func(seed uint64, n uint8, batch uint8, noMemo bool) bool {
-		nsw := int(n%12) + 2
-		tp := topo.Random(nsw, int(seed%16), sim.NewRNG(seed))
-		opt := core.Options{PortReadBatch: int(batch%4) + 1, NoProbeMemo: noMemo}
-		return discoveryMatchesFabric(t, tp, core.Parallel, opt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }

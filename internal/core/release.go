@@ -65,7 +65,7 @@ var poisonData = []uint32{0xDEADBEEF}
 // request and of its packet, with values no live record holds.
 func poisonRequest(r *request) {
 	*r = request{
-		tag: ^uint32(0), kind: numReqKinds, dsn: ^asi.DSN(0), port: 0xff, nports: 0xff, attempt: 0xff,
+		tag: ^uint32(0), kind: numReqKinds, dsn: ^asi.DSN(0), port: 0xff, attempt: 0xff,
 		op: 0xff, offset: 0xffff, count: 0xff, data: poisonData,
 		hop: route.Hop{Ports: 0xffff, In: 0xff, Out: 0xff},
 		pkt: r.pkt, next: r.next,

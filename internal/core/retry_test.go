@@ -215,7 +215,7 @@ func TestReadPortForUnknownNodeNotifiesDriver(t *testing.T) {
 	_ = e
 	rec := &recordingDriver{}
 	m.drv = rec
-	req := &request{kind: reqReadPort, dsn: asi.DSN(0xDEAD), port: 0, nports: 1}
+	req := &request{kind: reqReadPort, dsn: asi.DSN(0xDEAD), port: 0}
 
 	m.applyCompletion(req, &asi.PI4{Op: asi.PI4ReadCompletionData})
 	if rec.onPortCalls != 1 || !rec.lastNil || rec.lastOK {

@@ -55,10 +55,8 @@ func (d *serialDriver) advance() {
 		// equivalent "already discovered?" test on the DSN response;
 		// skipping here only drops probes whose answer is already
 		// recorded link-for-link.
-		if !d.m.opt.NoProbeMemo {
-			if _, known := d.m.db.LinkAt(p.srcDSN, int(p.srcPort)); known {
-				continue
-			}
+		if _, known := d.m.db.LinkAt(p.srcDSN, int(p.srcPort)); known {
+			continue
 		}
 		if d.m.probe(p) {
 			d.idle = false
@@ -85,15 +83,15 @@ func (d *serialDriver) onGeneral(req *request, n *Node, isNew, ok bool) {
 		}
 		return
 	}
-	// Serial Packet: one port read (batch) at a time.
+	// Serial Packet: one port read at a time.
 	d.sendNextPortRead()
 }
 
 func (d *serialDriver) sendNextPortRead() {
 	for d.nextPort < d.cur.Ports {
-		var sent bool
-		sent, d.nextPort = d.m.readPortRange(d.cur, d.nextPort)
-		if sent {
+		port := d.nextPort
+		d.nextPort++
+		if d.m.readPort(d.cur, port) {
 			return
 		}
 	}

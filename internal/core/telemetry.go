@@ -125,7 +125,7 @@ type fmTelemetry struct {
 }
 
 // batchBounds buckets coalesced-batch sizes (events per flush); powers
-// of two up to the largest AssimBatchMax a config would plausibly set.
+// of two past assimBatchMax, since superseded reports count too.
 var batchBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // newFMTelemetry registers the FM metric set with reg.

@@ -45,9 +45,6 @@ type DaemonConfig struct {
 	// many microseconds of simulated time, then one batched partial run
 	// assimilates the union. 0 keeps per-event assimilation.
 	AssimWindowUS int `json:"assim_window_us,omitempty"`
-	// AssimBatchMax caps distinct (reporter, port) changes per coalesced
-	// batch; 0 selects the core default. Requires AssimWindowUS.
-	AssimBatchMax int `json:"assim_batch_max,omitempty"`
 	// StaleAfterMS makes the daemon's step re-audit whenever the
 	// maximum per-node database staleness (simulated time since last
 	// validated contact) exceeds this many milliseconds; 0 disables the
@@ -117,12 +114,6 @@ func (dc DaemonConfig) Validate() error {
 	if dc.AssimWindowUS > 0 && dc.Kind() != core.Partial {
 		return fmt.Errorf("experiment: daemon config assim_window_us requires algorithm %q, not %q",
 			core.Partial.Slug(), dc.Kind().Slug())
-	}
-	if dc.AssimBatchMax < 0 {
-		return fmt.Errorf("experiment: daemon config assim_batch_max %d is negative", dc.AssimBatchMax)
-	}
-	if dc.AssimBatchMax > 0 && dc.AssimWindowUS == 0 {
-		return fmt.Errorf("experiment: daemon config assim_batch_max without assim_window_us")
 	}
 	if dc.StaleAfterMS < 0 {
 		return fmt.Errorf("experiment: daemon config stale_after_ms %d is negative", dc.StaleAfterMS)

@@ -82,7 +82,7 @@ func FuzzDecodeDaemonConfig(f *testing.F) {
 	f.Add(DaemonConfig{
 		Topology: "4x4 mesh", Algorithm: "partial", Seed: 7,
 		ChurnOps: 2, Rounds: 5, AuditEvery: 3, QueueDepth: 16, Listen: ":9000",
-		ScrapeMS: 250, AssimWindowUS: 200, AssimBatchMax: 16, StaleAfterMS: 2,
+		ScrapeMS: 250, AssimWindowUS: 200, StaleAfterMS: 2,
 	}.EncodeJSON())
 	for _, doc := range []string{
 		`{"topology":"3x3 mesh"}`,

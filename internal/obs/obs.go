@@ -34,21 +34,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config sizes the plane.
-type Config struct {
-	// Window is the number of most-recent samples a windowed statistic
-	// (rate, histogram quantile) spans, and all the sample ring holds
-	// (default DefaultWindow). At the daemon's default 1s scrape interval
-	// the default ring holds a minute of history.
-	Window int
-	// EventCapacity bounds the event log (default DefaultEventCapacity).
-	EventCapacity int
-}
+// Config is New's argument. It has no fields, since the plane's sizes
+// are the constants below, and stays so that callers' obs.New(obs.Config{})
+// compiles.
+type Config struct{}
 
-// Sizing defaults.
+// The plane's sizes.
 const (
-	DefaultWindow        = 60
-	DefaultEventCapacity = 1024
+	// windowSamples is the number of most-recent samples a windowed
+	// statistic (rate, histogram quantile) spans, and all the sample ring
+	// holds: a minute of history at the daemon's default 1s scrape
+	// interval.
+	windowSamples = 60
+	// eventCapacity bounds the event log.
+	eventCapacity = 1024
 )
 
 // Sample is one scrape: everything the plane knows about one instant.
@@ -79,18 +78,10 @@ type Plane struct {
 }
 
 // New builds a plane.
-func New(cfg Config) *Plane {
-	window := cfg.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	evCap := cfg.EventCapacity
-	if evCap <= 0 {
-		evCap = DefaultEventCapacity
-	}
+func New(Config) *Plane {
 	return &Plane{
-		ring:   make([]Sample, window),
-		events: newEventLog(evCap),
+		ring:   make([]Sample, windowSamples),
+		events: newEventLog(eventCapacity),
 	}
 }
 
@@ -118,7 +109,7 @@ func (p *Plane) Scrapes() uint64 {
 
 // rateWindow reads the plane under its lock: the newest sample (ok is false
 // before the first scrape), the oldest sample the ring holds (at most
-// Window-1 steps behind the newest), the wall seconds between the
+// windowSamples-1 steps behind the newest), the wall seconds between the
 // two (zero until two samples exist; the window is usable only when
 // positive) and the number of samples ever stored. /metrics locates its
 // window here.

@@ -109,36 +109,37 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 
 func TestRingEvictionAndWindowClamp(t *testing.T) {
 	reg := telemetry.New()
-	p := obs.New(obs.Config{Window: 4})
+	p := obs.New(obs.Config{})
 	t0 := time.Unix(2000, 0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 61; i++ {
 		p.Scrape(sampleAt(reg, t0.Add(time.Duration(i)*time.Second), uint64(i+1), rib.Stats{Gen: uint64(i + 1)}))
 	}
-	if p.Scrapes() != 10 {
-		t.Errorf("scrapes %d, want 10", p.Scrapes())
+	if p.Scrapes() != 61 {
+		t.Errorf("scrapes %d, want 61", p.Scrapes())
 	}
-	// Only 4 samples retained: the window spans 3 steps back, one
-	// second each.
+	// The 61st scrape evicts the first: the 60 samples retained span 59
+	// steps back, one second each.
 	m := exposition(t, p)
-	if g, w := m["asi_rib_generation"].Value, m["asi_obs_window_seconds"].Value; g != 10 || w != 3 {
-		t.Errorf("window = gen %v over %vs, want gen 10 over 3s", g, w)
+	if g, w := m["asi_rib_generation"].Value, m["asi_obs_window_seconds"].Value; g != 61 || w != 59 {
+		t.Errorf("window = gen %v over %vs, want gen 61 over 59s", g, w)
 	}
 }
 
 func TestEventLogBoundedTail(t *testing.T) {
-	p := obs.New(obs.Config{EventCapacity: 4})
-	for i := 1; i <= 10; i++ {
+	p := obs.New(obs.Config{})
+	// The log holds 1 024 events: the 1 025th evicts the first.
+	for i := 1; i <= 1025; i++ {
 		p.Log(obs.EventChurnApply, uint64(i), int64(i), "")
 	}
-	if p.EventsLogged() != 10 || p.EventsDropped() != 6 {
-		t.Errorf("logged %d dropped %d, want 10/6", p.EventsLogged(), p.EventsDropped())
+	if p.EventsLogged() != 1025 || p.EventsDropped() != 1 {
+		t.Errorf("logged %d dropped %d, want 1025/1", p.EventsLogged(), p.EventsDropped())
 	}
 	evs := p.Events(0)
-	if len(evs) != 4 || evs[0].Gen != 7 || evs[3].Gen != 10 {
-		t.Fatalf("tail = %+v, want gens 7..10 oldest first", evs)
+	if len(evs) != 1024 || evs[0].Gen != 2 || evs[1023].Gen != 1025 {
+		t.Fatalf("tail of %d events from gen %d, want gens 2..1025 oldest first", len(evs), evs[0].Gen)
 	}
-	if got := p.Events(2); len(got) != 2 || got[0].Gen != 9 {
-		t.Errorf("tail(2) = %+v, want gens 9,10", got)
+	if got := p.Events(2); len(got) != 2 || got[0].Gen != 1024 || got[1].Gen != 1025 {
+		t.Errorf("tail(2) = %+v, want gens 1024,1025", got)
 	}
 
 	ts := httptest.NewServer(p.EventsHandler())

@@ -78,7 +78,7 @@ func (p *Plane) render(w *promWriter) {
 	w.fixed("asi_obs_window_seconds", "gauge", "wall span of the rate window", sec)
 	w.fixed("asi_sim_time_ps", "gauge", "simulation clock, picoseconds", float64(cur.SimPS))
 
-	tw := telemetry.NewWindow(cur.Telemetry, base.Telemetry)
+	tw := telemetry.Window{Cur: cur.Telemetry, Prev: base.Telemetry}
 	for _, c := range cur.Telemetry.Counters {
 		w.named(c.Name)
 		w.meta("", "counter", "telemetry counter ", c.Name, "")

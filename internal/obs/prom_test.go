@@ -275,11 +275,11 @@ var refUnits = []string{"", "ns", "ps", `q"\é`}
 func TestWritePromMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := New(Config{Window: 1 + rng.Intn(8), EventCapacity: 1 + rng.Intn(4)})
+		p := New(Config{})
 		checkAgainstRef(t, p, fmt.Sprintf("seed %d, empty plane", seed))
 		reg := telemetry.New()
 		wall := time.Unix(5000, 0)
-		for step := 0; step < 30; step++ {
+		for step := 0; step < 70; step++ { // past the 60-sample ring
 			mutateRegistry(rng, reg)
 			switch rng.Intn(6) {
 			case 0: // the same instant: a zero-length window
@@ -443,7 +443,7 @@ func (s stallWriter) Write(b []byte) (int, error) {
 func TestWritePromStalledReaderBlocksNothing(t *testing.T) {
 	reg := telemetry.New()
 	rng := rand.New(rand.NewSource(7))
-	p := New(Config{Window: 4})
+	p := New(Config{})
 	t0 := time.Unix(7000, 0)
 	var samples []Sample
 	for i := 0; i < 40; i++ {

@@ -72,13 +72,17 @@ func TestTimerRescheduleZeroAlloc(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			e := NewEngine()
 			fn := func(*Engine) {}
-			tm := e.NewTimer(fn)
+			var id EventID
+			rearm := func(after Duration) {
+				e.Cancel(id)
+				id = e.After(after, fn)
+			}
 			cycle := func() {
 				for i := nearCap; i < d.batch; i++ { // none at the first depth
 					e.After(Duration(10+i), fn)
 				}
-				tm.ScheduleAfter(1) // earliest of all: spills when the run is full
-				tm.ScheduleAfter(2) // reschedule while armed
+				rearm(1) // earliest of all: spills when the run is full
+				rearm(2) // reschedule while armed
 				e.Run()
 			}
 			cycle()

@@ -53,18 +53,21 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	reportEventsPerSec(b, batch)
 }
 
-// BenchmarkTimerReschedule measures the reusable-timer rearm cycle used by
-// link serializers and the FM work queue.
-func BenchmarkTimerReschedule(b *testing.B) {
+// BenchmarkRearm measures re-arming a recurring event, a handler bound
+// once plus its EventID, as the FM's assimilation debounce does: Cancel
+// of the ID, then a fresh After.
+func BenchmarkRearm(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	tm := e.NewTimer(func(*Engine) {})
-	tm.ScheduleAfter(1)
+	fn := func(*Engine) {}
+	id := e.After(1, fn)
 	e.Run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tm.ScheduleAfter(1)
-		tm.ScheduleAfter(2)
+		e.Cancel(id)
+		id = e.After(1, fn)
+		e.Cancel(id)
+		id = e.After(2, fn)
 		e.Run()
 	}
 	b.StopTimer()

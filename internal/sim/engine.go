@@ -279,8 +279,9 @@ func (e *Engine) Cancel(id EventID) bool {
 }
 
 // Armed reports whether the identified event is still scheduled. A record
-// that schedules one recurring event through AtArg can keep the EventID
-// and ask here before scheduling again, instead of owning a Timer.
+// that schedules one recurring event keeps its handler, bound once, and
+// the EventID: it asks here before scheduling again, or re-arms with
+// Cancel of the ID and a fresh At, which allocates nothing.
 func (e *Engine) Armed(id EventID) bool {
 	if id.slot == 0 {
 		return false
@@ -479,44 +480,3 @@ func (e *Engine) removeAt(pos int) {
 		e.siftUp(pos)
 	}
 }
-
-// Timer is a reusable scheduled event with a pre-bound handler. It is the
-// allocation-free replacement for the schedule-a-fresh-closure pattern on
-// recurring events (link serializer kicks, serial work queues, timeouts):
-// the callback is bound once at construction and every (re)schedule just
-// takes an arena slot.
-//
-// A Timer tracks at most one pending firing: scheduling while armed
-// cancels the pending one first. Like the Engine itself, a Timer is not
-// safe for concurrent use.
-type Timer struct {
-	e  *Engine
-	fn Handler
-	id EventID
-}
-
-// NewTimer returns an unarmed timer that runs fn when it fires.
-func (e *Engine) NewTimer(fn Handler) *Timer {
-	if fn == nil {
-		panic("sim: nil timer handler")
-	}
-	return &Timer{e: e, fn: fn}
-}
-
-// Armed reports whether the timer has a pending firing.
-func (t *Timer) Armed() bool { return t.e.Armed(t.id) }
-
-// ScheduleAt (re)schedules the timer to fire at the absolute instant at,
-// canceling any pending firing first.
-func (t *Timer) ScheduleAt(at Time) {
-	t.e.Cancel(t.id)
-	t.id = t.e.At(at, t.fn)
-}
-
-// ScheduleAfter (re)schedules the timer to fire d after the current
-// instant, canceling any pending firing first.
-func (t *Timer) ScheduleAfter(d Duration) { t.ScheduleAt(t.e.now.Add(d)) }
-
-// Stop cancels the pending firing, if any, and reports whether one was
-// descheduled.
-func (t *Timer) Stop() bool { return t.e.Cancel(t.id) }

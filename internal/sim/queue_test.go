@@ -178,22 +178,23 @@ func TestQueueDifferentialInterleaved(t *testing.T) {
 	}
 }
 
-// TestTimerRescheduleMatchesCancelPlusSchedule pins the Timer equivalence:
-// rescheduling an armed timer behaves exactly like canceling the pending
-// firing and scheduling anew (fresh seq, so it loses ties against events
-// scheduled before the reschedule).
+// TestTimerRescheduleMatchesCancelPlusSchedule pins what re-arming a
+// recurring event (a handler bound once plus its EventID) means: the
+// pending firing is canceled and a fresh one scheduled, with a fresh seq,
+// so it loses ties against events scheduled before the re-arm.
 func TestTimerRescheduleMatchesCancelPlusSchedule(t *testing.T) {
 	var order []string
 	e := NewEngine()
-	tm := e.NewTimer(func(*Engine) { order = append(order, "timer") })
-	tm.ScheduleAt(10)
+	fn := func(*Engine) { order = append(order, "timer") }
+	id := e.At(10, fn)
 	e.At(20, func(*Engine) { order = append(order, "a") })
-	tm.ScheduleAt(20) // cancels the firing at 10; new seq after "a"
+	e.Cancel(id) // the firing at 10 goes; the new one's seq is after "a"
+	id = e.At(20, fn)
 	e.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "timer" {
 		t.Fatalf("order = %v, want [a timer]", order)
 	}
-	if tm.Armed() {
+	if e.Armed(id) {
 		t.Error("timer still armed after firing")
 	}
 }
@@ -201,25 +202,25 @@ func TestTimerRescheduleMatchesCancelPlusSchedule(t *testing.T) {
 func TestTimerStopAndRearm(t *testing.T) {
 	fired := 0
 	e := NewEngine()
-	tm := e.NewTimer(func(*Engine) { fired++ })
-	tm.ScheduleAfter(5)
-	if !tm.Armed() {
+	fn := func(*Engine) { fired++ }
+	id := e.After(5, fn)
+	if !e.Armed(id) {
 		t.Fatal("timer not armed after schedule")
 	}
-	if !tm.Stop() {
-		t.Fatal("Stop of armed timer reported nothing to do")
+	if !e.Cancel(id) {
+		t.Fatal("Cancel of an armed timer reported nothing to do")
 	}
-	if tm.Stop() {
-		t.Fatal("second Stop reported descheduling")
+	if e.Cancel(id) || e.Armed(id) {
+		t.Fatal("a canceled timer's ID still descheduled or read armed")
 	}
 	e.Run()
 	if fired != 0 {
-		t.Fatalf("stopped timer fired %d times", fired)
+		t.Fatalf("canceled timer fired %d times", fired)
 	}
-	tm.ScheduleAfter(5)
+	id = e.After(5, fn)
 	e.Run()
-	if fired != 1 {
-		t.Fatalf("rearmed timer fired %d times, want 1", fired)
+	if fired != 1 || e.Armed(id) {
+		t.Fatalf("rearmed timer fired %d times (armed after: %v), want 1", fired, e.Armed(id))
 	}
 }
 
@@ -484,21 +485,24 @@ func TestQueueRunUntilBetweenTiers(t *testing.T) {
 	}
 }
 
-// TestTimerRearmInsideHandlerNearFull rearms a timer from its own handler
-// at the moment the near run is full again, so the rearm spills; the firing
-// order must match cancel-plus-schedule on the reference.
+// TestTimerRearmInsideHandlerNearFull rearms a timer (a handler bound once
+// plus its EventID) from its own handler at the moment the near run is
+// full again, so the rearm spills; the firing order must match
+// cancel-plus-schedule on the reference.
 func TestTimerRearmInsideHandlerNearFull(t *testing.T) {
 	d := newDiffQueue(t)
 	const timerID = -1
-	var tm *Timer
+	var id EventID
+	var fn Handler
 	rearm := func(delta Duration) {
 		d.ref.cancel(timerID)
 		d.ref.schedule(d.e.Now().Add(delta), d.e.nextSeq, timerID)
-		tm.ScheduleAfter(delta)
+		d.e.Cancel(id)
+		id = d.e.After(delta, fn)
 		d.check()
 	}
 	fires := 0
-	tm = d.e.NewTimer(func(*Engine) {
+	fn = func(*Engine) {
 		d.got = append(d.got, timerID)
 		if fires++; fires > 6 {
 			return
@@ -506,7 +510,7 @@ func TestTimerRearmInsideHandlerNearFull(t *testing.T) {
 		d.schedule(3)              // takes the fired slot's place: full again
 		rearm(20)                  // lands inside the run: spills its maximum
 		rearm(Duration(2 * fires)) // rearmed while armed, still inside the handler
-	})
+	}
 	for i := 0; i < nearCap-1; i++ {
 		d.schedule(Duration(5 + i))
 	}

@@ -28,31 +28,17 @@ import (
 //     registered inside the window).
 //   - Gauges are levels, not differences: read them from Cur.
 //
-// Where a section holds a name (or vector slot) twice, its last entry is
-// the one read. A lookup binary-searches a section whose entries strictly
-// ascend by name (and index), as every Registry snapshot's do, and scans
-// any other section from its end. Both views of the observability plane
-// read their windowed values from one.
+// Both snapshots must be Registry snapshots, whose sections strictly
+// ascend by name (and index): every lookup is a binary search. The
+// observability plane's /metrics reads its windowed values from one.
 type Window struct {
 	Cur, Prev Snapshot
-	// sorted flags the strictly ascending sections: [0] of Cur, [1] of
-	// Prev, each holding counters, vectors, histograms.
-	sorted [2][3]bool
 }
 
-// NewWindow prepares the lookups of the change from prev to cur.
-func NewWindow(cur, prev Snapshot) Window {
-	w := Window{Cur: cur, Prev: prev}
-	for i, s := range [2]Snapshot{cur, prev} {
-		w.sorted[i] = [3]bool{ascending(s.Counters, cmpCounter), ascending(s.Vectors, cmpVec), ascending(s.Histograms, cmpHist)}
-	}
-	return w
-}
-
-// Counter returns the change of the last counter called name in Cur; ok
-// is false when Cur has none.
+// Counter returns the change of the counter called name in Cur; ok is
+// false when Cur has none.
 func (w *Window) Counter(name string) (delta uint64, ok bool) {
-	i := find(w.Cur.Counters, CounterSnap{Name: name}, w.sorted[0][0], cmpCounter)
+	i := find(w.Cur.Counters, CounterSnap{Name: name}, cmpCounter)
 	if i < 0 {
 		return 0, false
 	}
@@ -62,26 +48,21 @@ func (w *Window) Counter(name string) (delta uint64, ok bool) {
 // Family returns the summed change of every vector slot called name: the
 // counter family's windowed total.
 func (w *Window) Family(name string) (sum uint64) {
-	vs, sorted := w.Cur.Vectors, w.sorted[0][1]
-	if sorted {
-		lo, _ := slices.BinarySearchFunc(vs, VecSnap{Name: name, Index: math.MinInt}, cmpVec)
-		vs = vs[lo:]
-	}
-	for _, v := range vs {
-		if v.Name == name {
-			sum += w.vector(v)
-		} else if sorted {
+	lo, _ := slices.BinarySearchFunc(w.Cur.Vectors, VecSnap{Name: name, Index: math.MinInt}, cmpVec)
+	for _, v := range w.Cur.Vectors[lo:] {
+		if v.Name != name {
 			break
 		}
+		sum += w.vector(v)
 	}
 	return sum
 }
 
-// Histogram returns the change of the last histogram called name in Cur,
+// Histogram returns the change of the histogram called name in Cur,
 // with its bucket counts written into counts' backing array when it is
 // large enough; ok is false when Cur has none.
 func (w *Window) Histogram(name string, counts []uint64) (delta HistogramSnap, ok bool) {
-	i := find(w.Cur.Histograms, HistogramSnap{Name: name}, w.sorted[0][2], cmpHist)
+	i := find(w.Cur.Histograms, HistogramSnap{Name: name}, cmpHist)
 	if i < 0 {
 		return HistogramSnap{}, false
 	}
@@ -90,7 +71,7 @@ func (w *Window) Histogram(name string, counts []uint64) (delta HistogramSnap, o
 
 // counter is c's change against Prev.
 func (w *Window) counter(c CounterSnap) uint64 {
-	if i := find(w.Prev.Counters, c, w.sorted[1][0], cmpCounter); i >= 0 && w.Prev.Counters[i].Value <= c.Value {
+	if i := find(w.Prev.Counters, c, cmpCounter); i >= 0 && w.Prev.Counters[i].Value <= c.Value {
 		return c.Value - w.Prev.Counters[i].Value
 	}
 	return c.Value
@@ -98,7 +79,7 @@ func (w *Window) counter(c CounterSnap) uint64 {
 
 // vector is slot v's change against Prev.
 func (w *Window) vector(v VecSnap) uint64 {
-	if i := find(w.Prev.Vectors, v, w.sorted[1][1], cmpVec); i >= 0 && w.Prev.Vectors[i].Value <= v.Value {
+	if i := find(w.Prev.Vectors, v, cmpVec); i >= 0 && w.Prev.Vectors[i].Value <= v.Value {
 		return v.Value - w.Prev.Vectors[i].Value
 	}
 	return v.Value
@@ -114,7 +95,7 @@ func (w *Window) histogram(h HistogramSnap, counts []uint64) HistogramSnap {
 		Bounds: h.Bounds,
 		Counts: append(counts[:0], h.Counts...),
 	}
-	i := find(w.Prev.Histograms, h, w.sorted[1][2], cmpHist)
+	i := find(w.Prev.Histograms, h, cmpHist)
 	if i < 0 {
 		return d
 	}
@@ -130,32 +111,13 @@ func (w *Window) histogram(h HistogramSnap, counts []uint64) HistogramSnap {
 	return d
 }
 
-// find returns the index of the last entry of s that compares equal to x,
-// or -1: a binary search when s strictly ascends, a backward scan
-// otherwise.
-func find[T any](s []T, x T, sorted bool, cmp func(a, b T) int) int {
-	if sorted {
-		if i, ok := slices.BinarySearchFunc(s, x, cmp); ok {
-			return i
-		}
-		return -1
-	}
-	for i := len(s) - 1; i >= 0; i-- {
-		if cmp(s[i], x) == 0 {
-			return i
-		}
+// find returns the index of the entry of the ascending s that compares
+// equal to x, or -1.
+func find[T any](s []T, x T, cmp func(a, b T) int) int {
+	if i, ok := slices.BinarySearchFunc(s, x, cmp); ok {
+		return i
 	}
 	return -1
-}
-
-// ascending reports whether s strictly ascends under cmp.
-func ascending[T any](s []T, cmp func(a, b T) int) bool {
-	for i := 1; i < len(s); i++ {
-		if cmp(s[i-1], s[i]) >= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // The orders of the snapshot sections: by name, vector slots then by index.

@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +25,7 @@ func TestSnapshotDelta(t *testing.T) {
 	v.Inc(3)
 	h.Observe(50)
 	h.Observe(400)
-	w := NewWindow(r.Snapshot(), prev)
+	w := Window{Cur: r.Snapshot(), Prev: prev}
 
 	if got, _ := w.Counter("c"); got != 10 {
 		t.Errorf("counter delta %d, want 10", got)
@@ -54,7 +54,7 @@ func TestSnapshotDeltaResetClamps(t *testing.T) {
 	prev := r.Snapshot()
 	r.Reset()
 	r.Counter("c").Add(3)
-	w := NewWindow(r.Snapshot(), prev)
+	w := Window{Cur: r.Snapshot(), Prev: prev}
 	if got, _ := w.Counter("c"); got != 3 {
 		t.Errorf("reset counter delta %d, want clamp to 3", got)
 	}
@@ -64,7 +64,7 @@ func TestSnapshotDeltaNewMetricPassesThrough(t *testing.T) {
 	r := New()
 	prev := r.Snapshot()
 	r.Counter("fresh").Add(9)
-	w := NewWindow(r.Snapshot(), prev)
+	w := Window{Cur: r.Snapshot(), Prev: prev}
 	if got, ok := w.Counter("fresh"); !ok || got != 9 {
 		t.Errorf("fresh counter delta %d ok=%v, want 9", got, ok)
 	}
@@ -128,7 +128,7 @@ func TestCounterSetTotal(t *testing.T) {
 
 // deltaRef is the map-based delta the Window replaced, kept as the
 // referee: every Window lookup must agree with it on any pair of
-// snapshots, sorted or not, with repeated names or not.
+// registry snapshots.
 func deltaRef(s, prev Snapshot) Snapshot {
 	var d Snapshot
 	prevC := make(map[string]uint64, len(prev.Counters))
@@ -187,79 +187,70 @@ func deltaRef(s, prev Snapshot) Snapshot {
 	return d
 }
 
-// randomSnapshot draws a snapshot over a small name pool: name-sorted
-// like a registry's, or shuffled, or with repeated names and slots.
-func randomSnapshot(rng *rand.Rand, shape int) Snapshot {
+// randomSnapshot draws a registry snapshot over a small name pool.
+func randomSnapshot(rng *rand.Rand) Snapshot {
 	names := []string{"", "a", "a.b", "b", "c", "zz"}
 	name := func() string { return names[rng.Intn(len(names))] }
-	var s Snapshot
-	if shape == 0 { // a registry's: sorted, each name once per kind
-		r := New()
-		for i := rng.Intn(6); i > 0; i-- {
-			r.Counter(name()).Add(uint64(rng.Intn(20)))
-		}
-		for i := rng.Intn(3); i > 0; i-- {
-			r.Gauge(name()).Set(rng.Int63n(10) - 5)
-		}
-		for i := rng.Intn(6); i > 0; i-- {
-			r.CounterVec(name(), 4).Add(rng.Intn(4), uint64(rng.Intn(20)))
-		}
-		for i := rng.Intn(4); i > 0; i-- {
-			h := r.Histogram(name(), "ps", []int64{5, 50})
-			for j := rng.Intn(8); j > 0; j-- {
-				h.Observe(rng.Int63n(100))
-			}
-		}
-		return r.Snapshot()
+	r := New()
+	for i := rng.Intn(6); i > 0; i-- {
+		r.Counter(name()).Add(uint64(rng.Intn(20)))
 	}
-	for i := rng.Intn(8); i > 0; i-- {
-		s.Counters = append(s.Counters, CounterSnap{Name: name(), Value: uint64(rng.Intn(20))})
+	for i := rng.Intn(3); i > 0; i-- {
+		r.Gauge(name()).Set(rng.Int63n(10) - 5)
 	}
-	for i := rng.Intn(8); i > 0; i-- {
-		s.Vectors = append(s.Vectors, VecSnap{Name: name(), Index: rng.Intn(3), Value: uint64(rng.Intn(20))})
+	for i := rng.Intn(6); i > 0; i-- {
+		r.CounterVec(name(), 4).Add(rng.Intn(4), uint64(rng.Intn(20)))
 	}
-	for i := rng.Intn(5); i > 0; i-- {
-		n := 1 + rng.Intn(3)
-		h := HistogramSnap{Name: name(), Bounds: make([]int64, n-1), Counts: make([]uint64, n)}
-		for j := range h.Counts {
-			h.Counts[j] = uint64(rng.Intn(9))
-			h.Count += h.Counts[j]
+	for i := rng.Intn(4); i > 0; i-- {
+		h := r.Histogram(name(), "ps", []int64{5, 50})
+		for j := rng.Intn(8); j > 0; j-- {
+			h.Observe(rng.Int63n(100))
 		}
-		h.Sum = int64(rng.Intn(1000))
-		s.Histograms = append(s.Histograms, h)
 	}
-	if shape == 1 { // sorted, but names may repeat
-		slices.SortStableFunc(s.Counters, cmpCounter)
-		slices.SortStableFunc(s.Vectors, cmpVec)
-		slices.SortStableFunc(s.Histograms, cmpHist)
-	}
-	return s
+	return r.Snapshot()
 }
 
-// TestDeltaAndWindowMatchReference checks the by-name reads both views
-// of the observability plane make.
+// ascending reports whether s strictly ascends under cmp.
+func ascending[T any](s []T, cmp func(a, b T) int) bool {
+	for i := 1; i < len(s); i++ {
+		if cmp(s[i-1], s[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDeltaAndWindowMatchReference checks the by-name reads /metrics
+// makes, and the premise of their binary searches: every section of a
+// registry snapshot strictly ascends by name (and slot index).
 func TestDeltaAndWindowMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3000; trial++ {
-		cur, prev := randomSnapshot(rng, rng.Intn(3)), randomSnapshot(rng, rng.Intn(3))
+		cur, prev := randomSnapshot(rng), randomSnapshot(rng)
+		for _, s := range []Snapshot{cur, prev} {
+			if !ascending(s.Counters, cmpCounter) || !ascending(s.Vectors, cmpVec) || !ascending(s.Histograms, cmpHist) ||
+				!ascending(s.Gauges, func(a, b GaugeSnap) int { return strings.Compare(a.Name, b.Name) }) {
+				t.Fatalf("trial %d: a snapshot section does not strictly ascend: %+v", trial, s)
+			}
+		}
 		want := deltaRef(cur, prev)
-		// The exposition's by-name reads: the last entry of a name wins,
-		// a family sums every slot of its name.
-		lastC, family, lastH := map[string]uint64{}, map[string]uint64{}, map[string]HistogramSnap{}
+		// The exposition's by-name reads: a family sums every slot of its
+		// name.
+		counter, family, hist := map[string]uint64{}, map[string]uint64{}, map[string]HistogramSnap{}
 		for _, c := range want.Counters {
-			lastC[c.Name] = c.Value
+			counter[c.Name] = c.Value
 		}
 		for _, v := range want.Vectors {
 			family[v.Name] += v.Value
 		}
 		for _, h := range want.Histograms {
-			lastH[h.Name] = h
+			hist[h.Name] = h
 		}
-		w := NewWindow(cur, prev)
+		w := Window{Cur: cur, Prev: prev}
 		var buf []uint64
 		for _, name := range []string{"", "a", "a.b", "b", "c", "zz", "absent"} {
 			c, ok := w.Counter(name)
-			if wc, wok := lastC[name]; c != wc || ok != wok {
+			if wc, wok := counter[name]; c != wc || ok != wok {
 				t.Fatalf("trial %d: Counter(%q) = %d, %v; want %d, %v", trial, name, c, ok, wc, wok)
 			}
 			if got := w.Family(name); got != family[name] {
@@ -270,7 +261,7 @@ func TestDeltaAndWindowMatchReference(t *testing.T) {
 			if len(h.Counts) == 0 {
 				h.Counts = nil // written into buf: empty, not nil
 			}
-			if wh, wok := lastH[name]; ok != wok || !reflect.DeepEqual(h, wh) {
+			if wh, wok := hist[name]; ok != wok || !reflect.DeepEqual(h, wh) {
 				t.Fatalf("trial %d: Histogram(%q) = %+v, %v; want %+v, %v", trial, name, h, ok, wh, wok)
 			}
 		}
