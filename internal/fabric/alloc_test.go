@@ -13,7 +13,7 @@ import (
 )
 
 // Zero-allocation regression tests for the packet hot path: with no
-// tracer attached, steady-state injection, per-hop transmit (link.kick),
+// tracer attached, steady-state injection, per-hop transmit (halfLink.kick),
 // switch forwarding and delivery must not allocate. The pools involved —
 // the engine's event arena, the per-device flight and route-job pools and
 // the VC rings — all recycle after warmup.
@@ -221,10 +221,11 @@ func TestFabricNewAllocBudget(t *testing.T) {
 }
 
 // TestRecordSizes pins the link record, one per cable of a fabric, at
-// most 192 bytes: its six VC rings live in a block allocated only when a
-// packet has to wait (424 bytes with them inline).
+// 112 bytes: its six VC rings live in a block allocated only when a
+// packet has to wait (424 bytes with them inline), and a half link keeps
+// no pending-kick ID, since only a transmission schedules a kick.
 func TestRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(link{}); n > 192 {
-		t.Fatalf("sizeof(link) = %d, want <= 192", n)
+	if n := unsafe.Sizeof(link{}); n != 112 {
+		t.Fatalf("sizeof(link) = %d, want 112", n)
 	}
 }

@@ -38,15 +38,14 @@ type link struct {
 // no closures, and in-flight packets ride flight records pooled on the
 // sending device.
 type halfLink struct {
-	l         *link
+	l *link
+	// busyUntil is when the serializer frees. Only transmit sets it, and
+	// it schedules the kick for that instant in the same call, so a busy
+	// serializer always has exactly one wake-up pending.
 	busyUntil sim.Time
-	// wake is the pending kickHalf event that re-runs the transmit
-	// scheduler when the serializer frees while packets wait, if one is
-	// armed. It lives on the sender's engine.
-	wake    sim.EventID
-	q       *vcQueues // nil until a packet first has to wait
-	credits [asi.NumVCs]int32
-	dir     uint8 // index in l.half: 0 sends a->b, 1 sends b->a
+	q         *vcQueues // nil until a packet first has to wait
+	credits   [asi.NumVCs]int32
+	dir       uint8 // index in l.half: 0 sends a->b, 1 sends b->a
 }
 
 // vcQueues are a half link's per-VC transmit queues.
@@ -78,11 +77,10 @@ type flight struct {
 	next *flight
 }
 
-// kickHalf is the scheduled form of link.kick: the serializer of one
+// kickHalf is the scheduled form of halfLink.kick: the serializer of one
 // direction came free.
 func kickHalf(_ *sim.Engine, arg any) {
-	h := arg.(*halfLink)
-	h.l.kick(h.sender())
+	arg.(*halfLink).kick()
 }
 
 // deliverFlight completes a flight on the engine both ends share: the
@@ -223,28 +221,23 @@ func (l *link) send(d *Device, pkt *asi.Packet) {
 		h.q = new(vcQueues)
 	}
 	h.q[vc].Push(pkt)
-	l.kick(d)
+	h.kick()
 }
 
 // vcNames are the preformatted span names of each virtual channel, so
 // recording a transmit or a stall never formats on the fly.
 var vcNames = [asi.NumVCs]string{"vc=0", "vc=1", "vc=2"}
 
-// kick runs the transmit scheduler for d's direction: while the serializer
+// kick runs the transmit scheduler for h's direction: while the serializer
 // is idle, pick the highest-priority VC with both a queued packet and a
 // credit, and put it on the wire. Management traffic (highest VC) always
 // wins arbitration, which is the property the paper relies on when it
-// states application traffic scarcely influences discovery time.
-func (l *link) kick(d *Device) {
-	e := d.eng
-	h := &l.half[l.halfFrom(d)]
-	if h.busyUntil > e.Now() {
-		if !e.Armed(h.wake) {
-			h.wake = e.AtArg(h.busyUntil, kickHalf, h)
-		}
-		return
-	}
-	if !l.up || !d.Alive() || h.q == nil {
+// states application traffic scarcely influences discovery time. A busy
+// serializer needs nothing: the transmission that made it busy scheduled
+// the kick for the instant it frees.
+func (h *halfLink) kick() {
+	l, d := h.l, h.sender()
+	if h.busyUntil > d.eng.Now() || !l.up || !d.Alive() || h.q == nil {
 		return
 	}
 	// Highest VC index first: VC2 is the management channel.
@@ -305,7 +298,8 @@ func (l *link) transmit(d *Device, h *halfLink, pkt *asi.Packet, vc asi.VCID) {
 		fl.h, fl.pkt, fl.vc = h, pkt, vc
 		e.AfterArg(arrive, deliverFlight, fl)
 	}
-	// Serializer free again at busyUntil; try the next packet.
+	// Serializer free again at busyUntil; try the next packet. This is
+	// the only kick scheduled for that instant.
 	e.AtArg(h.busyUntil, kickHalf, h)
 }
 
@@ -339,5 +333,5 @@ func (l *link) applyCredit(dirIdx int, vc asi.VCID) {
 	if int(h.credits[vc]) < l.f.cfg.CreditsPerVC {
 		h.credits[vc]++
 	}
-	l.kick(h.sender())
+	h.kick()
 }

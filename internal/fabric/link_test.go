@@ -206,3 +206,62 @@ func TestEndpointPathToSwitchSelf(t *testing.T) {
 		t.Errorf("request/response flow broken: sw=%d ep=%d", sw.RxPackets, got)
 	}
 }
+
+// TestOneKickPerTransmission pins the serializer's wake-up: only the
+// transmission that makes a serializer busy schedules the kick for the
+// instant it frees, and nothing else schedules one. A burst of
+// application packets from one endpoint through a switch to another, at
+// the default credits, makes credit returns land and packets queue while
+// a serializer is busy. No generator runs (the burst is injected before
+// the run), so every event is one of three:
+//
+//   - a flight's arrival, one per link transmission;
+//   - a serializer kick, one per link transmission;
+//   - a cut-through routing decision, one per packet reaching the switch.
+//
+// The run therefore processes exactly 2*TxPackets + burst events, with
+// TxPackets = 2*burst (two hops each).
+func TestOneKickPerTransmission(t *testing.T) {
+	tp := topo.New("line")
+	sw := tp.AddSwitch(4, "sw")
+	src, dst := tp.AddEndpoint("src"), tp.AddEndpoint("dst")
+	if err := tp.Connect(src, 0, sw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.Connect(sw, 1, dst, 0); err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	f, err := New(e, tp, Config{}, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := route.Header(route.Path{{Ports: 4, In: 0, Out: 1}}, asi.PIApplication)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr.TC = 0 // bulk VC, default credits
+	const burst = 32
+	for i := 0; i < burst; i++ {
+		f.Device(src).Inject(&asi.Packet{Header: hdr, Payload: asi.AppData{Bytes: 1000}})
+	}
+	// Each credit return the sender sees lands while it serializes a
+	// later packet of the burst.
+	h := &f.Device(src).ports[0].link.half[0]
+	returnsWhileBusy := 0
+	for credits := h.credits[0]; e.Step(); credits = h.credits[0] {
+		if h.credits[0] > credits && h.busyUntil > e.Now() {
+			returnsWhileBusy++
+		}
+	}
+	if returnsWhileBusy == 0 {
+		t.Fatal("no credit return landed while the sender was busy")
+	}
+	c := f.Counters()
+	if c.TxPackets != 2*burst || f.Device(dst).RxPackets != burst {
+		t.Fatalf("tx %d, delivered %d; want %d and %d", c.TxPackets, f.Device(dst).RxPackets, 2*burst, burst)
+	}
+	if want := 2*c.TxPackets + burst; e.Processed != want {
+		t.Errorf("processed %d events, want %d: 2 per transmission (arrival, kick) + 1 per routing decision", e.Processed, want)
+	}
+}

@@ -326,3 +326,44 @@ func TestQueuePremiseFarPushShare(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscoveryKicksEqualTransmissions pins one serializer kick per link
+// transmission over a whole 8x8-torus Parallel discovery. The kicks are
+// what is left of the processed events once every other kind is counted
+// from the fabric and the manager:
+//
+//   - a flight's arrival per transmission (Counters().TxPackets);
+//   - a switch routing decision per arrival not consumed by an endpoint;
+//   - a device's PI-4 service per request it consumed (every packet a
+//     device other than the manager's endpoint consumes is one);
+//   - an FM work item per Result.Processed, its own device read included.
+//
+// No timeout fires on a loss-free fabric, and nothing else is scheduled.
+func TestDiscoveryKicksEqualTransmissions(t *testing.T) {
+	r, err := rig.New(topo.Torus(8, 8), rig.Config{Seed: 1, Manager: core.Options{Algorithm: core.Parallel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Manager.StartDiscovery()
+	r.Run()
+	res, ok := r.Manager.LastResult()
+	if !ok || res.TimedOut != 0 {
+		t.Fatalf("discovery: result %v, %d timeouts", ok, res.TimedOut)
+	}
+	tx := r.Fabric.Counters().TxPackets
+	var endpointRx, services uint64
+	for _, d := range r.Fabric.Devices() {
+		if d.Type == asi.DeviceEndpoint {
+			endpointRx += d.RxPackets
+		}
+		if d != r.Manager.Device() {
+			services += d.RxPackets
+		}
+	}
+	routings := tx - endpointRx
+	kicks := r.Engine.Processed - tx - routings - services - uint64(res.Processed)
+	if kicks != tx {
+		t.Errorf("%d kick events for %d transmissions (%d events: %d routings, %d PI-4 services, %d FM work items)",
+			kicks, tx, r.Engine.Processed, routings, services, res.Processed)
+	}
+}

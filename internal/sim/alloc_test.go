@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Zero-allocation regression tests: the engine's steady-state hot path —
 // scheduling into a warmed arena, firing, canceling, timer reuse — must
@@ -128,6 +131,38 @@ var (
 	sinkFree   []int32
 	sinkEngine *Engine
 )
+
+// TestRecordSizes pins the arena's event record at 48 bytes: one
+// callback and its argument, At and After included, since they schedule
+// the Handler as the argument of a package trampoline.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 48 {
+		t.Fatalf("sizeof(event) = %d, want 48", n)
+	}
+}
+
+// TestAtAfterZeroAlloc pins the trampoline: At and After box a
+// pre-bound Handler into the event's argument without allocating.
+func TestAtAfterZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	sink := 0
+	var fn Handler = func(*Engine) { sink++ }
+	e.After(1, fn)
+	e.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 8; i++ {
+			e.At(e.Now().Add(Duration(i+1)), fn)
+			e.After(Duration(i+1), fn)
+		}
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("At/After with a pre-bound Handler allocate %.1f per run, want 0", allocs)
+	}
+	if sink != 1+16*201 {
+		t.Errorf("handler ran %d times, want %d", sink, 1+16*201)
+	}
+}
 
 func TestAfterArgZeroAlloc(t *testing.T) {
 	type payload struct{ n int }

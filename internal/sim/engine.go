@@ -17,16 +17,21 @@ type ArgHandler func(e *Engine, arg any)
 // ties between events scheduled for the same instant: earlier-scheduled
 // events run first, which makes runs deterministic regardless of heap
 // internals. gen distinguishes reuses of the same arena slot so stale
-// EventIDs never cancel an unrelated event.
+// EventIDs never cancel an unrelated event. Every event is an ArgHandler
+// and its arg: At and After schedule callHandler with the Handler as arg.
 type event struct {
 	at      Time
 	seq     uint64
-	fn      Handler
-	afn     ArgHandler
+	fn      ArgHandler
 	arg     any
 	gen     uint32
 	heapPos int32 // position in the far heap, or posNear / posFree
 }
+
+// callHandler is the ArgHandler that At and After schedule: arg is the
+// Handler itself. A func value boxes into an interface without
+// allocating, so a pre-bound Handler schedules allocation-free.
+func callHandler(e *Engine, arg any) { arg.(Handler)(e) }
 
 const (
 	posFree = -1 // the slot is on the free list
@@ -113,7 +118,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Pending() int { return e.nearLen + len(e.heap) }
 
 // alloc takes a free arena slot (or grows the arena), fills and queues it.
-func (e *Engine) alloc(t Time, fn Handler, afn ArgHandler, arg any) EventID {
+func (e *Engine) alloc(t Time, fn ArgHandler, arg any) EventID {
 	var idx int32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
@@ -127,7 +132,6 @@ func (e *Engine) alloc(t Time, fn Handler, afn ArgHandler, arg any) EventID {
 	ev.at = t
 	ev.seq = seq
 	ev.fn = fn
-	ev.afn = afn
 	ev.arg = arg
 	e.nextSeq++
 	e.Scheduled++
@@ -208,13 +212,12 @@ func (e *Engine) next() int32 {
 }
 
 // release recycles a fired or canceled slot. Bumping the generation makes
-// every outstanding EventID for the slot stale; clearing the callbacks
-// drops references so closures and args become collectable.
+// every outstanding EventID for the slot stale; clearing the callback and
+// its arg drops references so closures and args become collectable.
 func (e *Engine) release(idx int32) {
 	ev := &e.arena[idx]
 	ev.gen++
 	ev.fn = nil
-	ev.afn = nil
 	ev.arg = nil
 	ev.heapPos = posFree
 	e.free = append(e.free, idx)
@@ -230,7 +233,7 @@ func (e *Engine) At(t Time, fn Handler) EventID {
 	if fn == nil {
 		panic("sim: nil event handler")
 	}
-	return e.alloc(t, fn, nil, nil)
+	return e.alloc(t, callHandler, fn)
 }
 
 // After schedules fn to run d after the current instant. Negative d panics.
@@ -248,7 +251,7 @@ func (e *Engine) AtArg(t Time, fn ArgHandler, arg any) EventID {
 	if fn == nil {
 		panic("sim: nil event handler")
 	}
-	return e.alloc(t, nil, fn, arg)
+	return e.alloc(t, fn, arg)
 }
 
 // AfterArg schedules fn(engine, arg) to run d after the current instant.
@@ -276,18 +279,6 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	e.release(idx)
 	return true
-}
-
-// Armed reports whether the identified event is still scheduled. A record
-// that schedules one recurring event keeps its handler, bound once, and
-// the EventID: it asks here before scheduling again, or re-arms with
-// Cancel of the ID and a fresh At, which allocates nothing.
-func (e *Engine) Armed(id EventID) bool {
-	if id.slot == 0 {
-		return false
-	}
-	ev := &e.arena[id.slot-1]
-	return ev.gen == id.gen && ev.heapPos != posFree
 }
 
 // Stop makes the current Run return after the in-flight event handler
@@ -358,19 +349,15 @@ func (e *Engine) Step() bool {
 }
 
 // fire advances the clock to the event and runs its callback. The slot is
-// released before the callback runs, so a reusable timer's handler can
+// released before the callback runs, so a recurring event's handler can
 // immediately rearm (possibly reusing the very slot it fired from).
 func (e *Engine) fire(idx int32) {
 	ev := &e.arena[idx]
-	at, fn, afn, arg := ev.at, ev.fn, ev.afn, ev.arg
+	at, fn, arg := ev.at, ev.fn, ev.arg
 	e.release(idx)
 	e.now = at
 	e.Processed++
-	if afn != nil {
-		afn(e, arg)
-		return
-	}
-	fn(e)
+	fn(e, arg)
 }
 
 // less orders arena slots by (at, seq): time first, schedule order second.

@@ -178,6 +178,16 @@ func TestQueueDifferentialInterleaved(t *testing.T) {
 	}
 }
 
+// armed reports whether id still names a scheduled event: its slot holds
+// the same generation and is not on the free list.
+func armed(e *Engine, id EventID) bool {
+	if id.slot == 0 {
+		return false
+	}
+	ev := &e.arena[id.slot-1]
+	return ev.gen == id.gen && ev.heapPos != posFree
+}
+
 // TestTimerRescheduleMatchesCancelPlusSchedule pins what re-arming a
 // recurring event (a handler bound once plus its EventID) means: the
 // pending firing is canceled and a fresh one scheduled, with a fresh seq,
@@ -194,7 +204,7 @@ func TestTimerRescheduleMatchesCancelPlusSchedule(t *testing.T) {
 	if len(order) != 2 || order[0] != "a" || order[1] != "timer" {
 		t.Fatalf("order = %v, want [a timer]", order)
 	}
-	if e.Armed(id) {
+	if armed(e, id) {
 		t.Error("timer still armed after firing")
 	}
 }
@@ -204,13 +214,13 @@ func TestTimerStopAndRearm(t *testing.T) {
 	e := NewEngine()
 	fn := func(*Engine) { fired++ }
 	id := e.After(5, fn)
-	if !e.Armed(id) {
+	if !armed(e, id) {
 		t.Fatal("timer not armed after schedule")
 	}
 	if !e.Cancel(id) {
 		t.Fatal("Cancel of an armed timer reported nothing to do")
 	}
-	if e.Cancel(id) || e.Armed(id) {
+	if e.Cancel(id) || armed(e, id) {
 		t.Fatal("a canceled timer's ID still descheduled or read armed")
 	}
 	e.Run()
@@ -219,8 +229,8 @@ func TestTimerStopAndRearm(t *testing.T) {
 	}
 	id = e.After(5, fn)
 	e.Run()
-	if fired != 1 || e.Armed(id) {
-		t.Fatalf("rearmed timer fired %d times (armed after: %v), want 1", fired, e.Armed(id))
+	if fired != 1 || armed(e, id) {
+		t.Fatalf("rearmed timer fired %d times (armed after: %v), want 1", fired, armed(e, id))
 	}
 }
 
