@@ -34,8 +34,9 @@
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness,
 #                   the RIB, the event queue, the topology namer, the
-#                   wire decoders, the run report, the daemon config, the
-#                   /metrics exposition and the Chrome trace export
+#                   configuration-space decoders, the run report, the
+#                   daemon config, the /metrics exposition and the Chrome
+#                   trace export
 #   make bench    - regenerate the four ledgers: figure, engine, fabric and
 #                   topology benchmarks -> BENCH_sim.json (benchstat-
 #                   compatible raw lines plus parsed metrics, with
@@ -163,11 +164,12 @@ bench-test:
 # FuzzQueueOrder replays schedule/cancel/step/run-until streams against a
 # sorted-slice reference of the engine's two-tier queue. FuzzParseName
 # builds every legal name it finds and checks the port table against the
-# cabling. The seven asi targets are the decoders' fuzz wall, on the wire
-# (packet, PI-4, PI-5, header) and in the configuration space (general
-# information, port information, event route, seeded from the Table 1
-# fabrics): no panic, no read past the input, and what a decoder accepts
-# re-encodes byte for byte. The two experiment targets hold the run-report
+# cabling. The three asi targets are the configuration-space decoders'
+# fuzz wall (general information, port information, event route, seeded
+# from the Table 1 fabrics; the FM parses every completion with them): no
+# panic, no read past the input, and what a decoder accepts re-encodes
+# byte for byte. Packets themselves are never serialized, so there is no
+# wire decoder to fuzz. The two experiment targets hold the run-report
 # envelope and the daemon config to the same rule: what they accept
 # re-encodes into a document that decodes to the same value. The obs and
 # span targets close the wall's last two pairs: a /metrics document
@@ -183,10 +185,6 @@ fuzz:
 	$(GO) test ./internal/rib -run '^$$' -fuzz '^FuzzRIBStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topo -run '^$$' -fuzz '^FuzzParseName$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePacket$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePI4$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodePI5$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParseGeneralInfo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParsePortInfo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeEventRoute$$' -fuzztime $(FUZZTIME)

@@ -231,3 +231,28 @@ func TestDefaultTCtoVCMapsManagementHighest(t *testing.T) {
 		}
 	}
 }
+
+func TestConfigSpaceOffsetsDisjoint(t *testing.T) {
+	// The writable regions are laid out without overlap after the port
+	// blocks — event route, then owner — and end the capability.
+	for _, ports := range []int{2, 4, 16} {
+		er := EventRouteOffset(ports)
+		ow := OwnerOffset(ports)
+		if er != PortInfoOffset(ports) {
+			t.Errorf("ports=%d: event route misplaced", ports)
+		}
+		if int(ow) != int(er)+int(EventRouteBlocks) {
+			t.Errorf("ports=%d: owner region misplaced", ports)
+		}
+		if HeadBlocks(ports) != int(ow)+int(OwnerBlocks) {
+			t.Errorf("ports=%d: capability size %d", ports, HeadBlocks(ports))
+		}
+	}
+	sw, err := newConfigSpace(DeviceSwitch, 1, 16, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Ports() != 16 {
+		t.Errorf("Ports() = %d", sw.Ports())
+	}
+}

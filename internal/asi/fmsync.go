@@ -1,9 +1,6 @@
 package asi
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // PIFMSync is the protocol interface used by collaborating fabric
 // managers to ship topology reports to the primary — the inter-FM
@@ -28,6 +25,9 @@ type FMSync struct {
 // (DSN, type/ports word, and link tuple, delta-compressed).
 const FMSyncEntryBytes = 12
 
+// fmSyncFixedSize is the chunk header on the wire: from(8) seq(2)
+// entries(2) final(1). The records after it are sized, not carried: the
+// simulation transfers database content out of band.
 const fmSyncFixedSize = 13
 
 // ProtocolInterface implements Payload.
@@ -39,56 +39,4 @@ func (p FMSync) WireSize() int { return fmSyncFixedSize + int(p.Entries)*FMSyncE
 // String summarizes the chunk.
 func (p FMSync) String() string {
 	return fmt.Sprintf("fmsync{from=%s seq=%d entries=%d final=%v}", p.From, p.Seq, p.Entries, p.Final)
-}
-
-// EncodeFMSync serializes the chunk header followed by an opaque body of
-// Entries records (zero-filled here; the simulation transfers database
-// content out of band and only the wire size matters to the fabric).
-func EncodeFMSync(p FMSync) []byte {
-	b := make([]byte, p.WireSize())
-	binary.BigEndian.PutUint64(b[0:8], uint64(p.From))
-	binary.BigEndian.PutUint16(b[8:10], p.Seq)
-	binary.BigEndian.PutUint16(b[10:12], p.Entries)
-	if p.Final {
-		b[12] = 1
-	}
-	return b
-}
-
-// DecodeFMSync parses a chunk. It accepts exactly what EncodeFMSync
-// writes: a Final byte of 0 or 1, then Entries zero-filled records and
-// nothing after them.
-func DecodeFMSync(b []byte) (FMSync, error) {
-	var p FMSync
-	if len(b) < fmSyncFixedSize {
-		return p, fmt.Errorf("asi: FM-sync payload too short: %d bytes", len(b))
-	}
-	p.From = DSN(binary.BigEndian.Uint64(b[0:8]))
-	p.Seq = binary.BigEndian.Uint16(b[8:10])
-	p.Entries = binary.BigEndian.Uint16(b[10:12])
-	switch b[12] {
-	case 0:
-	case 1:
-		p.Final = true
-	default:
-		return p, fmt.Errorf("asi: FM-sync final flag %d, want 0 or 1", b[12])
-	}
-	if len(b) != p.WireSize() {
-		return p, fmt.Errorf("asi: FM-sync payload is %d bytes, %d entries make %d", len(b), p.Entries, p.WireSize())
-	}
-	if !zeroed(b[fmSyncFixedSize:]) {
-		return p, fmt.Errorf("asi: FM-sync records carry content; the model ships them zero-filled")
-	}
-	return p, nil
-}
-
-// zeroed reports whether every byte of b is zero: the content of the
-// bodies this model sizes but does not fill.
-func zeroed(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,110 +1,6 @@
 package asi
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestHeaderRoundTrip(t *testing.T) {
-	h := RouteHeader{
-		TurnPool:        0x0123456789abcdef,
-		TurnPointer:     37,
-		Dir:             true,
-		PI:              PI4DeviceManagement,
-		TC:              TCManagement,
-		OO:              true,
-		TS:              false,
-		CreditsRequired: 3,
-	}
-	b := EncodeHeader(h)
-	if len(b) != HeaderWireSize {
-		t.Fatalf("encoded header is %d bytes, want %d", len(b), HeaderWireSize)
-	}
-	got, err := DecodeHeader(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Errorf("round trip changed header:\n got %+v\nwant %+v", got, h)
-	}
-}
-
-func TestHeaderRoundTripProperty(t *testing.T) {
-	f := func(pool uint64, ptr uint8, dir, oo, ts bool, pi uint8, tc uint8, credits uint8) bool {
-		h := RouteHeader{
-			TurnPool:        pool,
-			TurnPointer:     ptr % (TurnPoolBits + 1),
-			Dir:             dir,
-			OO:              oo,
-			TS:              ts,
-			PI:              PI(pi),
-			TC:              TrafficClass(tc) & MaxTrafficClass,
-			CreditsRequired: credits & 0x1f,
-		}
-		got, err := DecodeHeader(EncodeHeader(h))
-		return err == nil && got == h
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMulticastHeaderRoundTrip(t *testing.T) {
-	h := RouteHeader{Multicast: true, MGID: 0x1234, PI: PIApplication, TC: 2}
-	got, err := DecodeHeader(EncodeHeader(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Multicast || got.MGID != 0x1234 {
-		t.Errorf("round trip: %+v", got)
-	}
-	if got.TurnPool != 0 || got.TurnPointer != 0 {
-		t.Errorf("multicast header leaked turn fields: %+v", got)
-	}
-}
-
-func TestMulticastHeaderRoundTripProperty(t *testing.T) {
-	f := func(mgid uint16, tc uint8) bool {
-		h := RouteHeader{Multicast: true, MGID: mgid, PI: PIApplication, TC: TrafficClass(tc) & MaxTrafficClass}
-		got, err := DecodeHeader(EncodeHeader(h))
-		return err == nil && got == h
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHeaderCRCDetectsCorruption(t *testing.T) {
-	b := EncodeHeader(RouteHeader{TurnPool: 42, TurnPointer: 8})
-	for i := range b {
-		b[i] ^= 0x40
-		if _, err := DecodeHeader(b); err == nil {
-			t.Errorf("corruption at byte %d went undetected", i)
-		}
-		b[i] ^= 0x40
-	}
-}
-
-func TestHeaderTooShort(t *testing.T) {
-	if _, err := DecodeHeader(make([]byte, HeaderWireSize-1)); err == nil {
-		t.Error("short header decoded without error")
-	}
-}
-
-func TestHeaderRejectsOversizePointer(t *testing.T) {
-	b := EncodeHeader(RouteHeader{TurnPointer: 30})
-	b[8] = TurnPoolBits + 1
-	// Recompute CRC so only the pointer check can reject.
-	copy(b[14:16], EncodeHeader(RouteHeader{})[14:16])
-	b2 := make([]byte, HeaderWireSize)
-	copy(b2, b)
-	// Easiest: rebuild from a raw header with bad pointer via crc16 on mutated bytes.
-	b2[14] = byte(crc16(b2[:14]) >> 8)
-	b2[15] = byte(crc16(b2[:14]))
-	if _, err := DecodeHeader(b2); err == nil {
-		t.Error("turn pointer beyond pool width accepted")
-	}
-}
+import "testing"
 
 func TestHeaderReverseFlipsOnlyDir(t *testing.T) {
 	h := RouteHeader{TurnPool: 7, TurnPointer: 4, PI: PI5EventReporting, TC: 2}
@@ -119,13 +15,6 @@ func TestHeaderReverseFlipsOnlyDir(t *testing.T) {
 	rr := h.Reverse().Reverse()
 	if rr != h {
 		t.Error("double Reverse is not identity")
-	}
-}
-
-func TestCRC16KnownVector(t *testing.T) {
-	// CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
-	if got := crc16([]byte("123456789")); got != 0x29b1 {
-		t.Errorf("crc16 check vector = %#04x, want 0x29b1", got)
 	}
 }
 

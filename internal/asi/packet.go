@@ -1,17 +1,11 @@
 package asi
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
-
-// Payload is the decoded body of an ASI packet. Concrete types: *PI4, PI5,
+// Payload is the body of an ASI packet. Concrete types: *PI4, PI5,
 // FMSync, Heartbeat and AppData. A PI-4 payload travels by
 // pointer because it is rewritten in place: the device that services a
 // request turns that very payload into the completion (see NewPI4Packet).
 type Payload interface {
-	// WireSize is the encoded payload length in bytes.
+	// WireSize is the payload's length on the wire in bytes.
 	WireSize() int
 	// ProtocolInterface is the PI value that selects this payload type.
 	ProtocolInterface() PI
@@ -43,7 +37,7 @@ type Packet struct {
 	Payload Payload
 	// Span is the causal-trace request ID riding with the packet (zero
 	// when tracing is off). It is simulator metadata, not an on-the-wire
-	// field: Encode/Decode ignore it, and devices copy it from a PI-4
+	// field: WireSize does not count it, and devices copy it from a PI-4
 	// request into the completion so the return trip is attributed to the
 	// same request span.
 	Span uint64
@@ -71,7 +65,8 @@ func NewPI4Packet() (*Packet, *PI4) {
 	return &r.pkt, &r.pi4
 }
 
-// packetTrailerSize is the link-layer CRC appended to every packet.
+// packetTrailerSize is the link-layer CRC-32 that ends every packet on
+// the wire.
 const packetTrailerSize = 4
 
 // WireSize is the total on-the-wire size of the packet in bytes: header,
@@ -83,94 +78,4 @@ func (p *Packet) WireSize() int {
 		n += p.Payload.WireSize()
 	}
 	return n
-}
-
-// Encode serializes the full packet, including the link-layer CRC-32 over
-// header and payload. A packet with no payload is its header alone, with
-// the header's own PI.
-func (p *Packet) Encode() ([]byte, error) {
-	var body []byte
-	var err error
-	switch pl := p.Payload.(type) {
-	case *PI4:
-		body, err = EncodePI4(*pl)
-		if err != nil {
-			return nil, err
-		}
-	case PI5:
-		body = EncodePI5(pl)
-	case FMSync:
-		body = EncodeFMSync(pl)
-	case Heartbeat:
-		body = EncodeHeartbeat(pl)
-	case AppData:
-		body = make([]byte, pl.Bytes)
-	case nil:
-	default:
-		return nil, fmt.Errorf("asi: cannot encode payload type %T", p.Payload)
-	}
-	hdr := p.Header
-	if p.Payload != nil {
-		hdr.PI = p.Payload.ProtocolInterface()
-	}
-	out := append(EncodeHeader(hdr), body...)
-	crc := crc32.ChecksumIEEE(out)
-	var tr [packetTrailerSize]byte
-	binary.BigEndian.PutUint32(tr[:], crc)
-	return append(out, tr[:]...), nil
-}
-
-// Decode parses a full packet produced by Encode, verifying both CRCs and
-// dispatching the payload on the header's PI field. It accepts exactly
-// what Encode writes, so the bodies the model only sizes (FM-sync
-// records, application data) must be zero-filled.
-func Decode(b []byte) (*Packet, error) {
-	if len(b) < HeaderWireSize+packetTrailerSize {
-		return nil, fmt.Errorf("asi: packet too short: %d bytes", len(b))
-	}
-	body := b[:len(b)-packetTrailerSize]
-	want := binary.BigEndian.Uint32(b[len(b)-packetTrailerSize:])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("asi: packet CRC mismatch: computed %#08x, trailer says %#08x", got, want)
-	}
-	hdr, err := DecodeHeader(body[:HeaderWireSize])
-	if err != nil {
-		return nil, err
-	}
-	pkt := &Packet{Header: hdr}
-	rest := body[HeaderWireSize:]
-	switch hdr.PI {
-	case PI4DeviceManagement:
-		pl, err := DecodePI4(rest)
-		if err != nil {
-			return nil, err
-		}
-		pkt.Payload = &pl
-	case PI5EventReporting:
-		pl, err := DecodePI5(rest)
-		if err != nil {
-			return nil, err
-		}
-		pkt.Payload = pl
-	case PIFMSync:
-		pl, err := DecodeFMSync(rest)
-		if err != nil {
-			return nil, err
-		}
-		pkt.Payload = pl
-	case PIHeartbeat:
-		pl, err := DecodeHeartbeat(rest)
-		if err != nil {
-			return nil, err
-		}
-		pkt.Payload = pl
-	case PIApplication:
-		if !zeroed(rest) {
-			return nil, fmt.Errorf("asi: application body carries content; the model sizes it zero-filled")
-		}
-		pkt.Payload = AppData{Bytes: len(rest)}
-	default:
-		return nil, fmt.Errorf("asi: unknown protocol interface %d", hdr.PI)
-	}
-	return pkt, nil
 }

@@ -1,9 +1,6 @@
 package asi
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // PI4Op is the operation code of a PI-4 (device management) packet.
 type PI4Op uint8
@@ -87,64 +84,12 @@ type PI4 struct {
 	Data        []uint32
 }
 
-// pi4FixedSize is the encoded size of the fixed portion of a PI-4 payload.
+// pi4FixedSize is the wire size of the fixed portion of a PI-4 payload:
+// op(1) tag(4) offset(2) count(1) arrivalPort(1) ndata(1), followed by
+// 4 bytes per data block.
 const pi4FixedSize = 10
 
-// EncodePI4 serializes p. Encoded layout: op(1) tag(4) offset(2) count(1)
-// arrivalPort(1) ndata(1) data(4*ndata).
-func EncodePI4(p PI4) ([]byte, error) {
-	if len(p.Data) > MaxReadBlocks {
-		return nil, fmt.Errorf("asi: PI-4 payload of %d blocks exceeds limit %d", len(p.Data), MaxReadBlocks)
-	}
-	if p.Op == PI4ReadRequest && (p.Count == 0 || p.Count > MaxReadBlocks) {
-		return nil, fmt.Errorf("asi: PI-4 read request count %d out of range 1..%d", p.Count, MaxReadBlocks)
-	}
-	b := make([]byte, pi4FixedSize+4*len(p.Data))
-	b[0] = byte(p.Op)
-	binary.BigEndian.PutUint32(b[1:5], p.Tag)
-	binary.BigEndian.PutUint16(b[5:7], p.Offset)
-	b[7] = p.Count
-	b[8] = p.ArrivalPort
-	b[9] = byte(len(p.Data))
-	for i, w := range p.Data {
-		binary.BigEndian.PutUint32(b[pi4FixedSize+4*i:], w)
-	}
-	return b, nil
-}
-
-// DecodePI4 parses a PI-4 payload. It accepts exactly what EncodePI4
-// produces: the declared blocks and nothing after them, and a read
-// request's count in range.
-func DecodePI4(b []byte) (PI4, error) {
-	var p PI4
-	if len(b) < pi4FixedSize {
-		return p, fmt.Errorf("asi: PI-4 payload too short: %d bytes", len(b))
-	}
-	p.Op = PI4Op(b[0])
-	p.Tag = binary.BigEndian.Uint32(b[1:5])
-	p.Offset = binary.BigEndian.Uint16(b[5:7])
-	p.Count = b[7]
-	p.ArrivalPort = b[8]
-	n := int(b[9])
-	if n > MaxReadBlocks {
-		return p, fmt.Errorf("asi: PI-4 payload declares %d blocks, limit %d", n, MaxReadBlocks)
-	}
-	if len(b) != pi4FixedSize+4*n {
-		return p, fmt.Errorf("asi: PI-4 payload is %d bytes, its %d blocks need %d", len(b), n, pi4FixedSize+4*n)
-	}
-	if p.Op == PI4ReadRequest && (p.Count == 0 || p.Count > MaxReadBlocks) {
-		return p, fmt.Errorf("asi: PI-4 read request count %d out of range 1..%d", p.Count, MaxReadBlocks)
-	}
-	if n > 0 {
-		p.Data = make([]uint32, n)
-		for i := range p.Data {
-			p.Data[i] = binary.BigEndian.Uint32(b[pi4FixedSize+4*i:])
-		}
-	}
-	return p, nil
-}
-
-// WireSize returns the encoded payload size in bytes without allocating.
+// WireSize returns the payload size on the wire in bytes.
 func (p *PI4) WireSize() int { return pi4FixedSize + 4*len(p.Data) }
 
 // String summarizes the payload for traces.

@@ -1,9 +1,6 @@
 package asi
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // PI5EventCode classifies a PI-5 event report.
 type PI5EventCode uint8
@@ -42,33 +39,11 @@ type PI5 struct {
 	Sequence uint32
 }
 
-// pi5Size is the encoded size of a PI-5 payload.
+// pi5Size is the wire size of a PI-5 payload: code(1) port(1) dsn(8)
+// seq(4).
 const pi5Size = 14
 
-// EncodePI5 serializes p: code(1) port(1) dsn(8) seq(4).
-func EncodePI5(p PI5) []byte {
-	b := make([]byte, pi5Size)
-	b[0] = byte(p.Code)
-	b[1] = p.Port
-	binary.BigEndian.PutUint64(b[2:10], uint64(p.Reporter))
-	binary.BigEndian.PutUint32(b[10:14], p.Sequence)
-	return b
-}
-
-// DecodePI5 parses a PI-5 payload, exactly pi5Size bytes.
-func DecodePI5(b []byte) (PI5, error) {
-	var p PI5
-	if len(b) != pi5Size {
-		return p, fmt.Errorf("asi: PI-5 payload is %d bytes, want %d", len(b), pi5Size)
-	}
-	p.Code = PI5EventCode(b[0])
-	p.Port = b[1]
-	p.Reporter = DSN(binary.BigEndian.Uint64(b[2:10]))
-	p.Sequence = binary.BigEndian.Uint32(b[10:14])
-	return p, nil
-}
-
-// WireSize returns the encoded payload size in bytes.
+// WireSize returns the payload size on the wire in bytes.
 func (p PI5) WireSize() int { return pi5Size }
 
 // String summarizes the event for traces.

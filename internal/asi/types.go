@@ -1,16 +1,17 @@
-// Package asi defines the Advanced Switching Interconnect (ASI) wire-level
-// vocabulary used throughout this repository: routing headers with turn-pool
-// source routing, the PI-4 device configuration/control protocol, the PI-5
+// Package asi defines the Advanced Switching Interconnect (ASI) vocabulary
+// used throughout this repository: routing headers with turn-pool source
+// routing, the PI-4 device configuration/control protocol, the PI-5
 // event-reporting protocol, virtual-channel and traffic-class types, and the
 // per-device configuration space (capability structures) that the fabric
 // manager reads during discovery.
 //
 // The structures follow the ASI Core Architecture Specification rev 1.0 at
-// the level of detail the discovery process exercises. One deliberate
-// deviation is documented on RouteHeader: the turn pool is widened from the
-// spec's 31 bits to 64 bits so that the paper's largest topologies (8x8
-// mesh, 10x10 torus) remain source-routable from any fabric-manager
-// placement.
+// the level of detail the discovery process exercises. Packets are Go
+// values that the fabric moves and charges at their wire size (WireSize);
+// nothing serializes them. One deliberate deviation is documented on
+// RouteHeader: the turn pool is widened from the spec's 31 bits to 64 bits
+// so that the paper's largest topologies (8x8 mesh, 10x10 torus) remain
+// source-routable from any fabric-manager placement.
 package asi
 
 import "fmt"
@@ -81,7 +82,7 @@ type TCtoVC [MaxTrafficClass + 1]VCID
 // DefaultTCtoVC returns the unicast mapping used by the model: TC0-6
 // share VC0 (bulk BVC) and TC7 (management) maps to the dedicated
 // highest-priority VC2, so management packets never queue behind data.
-// Multicast packets always ride VC1, the MVC, regardless of TC.
+// VC1, the MVC, carries nothing: the model has no multicast traffic.
 func DefaultTCtoVC() TCtoVC {
 	var m TCtoVC
 	for tc := range m {

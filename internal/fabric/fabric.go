@@ -358,11 +358,8 @@ func (f *Fabric) dropTraced(r DropReason, d *Device, port int, pkt *asi.Packet) 
 // port direction of every device uses the default one.
 var tcToVC = asi.DefaultTCtoVC()
 
-// vcOf maps a packet to its virtual channel: multicast always rides the
-// MVC, unicast follows the TC/VC mapping table.
-func (f *Fabric) vcOf(pkt *asi.Packet) asi.VCID {
-	if pkt.Header.Multicast {
-		return asi.VCMulticast
-	}
+// vcOf maps a packet to its virtual channel through the TC/VC mapping
+// table.
+func vcOf(pkt *asi.Packet) asi.VCID {
 	return tcToVC[pkt.Header.TC&asi.MaxTrafficClass]
 }

@@ -375,9 +375,7 @@ func TestPacketToDeadDeviceIsDropped(t *testing.T) {
 
 // TestRouteErrorDrops pins what a switch does with headers it cannot
 // route — and with one it can: routing is decided by the turn pool alone,
-// so a PI the model gives no meaning is forwarded like any other, and
-// a multicast header, which names a forwarding-table entry no switch has,
-// is a route error even when its turn pool would have delivered it.
+// so a PI the model gives no meaning is forwarded like any other.
 func TestRouteErrorDrops(t *testing.T) {
 	// A valid route to the 2-hop endpoint ep(0,1) of a 3x3 mesh.
 	toEp01, err := route.Header(route.Path{
@@ -387,8 +385,7 @@ func TestRouteErrorDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multicast, unknownPI := toEp01, toEp01
-	multicast.Multicast, multicast.MGID = true, 3
+	unknownPI := toEp01
 	unknownPI.PI = 3
 	for _, tc := range []struct {
 		name              string
@@ -398,7 +395,6 @@ func TestRouteErrorDrops(t *testing.T) {
 		// 2 leftover bits: not enough for a 16-port switch turn.
 		{"pool exhausted mid-path", asi.RouteHeader{TurnPool: 3, TurnPointer: 2, PI: asi.PIApplication}, 1, 0},
 		{"routable", toEp01, 0, 1},
-		{"multicast flag", multicast, 1, 0},
 		{"PI the model does not define", unknownPI, 0, 1},
 	} {
 		e, f := testFabric(t, topo.Mesh(3, 3))

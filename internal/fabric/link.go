@@ -207,7 +207,7 @@ func (l *link) send(d *Device, pkt *asi.Packet) {
 		return
 	}
 	h := &l.half[l.halfFrom(d)]
-	vc := l.f.vcOf(pkt)
+	vc := vcOf(pkt)
 	if l.f.spans != nil {
 		l.f.spanQueueStamp(pkt)
 	}

@@ -209,13 +209,8 @@ type Decision struct {
 // switch's port count and in the packet's ingress port. Malformed headers
 // (exhausted pool mid-path, turn values outside the port range) yield an
 // error; the switch then drops the packet, as cut-through hardware with no
-// route to the originator must. So does a multicast header: its group id
-// names a forwarding-table entry, and the model's switches have no
-// forwarding table — every group is the empty group.
+// route to the originator must.
 func SwitchRoute(h *asi.RouteHeader, ports, in int) (Decision, error) {
-	if h.Multicast {
-		return Decision{}, fmt.Errorf("route: multicast group %d has no forwarding entry", h.MGID)
-	}
 	w := uint8(TurnWidth(ports))
 	mask := uint64(1)<<w - 1
 	if !h.Dir {
