@@ -35,8 +35,7 @@
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness,
 #                   the RIB, the event queue, the topology namer, the
 #                   configuration-space decoders, the run report, the
-#                   daemon config, the /metrics exposition and the Chrome
-#                   trace export
+#                   /metrics exposition and the Chrome trace export
 #   make bench    - regenerate the four ledgers: figure, engine, fabric and
 #                   topology benchmarks -> BENCH_sim.json (benchstat-
 #                   compatible raw lines plus parsed metrics, with
@@ -169,9 +168,9 @@ bench-test:
 # from the Table 1 fabrics; the FM parses every completion with them): no
 # panic, no read past the input, and what a decoder accepts re-encodes
 # byte for byte. Packets themselves are never serialized, so there is no
-# wire decoder to fuzz. The two experiment targets hold the run-report
-# envelope and the daemon config to the same rule: what they accept
-# re-encodes into a document that decodes to the same value. The obs and
+# wire decoder to fuzz. The experiment target holds the run-report
+# envelope to the same rule: what it accepts re-encodes into a document
+# that decodes to the same value. The obs and
 # span targets close the wall's last two pairs: a /metrics document
 # ParseProm accepts re-renders into one that parses to the same points and
 # types (and every rendered plane parses), and a span log ReadChrome
@@ -189,7 +188,6 @@ fuzz:
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzParsePortInfo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asi -run '^$$' -fuzz '^FuzzDecodeEventRoute$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz '^FuzzDecodeRunReport$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/experiment -run '^$$' -fuzz '^FuzzDecodeDaemonConfig$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzPromRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/span -run '^$$' -fuzz '^FuzzChromeRoundTrip$$' -fuzztime $(FUZZTIME)
 

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/sim"
 )
 
@@ -25,11 +23,7 @@ import (
 // It logs the sustained assimilated PI-5 rate in simulated time.
 func TestAssimSmoke(t *testing.T) {
 	const rounds = 12
-	cfg := experiment.DefaultDaemonConfig()
-	cfg.Algorithm = core.Partial.Slug()
-	cfg.AssimWindowUS = 200
-	cfg.StaleAfterMS = 5
-	d := startDaemon(t, cfg)
+	d := startDaemon(t, "-alg", "partial", "-assim-window-us", "200", "-stale-after-ms", "5")
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
@@ -76,6 +70,6 @@ func TestAssimSmoke(t *testing.T) {
 		metric(name)
 	}
 	if simSpan := d.rig.Engine.Now().Sub(startPS); simSpan > 0 {
-		t.Logf("%q: sustained %.0f PI-5s/s (sim)", d.cfg.Topology, events/(float64(simSpan)/float64(sim.Second)))
+		t.Logf("%q: sustained %.0f PI-5s/s (sim)", d.cfg.topology, events/(float64(simSpan)/float64(sim.Second)))
 	}
 }

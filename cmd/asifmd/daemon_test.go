@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 )
@@ -23,14 +21,8 @@ import (
 // also pins why serve needs no debounce-flush duty: every step leaves
 // the event queue empty and nothing in the debounce window.
 func TestStepRace(t *testing.T) {
-	cfg := experiment.DefaultDaemonConfig()
-	cfg.Topology = "8x8 mesh"
-	cfg.Algorithm = core.Partial.Slug()
-	cfg.ChurnOps = 2
-	cfg.AuditEvery = 2
-	cfg.AssimWindowUS = 200
-	cfg.StaleAfterMS = 1
-	d := startDaemon(t, cfg)
+	d := startDaemon(t, "-topo", "8x8 mesh", "-alg", "partial", "-churn-ops", "2",
+		"-audit-every", "2", "-assim-window-us", "200", "-stale-after-ms", "1")
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
@@ -109,7 +101,7 @@ func TestStepRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stepAudited == 0 {
-		t.Error("no step audited (audit_every = 2 over 6 rounds)")
+		t.Error("no step audited (-audit-every 2 over 6 rounds)")
 	}
 }
 
@@ -117,9 +109,7 @@ func TestStepRace(t *testing.T) {
 // restore of a switch that is up — must land in the /events log instead
 // of vanishing.
 func TestChurnErrorsReachEventLog(t *testing.T) {
-	cfg := experiment.DefaultDaemonConfig()
-	cfg.Topology = "4x4 mesh"
-	d := startDaemon(t, cfg)
+	d := startDaemon(t, "-topo", "4x4 mesh")
 	node := int(d.rig.HostSwitch) // up, like every device after bootstrap
 	d.applyChurn([]chaos.Event{{Op: chaos.OpUp, Node: node}})
 	var logged []obs.Event

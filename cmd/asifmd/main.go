@@ -10,10 +10,12 @@
 // Usage:
 //
 //	asifmd                                   # defaults: 8-port 3-tree, :8080
-//	asifmd -config daemon.json               # full config file
-//	asifmd -topo "8x8 mesh" -listen :9000    # flag overrides
+//	asifmd -topo "8x8 mesh" -listen :9000    # another fabric and address
 //	asifmd -rounds 100 -interval 250ms       # bounded churn, 4 rounds/s
+//	asifmd -alg partial -assim-window-us 200 # coalesced PI-5 assimilation
 //	asifmd -debug :6060                      # net/http/pprof + expvar
+//
+// Each setting is one flag (asifmd -h lists them with their defaults).
 //
 // Observe with any HTTP client:
 //
@@ -24,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	_ "expvar" // -debug: /debug/vars on the default mux
 	"flag"
 	"fmt"
@@ -36,9 +39,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/rib"
 	"repro/internal/rig"
@@ -47,64 +48,23 @@ import (
 )
 
 func main() {
-	var common cli.Common
-	common.RegisterConfig(flag.CommandLine)
-	topoName := flag.String("topo", "", "override the config topology")
-	alg := flag.String("alg", "", "override the config algorithm ("+
-		"serial-packet, serial-device, parallel, partial; aliases sp, sd, p)")
-	seed := flag.Uint64("seed", 0, "override the config seed")
-	listen := flag.String("listen", "", "override the config listen address")
-	rounds := flag.Int("rounds", 0, "override the config churn-round bound (an explicit 0 runs until stopped)")
-	churnOps := flag.Int("churn-ops", -1, "override the config toggles per churn round")
-	scrapeMS := flag.Int("scrape-ms", 0, "override the config observability scrape interval in ms (an explicit 0 selects the 1000 ms default)")
-	interval := flag.Duration("interval", time.Second, "wall-clock pause between churn rounds")
-	debugAddr := flag.String("debug", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
-	flag.Parse()
-	if err := common.Validate(); err != nil {
-		fatal(2, err)
+	cfg, err := parseFlags(os.Stderr, os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-
-	cfg, err := common.LoadDaemonConfig()
 	if err != nil {
-		fatal(2, err)
-	}
-	if *topoName != "" {
-		cfg.Topology = *topoName
-	}
-	if *alg != "" {
-		k, err := cli.Algorithm(*alg)
-		if err != nil {
-			fatal(2, err)
-		}
-		cfg.Algorithm = k.Slug()
-	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			cfg.Seed = *seed
-		case "listen":
-			cfg.Listen = *listen
-		case "rounds":
-			cfg.Rounds = *rounds
-		case "churn-ops":
-			cfg.ChurnOps = *churnOps
-		case "scrape-ms":
-			cfg.ScrapeMS = *scrapeMS
-		}
-	})
-	if err := cfg.Validate(); err != nil {
-		fatal(2, err)
+		os.Exit(2)
 	}
 
-	if *debugAddr != "" {
+	if cfg.debug != "" {
 		// DefaultServeMux already carries /debug/pprof/ (net/http/pprof)
 		// and /debug/vars (expvar) from their package imports.
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			if err := http.ListenAndServe(cfg.debug, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/debug/pprof and /debug/vars\n", *debugAddr)
+		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/debug/pprof and /debug/vars\n", cfg.debug)
 	}
 
 	d, err := newDaemon(cfg)
@@ -114,7 +74,7 @@ func main() {
 	if err := d.bootstrap(); err != nil {
 		fatal(1, err)
 	}
-	d.serve(*interval)
+	d.serve()
 }
 
 func fatal(code int, err error) {
@@ -126,7 +86,7 @@ func fatal(code int, err error) {
 // observability plane. All simulation work happens under mu; the RIB and
 // the plane decouple every reader from that hot path.
 type daemon struct {
-	cfg experiment.DaemonConfig
+	cfg config
 	rig *rig.Rig
 	rib *rib.RIB
 	ch  *chaos.Churner
@@ -144,25 +104,25 @@ type daemon struct {
 	lastAudit int // rounds value at the most recent audit
 }
 
-func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
-	tp, err := topo.ByName(cfg.Topology)
+func newDaemon(cfg config) (*daemon, error) {
+	tp, err := topo.ByName(cfg.topology)
 	if err != nil {
 		return nil, err
 	}
 	d := &daemon{cfg: cfg, plane: obs.New(obs.Config{})}
 	// Serving-layer events (subscriber overflow → resync) feed the
 	// structured event log; the hook fires without RIB locks held.
-	d.rib = rib.New(rib.Config{QueueDepth: cfg.QueueDepth, OnEvent: func(kind string, gen uint64) {
+	d.rib = rib.New(rib.Config{OnEvent: func(kind string, gen uint64) {
 		d.plane.Log(kind, gen, d.simNow.Load(), "")
 	}})
 
 	rc := rig.Config{
-		Seed:      cfg.Seed,
+		Seed:      cfg.seed,
 		Telemetry: true,
-		Manager:   core.Options{Algorithm: cfg.Kind()},
-	}
-	if cfg.AssimWindowUS > 0 {
-		rc.Manager.AssimWindow = sim.Micros(float64(cfg.AssimWindowUS))
+		Manager: core.Options{
+			Algorithm:   cfg.alg,
+			AssimWindow: sim.Micros(float64(cfg.assimWindowUS)),
+		},
 	}
 	if d.rig, err = rig.New(tp, rc); err != nil {
 		return nil, err
@@ -171,7 +131,7 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 		// The install is the cold-path bridge from simulation to serving:
 		// clone the FM database, stamp a generation, fan out diffs.
 		gen, diff := d.rib.Install(d.rig.Manager.DB())
-		detail := fmt.Sprintf("%s in %s", d.cfg.Kind().Slug(), r.Duration)
+		detail := fmt.Sprintf("%s in %s", d.cfg.alg.Slug(), r.Duration)
 		if !diff.Empty() {
 			detail += fmt.Sprintf("; +%d/-%d devices +%d/-%d links",
 				len(diff.AddedDevices), len(diff.RemovedDevices),
@@ -179,8 +139,8 @@ func newDaemon(cfg experiment.DaemonConfig) (*daemon, error) {
 		}
 		d.plane.Log(obs.EventDiscoveryConverge, gen, int64(d.rig.Engine.Now()), detail)
 	}
-	if cfg.ChurnOps > 0 {
-		d.ch, err = chaos.NewChurner(tp, cfg.Seed)
+	if cfg.churnOps > 0 {
+		d.ch, err = chaos.NewChurner(tp, cfg.seed)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +169,7 @@ func (d *daemon) bootstrap() error {
 // hold d.mu.
 func (d *daemon) round() {
 	d.rounds++
-	evs := d.ch.Round(d.cfg.ChurnOps)
+	evs := d.ch.Round(d.cfg.churnOps)
 	d.plane.Log(obs.EventChurnApply, d.rib.Current().Gen, int64(d.rig.Engine.Now()),
 		fmt.Sprintf("round %d: %d toggles", d.rounds, len(evs)))
 	d.applyChurn(evs)
@@ -237,9 +197,9 @@ func (d *daemon) step() (expired int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.round()
-	if n := d.cfg.AuditEvery; n > 0 && d.rounds-d.lastAudit >= n {
+	if n := d.cfg.auditEvery; n > 0 && d.rounds-d.lastAudit >= n {
 		d.audit(fmt.Sprintf("%d rounds since audit", d.rounds-d.lastAudit))
-	} else if ms := d.cfg.StaleAfterMS; ms > 0 {
+	} else if ms := d.cfg.staleAfterMS; ms > 0 {
 		if _, _, max := d.rig.Manager.DBStaleness(); max > sim.Duration(ms)*sim.Millisecond {
 			d.audit(fmt.Sprintf("max staleness %v", max))
 		}
@@ -300,29 +260,21 @@ func (d *daemon) handler() http.Handler {
 	return srv.Handler()
 }
 
-// scrapeEvery resolves the configured scrape cadence.
-func (d *daemon) scrapeEvery() time.Duration {
-	if d.cfg.ScrapeMS > 0 {
-		return time.Duration(d.cfg.ScrapeMS) * time.Millisecond
-	}
-	return time.Second
-}
-
-// serve streams forever (or for cfg.Rounds rounds): HTTP on cfg.Listen,
-// one step per interval on this goroutine, scrapes paced by cfg.ScrapeMS
-// on their own.
-func (d *daemon) serve(interval time.Duration) {
-	ln, err := net.Listen("tcp", d.cfg.Listen)
+// serve streams forever (or for -rounds rounds): HTTP on -listen, one
+// step per -interval on this goroutine, scrapes every -scrape-ms on
+// their own.
+func (d *daemon) serve() {
+	ln, err := net.Listen("tcp", d.cfg.listen)
 	if err != nil {
 		fatal(1, err)
 	}
 	go http.Serve(ln, d.handler())
 	fmt.Fprintf(os.Stderr, "asifmd: managing %q (%s), serving on http://%s\n",
-		d.cfg.Topology, d.cfg.Kind(), ln.Addr())
+		d.cfg.topology, d.cfg.alg, ln.Addr())
 
 	d.scrape() // populate /metrics before the first tick
 	go func() {
-		t := time.NewTicker(d.scrapeEvery())
+		t := time.NewTicker(time.Duration(d.cfg.scrapeMS) * time.Millisecond)
 		defer t.Stop()
 		for range t.C {
 			d.scrape()
@@ -333,12 +285,9 @@ func (d *daemon) serve(interval time.Duration) {
 		fmt.Fprintln(os.Stderr, "asifmd: churn disabled; serving the initial discovery")
 		select {} // serve until the process is stopped
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(d.cfg.interval)
 	defer tick.Stop()
-	for d.cfg.Rounds == 0 || d.rounds < d.cfg.Rounds {
+	for d.cfg.rounds == 0 || d.rounds < d.cfg.rounds {
 		<-tick.C
 		expired := d.step()
 		s := d.rib.Stats()

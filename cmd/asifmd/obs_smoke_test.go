@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiment"
 	"repro/internal/obs"
 )
 
@@ -44,11 +43,7 @@ func scrapeMetrics(t *testing.T, url string) (map[string][]obs.PromPoint, map[st
 // staleness percentiles, unit-labelled windowed quantiles and an NDJSON
 // event log.
 func TestObsSmoke(t *testing.T) {
-	cfg := experiment.DefaultDaemonConfig()
-	cfg.Topology = "4x4 mesh"
-	cfg.ChurnOps = 2
-	cfg.AuditEvery = 2
-	d := startDaemon(t, cfg)
+	d := startDaemon(t, "-topo", "4x4 mesh", "-churn-ops", "2", "-audit-every", "2")
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
@@ -65,7 +60,7 @@ func TestObsSmoke(t *testing.T) {
 
 	// First scrape, three steps of churn, second scrape: the window
 	// between them makes the rates non-degenerate, and the re-audit
-	// (audit_every = 2) fires along the way.
+	// (-audit-every 2) fires along the way.
 	d.scrape()
 	first, _ := scrapeMetrics(t, ts.URL)
 	for d.rounds < 3 {

@@ -5,19 +5,24 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/experiment"
 	"repro/internal/rib"
 )
 
-// startDaemon builds and bootstraps a daemon as main does.
-func startDaemon(t *testing.T, cfg experiment.DaemonConfig) *daemon {
+// startDaemon builds and bootstraps a daemon from a command line, as
+// main does.
+func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
+	cfg, err := parseFlags(io.Discard, args)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +67,7 @@ func TestDaemonSmoke(t *testing.T) {
 		subscribers = 100
 	}
 	const rounds = 6
-	d := startDaemon(t, experiment.DefaultDaemonConfig())
+	d := startDaemon(t)
 	s := &smokeRun{
 		d:            d,
 		expectedWait: make(chan struct{}),
@@ -110,7 +115,7 @@ func TestDaemonSmoke(t *testing.T) {
 	d.scrape()
 	st := d.rib.Stats()
 	t.Logf("%q %s: %d rounds, %d generations, %d+%d subscribers, %d resyncs, fingerprint %s",
-		d.cfg.Topology, d.cfg.Kind().Slug(), d.rounds, st.Gen, subscribers, httpSubs, st.Resyncs, st.Fingerprint)
+		d.cfg.topology, d.cfg.alg.Slug(), d.rounds, st.Gen, subscribers, httpSubs, st.Resyncs, st.Fingerprint)
 	if d.rounds != rounds || st.Gen != 14 || st.Installs != 14 || st.Fingerprint != "0x87ffec68144fe12a" {
 		t.Errorf("%d rounds ended at generation %d (%d installs), fingerprint %s; want generation 14, 14 installs, 0x87ffec68144fe12a",
 			d.rounds, st.Gen, st.Installs, st.Fingerprint)

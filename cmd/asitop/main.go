@@ -37,6 +37,10 @@ func main() {
 	events := flag.Int("events", 8, "event-log tail length to display")
 	once := flag.Bool("once", false, "print a single frame and exit (no screen clearing)")
 	flag.Parse()
+	if err := checkFlags(*interval, *events); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	hist := map[string][]float64{}
@@ -62,6 +66,19 @@ func main() {
 		fmt.Print("\x1b[2J\x1b[H" + frame)
 		time.Sleep(*interval)
 	}
+}
+
+// checkFlags refuses the values that would poll the daemon in a tight
+// loop (-interval ≤ 0) or fetch a 400 forever (-events < 0); each error
+// names its flag.
+func checkFlags(interval time.Duration, events int) error {
+	if interval <= 0 {
+		return fmt.Errorf("bad -interval %v (valid: a positive duration)", interval)
+	}
+	if events < 0 {
+		return fmt.Errorf("bad -events %d (valid: 0 or more)", events)
+	}
+	return nil
 }
 
 // frame is one poll of the daemon.

@@ -192,3 +192,23 @@ func TestRenderNoAssim(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFlagsRefusesBusyPolling: -interval 0 would poll the daemon
+// in a tight loop and a negative -events retry a 400 forever, so both are
+// refused, naming the flag; the defaults and an explicit -events 0 pass.
+func TestCheckFlagsRefusesBusyPolling(t *testing.T) {
+	for _, tc := range []struct {
+		interval time.Duration
+		events   int
+		flag     string
+	}{{0, 8, "-interval"}, {-time.Second, 8, "-interval"}, {time.Second, -1, "-events"}} {
+		if err := checkFlags(tc.interval, tc.events); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("checkFlags(%v, %d) = %v, want a refusal naming %s", tc.interval, tc.events, err, tc.flag)
+		}
+	}
+	for _, events := range []int{8, 0} {
+		if err := checkFlags(time.Second, events); err != nil {
+			t.Errorf("checkFlags(1s, %d) = %v", events, err)
+		}
+	}
+}

@@ -220,18 +220,6 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestDefaultTCtoVCMapsManagementHighest(t *testing.T) {
-	m := DefaultTCtoVC()
-	if m[TCManagement] != 2 {
-		t.Errorf("management TC maps to VC %d, want 2", m[TCManagement])
-	}
-	for tc := TrafficClass(0); tc <= 6; tc++ {
-		if m[tc] != VCBulk {
-			t.Errorf("bulk TC%d maps to VC %d, want %d", tc, m[tc], VCBulk)
-		}
-	}
-}
-
 func TestConfigSpaceOffsetsDisjoint(t *testing.T) {
 	// The writable regions are laid out without overlap after the port
 	// blocks — event route, then owner — and end the capability.

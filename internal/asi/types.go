@@ -75,39 +75,20 @@ const TCManagement TrafficClass = 7
 // VCID addresses a virtual channel within a port.
 type VCID uint8
 
-// TCtoVC is a fixed traffic-class to virtual-channel mapping table, one per
-// port direction as in the spec. Index by TrafficClass.
-type TCtoVC [MaxTrafficClass + 1]VCID
-
-// DefaultTCtoVC returns the unicast mapping used by the model: TC0-6
-// share VC0 (bulk BVC) and TC7 (management) maps to the dedicated
-// highest-priority VC2, so management packets never queue behind data.
-// VC1, the MVC, carries nothing: the model has no multicast traffic.
-func DefaultTCtoVC() TCtoVC {
-	var m TCtoVC
-	for tc := range m {
-		if TrafficClass(tc) == TCManagement {
-			m[tc] = VCManagement
-		} else {
-			m[tc] = VCBulk
-		}
-	}
-	return m
-}
-
-// The model instantiates three virtual channels per port, one of each
-// ASI channel type.
+// The model instantiates the two virtual channels its traffic uses per
+// port: TC0-6 share the bulk channel and TC7 (management) has the
+// dedicated highest-priority one, so management packets never queue
+// behind data. The spec's multicast channel is not modelled: nothing
+// sends multicast.
 const (
 	// VCBulk is the unicast bypassable channel (BVC) for application
 	// data.
 	VCBulk VCID = 0
-	// VCMulticast is the multicast channel (MVC).
-	VCMulticast VCID = 1
 	// VCManagement is the highest-priority ordered channel (OVC) for
 	// PI-4/5 and other management packets.
-	VCManagement VCID = 2
+	VCManagement VCID = 1
 	// NumVCs is the per-port channel count.
-	NumVCs = 3
+	NumVCs = 2
 )
 
 // Link-layer constants from the specification for an ASI x1 link.

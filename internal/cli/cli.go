@@ -1,8 +1,9 @@
 // Package cli holds the flag-value parsers shared by the command-line
-// tools (asidisc, asibench, asitopo). Each parser maps the stringly-typed
-// flag surface onto the typed simulation API and, on failure, returns an
-// error that names every valid value — the duplicated ad-hoc switches the
-// tools used to carry drifted out of sync with each other.
+// tools (asidisc, asibench, asitopo, asifmd). Each parser maps the
+// stringly-typed flag surface onto the typed simulation API and, on
+// failure, returns an error that names every valid value — the
+// duplicated ad-hoc switches the tools used to carry drifted out of sync
+// with each other.
 package cli
 
 import (

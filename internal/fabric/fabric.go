@@ -354,12 +354,11 @@ func (f *Fabric) dropTraced(r DropReason, d *Device, port int, pkt *asi.Packet) 
 	f.spanDrop(r, d, port, pkt)
 }
 
-// tcToVC is the model's unicast TC/VC mapping table, built once: every
-// port direction of every device uses the default one.
-var tcToVC = asi.DefaultTCtoVC()
-
-// vcOf maps a packet to its virtual channel through the TC/VC mapping
-// table.
+// vcOf maps a packet to its virtual channel: the management traffic
+// class rides the management channel, every other class the bulk one.
 func vcOf(pkt *asi.Packet) asi.VCID {
-	return tcToVC[pkt.Header.TC&asi.MaxTrafficClass]
+	if pkt.Header.TC&asi.MaxTrafficClass == asi.TCManagement {
+		return asi.VCManagement
+	}
+	return asi.VCBulk
 }

@@ -438,10 +438,25 @@ func TestManagementPriorityOverBulkTraffic(t *testing.T) {
 		t.Fatalf("received %d management packets, want 1", len(*got))
 	}
 	// 50 bulk packets of ~2KB at 2Gbps are ~400us of serialization; the
-	// management completion must arrive far sooner because VC2 wins
+	// management completion must arrive far sooner because VC1 wins
 	// arbitration after at most one bulk packet's residual time.
 	if at := (*got)[0].at; at > sim.Time(40*sim.Microsecond) {
 		t.Errorf("management completion delayed to %v by bulk traffic", at)
+	}
+}
+
+// TestVCOfMapsManagementHighest: the management traffic class rides the
+// highest channel, which kick serves first; every other class shares the
+// bulk one.
+func TestVCOfMapsManagementHighest(t *testing.T) {
+	for tc := asi.TrafficClass(0); tc <= asi.MaxTrafficClass; tc++ {
+		want := asi.VCBulk
+		if tc == asi.TCManagement {
+			want = asi.NumVCs - 1
+		}
+		if got := vcOf(&asi.Packet{Header: asi.RouteHeader{TC: tc}}); got != want {
+			t.Errorf("TC%d maps to VC %d, want %d", tc, got, want)
+		}
 	}
 }
 

@@ -226,7 +226,7 @@ func (l *link) send(d *Device, pkt *asi.Packet) {
 
 // vcNames are the preformatted span names of each virtual channel, so
 // recording a transmit or a stall never formats on the fly.
-var vcNames = [asi.NumVCs]string{"vc=0", "vc=1", "vc=2"}
+var vcNames = [asi.NumVCs]string{"vc=0", "vc=1"}
 
 // kick runs the transmit scheduler for h's direction: while the serializer
 // is idle, pick the highest-priority VC with both a queued packet and a
@@ -240,7 +240,7 @@ func (h *halfLink) kick() {
 	if h.busyUntil > d.eng.Now() || !l.up || !d.Alive() || h.q == nil {
 		return
 	}
-	// Highest VC index first: VC2 is the management channel.
+	// Highest VC index first: VC1 is the management channel.
 	for vc := asi.NumVCs - 1; vc >= 0; vc-- {
 		q := &h.q[vc]
 		if q.Len() == 0 {
