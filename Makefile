@@ -13,7 +13,10 @@
 #                                  span pipelines, asitrace, asichaos's
 #                                  sweep, its -workers determinism and a
 #                                  corpus replay, asifmd's three daemon
-#                                  smokes)
+#                                  smokes), and TestDocsCitationsResolve:
+#                                  every ledger row and section that
+#                                  README.md, DESIGN.md and EXPERIMENTS.md
+#                                  cite exists
 #                   race           the same under the race detector
 #                   results-check  every asibench table byte-identical to
 #                                  results/asibench-seeds4.txt

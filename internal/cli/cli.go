@@ -63,11 +63,11 @@ func Change(s string) (experiment.Change, error) {
 }
 
 // Topology validates a catalogue or parametric topology name and returns
-// it unchanged; the error keeps topo's reason (unknown family, bad
-// parameter, too large) and lists the catalogue.
+// it unchanged; the error is topo's (an unknown name lists the catalogue
+// and the parametric families, a bad parameter or size says why).
 func Topology(s string) (string, error) {
 	if _, err := topo.ByName(s); err != nil {
-		return "", fmt.Errorf("%v (catalogue: %s)", err, strings.Join(topo.Names(), ", "))
+		return "", err
 	}
 	return s, nil
 }

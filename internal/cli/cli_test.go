@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func TestAlgorithm(t *testing.T) {
@@ -56,6 +57,18 @@ func TestTopology(t *testing.T) {
 		t.Error("bad topology accepted")
 	} else if !strings.Contains(err.Error(), "3x3 mesh") {
 		t.Errorf("error %q does not name valid values", err)
+	}
+	_, err := Topology("17x17 blob")
+	if err == nil {
+		t.Fatal("bad topology accepted")
+	}
+	if n := strings.Count(err.Error(), "catalogue"); n != 1 {
+		t.Errorf("refusal mentions the catalogue %d times, want once: %v", n, err)
+	}
+	for _, name := range topo.Names() {
+		if n := strings.Count(err.Error(), name); n != 1 {
+			t.Errorf("refusal names %q %d times, want once: %v", name, n, err)
+		}
 	}
 }
 

@@ -43,11 +43,6 @@ const (
 // order of its figures.
 func PaperKinds() []Kind { return []Kind{SerialPacket, SerialDevice, Parallel} }
 
-// AllKinds returns every implemented algorithm, paper order first.
-func AllKinds() []Kind {
-	return []Kind{SerialPacket, SerialDevice, Parallel, Distributed, Partial}
-}
-
 // Valid reports whether k names an implemented algorithm.
 func (k Kind) Valid() bool { return k >= 0 && k < numKinds }
 

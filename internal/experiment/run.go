@@ -212,9 +212,9 @@ func RunConfigAll(cfgs []Config, workers int) []Outcome {
 	sem := make(chan struct{}, workers)
 	for i, cfg := range cfgs {
 		wg.Add(1)
+		sem <- struct{}{}
 		go func(i int, cfg Config) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			out[i] = RunConfigWithRetry(cfg, 2)
 		}(i, cfg)

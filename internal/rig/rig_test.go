@@ -302,7 +302,7 @@ func TestTwoManagersOneRig(t *testing.T) {
 // (dragonfly 16x64: 0 %, at most 63 pending; autofat 128x4096: 2.6 %, the
 // deepest queue any workload builds, 1 439 pending). A fabric-model change
 // that moves these shares has moved the queue's premise: re-measure
-// (EXPERIMENTS.md "Event queue ledger") before touching a bound.
+// (EXPERIMENTS.md "The simulator") before touching a bound.
 func TestQueuePremiseFarPushShare(t *testing.T) {
 	for _, c := range []struct {
 		topo   string

@@ -234,7 +234,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 // TestQueueProfileRankMix pins what "front-heavy" means: the insertion
 // rank (pending events that fire before the new one) of the generator
 // stays at the conservative end of the mix measured on the bench workloads
-// (EXPERIMENTS.md "Event queue ledger") — rank 0 on 30-42 %, mean 4.5-7.5 —
+// (EXPERIMENTS.md "The simulator") — rank 0 on 30-42 %, mean 4.5-7.5 —
 // at both depths.
 func TestQueueProfileRankMix(t *testing.T) {
 	for _, back := range []int{5, 985} {

@@ -39,7 +39,7 @@ const (
 )
 
 // nearCap bounds the near run. 32, 64 and 128 measured within noise of each
-// other end to end, 8 and 16 slower (EXPERIMENTS.md "Event queue ledger").
+// other end to end, 8 and 16 slower (EXPERIMENTS.md "The simulator").
 const nearCap = 64
 
 // nearEntry is one event of the near run, with its ordering key inline so

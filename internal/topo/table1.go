@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/asi"
 )
@@ -173,8 +174,8 @@ func parametric(name string) (nodes, links float64, build func() *Topology, err 
 		}
 		return 2 * r * c, links, func() *Topology { return Torus(a, b) }, nil
 	}
-	return 0, 0, nil, fmt.Errorf("topo: unknown topology %q (catalogue names, or parametric: %q, %q, %q, %q, %q)",
-		name, "RxC mesh", "RxC torus", "M-port N-tree", "dragonfly KxM", "autofat PxN")
+	return 0, 0, nil, fmt.Errorf("topo: unknown topology %q (catalogue: %s; or parametric: %q, %q, %q, %q, %q)",
+		name, strings.Join(Names(), ", "), "RxC mesh", "RxC torus", "M-port N-tree", "dragonfly KxM", "autofat PxN")
 }
 
 // Names lists the catalogue topology names in order: Table 1 first, then
