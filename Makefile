@@ -9,17 +9,19 @@
 #                   build vet
 #                   test           go test ./...: every unit, property,
 #                                  allocation-pin and end-to-end test, the
-#                                  CLIs' included (asidisc's run report and
-#                                  span pipelines, asitrace, asichaos's
-#                                  sweep, its -workers determinism and a
-#                                  corpus replay, asifmd's three daemon
-#                                  smokes), and TestDocsCitationsResolve:
-#                                  every ledger row and section that
-#                                  README.md, DESIGN.md and EXPERIMENTS.md
-#                                  cite exists
-#                   race           the same under the race detector
-#                   results-check  every asibench table byte-identical to
-#                                  results/asibench-seeds4.txt
+#                                  CLIs' included (asidisc's run report,
+#                                  span pipelines, -list and -describe,
+#                                  asibench, asitrace, asichaos's sweep,
+#                                  its -workers determinism and a corpus
+#                                  replay, asifmd's three daemon smokes),
+#                                  the Example functions, every asibench
+#                                  table byte-identical to
+#                                  results/asibench-seeds4.txt, and
+#                                  TestDocsCitationsResolve: every ledger
+#                                  row and section that README.md,
+#                                  DESIGN.md and EXPERIMENTS.md cite exists
+#                   race           the same under the race detector, less
+#                                  the results referee
 #                   bench-test     the repo benchmark's own tests (bench/ is
 #                                  its own module; Tier-1 does not reach them)
 #                   bench-diff     every Go benchmark in the module, each
@@ -29,11 +31,10 @@
 #                                  BENCH_obs.json (both exact; ns/op is
 #                                  printed, never gated)
 #                 Measured wall time per step on a shared 2-core Xeon
-#                 host, test cache cleared, build cache warm, 278 s in all:
-#                   fmt-check 0.3 s   seam-check 0.0 s  build 2.7 s
-#                   vet 1.2 s         test 18.9 s       race 208.7 s
-#                   results-check 17.6 s                bench-test 2.8 s
-#                   bench-diff 25.4 s
+#                 host, test cache cleared, build cache warm, 225 s in all:
+#                   fmt-check 0.2 s   seam-check 0.0 s  build 2.8 s
+#                   vet 4.4 s         test 29.6 s       race 162.0 s
+#                   bench-test 3.1 s  bench-diff 23.2 s
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness,
 #                   the RIB, the event queue, the topology namer, the
@@ -76,12 +77,12 @@ OBS_PKGS = ./internal/obs ./internal/telemetry
 BENCH_RUN = $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT)
 
 # A recipe's pipeline fails when any stage does: a benchmark that fails
-# fails bench-diff, and an asibench that fails fails results-check.
+# fails bench-diff.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 .PHONY: all build vet test race verify bench bench-diff bench-test \
-	fmt-check seam-check results-check fuzz
+	fmt-check seam-check fuzz
 
 all: build vet test
 
@@ -124,7 +125,7 @@ fmt-check:
 # seam-check keeps the "topology -> engine -> fabric -> manager ->
 # observers" recipe written once: outside the layers themselves
 # (internal/sim, internal/fabric, internal/core) and internal/rig, no
-# non-test Go under cmd/, internal/ or examples/ may create an engine,
+# non-test Go under cmd/ or internal/ may create an engine,
 # build a fabric, attach a manager, or derive a random stream from a seed.
 # Further managers on one fabric come from rig.Rig.AddManager. The
 # region-sharded mechanism (partition, shard group, sharded fabric) has
@@ -133,7 +134,7 @@ fmt-check:
 # second tracer hook or packet-trace package comes back.
 seam-check:
 	@out="$$(grep -rnE 'sim\.NewEngine\(|fabric\.New\(|core\.NewManager\(|2654435761' \
-		cmd internal examples --include='*.go' \
+		cmd internal --include='*.go' \
 		| grep -vE '_test\.go:|^internal/(sim|fabric|core|rig)/')"; if [ -n "$$out" ]; then \
 		echo "a managed fabric is being assembled outside internal/rig:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'sim\.NewShardGroup\(|fabric\.NewSharded\(|\.Partition\(' \
@@ -142,13 +143,6 @@ seam-check:
 		echo "the region-sharded mechanism has a caller outside internal/{sim,fabric,topo}:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'SetTracer\(|repro/internal/trace"' . --include='*.go')"; if [ -n "$$out" ]; then \
 		echo "a second packet recorder is attached beside the span tracer:"; echo "$$out"; exit 1; fi
-
-# results-check is the absolute referee for the simulation: every table
-# asibench prints must be byte-identical to the committed run. The
-# fingerprint suites only compare a run with itself; this catches a
-# change that reorders one random draw.
-results-check:
-	$(GO) run ./cmd/asibench -seeds 4 2>/dev/null | diff - results/asibench-seeds4.txt
 
 # bench-test runs the repo benchmark's own tests. bench/ is a separate
 # module (replace repro => ../), so `go test ./...` from the root never
@@ -207,7 +201,7 @@ bench-diff:
 	$(BENCH_RUN) $(SERVE_PKGS) | $(GO) run ./cmd/benchjson -diff BENCH_serve.json
 	$(BENCH_RUN) $(OBS_PKGS) | $(GO) run ./cmd/benchjson -diff BENCH_obs.json
 
-verify: fmt-check seam-check build vet test race results-check bench-test bench-diff
+verify: fmt-check seam-check build vet test race bench-test bench-diff
 
 bench:
 	$(BENCH_RUN) $(SIM_PKGS) | $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_BASELINE) -o BENCH_sim.json

@@ -1,9 +1,12 @@
 // Command asidisc runs a single fabric discovery simulation and prints
 // its measurements: topology, algorithm, processing factors and the
-// optional topological change are selectable.
+// optional topological change are selectable. It also lists the
+// topology catalogue and describes any topology without running it.
 //
 // Usage:
 //
+//	asidisc -list                               # catalogue and parametric families
+//	asidisc -describe -topo "dragonfly 16x64"   # counts, switch degrees, every link
 //	asidisc -topo "8x8 mesh" -alg parallel
 //	asidisc -topo "4-port 3-tree" -alg serial-packet -change remove -seed 3
 //	asidisc -topo "3x3 mesh" -alg serial-device -timeline
@@ -20,15 +23,19 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/asi"
 	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/span"
+	"repro/internal/topo"
 )
 
 func main() {
-	topoName := flag.String("topo", "3x3 mesh", "topology name (see asitopo -list)")
+	topoName := flag.String("topo", "3x3 mesh", "topology name (see -list)")
+	list := flag.Bool("list", false, "list the catalogue topologies and parametric families and exit")
+	describe := flag.Bool("describe", false, "describe the -topo fabric (counts, switch degrees, every link) instead of running it")
 	alg := flag.String("alg", "parallel", "discovery algorithm: "+strings.Join(cli.AlgorithmNames(), ", "))
 	change := flag.String("change", "none", "topological change: "+strings.Join(cli.ChangeNames(), ", "))
 	seed := flag.Uint64("seed", 1, "random seed (selects the changed switch)")
@@ -50,6 +57,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(code)
 	}
+	if *list {
+		printCatalogue()
+		return
+	}
+	if *describe {
+		tp, err := topo.ByName(*topoName)
+		if err != nil {
+			fail(2, err)
+		}
+		if err := tp.Validate(); err != nil {
+			fail(1, fmt.Errorf("INVALID: %w", err))
+		}
+		describeTopology(tp)
+		return
+	}
 	kind, err := cli.Algorithm(*alg)
 	if err != nil {
 		fail(2, err)
@@ -58,10 +80,6 @@ func main() {
 	if err != nil {
 		fail(2, err)
 	}
-	if _, err := cli.Topology(*topoName); err != nil {
-		fail(2, err)
-	}
-
 	cfg := experiment.Config{
 		Topology:     *topoName,
 		Algorithm:    kind,
@@ -192,5 +210,44 @@ func printTelemetry(out experiment.Outcome) {
 			sim.Duration(mean).Microseconds(),
 			sim.Duration(h.Min).Microseconds(),
 			sim.Duration(h.Max).Microseconds())
+	}
+}
+
+// printCatalogue lists every catalogue topology with its device counts,
+// then the parametric family spellings.
+func printCatalogue() {
+	fmt.Printf("%-16s %9s %10s %7s\n", "Topology", "Switches", "Endpoints", "Total")
+	for _, s := range topo.Catalogue() {
+		fmt.Printf("%-16s %9d %10d %7d\n", s.Name, s.Switches, s.Endpoints, s.Total())
+	}
+	fmt.Println("\nparametric families (any size): \"RxC mesh\", \"RxC torus\", \"M-port N-tree\", \"dragonfly KxM\", \"autofat PxN\"")
+}
+
+// describeTopology prints the topology's counts, its switch degree
+// distribution and its full cabling.
+func describeTopology(tp *topo.Topology) {
+	fmt.Println(tp)
+	var degrees [asi.MaxSwitchPorts + 1]int
+	for _, n := range tp.Nodes {
+		if n.Type != asi.DeviceSwitch {
+			continue
+		}
+		d := 0
+		for p := 0; p < n.Ports; p++ {
+			if _, _, ok := tp.Peer(n.ID, p); ok {
+				d++
+			}
+		}
+		degrees[d]++
+	}
+	fmt.Println("switch degree distribution:")
+	for d, c := range degrees {
+		if c > 0 {
+			fmt.Printf("  degree %2d: %d switches\n", d, c)
+		}
+	}
+	fmt.Println("links:")
+	for _, l := range tp.Links {
+		fmt.Printf("  %s[%d] -- %s[%d]\n", tp.Nodes[l.A].Label, l.APort, tp.Nodes[l.B].Label, l.BPort)
 	}
 }

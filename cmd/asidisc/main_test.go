@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/span"
+	"repro/internal/topo"
 )
 
 // TestMain lets a test re-execute the test binary as asidisc itself.
@@ -139,5 +141,50 @@ func TestSpansOutReadsBack(t *testing.T) {
 	if !reflect.DeepEqual(got, *want) {
 		t.Errorf("-spans-out read back %d spans (dropped %d), -spans -json has %d (dropped %d), and they differ",
 			len(got.Spans), got.Dropped, len(want.Spans), want.Dropped)
+	}
+}
+
+// TestList: -list prints every catalogue topology exactly once, each on
+// a row of its own with its device counts.
+func TestList(t *testing.T) {
+	out := asidisc(t, "-list")
+	rows := map[string]int{}
+	for _, l := range strings.Split(out, "\n") {
+		for _, s := range topo.Catalogue() {
+			if strings.HasPrefix(l, s.Name+" ") {
+				rows[s.Name]++
+				if want := fmt.Sprintf("%-16s %9d %10d %7d", s.Name, s.Switches, s.Endpoints, s.Total()); l != want {
+					t.Errorf("-list row %q, want %q", l, want)
+				}
+			}
+		}
+	}
+	for _, name := range topo.Names() {
+		if rows[name] != 1 || strings.Count(out, name) != 1 {
+			t.Errorf("-list names %q %d times (%d rows), want once", name, strings.Count(out, name), rows[name])
+		}
+	}
+	if !strings.Contains(out, `"dragonfly KxM"`) {
+		t.Errorf("-list does not name the parametric families:\n%s", out)
+	}
+}
+
+// TestDescribe pins -describe, the topology summary that runs nothing:
+// counts, switch degree distribution and every link of the 3x3 mesh
+// (testdata/describe-3x3-mesh.txt). A bad name exits 2.
+func TestDescribe(t *testing.T) {
+	golden, err := os.ReadFile("testdata/describe-3x3-mesh.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := asidisc(t, "-describe", "-topo", "3x3 mesh"); got != string(golden) {
+		t.Errorf("-describe -topo \"3x3 mesh\":\n%s\nwant:\n%s", got, golden)
+	}
+	cmd := exec.Command(os.Args[0], "-describe", "-topo", "17x17 blob")
+	cmd.Env = append(os.Environ(), "ASIDISC_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "unknown topology") {
+		t.Errorf("asidisc -describe -topo \"17x17 blob\": %v, output %q; want exit 2 naming the unknown topology", err, out)
 	}
 }

@@ -222,7 +222,7 @@ func (sc Scenario) Validate() error {
 func Sanitize(sc Scenario) Scenario {
 	sc.Name = ""
 	if sc.Topology.Catalogue != "" {
-		if _, err := topo.ByName(sc.Topology.Catalogue); err != nil {
+		if err := topo.CheckName(sc.Topology.Catalogue); err != nil {
 			sc.Topology.Catalogue = ""
 		} else {
 			sc.Topology.Switches, sc.Topology.ExtraLinks = 0, 0

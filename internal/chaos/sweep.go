@@ -1,9 +1,6 @@
 package chaos
 
-import (
-	"runtime"
-	"sync"
-)
+import "repro/internal/rig"
 
 // SweepOptions configures a seeded batch of generated scenarios.
 type SweepOptions struct {
@@ -49,23 +46,10 @@ type SweepResult struct {
 // yield identical results at any Workers setting; parallelism only buys
 // wall-clock time.
 func Sweep(o SweepOptions) []SweepResult {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]SweepResult, o.Runs)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < o.Runs; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = sweepOne(Generate(o.Seed+uint64(i), o.Profile), o)
-		}(i)
-	}
-	wg.Wait()
+	rig.ForEach(o.Runs, o.Workers, func(i int) {
+		out[i] = sweepOne(Generate(o.Seed+uint64(i), o.Profile), o)
+	})
 	return out
 }
 

@@ -1,5 +1,5 @@
 // Package cli holds the flag-value parsers shared by the command-line
-// tools (asidisc, asibench, asitopo, asifmd). Each parser maps the
+// tools (asidisc, asibench, asifmd). Each parser maps the
 // stringly-typed flag surface onto the typed simulation API and, on
 // failure, returns an error that names every valid value — the
 // duplicated ad-hoc switches the tools used to carry drifted out of sync
@@ -62,11 +62,12 @@ func Change(s string) (experiment.Change, error) {
 	}
 }
 
-// Topology validates a catalogue or parametric topology name and returns
-// it unchanged; the error is topo's (an unknown name lists the catalogue
-// and the parametric families, a bad parameter or size says why).
+// Topology validates a catalogue or parametric topology name, building
+// nothing, and returns it unchanged; the error is topo's (an unknown name
+// lists the catalogue and the parametric families, a bad parameter or
+// size says why).
 func Topology(s string) (string, error) {
-	if _, err := topo.ByName(s); err != nil {
+	if err := topo.CheckName(s); err != nil {
 		return "", err
 	}
 	return s, nil

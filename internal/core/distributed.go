@@ -60,12 +60,15 @@ type TeamResult struct {
 	SyncBytes   uint64
 	// TotalPacketsSent sums member discovery packets and sync packets.
 	TotalPacketsSent uint64
-	// Missing counts members whose report never reached the primary.
+	// Missing counts members whose report never reached the primary. A
+	// round with Missing > 0 merged an incomplete view: it failed.
 	Missing int
 }
 
-// syncTimeout bounds how long the primary waits for reports after all
-// members finished locally.
+// syncTimeout bounds how long the primary waits for report progress
+// after all members finished locally: every FM-sync chunk it processes
+// restarts the wait, so a long report queue at the primary is merged
+// whole and only a report that stopped arriving is counted missing.
 const syncTimeout = 2 * sim.Millisecond
 
 // Team coordinates collaborating fabric managers. All members must use
@@ -176,13 +179,22 @@ func (t *Team) onMemberDone(m *Manager, r Result) {
 		t.sendReport(m)
 	}
 	if t.localDone == len(t.members) && !t.armed {
-		t.armed = true
-		t.deadline = t.e.After(syncTimeout, func(*sim.Engine) {
-			t.armed = false
-			t.merge()
-		})
+		t.arm()
 		t.checkMerge()
 	}
+}
+
+// arm (re)starts the sync timeout; when it runs out the primary merges
+// the reports it has.
+func (t *Team) arm() {
+	if t.armed {
+		t.e.Cancel(t.deadline)
+	}
+	t.armed = true
+	t.deadline = t.e.After(syncTimeout, func(*sim.Engine) {
+		t.armed = false
+		t.merge()
+	})
 }
 
 // sendReport ships a member's database to the primary as FM-sync chunks.
@@ -226,6 +238,9 @@ func (t *Team) onSync(m *Manager, sync asi.FMSync) {
 		t.finalSeen[sync.From] = true
 	}
 	t.checkMerge()
+	if t.running && t.armed {
+		t.arm() // a processed chunk is progress
+	}
 }
 
 // checkMerge completes the round once every expected report landed.

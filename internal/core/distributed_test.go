@@ -150,6 +150,33 @@ func TestDistributedAfterChange(t *testing.T) {
 	}
 }
 
+// TestDistributedMergesEveryReportAtScale: on a 2048-device dragonfly
+// the primary takes longer than the sync timeout to process the queued
+// FM-sync chunks of several collaborators. The deadline measures
+// progress, so every report is merged and the DB matches the alive
+// fabric at 2, 4 and 8 FMs.
+func TestDistributedMergesEveryReportAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 2048-device team rounds")
+	}
+	tp := topo.Dragonfly(16, 64)
+	for _, k := range []int{2, 4, 8} {
+		e, f, team := teamSetup(t, tp, k)
+		var res *TeamResult
+		team.OnComplete = func(r TeamResult) { res = &r }
+		team.StartDiscovery()
+		e.Run()
+		if res == nil {
+			t.Fatalf("%d FMs: round did not complete", k)
+		}
+		devices, links := f.AliveReachable(team.Primary().Device().ID)
+		if res.Missing != 0 || res.Devices != devices || res.Links != links {
+			t.Errorf("%d FMs: merged %d devices and %d links with %d reports missing, the alive fabric has %d and %d",
+				k, res.Devices, res.Links, res.Missing, devices, links)
+		}
+	}
+}
+
 func TestDistributedSurvivesLostReportRoute(t *testing.T) {
 	// Cut a member's report path mid-round: the primary must complete
 	// after the sync timeout with the report counted missing (or the

@@ -17,7 +17,7 @@ import (
 // of the optional fields reproduce the paper's baseline (lossless fabric,
 // no retries, factors of 1, no instrumentation).
 type Config struct {
-	// Topology is a Table 1 topology name (topo.ByName).
+	// Topology is a catalogue or parametric topology name (topo.ByName).
 	Topology string
 	// Algorithm selects the discovery variant under test.
 	Algorithm core.Kind
@@ -73,7 +73,7 @@ func (c Config) rigConfig() rig.Config {
 // meaningless. RunConfig also tolerates unvalidated configs, reporting
 // problems through Outcome.Err instead.
 func (c Config) Validate() error {
-	if _, err := topo.ByName(c.Topology); err != nil {
+	if err := topo.CheckName(c.Topology); err != nil {
 		return err
 	}
 	if !c.Algorithm.Valid() {

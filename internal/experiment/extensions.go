@@ -61,7 +61,8 @@ func ExtPartial(seeds, workers int) Report {
 }
 
 // distRun measures one distributed round with k collaborating FMs on the
-// named topology; it returns the merged result. The rig gets no seed:
+// named topology; it returns the merged result, or an error when a
+// collaborator's report is missing from it. The rig gets no seed:
 // without a fault plan nothing in the run draws a random number.
 func distRun(topoName string, k int) (core.TeamResult, error) {
 	tp, err := topo.ByName(topoName)
@@ -97,6 +98,9 @@ func distRun(topoName string, k int) (core.TeamResult, error) {
 	r.Run()
 	if res == nil {
 		return core.TeamResult{}, fmt.Errorf("experiment: distributed round hung on %s", topoName)
+	}
+	if res.Missing > 0 {
+		return core.TeamResult{}, fmt.Errorf("experiment: distributed round on %s merged without %d of %d reports", topoName, res.Missing, k-1)
 	}
 	return *res, nil
 }

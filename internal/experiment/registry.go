@@ -64,8 +64,8 @@ func Runners() []Runner {
 		{"ext-churn", "Extension: discovery under scripted churn (chaos scenarios)", func(o Opts) []Report {
 			return []Report{ExtChurn(o.Seeds)}
 		}},
-		{"ext-scale", "Extension: audited discovery at 100-10k switches across all topology families", func(Opts) []Report {
-			return []Report{ExtScale()}
+		{"ext-scale", "Extension: audited discovery at 100-10k switches across all topology families", func(o Opts) []Report {
+			return []Report{ExtScale(o.Workers)}
 		}},
 	}
 }

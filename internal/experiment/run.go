@@ -8,8 +8,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rig"
@@ -204,21 +202,9 @@ func RunConfigWithRetry(cfg Config, retries int) Outcome {
 // RunConfigAll executes the configurations across a worker pool,
 // preserving order. workers <= 0 selects GOMAXPROCS.
 func RunConfigAll(cfgs []Config, workers int) []Outcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]Outcome, len(cfgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = RunConfigWithRetry(cfg, 2)
-		}(i, cfg)
-	}
-	wg.Wait()
+	rig.ForEach(len(cfgs), workers, func(i int) {
+		out[i] = RunConfigWithRetry(cfgs[i], 2)
+	})
 	return out
 }

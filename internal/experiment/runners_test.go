@@ -20,9 +20,10 @@ func TestAllRunnersSmoke(t *testing.T) {
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
 			if r.ID == "ext-scale" {
-				// Up to 10k switches: too slow under -race. results-check
-				// runs it in full, TestExtScaleTrimmed its machinery.
-				t.Skip("ext-scale is covered by results-check and TestExtScaleTrimmed")
+				// Up to 10k switches: too slow under -race.
+				// TestReportsMatchCommittedResults runs it in full,
+				// TestExtScaleTrimmed its machinery.
+				t.Skip("ext-scale is covered by TestReportsMatchCommittedResults and TestExtScaleTrimmed")
 			}
 			reports := r.Run(Opts{Seeds: 1})
 			if len(reports) == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -39,16 +40,18 @@ const scaleHorizon = 3600 * sim.Second
 // generator family. Each row is one chaos-executor run with an empty
 // event script — an initial discovery, then an audit that rediscovers
 // the converged fabric a second time — convergence-checked against the
-// alive-fabric ground truth by the oracle. The table holds simulated
-// quantities only, so it is as deterministic as the paper's; asibench
-// prints the sweep's wall time and events per second on stderr.
-func ExtScale() Report {
-	return extScale(scaleRows())
+// alive-fabric ground truth by the oracle. The rows are independent and
+// run across a pool of workers (<= 0 means GOMAXPROCS). The table holds
+// simulated quantities only, so it is as deterministic as the paper's at
+// any worker count; asibench prints the sweep's wall time and events per
+// second on stderr.
+func ExtScale(workers int) Report {
+	return extScale(scaleRows(), workers)
 }
 
 // extScale runs the sweep over an explicit row set; tests use a trimmed
 // one to keep the regular suite fast.
-func extScale(rows []string) Report {
+func extScale(rows []string, workers int) Report {
 	r := Report{
 		ID:     "ext-scale",
 		Title:  "Discovery at scale: 100-10,000-switch fabrics across all generator families",
@@ -58,37 +61,41 @@ func extScale(rows []string) Report {
 			"every row is audited ('converged (audit)'): the settled fabric is rediscovered a second time",
 		},
 	}
-	for _, name := range rows {
-		sc := chaos.Scenario{
-			Name:      "scale " + name,
-			Seed:      1,
-			Algorithm: "parallel",
-		}
-		sc.Topology.Catalogue = name
-		rep, err := chaos.Execute(sc, chaos.Options{Horizon: scaleHorizon})
-		if err != nil {
-			r.Rows = append(r.Rows, []string{name, "", "", "", "", "", "ERR " + err.Error()})
-			continue
-		}
-		verdict := "converged (audit)"
-		if oerr := (chaos.Oracle{}).Check(rep); oerr != nil {
-			verdict = "VIOLATION: " + oerr.Error()
-		}
-		var discovery sim.Duration
-		switches := 0
-		if len(rep.Results) > 0 {
-			discovery = rep.Results[0].Duration
-			switches = rep.Results[0].Switches
-		}
-		r.Rows = append(r.Rows, []string{
-			name,
-			fmt.Sprint(switches),
-			fmt.Sprint(rep.WantDevices),
-			fmt.Sprint(rep.WantLinks),
-			fmt.Sprintf("%.3f", discovery.Seconds()),
-			fmt.Sprint(rep.Processed),
-			verdict,
-		})
-	}
+	r.Rows = make([][]string, len(rows))
+	rig.ForEach(len(rows), workers, func(i int) { r.Rows[i] = scaleRow(rows[i]) })
 	return r
+}
+
+// scaleRow runs one audited discovery of the named fabric and returns
+// its table row.
+func scaleRow(name string) []string {
+	sc := chaos.Scenario{
+		Name:      "scale " + name,
+		Seed:      1,
+		Algorithm: "parallel",
+	}
+	sc.Topology.Catalogue = name
+	rep, err := chaos.Execute(sc, chaos.Options{Horizon: scaleHorizon})
+	if err != nil {
+		return []string{name, "", "", "", "", "", "ERR " + err.Error()}
+	}
+	verdict := "converged (audit)"
+	if oerr := (chaos.Oracle{}).Check(rep); oerr != nil {
+		verdict = "VIOLATION: " + oerr.Error()
+	}
+	var discovery sim.Duration
+	switches := 0
+	if len(rep.Results) > 0 {
+		discovery = rep.Results[0].Duration
+		switches = rep.Results[0].Switches
+	}
+	return []string{
+		name,
+		fmt.Sprint(switches),
+		fmt.Sprint(rep.WantDevices),
+		fmt.Sprint(rep.WantLinks),
+		fmt.Sprintf("%.3f", discovery.Seconds()),
+		fmt.Sprint(rep.Processed),
+		verdict,
+	}
 }

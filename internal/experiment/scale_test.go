@@ -6,13 +6,13 @@ import (
 )
 
 // TestExtScaleTrimmed runs the ext-scale machinery over a small row set
-// (make results-check runs the full sweep, up to 10k switches): two
-// audited rows, both of which must converge.
+// (TestReportsMatchCommittedResults runs the full sweep, up to 10k
+// switches): two audited rows, both of which must converge.
 func TestExtScaleTrimmed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-switch discovery runs")
 	}
-	rep := extScale([]string{"dragonfly 8x32", "autofat 32x512"})
+	rep := extScale([]string{"dragonfly 8x32", "autofat 32x512"}, 0)
 	if len(rep.Rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rep.Rows))
 	}

@@ -7,6 +7,8 @@ package rig
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -135,6 +137,29 @@ var processed atomic.Uint64
 // TakeProcessed returns the events every rig processed since the
 // previous call, and resets the tally. asibench derives events/s from it.
 func TakeProcessed() uint64 { return processed.Swap(0) }
+
+// ForEach calls run(0), ..., run(n-1), each on a goroutine of its own
+// with at most workers running at once (GOMAXPROCS when workers <= 0),
+// and returns when all have returned. A goroutine starts only once it
+// holds a worker slot, so a long list parks none. Rigs share no mutable
+// state, so independent runs give the same results at any worker count.
+func ForEach(n, workers int, run func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			run(i)
+		}()
+	}
+	wg.Wait()
+}
 
 // RunFor drains the simulation for at most horizon of simulated time
 // (unbounded if zero or less) and reports whether the queue emptied.

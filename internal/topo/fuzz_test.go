@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -9,7 +10,9 @@ import (
 const fuzzBuildMax = 1 << 14
 
 // FuzzParseName feeds arbitrary names to ParseName. Any input must come
-// back without a panic and nothing past MaxSize may be built. Every name
+// back without a panic and nothing past MaxSize may be built. CheckName,
+// which builds nothing, must refuse a name exactly when ByName does, with
+// the same error. Every name
 // that builds must agree with the counts ParseName sized it by, and its
 // port table with the cabling: Peer at every (node, port) equals a map
 // rebuilt from Links, and ReachableFrom equals a map-based breadth-first
@@ -31,6 +34,9 @@ func FuzzParseName(f *testing.F) {
 			t.Skip("legal, but too large to build in a fuzz iteration")
 		}
 		tp, err := ParseName(name)
+		if _, berr := ByName(name); fmt.Sprint(CheckName(name)) != fmt.Sprint(berr) {
+			t.Fatalf("CheckName(%q) = %v, ByName refuses it with %v", name, CheckName(name), berr)
+		}
 		if err != nil {
 			return
 		}

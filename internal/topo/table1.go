@@ -78,11 +78,23 @@ func ByName(name string) (*Topology, error) {
 	return ParseName(name)
 }
 
+// CheckName returns the error ByName would return for name, building
+// nothing: a catalogue lookup, or a parametric family's sizing and its
+// MaxSize check.
+func CheckName(name string) error {
+	for _, s := range Catalogue() {
+		if s.Name == name {
+			return nil
+		}
+	}
+	_, err := sized(name)
+	return err
+}
+
 // MaxSize bounds the fabrics ParseName builds, in nodes and in links.
-// Names arrive from outside the program (-topo, the daemon's config
-// file, replayed scenarios, the fuzzer) and the generators allocate every
-// node and cable, so without a bound a name can ask for any amount of
-// memory. 1<<20 nodes is ~50x dragonfly 16x625, the largest fabric any
+// Names arrive from outside the program (-topo, replayed scenarios, the
+// fuzzer) and the generators allocate every node and cable, so without a
+// bound a name can ask for any amount of memory. 1<<20 nodes is ~50x dragonfly 16x625, the largest fabric any
 // test or benchmark builds.
 const MaxSize = 1 << 20
 
@@ -104,6 +116,16 @@ const maxTreeDepth = 20
 // An instance of more than MaxSize nodes or links is refused before
 // anything is built.
 func ParseName(name string) (*Topology, error) {
+	build, err := sized(name)
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
+
+// sized resolves a parametric family name to its constructor, refusing
+// an instance of more than MaxSize nodes or links.
+func sized(name string) (func() *Topology, error) {
 	nodes, links, build, err := parametric(name)
 	if err != nil {
 		return nil, err
@@ -112,7 +134,7 @@ func ParseName(name string) (*Topology, error) {
 		return nil, fmt.Errorf("topo: %q is too large: %.4g nodes and %.4g links, the limit is %d of each",
 			name, nodes, links, MaxSize)
 	}
-	return build(), nil
+	return build, nil
 }
 
 // parametric resolves a family name to the instance's node and link
