@@ -42,9 +42,8 @@
 #                   /metrics exposition and the Chrome trace export
 #   make bench    - regenerate the four ledgers: figure, engine, fabric and
 #                   topology benchmarks -> BENCH_sim.json (benchstat-
-#                   compatible raw lines plus parsed metrics, with
-#                   results/bench_baseline.txt embedded as the
-#                   before/baseline section), the FM-database ledger
+#                   compatible raw lines plus parsed metrics, one
+#                   "current" section), the FM-database ledger
 #                   (internal/core, internal/fib) -> BENCH_fm.json, the
 #                   serving ledger (internal/rib) -> BENCH_serve.json and
 #                   the observation ledger (internal/obs, internal/telemetry)
@@ -56,18 +55,6 @@ BENCHTIME ?= 3x
 # per-benchmark minimum, which keeps the regression gate stable on busy
 # or single-core hosts despite the short BENCHTIME.
 BENCHCOUNT ?= 5
-# The figure, engine and topology ledger's, the FM-database ledger's and
-# the serving ledger's before sections: the same benchmarks on the
-# parent of the latest change to them (a database of two DSN-keyed maps
-# and a heap record per device, rebuilt with its maps by every
-# rediscovery and copied map by map after a Clone).
-BENCH_BASELINE ?= results/bench_baseline.txt
-BENCH_FM_BASELINE ?= results/bench_fm_baseline.txt
-BENCH_SERVE_BASELINE ?= results/bench_serve_baseline.txt
-# The observation ledger's before section: the same benchmarks on the
-# commit before the append-based /metrics render and the presized
-# registry snapshot.
-BENCH_OBS_BASELINE ?= results/bench_obs_baseline.txt
 # Each ledger's packages, for both bench and bench-diff. Every package
 # with a Go benchmark is in one of them.
 SIM_PKGS = . ./internal/fabric ./internal/sim ./internal/topo
@@ -204,7 +191,7 @@ bench-diff:
 verify: fmt-check seam-check build vet test race bench-test bench-diff
 
 bench:
-	$(BENCH_RUN) $(SIM_PKGS) | $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_BASELINE) -o BENCH_sim.json
-	$(BENCH_RUN) $(FM_PKGS) | $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_FM_BASELINE) -o BENCH_fm.json
-	$(BENCH_RUN) $(SERVE_PKGS) | $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_SERVE_BASELINE) -o BENCH_serve.json
-	$(BENCH_RUN) $(OBS_PKGS) | $(GO) run ./cmd/benchjson -tee -baseline $(BENCH_OBS_BASELINE) -o BENCH_obs.json
+	$(BENCH_RUN) $(SIM_PKGS) | $(GO) run ./cmd/benchjson -tee -o BENCH_sim.json
+	$(BENCH_RUN) $(FM_PKGS) | $(GO) run ./cmd/benchjson -tee -o BENCH_fm.json
+	$(BENCH_RUN) $(SERVE_PKGS) | $(GO) run ./cmd/benchjson -tee -o BENCH_serve.json
+	$(BENCH_RUN) $(OBS_PKGS) | $(GO) run ./cmd/benchjson -tee -o BENCH_obs.json

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
-	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -99,9 +98,8 @@ func BenchmarkFig6DiscoveryTime(b *testing.B) {
 	for _, kind := range core.PaperKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			rig.TakeProcessed()
-			var secs float64
-			var pkts float64
+			var secs, pkts float64
+			var events uint64
 			for i := 0; i < b.N; i++ {
 				o := experiment.RunConfig(experiment.Config{
 					Topology: "6x6 mesh", Algorithm: kind,
@@ -112,11 +110,12 @@ func BenchmarkFig6DiscoveryTime(b *testing.B) {
 				}
 				secs = o.Result.Duration.Seconds()
 				pkts = float64(o.Result.PacketsSent)
+				events += o.Events
 			}
 			b.StopTimer()
 			b.ReportMetric(secs, "sim-s/run")
 			b.ReportMetric(pkts, "pkts/run")
-			reportEventsPerSec(b, rig.TakeProcessed())
+			reportEventsPerSec(b, events)
 		})
 	}
 }
@@ -189,8 +188,8 @@ func BenchmarkFig9FactorCombos(b *testing.B) {
 		for _, kind := range []core.Kind{core.SerialPacket, core.Parallel} {
 			b.Run(c.name+"/"+kind.String(), func(b *testing.B) {
 				b.ReportAllocs()
-				rig.TakeProcessed()
 				var secs float64
+				var events uint64
 				for i := 0; i < b.N; i++ {
 					o := experiment.RunConfig(experiment.Config{
 						Topology: "6x6 torus", Algorithm: kind,
@@ -201,10 +200,11 @@ func BenchmarkFig9FactorCombos(b *testing.B) {
 						b.Fatal(o.Err)
 					}
 					secs = o.Result.Duration.Seconds()
+					events += o.Events
 				}
 				b.StopTimer()
 				b.ReportMetric(secs, "sim-s/run")
-				reportEventsPerSec(b, rig.TakeProcessed())
+				reportEventsPerSec(b, events)
 			})
 		}
 	}

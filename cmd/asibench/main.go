@@ -13,7 +13,7 @@
 package main
 
 import (
-	"expvar"
+	_ "expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -24,12 +24,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiment"
-	"repro/internal/rig"
 )
-
-// benchEvents exposes the cumulative processed-event tally on the -debug
-// endpoint, next to the memstats expvar publishes by default.
-var benchEvents = expvar.NewInt("asibench.events")
 
 func main() {
 	var common cli.Common
@@ -83,36 +78,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var (
-		all         []experiment.Report
-		totalEvents uint64
-		totalWall   time.Duration
-	)
+	var all []experiment.Report
 	for _, r := range runners {
-		// Time each experiment and derive simulator throughput from the
-		// rigs' processed-event tally. Stderr keeps stdout
-		// machine-readable under -csv and -json.
-		rig.TakeProcessed()
+		// Each experiment's wall time goes to stderr, which keeps stdout
+		// machine-readable under -csv and -json and a function of the
+		// seeds alone.
 		start := time.Now()
 		reports := r.Run(opts)
-		elapsed := time.Since(start)
-		events := rig.TakeProcessed()
-		totalEvents += events
-		totalWall += elapsed
-		benchEvents.Add(int64(events))
-		fmt.Fprintf(os.Stderr, "%-16s %8.2fs wall  %12d events  %10.0f events/s\n",
-			r.ID, elapsed.Seconds(), events,
-			float64(events)/elapsed.Seconds())
-		// Stamp each report with its experiment's wall-clock cost and
-		// simulator throughput, so the -json envelope carries them per
-		// experiment (the renderers ignore the fields; goldens are safe).
-		for i := range reports {
-			reports[i].WallSeconds = elapsed.Seconds()
-			reports[i].Events = events
-			if elapsed > 0 {
-				reports[i].EventsPerSec = float64(events) / elapsed.Seconds()
-			}
-		}
+		fmt.Fprintf(os.Stderr, "%-16s %8.2fs wall\n", r.ID, time.Since(start).Seconds())
 		for _, rep := range reports {
 			var err error
 			switch {
@@ -135,12 +108,7 @@ func main() {
 		}
 	}
 	if *jsonOut {
-		rr := experiment.NewReportsJSON(all)
-		rr.Events = totalEvents
-		if totalWall > 0 {
-			rr.EventsPerSec = float64(totalEvents) / totalWall.Seconds()
-		}
-		if err := rr.JSON(os.Stdout); err != nil {
+		if err := experiment.NewReportsJSON(all).JSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -46,7 +46,7 @@ func TestList(t *testing.T) {
 }
 
 // TestJSONReportDecodes: -exp fig7a -json is one run-report envelope that
-// decodes strictly and carries the fig7a table and its event tally.
+// decodes strictly and carries the fig7a table.
 func TestJSONReportDecodes(t *testing.T) {
 	out := asibench(t, "-exp", "fig7a", "-json")
 	rr, err := experiment.DecodeRunReport(strings.NewReader(out))
@@ -56,7 +56,20 @@ func TestJSONReportDecodes(t *testing.T) {
 	if len(rr.Reports) != 1 || rr.Reports[0].ID != "fig7a" || len(rr.Reports[0].Rows) == 0 {
 		t.Fatalf("reports %+v, want the one fig7a table", rr.Reports)
 	}
-	if rr.Events == 0 || rr.Reports[0].Events != rr.Events {
-		t.Errorf("envelope counts %d events, fig7a %d; want the same nonzero tally", rr.Events, rr.Reports[0].Events)
+}
+
+// TestJSONRepeatsByteForByte: the -json envelope is a function of the
+// seeds alone, so two runs print the same bytes; host wall time goes to
+// stderr only.
+func TestJSONRepeatsByteForByte(t *testing.T) {
+	first := asibench(t, "-exp", "fig7a", "-json")
+	if second := asibench(t, "-exp", "fig7a", "-json"); second != first {
+		a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("two runs of asibench -exp fig7a -json differ at line %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Errorf("two runs of asibench -exp fig7a -json differ in length: %d and %d lines", len(a), len(b))
 	}
 }

@@ -119,6 +119,23 @@ func TestJSONReportsDecode(t *testing.T) {
 	}
 }
 
+// TestTelemetryJSONRepeatsByteForByte: a telemetry run's report is a
+// function of its seed, snapshot included, so two runs print the same
+// bytes.
+func TestTelemetryJSONRepeatsByteForByte(t *testing.T) {
+	args := []string{"-topo", "3x3 mesh", "-alg", "parallel", "-change", "remove", "-telemetry", "-json"}
+	first := asidisc(t, args...)
+	if second := asidisc(t, args...); second != first {
+		a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("two runs of asidisc %q differ at line %d:\n%s\n%s", args, i+1, a[i], b[i])
+			}
+		}
+		t.Errorf("two runs of asidisc %q differ in length: %d and %d lines", args, len(a), len(b))
+	}
+}
+
 // TestSpansOutReadsBack: the Chrome trace-event file -spans-out writes
 // reads back through span.ReadChrome, the loader asitrace uses, to the
 // same span log the -spans -json report carries.

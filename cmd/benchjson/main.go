@@ -5,14 +5,11 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_sim.json
-//	benchjson -baseline results/bench_baseline.txt -o BENCH_sim.json < bench.txt
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -diff BENCH_sim.json
 //
-// The -baseline flag parses a second benchmark text file (typically the
-// pre-optimization run committed under results/) into a "baseline"
-// section of the same shape, so BENCH_sim.json carries before/after
-// numbers side by side. With -tee the input text is echoed to stderr as
-// it streams, keeping interactive `make bench` output visible.
+// The document's one section, "current", is the run on stdin. With -tee
+// the input text is echoed to stderr as it streams, keeping interactive
+// `make bench` output visible.
 //
 // The -diff flag turns benchjson into a regression gate: the fresh run on
 // stdin is compared against the "current" section of a committed
@@ -66,12 +63,10 @@ type Suite struct {
 
 // Output is the document benchjson writes.
 type Output struct {
-	Current  Suite  `json:"current"`
-	Baseline *Suite `json:"baseline,omitempty"`
+	Current Suite `json:"current"`
 }
 
 func main() {
-	baseline := flag.String("baseline", "", "benchmark text file to embed as the before/baseline section")
 	out := flag.String("o", "", "output file (default stdout)")
 	tee := flag.Bool("tee", false, "echo input lines to stderr while parsing")
 	diff := flag.String("diff", "", "committed benchjson document to gate the fresh run on stdin against")
@@ -91,20 +86,6 @@ func main() {
 		}
 		return
 	}
-	doc := Output{Current: cur}
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		base, err := parse(f, nil)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		doc.Baseline = &base
-	}
-
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -116,7 +97,7 @@ func main() {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := enc.Encode(Output{Current: cur}); err != nil {
 		fatal(err)
 	}
 }

@@ -477,7 +477,8 @@ func (x *execution) finish() {
 // fingerprint folds every deterministic observable of the run into one
 // FNV-1a value: the engine's event count, the fabric's accounting, each
 // discovery result's measurements, and the final database fingerprint.
-// Wall-clock-derived telemetry (events/sec) is deliberately excluded.
+// The observers' output (telemetry snapshot, span log) is not folded in,
+// so the fingerprint does not depend on which observers were attached.
 func (rep *Report) fingerprint() uint64 {
 	h := uint64(fnvOffset)
 	mix := func(v uint64) { h = fnvFold(h, v) }

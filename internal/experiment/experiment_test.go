@@ -46,6 +46,29 @@ func TestRunRemoveSwitchMeasuresAssimilation(t *testing.T) {
 	}
 }
 
+// TestPartialTimelineCoversEveryRun: a partial assimilation may finish
+// in several runs (at these seeds the first run processes no packet and
+// the second all of them), and the measured result's timeline must hold
+// one point per processed packet across all of them, in order.
+func TestPartialTimelineCoversEveryRun(t *testing.T) {
+	for seed := uint64(2); seed <= 5; seed++ {
+		o := RunConfig(Config{Topology: "8x8 torus", Algorithm: core.Partial, Seed: seed, Change: RemoveSwitch})
+		if o.Err != nil {
+			t.Fatalf("seed %d: %v", seed, o.Err)
+		}
+		tl := o.Result.Timeline
+		if o.Result.Processed == 0 || len(tl) != o.Result.Processed {
+			t.Errorf("seed %d: %d timeline points for %d processed packets", seed, len(tl), o.Result.Processed)
+		}
+		for i := 1; i < len(tl); i++ {
+			if tl[i] < tl[i-1] {
+				t.Errorf("seed %d: timeline point %d at %v precedes point %d at %v", seed, i+1, tl[i], i, tl[i-1])
+				break
+			}
+		}
+	}
+}
+
 func TestRunAddSwitchRestoresFullTopology(t *testing.T) {
 	o := RunConfig(Config{Topology: "4x4 torus", Algorithm: core.SerialDevice, Seed: 2, Change: AddSwitch})
 	if o.Err != nil {

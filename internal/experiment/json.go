@@ -13,14 +13,15 @@ import (
 // RunReportSchema identifies the JSON envelope version emitted by the
 // CLIs. Consumers should reject any other schema string, as
 // DecodeRunReport does.
-const RunReportSchema = "asi-discovery/run-report/v5"
+const RunReportSchema = "asi-discovery/run-report/v6"
 
 // RunReport is the machine-readable envelope for simulation output: run
 // identification, the measured discovery, any rendered report tables,
 // and — when the run collected it — the full telemetry snapshot. It is
 // what `asidisc -json` and `asibench -json` emit, and it round-trips
 // through encoding/json losslessly (modulo unexported state, of which
-// the fields carry none).
+// the fields carry none). Every field is simulated, never host time, so
+// one command run twice prints the same bytes.
 type RunReport struct {
 	Schema string `json:"schema"`
 	// Topology, Algorithm, Seed and Change identify the run.
@@ -41,10 +42,8 @@ type RunReport struct {
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	// Spans is the run's causal span log when span tracing was enabled.
 	Spans *span.Log `json:"spans,omitempty"`
-	// Events counts processed simulation events; EventsPerSec is the
-	// simulator's wall-clock throughput where the caller measured one.
-	Events       uint64  `json:"events,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
+	// Events counts the simulation events the run's engine processed.
+	Events uint64 `json:"events,omitempty"`
 }
 
 // NewRunReport packages one run outcome for machine consumption.

@@ -21,15 +21,6 @@ type Report struct {
 	Rows [][]string `json:"rows"`
 	// Notes carries methodology remarks appended after the table.
 	Notes []string `json:"notes,omitempty"`
-	// WallSeconds, Events and EventsPerSec record the experiment's
-	// wall-clock cost and simulator throughput: total wall time spent
-	// simulating, total simulation events processed, and their ratio.
-	// They are filled by the CLI envelope (asibench -json), never by the
-	// renderers, and omitted when zero so committed goldens are
-	// undisturbed.
-	WallSeconds  float64 `json:"wall_seconds,omitempty"`
-	Events       uint64  `json:"events,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 }
 
 // Render writes an aligned text table.

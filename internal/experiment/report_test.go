@@ -104,9 +104,9 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 }
 
 // Retired envelope versions get no partial back-compat decoding: a v1 to
-// v4 document is refused by the unknown-schema error whatever it carries.
+// v5 document is refused by the unknown-schema error whatever it carries.
 func TestDecodeRunReportBackCompat(t *testing.T) {
-	for _, version := range []string{"v1", "v2", "v3", "v4"} {
+	for _, version := range []string{"v1", "v2", "v3", "v4", "v5"} {
 		schema := "asi-discovery/run-report/" + version
 		for _, body := range []string{
 			`"error":"x"`,
@@ -132,6 +132,10 @@ func TestDecodeRunReportRejects(t *testing.T) {
 		// The sharded path's section left the schema with the path.
 		"retired regions section": `{"schema":"` + RunReportSchema + `","error":"x",` +
 			`"regions":{"regions":2}}`,
+		// Host time left the envelope with v6.
+		"retired events_per_sec": `{"schema":"` + RunReportSchema + `","error":"x","events_per_sec":1}`,
+		"retired wall_seconds": `{"schema":"` + RunReportSchema + `","reports":[` +
+			`{"id":"r","title":"t","header":["a"],"rows":[["1"]],"wall_seconds":1}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := DecodeRunReport(bytes.NewReader([]byte(doc))); err == nil {

@@ -3,14 +3,15 @@ package experiment
 import (
 	"bytes"
 	"os"
+	"sync"
 	"testing"
 )
 
 // TestReportsMatchCommittedResults is the absolute referee for the
-// simulation. It renders every report of every registered experiment at
-// asibench's default scale (Opts{Seeds: 4}), in asibench's order, and
-// requires the whole to equal the committed `asibench -seeds 4` run byte
-// for byte. The fingerprint suites only compare a run with itself; this
+// simulation. It renders committedReports, every report of every
+// registered experiment at asibench's default scale, and requires the
+// whole to equal the committed `asibench -seeds 4` run byte for byte.
+// The fingerprint suites only compare a run with itself; this
 // catches a change that reorders one random draw. It is skipped under
 // -race, which would take minutes over the 10k-switch ext-scale rows.
 func TestReportsMatchCommittedResults(t *testing.T) {
@@ -23,8 +24,8 @@ func TestReportsMatchCommittedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	for _, r := range Runners() {
-		for _, rep := range r.Run(Opts{Seeds: 4}) {
+	for _, reports := range committedReports() {
+		for _, rep := range reports {
 			if err := rep.Render(&got); err != nil {
 				t.Fatal(err)
 			}
@@ -54,6 +55,18 @@ func TestReportsMatchCommittedResults(t *testing.T) {
 		}
 	}
 }
+
+// committedReports runs every registered experiment once at asibench's
+// default scale (Opts{Seeds: 4}), in asibench's order, one entry per
+// runner: TestReportsMatchCommittedResults renders them, and
+// TestAllRunnersSmoke checks them outside -race.
+var committedReports = sync.OnceValue(func() [][]Report {
+	var all [][]Report
+	for _, r := range Runners() {
+		all = append(all, r.Run(Opts{Seeds: 4}))
+	}
+	return all
+})
 
 // sections splits a rendered run at its "== id: title ==" banners.
 func sections(out []byte) [][]byte {

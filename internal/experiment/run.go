@@ -8,6 +8,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rig"
@@ -164,10 +165,14 @@ func (out *Outcome) measure(r *rig.Rig) {
 
 // aggregate folds the runs one change triggered into one measurement:
 // partial assimilation may produce several small runs, one per coalesced
-// report batch.
+// report batch. Their timelines join in run order, one point per
+// processed packet; clipped, the first append copies, so runs[0] keeps
+// its own.
 func aggregate(runs []core.Result) core.Result {
 	sum := runs[0]
+	sum.Timeline = slices.Clip(sum.Timeline)
 	for _, r := range runs[1:] {
+		sum.Timeline = append(sum.Timeline, r.Timeline...)
 		sum.End = r.End
 		sum.Duration += r.Duration
 		sum.PacketsSent += r.PacketsSent

@@ -3,29 +3,30 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/rig"
 )
 
-// TestAllRunnersSmoke executes every registered experiment at minimal
-// scale and checks the reports are well-formed and error-free. It runs
-// hundreds of simulations; skip with -short.
+// TestAllRunnersSmoke checks that every registered experiment's reports
+// are well-formed and error-free. Outside -race it checks the reports
+// TestReportsMatchCommittedResults rendered, so nothing is simulated
+// twice; under -race, where that referee is skipped, it runs each
+// experiment at one seed itself. Skip with -short.
 func TestAllRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
-	for _, r := range Runners() {
-		r := r
+	for i, r := range Runners() {
 		t.Run(r.ID, func(t *testing.T) {
-			t.Parallel()
-			if r.ID == "ext-scale" {
+			var reports []Report
+			switch {
+			case !raceEnabled:
+				reports = committedReports()[i]
+			case r.ID == "ext-scale":
 				// Up to 10k switches: too slow under -race.
-				// TestReportsMatchCommittedResults runs it in full,
-				// TestExtScaleTrimmed its machinery.
 				t.Skip("ext-scale is covered by TestReportsMatchCommittedResults and TestExtScaleTrimmed")
+			default:
+				t.Parallel()
+				reports = r.Run(Opts{Seeds: 1})
 			}
-			reports := r.Run(Opts{Seeds: 1})
 			if len(reports) == 0 {
 				t.Fatal("runner produced no reports")
 			}
@@ -48,35 +49,6 @@ func TestAllRunnersSmoke(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunnersTallyEvents requires a processed-event count from each
-// experiment that drives its rigs outside RunConfig, and from a loaded
-// ext-traffic run (its idle runs go through RunConfig): asibench reports
-// events/s from the rigs' tally. It runs them one after another, not in
-// parallel, so the tally holds only the runner's own events.
-func TestRunnersTallyEvents(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runs skipped in -short mode")
-	}
-	for _, id := range []string{"ext-churn", "ext-failover", "ext-distributed"} {
-		r, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.TakeProcessed()
-		r.Run(Opts{Seeds: 1})
-		if n := rig.TakeProcessed(); n == 0 {
-			t.Errorf("%s: the tally counted 0 events", id)
-		}
-	}
-	rig.TakeProcessed()
-	if _, err := runLoaded("4x4 mesh", core.Parallel, 1); err != nil {
-		t.Fatal(err)
-	}
-	if n := rig.TakeProcessed(); n == 0 {
-		t.Error("a loaded ext-traffic run: the tally counted 0 events")
 	}
 }
 

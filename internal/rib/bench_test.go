@@ -17,9 +17,7 @@ import (
 // The serving ledger: what publishing one generation costs the installer
 // and what fanning it out costs per subscriber. `make bench` writes these
 // to BENCH_serve.json; `make bench-diff` gates their allocs/op and B/op.
-// They use the package's exported surface only, so the same file measures
-// the commit before the change-driven install (the ledger's before
-// section, results/bench_serve_baseline.txt).
+// They use the package's exported surface only.
 
 // discoveredDB runs one Parallel discovery of the named fabric and
 // returns the manager's database.

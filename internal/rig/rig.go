@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -70,8 +68,6 @@ type Rig struct {
 	// HostSwitch is the switch the manager's endpoint hangs off; taking
 	// it down cuts the manager off.
 	HostSwitch topo.NodeID
-
-	start time.Time
 }
 
 // New builds tp's fabric on a fresh engine and attaches a manager to
@@ -80,7 +76,7 @@ type Rig struct {
 // fabric stream and the order events are scheduled in.
 // OnDiscoveryComplete is left to the driver.
 func New(tp *topo.Topology, cfg Config) (*Rig, error) {
-	r := &Rig{Topo: tp, Engine: sim.NewEngine(), RNG: Stream(cfg.Seed, StreamFabric), start: time.Now()}
+	r := &Rig{Topo: tp, Engine: sim.NewEngine(), RNG: Stream(cfg.Seed, StreamFabric)}
 	if cfg.Telemetry {
 		r.Registry = telemetry.New()
 	}
@@ -129,15 +125,6 @@ func (r *Rig) AddManager(host topo.NodeID, opt core.Options) *core.Manager {
 // Run drains the simulation to quiescence.
 func (r *Rig) Run() { r.RunFor(0) }
 
-// processed tallies the events every rig's engine processed inside
-// RunFor, across goroutines; every driver drains through RunFor, so it is
-// the whole process's simulation work.
-var processed atomic.Uint64
-
-// TakeProcessed returns the events every rig processed since the
-// previous call, and resets the tally. asibench derives events/s from it.
-func TakeProcessed() uint64 { return processed.Swap(0) }
-
 // ForEach calls run(0), ..., run(n-1), each on a goroutine of its own
 // with at most workers running at once (GOMAXPROCS when workers <= 0),
 // and returns when all have returned. A goroutine starts only once it
@@ -170,9 +157,7 @@ func (r *Rig) RunFor(horizon sim.Duration) (drained bool) {
 	if horizon > 0 {
 		deadline = r.Engine.Now().Add(horizon)
 	}
-	before := r.Engine.Processed
 	r.Engine.RunUntil(deadline)
-	processed.Add(r.Engine.Processed - before)
 	return r.Engine.Pending() == 0
 }
 
@@ -220,10 +205,11 @@ func (r *Rig) Hotplug(at sim.Time, node topo.NodeID, down bool, fail func(error)
 
 // Snapshot publishes the totals kept outside the registry — fabric flap
 // count, engine statistics — and freezes it. Totals are republished, not
-// added, so a daemon may call it on every scrape. It needs
-// Config.Telemetry.
+// added, so a daemon may call it on every scrape. Every series is
+// simulated: no host time enters a snapshot, so it is a function of the
+// rig's seed and what was driven through it. It needs Config.Telemetry.
 func (r *Rig) Snapshot() telemetry.Snapshot {
 	r.Fabric.FinishTelemetry(r.Registry)
-	r.Engine.RecordTelemetry(r.Registry, time.Since(r.start))
+	r.Engine.RecordTelemetry(r.Registry, 0)
 	return r.Registry.Snapshot()
 }

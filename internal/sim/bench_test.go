@@ -25,7 +25,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 		e.Run()
 	}
 	b.StopTimer()
-	reportEventsPerSec(b, batch)
+	reportEventRate(b, batch)
 }
 
 // BenchmarkScheduleCancel measures schedule immediately followed by
@@ -50,7 +50,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportEventsPerSec(b, batch)
+	reportEventRate(b, batch)
 }
 
 // BenchmarkRearm measures re-arming a recurring event, a handler bound
@@ -71,7 +71,7 @@ func BenchmarkRearm(b *testing.B) {
 		e.Run()
 	}
 	b.StopTimer()
-	reportEventsPerSec(b, 1)
+	reportEventRate(b, 1)
 }
 
 // BenchmarkChurn mixes scheduling, cancellation and firing with handlers
@@ -104,8 +104,6 @@ func BenchmarkChurn(b *testing.B) {
 		}
 		e.Run()
 	}
-	b.StopTimer()
-	reportEventsPerSec(b, 0)
 }
 
 // BenchmarkQueueProfile holds the queue at a fixed depth under the four
@@ -199,18 +197,12 @@ func benchHold(b *testing.B, e *Engine) {
 		}
 	}
 	b.StopTimer()
-	reportEventsPerSec(b, holdBatch)
+	reportEventRate(b, holdBatch)
 }
 
-// reportEventsPerSec derives throughput from the engine-independent
-// counters: perOp > 0 means a fixed number of scheduled events per
-// iteration; 0 derives the count from b.N-scaled elapsed totals via the
-// benchmark's own processed tally being unavailable, so callers pass the
-// per-iteration event count whenever it is static.
-func reportEventsPerSec(b *testing.B, perOp int) {
-	if perOp <= 0 {
-		return
-	}
+// reportEventRate reports events/s from the number of events one
+// iteration processes.
+func reportEventRate(b *testing.B, perOp int) {
 	secs := b.Elapsed().Seconds()
 	if secs <= 0 {
 		return
@@ -218,8 +210,8 @@ func reportEventsPerSec(b *testing.B, perOp int) {
 	b.ReportMetric(float64(b.N)*float64(perOp)/secs, "events/s")
 }
 
-// BenchmarkEngineScheduleRun is the historical whole-engine benchmark:
-// cold engine, 1000 events, drain. Kept for baseline comparability.
+// BenchmarkEngineScheduleRun is the whole-engine benchmark: cold engine,
+// 1000 events, drain.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -18,7 +18,9 @@ const (
 	MetricQueueFar = "sim.queue.far"
 	// MetricHeapMax is the event queue's depth high-water mark, both tiers.
 	MetricHeapMax = "sim.heap.depth.max"
-	// MetricEventsPerSec is the wall-clock event throughput of the run.
+	// MetricEventsPerSec is the wall-clock event throughput of the run,
+	// published only for a caller that passes RecordTelemetry a wall
+	// duration (the repo benchmark does; rig.Snapshot passes none).
 	MetricEventsPerSec = "sim.events.per.sec"
 )
 
