@@ -41,6 +41,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "bad -seeds %d (valid: 1 or more repetitions)\n", *seeds)
+		os.Exit(2)
+	}
 	jsonOut := &common.JSON
 
 	if *list {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -28,6 +29,20 @@ func asibench(t *testing.T, args ...string) string {
 		t.Fatalf("asibench %q: %v", args, err)
 	}
 	return string(out)
+}
+
+// TestSeedsBelowOneExits2: -seeds below 1 would print empty tables; it
+// is refused with exit 2 naming the flag, before any experiment runs.
+func TestSeedsBelowOneExits2(t *testing.T) {
+	for _, seeds := range []string{"0", "-3"} {
+		cmd := exec.Command(os.Args[0], "-exp", "fig6", "-seeds", seeds)
+		cmd.Env = append(os.Environ(), "ASIBENCH_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-seeds") {
+			t.Errorf("asibench -seeds %s: %v, output %q; want exit 2 naming -seeds", seeds, err, out)
+		}
+	}
 }
 
 // TestList: -list prints one line per registered experiment, in order,

@@ -81,17 +81,45 @@ func TestTraceView(t *testing.T) {
 	}
 }
 
-// TestLossOutOfRangeExits2: a uniform loss outside [0, 1] is a usage
-// error, refused by Config.Validate before any run.
+// refusedWith2 runs asidisc with args and requires a usage refusal: exit
+// 2, no panic (which also exits 2), and an error naming the flag.
+func refusedWith2(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ASIDISC_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(string(out), "panic") || !strings.Contains(string(out), flag) {
+		t.Errorf("asidisc %q: %v, output %q; want exit 2 naming %s", args, err, out, flag)
+	}
+}
+
+// TestLossOutOfRangeExits2: a uniform loss outside [0, 1], NaN included,
+// is a usage error, refused by Config.Validate before any run.
 func TestLossOutOfRangeExits2(t *testing.T) {
-	for _, loss := range []string{"5", "-0.1"} {
-		cmd := exec.Command(os.Args[0], "-loss", loss)
-		cmd.Env = append(os.Environ(), "ASIDISC_RUN_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "loss rate") {
-			t.Errorf("asidisc -loss %s: %v, output %q; want exit 2 naming the loss rate", loss, err, out)
-		}
+	for _, loss := range []string{"5", "-0.1", "NaN"} {
+		refusedWith2(t, "loss rate", "-loss", loss)
+	}
+}
+
+// TestBadFlagValuesExit2: a processing factor that is not finite and
+// non-negative, a retry limit past the FM's 255 and a -flap the engine
+// cannot schedule (or with trailing input) are refused before any run.
+func TestBadFlagValuesExit2(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-fm-factor", "NaN"},
+		{"-fm-factor", "Inf"},
+		{"-dev-factor", "NaN"},
+		{"-dev-factor", "-1"},
+		{"-retries", "100000"},
+		{"-retries", "-1"},
+		{"-flap", "1,-5,5"},
+		{"-flap", "1,NaN,5"},
+		{"-flap", "1,1e30,5"},
+		{"-flap", "1,2,3junk"},
+		{"-flap", "1,2,3,4"},
+	} {
+		refusedWith2(t, tc.flag, "-topo", "3x3 mesh", "-retries", "3", tc.flag, tc.value)
 	}
 }
 

@@ -7,6 +7,7 @@
 package cli
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -73,16 +74,23 @@ func Topology(s string) (string, error) {
 	return s, nil
 }
 
-// Flap parses "link,at_us,dur_us" into a scheduled link flap.
+// Flap parses "link,at_us,dur_us" into a scheduled link flap with a
+// non-negative link, start and end inside the simulated time range, and a
+// positive duration. Errors name the -flap flag.
 func Flap(s string) (fabric.Flap, error) {
 	var link int
 	var atUS, durUS float64
-	if _, err := fmt.Sscanf(s, "%d,%g,%g", &link, &atUS, &durUS); err != nil {
-		return fabric.Flap{}, fmt.Errorf("bad flap %q (want link,at_us,dur_us): %v", s, err)
+	// The newline makes Sscanf refuse anything after dur_us.
+	_, err := fmt.Sscanf(s+"\n", "%d,%g,%g\n", &link, &atUS, &durUS)
+	switch {
+	case err != nil:
+	case link < 0 || !(atUS >= 0) || !(durUS > 0):
+		err = errors.New("negative link or start, or non-positive duration")
+	case !((atUS+durUS)*float64(sim.Microsecond) < float64(sim.Never)):
+		err = errors.New("ends past the last simulated instant")
 	}
-	return fabric.Flap{
-		Link:     link,
-		At:       sim.Time(sim.Micros(atUS)),
-		Duration: sim.Micros(durUS),
-	}, nil
+	if err != nil {
+		return fabric.Flap{}, fmt.Errorf("bad -flap %q (want link,at_us,dur_us): %v", s, err)
+	}
+	return fabric.Flap{Link: link, At: sim.Time(sim.Micros(atUS)), Duration: sim.Micros(durUS)}, nil
 }

@@ -80,7 +80,19 @@ func TestFlap(t *testing.T) {
 	if f.Link != 3 || f.At != sim.Time(sim.Micros(50)) || f.Duration != sim.Micros(100) {
 		t.Errorf("Flap = %+v", f)
 	}
-	if _, err := Flap("nope"); err == nil {
-		t.Error("bad flap accepted")
+	if f, err := Flap("0, 30, 100"); err != nil || f.Link != 0 || f.At != sim.Time(sim.Micros(30)) {
+		t.Errorf("Flap with spaces = %+v, %v", f, err)
+	}
+	for _, bad := range []string{
+		"nope", "", "1,2", "1,2,3,4", "1,2,3junk", "x,2,3", "-1,2,3",
+		"1,-5,5", "1,5,-5", "1,5,0",
+		"1,NaN,5", "1,5,NaN", "1,Inf,5", "1,5,+Inf", "1,1e30,5", "1,5,1e30", "1,5e12,5e12",
+	} {
+		_, err := Flap(bad)
+		if err == nil {
+			t.Errorf("Flap(%q) accepted", bad)
+		} else if !strings.Contains(err.Error(), "-flap") {
+			t.Errorf("Flap(%q): error %q does not name -flap", bad, err)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"cmp"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,17 +51,127 @@ func TestFig6OrderOnEveryRun(t *testing.T) {
 		t.Fatalf("fig6a has %d rows, want 104 (13 fabrics x remove/add x 4 seeds)", len(rows))
 	}
 	for _, row := range rows {
-		var secs [3]float64 // Serial Packet, Serial Device, Parallel: the last three columns
-		for i, cell := range row[len(row)-3:] {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				t.Fatalf("fig6a row %q: %v", row, err)
-			}
-			secs[i] = v
-		}
+		secs := lastFloats(t, "fig6a", row, 3) // Serial Packet, Serial Device, Parallel
 		if packet, device, parallel := secs[0], secs[1], secs[2]; !(parallel < device && device < packet) {
 			t.Errorf("fig6a row %q: Parallel %v, Serial Device %v, Serial Packet %v; %s",
 				strings.Join(row, " "), parallel, device, packet, paper)
+		}
+	}
+}
+
+// lastFloats parses the last n cells of a committed row.
+func lastFloats(t *testing.T, id string, row []string, n int) []float64 {
+	t.Helper()
+	if len(row) < n {
+		t.Fatalf("%s row %q has fewer than %d cells", id, row, n)
+	}
+	v := make([]float64, n)
+	for i, cell := range row[len(row)-n:] {
+		f, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			t.Fatalf("%s row %q: %v", id, row, err)
+		}
+		v[i] = f
+	}
+	return v
+}
+
+// algorithmColumns names the last three columns of the fig6b, fig8a and
+// fig8b tables.
+var algorithmColumns = [3]string{"Serial Packet", "Serial Device", "Parallel"}
+
+// TestFig8aFMFactorSpeedsEveryAlgorithm: on the 8x8 mesh, every
+// algorithm's discovery time strictly falls as the FM processing factor
+// rises from 0.25 to 4, and Parallel < Serial Device < Serial Packet on
+// every row.
+func TestFig8aFMFactorSpeedsEveryAlgorithm(t *testing.T) {
+	const paper = `PAPER.md: the evaluation measures "sensitivity to FM/device processing speeds", ` +
+		`with T_FM and T_Device "scaled by factors in Figs. 8–9"`
+	rows := committedSection(t, "fig8a")
+	if len(rows) != 7 {
+		t.Fatalf("fig8a has %d rows, want 7 FM factors (0.25 to 4)", len(rows))
+	}
+	var prev []float64
+	for _, row := range rows {
+		v := lastFloats(t, "fig8a", row, 4) // factor, then the three algorithms
+		if packet, device, parallel := v[1], v[2], v[3]; !(parallel < device && device < packet) {
+			t.Errorf("fig8a FM factor %v: Parallel %v, Serial Device %v, Serial Packet %v; %s",
+				v[0], parallel, device, packet, paper)
+		}
+		for i, name := range algorithmColumns {
+			if prev != nil && !(v[i+1] < prev[i+1]) {
+				t.Errorf("fig8a: %s takes %v s at FM factor %v, not less than %v s at %v; %s",
+					name, v[i+1], v[0], prev[i+1], prev[0], paper)
+			}
+		}
+		prev = v
+	}
+}
+
+// TestFig8bDeviceFactorSensitivity: on the 8x8 mesh, no algorithm's time
+// rises with the device processing factor; Parallel, which overlaps the
+// device service of many requests, barely moves (max/min under 1.15),
+// while the serial algorithms, which wait on each device in turn, vary
+// more than threefold.
+func TestFig8bDeviceFactorSensitivity(t *testing.T) {
+	const paper = `PAPER.md: the evaluation measures "sensitivity to FM/device processing speeds", ` +
+		`with T_FM and T_Device "scaled by factors in Figs. 8–9"`
+	rows := committedSection(t, "fig8b")
+	if len(rows) < 2 {
+		t.Fatalf("fig8b has %d rows, want a sweep of device factors", len(rows))
+	}
+	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	var hi [3]float64
+	var prev []float64
+	for _, row := range rows {
+		v := lastFloats(t, "fig8b", row, 4)
+		for i, name := range algorithmColumns {
+			if prev != nil && v[i+1] > prev[i+1] {
+				t.Errorf("fig8b: %s takes %v s at device factor %v, more than %v s at %v; %s",
+					name, v[i+1], v[0], prev[i+1], prev[0], paper)
+			}
+			lo[i], hi[i] = min(lo[i], v[i+1]), max(hi[i], v[i+1])
+		}
+		prev = v
+	}
+	for i, name := range algorithmColumns {
+		switch ratio := hi[i] / lo[i]; {
+		case name == "Parallel" && ratio >= 1.15:
+			t.Errorf("fig8b: Parallel max/min = %v/%v = %.3f, want under 1.15; %s", hi[i], lo[i], ratio, paper)
+		case name != "Parallel" && ratio <= 3:
+			t.Errorf("fig8b: %s max/min = %v/%v = %.3f, want over 3; %s", name, hi[i], lo[i], ratio, paper)
+		}
+	}
+}
+
+// TestFig6bSerialGapGrowsWithSize: within each family of Fig. 6(b) —
+// meshes, tori, k-ary n-trees — the gap between Serial Packet and
+// Parallel strictly grows with the number of physical nodes.
+func TestFig6bSerialGapGrowsWithSize(t *testing.T) {
+	const paper = `PAPER.md: the evaluation measures "discovery time after a topological change", ` +
+		`and the published trends hold for "Parallel < Serial Device < Serial Packet"`
+	type point struct {
+		name       string
+		nodes, gap float64
+	}
+	families := map[string][]point{}
+	for _, row := range committedSection(t, "fig6b") {
+		v := lastFloats(t, "fig6b", row, 4) // physical nodes, then the three algorithms
+		name := strings.Join(row[:len(row)-4], " ")
+		family := name[strings.LastIndexAny(name, " -")+1:]
+		families[family] = append(families[family], point{name, v[0], v[1] - v[3]})
+	}
+	for _, family := range []string{"mesh", "torus", "tree"} {
+		pts := families[family]
+		if len(pts) < 3 {
+			t.Fatalf("fig6b has %d %s rows, want at least 3", len(pts), family)
+		}
+		slices.SortFunc(pts, func(a, b point) int { return cmp.Compare(a.nodes, b.nodes) })
+		for i := 1; i < len(pts); i++ {
+			if !(pts[i].nodes > pts[i-1].nodes && pts[i].gap > pts[i-1].gap) {
+				t.Errorf("fig6b: %s (%v nodes) has a Serial Packet − Parallel gap of %.6f s, %s (%v nodes) %.6f s; want it strictly growing with size; %s",
+					pts[i].name, pts[i].nodes, pts[i].gap, pts[i-1].name, pts[i-1].nodes, pts[i-1].gap, paper)
+			}
 		}
 	}
 }

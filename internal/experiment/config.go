@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -70,8 +71,8 @@ func (c Config) rigConfig() rig.Config {
 }
 
 // Validate reports the first problem that would make the run fail or be
-// meaningless. RunConfig also tolerates unvalidated configs, reporting
-// problems through Outcome.Err instead.
+// meaningless, naming the asidisc flag that sets the field. RunConfig also
+// tolerates unvalidated configs, reporting problems through Outcome.Err.
 func (c Config) Validate() error {
 	if err := topo.CheckName(c.Topology); err != nil {
 		return err
@@ -82,17 +83,20 @@ func (c Config) Validate() error {
 	if c.Change < NoChange || c.Change > AddSwitch {
 		return fmt.Errorf("experiment: unknown change %v", c.Change)
 	}
-	if c.FMFactor < 0 || c.DeviceFactor < 0 {
-		return fmt.Errorf("experiment: negative processing factor (fm=%v, device=%v)", c.FMFactor, c.DeviceFactor)
+	if f := c.FMFactor; !(f >= 0 && f <= math.MaxFloat64) {
+		return fmt.Errorf("experiment: -fm-factor %v: processing factor must be finite and non-negative", f)
 	}
-	if loss := c.Faults.Default.Loss; loss < 0 || loss > 1 {
-		return fmt.Errorf("experiment: loss rate %v outside [0, 1]", loss)
+	if f := c.DeviceFactor; !(f >= 0 && f <= math.MaxFloat64) {
+		return fmt.Errorf("experiment: -dev-factor %v: processing factor must be finite and non-negative", f)
 	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("experiment: negative retry limit %d", c.MaxRetries)
+	if loss := c.Faults.Default.Loss; !(loss >= 0 && loss <= 1) {
+		return fmt.Errorf("experiment: -loss %v: loss rate outside [0, 1]", loss)
+	}
+	if c.MaxRetries < 0 || c.MaxRetries > math.MaxUint8 {
+		return fmt.Errorf("experiment: -retries %d: retry limit outside [0, %d]", c.MaxRetries, math.MaxUint8)
 	}
 	if c.RetryBackoff < 0 {
-		return fmt.Errorf("experiment: negative retry backoff %v", c.RetryBackoff)
+		return fmt.Errorf("experiment: -retry-backoff %v: negative retry backoff", c.RetryBackoff)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -34,10 +35,16 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"topology", with(func(c *Config) { c.Topology = "17x17 blob" }), "unknown topology"},
 		{"algorithm", with(func(c *Config) { c.Algorithm = core.Kind(99) }), "unknown algorithm"},
 		{"change", with(func(c *Config) { c.Change = Change(7) }), "unknown change"},
-		{"factor", with(func(c *Config) { c.FMFactor, c.DeviceFactor = -1, 1 }), "negative processing factor"},
-		{"loss", with(func(c *Config) { c.Faults = fabric.Uniform(1.5) }), "loss rate"},
-		{"retries", with(func(c *Config) { c.MaxRetries = -1 }), "negative retry limit"},
-		{"backoff", with(func(c *Config) { c.MaxRetries, c.RetryBackoff = 1, -sim.Microsecond }), "negative retry backoff"},
+		{"factor", with(func(c *Config) { c.FMFactor, c.DeviceFactor = -1, 1 }), "-fm-factor -1: processing factor"},
+		{"fm factor NaN", with(func(c *Config) { c.FMFactor = math.NaN() }), "-fm-factor NaN"},
+		{"fm factor Inf", with(func(c *Config) { c.FMFactor = math.Inf(1) }), "-fm-factor +Inf"},
+		{"device factor NaN", with(func(c *Config) { c.DeviceFactor = math.NaN() }), "-dev-factor NaN"},
+		{"device factor -Inf", with(func(c *Config) { c.DeviceFactor = math.Inf(-1) }), "-dev-factor -Inf"},
+		{"loss", with(func(c *Config) { c.Faults = fabric.Uniform(1.5) }), "-loss 1.5: loss rate"},
+		{"loss NaN", with(func(c *Config) { c.Faults = fabric.Uniform(math.NaN()) }), "-loss NaN"},
+		{"retries", with(func(c *Config) { c.MaxRetries = -1 }), "-retries -1: retry limit"},
+		{"retries past 255", with(func(c *Config) { c.MaxRetries = 256 }), "-retries 256: retry limit"},
+		{"backoff", with(func(c *Config) { c.MaxRetries, c.RetryBackoff = 1, -sim.Microsecond }), "-retry-backoff -1.000us: negative retry backoff"},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); err == nil {

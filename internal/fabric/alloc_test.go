@@ -15,8 +15,9 @@ import (
 // Zero-allocation regression tests for the packet hot path: with no
 // tracer attached, steady-state injection, per-hop transmit (halfLink.kick),
 // switch forwarding and delivery must not allocate. The pools involved —
-// the engine's event arena, the per-device flight and route-job pools and
-// the VC rings — all recycle after warmup.
+// the engine's event arena, the per-device flight pools (one record per
+// hop, from transmit to the receiver's routing decision) and the VC
+// rings — all recycle after warmup.
 
 func TestLinkKickSteadyStateZeroAlloc(t *testing.T) {
 	tp := topo.Mesh(3, 3)
@@ -37,7 +38,7 @@ func TestLinkKickSteadyStateZeroAlloc(t *testing.T) {
 	// is the test's allocation, not the fabric's.
 	payload := asi.Payload(asi.AppData{Bytes: 256})
 
-	// Warm every pool on the path: arena, flights, route jobs, rings.
+	// Warm every pool on the path: arena, flights, rings.
 	before := dst.RxPackets
 	for i := 0; i < 32; i++ {
 		src.Inject(&asi.Packet{Header: hdr, Payload: payload})

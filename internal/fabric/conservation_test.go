@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,8 @@ import (
 // Packet conservation: after the event queue drains, every application
 // packet the traffic generator injected was either delivered to an
 // endpoint or accounted as a drop — the fabric never loses packets
-// silently, under any topology, credit depth, or load.
+// silently, under any topology, credit depth, or load — and every hop
+// gave back its credit and its flight record together.
 func TestPacketConservationProperty(t *testing.T) {
 	f := func(seed uint64, credits uint8, gapUS uint8, sizeSel uint8) bool {
 		rng := sim.NewRNG(seed)
@@ -39,6 +41,10 @@ func TestPacketConservationProperty(t *testing.T) {
 		var dropped uint64
 		for _, n := range fab.Counters().Drops {
 			dropped += n
+		}
+		if err := checkHopsReleased(fab); err != nil {
+			t.Log(err)
+			return false
 		}
 		return delivered+dropped == gen.Injected
 	}
@@ -87,4 +93,35 @@ func TestConservationAcrossRemoval(t *testing.T) {
 	if dropped == 0 {
 		t.Error("expected some drops toward the removed switch")
 	}
+	if err := checkHopsReleased(fab); err != nil {
+		t.Error(err)
+	}
+}
+
+// checkHopsReleased checks a drained fabric: a hop holds its credit and
+// its flight record from transmit until the receiver routes or consumes
+// the packet, so once no event is left every half link holds
+// CreditsPerVC credits on each VC, and no flight record sits in the
+// device pools twice.
+func checkHopsReleased(f *Fabric) error {
+	for i := range f.links {
+		for dir := range f.links[i].half {
+			for vc, n := range f.links[i].half[dir].credits {
+				if int(n) != f.cfg.CreditsPerVC {
+					return fmt.Errorf("link %d dir %d vc %d: %d credits after the drain, want %d",
+						i, dir, vc, n, f.cfg.CreditsPerVC)
+				}
+			}
+		}
+	}
+	seen := make(map[*flight]bool)
+	for _, d := range f.Devices() {
+		for fl := d.freeFlights; fl != nil; fl = fl.next {
+			if seen[fl] {
+				return fmt.Errorf("device %s: flight record %p pooled twice", d.Label, fl)
+			}
+			seen[fl] = true
+		}
+	}
+	return nil
 }

@@ -45,10 +45,8 @@ type Device struct {
 	pi4Busy  bool
 	pi4Cur   *asi.Packet
 
-	// freeJobs pools the per-packet state of deferred cut-through routing
-	// decisions, and freeFlights that of packets this device has put on a
+	// freeFlights pools the records of packets this device has put on a
 	// wire inside its own region, so forwarding never allocates per hop.
-	freeJobs    *routeJob
 	freeFlights *flight
 
 	pi5Seq uint32
@@ -61,18 +59,6 @@ type Device struct {
 type devPort struct {
 	link   *link
 	active bool
-}
-
-// routeJob is the per-packet state of one deferred cut-through routing
-// decision, pooled on the device.
-type routeJob struct {
-	d      *Device
-	l      *link
-	dirIdx int
-	vc     asi.VCID
-	pkt    *asi.Packet
-	port   int
-	next   *routeJob
 }
 
 // dsnBase offsets device serial numbers so they never collide with node
@@ -121,11 +107,19 @@ func pi4ServiceDone(_ *sim.Engine, arg any) {
 	d.startNextPI4()
 }
 
-// routeDeferred is the cut-through routing callback of every switch; the
-// job names its device.
+// routeDeferred is the cut-through routing decision of every switch: the
+// hop ends and the packet is routed (or dropped, if the switch died while
+// the header was in flight).
 func routeDeferred(_ *sim.Engine, arg any) {
-	j := arg.(*routeJob)
-	j.d.routePending(j)
+	fl := arg.(*flight)
+	d, port := fl.h.receiver()
+	pkt := fl.pkt
+	fl.release()
+	if !d.alive {
+		d.f.dropTraced(DropDeadDevice, d, port, pkt)
+		return
+	}
+	d.routeAtSwitch(port, pkt)
 }
 
 // Alive reports whether the device is powered and present in the fabric.
@@ -189,48 +183,25 @@ func (d *Device) transmit(port int, pkt *asi.Packet) {
 	p.link.send(d, pkt)
 }
 
-// arrive is called by the link when a packet has fully arrived at this
-// device's port. The input buffer slot is returned to the sender once the
-// device has routed the packet onward or consumed it.
-func (d *Device) arrive(port int, vc asi.VCID, pkt *asi.Packet, l *link, dirIdx int) {
-	e := d.eng
-	if !d.alive || !l.up {
+// arrive is called by the link when the packet of fl has fully arrived at
+// this device's port. The hop ends once the device has routed the packet
+// onward or consumed it.
+func (d *Device) arrive(port int, fl *flight) {
+	pkt := fl.pkt
+	if !d.alive || !fl.h.l.up {
 		d.f.dropTraced(DropDeadDevice, d, port, pkt)
-		l.returnCredit(dirIdx, vc)
+		fl.release()
 		return
 	}
 	switch d.Type {
 	case asi.DeviceEndpoint:
 		// Endpoints sink everything addressed to them.
-		l.returnCredit(dirIdx, vc)
+		fl.release()
 		d.consume(port, pkt)
 	case asi.DeviceSwitch:
 		// Cut-through routing decision after the header latency.
-		j := d.freeJobs
-		if j == nil {
-			j = &routeJob{d: d}
-		} else {
-			d.freeJobs = j.next
-		}
-		j.l, j.dirIdx, j.vc, j.pkt, j.port = l, dirIdx, vc, pkt, port
-		e.AfterArg(SwitchLatency, routeDeferred, j)
+		d.eng.AfterArg(SwitchLatency, routeDeferred, fl)
 	}
-}
-
-// routePending completes a deferred cut-through routing decision: the
-// input buffer slot goes back to the sender and the packet is routed (or
-// dropped, if the switch died while the header was in flight).
-func (d *Device) routePending(j *routeJob) {
-	l, dirIdx, vc, pkt, port := j.l, j.dirIdx, j.vc, j.pkt, j.port
-	j.l, j.pkt = nil, nil
-	j.next = d.freeJobs
-	d.freeJobs = j
-	l.returnCredit(dirIdx, vc)
-	if !d.alive {
-		d.f.dropTraced(DropDeadDevice, d, port, pkt)
-		return
-	}
-	d.routeAtSwitch(port, pkt)
 }
 
 // routeAtSwitch applies turn-pool routing to a packet at a switch.

@@ -118,11 +118,8 @@ func (f *Fabric) SetFaultPlan(p FaultPlan) error {
 		return fmt.Errorf("fabric: fault plans are unsupported with parallel regions")
 	}
 	for _, fl := range p.Flaps {
-		if fl.Link < 0 || fl.Link >= len(f.links) {
-			return fmt.Errorf("fabric: flap references link %d of %d", fl.Link, len(f.links))
-		}
-		if fl.Duration <= 0 {
-			return fmt.Errorf("fabric: flap on link %d has non-positive duration", fl.Link)
+		if err := f.checkFlap(fl); err != nil {
+			return err
 		}
 	}
 	if p.Empty() {
@@ -145,13 +142,27 @@ func (f *Fabric) FlapLink(link int, at sim.Time, d sim.Duration) error {
 	if f.group != nil {
 		return fmt.Errorf("fabric: link flaps are unsupported with parallel regions")
 	}
-	if link < 0 || link >= len(f.links) {
-		return fmt.Errorf("fabric: flap references link %d of %d", link, len(f.links))
+	fl := Flap{Link: link, At: at, Duration: d}
+	if err := f.checkFlap(fl); err != nil {
+		return err
 	}
-	if d <= 0 {
-		return fmt.Errorf("fabric: flap on link %d has non-positive duration", link)
+	f.scheduleFlap(fl)
+	return nil
+}
+
+// checkFlap refuses a flap on an unknown link, or one the engine cannot
+// schedule: a non-positive duration, a start before now or no end.
+func (f *Fabric) checkFlap(fl Flap) error {
+	switch {
+	case fl.Link < 0 || fl.Link >= len(f.links):
+		return fmt.Errorf("fabric: flap references link %d of %d", fl.Link, len(f.links))
+	case fl.Duration <= 0:
+		return fmt.Errorf("fabric: flap on link %d has non-positive duration", fl.Link)
+	case fl.At < f.Engine.Now():
+		return fmt.Errorf("fabric: flap on link %d starts at %v, before now (%v)", fl.Link, fl.At, f.Engine.Now())
+	case fl.Duration >= sim.Never.Sub(fl.At):
+		return fmt.Errorf("fabric: flap on link %d ends past the last simulated instant", fl.Link)
 	}
-	f.scheduleFlap(Flap{Link: link, At: at, Duration: d})
 	return nil
 }
 

@@ -189,6 +189,41 @@ func TestFaultFlapTraced(t *testing.T) {
 	}
 }
 
+// TestFlapCheck: SetFaultPlan and FlapLink refuse, with an error and no
+// engine panic, every flap the engine cannot schedule, and accept the
+// last instants that can.
+func TestFlapCheck(t *testing.T) {
+	e, f := testFabric(t, topo.Mesh(3, 3))
+	now := sim.Time(10 * sim.Microsecond)
+	e.RunUntil(now)
+	if e.Now() != now {
+		t.Fatalf("engine at %v, want %v", e.Now(), now)
+	}
+	cases := []struct {
+		name string
+		fl   Flap
+		ok   bool
+	}{
+		{"link past the end", Flap{Link: f.NumLinks(), At: now, Duration: 1}, false},
+		{"negative link", Flap{Link: -1, At: now, Duration: 1}, false},
+		{"zero duration", Flap{Link: 0, At: now, Duration: 0}, false},
+		{"negative duration", Flap{Link: 0, At: now, Duration: -1}, false},
+		{"start before now", Flap{Link: 0, At: now - 1, Duration: 1}, false},
+		{"negative start", Flap{Link: 0, At: -5 * sim.Time(sim.Microsecond), Duration: 5 * sim.Microsecond}, false},
+		{"end at Never", Flap{Link: 0, At: now, Duration: sim.Never.Sub(now)}, false},
+		{"end past Never", Flap{Link: 0, At: sim.Never - 1, Duration: 2}, false},
+		{"starts now", Flap{Link: 0, At: now, Duration: 1}, true},
+		{"ends just before Never", Flap{Link: 0, At: now, Duration: sim.Never.Sub(now) - 1}, true},
+	}
+	for _, tc := range cases {
+		errPlan := f.SetFaultPlan(FaultPlan{Flaps: []Flap{tc.fl}})
+		errLink := f.FlapLink(tc.fl.Link, tc.fl.At, tc.fl.Duration)
+		if (errPlan == nil) != tc.ok || (errLink == nil) != tc.ok {
+			t.Errorf("%s: SetFaultPlan: %v, FlapLink: %v; want accepted = %v", tc.name, errPlan, errLink, tc.ok)
+		}
+	}
+}
+
 func TestSetFaultPlanValidation(t *testing.T) {
 	_, f := testFabric(t, topo.Mesh(3, 3))
 	if err := f.SetFaultPlan(FaultPlan{Flaps: []Flap{{Link: f.NumLinks(), At: 0, Duration: 1}}}); err == nil {

@@ -67,8 +67,10 @@ func (h *halfLink) receiver() (*Device, int) {
 	return h.l.a, int(h.l.aPort)
 }
 
-// flight is one packet in transit on a half link: the per-packet state an
-// arrival event needs, pooled so sustained traffic schedules arrivals
+// flight is one packet's hop: it is taken with the credit at transmit,
+// rides the arrival event and, at a switch, the routing decision, and goes
+// back with the credit when the receiver routes or consumes the packet.
+// Records are pooled on the sending device, so sustained traffic forwards
 // without allocating.
 type flight struct {
 	h    *halfLink
@@ -83,26 +85,25 @@ func kickHalf(_ *sim.Engine, arg any) {
 	arg.(*halfLink).kick()
 }
 
-// deliverFlight completes a flight on the engine both ends share: the
-// record returns to the sender's pool and the packet arrives.
+// deliverFlight lands a flight's packet at the receiver's port.
 func deliverFlight(_ *sim.Engine, arg any) {
 	fl := arg.(*flight)
-	h, pkt, vc := fl.h, fl.pkt, fl.vc
-	sender := h.sender()
-	fl.h, fl.pkt = nil, nil
-	fl.next = sender.freeFlights
-	sender.freeFlights = fl
-	receiver, rxPort := h.receiver()
-	receiver.arrive(rxPort, vc, pkt, h.l, int(h.dir))
+	receiver, rxPort := fl.h.receiver()
+	receiver.arrive(rxPort, fl)
 }
 
-// deliverCrossFlight completes a flight that crossed a shard boundary, on
-// the receiving region's engine. The record is not pooled: the sender's
-// pool is its own region's state.
-func deliverCrossFlight(_ *sim.Engine, arg any) {
-	fl := arg.(*flight)
-	receiver, rxPort := fl.h.receiver()
-	receiver.arrive(rxPort, fl.vc, fl.pkt, fl.h.l, int(fl.h.dir))
+// release ends a hop: the record goes back to the sender's pool and the
+// credit to the sender. A flight over a cut link is not pooled: the
+// sender's pool is its own region's state.
+func (fl *flight) release() {
+	h, vc := fl.h, fl.vc
+	fl.h, fl.pkt = nil, nil
+	if !h.l.cut {
+		sender := h.sender()
+		fl.next = sender.freeFlights
+		sender.freeFlights = fl
+	}
+	h.l.returnCredit(int(h.dir), vc)
 }
 
 // init cables a's aPort to b's bPort as topology link idx.
@@ -262,9 +263,10 @@ func (h *halfLink) kick() {
 	}
 }
 
-// transmit spends one of h's credits on pkt and puts it on the wire: the
-// serializer is busy for its wire time, the arrival is scheduled past the
-// cable, and a kick re-runs the scheduler when the serializer frees.
+// transmit spends one of h's credits on pkt and puts it on the wire in a
+// flight record: the serializer is busy for its wire time, the arrival is
+// scheduled past the cable, and a kick re-runs the scheduler when the
+// serializer frees.
 func (l *link) transmit(d *Device, h *halfLink, pkt *asi.Packet, vc asi.VCID) {
 	e := d.eng
 	h.credits[vc]--
@@ -287,7 +289,7 @@ func (l *link) transmit(d *Device, h *halfLink, pkt *asi.Packet, vc asi.VCID) {
 		// mailbox is always conservative-safe.
 		receiver, _ := l.otherEnd(d)
 		l.f.group.Post(d.region, receiver.region, e.Now().Add(arrive),
-			deliverCrossFlight, &flight{h: h, pkt: pkt, vc: vc})
+			deliverFlight, &flight{h: h, pkt: pkt, vc: vc})
 	} else {
 		fl := d.freeFlights
 		if fl == nil {

@@ -64,6 +64,9 @@ type Batch struct {
 	// cross-check for subscribers that reconstruct state.
 	Fingerprint string   `json:"fingerprint,omitempty"`
 	Updates     []Update `json:"updates,omitempty"`
+	// view is the shared view the batch was delivered from, so the HTTP
+	// handler can write its memoized NDJSON line.
+	view *view
 }
 
 // Serving-layer event kinds reported through Config.OnEvent.
@@ -260,7 +263,6 @@ func (r *RIB) Subscribe(prefix string) *Subscription {
 		prefix: prefix,
 		notify: make(chan struct{}, 1),
 		out:    make(chan Batch),
-		views:  make(chan *view),
 		done:   make(chan struct{}),
 	}
 	// Under the lock only the registration: the sync batch is the

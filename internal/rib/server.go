@@ -93,11 +93,11 @@ func (s *Server) subscribe(w http.ResponseWriter, req *http.Request) {
 	defer sub.Close()
 	for {
 		select {
-		case v, ok := <-sub.views:
+		case b, ok := <-sub.Updates():
 			if !ok {
 				return
 			}
-			if _, err := w.Write(s.rib.line(v)); err != nil {
+			if _, err := w.Write(s.rib.line(b.view)); err != nil {
 				return // client went away
 			}
 			flusher.Flush()

@@ -43,7 +43,7 @@ type Subscription struct {
 	// carrying (the sync, a resync, a delta); an offer at or below it is
 	// already covered. idle is set only while the pump is parked with an
 	// empty queue and no overflow: then nothing else sends on the
-	// channels, and offer may hand a batch to the reader itself.
+	// channel, and offer may hand a batch to the reader itself.
 	last uint64
 	idle bool
 
@@ -51,12 +51,9 @@ type Subscription struct {
 	// number of pending batches); done tears the pump down.
 	notify chan struct{}
 	done   chan struct{}
-	// Every batch is offered on both channels and whoever owns the
-	// subscription reads one: out behind Updates, or — the HTTP handler,
-	// which wants the encoded line too — the shared view itself. Both
-	// are unbuffered, so a completed send is a consumed batch.
-	out   chan Batch
-	views chan *view
+	// out is the delivery channel behind Updates. It is unbuffered, so a
+	// completed send is a consumed batch.
+	out chan Batch
 }
 
 // Updates is the subscription's delivery channel: an initial SyncBatch,
@@ -95,14 +92,16 @@ func (s *Subscription) offer(g *generation) (overflowed bool) {
 		return false
 	}
 	if s.idle {
-		// Sending under s.mu keeps Close from closing the channels
-		// mid-send; neither send waits, and one that finds no reader
+		// Sending under s.mu keeps Close from closing the channel
+		// mid-send; the send does not wait, and one that finds no reader
 		// parked returns without taking the channel's lock.
-		if v := s.rib.deltaView(g, s.prefix); s.handOff(v) {
+		select {
+		case s.out <- s.rib.deltaView(g, s.prefix).batch:
 			s.last = g.gen
 			s.mu.Unlock()
 			s.consumed(g.gen)
 			return false
+		default:
 		}
 		s.idle = false
 	}
@@ -123,22 +122,6 @@ func (s *Subscription) offer(g *generation) (overflowed bool) {
 	return overflowed
 }
 
-// handOff passes v to a reader parked on either channel, without
-// waiting; false means no reader was there.
-func (s *Subscription) handOff(v *view) bool {
-	select {
-	case s.out <- v.batch:
-		return true
-	default:
-	}
-	select {
-	case s.views <- v:
-		return true
-	default:
-		return false
-	}
-}
-
 // pump delivers the full state of first, the generation current when the
 // subscription registered, then drains the queue. It keeps the delivered
 // stream strictly increasing in generation: a resync is built from the
@@ -149,7 +132,6 @@ func (s *Subscription) handOff(v *view) bool {
 // if no other subscriber on the prefix got there first.
 func (s *Subscription) pump(first *Snapshot) {
 	defer close(s.out)
-	defer close(s.views)
 	if !s.deliver(s.rib.fullView(first, SyncBatch, s.prefix)) {
 		return
 	}
@@ -197,7 +179,6 @@ func (s *Subscription) pump(first *Snapshot) {
 func (s *Subscription) deliver(v *view) bool {
 	select {
 	case s.out <- v.batch:
-	case s.views <- v:
 	case <-s.done:
 		return false
 	}
@@ -206,8 +187,9 @@ func (s *Subscription) deliver(v *view) bool {
 }
 
 // consumed records that the reader took a batch of generation gen, by
-// either path: it advances the subscriber's delivered generation and
-// feeds the install→deliver latency histogram.
+// either path (offer's hand-off or the pump): it advances the
+// subscriber's delivered generation and feeds the install→deliver
+// latency histogram.
 func (s *Subscription) consumed(gen uint64) {
 	s.delivered.Store(gen)
 	s.rib.observeDelivery(gen)

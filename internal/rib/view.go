@@ -80,7 +80,7 @@ func (c *views) get(typ, prefix string) *view {
 func (r *RIB) deltaView(g *generation, prefix string) *view {
 	v := g.filtered.get(DeltaBatch, prefix)
 	v.build.Do(func() {
-		v.batch = Batch{Gen: g.gen, Type: DeltaBatch, Fingerprint: g.fpHex}
+		v.batch = Batch{Gen: g.gen, Type: DeltaBatch, Fingerprint: g.fpHex, view: v}
 		if prefix == "/" {
 			v.batch.Updates = g.delta
 			return
@@ -101,7 +101,7 @@ func (r *RIB) deltaView(g *generation, prefix string) *view {
 func (r *RIB) fullView(s *Snapshot, typ, prefix string) *view {
 	v := s.full.get(typ, prefix)
 	v.build.Do(func() {
-		v.batch = Batch{Gen: s.Gen, Type: typ, Fingerprint: s.pub.fpHex}
+		v.batch = Batch{Gen: s.Gen, Type: typ, Fingerprint: s.pub.fpHex, view: v}
 		if typ == ResyncBatch {
 			v.batch.Updates = r.fullView(s, SyncBatch, prefix).batch.Updates
 			return

@@ -131,11 +131,11 @@ func followTo(r *RIB, prefix string, final uint64, toEnd bool) error {
 // reader allocates nothing, by either path. When the reader is busy the
 // generation is queued for the pump: the queue is a ring that reuses its
 // slots, and the entry is a pointer to the shared generation. When the
-// reader is already parked — on Updates(), or on the views channel as the
-// HTTP handler waits — offer sends the view itself and the pump sleeps.
+// reader is already parked on Updates() — as the HTTP handler waits too —
+// offer sends the batch itself and the pump sleeps.
 func TestOfferDeliverZeroAlloc(t *testing.T) {
 	for _, prefix := range []string{"/", PathFIB} {
-		for _, path := range []string{"pump", "direct/Updates", "direct/views"} {
+		for _, path := range []string{"pump", "direct/Updates"} {
 			r := New(Config{})
 			sub := r.Subscribe(prefix)
 			const runs = 200
@@ -159,11 +159,6 @@ func TestOfferDeliverZeroAlloc(t *testing.T) {
 				<-rd.got // the sync
 				ready = func() { rd.waitParked(t) }
 				next = func() uint64 { return (<-rd.got).Gen }
-			case "direct/views":
-				rd := startReader((<-chan *view)(sub.views))
-				<-rd.got
-				ready = func() { rd.waitParked(t) }
-				next = func() uint64 { return (<-rd.got).batch.Gen }
 			}
 			waitIdle(t, sub)
 			n := 0
