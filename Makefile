@@ -10,16 +10,19 @@
 #                   test           go test ./...: every unit, property,
 #                                  allocation-pin and end-to-end test, the
 #                                  CLIs' included (asidisc's run report,
-#                                  span pipelines, -list and -describe,
-#                                  asibench, asitrace, asichaos's sweep,
-#                                  its -workers determinism and a corpus
-#                                  replay, asifmd's three daemon smokes),
+#                                  span pipelines with -spans-in, -list
+#                                  and -describe, asibench, asichaos's
+#                                  sweep, its -workers determinism and a
+#                                  corpus replay, asifmd's three daemon
+#                                  smokes),
 #                                  the Example functions, every asibench
 #                                  table byte-identical to
 #                                  results/asibench-seeds4.txt, and
-#                                  TestDocsCitationsResolve: every ledger
-#                                  row and section that README.md,
-#                                  DESIGN.md and EXPERIMENTS.md cite exists
+#                                  the docs tests: every ledger row,
+#                                  section and cmd/ directory that
+#                                  README.md, DESIGN.md, EXPERIMENTS.md
+#                                  (and, for commands, this Makefile)
+#                                  cite exists
 #                   race           the same under the race detector, less
 #                                  the results referee
 #                   bench-test     the repo benchmark's own tests (bench/ is

@@ -99,7 +99,6 @@ func BenchmarkFig6DiscoveryTime(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var secs, pkts float64
-			var events uint64
 			for i := 0; i < b.N; i++ {
 				o := experiment.RunConfig(experiment.Config{
 					Topology: "6x6 mesh", Algorithm: kind,
@@ -110,12 +109,9 @@ func BenchmarkFig6DiscoveryTime(b *testing.B) {
 				}
 				secs = o.Result.Duration.Seconds()
 				pkts = float64(o.Result.PacketsSent)
-				events += o.Events
 			}
-			b.StopTimer()
 			b.ReportMetric(secs, "sim-s/run")
 			b.ReportMetric(pkts, "pkts/run")
-			reportEventsPerSec(b, events)
 		})
 	}
 }
@@ -189,7 +185,6 @@ func BenchmarkFig9FactorCombos(b *testing.B) {
 			b.Run(c.name+"/"+kind.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				var secs float64
-				var events uint64
 				for i := 0; i < b.N; i++ {
 					o := experiment.RunConfig(experiment.Config{
 						Topology: "6x6 torus", Algorithm: kind,
@@ -200,11 +195,8 @@ func BenchmarkFig9FactorCombos(b *testing.B) {
 						b.Fatal(o.Err)
 					}
 					secs = o.Result.Duration.Seconds()
-					events += o.Events
 				}
-				b.StopTimer()
 				b.ReportMetric(secs, "sim-s/run")
-				reportEventsPerSec(b, events)
 			})
 		}
 	}

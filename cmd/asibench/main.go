@@ -1,13 +1,12 @@
 // Command asibench regenerates every table and figure of the paper's
 // evaluation (section 4) plus the future-work extension experiments, as
-// aligned text tables, CSV, or one machine-readable JSON document.
+// aligned text tables or one machine-readable run-report envelope.
 //
 // Usage:
 //
 //	asibench                  # run everything
 //	asibench -exp fig6        # one experiment (see -list)
 //	asibench -seeds 8         # more repetitions per change scenario
-//	asibench -csv             # machine-readable output
 //	asibench -json            # one run-report JSON envelope on stdout
 //	asibench -debug :6060     # serve net/http/pprof and expvar while running
 package main
@@ -19,7 +18,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/cli"
@@ -32,8 +30,6 @@ func main() {
 	seeds := flag.Int("seeds", 4, "repetitions of each change scenario")
 	common.RegisterWorkers(flag.CommandLine)
 	common.RegisterJSON(flag.CommandLine)
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	outDir := flag.String("o", "", "also write one .txt (and .csv) file per report into this directory")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	debugAddr := flag.String("debug", "", "serve net/http/pprof and expvar on this address while running (e.g. :6060)")
 	flag.Parse()
@@ -76,36 +72,19 @@ func main() {
 		runners = []experiment.Runner{r}
 	}
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	var all []experiment.Report
 	for _, r := range runners {
 		// Each experiment's wall time goes to stderr, which keeps stdout
-		// machine-readable under -csv and -json and a function of the
-		// seeds alone.
+		// machine-readable under -json and a function of the seeds alone.
 		start := time.Now()
 		reports := r.Run(opts)
 		fmt.Fprintf(os.Stderr, "%-16s %8.2fs wall\n", r.ID, time.Since(start).Seconds())
+		if *jsonOut {
+			all = append(all, reports...)
+			continue
+		}
 		for _, rep := range reports {
-			var err error
-			switch {
-			case *jsonOut:
-				all = append(all, rep)
-			case *csv:
-				fmt.Printf("# %s: %s\n", rep.ID, rep.Title)
-				err = rep.CSV(os.Stdout)
-				fmt.Println()
-			default:
-				err = rep.Render(os.Stdout)
-			}
-			if err == nil && *outDir != "" {
-				err = writeReportFiles(*outDir, rep)
-			}
-			if err != nil {
+			if err := rep.Render(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -117,22 +96,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// writeReportFiles persists one report as <dir>/<id>.txt and .csv.
-func writeReportFiles(dir string, rep experiment.Report) error {
-	txt, err := os.Create(filepath.Join(dir, rep.ID+".txt"))
-	if err != nil {
-		return err
-	}
-	defer txt.Close()
-	if err := rep.Render(txt); err != nil {
-		return err
-	}
-	csvf, err := os.Create(filepath.Join(dir, rep.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer csvf.Close()
-	return rep.CSV(csvf)
 }

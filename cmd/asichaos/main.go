@@ -49,6 +49,9 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fail(2, err)
 	}
+	if *runs < 1 {
+		fail(2, fmt.Errorf("bad -runs %d (valid: 1 or more scenarios)", *runs))
+	}
 
 	if *emitCorpus != "" {
 		if err := emit(*emitCorpus); err != nil {
@@ -184,7 +187,7 @@ func replayOne(sc chaos.Scenario, opt chaos.Options, shrink bool) error {
 			return err
 		}
 		fmt.Println("\ncausal spans:")
-		if err := span.WriteReport(os.Stdout, a, span.GanttOptions{}); err != nil {
+		if err := span.WriteReport(os.Stdout, a); err != nil {
 			return err
 		}
 	}

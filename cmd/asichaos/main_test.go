@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -30,6 +31,20 @@ func asichaos(t *testing.T, args ...string) string {
 		t.Fatalf("asichaos %q: %v\n%s", args, err, stderr.Bytes())
 	}
 	return string(out)
+}
+
+// TestRunsBelowOneExits2: -runs below 1 would sweep nothing (or panic
+// sizing the sweep); it is refused with exit 2 naming the flag.
+func TestRunsBelowOneExits2(t *testing.T) {
+	for _, runs := range []string{"0", "-2"} {
+		cmd := exec.Command(os.Args[0], "-runs", runs)
+		cmd.Env = append(os.Environ(), "ASICHAOS_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(string(out), "panic") || !strings.Contains(string(out), "-runs") {
+			t.Errorf("asichaos -runs %s: %v, output %q; want exit 2 naming -runs", runs, err, out)
+		}
+	}
 }
 
 // TestSweepAllAlgorithms sweeps generated scenarios through every paper

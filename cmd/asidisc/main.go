@@ -1,7 +1,8 @@
 // Command asidisc runs a single fabric discovery simulation and prints
 // its measurements: topology, algorithm, processing factors and the
 // optional topological change are selectable. It also lists the
-// topology catalogue and describes any topology without running it.
+// topology catalogue, describes any topology without running it, and
+// prints the FM timeline report of a saved span log.
 //
 // Usage:
 //
@@ -14,7 +15,8 @@
 //	asidisc -topo "4x4 mesh" -retries 3 -flap 0,50,100
 //	asidisc -topo "3x3 mesh" -telemetry -json   # machine-readable run report
 //	asidisc -topo "3x3 mesh" -spans             # causal span Gantt + critical path
-//	asidisc -topo "3x3 mesh" -spans-out t.json  # Chrome/Perfetto trace (see asitrace)
+//	asidisc -topo "3x3 mesh" -spans-out t.json  # Chrome/Perfetto trace file
+//	asidisc -spans-in t.json                    # that file's -spans report
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 
 	"repro/internal/asi"
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -51,6 +54,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable run report on stdout")
 	spans := flag.Bool("spans", false, "trace causal PI-4 spans and print the FM timeline report")
 	spansOut := flag.String("spans-out", "", "trace causal spans and write a Chrome trace-event JSON file (implies span tracing)")
+	spansIn := flag.String("spans-in", "", "print the -spans report of a Chrome trace-event file written by -spans-out, running nothing")
 	flag.Parse()
 
 	fail := func(code int, err error) {
@@ -59,6 +63,19 @@ func main() {
 	}
 	if *list {
 		printCatalogue()
+		return
+	}
+	if *spansIn != "" {
+		l, err := readChrome(*spansIn)
+		if err != nil {
+			fail(1, err)
+		}
+		if err := writeSpanReport(l); err != nil {
+			fail(1, err)
+		}
+		if l.Dropped > 0 {
+			fmt.Printf("span log truncated: %d spans dropped\n", l.Dropped)
+		}
 		return
 	}
 	if *describe {
@@ -79,6 +96,14 @@ func main() {
 	ch, err := cli.Change(*change)
 	if err != nil {
 		fail(2, err)
+	}
+	// Checked before sim.Micros, which would wrap a huge or non-finite
+	// value round to a negative duration.
+	if !(*backoffUS >= 0 && *backoffUS <= core.MaxRetryBackoff.Microseconds()) {
+		fail(2, fmt.Errorf("bad -retry-backoff %v (want microseconds, 0 up to %v)", *backoffUS, core.MaxRetryBackoff))
+	}
+	if *jsonOut && (*spans || *traceN > 0) {
+		fail(2, fmt.Errorf("-json carries no span log: drop -spans and -trace, or save the trace with -spans-out"))
 	}
 	cfg := experiment.Config{
 		Topology:     *topoName,
@@ -173,18 +198,34 @@ func main() {
 		}
 	}
 	if *spans && out.Spans != nil {
-		a, err := span.Analyze(*out.Spans)
-		if err != nil {
-			fail(1, err)
-		}
 		fmt.Println("\ncausal spans:")
-		if err := span.WriteReport(os.Stdout, a, span.GanttOptions{}); err != nil {
+		if err := writeSpanReport(*out.Spans); err != nil {
 			fail(1, err)
 		}
 	}
 	if (*spans || *traceN > 0) && out.Spans != nil && out.Spans.Dropped > 0 {
 		fmt.Printf("span log truncated: %d spans dropped\n", out.Spans.Dropped)
 	}
+}
+
+// readChrome loads the span log of a Chrome trace-event file.
+func readChrome(path string) (span.Log, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return span.Log{}, err
+	}
+	defer fh.Close()
+	return span.ReadChrome(fh)
+}
+
+// writeSpanReport prints the span analysis of a log: per-run Gantt,
+// critical path and per-kind breakdown.
+func writeSpanReport(l span.Log) error {
+	a, err := span.Analyze(l)
+	if err != nil {
+		return err
+	}
+	return span.WriteReport(os.Stdout, a)
 }
 
 // printTelemetry summarizes the run's metric snapshot as text; the full

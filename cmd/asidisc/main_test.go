@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/span"
 	"repro/internal/topo"
@@ -103,8 +104,10 @@ func TestLossOutOfRangeExits2(t *testing.T) {
 }
 
 // TestBadFlagValuesExit2: a processing factor that is not finite and
-// non-negative, a retry limit past the FM's 255 and a -flap the engine
-// cannot schedule (or with trailing input) are refused before any run.
+// non-negative, a retry limit past the FM's 255, a -flap the engine
+// cannot schedule (or with trailing input) and a retry backoff that is
+// negative, not finite or whose 8x cap would pass the last simulated
+// instant are refused before any run.
 func TestBadFlagValuesExit2(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{
 		{"-fm-factor", "NaN"},
@@ -118,13 +121,18 @@ func TestBadFlagValuesExit2(t *testing.T) {
 		{"-flap", "1,1e30,5"},
 		{"-flap", "1,2,3junk"},
 		{"-flap", "1,2,3,4"},
+		{"-retry-backoff", "-1"},
+		{"-retry-backoff", "1e30"},
+		{"-retry-backoff", "Inf"},
+		{"-retry-backoff", "NaN"},
+		{"-retry-backoff", "2e12"},
 	} {
-		refusedWith2(t, tc.flag, "-topo", "3x3 mesh", "-retries", "3", tc.flag, tc.value)
+		refusedWith2(t, tc.flag, "-topo", "3x3 mesh", "-loss", "1e-2", "-retries", "3", tc.flag, tc.value)
 	}
 }
 
 // report decodes a -json run report against the run-report schema:
-// unknown fields, a wrong schema version or a malformed span log fail it.
+// unknown fields or a wrong schema version fail it.
 func report(t *testing.T, out string) experiment.RunReport {
 	t.Helper()
 	rr, err := experiment.DecodeRunReport(strings.NewReader(out))
@@ -134,17 +142,17 @@ func report(t *testing.T, out string) experiment.RunReport {
 	return rr
 }
 
-// TestJSONReportsDecode: the run report of a telemetry run and of a traced
-// run decode strictly, each carrying the section its flag adds.
+// TestJSONReportsDecode: the run report of a telemetry run decodes
+// strictly and carries the snapshot. The report has no span log, so
+// -json with -spans or -trace is refused rather than tracing for nothing:
+// -spans-out saves the trace.
 func TestJSONReportsDecode(t *testing.T) {
 	rr := report(t, asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-telemetry", "-json"))
 	if rr.Result == nil || rr.Telemetry == nil || len(rr.Telemetry.Histograms) == 0 {
 		t.Errorf("-telemetry -json report has result %v and telemetry %v, want both with histograms", rr.Result, rr.Telemetry)
 	}
-	rr = report(t, asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-spans", "-json"))
-	if rr.Result == nil || rr.Spans == nil || len(rr.Spans.Spans) == 0 {
-		t.Errorf("-spans -json report has result %v and spans %v, want both with spans", rr.Result, rr.Spans)
-	}
+	refusedWith2(t, "-spans-out", "-topo", "3x3 mesh", "-spans", "-json")
+	refusedWith2(t, "-spans-out", "-topo", "3x3 mesh", "-trace", "5", "-json")
 }
 
 // TestTelemetryJSONRepeatsByteForByte: a telemetry run's report is a
@@ -164,9 +172,20 @@ func TestTelemetryJSONRepeatsByteForByte(t *testing.T) {
 	}
 }
 
+// tracedRun is the in-process run the span tests compare the command
+// with: the 3x3 mesh under Parallel, traced.
+func tracedRun(t *testing.T, change experiment.Change) span.Log {
+	t.Helper()
+	out := experiment.RunConfig(experiment.Config{Topology: "3x3 mesh", Algorithm: core.Parallel, Seed: 1, Change: change, Spans: true})
+	if out.Err != nil || out.Spans == nil {
+		t.Fatalf("traced run: err %v, spans %v", out.Err, out.Spans)
+	}
+	return *out.Spans
+}
+
 // TestSpansOutReadsBack: the Chrome trace-event file -spans-out writes
-// reads back through span.ReadChrome, the loader asitrace uses, to the
-// same span log the -spans -json report carries.
+// reads back through span.ReadChrome, the loader -spans-in uses, to the
+// span log of the same run made in process.
 func TestSpansOutReadsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spans.json")
 	asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-spans-out", path)
@@ -179,13 +198,43 @@ func TestSpansOutReadsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadChrome: %v", err)
 	}
-	want := report(t, asidisc(t, "-topo", "3x3 mesh", "-alg", "parallel", "-spans", "-json")).Spans
-	if want == nil {
-		t.Fatal("-spans -json report has no span log")
-	}
-	if !reflect.DeepEqual(got, *want) {
-		t.Errorf("-spans-out read back %d spans (dropped %d), -spans -json has %d (dropped %d), and they differ",
+	if want := tracedRun(t, experiment.NoChange); !reflect.DeepEqual(got, want) {
+		t.Errorf("-spans-out read back %d spans (dropped %d), the run has %d (dropped %d), and they differ",
 			len(got.Spans), got.Dropped, len(want.Spans), want.Dropped)
+	}
+}
+
+// TestSpansIn: -spans-in on the file -spans-out wrote prints exactly the
+// span report of the run's log, which is the block -spans prints under
+// "causal spans:", with no change and after a switch removal.
+func TestSpansIn(t *testing.T) {
+	for _, change := range []experiment.Change{experiment.NoChange, experiment.RemoveSwitch} {
+		a, err := span.Analyze(tracedRun(t, change))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := a.String()
+		args := []string{"-topo", "3x3 mesh", "-alg", "parallel", "-change", change.String()}
+		path := filepath.Join(t.TempDir(), "spans.json")
+		asidisc(t, append(args, "-spans-out", path)...)
+		if got := asidisc(t, "-spans-in", path); got != want {
+			t.Errorf("-change %v: -spans-in printed\n%s\nwant\n%s", change, got, want)
+		}
+		if _, block, _ := strings.Cut(asidisc(t, append(args, "-spans")...), "\ncausal spans:\n"); block != want {
+			t.Errorf("-change %v: -spans printed under \"causal spans:\"\n%s\nwant\n%s", change, block, want)
+		}
+	}
+}
+
+// TestSpansInMissingFileExits1: a trace file that does not exist is a
+// run failure, exit 1.
+func TestSpansInMissingFileExits1(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-spans-in", filepath.Join(t.TempDir(), "missing.json"))
+	cmd.Env = append(os.Environ(), "ASIDISC_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "missing.json") {
+		t.Errorf("asidisc -spans-in on a missing file: %v, output %q; want exit 1 naming the file", err, out)
 	}
 }
 

@@ -1,8 +1,9 @@
 package repro
 
-// The docs cite two things that can go stale without a test noticing:
-// benchmark rows of the committed ledgers, by name, and sections of
-// DESIGN.md and EXPERIMENTS.md, by heading. This test resolves both.
+// The docs cite three things that can go stale without a test noticing:
+// benchmark rows of the committed ledgers, by name, sections of
+// DESIGN.md and EXPERIMENTS.md, by heading, and commands, by their cmd/
+// directory. These tests resolve all three.
 
 import (
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,6 +29,7 @@ type doc struct {
 var (
 	benchCite   = regexp.MustCompile("`(Benchmark[^`]*)`")
 	sectionCite = regexp.MustCompile(`\b(DESIGN|EXPERIMENTS)\.md,? "([^"]+)"`)
+	commandCite = regexp.MustCompile(`\bcmd/([A-Za-z0-9_-]+)`)
 	gomaxprocs  = regexp.MustCompile(`-\d+$`)
 )
 
@@ -58,6 +61,25 @@ func citationProblems(docs []doc, rows []string) []string {
 			file := m[1] + ".md"
 			if !namesHeading(m[2], headings[file]) {
 				problems = append(problems, fmt.Sprintf("%s: %s %q names no heading", d.path, file, m[2]))
+			}
+		}
+	}
+	return problems
+}
+
+// commandProblems lists every cmd/<name> (./cmd/<name> included) that
+// README.md, DESIGN.md, EXPERIMENTS.md or the Makefile names and that is
+// none of cmds. ROADMAP.md and CHANGES.md are history: they may name a
+// command that is gone.
+func commandProblems(docs []doc, cmds []string) []string {
+	var problems []string
+	for _, d := range docs {
+		switch d.path {
+		case "README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile":
+			for _, m := range commandCite.FindAllStringSubmatch(d.text, -1) {
+				if !slices.Contains(cmds, m[1]) {
+					problems = append(problems, fmt.Sprintf("%s: cmd/%s is no command", d.path, m[1]))
+				}
 			}
 		}
 	}
@@ -135,12 +157,12 @@ func committedRows(t *testing.T) []string {
 	return rows
 }
 
-// repositoryDocs reads the four Markdown files that cite and the
-// comments of every Go file in the tree.
+// repositoryDocs reads the four Markdown files that cite, the Makefile
+// and the comments of every Go file in the tree.
 func repositoryDocs(t *testing.T) []doc {
 	t.Helper()
 	var docs []doc
-	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", "Makefile"} {
 		raw, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -207,6 +229,42 @@ func TestDocsCitationsResolve(t *testing.T) {
 				if !strings.HasPrefix(got[i], w) {
 					t.Errorf("problem %d = %q, want it to start with %q", i, got[i], w)
 				}
+			}
+		})
+	}
+}
+
+func TestDocsNameExistingCommands(t *testing.T) {
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds []string
+	for _, e := range entries {
+		if e.IsDir() {
+			cmds = append(cmds, e.Name())
+		}
+	}
+	stale := []doc{
+		{"README.md", "go run ./cmd/asidisc -spans-in t.json\ngo run ./cmd/asigone t.json\n"},
+		{"Makefile", "#   asibench, cmd/asigone and asichaos\n"},
+		{"ROADMAP.md", "`cmd/asigone` folded into asidisc\n"},
+	}
+	cases := []struct {
+		name string
+		docs []doc
+		want []string
+	}{
+		{"repository", repositoryDocs(t), nil},
+		{"stale", stale, []string{
+			"README.md: cmd/asigone is no command",
+			"Makefile: cmd/asigone is no command",
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := commandProblems(c.docs, cmds); !slices.Equal(got, c.want) {
+				t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(c.want, "\n"))
 			}
 		})
 	}

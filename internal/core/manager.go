@@ -26,7 +26,8 @@ type Options struct {
 	// the first timeout is final. At most 255.
 	MaxRetries int
 	// RetryBackoff is the wait before the first re-issue; each further
-	// attempt doubles it, capped at 8x. Zero means 100us.
+	// attempt doubles it, capped at 8x. Zero means 100us; at most
+	// MaxRetryBackoff.
 	RetryBackoff sim.Duration
 	// AssimWindow enables the Partial algorithm's coalescing front-end:
 	// accepted PI-5 reports debounce for this long (the window slides
@@ -59,8 +60,13 @@ func (o Options) withDefaults() Options {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * sim.Microsecond
 	}
+	o.RetryBackoff = min(o.RetryBackoff, MaxRetryBackoff)
 	return o
 }
+
+// MaxRetryBackoff is the largest Options.RetryBackoff: its 8x cap still
+// fits in a sim.Duration.
+const MaxRetryBackoff = sim.Duration(sim.Never / 8)
 
 const (
 	// requestTimeout expires outstanding PI-4 requests; a timed-out
@@ -684,8 +690,12 @@ func (m *Manager) onTimeout(req *request) {
 // retryRequest decides what a timeout means for req: another attempt with
 // backoff, or (attempts exhausted / retries disabled) a terminal failure.
 // It reports whether a retry was armed.
+//
+// A retry whose attempt could not time out before the end of simulated
+// time is never armed: the request gives up instead.
 func (m *Manager) retryRequest(req *request) bool {
-	if int(req.attempt) >= m.opt.MaxRetries {
+	backoff := m.opt.RetryBackoff << min(req.attempt, 3)
+	if int(req.attempt) >= m.opt.MaxRetries || backoff > sim.Never.Sub(m.e.Now())-requestTimeout {
 		if m.opt.MaxRetries > 0 {
 			m.res.GaveUp++
 			if m.tel != nil {
@@ -698,10 +708,6 @@ func (m *Manager) retryRequest(req *request) bool {
 	m.res.Retries++
 	if m.tel != nil {
 		m.tel.retries.Inc()
-	}
-	backoff := m.opt.RetryBackoff << (req.attempt - 1)
-	if max := m.opt.RetryBackoff * 8; backoff > max {
-		backoff = max
 	}
 	req.retryGen = m.runGen
 	m.retryPending++

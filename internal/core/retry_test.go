@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -105,6 +106,40 @@ func TestRetriesExhaustedGiveUpAllAlgorithms(t *testing.T) {
 		}
 		if res.Devices != 31 {
 			t.Errorf("%s: discovered %d devices, want 31 (one endpoint unreachable)", kind, res.Devices)
+		}
+	}
+}
+
+// TestRetryBackoffStaysInSimulatedTime: a request re-issued as often as
+// the FM allows, or with the longest backoff it accepts or past it, never
+// schedules a retry before now (a wrapped backoff) or past the end of
+// simulated time; it gives up once no further attempt could time out.
+func TestRetryBackoffStaysInSimulatedTime(t *testing.T) {
+	for _, opt := range []Options{
+		{MaxRetries: 255},
+		{MaxRetries: 255, RetryBackoff: MaxRetryBackoff},
+		{MaxRetries: 255, RetryBackoff: math.MaxInt64},
+	} {
+		tp := topo.Mesh(4, 4)
+		e := sim.NewEngine()
+		f, err := fabric.New(e, tp, fabric.Config{}, sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Algorithm = Parallel
+		m := NewManager(f, f.Device(tp.Endpoints()[0]), opt)
+		if err := f.SetFaultPlan(fabric.FaultPlan{
+			PerLink: map[int]fabric.LinkFaults{epLink(t, tp, f, 5): {DropFirst: 1 << 30}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		res := runDiscovery(t, e, m)
+		if res.GaveUp != 1 || res.Devices != 31 {
+			t.Errorf("backoff %v: GaveUp=%d Devices=%d, want the black-holed probe given up and 31 devices",
+				opt.RetryBackoff, res.GaveUp, res.Devices)
+		}
+		if opt.RetryBackoff == 0 && res.Retries != 255 {
+			t.Errorf("default backoff: Retries=%d, want all 255", res.Retries)
 		}
 	}
 }

@@ -175,3 +175,40 @@ func TestFig6bSerialGapGrowsWithSize(t *testing.T) {
 		}
 	}
 }
+
+// TestFig9GapWidensWithFasterFMAndSlowerDevices: on every run of Fig. 9
+// — 13 Table 1 fabrics, a switch removed or added, four seeds — both
+// serial algorithms' times over Parallel's rise from panel (a) (FM 1,
+// devices 1) to (b) (devices 0.2) to (c) (FM 4, devices 0.2). The paper's
+// words are in EXPERIMENTS.md "Fig. 9 — factor combinations": the
+// difference between Parallel and the serial algorithms increases,
+// independently of the fabric size.
+func TestFig9GapWidensWithFasterFMAndSlowerDevices(t *testing.T) {
+	const paper = `PAPER.md: the evaluation measures "sensitivity to FM/device processing speeds", ` +
+		`with T_FM and T_Device "scaled by factors in Figs. 8–9"`
+	panels := []string{"fig9a", "fig9b", "fig9c"}
+	var rows [3][][]string
+	for i, id := range panels {
+		if rows[i] = committedSection(t, id); len(rows[i]) != 13*2*4 {
+			t.Fatalf("%s has %d rows, want 104 (13 fabrics x remove/add x 4 seeds)", id, len(rows[i]))
+		}
+	}
+	for r := range rows[0] {
+		key := strings.Join(rows[0][r][:len(rows[0][r])-3], " ")
+		var prev [2]float64
+		for i, id := range panels {
+			if k := strings.Join(rows[i][r][:len(rows[i][r])-3], " "); k != key {
+				t.Fatalf("%s row %d is %q, fig9a's is %q", id, r+1, k, key)
+			}
+			secs := lastFloats(t, id, rows[i][r], 3) // Serial Packet, Serial Device, Parallel
+			ratios := [2]float64{secs[0] / secs[2], secs[1] / secs[2]}
+			for j, name := range algorithmColumns[:2] {
+				if i > 0 && !(ratios[j] > prev[j]) {
+					t.Errorf("%s row %q: %s / Parallel = %.3f, not above %s's %.3f; %s",
+						id, key, name, ratios[j], panels[i-1], prev[j], paper)
+				}
+			}
+			prev = ratios
+		}
+	}
+}

@@ -98,5 +98,8 @@ func (c Config) Validate() error {
 	if c.RetryBackoff < 0 {
 		return fmt.Errorf("experiment: -retry-backoff %v: negative retry backoff", c.RetryBackoff)
 	}
+	if c.RetryBackoff > core.MaxRetryBackoff {
+		return fmt.Errorf("experiment: -retry-backoff %v: retry backoff past %v", c.RetryBackoff, core.MaxRetryBackoff)
+	}
 	return nil
 }

@@ -137,24 +137,6 @@ func TestReportRendering(t *testing.T) {
 			t.Errorf("rendered output missing %q:\n%s", want, out)
 		}
 	}
-	buf.Reset()
-	if err := r.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "a,bcd\n1,2\n") {
-		t.Errorf("CSV output: %q", buf.String())
-	}
-}
-
-func TestCSVEscaping(t *testing.T) {
-	r := Report{Header: []string{`wei"rd`, "with,comma"}, Rows: [][]string{{"v", "w"}}}
-	var buf bytes.Buffer
-	if err := r.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"wei""rd"`) || !strings.Contains(buf.String(), `"with,comma"`) {
-		t.Errorf("CSV escaping: %q", buf.String())
-	}
 }
 
 func TestTable1ReportMatchesCatalogue(t *testing.T) {

@@ -10,15 +10,15 @@ import (
 )
 
 // FuzzDecodeRunReport feeds arbitrary bytes to DecodeRunReport, seeded
-// from a telemetry-and-spans run report, the report goldens in testdata
-// wrapped in an envelope, and the documents the decoder must refuse. No
+// from a telemetry run report, the report golden in testdata wrapped in
+// an envelope, and the documents the decoder must refuse. No
 // input may panic it, and what it accepts must re-encode into a document
 // it accepts again as the same value: one that encodes to the same
 // bytes. (Bytes, because the envelope's omitempty lists cannot tell an
 // empty list from none: "notes":[] decodes to an empty list and comes
 // back as no list.)
 func FuzzDecodeRunReport(f *testing.F) {
-	o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: core.Parallel, Seed: 1, Telemetry: true, Spans: true})
+	o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: core.Parallel, Seed: 1, Telemetry: true})
 	if o.Err != nil {
 		f.Fatal(o.Err)
 	}
@@ -36,7 +36,8 @@ func FuzzDecodeRunReport(f *testing.F) {
 		`{"schema":"` + RunReportSchema + `","error":"x"}`,
 		`{"schema":"` + RunReportSchema + `","error":"x","spans":{"spans":null,"dropped":0}}`,
 		`{"schema":"` + RunReportSchema + `","reports":[{"id":"r","title":"t","header":["a","b"],"rows":[["only"]]}]}`,
-		`{"schema":"asi-discovery/run-report/v4","error":"x"}`,
+		`{"schema":"` + RunReportSchema + `","error":"x","events":1}`,
+		`{"schema":"asi-discovery/run-report/v6","error":"x"}`,
 		`{}`,
 	} {
 		f.Add([]byte(doc))

@@ -6,14 +6,13 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/span"
 	"repro/internal/telemetry"
 )
 
 // RunReportSchema identifies the JSON envelope version emitted by the
 // CLIs. Consumers should reject any other schema string, as
 // DecodeRunReport does.
-const RunReportSchema = "asi-discovery/run-report/v6"
+const RunReportSchema = "asi-discovery/run-report/v7"
 
 // RunReport is the machine-readable envelope for simulation output: run
 // identification, the measured discovery, any rendered report tables,
@@ -38,12 +37,10 @@ type RunReport struct {
 	Error string `json:"error,omitempty"`
 	// Reports carries rendered experiment tables.
 	Reports []Report `json:"reports,omitempty"`
-	// Telemetry is the run's metric snapshot when collection was enabled.
+	// Telemetry is the run's metric snapshot when collection was enabled;
+	// its sim.events counter is the run's event count. A span log is
+	// saved as a Chrome trace (`asidisc -spans-out`), never here.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-	// Spans is the run's causal span log when span tracing was enabled.
-	Spans *span.Log `json:"spans,omitempty"`
-	// Events counts the simulation events the run's engine processed.
-	Events uint64 `json:"events,omitempty"`
 }
 
 // NewRunReport packages one run outcome for machine consumption.
@@ -58,8 +55,6 @@ func NewRunReport(o Outcome, reports ...Report) RunReport {
 		ActiveNodes:   o.ActiveNodes,
 		Reports:       reports,
 		Telemetry:     o.Telemetry,
-		Spans:         o.Spans,
-		Events:        o.Events,
 	}
 	if o.Err != nil {
 		rr.Error = o.Err.Error()
@@ -88,19 +83,17 @@ func DecodeRunReport(r io.Reader) (RunReport, error) {
 	var rr RunReport
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rr); err != nil {
-		return RunReport{}, fmt.Errorf("experiment: decoding run report: %w", err)
-	}
-	if rr.Schema != RunReportSchema {
+	// An unknown field does not stop the decoder reading the schema, so a
+	// retired version is refused by name whatever fields it carries.
+	err := dec.Decode(&rr)
+	if rr.Schema != RunReportSchema && (rr.Schema != "" || err == nil) {
 		return RunReport{}, fmt.Errorf("experiment: run report schema %q, want %q", rr.Schema, RunReportSchema)
+	}
+	if err != nil {
+		return RunReport{}, fmt.Errorf("experiment: decoding run report: %w", err)
 	}
 	if rr.Result == nil && rr.Error == "" && len(rr.Reports) == 0 {
 		return RunReport{}, fmt.Errorf("experiment: run report carries no result, error or reports")
-	}
-	if rr.Spans != nil {
-		if err := span.Validate(*rr.Spans); err != nil {
-			return RunReport{}, fmt.Errorf("experiment: run report spans: %w", err)
-		}
 	}
 	for _, rep := range rr.Reports {
 		for i, row := range rep.Rows {
@@ -111,11 +104,4 @@ func DecodeRunReport(r io.Reader) (RunReport, error) {
 		}
 	}
 	return rr, nil
-}
-
-// JSON writes one report table as indented JSON.
-func (r Report) JSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -9,7 +9,8 @@ import (
 // Report is one reproduced table or figure, rendered as text rows. The
 // harness does not plot; the rows carry exactly the series a figure
 // would, so the numbers can be compared against the paper directly or
-// fed to a plotting tool via CSV.
+// read by a plotting tool from the run-report envelope (`asibench
+// -json`), a table's one machine form.
 type Report struct {
 	// ID is the experiment identifier, e.g. "fig6a".
 	ID string `json:"id"`
@@ -77,32 +78,4 @@ func (r Report) Render(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// CSV writes the report as comma-separated values (cells containing
-// commas or quotes are quoted).
-func (r Report) CSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(cells []string) error {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = esc(c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(parts, ","))
-		return err
-	}
-	if err := writeRow(r.Header); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -58,20 +59,24 @@ func TestReportRenderGolden(t *testing.T) {
 	checkGolden(t, "fixture.txt", b.Bytes())
 }
 
-func TestReportCSVGolden(t *testing.T) {
-	var b bytes.Buffer
-	if err := fixtureReport().CSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fixture.csv", b.Bytes())
-}
-
+// TestReportJSONGolden: a table's one machine form is the run-report
+// envelope, and the fixture's entry in it, reports[0], is
+// testdata/fixture.json.
 func TestReportJSONGolden(t *testing.T) {
 	var b bytes.Buffer
-	if err := fixtureReport().JSON(&b); err != nil {
+	if err := NewReportsJSON([]Report{fixtureReport()}).JSON(&b); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fixture.json", b.Bytes())
+	var doc struct{ Reports []json.RawMessage }
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil || len(doc.Reports) != 1 {
+		t.Fatalf("envelope (%v):\n%s", err, b.Bytes())
+	}
+	var report bytes.Buffer
+	if err := json.Indent(&report, doc.Reports[0], "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	report.WriteByte('\n')
+	checkGolden(t, "fixture.json", report.Bytes())
 }
 
 // A run report must survive an encode/decode round trip intact.
@@ -104,9 +109,9 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 }
 
 // Retired envelope versions get no partial back-compat decoding: a v1 to
-// v5 document is refused by the unknown-schema error whatever it carries.
+// v6 document is refused by the unknown-schema error whatever it carries.
 func TestDecodeRunReportBackCompat(t *testing.T) {
-	for _, version := range []string{"v1", "v2", "v3", "v4", "v5"} {
+	for _, version := range []string{"v1", "v2", "v3", "v4", "v5", "v6"} {
 		schema := "asi-discovery/run-report/" + version
 		for _, body := range []string{
 			`"error":"x"`,
@@ -136,6 +141,10 @@ func TestDecodeRunReportRejects(t *testing.T) {
 		"retired events_per_sec": `{"schema":"` + RunReportSchema + `","error":"x","events_per_sec":1}`,
 		"retired wall_seconds": `{"schema":"` + RunReportSchema + `","reports":[` +
 			`{"id":"r","title":"t","header":["a"],"rows":[["1"]],"wall_seconds":1}]}`,
+		// The span log and the event count left with v7: a span log is
+		// saved as a Chrome trace, and telemetry's sim.events counts events.
+		"retired spans section": `{"schema":"` + RunReportSchema + `","error":"x","spans":{"spans":null,"dropped":0}}`,
+		"retired events count":  `{"schema":"` + RunReportSchema + `","error":"x","events":1}`,
 	}
 	for name, doc := range cases {
 		if _, err := DecodeRunReport(bytes.NewReader([]byte(doc))); err == nil {

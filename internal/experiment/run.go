@@ -67,11 +67,9 @@ type Outcome struct {
 	Initial core.Result
 	// Err reports a failed run (e.g. no PI-5 reached the FM).
 	Err error
-	// Events counts the simulation events the engine processed for this
-	// run (all phases: transient, change, assimilation).
-	Events uint64
 	// Telemetry is the run's end-of-run metric snapshot, non-nil only
-	// when Config.Telemetry was set.
+	// when Config.Telemetry was set. Its sim.events counter counts the
+	// engine's events over every phase (transient, change, assimilation).
 	Telemetry *telemetry.Snapshot
 	// Spans is the run's causal span log, non-nil only when
 	// Config.Spans was set.
@@ -149,10 +147,9 @@ func RunConfig(cfg Config) (out Outcome) {
 	return out
 }
 
-// measure closes the run's books, whether it succeeded or not: the event
-// count and the observers' logs.
+// measure closes the run's books, whether it succeeded or not: the
+// observers' logs.
 func (out *Outcome) measure(r *rig.Rig) {
-	out.Events = r.Engine.Processed
 	if r.Spans != nil {
 		l := r.Spans.Log()
 		out.Spans = &l

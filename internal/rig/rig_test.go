@@ -93,10 +93,11 @@ func byHand(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uin
 	return out
 }
 
-// onRig is the same case driven through the rig.
-func onRig(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uint64) run {
+// onRig is the same case driven through the rig; observe sets the rig's
+// Telemetry and Spans.
+func onRig(t *testing.T, tp *topo.Topology, alg core.Kind, change int, seed uint64, observe rig.Config) run {
 	t.Helper()
-	r, err := rig.New(tp, rig.Config{Seed: seed, Manager: core.Options{Algorithm: alg}})
+	r, err := rig.New(tp, rig.Config{Seed: seed, Telemetry: observe.Telemetry, Spans: observe.Spans, Manager: core.Options{Algorithm: alg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRigEqualsHandAssembly(t *testing.T) {
 			for change, changeName := range []string{"none", "remove", "add"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", name, alg.Slug(), changeName), func(t *testing.T) {
 					const seed = 3
-					want, got := byHand(t, tp, alg, change, seed), onRig(t, tp, alg, change, seed)
+					want, got := byHand(t, tp, alg, change, seed), onRig(t, tp, alg, change, seed, rig.Config{})
 					if len(want.results) == 0 || (change != noChange && len(want.results) < 2) {
 						t.Fatalf("hand-assembled run completed %d discoveries; the case measures nothing", len(want.results))
 					}
@@ -155,6 +156,29 @@ func TestRigEqualsHandAssembly(t *testing.T) {
 						t.Errorf("rig-built run differs from the hand-assembled one:\n got %+v\nwant %+v", got, want)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestObserversDoNotPerturbSimulation: switching telemetry or span
+// tracing on schedules no engine event and changes nothing simulated —
+// the same event count, heap high-water, results, fabric accounting and
+// database as the plain run, for every algorithm and change.
+func TestObserversDoNotPerturbSimulation(t *testing.T) {
+	tp, err := topo.ByName("4x4 torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range core.PaperKinds() {
+		for change, changeName := range []string{"none", "remove", "add"} {
+			const seed = 5
+			plain := onRig(t, tp, alg, change, seed, rig.Config{})
+			for _, observe := range []rig.Config{{Telemetry: true}, {Spans: true}} {
+				if got := onRig(t, tp, alg, change, seed, observe); !reflect.DeepEqual(got, plain) {
+					t.Errorf("%s/%s with telemetry %v, spans %v: %d events, want the plain run's %d; runs differ:\n got %+v\nwant %+v",
+						alg.Slug(), changeName, observe.Telemetry, observe.Spans, got.processed, plain.processed, got, plain)
+				}
 			}
 		}
 	}
@@ -317,7 +341,7 @@ func TestQueuePremiseFarPushShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := onRig(t, tp, core.Parallel, c.change, 1)
+		r := onRig(t, tp, core.Parallel, c.change, 1, rig.Config{})
 		share := float64(r.farPushes) / float64(r.scheduled)
 		t.Logf("%s: %d of %d scheduled events entered the far heap (%.3f %%), max pending %d",
 			c.topo, r.farPushes, r.scheduled, 100*share, r.maxPending)

@@ -8,7 +8,10 @@
 // multi-gigabit links exact and makes runs bit-for-bit reproducible.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in simulated time, measured in picoseconds since the
 // start of the simulation. Picosecond resolution keeps the serialization
@@ -74,7 +77,9 @@ func (d Duration) String() string {
 	neg := ""
 	if d < 0 {
 		neg = "-"
-		d = -d
+		// The most negative Duration has no positive twin; a picosecond
+		// less is the same at any printed precision past a second.
+		d = -max(d, -math.MaxInt64)
 	}
 	switch {
 	case d >= Second:

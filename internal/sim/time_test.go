@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +17,8 @@ func TestDurationString(t *testing.T) {
 		{3500 * Microsecond, "3.500ms"},
 		{2 * Second, "2.000000s"},
 		{-1500, "-1.500ns"},
+		{math.MaxInt64, "9223372.036855s"},
+		{math.MinInt64, "-9223372.036855s"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {

@@ -182,7 +182,7 @@ func criticalPath(byID map[ID]*Span, reqOf map[ID]ID, reqs []RequestView, svc []
 }
 
 // Summary renders a one-paragraph accounting of a run: request count,
-// retries, drops, span-kind totals. Used by asitrace and the tests.
+// retries, drops, span-kind totals. It heads each run's Gantt chart.
 func (ra *RunAnalysis) Summary() string {
 	retries, drops := 0, 0
 	for _, rv := range ra.Requests {

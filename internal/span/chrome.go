@@ -18,7 +18,7 @@ import (
 // so each PI-4's round trip reads as one horizontal lane, with runs and
 // FM phases on lane 0 — the on-screen layout mirrors the paper's Fig. 5
 // timeline. The original span fields ride along losslessly in "args" so
-// ReadChrome can reconstruct the exact Log for asitrace.
+// ReadChrome can reconstruct the exact Log for `asidisc -spans-in`.
 
 // chromeDoc is the top-level trace object.
 type chromeDoc struct {

@@ -16,15 +16,8 @@ import (
 // hops, device queueing/servicing, and (under faults) backoffs, drops
 // and retries. Rows on the run's critical path are starred.
 
-// GanttOptions tunes the renderer; zero values pick the defaults.
-type GanttOptions struct {
-	// Width is the number of timeline columns (default 96).
-	Width int
-	// MaxRows caps the request rows drawn per run, keeping charts for
-	// big fabrics readable; 0 draws every request. Elided rows are
-	// summarized in a trailing note, never silently dropped.
-	MaxRows int
-}
+// ganttWidth is the number of timeline columns; every request gets a row.
+const ganttWidth = 96
 
 // ganttChar maps a span kind to its cell glyph. Later entries in the
 // paint order overwrite earlier ones, so the most specific activity
@@ -55,38 +48,31 @@ var ganttPaint = []Kind{
 const GanttLegend = "legend: .=in flight f=fm-queue F=fm-service q=link-queue w=wire " +
 	"u=dev-queue d=dev-service b=backoff ~=fault-delay !=stall x=drop *=critical path"
 
-// WriteGantt renders every run of the analysis as an ASCII Gantt chart.
-func WriteGantt(w io.Writer, a *Analysis, opt GanttOptions) error {
-	width := opt.Width
-	if width <= 0 {
-		width = 96
-	}
+// writeGantt renders every run of the analysis as an ASCII Gantt chart.
+func writeGantt(w io.Writer, a *Analysis) error {
 	for ri := range a.Runs {
-		ra := &a.Runs[ri]
 		if ri > 0 {
 			fmt.Fprintln(w)
 		}
-		if err := writeRunGantt(w, ra, width, opt.MaxRows); err != nil {
-			return err
-		}
+		writeRunGantt(w, &a.Runs[ri])
 	}
 	_, err := fmt.Fprintln(w, GanttLegend)
 	return err
 }
 
-func writeRunGantt(w io.Writer, ra *RunAnalysis, width, maxRows int) error {
+func writeRunGantt(w io.Writer, ra *RunAnalysis) {
 	fmt.Fprintf(w, "%s\n", ra.Summary())
 	span := ra.Run.Duration()
 	if span <= 0 {
 		span = 1
 	}
 	cell := func(t sim.Time) int {
-		c := int(int64(t.Sub(ra.Run.Start)) * int64(width) / int64(span))
+		c := int(int64(t.Sub(ra.Run.Start)) * int64(ganttWidth) / int64(span))
 		if c < 0 {
 			c = 0
 		}
-		if c >= width {
-			c = width - 1
+		if c >= ganttWidth {
+			c = ganttWidth - 1
 		}
 		return c
 	}
@@ -96,16 +82,9 @@ func writeRunGantt(w io.Writer, ra *RunAnalysis, width, maxRows int) error {
 		critical[s.ID] = true
 	}
 
-	rows := ra.Requests
-	elided := 0
-	if maxRows > 0 && len(rows) > maxRows {
-		elided = len(rows) - maxRows
-		rows = rows[:maxRows]
-	}
-
 	labelW := 0
-	labels := make([]string, len(rows))
-	for i, rv := range rows {
+	labels := make([]string, len(ra.Requests))
+	for i, rv := range ra.Requests {
 		mark := ' '
 		if critical[rv.Span.ID] {
 			mark = '*'
@@ -118,10 +97,10 @@ func writeRunGantt(w io.Writer, ra *RunAnalysis, width, maxRows int) error {
 
 	// Time axis: run-relative start/end in the header line.
 	fmt.Fprintf(w, "%*s|%v%*s%v|\n", labelW, "", sim.Duration(0),
-		width-len(fmt.Sprint(sim.Duration(0)))-len(fmt.Sprint(span)), "", span)
+		ganttWidth-len(fmt.Sprint(sim.Duration(0)))-len(fmt.Sprint(span)), "", span)
 
-	line := make([]byte, width)
-	for i, rv := range rows {
+	line := make([]byte, ganttWidth)
+	for i, rv := range ra.Requests {
 		for j := range line {
 			line[j] = ' '
 		}
@@ -135,10 +114,6 @@ func writeRunGantt(w io.Writer, ra *RunAnalysis, width, maxRows int) error {
 		}
 		fmt.Fprintf(w, "%-*s|%s|\n", labelW, labels[i], line)
 	}
-	if elided > 0 {
-		fmt.Fprintf(w, "%*s(+%d more requests not shown)\n", labelW, "", elided)
-	}
-	return nil
 }
 
 // paintSpan fills the cells a span covers with its glyph. Instants and
@@ -154,10 +129,10 @@ func paintSpan(line []byte, s Span, cell func(sim.Time) int) {
 	}
 }
 
-// WriteReport renders the full asitrace text report: per-run Gantt,
-// critical path and per-kind breakdown.
-func WriteReport(w io.Writer, a *Analysis, opt GanttOptions) error {
-	if err := WriteGantt(w, a, opt); err != nil {
+// WriteReport renders the span report `asidisc -spans` and `-spans-in`
+// print: per-run Gantt, critical path and per-kind breakdown.
+func WriteReport(w io.Writer, a *Analysis) error {
+	if err := writeGantt(w, a); err != nil {
 		return err
 	}
 	for ri := range a.Runs {
@@ -189,6 +164,6 @@ func WriteReport(w io.Writer, a *Analysis, opt GanttOptions) error {
 // String renders the report to a string, for tests and small tools.
 func (a *Analysis) String() string {
 	var b strings.Builder
-	_ = WriteReport(&b, a, GanttOptions{})
+	_ = WriteReport(&b, a)
 	return b.String()
 }

@@ -368,19 +368,3 @@ func TestGanttRender(t *testing.T) {
 		}
 	}
 }
-
-// TestGanttRowCap proves elided rows are reported, not silently hidden.
-func TestGanttRowCap(t *testing.T) {
-	l := sampleLog(t)
-	a, err := Analyze(l)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := WriteGantt(&buf, a, GanttOptions{Width: 40, MaxRows: 1}); err != nil {
-		t.Fatalf("WriteGantt: %v", err)
-	}
-	if !strings.Contains(buf.String(), "+1 more requests not shown") {
-		t.Errorf("row cap not announced:\n%s", buf.String())
-	}
-}
