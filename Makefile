@@ -34,10 +34,12 @@
 #                                  BENCH_obs.json (both exact; ns/op is
 #                                  printed, never gated)
 #                 Measured wall time per step on a shared 2-core Xeon
-#                 host, test cache cleared, build cache warm, 225 s in all:
-#                   fmt-check 0.2 s   seam-check 0.0 s  build 2.8 s
-#                   vet 4.4 s         test 29.6 s       race 162.0 s
-#                   bench-test 3.1 s  bench-diff 23.2 s
+#                 host, test cache cleared, build cache warm, 202 s in all
+#                 (test includes internal/rig's 5 s dragonfly 16x950
+#                 bootstrap, which race leaves out):
+#                   fmt-check 0.1 s   seam-check 0.0 s  build 1.8 s
+#                   vet 2.8 s         test 30.9 s       race 146.6 s
+#                   bench-test 2.9 s  bench-diff 16.4 s
 #   make race     - go test -race ./...
 #   make fuzz     - bounded native-fuzzing burst on the chaos harness,
 #                   the RIB, the event queue, the topology namer, the

@@ -121,9 +121,9 @@ type request struct {
 	timeout sim.EventID
 	// sentAt stamps the latest issue, for round-trip telemetry.
 	sentAt sim.Time
-	// retryGen snapshots the run generation when a retry backoff is
-	// armed, so backoffs from a superseded run recognize themselves.
-	retryGen uint64
+	// round is the upkeep round that sent the request, nil for the run's
+	// own: the class whose books (Result or DistResult) count its traffic.
+	round *round
 	// span/attemptSpan are the causal-trace handles for this request and
 	// its in-flight attempt; zero unless Options.Spans is set.
 	span        span.ID
@@ -248,8 +248,6 @@ type Manager struct {
 	// measurements.
 	OnDiscoveryComplete func(Result)
 
-	dist *distState
-
 	// team wires this manager into a distributed-discovery team;
 	// teamGen is the claim generation of the current round.
 	team    *Team
@@ -290,20 +288,14 @@ type Manager struct {
 	tel *fmTelemetry
 
 	// sp is the causal span tracer, nil unless Options.Spans was set;
-	// runSpan is the open phase band of the current run, and retryReqs
-	// tracks requests parked in backoff windows so a superseding run can
-	// close their spans (populated only when sp is non-nil).
-	sp        *span.Tracer
-	runSpan   span.ID
-	retryReqs map[*request]struct{}
+	// runSpan is the open phase band of the current run.
+	sp      *span.Tracer
+	runSpan span.ID
 
-	// runGen identifies the current discovery run; retry timers armed in
-	// an earlier run recognize themselves as orphaned and do nothing.
-	runGen uint64
-	// retryPending counts requests sitting in a backoff window: they are
-	// in neither pending nor queue, but the run must not finish under
-	// them.
-	retryPending int
+	// runReqs counts the run's own requests from newRequest to
+	// releaseRequest: pending, queued or in a retry backoff. The run
+	// cannot finish under them.
+	runReqs int
 }
 
 // NewManager attaches a fabric manager to an endpoint device.
@@ -322,10 +314,7 @@ func NewManager(f *fabric.Fabric, dev *fabric.Device, opt Options) *Manager {
 	if opt.Telemetry != nil {
 		m.tel = newFMTelemetry(opt.Telemetry)
 	}
-	if opt.Spans != nil {
-		m.sp = opt.Spans
-		m.retryReqs = make(map[*request]struct{})
-	}
+	m.sp = opt.Spans
 	m.workFn = m.completeWork
 	m.timeoutFn = func(_ *sim.Engine, arg any) { m.onTimeout(arg.(*request)) }
 	m.retryFn = func(_ *sim.Engine, arg any) { m.onRetryBackoff(arg.(*request)) }
@@ -377,9 +366,11 @@ func (m *Manager) LastResult() (Result, bool) {
 func (m *Manager) HandlePacket(port int, pkt *asi.Packet) {
 	switch pl := pkt.Payload.(type) {
 	case *asi.PI4:
-		m.res.PacketsReceived++
-		m.res.BytesReceived += uint64(pkt.WireSize())
 		req, ok := m.pending[pl.Tag]
+		if !ok || req.round == nil {
+			m.res.PacketsReceived++
+			m.res.BytesReceived += uint64(pkt.WireSize())
+		}
 		if !ok {
 			// A completion for a request that already timed out (and was
 			// possibly re-issued under a fresh tag). The retransmission's
@@ -462,7 +453,7 @@ func (m *Manager) completeWork(*sim.Engine) {
 	if m.sp != nil {
 		m.recordWorkSpans(w)
 	}
-	if m.discovering {
+	if m.discovering && (w.req == nil || w.req.round == nil) {
 		m.res.Processed++
 		m.res.FMBusy += m.curCost
 		m.appendTimeline(m.e.Now())
@@ -485,7 +476,9 @@ func (m *Manager) handleWork(w work) {
 		}
 		m.releaseRequest(w.req)
 	case wTimeout:
-		m.res.TimedOut++
+		if w.req.round == nil {
+			m.res.TimedOut++
+		}
 		if m.tel != nil {
 			m.tel.timeouts.Inc()
 		}
@@ -654,8 +647,12 @@ func (m *Manager) issue(req *request) bool {
 	pkt.Header = hdr
 	pkt.Span = uint64(req.span)
 	m.pending[req.tag] = req
-	m.res.PacketsSent++
-	m.res.BytesSent += uint64(pkt.WireSize())
+	if req.round != nil {
+		req.round.res.BytesSent += uint64(pkt.WireSize())
+	} else {
+		m.res.PacketsSent++
+		m.res.BytesSent += uint64(pkt.WireSize())
+	}
 	window := requestTimeout
 	if req.kind == reqVerify {
 		window = verifyTimeout
@@ -695,9 +692,12 @@ func (m *Manager) onTimeout(req *request) {
 // time is never armed: the request gives up instead.
 func (m *Manager) retryRequest(req *request) bool {
 	backoff := m.opt.RetryBackoff << min(req.attempt, 3)
+	run := req.round == nil
 	if int(req.attempt) >= m.opt.MaxRetries || backoff > sim.Never.Sub(m.e.Now())-requestTimeout {
 		if m.opt.MaxRetries > 0 {
-			m.res.GaveUp++
+			if run {
+				m.res.GaveUp++
+			}
 			if m.tel != nil {
 				m.tel.giveups.Inc()
 			}
@@ -705,16 +705,15 @@ func (m *Manager) retryRequest(req *request) bool {
 		return false
 	}
 	req.attempt++
-	m.res.Retries++
+	if run {
+		m.res.Retries++
+	}
 	if m.tel != nil {
 		m.tel.retries.Inc()
 	}
-	req.retryGen = m.runGen
-	m.retryPending++
 	if m.sp != nil {
 		now := m.e.Now()
 		m.sp.Complete(span.KindBackoff, req.span, now, now.Add(backoff), span.StatusOK)
-		m.retryReqs[req] = struct{}{}
 	}
 	m.e.AfterArg(backoff, m.retryFn, req)
 	return true
@@ -723,13 +722,6 @@ func (m *Manager) retryRequest(req *request) bool {
 // onRetryBackoff re-issues a timed-out request once its backoff window
 // elapses.
 func (m *Manager) onRetryBackoff(req *request) {
-	if m.runGen != req.retryGen {
-		return // a new run started; this request belongs to the old one
-	}
-	m.retryPending--
-	if m.sp != nil {
-		delete(m.retryReqs, req)
-	}
 	if !m.issue(req) {
 		// The path stopped encoding (cannot normally happen: the
 		// original attempt encoded the same path); fail terminally.
@@ -861,18 +853,9 @@ func (m *Manager) beginRun() {
 	m.dropAssimPending()
 	m.db = m.db.fresh()
 	m.drv = m.newDriver()
-	for _, r := range m.pending {
-		m.e.Cancel(r.timeout)
-	}
 	if m.sp != nil {
-		m.cancelRequestSpans()
-		m.sp.End(m.runSpan, m.e.Now(), span.StatusCanceled)
 		m.runSpan = m.beginRunSpan(m.opt.Algorithm.String())
 	}
-	clear(m.pending)
-	// Orphan any armed retry timers: their closures check runGen.
-	m.runGen++
-	m.retryPending = 0
 	// A rediscovery processes about as many work items as the run before
 	// it (m.res still holds that run); the very first has nothing to go
 	// by and grows its timeline.
@@ -896,14 +879,14 @@ func (m *Manager) appendTimeline(at sim.Time) {
 	m.res.Timeline = append(m.res.Timeline, at)
 }
 
-// checkDone finishes the run when the driver is idle and nothing is in
-// flight or queued.
+// checkDone finishes the run when the driver is idle, none of its own
+// requests is outstanding and nothing but PI-5 events or upkeep is queued.
 func (m *Manager) checkDone() {
-	if !m.discovering || !m.drv.finished() || len(m.pending) != 0 || m.retryPending > 0 {
+	if !m.discovering || !m.drv.finished() || m.runReqs > 0 {
 		return
 	}
 	for i := 0; i < m.queue.Len(); i++ {
-		if m.queue.At(i).kind != wEvent {
+		if w := m.queue.At(i); w.kind != wEvent && w.req == nil {
 			return
 		}
 	}

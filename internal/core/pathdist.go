@@ -16,12 +16,13 @@ import (
 // reports can reach the FM; endpoint-pair routes are derived per
 // generation by the serving layer (internal/fib).
 
-// DistResult measures one path-distribution round.
+// DistResult measures one path-distribution round: its own writes, which
+// no discovery run counts, even one that overlaps the round.
 type DistResult struct {
 	Start, End sim.Time
 	Duration   sim.Duration
 	// Writes is the number of PI-4 write requests issued, Failures how
-	// many failed or timed out.
+	// many failed or timed out; BytesSent counts every attempt's bytes.
 	Writes, Failures int
 	BytesSent        uint64
 }
@@ -47,81 +48,100 @@ func EventRouteFor(n *Node) (pool uint64, ptr uint8, err error) {
 	return route.Encode(route.AppendReverse(rev, n.Path))
 }
 
+// roundWindow caps an upkeep round's writes in flight. A write's timeout
+// runs from its issue, so a round that issued everything at once would
+// expire the writes still queued on the FM's own link.
+const roundWindow = 4096
+
 // DistributeEventRoutes writes the event route into every discovered
-// device except the host, with all writes in flight concurrently (the FM
-// is past discovery; programming is parallel like the Parallel
-// algorithm). onDone fires once every write completed or failed.
+// device except the host, as one upkeep round with at most roundWindow
+// writes in flight. Targets and routes are fixed here, so a run that
+// opens mid-round changes nothing the round writes. onDone fires once
+// every write completed or failed.
 func (m *Manager) DistributeEventRoutes(onDone func(DistResult)) {
 	if m.discovering {
 		panic("core: DistributeEventRoutes during discovery")
 	}
-	m.dist = &distState{res: DistResult{Start: m.e.Now()}, onDone: onDone}
+	r := &round{res: DistResult{Start: m.e.Now()}, onDone: onDone}
 	if m.sp != nil {
-		m.dist.span = m.beginRunSpan("event-routes")
+		r.span = m.beginRunSpan("event-routes")
 	}
-	for _, n := range m.db.Nodes() {
+	nodes := m.db.Nodes()
+	r.todo = make([]eventRoute, 0, len(nodes))
+	for _, n := range nodes {
 		if n.DSN == m.dev.DSN {
 			continue
 		}
 		pool, ptr, err := EventRouteFor(n)
 		if err != nil {
-			m.dist.res.Failures++
+			r.res.Failures++
 			continue
 		}
-		req := m.newRequest(request{kind: reqWrite, path: n.Path, dsn: n.DSN})
-		payload := asi.PI4{
-			Op:     asi.PI4WriteRequest,
-			Offset: asi.EventRouteOffset(n.Ports),
-			Data:   asi.EncodeEventRoute(pool, ptr),
-		}
-		sz := (&asi.Packet{Payload: &payload}).WireSize()
-		if !m.send(req, payload) {
-			m.dist.res.Failures++
-			continue
-		}
-		m.dist.res.Writes++
-		m.dist.res.BytesSent += uint64(sz)
-		m.dist.outstanding++
+		r.todo = append(r.todo, eventRoute{path: n.Path, dsn: n.DSN, pool: pool, offset: asi.EventRouteOffset(n.Ports), ptr: ptr})
 	}
-	if m.dist.outstanding == 0 {
-		m.finishDist()
-	}
+	m.fill(r)
 }
 
-// distState tracks an in-progress distribution round.
-type distState struct {
-	res         DistResult
-	outstanding int
-	onDone      func(DistResult)
-	// span is the distribution round's phase band, zero unless span
-	// tracing is on; the round's write requests parent to it.
+// round is one upkeep round: requests the FM sends to keep the fabric
+// programmed, booked apart from any discovery run. Each of its requests
+// points at it, so overlapping rounds keep their own books, and a run
+// neither waits for a round's requests nor counts them.
+type round struct {
+	res    DistResult
+	onDone func(DistResult)
+	// span is the round's phase band, zero unless span tracing is on; the
+	// round's requests parent to it.
 	span span.ID
+	// todo holds the writes not yet issued, inFlight those issued and not
+	// yet resolved.
+	todo     []eventRoute
+	inFlight int
+}
+
+// eventRoute is one write of a round: the route programmed into dsn's
+// event-route register, sent along path.
+type eventRoute struct {
+	path   route.Path
+	dsn    asi.DSN
+	pool   uint64
+	offset uint16
+	ptr    uint8
+}
+
+// fill issues r's next writes while its window has room, and finishes the
+// round once nothing is left in flight.
+func (m *Manager) fill(r *round) {
+	for r.inFlight < roundWindow && len(r.todo) > 0 {
+		w := r.todo[0]
+		r.todo = r.todo[1:]
+		req := m.newRequest(request{kind: reqWrite, path: w.path, dsn: w.dsn, round: r})
+		if !m.send(req, asi.PI4{Op: asi.PI4WriteRequest, Offset: w.offset, Data: asi.EncodeEventRoute(w.pool, w.ptr)}) {
+			r.res.Failures++
+			continue
+		}
+		r.res.Writes++
+		r.inFlight++
+	}
+	if r.inFlight > 0 {
+		return
+	}
+	if m.sp != nil {
+		m.sp.End(r.span, m.e.Now(), span.StatusOK)
+	}
+	r.res.End = m.e.Now()
+	r.res.Duration = r.res.End.Sub(r.res.Start)
+	if r.onDone != nil {
+		r.onDone(r.res)
+	}
 }
 
 // onWriteDone is called by the Manager when a reqWrite completion (or
 // timeout) has been processed.
 func (m *Manager) onWriteDone(req *request, ok bool) {
-	if m.dist == nil {
-		return
-	}
+	r := req.round
 	if !ok {
-		m.dist.res.Failures++
+		r.res.Failures++
 	}
-	m.dist.outstanding--
-	if m.dist.outstanding == 0 {
-		m.finishDist()
-	}
-}
-
-func (m *Manager) finishDist() {
-	d := m.dist
-	m.dist = nil
-	if m.sp != nil {
-		m.sp.End(d.span, m.e.Now(), span.StatusOK)
-	}
-	d.res.End = m.e.Now()
-	d.res.Duration = d.res.End.Sub(d.res.Start)
-	if d.onDone != nil {
-		d.onDone(d.res)
-	}
+	r.inFlight--
+	m.fill(r)
 }

@@ -24,10 +24,10 @@ import (
 //     from that record. After consume or HandlePacket returns, nobody but
 //     the new owner may hold the packet.
 //
-// Packets the fabric drops, stale completions, requests a superseding
-// run orphans and cloned packets never come back; the garbage collector
-// has them. The free list lives on the Manager, which runs on one
-// region's engine, so the region-sharded path shares nothing through it.
+// Packets the fabric drops, stale completions and cloned packets never
+// come back; the garbage collector has them. The free list lives on the
+// Manager, which runs on one region's engine, so the region-sharded path
+// shares nothing through it.
 
 // poisonReleased makes releaseRequest scramble the request and its packet
 // instead of merely recycling them, so that a use after release changes
@@ -37,6 +37,9 @@ var poisonReleased bool
 // newRequest takes a request from the free list, or allocates one, and
 // initializes it to init. The record's spare packet stays with it.
 func (m *Manager) newRequest(init request) *request {
+	if init.round == nil {
+		m.runReqs++
+	}
 	r := m.freeReqs
 	if r == nil {
 		r = new(request)
@@ -51,6 +54,9 @@ func (m *Manager) newRequest(init request) *request {
 // releaseRequest recycles a request whose terminal outcome has been
 // applied, together with the completion packet it holds, if any.
 func (m *Manager) releaseRequest(r *request) {
+	if r.round == nil {
+		m.runReqs--
+	}
 	*r = request{pkt: r.pkt, next: m.freeReqs}
 	m.freeReqs = r
 	if poisonReleased {

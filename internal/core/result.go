@@ -9,7 +9,8 @@ import (
 // Result captures one discovery run's measurements: the paper records the
 // topology discovery time, the amount of management packets and bytes
 // generated and received by the FM, and the FM processing timeline
-// (section 4.1).
+// (section 4.1). Its counters cover the run's own requests and the PI-5s
+// it processes, never an upkeep round's (see DistResult).
 type Result struct {
 	Algorithm Kind
 	// Start and End bound the discovery process; Duration = End - Start.
@@ -33,9 +34,10 @@ type Result struct {
 	// each one is a potentially truncated subtree. Always zero when
 	// retries are disabled.
 	GaveUp int
-	// Stale counts completions that arrived after their request had timed
-	// out; under retries these are the originals outrun by their own
-	// retransmission.
+	// Stale counts completions that arrived during the run after their
+	// request had timed out, whichever class sent it: the tag names no
+	// request any more. Under retries these are the originals outrun by
+	// their own retransmission.
 	Stale int
 	// Coalesced counts PI-5 reports this run assimilated through the
 	// coalescing front-end's batched flushes (Options.AssimWindow);

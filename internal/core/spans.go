@@ -12,7 +12,9 @@ import (
 // same contract the telemetry hooks honor. The span topology mirrors
 // the paper's FM timeline:
 //
-//	run (discovery run, partial assimilation, or distribution round)
+//	run (a discovery run or partial assimilation, or an upkeep round
+//	│    such as event-route distribution; a request parents to its
+//	│    own class's band, so a run and the rounds it overlaps stay apart)
 //	└── request (one PI-4, issue to terminal completion/failure)
 //	    ├── attempt (per transmission; retries nest under the SAME
 //	    │            request with increasing Attempt numbers)
@@ -30,11 +32,12 @@ import (
 // extract the critical path without any extra bookkeeping here.
 
 // beginRequestSpan opens the request span for a fresh (never-issued)
-// request and parents it to the active phase band.
+// request and parents it to its class's band: its upkeep round's, or the
+// run's.
 func (m *Manager) beginRequestSpan(req *request) {
 	parent := m.runSpan
-	if m.dist != nil {
-		parent = m.dist.span
+	if req.round != nil {
+		parent = req.round.span
 	}
 	id := m.sp.Begin(span.KindRequest, parent, m.e.Now())
 	if s := m.sp.Span(id); s != nil {
@@ -61,26 +64,18 @@ func (m *Manager) beginAttemptSpan(req *request) {
 	req.attemptSpan = id
 }
 
-// workSpanParent resolves which span owns a work item's FM processing:
-// the request it completes, else the active phase band.
-func (m *Manager) workSpanParent(w work) span.ID {
-	if w.req != nil && w.req.span != 0 {
-		return w.req.span
-	}
-	if m.dist != nil {
-		return m.dist.span
-	}
-	return m.runSpan
-}
-
 // recordWorkSpans records the FM queue-wait and service intervals of
-// the work item that just finished processing. Called from completeWork
-// before the item's side effects run, so the service span's ID precedes
-// any request it issues.
+// the work item that just finished processing, under the request it
+// completes, else under the run's band. Called from completeWork before
+// the item's side effects run, so the service span's ID precedes any
+// request it issues.
 func (m *Manager) recordWorkSpans(w work) {
 	now := m.e.Now()
 	start := now.Add(-m.curCost)
-	parent := m.workSpanParent(w)
+	parent := m.runSpan
+	if w.req != nil && w.req.span != 0 {
+		parent = w.req.span
+	}
 	if m.curEnqAt < start {
 		m.sp.Complete(span.KindFMQueue, parent, m.curEnqAt, start, span.StatusOK)
 	}
@@ -97,22 +92,4 @@ func (m *Manager) beginRunSpan(name string) span.ID {
 		s.Name = name
 	}
 	return id
-}
-
-// cancelRequestSpans force-ends the spans of every request a
-// superseding run orphans: still-pending requests and requests parked
-// in retry-backoff windows. End is idempotent, so requests that already
-// resolved are untouched.
-func (m *Manager) cancelRequestSpans() {
-	now := m.e.Now()
-	for _, r := range m.pending {
-		m.sp.End(r.attemptSpan, now, span.StatusCanceled)
-		m.sp.End(r.span, now, span.StatusCanceled)
-	}
-	for r := range m.retryReqs {
-		m.sp.End(r.span, now, span.StatusCanceled)
-	}
-	if len(m.retryReqs) > 0 {
-		m.retryReqs = make(map[*request]struct{})
-	}
 }

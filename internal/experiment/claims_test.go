@@ -212,3 +212,46 @@ func TestFig9GapWidensWithFasterFMAndSlowerDevices(t *testing.T) {
 		}
 	}
 }
+
+// TestExtScaleEveryRowConvergesAudited: every ext-scale row, up to the
+// 10 000-switch dragonfly 16x625, reads "converged (audit)". The chaos
+// oracle refuses a run with a failed event-route write on a loss-free
+// fabric, and the 16x625 row's round of 19 999 writes is the one that
+// fills the FM's upkeep window (4 096 in flight), so the row also holds
+// that the window drains a round whole.
+func TestExtScaleEveryRowConvergesAudited(t *testing.T) {
+	const doc = `EXPERIMENTS.md "Discovery at scale (ext-scale)": "every row converges with a clean ` +
+		`oracle verdict, including the 10,000-switch dragonfly 16x625 (20,000 devices)"`
+	rows := committedSection(t, "ext-scale")
+	if len(rows) != 7 {
+		t.Fatalf("ext-scale has %d rows, want 7 (10x10 torus to dragonfly 16x625)", len(rows))
+	}
+	for _, row := range rows {
+		if v := strings.Join(row[max(len(row)-2, 0):], " "); v != "converged (audit)" {
+			t.Errorf("ext-scale row %q reads %q, not converged (audit); %s", strings.Join(row, " "), v, doc)
+		}
+	}
+}
+
+// TestExtDistributedMergesEveryReport: every ext-distributed row merged
+// every collaborator's report (Missing 0), and no round failed (a round
+// that merges without a report reads ERR).
+func TestExtDistributedMergesEveryReport(t *testing.T) {
+	const doc = `EXPERIMENTS.md "Extensions (paper section 5, future work — implemented here)": ` +
+		`"A round that merges without a collaborator's report is a failed round and its row reads ERR"`
+	rows := committedSection(t, "ext-distributed")
+	if len(rows) != 9 {
+		t.Fatalf("ext-distributed has %d rows, want 9 (3 fabrics x 1, 2 and 4 FMs)", len(rows))
+	}
+	for _, row := range rows {
+		line := strings.Join(row, " ")
+		if strings.Contains(line, "ERR") {
+			t.Errorf("ext-distributed row %q failed its round; %s", line, doc)
+			continue
+		}
+		// Topology (two fields), FMs, time, total, sync, Missing, speedup.
+		if len(row) != 8 || row[6] != "0" {
+			t.Errorf("ext-distributed row %q: Missing is not 0; %s", line, doc)
+		}
+	}
+}

@@ -143,7 +143,7 @@ func Example_hotswap() {
 	// [8.670ms  ] *** hot-adding sw(1,1) back ***
 	// [12.776ms ] discovery: Parallel: 4.071ms, 32 devices (16 switches, 48 links), 319 pkts sent / 319 received, avg FM proc 12.655us
 	// [13.153ms ] event routes: 31 writes, 0 failures, 376.998us
-	// [17.217ms ] discovery: Parallel: 4.416ms, 32 devices (16 switches, 48 links), 319 pkts sent / 319 received, avg FM proc 12.616us
+	// [17.217ms ] discovery: Parallel: 4.416ms, 32 devices (16 switches, 48 links), 319 pkts sent / 319 received, avg FM proc 12.669us
 	// [17.631ms ] event routes: 31 writes, 0 failures, 414.118us
 	// [17.631ms ] database now: db{32 devices (16 switches), 48 links}
 }
