@@ -91,7 +91,8 @@ vet:
 # play, the instrumentation hooks' disabled cost and a warm PI-4 round
 # trip (FM -> device -> FM, and the bare fabric's BenchmarkForward/off) at
 # zero allocations, fabric.New within its bytes-per-device-or-link budget,
-# one cold Parallel discovery within its bytes budget, the link and
+# one cold Parallel discovery, one cold Serial Packet and one cold Serial
+# Device discovery each within its bytes budget, the link and
 # request records within their sizes, and the serving layer: a Clone at
 # the same allocations on any fabric and a write after it at the
 # directory, one page and the one device it touches, and an intern table

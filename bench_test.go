@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/span"
 	"repro/internal/topo"
 )
 
@@ -117,7 +118,7 @@ func BenchmarkFig6DiscoveryTime(b *testing.B) {
 }
 
 // BenchmarkFig7Timeline regenerates Fig. 7(a): the full FM processing
-// timeline on the 3x3 mesh.
+// timeline on the 3x3 mesh, read from the FM's span log.
 func BenchmarkFig7Timeline(b *testing.B) {
 	for _, kind := range core.PaperKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
@@ -125,11 +126,16 @@ func BenchmarkFig7Timeline(b *testing.B) {
 			benchEvents = 0
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res := discoverOnce(b, "3x3 mesh", core.Options{Algorithm: kind}, 1)
-				if len(res.Timeline) == 0 {
-					b.Fatal("no timeline")
+				sp := span.New(0)
+				res := discoverOnce(b, "3x3 mesh", core.Options{Algorithm: kind, Spans: sp}, 1)
+				runs, err := span.Timelines(sp.Log(), core.UpkeepBand)
+				if err != nil {
+					b.Fatal(err)
 				}
-				last = res.Timeline[len(res.Timeline)-1].Seconds()
+				if len(runs) != 1 || len(runs[0]) != res.Processed {
+					b.Fatalf("%d run bands, want one of %d points", len(runs), res.Processed)
+				}
+				last = runs[0][res.Processed-1].Seconds()
 			}
 			b.StopTimer()
 			b.ReportMetric(last, "sim-s/last-pkt")

@@ -44,7 +44,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed (selects the changed switch)")
 	fmFactor := flag.Float64("fm-factor", 1, "FM processing speed factor")
 	devFactor := flag.Float64("dev-factor", 1, "device processing speed factor")
-	timeline := flag.Bool("timeline", false, "print the FM packet-processing timeline")
+	timeline := flag.Bool("timeline", false, "print the FM packet-processing timeline (implies span tracing)")
 	traceN := flag.Int("trace", 0, "print the first N packet-level fabric events (implies span tracing)")
 	loss := flag.Float64("loss", 0, "uniform per-link packet loss probability (0 = lossless)")
 	retries := flag.Int("retries", 0, "max timeout retries per request (0 = paper behaviour: fail immediately)")
@@ -102,8 +102,8 @@ func main() {
 	if !(*backoffUS >= 0 && *backoffUS <= core.MaxRetryBackoff.Microseconds()) {
 		fail(2, fmt.Errorf("bad -retry-backoff %v (want microseconds, 0 up to %v)", *backoffUS, core.MaxRetryBackoff))
 	}
-	if *jsonOut && (*spans || *traceN > 0) {
-		fail(2, fmt.Errorf("-json carries no span log: drop -spans and -trace, or save the trace with -spans-out"))
+	if *jsonOut && (*spans || *traceN > 0 || *timeline) {
+		fail(2, fmt.Errorf("-json carries no span log: drop -spans, -trace and -timeline, or save the trace with -spans-out"))
 	}
 	cfg := experiment.Config{
 		Topology:     *topoName,
@@ -116,7 +116,7 @@ func main() {
 		MaxRetries:   *retries,
 		RetryBackoff: sim.Micros(*backoffUS),
 		Telemetry:    *tele,
-		Spans:        *spans || *spansOut != "" || *traceN > 0,
+		Spans:        *spans || *spansOut != "" || *traceN > 0 || *timeline,
 	}
 	if *flapSpec != "" {
 		flap, err := cli.Flap(*flapSpec)
@@ -186,8 +186,12 @@ func main() {
 		printTelemetry(out)
 	}
 	if *timeline {
+		tl, err := out.Timeline()
+		if err != nil {
+			fail(1, err)
+		}
 		fmt.Println("\npacket#  processed-at (s)")
-		for i, at := range out.Result.Timeline {
+		for i, at := range tl {
 			fmt.Printf("%7d  %.9f\n", i+1, at.Seconds())
 		}
 	}

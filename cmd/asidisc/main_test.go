@@ -153,6 +153,42 @@ func TestJSONReportsDecode(t *testing.T) {
 	}
 	refusedWith2(t, "-spans-out", "-topo", "3x3 mesh", "-spans", "-json")
 	refusedWith2(t, "-spans-out", "-topo", "3x3 mesh", "-trace", "5", "-json")
+	refusedWith2(t, "-spans-out", "-topo", "3x3 mesh", "-timeline", "-json")
+}
+
+// TestTimeline: -timeline, read from the run's span log, prints one
+// instant per packet the measured run processed, in order; after a
+// change, the instants of every run the change triggered.
+func TestTimeline(t *testing.T) {
+	for _, args := range [][]string{
+		{"-alg", "serial-device"},
+		{"-alg", "partial", "-change", "remove"},
+	} {
+		out := asidisc(t, append([]string{"-topo", "3x3 mesh", "-timeline"}, args...)...)
+		var packets int
+		for _, l := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(l, "avg FM proc:"); ok {
+				fmt.Sscanf(rest[strings.Index(rest, "over")+len("over"):], "%d", &packets)
+			}
+		}
+		_, tl, ok := strings.Cut(out, "\npacket#  processed-at (s)\n")
+		if !ok {
+			t.Fatalf("%q: no timeline in output:\n%s", args, out)
+		}
+		lines := strings.Split(strings.TrimSuffix(tl, "\n"), "\n")
+		if packets == 0 || len(lines) != packets {
+			t.Errorf("%q: %d timeline lines for %d processed packets", args, len(lines), packets)
+		}
+		prev := -1.0
+		for i, l := range lines {
+			var n int
+			var at float64
+			if _, err := fmt.Sscanf(l, "%d %f", &n, &at); err != nil || n != i+1 || at < prev {
+				t.Fatalf("%q: timeline line %d is %q after %v s", args, i+1, l, prev)
+			}
+			prev = at
+		}
+	}
 }
 
 // TestTelemetryJSONRepeatsByteForByte: a telemetry run's report is a

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/asi"
 	"repro/internal/fabric"
@@ -241,8 +240,6 @@ type Manager struct {
 
 	res  Result
 	last *Result
-	// timelineChunks are the full chunks of res.Timeline (appendTimeline).
-	timelineChunks [][]sim.Time
 
 	// OnDiscoveryComplete fires when a discovery run finishes, with its
 	// measurements.
@@ -456,7 +453,6 @@ func (m *Manager) completeWork(*sim.Engine) {
 	if m.discovering && (w.req == nil || w.req.round == nil) {
 		m.res.Processed++
 		m.res.FMBusy += m.curCost
-		m.appendTimeline(m.e.Now())
 	}
 	m.handleWork(w)
 	m.checkDone()
@@ -790,21 +786,16 @@ func hopThrough(n *Node, in, out int) route.Hop {
 	return route.Hop{Ports: uint16(n.Ports), In: uint8(in), Out: uint8(out)}
 }
 
-// probesFrom enumerates the exploration steps a fully port-read device
+// probesFrom queues the exploration steps a fully port-read device
 // enables: one probe per active port whose link the FM has not yet
 // recorded. Endpoints never forward, so only switches (and the host
 // endpoint at start) spawn probes.
-func (m *Manager) probesFrom(n *Node) []probeSpec {
-	if n.Type != asi.DeviceSwitch {
-		return nil
-	}
-	var out []probeSpec
+func (m *Manager) probesFrom(n *Node, q *sim.Ring[probeSpec]) {
 	for p := 0; p < n.Ports; p++ {
 		if spec, ok := m.probeFromPort(n, p); ok {
-			out = append(out, spec)
+			q.Push(spec)
 		}
 	}
-	return out
 }
 
 // probeFromPort is the single-port variant of probesFrom, used by the
@@ -856,27 +847,7 @@ func (m *Manager) beginRun() {
 	if m.sp != nil {
 		m.runSpan = m.beginRunSpan(m.opt.Algorithm.String())
 	}
-	// A rediscovery processes about as many work items as the run before
-	// it (m.res still holds that run); the very first has nothing to go
-	// by and grows its timeline.
-	m.res = Result{Algorithm: m.opt.Algorithm, Start: m.e.Now(),
-		Timeline: make([]sim.Time, 0, len(m.res.Timeline))}
-}
-
-// timelineChunk is the size, in points, of a long timeline's chunks.
-const timelineChunk = 4096
-
-// appendTimeline adds one point to the running result's timeline. A
-// timeline grows by append until its slice holds timelineChunk points,
-// then in fixed chunks that finishRun flattens once: a cold run of a large
-// fabric allocates about twice its timeline, not the five times that
-// regrowing one slice costs.
-func (m *Manager) appendTimeline(at sim.Time) {
-	if tl := m.res.Timeline; len(tl) == cap(tl) && cap(tl) >= timelineChunk {
-		m.timelineChunks = append(m.timelineChunks, tl)
-		m.res.Timeline = make([]sim.Time, 0, timelineChunk)
-	}
-	m.res.Timeline = append(m.res.Timeline, at)
+	m.res = Result{Algorithm: m.opt.Algorithm, Start: m.e.Now()}
 }
 
 // checkDone finishes the run when the driver is idle, none of its own
@@ -906,10 +877,6 @@ func (m *Manager) finishRun() {
 	m.res.Devices = m.db.NumNodes()
 	m.res.Switches = m.db.NumSwitches()
 	m.res.Links = m.db.NumLinks()
-	if m.timelineChunks != nil {
-		m.res.Timeline = slices.Concat(append(m.timelineChunks, m.res.Timeline)...)
-		m.timelineChunks = nil
-	}
 	r := m.res
 	m.last = &r
 	if m.OnDiscoveryComplete != nil {

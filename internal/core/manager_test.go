@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/span"
 	"repro/internal/topo"
 )
 
@@ -184,18 +185,46 @@ func TestHotAdditionAssimilation(t *testing.T) {
 	}
 }
 
+// TestTimelineMonotonicAndComplete reads each paper algorithm's Fig. 7(a)
+// trace from the span log of a 3x3-mesh discovery: one run band, one
+// point per processed packet, never going backwards.
 func TestTimelineMonotonicAndComplete(t *testing.T) {
 	for _, kind := range PaperKinds() {
 		e, _, m := setup(t, topo.Mesh(3, 3), kind)
+		sp := span.New(0)
+		m.sp = sp
 		res := runDiscovery(t, e, m)
-		if len(res.Timeline) != res.Processed {
-			t.Errorf("%s: timeline has %d points, processed %d", kind, len(res.Timeline), res.Processed)
+		runs, err := span.Timelines(sp.Log(), UpkeepBand)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
-		for i := 1; i < len(res.Timeline); i++ {
-			if res.Timeline[i] < res.Timeline[i-1] {
+		if len(runs) != 1 {
+			t.Fatalf("%s: %d run bands, want 1", kind, len(runs))
+		}
+		tl := runs[0]
+		if len(tl) != res.Processed {
+			t.Errorf("%s: timeline has %d points, processed %d", kind, len(tl), res.Processed)
+		}
+		for i := 1; i < len(tl); i++ {
+			if tl[i] < tl[i-1] {
 				t.Errorf("%s: timeline goes backwards at %d", kind, i)
 			}
 		}
+	}
+}
+
+// TestTimelinesRefuseADroppedLog: a log that hit its cap may have lost
+// FM-service spans, so no timeline is read from it.
+func TestTimelinesRefuseADroppedLog(t *testing.T) {
+	e, _, m := setup(t, topo.Mesh(3, 3), Parallel)
+	sp := span.New(64)
+	m.sp = sp
+	runDiscovery(t, e, m)
+	if sp.Dropped() == 0 {
+		t.Fatal("a 64-span cap dropped nothing")
+	}
+	if runs, err := span.Timelines(sp.Log(), UpkeepBand); err == nil {
+		t.Errorf("read %d run bands from a log that dropped %d spans", len(runs), sp.Dropped())
 	}
 }
 

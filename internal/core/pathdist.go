@@ -48,6 +48,10 @@ func EventRouteFor(n *Node) (pool uint64, ptr uint8, err error) {
 	return route.Encode(route.AppendReverse(rev, n.Path))
 }
 
+// UpkeepBand names an upkeep round's span band; every other run band is
+// a discovery run's (span.Timelines).
+const UpkeepBand = "event-routes"
+
 // roundWindow caps an upkeep round's writes in flight. A write's timeout
 // runs from its issue, so a round that issued everything at once would
 // expire the writes still queued on the FM's own link.
@@ -64,7 +68,7 @@ func (m *Manager) DistributeEventRoutes(onDone func(DistResult)) {
 	}
 	r := &round{res: DistResult{Start: m.e.Now()}, onDone: onDone}
 	if m.sp != nil {
-		r.span = m.beginRunSpan("event-routes")
+		r.span = m.beginRunSpan(UpkeepBand)
 	}
 	nodes := m.db.Nodes()
 	r.todo = make([]eventRoute, 0, len(nodes))

@@ -129,10 +129,10 @@ func TestDistResultTiming(t *testing.T) {
 }
 
 // books is what a run counts of its own traffic: r without the instants,
-// which a queue ahead of the run shifts, and with its timeline's length.
+// which a queue ahead of the run shifts, and with its processed items.
 func books(r Result) (Result, int) {
-	n := len(r.Timeline)
-	r.Start, r.End, r.Duration, r.Timeline = 0, 0, 0, nil
+	n := r.Processed
+	r.Start, r.End, r.Duration = 0, 0, 0
 	return r, n
 }
 
@@ -289,6 +289,11 @@ func TestRequestSpansParentByClass(t *testing.T) {
 	}
 	if routes != 31 || reqs != 2*311+31 {
 		t.Errorf("%d write spans of %d request spans, want 31 of %d", routes, reqs, 2*311+31)
+	}
+	// The timeline skips the round's band: the second run's points are its
+	// own 312 items, none of the round's write completions.
+	if runs, err := span.Timelines(sp.Log(), UpkeepBand); err != nil || len(runs) != 2 || len(runs[1]) != 312 {
+		t.Errorf("timelines of the two runs: %d bands, err %v; want 2, the second of 312 points", len(runs), err)
 	}
 	for _, s := range spans {
 		if s.Kind == span.KindRun && s.Open() {

@@ -9,8 +9,9 @@ import (
 // Result captures one discovery run's measurements: the paper records the
 // topology discovery time, the amount of management packets and bytes
 // generated and received by the FM, and the FM processing timeline
-// (section 4.1). Its counters cover the run's own requests and the PI-5s
-// it processes, never an upkeep round's (see DistResult).
+// (section 4.1), which is read from the run's span log (span.Timelines). Its
+// counters cover the run's own requests and the PI-5s it processes, never
+// an upkeep round's (see DistResult).
 type Result struct {
 	Algorithm Kind
 	// Start and End bound the discovery process; Duration = End - Start.
@@ -45,10 +46,11 @@ type Result struct {
 	Coalesced int
 	// Devices/Switches/Links summarize the resulting topology database.
 	Devices, Switches, Links int
-	// Timeline is the per-packet FM processing trace behind the paper's
-	// Fig. 7(a): Timeline[i] is the simulated instant the FM finished
-	// processing its (i+1)-th management packet.
-	Timeline []sim.Time
+	// Timeline is never filled: the per-packet FM processing trace behind
+	// the paper's Fig. 7(a) is read from the span log (span.Timelines). The
+	// field is kept only for the repo benchmark's module, which assigns
+	// it, and leaves with its two assignments.
+	Timeline []sim.Time `json:"-"`
 }
 
 // AvgFMProcessing returns the mean FM processing time per packet — the

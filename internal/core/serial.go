@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/asi"
+import (
+	"repro/internal/asi"
+	"repro/internal/sim"
+)
 
 // serialDriver implements both serialized discovery variants of the
 // paper's section 3 (Fig. 2 flow chart):
@@ -22,7 +25,7 @@ type serialDriver struct {
 
 	// queue is the breadth-first device exploration queue: probes to
 	// send, one at a time.
-	queue []probeSpec
+	queue sim.Ring[probeSpec]
 
 	// cur is the device whose ports are being read, with the ports left
 	// to read (Serial Packet) or outstanding (Serial Device).
@@ -39,16 +42,15 @@ func (d *serialDriver) start() {
 	if host == nil || !host.PortActive[0] {
 		return // isolated FM: discovery is just the host endpoint
 	}
-	d.queue = append(d.queue, probeSpec{srcDSN: host.DSN})
+	d.queue.Push(probeSpec{srcDSN: host.DSN})
 	d.advance()
 }
 
 // advance pops the next device probe off the exploration queue.
 func (d *serialDriver) advance() {
 	d.idle = true
-	for len(d.queue) > 0 {
-		p := d.queue[0]
-		d.queue = d.queue[1:]
+	for d.queue.Len() > 0 {
+		p := d.queue.Pop()
 		// The link may have been recorded since this probe was queued
 		// (alternate path through a cycle); re-check to avoid a
 		// redundant read. The ASI-SIG flow chart performs the
@@ -121,12 +123,12 @@ func (d *serialDriver) onPort(req *request, n *Node, ok bool) {
 // active port and move on.
 func (d *serialDriver) deviceDone() {
 	if d.cur != nil && d.cur.Type == asi.DeviceSwitch {
-		d.queue = append(d.queue, d.m.probesFrom(d.cur)...)
+		d.m.probesFrom(d.cur, &d.queue)
 	}
 	d.cur = nil
 	d.advance()
 }
 
 func (d *serialDriver) finished() bool {
-	return d.idle && len(d.queue) == 0
+	return d.idle && d.queue.Len() == 0
 }

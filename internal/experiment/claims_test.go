@@ -255,3 +255,43 @@ func TestExtDistributedMergesEveryReport(t *testing.T) {
 		}
 	}
 }
+
+// TestFig7aSlopesOnCommittedRows: on every committed row of Fig. 7(a), the
+// 3x3 mesh's FM timeline, the per-packet slope over each run of ten
+// packets orders Serial Packet > Serial Device > Parallel, and Serial
+// Packet and Parallel each keep within 20 % of the constant slope
+// EXPERIMENTS.md states for them.
+func TestFig7aSlopesOnCommittedRows(t *testing.T) {
+	const doc = `EXPERIMENTS.md "Fig. 7 — processing packets at the FM": "Serial Packet advances ` +
+		`~20.5 µs per packet ... Serial Device ~17 µs averaged (alternating) ... Parallel ~12.5 µs"`
+	const window, band = 10, 0.2
+	stated := map[string]float64{"Serial Packet": 20.5, "Parallel": 12.5}
+	rows := committedSection(t, "fig7a")
+	if len(rows) < 2*window {
+		t.Fatalf("fig7a has %d rows, want at least %d", len(rows), 2*window)
+	}
+	at := make([][]float64, len(rows)) // seconds per algorithm column
+	for i, row := range rows {
+		if len(row) != 4 {
+			t.Fatalf("fig7a row %q: want a packet number and three instants; %s", strings.Join(row, " "), doc)
+		}
+		at[i] = lastFloats(t, "fig7a", row, 3)
+	}
+	for lo := 0; lo+window < len(at); lo += window {
+		hi := lo + window
+		var us [3]float64
+		for c := range us {
+			us[c] = (at[hi][c] - at[lo][c]) / window * 1e6
+		}
+		if !(us[0] > us[1] && us[1] > us[2]) {
+			t.Errorf("fig7a packets %d–%d: %.1f, %.1f and %.1f µs per packet for %s, want them falling; %s",
+				lo+1, hi+1, us[0], us[1], us[2], strings.Join(algorithmColumns[:], ", "), doc)
+		}
+		for c, name := range algorithmColumns {
+			if want, ok := stated[name]; ok && math.Abs(us[c]-want) > band*want {
+				t.Errorf("fig7a packets %d–%d: %s advances %.1f µs per packet, not within %.0f %% of %.1f µs; %s",
+					lo+1, hi+1, name, us[c], band*100, want, doc)
+			}
+		}
+	}
+}

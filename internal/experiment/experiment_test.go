@@ -52,11 +52,14 @@ func TestRunRemoveSwitchMeasuresAssimilation(t *testing.T) {
 // one point per processed packet across all of them, in order.
 func TestPartialTimelineCoversEveryRun(t *testing.T) {
 	for seed := uint64(2); seed <= 5; seed++ {
-		o := RunConfig(Config{Topology: "8x8 torus", Algorithm: core.Partial, Seed: seed, Change: RemoveSwitch})
+		o := RunConfig(Config{Topology: "8x8 torus", Algorithm: core.Partial, Seed: seed, Change: RemoveSwitch, Spans: true})
 		if o.Err != nil {
 			t.Fatalf("seed %d: %v", seed, o.Err)
 		}
-		tl := o.Result.Timeline
+		tl, err := o.Timeline()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		if o.Result.Processed == 0 || len(tl) != o.Result.Processed {
 			t.Errorf("seed %d: %d timeline points for %d processed packets", seed, len(tl), o.Result.Processed)
 		}

@@ -171,12 +171,13 @@ func Fig7a() Report {
 	}
 	var lines [3][]sim.Time
 	for j, k := range core.PaperKinds() {
-		o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: k, Seed: 1, Change: NoChange})
+		o := RunConfig(Config{Topology: "3x3 mesh", Algorithm: k, Seed: 1, Change: NoChange, Spans: true})
+		if o.Err == nil {
+			lines[j], o.Err = o.Timeline()
+		}
 		if o.Err != nil {
 			r.Notes = append(r.Notes, fmt.Sprintf("%v failed: %v", k, o.Err))
-			continue
 		}
-		lines[j] = o.Result.Timeline
 	}
 	maxLen := 0
 	for _, l := range lines {

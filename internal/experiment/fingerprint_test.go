@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/span"
 )
 
 // fingerprintConfigs spans the simulation's behaviour space: every paper
@@ -130,6 +131,55 @@ func TestSpansDoNotPerturbSimulation(t *testing.T) {
 		}
 		if a.Spans != nil {
 			t.Errorf("%s: plain run unexpectedly carries a span log", name)
+		}
+	}
+}
+
+// TestTimelineCountsEveryProcessedPacket reads the Fig. 7(a) trace from
+// the span log of every fingerprint scenario: the initial discovery's
+// band holds one point per packet Initial processed, and the measured
+// timeline (every band after it, for a change) one per packet Result
+// processed, never going backwards. Lossy runs with retries and the
+// multi-run Partial adds and removes are among the scenarios. A log
+// that dropped spans is refused.
+func TestTimelineCountsEveryProcessedPacket(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50-scenario sweep")
+	}
+	cfgs := fingerprintConfigs(t)
+	for i := range cfgs {
+		cfgs[i].Spans = true
+	}
+	for i, o := range RunConfigAll(cfgs, 0) {
+		name := fmt.Sprintf("%s/%v/%v/seed%d", cfgs[i].Topology,
+			cfgs[i].Algorithm, cfgs[i].Change, cfgs[i].Seed)
+		if o.Err != nil {
+			t.Errorf("%s: %v", name, o.Err)
+			continue
+		}
+		runs, err := span.Timelines(*o.Spans, core.UpkeepBand)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if len(runs) == 0 || len(runs[0]) != o.Initial.Processed {
+			t.Errorf("%s: the initial band holds %d points over %d bands, Initial processed %d",
+				name, len(runs[0]), len(runs), o.Initial.Processed)
+		}
+		tl, err := o.Timeline()
+		if err != nil || len(tl) != o.Result.Processed {
+			t.Errorf("%s: %d timeline points (err %v), Result processed %d", name, len(tl), err, o.Result.Processed)
+		}
+		for j := 1; j < len(tl); j++ {
+			if tl[j] < tl[j-1] {
+				t.Errorf("%s: timeline point %d at %v precedes point %d at %v", name, j+1, tl[j], j, tl[j-1])
+				break
+			}
+		}
+		dropped := *o.Spans
+		dropped.Dropped = 1
+		if _, err := span.Timelines(dropped, core.UpkeepBand); err == nil {
+			t.Errorf("%s: read a timeline from a log that dropped a span", name)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // RunReportSchema identifies the JSON envelope version emitted by the
 // CLIs. Consumers should reject any other schema string, as
 // DecodeRunReport does.
-const RunReportSchema = "asi-discovery/run-report/v7"
+const RunReportSchema = "asi-discovery/run-report/v8"
 
 // RunReport is the machine-readable envelope for simulation output: run
 // identification, the measured discovery, any rendered report tables,

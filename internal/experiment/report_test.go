@@ -109,9 +109,9 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 }
 
 // Retired envelope versions get no partial back-compat decoding: a v1 to
-// v6 document is refused by the unknown-schema error whatever it carries.
+// v7 document is refused by the unknown-schema error whatever it carries.
 func TestDecodeRunReportBackCompat(t *testing.T) {
-	for _, version := range []string{"v1", "v2", "v3", "v4", "v5", "v6"} {
+	for _, version := range []string{"v1", "v2", "v3", "v4", "v5", "v6", "v7"} {
 		schema := "asi-discovery/run-report/" + version
 		for _, body := range []string{
 			`"error":"x"`,
@@ -145,6 +145,8 @@ func TestDecodeRunReportRejects(t *testing.T) {
 		// saved as a Chrome trace, and telemetry's sim.events counts events.
 		"retired spans section": `{"schema":"` + RunReportSchema + `","error":"x","spans":{"spans":null,"dropped":0}}`,
 		"retired events count":  `{"schema":"` + RunReportSchema + `","error":"x","events":1}`,
+		// The timeline left with v8: it is read from the span log.
+		"retired timeline": `{"schema":"` + RunReportSchema + `","result":{"Timeline":[1]}}`,
 	}
 	for name, doc := range cases {
 		if _, err := DecodeRunReport(bytes.NewReader([]byte(doc))); err == nil {

@@ -7,11 +7,13 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rig"
+	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -162,14 +164,10 @@ func (out *Outcome) measure(r *rig.Rig) {
 
 // aggregate folds the runs one change triggered into one measurement:
 // partial assimilation may produce several small runs, one per coalesced
-// report batch. Their timelines join in run order, one point per
-// processed packet; clipped, the first append copies, so runs[0] keeps
-// its own.
+// report batch (Outcome.Timeline joins their timelines).
 func aggregate(runs []core.Result) core.Result {
 	sum := runs[0]
-	sum.Timeline = slices.Clip(sum.Timeline)
 	for _, r := range runs[1:] {
-		sum.Timeline = append(sum.Timeline, r.Timeline...)
 		sum.End = r.End
 		sum.Duration += r.Duration
 		sum.PacketsSent += r.PacketsSent
@@ -187,6 +185,26 @@ func aggregate(runs []core.Result) core.Result {
 		sum.Links = r.Links
 	}
 	return sum
+}
+
+// Timeline returns the measured discovery's Fig. 7(a) trace, read from
+// the run's span log (span.Timelines): the instant the FM finished
+// processing each packet the Result counts. For NoChange that is the
+// initial discovery's run; after a change, every run the change
+// triggered, joined in run order. The run must have succeeded and kept
+// its span log (Config.Spans).
+func (o Outcome) Timeline() ([]sim.Time, error) {
+	if o.Spans == nil {
+		return nil, errors.New("experiment: the run kept no span log to read its timeline from")
+	}
+	runs, err := span.Timelines(*o.Spans, core.UpkeepBand)
+	if err != nil {
+		return nil, err
+	}
+	if o.Config.Change == NoChange {
+		return runs[0], nil
+	}
+	return slices.Concat(runs[1:]...), nil
 }
 
 // RunConfigWithRetry reruns with shifted seeds when a run fails for a

@@ -96,8 +96,7 @@ func checkSpanStructure(t *testing.T, l span.Log, out Outcome) {
 				t.Errorf("span #%d: request parent #%d is not a run span", s.ID, s.Parent)
 			}
 			switch s.Status {
-			case span.StatusOK, span.StatusTimeout, span.StatusGaveUp,
-				span.StatusError, span.StatusCanceled:
+			case span.StatusOK, span.StatusTimeout, span.StatusGaveUp, span.StatusError:
 			default:
 				t.Errorf("span #%d: request ended with non-terminal status %v", s.ID, s.Status)
 			}

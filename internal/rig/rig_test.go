@@ -17,7 +17,7 @@ import (
 
 // run is everything two executions of one discovery case must agree on.
 type run struct {
-	results    []core.Result // Timeline dropped
+	results    []core.Result
 	processed  uint64
 	scheduled  uint64
 	farPushes  uint64
@@ -26,10 +26,8 @@ type run struct {
 	dbFP       uint64
 }
 
-// collect is the run's completion hook: results without their
-// timelines, as the benchmark keeps them.
+// collect is the run's completion hook.
 func (r *run) collect(res core.Result) {
-	res.Timeline = nil
 	r.results = append(r.results, res)
 }
 

@@ -141,6 +141,35 @@ func Analyze(l Log) (*Analysis, error) {
 	return a, nil
 }
 
+// Timelines reads the FM's per-packet processing instants, the paper's
+// Fig. 7(a), from a log: for each run band not named skip, in order, the
+// End of every FM-service span under it. A log that dropped spans may
+// have lost some of them, so it is refused, as is one Validate refuses.
+func Timelines(l Log, skip string) ([][]sim.Time, error) {
+	if l.Dropped > 0 {
+		return nil, fmt.Errorf("span: log dropped %d spans, so it holds no whole FM timeline", l.Dropped)
+	}
+	if err := Validate(l); err != nil {
+		return nil, err
+	}
+	var runs [][]sim.Time
+	band := make([]int, len(l.Spans)) // span i+1's index in runs, or -1
+	for i, s := range l.Spans {
+		band[i] = -1
+		switch {
+		case s.Kind == KindRun && s.Name != skip:
+			band[i] = len(runs)
+			runs = append(runs, nil)
+		case s.Kind != KindRun && s.Parent != 0:
+			band[i] = band[s.Parent-1] // Validate: parents come first
+		}
+		if b := band[i]; s.Kind == KindFMService && b >= 0 {
+			runs[b] = append(runs[b], s.End)
+		}
+	}
+	return runs, nil
+}
+
 // enabler finds the request whose FM processing issued the request
 // starting at t: the FM-service span containing t belongs to the work
 // item being processed, and its parent names that request. Returns 0

@@ -156,6 +156,8 @@ const (
 	// StatusDropped: the packet behind the span was discarded.
 	StatusDropped
 	// StatusCanceled: a superseding discovery run orphaned the span.
+	// Nothing produces it any more (a run no longer cancels upkeep);
+	// it stays decodable so that traces saved by older builds still load.
 	StatusCanceled
 	// StatusInstant: the span is a zero-length marker, not an interval.
 	StatusInstant
@@ -309,9 +311,10 @@ func (t *Tracer) Span(id ID) *Span {
 	return &t.spans[id-1]
 }
 
-// End closes an open span with the given status. Ending ID 0, an
-// unknown span, or a span that already ended is a no-op, which makes
-// teardown paths (run supersession, orphaned retries) safe to layer.
+// End closes an open span with the given status. Ending ID 0 (a disabled
+// tracer's or a dropped span's), an unknown span, or a span that already
+// ended is a no-op, so a caller need not know whether its span was
+// recorded.
 func (t *Tracer) End(id ID, at sim.Time, status Status) {
 	s := t.Span(id)
 	if s == nil || !s.Open() {

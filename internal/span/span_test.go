@@ -368,3 +368,37 @@ func TestGanttRender(t *testing.T) {
 		}
 	}
 }
+
+// TestTimelines: a band's instants are the ends of the FM-service spans
+// under it, however deep, in order; a band named skip, and a service span
+// under no band, contribute none; a log that dropped spans is refused.
+func TestTimelines(t *testing.T) {
+	tr := New(0)
+	run := tr.Begin(KindRun, 0, us(0))
+	tr.Complete(KindFMService, run, us(0), us(1), StatusOK)
+	upkeep := tr.Begin(KindRun, 0, us(1))
+	tr.Span(upkeep).Name = "upkeep"
+	req := tr.Begin(KindRequest, run, us(1))
+	write := tr.Begin(KindRequest, upkeep, us(1))
+	tr.Complete(KindFMQueue, req, us(1), us(2), StatusOK)
+	tr.Complete(KindFMService, req, us(2), us(3), StatusOK)
+	tr.Complete(KindFMService, write, us(3), us(4), StatusOK)
+	tr.Complete(KindFMService, 0, us(4), us(5), StatusOK)
+	tr.End(req, us(3), StatusOK)
+	tr.End(write, us(4), StatusOK)
+	tr.End(upkeep, us(4), StatusOK)
+	tr.End(run, us(5), StatusOK)
+	again := tr.Begin(KindRun, 0, us(6))
+	tr.Complete(KindFMService, again, us(6), us(7), StatusOK)
+	tr.End(again, us(7), StatusOK)
+
+	runs, err := Timelines(tr.Log(), "upkeep")
+	if want := [][]sim.Time{{us(1), us(3)}, {us(7)}}; err != nil || !reflect.DeepEqual(runs, want) {
+		t.Errorf("Timelines = %v, %v; want %v", runs, err, want)
+	}
+	l := tr.Log()
+	l.Dropped = 1
+	if runs, err := Timelines(l, "upkeep"); err == nil {
+		t.Errorf("a log that dropped a span read as %v", runs)
+	}
+}
